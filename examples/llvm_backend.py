@@ -1,9 +1,9 @@
 """The LLVM backend: paper Sec. XI's future work, implemented.
 
 Generates a kernel through the normal expression pipeline, shows the
-PTX the framework emits, transpiles it to LLVM IR, and runs the same
-computation through the CPU work-item target — verifying bit-exact
-agreement with the (simulated) GPU path.
+PTX the framework emits, unparses it to LLVM IR text, and runs the same
+computation through the compiled CPU work-item target — verifying
+bit-exact agreement with the (simulated) GPU path.
 
 Run:  python examples/llvm_backend.py
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import qdp_init
 from repro.core.expr import adj
-from repro.llvm import LLVMBackend, transpile
+from repro.llvm import compile_cpu_kernel
 from repro.qdp import Lattice
 from repro.qdp.fields import latt_color_matrix, latt_fermion
 
@@ -34,11 +34,13 @@ module = list(ctx.module_cache.values())[-1][0]
 print("generated PTX (head):")
 print("\n".join(module.render().splitlines()[:8]), "\n...")
 
-# 2. transpile the same PTX to LLVM IR
-ir = transpile(module.render())
-print(f"\nLLVM IR: {len(ir.text.splitlines())} lines, "
-      f"{len(ir.instructions)} instructions")
-print("\n".join(ir.text.splitlines()[:10]), "\n...")
+# 2. compile the same PTX for the CPU target; its LLVM IR text is
+#    unparsed from the same parsed instruction stream on demand
+kernel = compile_cpu_kernel(module.render())
+ll = kernel.llvm_text.splitlines()
+print(f"\nLLVM IR: {len(ll)} lines from "
+      f"{len(kernel.parsed.instructions)} PTX instructions")
+print("\n".join(ll[:10]), "\n...")
 
 # 3. execute on the CPU target against the same device memory
 addrs = ctx.field_cache.make_available([out, u, psi])
@@ -50,7 +52,6 @@ params = {"p_lo": lattice.nsites, "p_n": lattice.nsites,
 start = addrs[out.uid] >> 3
 views["float64"][start:start + out.host.size] = 0   # wipe the result
 
-kernel = LLVMBackend().get_or_compile(module.render())
 kernel(views, params, math.ceil(lattice.nsites / 128), 128)
 
 cpu_words = ctx.device.memcpy_dtoh(addrs[out.uid], out.nbytes,

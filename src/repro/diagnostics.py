@@ -189,9 +189,9 @@ def backend_mode(default: str = "sim",
         translator of :mod:`repro.driver.jitcompiler`, the reference
         execution semantics everything else is checked against.
     ``cpu``
-        Kernels execute through the compiled CPU backend: PTX is
-        transpiled to structured LLVM-style IR and code-generated into
-        vectorized NumPy (:mod:`repro.llvm.cputarget`).  Results are
+        Kernels execute through the compiled CPU backend: the parsed
+        PTX is code-generated into vectorized NumPy with integer
+        address arithmetic folded (:mod:`repro.llvm.cputarget`).  Results are
         bitwise identical to ``sim``; kernels outside the transpilable
         subset fall back to ``sim`` per kernel with a one-time warning.
 

@@ -11,9 +11,10 @@ default like every other ``REPRO_*`` knob):
 ``sim`` (default)
     The PTX translator of :mod:`repro.driver.jitcompiler`.
 ``cpu``
-    The compiled NumPy backend of :mod:`repro.llvm.cputarget` — PTX
-    (post-``REPRO_IR`` pipeline) transpiled to structured IR and
-    code-generated into vectorized NumPy, bitwise identical to ``sim``.
+    The compiled NumPy backend of :mod:`repro.llvm.cputarget` — the
+    same parsed PTX (post-``REPRO_IR`` pipeline) walked by a subclass
+    of the ``sim`` translator that folds integer address arithmetic,
+    bitwise identical to ``sim``.
 
 Kernels outside a backend's supported subset *fall back to* ``sim``
 with a one-time warning naming the kernel and the unsupported
@@ -70,7 +71,7 @@ class Backend:
     :class:`~repro.driver.jitcompiler.CompiledKernel` (which carries
     the PTX text and the parsed form) and returns a callable with the
     launch signature ``(views, params, grid_dim, block_dim)``.  Raise
-    :class:`BackendBuildError` (or ``TranspileError``) for kernels
+    :class:`BackendBuildError` (``TranspileError`` is one) for kernels
     outside the backend's supported subset.
     """
 
@@ -97,7 +98,7 @@ class CpuBackend(Backend):
     def build(self, kernel):
         from ..llvm.cputarget import compile_cpu_kernel
 
-        return compile_cpu_kernel(kernel.ptx_text)
+        return compile_cpu_kernel(kernel.ptx_text, kernel.parsed)
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -163,12 +164,10 @@ def select_backend(kernel, stats: BackendStats) -> None:
         kernel.backend = "sim"
         return
     backend = _REGISTRY[mode]
-    from ..llvm.transpiler import TranspileError
-
     t0 = time.perf_counter()
     try:
         func = backend.build(kernel)
-    except (BackendBuildError, TranspileError) as exc:
+    except BackendBuildError as exc:
         kernel.backend_errors[mode] = str(exc)
         stats.fallbacks += 1
         stats.fallback_kernels[kernel.name] = str(exc)

@@ -25,7 +25,8 @@ import numpy as np
 
 from ..diagnostics import emit_warnings, errors, verify_mode
 from ..memory.pool import ALIGNMENT
-from ..ptx.isa import Immediate, Instruction, KernelInfo, PTXType, Register, Special
+from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType,
+                       Register, Special)
 from .parser import ParsedKernel, PTXParseError, parse_ptx
 
 
@@ -33,23 +34,10 @@ class JITCompileError(Exception):
     """The driver rejected a PTX program."""
 
 
-_NP_DTYPE = {
-    PTXType.F32: "np.float32",
-    PTXType.F64: "np.float64",
-    PTXType.S32: "np.int32",
-    PTXType.S64: "np.int64",
-    PTXType.U32: "np.uint32",
-    PTXType.U64: "np.uint64",
-}
-
-_DTYPE_NAME = {
-    PTXType.F32: "float32",
-    PTXType.F64: "float64",
-    PTXType.S32: "int32",
-    PTXType.S64: "int64",
-    PTXType.U32: "uint32",
-    PTXType.U64: "uint64",
-}
+#: PTX type -> NumPy scalar-constructor expression; the one dtype table
+#: every generated kernel uses (view keys are ``NUMPY_DTYPES`` itself)
+_NP_DTYPE = {t: f"np.{name}" for t, name in NUMPY_DTYPES.items()
+             if t != PTXType.PRED}
 
 _SHIFT = {4: 2, 8: 3}
 
@@ -67,6 +55,7 @@ _BIN_PY = {
     "xor": "({a} ^ {b})",
     "shl": "({a} << {b})",
     "shr": "({a} >> {b})",
+    "rem": "np.fmod({a}, {b})",
 }
 
 _UN_PY = {
@@ -119,6 +108,10 @@ def _mand(m, p):
     return m & p
 
 
+#: the globals every generated kernel function is exec'd against
+_RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_mand": _mand}
+
+
 @dataclass
 class CompiledKernel:
     """A kernel translated by the driver JIT, ready to launch.
@@ -168,19 +161,16 @@ def modeled_jit_time(n_instructions: int) -> float:
     return 0.05 + 0.17 * (1.0 - math.exp(-n_instructions / 800.0))
 
 
-def _operand_expr(op, itype: PTXType) -> str:
-    if isinstance(op, Register):
-        return _regname(op)
-    if isinstance(op, Immediate):
-        t = op.type if op.type != PTXType.PRED else itype
-        return f"{_NP_DTYPE[t]}({op.value!r})"
-    if isinstance(op, Special):
-        return {"tid": "_tid", "ntid": "_ntid", "ctaid": "_ctaid"}[op.which]
-    raise JITCompileError(f"bad operand {op!r}")
-
-
 class _Translator:
-    """Translates one parsed kernel into Python source."""
+    """Translates one parsed kernel into Python source.
+
+    This is the reference (``sim``) visitor over the
+    :class:`~repro.ptx.isa.Instruction` stream and the owner of the op
+    tables, the mask/branch emission and the runtime helpers.  Other
+    targets subclass it (:mod:`repro.llvm.cputarget`) and override the
+    four hooks — :meth:`_operand`, :meth:`_view`, :meth:`_assign`,
+    :meth:`_prologue` — plus the instructions they lower differently.
+    """
 
     def __init__(self, parsed: ParsedKernel):
         self.parsed = parsed
@@ -192,33 +182,37 @@ class _Translator:
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
 
-    def _effective_mask(self, inst: Instruction) -> str:
-        """Emit mask combination for a guarded instruction; returns the
-        variable name holding the effective mask."""
-        if inst.guard is None:
-            return "_m"
-        g = _regname(inst.guard)
-        g = f"(~{g})" if inst.guard_negated else g
-        self.emit(f"_em = _mand(_m, {g})")
-        return "_em"
+    # -- hooks ---------------------------------------------------------
 
-    def _assign(self, inst: Instruction, expr: str) -> None:
-        """Assign ``expr`` to the destination, honoring the guard."""
+    def _operand(self, op, itype: PTXType) -> str:
+        """The Python expression reading operand ``op``."""
+        if isinstance(op, Register):
+            return _regname(op)
+        if isinstance(op, Immediate):
+            t = op.type if op.type != PTXType.PRED else itype
+            return f"{_NP_DTYPE[t]}({op.value!r})"
+        if isinstance(op, Special):
+            return {"tid": "_tid", "ntid": "_ntid", "ctaid": "_ctaid"}[op.which]
+        raise JITCompileError(f"bad operand {op!r}")
+
+    def _view(self, t: PTXType) -> str:
+        """The expression naming the device-memory view of type ``t``."""
+        return f"_V[{NUMPY_DTYPES[t]!r}]"
+
+    def _assign(self, inst: Instruction, expr: str, em: str | None = None) -> None:
+        """Assign ``expr`` to the destination, honoring the guard
+        (``em``: the effective mask, when the caller already emitted it)."""
         dst = _regname(inst.dst)
-        if inst.guard is None:
-            self.emit(f"{dst} = {expr}")
-        else:
-            em = self._effective_mask(inst)
+        if inst.guard is not None:
+            em = em or self._effective_mask(inst)
             if dst in self.defined:
-                self.emit(f"{dst} = np.where({em}, {expr}, {dst})")
-            else:
-                self.emit(f"{dst} = {expr}")
+                expr = f"np.where({em}, {expr}, {dst})"
+        self.emit(f"{dst} = {expr}")
         self.defined.add(dst)
 
-    def translate(self) -> str:
-        p = self.parsed
-        self.lines = [
-            f"def _kernel_{p.name}(_V, _P, _gd, _bd):",
+    def _prologue(self) -> list[str]:
+        """The lines between the ``def`` and the translated body."""
+        return [
             "    _nt = _gd * _bd",
             "    _gl = np.arange(_nt, dtype=np.uint32)",
             "    _tid = _gl % np.uint32(_bd)",
@@ -226,12 +220,29 @@ class _Translator:
             "    _ntid = np.uint32(_bd)",
             "    _m = None",
         ]
+
+    # -- mask handling -------------------------------------------------
+
+    def _guard(self, inst: Instruction) -> str:
+        g = self._operand(inst.guard, PTXType.PRED)
+        return f"(~{g})" if inst.guard_negated else g
+
+    def _effective_mask(self, inst: Instruction) -> str:
+        """Emit mask combination for a guarded instruction; returns the
+        variable name holding the effective mask."""
+        if inst.guard is None:
+            return "_m"
+        self.emit(f"_em = _mand(_m, {self._guard(inst)})")
+        return "_em"
+
+    def translate(self) -> str:
         for lbl in self.labels:
             self.emit(f"_pend_{lbl[1:]} = None")
-        for inst in p.instructions:
+        for inst in self.parsed.instructions:
             self._translate_inst(inst)
-        self.lines.append(f"    return None")
-        return "\n".join(self.lines) + "\n"
+        head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
+        return "\n".join(head + self._prologue() + self.lines
+                         + ["    return None"]) + "\n"
 
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
@@ -240,15 +251,14 @@ class _Translator:
             self.emit(f"if _pend_{lbl} is not None:")
             self.emit(f"    _m = _pend_{lbl} if _m is None else (_m | _pend_{lbl})")
             self.emit(f"    _pend_{lbl} = None")
-            self.emit(f"    if _m is not None and _m.all(): _m = None")
+            self.emit("    if _m is not None and _m.all(): _m = None")
             return
         if op == "bra":
             lbl = inst.label[1:]
             if inst.guard is None:
                 self.emit("_t = np.ones(_nt, bool) if _m is None else _m")
             else:
-                g = _regname(inst.guard)
-                g = f"(~{g})" if inst.guard_negated else g
+                g = self._guard(inst)
                 self.emit(f"_t = {g} if _m is None else (_m & {g})")
             self.emit(f"_pend_{lbl} = _t if _pend_{lbl} is None "
                       f"else (_pend_{lbl} | _t)")
@@ -259,8 +269,7 @@ class _Translator:
             if inst.guard is None:
                 self.emit("_m = np.zeros(_nt, bool)")
             else:
-                g = _regname(inst.guard)
-                g = f"(~{g})" if inst.guard_negated else g
+                g = self._guard(inst)
                 self.emit(f"_m = (~{g}) if _m is None else (_m & ~{g})")
             return
         if op == "ld.param":
@@ -272,29 +281,29 @@ class _Translator:
             return
         if op == "ld.global":
             (addr,) = inst.srcs
-            a = _operand_expr(addr, PTXType.U64)
-            em = "_m" if inst.guard is None else self._effective_mask(inst)
+            a = self._operand(addr, PTXType.U64)
+            em = self._effective_mask(inst)
             sh = _SHIFT[inst.type.nbytes]
-            dst = _regname(inst.dst)
-            self.emit(f"{dst} = _ld(_V[{_DTYPE_NAME[inst.type]!r}], {a}, "
-                      f"{sh}, {em})")
-            self.defined.add(dst)
+            # guarded-off lanes keep the old value (via _assign), not
+            # the word _ld read from the safe address
+            self._assign(inst, f"_ld({self._view(inst.type)}, {a}, {sh}, {em})",
+                         em)
             return
         if op == "st.global":
             addr, val = inst.srcs
-            a = _operand_expr(addr, PTXType.U64)
-            v = _operand_expr(val, inst.type)
-            em = "_m" if inst.guard is None else self._effective_mask(inst)
+            a = self._operand(addr, PTXType.U64)
+            v = self._operand(val, inst.type)
+            em = self._effective_mask(inst)
             sh = _SHIFT[inst.type.nbytes]
-            self.emit(f"_st(_V[{_DTYPE_NAME[inst.type]!r}], {a}, {sh}, {v}, {em})")
+            self.emit(f"_st({self._view(inst.type)}, {a}, {sh}, {v}, {em})")
             return
         if op == "mov":
             (src,) = inst.srcs
-            self._assign(inst, _operand_expr(src, inst.type))
+            self._assign(inst, self._operand(src, inst.type))
             return
         if op == "cvt":
             (src,) = inst.srcs
-            s = _operand_expr(src, inst.src_type)
+            s = self._operand(src, inst.src_type)
             if inst.type.is_int and inst.src_type.is_float:
                 expr = f"np.trunc({s}).astype({_NP_DTYPE[inst.type]})"
             else:
@@ -303,23 +312,23 @@ class _Translator:
             return
         if op == "setp":
             a, b = inst.srcs
-            ea = _operand_expr(a, inst.type)
-            eb = _operand_expr(b, inst.type)
+            ea = self._operand(a, inst.type)
+            eb = self._operand(b, inst.type)
             self._assign(inst, f"({ea} {_CMP_PY[inst.cmp]} {eb})")
             return
         if op == "selp":
             a, b, pred = inst.srcs
-            ea = _operand_expr(a, inst.type)
-            eb = _operand_expr(b, inst.type)
-            ep = _operand_expr(pred, PTXType.PRED)
+            ep = self._operand(pred, PTXType.PRED)
+            ea = self._operand(a, inst.type)
+            eb = self._operand(b, inst.type)
             self._assign(inst, f"np.where({ep}, {ea}, {eb})")
             return
         if op in ("fma", "mad.lo"):
-            a, b, c = (_operand_expr(s, inst.type) for s in inst.srcs)
+            a, b, c = (self._operand(s, inst.type) for s in inst.srcs)
             self._assign(inst, f"({a} * {b} + {c})")
             return
         if op == "div":
-            a, b = (_operand_expr(s, inst.type) for s in inst.srcs)
+            a, b = (self._operand(s, inst.type) for s in inst.srcs)
             if inst.type.is_float:
                 self._assign(inst, f"({a} / {b})")
             else:
@@ -329,16 +338,12 @@ class _Translator:
                     f"np.trunc(np.asarray({a}, np.float64) / "
                     f"np.asarray({b}, np.float64)).astype({_NP_DTYPE[inst.type]})")
             return
-        if op == "rem":
-            a, b = (_operand_expr(s, inst.type) for s in inst.srcs)
-            self._assign(inst, f"np.fmod({a}, {b})")
-            return
         if op in _BIN_PY:
-            a, b = (_operand_expr(s, inst.type) for s in inst.srcs)
+            a, b = (self._operand(s, inst.type) for s in inst.srcs)
             self._assign(inst, _BIN_PY[op].format(a=a, b=b))
             return
         if op in _UN_PY:
-            (a,) = (_operand_expr(s, inst.type) for s in inst.srcs)
+            (a,) = (self._operand(s, inst.type) for s in inst.srcs)
             self._assign(inst, _UN_PY[op].format(a=a))
             return
         raise JITCompileError(f"unsupported opcode {op!r}")
@@ -388,7 +393,7 @@ def compile_ptx(ptx_text: str) -> CompiledKernel:
     _verify_parsed(parsed)
     tr = _Translator(parsed)
     source = tr.translate()
-    namespace = {"np": np, "_ld": _ld, "_st": _st, "_mand": _mand}
+    namespace = dict(_RUNTIME)
     code = compile(source, f"<ptxjit:{parsed.name}>", "exec")
     exec(code, namespace)
     func = namespace[f"_kernel_{parsed.name}"]

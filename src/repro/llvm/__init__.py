@@ -1,30 +1,22 @@
-"""The LLVM backend (paper Sec. XI, Future Work — implemented):
-PTX -> LLVM IR transpilation and a compiled CPU work-item target
-(the ``cpu`` entry of the backend registry), plus the original
-per-instruction interpreter kept as the benchmarking baseline."""
+"""The LLVM backend (paper Sec. XI, Future Work — implemented): a
+compiled CPU work-item target (the ``cpu`` entry of the backend
+registry) that walks the driver's parsed PTX instruction stream, and a
+PTX -> LLVM IR text unparser over the same stream."""
 
 from .cputarget import (
     CompiledCPUKernel,
-    CPUKernel,
-    LLVMBackend,
     clear_code_cache,
     code_cache_stats,
     compile_cpu_kernel,
-    generate_numpy_source,
 )
-from .transpiler import IRInst, IRModule, TranspileError, Transpiler, transpile
+from .transpiler import TranspileError, Transpiler, transpile
 
 __all__ = [
-    "CPUKernel",
     "CompiledCPUKernel",
-    "IRInst",
-    "IRModule",
-    "LLVMBackend",
     "TranspileError",
     "Transpiler",
     "clear_code_cache",
     "code_cache_stats",
     "compile_cpu_kernel",
-    "generate_numpy_source",
     "transpile",
 ]

@@ -1,30 +1,27 @@
 """The CPU target for the LLVM backend (paper Sec. XI).
 
-Two execution strategies over the transpiled
-:class:`~repro.llvm.transpiler.IRModule`, both vectorized over
-work-items (the site loop an LLVM-backed QDP-JIT wraps around the
-per-site function):
+:class:`CompiledCPUKernel` is what the ``cpu`` entry of the backend
+registry (:mod:`repro.driver.backends`) dispatches to: the parsed PTX
+instruction stream — the same :class:`~repro.driver.parser.ParsedKernel`
+the driver JIT translated for ``sim`` — is code-generated into
+vectorized-NumPy Python source (vectorized over work-items: the site
+loop an LLVM-backed QDP-JIT wraps around the per-site function),
+``compile()``d once, and cached process-wide keyed on the PTX text —
+the cross-run analogue of the per-context module cache.
 
-* :class:`CompiledCPUKernel` — the production path.  The structured IR
-  is code-generated into vectorized-NumPy Python source, ``compile()``d
-  once, and cached process-wide keyed on the PTX text — the cross-run
-  analogue of the per-context module cache.  This is what the ``cpu``
-  entry of the backend registry (:mod:`repro.driver.backends`)
-  dispatches to.
-
-* :class:`CPUKernel` — the original per-instruction interpreter,
-  retained as the comparison baseline: ``benchmarks/bench_cpu.py``
-  measures the compiled path's wall-clock speedup against it.
-
-The compiled path is *bitwise identical to the sim backend on every
-observable memory effect* — the contract is on loaded/stored values,
-not on intermediate registers, which is what makes it fast.  Integer
-address arithmetic (exact, modular) is folded symbolically at compile
-time into per-kernel linear forms ``gid*a + b`` whose scalar part is
-evaluated once per launch in Python-int arithmetic; floating-point
-operations are never reassociated or folded (only deduplicated when
-operands are identical, which cannot change bits).  See DESIGN.md
-"The backend registry and the compiled CPU backend".
+The generator is a subclass of the driver's reference translator
+(:class:`repro.driver.jitcompiler._Translator`): one instruction walk,
+one set of op tables, one mask/branch emission.  It overrides only
+what its contract licenses.  The compiled path is *bitwise identical
+to the sim backend on every observable memory effect* — the contract
+is on loaded/stored values, not on intermediate registers, which is
+what makes it fast.  Integer address arithmetic (exact, modular) is
+folded symbolically at compile time into per-kernel linear forms
+``gid*a + b`` whose scalar part is evaluated once per launch in
+Python-int arithmetic; floating-point operations are never
+reassociated or folded (only deduplicated when operands are identical,
+which cannot change bits).  See DESIGN.md "The backend registry and
+the compiled CPU backend".
 """
 
 from __future__ import annotations
@@ -36,236 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..driver.jitcompiler import _ld, _st
+from ..driver.jitcompiler import _NP_DTYPE, _RUNTIME, _SHIFT, _Translator
+from ..driver.parser import ParsedKernel, parse_ptx
 from ..memory.pool import ALIGNMENT
-from ..ptx.isa import PTXType
-from .transpiler import IRModule, TranspileError, transpile
-
-_DTYPE = {
-    PTXType.F32: np.float32,
-    PTXType.F64: np.float64,
-    PTXType.S32: np.int32,
-    PTXType.S64: np.int64,
-    PTXType.U32: np.uint32,
-    PTXType.U64: np.uint64,
-    PTXType.PRED: np.bool_,
-}
-
-_DTYPE_NAME = {
-    PTXType.F32: "float32",
-    PTXType.F64: "float64",
-    PTXType.S32: "int32",
-    PTXType.S64: "int64",
-    PTXType.U32: "uint32",
-    PTXType.U64: "uint64",
-}
-
-_NP_DTYPE = {
-    PTXType.F32: "np.float32",
-    PTXType.F64: "np.float64",
-    PTXType.S32: "np.int32",
-    PTXType.S64: "np.int64",
-    PTXType.U32: "np.uint32",
-    PTXType.U64: "np.uint64",
-}
-
-_SHIFT = {4: 2, 8: 3}
-
-_CMP = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,
-        "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal}
-
-_CMP_PY = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-           "gt": ">", "ge": ">="}
-
-_UNARY = {
-    "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "ex2": np.exp2,
-    "lg2": np.log2, "abs": np.abs, "floor": np.floor, "ceil": np.ceil,
-    "trunc": np.trunc, "round": np.rint,
-    "rsqrt": lambda x: 1.0 / np.sqrt(x), "rcp": lambda x: 1.0 / x,
-    "neg": np.negative, "not": np.invert,
-}
-
-_UN_PY = {
-    "neg": "(-{a})",
-    "not": "(~{a})",
-    "abs": "np.abs({a})",
-    "sqrt": "np.sqrt({a})",
-    "rsqrt": "(1.0 / np.sqrt({a}))",
-    "rcp": "(1.0 / {a})",
-    "sin": "np.sin({a})",
-    "cos": "np.cos({a})",
-    "ex2": "np.exp2({a})",
-    "lg2": "np.log2({a})",
-    "floor": "np.floor({a})",
-    "ceil": "np.ceil({a})",
-    "trunc": "np.trunc({a})",
-    "round": "np.rint({a})",
-}
-
-_BINARY = {
-    "add": np.add, "sub": np.subtract, "mul": np.multiply,
-    "mul.lo": np.multiply, "div": np.true_divide,
-    "min": np.minimum, "max": np.maximum,
-    "and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor,
-    "shl": np.left_shift, "shr": np.right_shift,
-    "rem": np.fmod,
-}
-
-_BIN_PY = {
-    "add": "({a} + {b})",
-    "sub": "({a} - {b})",
-    "mul": "({a} * {b})",
-    "mul.lo": "({a} * {b})",
-    "min": "np.minimum({a}, {b})",
-    "max": "np.maximum({a}, {b})",
-    "and": "({a} & {b})",
-    "or": "({a} | {b})",
-    "xor": "({a} ^ {b})",
-    "shl": "({a} << {b})",
-    "shr": "({a} >> {b})",
-    "rem": "np.fmod({a}, {b})",
-}
+from ..ptx.isa import NUMPY_DTYPES, Immediate, Instruction, PTXType, Register, Special
+from .transpiler import TranspileError, check_subset, transpile
 
 
-class CPUKernel:
-    """The per-instruction IR interpreter (the pre-compiled-backend
-    execution strategy, kept as the wall-clock comparison baseline)."""
-
-    def __init__(self, ir: IRModule):
-        self.ir = ir
-        self.name = ir.name
-        self.llvm_text = ir.text
-
-    def __call__(self, views, params, grid_dim, block_dim):
-        nt = grid_dim * block_dim
-        gl = np.arange(nt, dtype=np.uint32)
-        env: dict[str, object] = {
-            "%tid": gl % np.uint32(block_dim),
-            "%ctaid": gl // np.uint32(block_dim),
-            "%ntid": np.uint32(block_dim),
-        }
-        mask = None
-        pending: dict[str, object] = {}
-
-        def val(token: str, t: PTXType):
-            if isinstance(token, PTXType):
-                return token
-            if token.startswith("%"):
-                return env[token]
-            dt = _DTYPE[t]
-            if t.is_float:
-                return dt(float(token))
-            return dt(int(token))
-
-        with np.errstate(all="ignore"):
-            for inst in self.ir.instructions:
-                op = inst.op
-                if op == "label":
-                    (name,) = inst.args
-                    p = pending.pop(name, None)
-                    if p is not None:
-                        mask = p if mask is None else (mask | p)
-                        if mask is not None and mask.all():
-                            mask = None
-                    continue
-                if op == "br":
-                    (name,) = inst.args
-                    t = (np.ones(nt, bool) if mask is None else mask)
-                    pending[name] = (pending.get(name, False) | t)
-                    mask = np.zeros(nt, bool)
-                    continue
-                if op == "condbr":
-                    cond, target, _cont = inst.args
-                    c = val(cond, PTXType.PRED)
-                    t = c if mask is None else (mask & c)
-                    prev = pending.get(target)
-                    pending[target] = t if prev is None else (prev | t)
-                    mask = (~t) if mask is None else (mask & ~t)
-                    if mask.all():
-                        mask = None
-                    continue
-                if op == "ret":
-                    mask = np.zeros(nt, bool)
-                    continue
-                if op == "ptrtoint":
-                    (pname,) = inst.args
-                    env[_dest(inst)] = np.uint64(params[pname.lstrip("%")])
-                    continue
-                if op == "copy":
-                    (s,) = inst.args
-                    src = s.lstrip()
-                    if src.startswith("%") and src[1:] in params:
-                        v = np.asarray(params[src[1:]]).astype(
-                            _DTYPE[inst.type])
-                    else:
-                        v = val(s, inst.type)
-                    env[_dest(inst)] = v
-                    continue
-                if op == "load":
-                    (a,) = inst.args
-                    addr = val(a, PTXType.U64)
-                    if mask is not None:
-                        addr = np.where(mask, addr, np.uint64(ALIGNMENT))
-                    view = views[_DTYPE_NAME[inst.type]]
-                    env[_dest(inst)] = view[addr >> _SHIFT[
-                        inst.type.nbytes]]
-                    continue
-                if op == "store":
-                    a, v = inst.args
-                    addr = val(a, PTXType.U64)
-                    value = val(v, inst.type)
-                    idx = addr >> _SHIFT[inst.type.nbytes]
-                    view = views[_DTYPE_NAME[inst.type]]
-                    if mask is None:
-                        view[idx] = value
-                    else:
-                        if np.ndim(value) == 0:
-                            view[idx[mask]] = value
-                        else:
-                            view[idx[mask]] = value[mask]
-                    continue
-                if op == "cvt":
-                    s, src_type = inst.args
-                    x = val(s, src_type)
-                    if inst.type.is_int and src_type.is_float:
-                        env[_dest(inst)] = np.trunc(x).astype(
-                            _DTYPE[inst.type])
-                    else:
-                        env[_dest(inst)] = np.asarray(x).astype(
-                            _DTYPE[inst.type])
-                    continue
-                if op == "cmp":
-                    cmp, a, b = inst.args
-                    env[_dest(inst)] = _CMP[cmp](val(a, inst.type),
-                                                 val(b, inst.type))
-                    continue
-                if op == "select":
-                    p, a, b = inst.args
-                    env[_dest(inst)] = np.where(val(p, PTXType.PRED),
-                                                val(a, inst.type),
-                                                val(b, inst.type))
-                    continue
-                if op == "fma":
-                    a, b, c = (val(s, inst.type) for s in inst.args)
-                    env[_dest(inst)] = a * b + c
-                    continue
-                if op in _BINARY:
-                    a, b = (val(s, inst.type) for s in inst.args)
-                    env[_dest(inst)] = _BINARY[op](a, b)
-                    continue
-                if op in _UNARY:
-                    (a,) = (val(s, inst.type) for s in inst.args)
-                    env[_dest(inst)] = _UNARY[op](a)
-                    continue
-                raise TranspileError(
-                    f"CPU target cannot execute IR op {op!r}")
-
-
-def _dest(inst) -> str:
-    return inst.dest
-
-
-# --- compiled strategy: runtime helpers -----------------------------------
+# --- runtime helpers (beside the driver's _ld/_st) -------------------------
 
 def _gv(view, gb, s, m, ci):
     """Gather through a folded linear index ``gb + s`` (exact clamp:
@@ -306,7 +81,7 @@ def _ps(view, s, val, m, ci):
         view[idx[m]] = val[m]
 
 
-# --- compiled strategy: IR -> vectorized NumPy source ---------------------
+# --- symbolic values ------------------------------------------------------
 
 
 class _Lin(NamedTuple):
@@ -339,6 +114,9 @@ class _VLin(NamedTuple):
 
 
 class _FImm(NamedTuple):
+    """A floating-point immediate (hoisted into the kernel's constants)."""
+
+    type: PTXType
     tok: str
 
 
@@ -384,8 +162,15 @@ def _bmul(b1: str, b2: str) -> str:
     return f"({b1} * {b2})"
 
 
-class _NumpyCodegen:
-    """Code-generates one IRModule into Python source.
+
+
+#: integer opcodes whose result may stay a symbolic linear form
+_FOLDABLE = frozenset({"fma", "mad.lo", "add", "sub", "mul", "mul.lo",
+                       "shl", "neg"})
+
+
+class _CpuTranslator(_Translator):
+    """The ``cpu`` visitor: the reference translator plus address folding.
 
     Contract: the generated function leaves device memory bitwise
     identical to the ``sim`` backend's translation of the same PTX.
@@ -396,55 +181,70 @@ class _NumpyCodegen:
     the ``>> shift`` word conversion folds through them — and pure
     vector operations with identical operands are emitted once (CSE),
     neither of which can change any loaded or stored bit.  Float
-    arithmetic is never folded, reordered or reassociated.
+    arithmetic is never folded, reordered or reassociated: every
+    non-integer instruction goes through the base class's emission.
     """
 
-    def __init__(self, ir: IRModule):
-        self.ir = ir
-        self.body: list[str] = []
+    def __init__(self, parsed: ParsedKernel):
+        check_subset(parsed)
+        super().__init__(parsed)
         self.consts: dict[str, object] = {}
         self._const_names: dict[tuple, str] = {}
-        self.param_names = {p.name for p in ir.params}
-        self.int_params = {p.name for p in ir.params if p.type.is_int}
-        self.sym: dict[str, object] = {
-            "%tid": _Spec("tid"), "%ctaid": _Spec("ctaid"),
-            "%ntid": _Spec("ntid"),
-        }
+        self.int_params = {p.name for p in parsed.params if p.type.is_int}
+        #: register -> symbolic value (a vector local's name, or a
+        #: _Lin/_VLin/_FImm/_Spec still to be materialized)
+        self.sym: dict[Register, object] = {}
         self._n = 0
-        self._cse: dict[tuple, str] = {}
+        #: emitted pure expression -> the local holding it; locals are
+        #: assigned once, so identical text is the identical value
+        self._cse: dict[str, str] = {}
         self._iparams: dict[str, str] = {}
         self._scalars: dict[str, str] = {}
         self._views: dict[str, str] = {}
         self.need_G = False
         self.need_gl = False
         self.need_ntid = False
-        # the generators' canonical bounds-check shape: one condbr to
-        # an EXIT label immediately followed by ret, no other control
+        # the generators' canonical bounds-check shape: one guarded bra
+        # to an EXIT label immediately followed by ret, no other control
         # flow.  Inside it, guarded-off lanes can never store, so their
         # loaded garbage is unobservable and the clamp index is free —
         # one shared np.where(_m, _G, 0) replaces a per-load clamp.
-        ops = [i.op for i in ir.instructions]
+        insts = parsed.instructions
+        ops = [i.opcode for i in insts]
+        bras = [i for i in insts if i.opcode == "bra"]
         self.simple = (
-            ops.count("condbr") == 1 and "br" not in ops
+            len(bras) == 1 and bras[0].guard is not None
             and ops.count("label") == 1 and ops.count("ret") == 1
-            and len(ops) >= 2 and ops[-1] == "ret" and ops[-2] == "label"
-            and ops.index("label") > ops.index("condbr")
-            and ir.instructions[ops.index("label")].args[0]
-            == ir.instructions[ops.index("condbr")].args[1])
+            and ops[-2:] == ["label", "ret"]
+            and bras[0].label == insts[-2].label)
         self.post_guard = False
         self._gc_emitted = False
 
     # -- small emission helpers ----------------------------------------
 
-    def emit(self, line: str) -> None:
-        self.body.append("    " + line)
-
     def fresh(self) -> str:
         self._n += 1
         return f"_v{self._n}"
 
+    def _bind(self, inst: Instruction, expr: str) -> None:
+        """Evaluate ``expr`` into a fresh local bound to the destination."""
+        name = self.fresh()
+        self.emit(f"{name} = {expr}")
+        self.sym[inst.dst] = name
+
+    def _shared(self, expr: str) -> str:
+        """The local holding pure expression ``expr`` (emitted once)."""
+        if expr.isidentifier():
+            return expr
+        name = self._cse.get(expr)
+        if name is None:
+            name = self.fresh()
+            self.emit(f"{name} = {expr}")
+            self._cse[expr] = name
+        return name
+
     def _const(self, t: PTXType, tok: str) -> str:
-        dt = _DTYPE[t]
+        dt = np.dtype(NUMPY_DTYPES[t]).type
         value = dt(float(tok)) if t.is_float else dt(int(tok))
         key = (t, tok)
         name = self._const_names.get(key)
@@ -471,149 +271,137 @@ class _NumpyCodegen:
             self._scalars[expr] = name
         return name
 
+    def _word(self, b: str, sh: int) -> str:
+        """The word index of byte offset ``b``: literal offsets fold
+        now, the rest is deferred to one per-launch scalar."""
+        if _is_lit(b):
+            return str(int(b) >> sh)
+        return self._scalar(f"({b}) >> {sh}")
+
+    # -- the base translator's hooks -----------------------------------
+
     def _view(self, t: PTXType) -> str:
-        dname = _DTYPE_NAME[t]
+        dname = NUMPY_DTYPES[t]
         name = self._views.get(dname)
         if name is None:
             name = f"_Vw{len(self._views)}"
             self._views[dname] = name
         return name
 
+    def _operand(self, op, itype: PTXType) -> str:
+        return self._mat(self._sym_of(op, itype), itype)
+
+    def _assign(self, inst: Instruction, expr: str, em: str | None = None) -> None:
+        # never guarded (check_subset) and never a load (_load binds
+        # those itself), so ``expr`` is pure and may be shared
+        self.sym[inst.dst] = self._shared(expr)
+
+    def _prologue(self) -> list[str]:
+        pro = ["    _nt = _gd * _bd"]
+        if self.need_gl:
+            pro += ["    _gl = np.arange(_nt, dtype=np.uint32)",
+                    "    _tid = _gl % np.uint32(_bd)",
+                    "    _ctaid = _gl // np.uint32(_bd)"]
+        if self.need_ntid:
+            pro.append("    _ntid = np.uint32(_bd)")
+        if self.need_G:
+            pro.append("    _G = np.arange(_nt, dtype=np.int64)")
+        for dname, var in self._views.items():
+            pro.append(f"    {var} = _V[{dname!r}]")
+        for pname, var in self._iparams.items():
+            pro.append(f"    {var} = int(_P[{pname!r}])")
+        for expr, var in self._scalars.items():
+            pro.append(f"    {var} = {expr}")
+        pro.append("    _m = None")
+        return pro
+
     # -- symbolic values ------------------------------------------------
 
-    def _key(self, sym) -> tuple:
-        if isinstance(sym, str):
-            return ("v", sym)
-        if isinstance(sym, _Lin):
-            return ("l", sym.a, sym.b)
-        if isinstance(sym, _VLin):
-            return ("vl", sym.base, sym.a, sym.b)
-        if isinstance(sym, _FImm):
-            return ("f", sym.tok)
-        if isinstance(sym, _Spec):
-            return ("s", sym.which)
-        raise TranspileError(f"{self.ir.name}: bad symbolic value {sym!r}")
-
-    def _sym_of(self, token: str, t: PTXType):
-        if token.startswith("%"):
-            s = self.sym.get(token)
+    def _sym_of(self, op, t: PTXType):
+        if isinstance(op, Register):
+            s = self.sym.get(op)
             if s is None:
                 raise TranspileError(
-                    f"{self.ir.name}: use of undefined value {token!r}")
+                    f"{self.parsed.name}: use of undefined value {op.name!r}")
             return s
-        if t.is_float:
-            return _FImm(token)
-        return _Lin(0, str(int(token)))
+        if isinstance(op, Special):
+            return _Spec(op.which)
+        if isinstance(op, Immediate):
+            if op.type != PTXType.PRED:
+                t = op.type
+            if t.is_float:
+                return _FImm(t, repr(float(op.value)))
+            return _Lin(0, str(int(op.value)))
+        raise TranspileError(f"{self.parsed.name}: bad operand {op!r}")
 
     def _gmul(self, a: int, gbase: str = "_G") -> str:
         """The shared ``gid-vector * a`` product (CSE'd per kernel)."""
-        if a == 1:
-            return gbase
-        key = ("gmul", gbase, a)
-        name = self._cse.get(key)
-        if name is None:
-            name = self.fresh()
-            self.emit(f"{name} = {gbase} * {a}")
-            self._cse[key] = name
-        return name
+        return gbase if a == 1 else self._shared(f"{gbase} * {a}")
 
     def _mat(self, sym, t: PTXType) -> str:
         """Materialize a symbolic value as an expression of type ``t``."""
         if isinstance(sym, str):
             return sym
         if isinstance(sym, _FImm):
-            return self._const(t, sym.tok)
+            return self._const(sym.type, sym.tok)
         if isinstance(sym, _Spec):
             if sym.which == "ntid":
                 self.need_ntid = True
                 return "_ntid"
             self.need_gl = True
             return "_" + sym.which
+        if isinstance(sym, _Lin) and sym.a == 0:
+            if _is_lit(sym.b):
+                return self._const(t, sym.b)
+            return self._shared(f"{_NP_DTYPE[t]}({self._scalar(sym.b)})")
         if isinstance(sym, _Lin):
-            a, b = sym
-            if a == 0:
-                if _is_lit(b):
-                    return self._const(t, b)
-                key = ("sclnp", t, b)
-                name = self._cse.get(key)
-                if name is None:
-                    name = self.fresh()
-                    self.emit(
-                        f"{name} = {_NP_DTYPE[t]}({self._scalar(b)})")
-                    self._cse[key] = name
-                return name
             self.need_G = True
-            key = ("linvec", t, a, b)
-            name = self._cse.get(key)
-            if name is None:
-                core = self._gmul(a)
-                expr = core if b == "0" else \
-                    f"({core} + {self._scalar(b)})"
-                if t != PTXType.S64:
-                    expr = f"{expr}.astype({_NP_DTYPE[t]})"
-                name = self.fresh()
-                self.emit(f"{name} = {expr}")
-                self._cse[key] = name
-            return name
-        if isinstance(sym, _VLin):
-            base, a, b = sym
-            if a == 1 and b == "0" and t == PTXType.S64:
-                return base
-            key = ("vlvec", t, base, a, b)
-            name = self._cse.get(key)
-            if name is None:
-                core = base if a == 1 else f"({base} * {a})"
-                expr = core if b == "0" else \
-                    f"({core} + {self._scalar(b)})"
-                if t != PTXType.S64:
-                    expr = f"{expr}.astype({_NP_DTYPE[t]})"
-                name = self.fresh()
-                self.emit(f"{name} = {expr}")
-                self._cse[key] = name
-            return name
-        raise TranspileError(f"{self.ir.name}: bad symbolic value {sym!r}")
+            core = self._gmul(sym.a)
+        else:
+            core = sym.base if sym.a == 1 else f"({sym.base} * {sym.a})"
+        expr = core if sym.b == "0" else f"({core} + {self._scalar(sym.b)})"
+        if t != PTXType.S64:
+            expr = f"{expr}.astype({_NP_DTYPE[t]})"
+        return self._shared(expr)
 
     # -- integer folding -------------------------------------------------
 
-    def _fold_int(self, op: str, inst) -> bool:
+    def _fold_int(self, inst: Instruction) -> bool:
         """Try to fold an integer arithmetic op symbolically; returns
         True when the destination got a :class:`_Lin` binding."""
-        if inst.type is None or not inst.type.is_int:
+        if not inst.type.is_int:
             return False
-        syms = [self._sym_of(s, inst.type) for s in inst.args]
+        op = "fma" if inst.opcode == "mad.lo" else inst.opcode
+        syms = [self._sym_of(s, inst.type) for s in inst.srcs]
         if op == "fma" and all(isinstance(s, _Spec) for s in syms) and \
                 tuple(s.which for s in syms) == ("ctaid", "ntid", "tid"):
             # the canonical global-thread-id computation
-            self.sym[inst.dest] = _Lin(1, "0")
+            self.sym[inst.dst] = _Lin(1, "0")
             return True
-        lins = []
-        for s in syms:
-            if not isinstance(s, (_Lin, _VLin)):
-                return False
-            lins.append(s)
+        if not all(isinstance(s, (_Lin, _VLin)) for s in syms):
+            return False
         out = None
         if op == "add":
-            out = self._lin_add(*lins)
+            out = self._lin_add(*syms)
         elif op == "sub":
-            x, y = lins
-            neg = self._lin_neg(y)
-            out = self._lin_add(x, neg) if neg is not None else None
+            x, y = syms
+            out = self._lin_add(x, self._lin_neg(y))
         elif op in ("mul", "mul.lo"):
-            out = self._lin_mul(*lins)
+            out = self._lin_mul(*syms)
         elif op == "fma":
-            x, y, z = lins
+            x, y, z = syms
             prod = self._lin_mul(x, y)
             out = self._lin_add(prod, z) if prod is not None else None
         elif op == "shl":
-            x, y = lins
+            x, y = syms
             if isinstance(y, _Lin) and y.a == 0 and _is_lit(y.b) \
                     and 0 <= int(y.b) <= 62:
                 out = self._lin_mul(x, _Lin(0, str(1 << int(y.b))))
         elif op == "neg":
-            out = self._lin_neg(lins[0])
+            out = self._lin_neg(syms[0])
         if out is None:
             return False
-        self.sym[inst.dest] = out
+        self.sym[inst.dst] = out
         return True
 
     @staticmethod
@@ -658,42 +446,27 @@ class _NumpyCodegen:
         scale = int(x.b) if y.a != 0 else 0
         return _Lin(y.a * scale, _bmul(x.b, y.b))
 
-    # -- generation -------------------------------------------------------
+    def _fold_cvt(self, inst: Instruction) -> bool:
+        """Integer -> integer ``cvt`` of an address-chain value passes
+        through symbolically — exact under the no-intermediate-overflow
+        property of generated address chains (DESIGN.md "Known
+        deviations")."""
+        if not (inst.type.is_int and inst.src_type.is_int):
+            return False
+        sym = self._sym_of(inst.srcs[0], inst.src_type)
+        if isinstance(sym, _Lin) or \
+                (isinstance(sym, _VLin) and inst.type.nbytes == 8):
+            self.sym[inst.dst] = sym
+            return True
+        if isinstance(sym, str) and inst.type.nbytes == 8:
+            # widen a loaded index vector once; later address
+            # arithmetic folds onto it (shift/subset tables)
+            base = self._shared(f"np.asarray({sym}).astype(np.int64)")
+            self.sym[inst.dst] = _VLin(base, 1, "0")
+            return True
+        return False
 
-    def generate(self) -> str:
-        ir = self.ir
-        labels = []
-        for inst in ir.instructions:
-            if inst.op == "label" and inst.args[0] not in labels:
-                labels.append(inst.args[0])
-            elif inst.op in ("br", "condbr"):
-                lbl = inst.args[0 if inst.op == "br" else 1]
-                if lbl not in labels:
-                    labels.append(lbl)
-        for lbl in labels:
-            self.body.append(f"    _pend_{lbl} = None")
-        self.body.append("    _m = None")
-        for inst in ir.instructions:
-            self._gen(inst)
-        self.body.append("    return None")
-
-        pro = [f"def _cpu_{ir.name}(_V, _P, _gd, _bd):",
-               "    _nt = _gd * _bd"]
-        if self.need_gl:
-            pro += ["    _gl = np.arange(_nt, dtype=np.uint32)",
-                    "    _tid = _gl % np.uint32(_bd)",
-                    "    _ctaid = _gl // np.uint32(_bd)"]
-        if self.need_ntid:
-            pro.append("    _ntid = np.uint32(_bd)")
-        if self.need_G:
-            pro.append("    _G = np.arange(_nt, dtype=np.int64)")
-        for dname, var in self._views.items():
-            pro.append(f"    {var} = _V[{dname!r}]")
-        for pname, var in self._iparams.items():
-            pro.append(f"    {var} = int(_P[{pname!r}])")
-        for expr, var in self._scalars.items():
-            pro.append(f"    {var} = {expr}")
-        return "\n".join(pro + self.body) + "\n"
+    # -- folded memory access ---------------------------------------------
 
     def _emit_gc(self) -> None:
         """In the canonical bounds-check shape, one shared clamped gid
@@ -707,290 +480,80 @@ class _NumpyCodegen:
             self.emit("_Gc = _G if _m is None else np.where(_m, _G, 0)")
             self._gc_emitted = True
 
-    def _lin_mem(self, addr: _Lin, sh: int):
-        """Fold the byte->word shift through a linear address; returns
-        ``(gid_base_var, scalar_word_index)`` or None."""
-        a, b = addr
-        if a <= 0 or a % (1 << sh) != 0:
+    def _fold_addr(self, addr, sh: int):
+        """Fold the byte->word shift through a gid-linear or
+        table-driven (vector linear) address; returns
+        ``(vector_word_base, scalar_word_index)`` or None."""
+        if not isinstance(addr, (_Lin, _VLin)) or addr.a <= 0 \
+                or addr.a % (1 << sh) != 0:
             return None
-        aw = a >> sh
-        # scalar word index: fold literal offsets now, defer the rest
-        if _is_lit(b):
-            s = str(int(b) >> sh)
-        else:
-            s = self._scalar(f"({b}) >> {sh}")
+        aw = addr.a >> sh
+        s = self._word(addr.b, sh)
+        if isinstance(addr, _VLin):
+            return self._gmul(aw, addr.base), s
         if self.simple and self.post_guard:
             self._emit_gc()
-            gb = self._gmul(aw, "_Gc")
+            return self._gmul(aw, "_Gc"), s
+        self.need_G = True
+        return self._gmul(aw), s
+
+    def _load(self, inst: Instruction) -> None:
+        (addr,) = inst.srcs
+        sh = _SHIFT[inst.type.nbytes]
+        ci = ALIGNMENT >> sh
+        view = self._view(inst.type)
+        sym = self._sym_of(addr, PTXType.U64)
+        folded = self._fold_addr(sym, sh)
+        if isinstance(sym, _Lin) and sym.a == 0:
+            self._bind(inst, f"_gs({view}, {self._word(sym.b, sh)}, _m, {ci})")
+        elif folded is None:
+            self._bind(inst, f"_ld({view}, {self._mat(sym, PTXType.U64)}, "
+                             f"{sh}, _m)")
+        elif self.simple and isinstance(sym, _Lin):
+            self._bind(inst, f"{view}[{folded[0]} + {folded[1]}]")
         else:
-            self.need_G = True
-            gb = self._gmul(aw)
-        return gb, s
+            # outside the canonical shape — or table-driven, where the
+            # base vector was loaded with the inactive-lane clamp and
+            # its garbage lanes are unbounded — clamp the final index
+            self._bind(inst, f"_gv({view}, {folded[0]}, {folded[1]}, _m, {ci})")
 
-    def _vlin_mem(self, addr: _VLin, sh: int):
-        """Fold the byte->word shift through a table-driven (vector
-        linear) address; returns ``(vector_word_base, scalar_word_index)``
-        or None."""
-        base, a, b = addr
-        if a <= 0 or a % (1 << sh) != 0:
-            return None
-        aw = a >> sh
-        if _is_lit(b):
-            s = str(int(b) >> sh)
+    def _store(self, inst: Instruction) -> None:
+        addr, val = inst.srcs
+        sh = _SHIFT[inst.type.nbytes]
+        view = self._view(inst.type)
+        sym = self._sym_of(addr, PTXType.U64)
+        v = self._operand(val, inst.type)
+        folded = self._fold_addr(sym, sh)
+        if isinstance(sym, _Lin) and sym.a == 0:
+            self.emit(f"_ps({view}, {self._word(sym.b, sh)}, {v}, _m, "
+                      f"{ALIGNMENT >> sh})")
+        elif folded is None:
+            self.emit(f"_st({view}, {self._mat(sym, PTXType.U64)}, {sh}, "
+                      f"{v}, _m)")
         else:
-            s = self._scalar(f"({b}) >> {sh}")
-        if aw == 1:
-            gb = base
+            self.emit(f"_pv({view}, {folded[0]}, {folded[1]}, {v}, _m)")
+
+    # -- the instruction walk ---------------------------------------------
+
+    def _translate_inst(self, inst: Instruction) -> None:
+        op = inst.opcode
+        if op == "ld.param" and inst.srcs[0].pname in self.int_params:
+            # pointers and integer scalars are launch-uniform Python ints
+            self.sym[inst.dst] = _Lin(0, self._iparam(inst.srcs[0].pname))
+        elif op == "mov":
+            self.sym[inst.dst] = self._sym_of(inst.srcs[0], inst.type)
+        elif op == "ld.global":
+            self._load(inst)
+        elif op == "st.global":
+            self._store(inst)
+        elif op == "cvt" and self._fold_cvt(inst):
+            pass
+        elif op in _FOLDABLE and self._fold_int(inst):
+            pass
         else:
-            key = ("vmul", base, aw)
-            gb = self._cse.get(key)
-            if gb is None:
-                gb = self.fresh()
-                self.emit(f"{gb} = {base} * {aw}")
-                self._cse[key] = gb
-        return gb, s
-
-    def _gen(self, inst) -> None:
-        op = inst.op
-        if op == "label":
-            (name,) = inst.args
-            p = f"_pend_{name}"
-            self.emit(f"if {p} is not None:")
-            self.emit(f"    _m = {p} if _m is None else (_m | {p})")
-            self.emit(f"    {p} = None")
-            self.emit("    if _m.all(): _m = None")
-            return
-        if op == "br":
-            (name,) = inst.args
-            p = f"_pend_{name}"
-            self.emit("_t = np.ones(_nt, bool) if _m is None else _m")
-            self.emit(f"{p} = _t if {p} is None else ({p} | _t)")
-            self.emit("_m = np.zeros(_nt, bool)")
-            return
-        if op == "condbr":
-            cond, target, _cont = inst.args
-            c = self._mat(self._sym_of(cond, PTXType.PRED), PTXType.PRED)
-            p = f"_pend_{target}"
-            self.emit(f"_t = {c} if _m is None else (_m & {c})")
-            self.emit(f"{p} = _t if {p} is None else ({p} | _t)")
-            self.emit("_m = (~_t) if _m is None else (_m & ~_t)")
-            self.emit("if _m.all(): _m = None")
-            self.post_guard = True
-            return
-        if op == "ret":
-            self.emit("_m = np.zeros(_nt, bool)")
-            return
-        if op == "ptrtoint":
-            (pname,) = inst.args
-            self.sym[inst.dest] = _Lin(0, self._iparam(pname.lstrip("%")))
-            return
-        if op == "copy":
-            (s,) = inst.args
-            if s.startswith("%") and s[1:] in self.param_names:
-                pname = s[1:]
-                if pname in self.int_params:
-                    self.sym[inst.dest] = _Lin(0, self._iparam(pname))
-                else:
-                    key = ("fparam", inst.type, pname)
-                    name = self._cse.get(key)
-                    if name is None:
-                        name = self.fresh()
-                        self.emit(f"{name} = {_NP_DTYPE[inst.type]}"
-                                  f"(_P[{pname!r}])")
-                        self._cse[key] = name
-                    self.sym[inst.dest] = name
-            else:
-                self.sym[inst.dest] = self._sym_of(s, inst.type)
-            return
-        if op == "load":
-            (a,) = inst.args
-            sh = _SHIFT[inst.type.nbytes]
-            ci = ALIGNMENT >> sh
-            view = self._view(inst.type)
-            sym = self._sym_of(a, PTXType.U64)
-            dst = self.fresh()
-            folded = self._lin_mem(sym, sh) if isinstance(sym, _Lin) \
-                and sym.a != 0 else None
-            vfolded = self._vlin_mem(sym, sh) if isinstance(sym, _VLin) \
-                else None
-            if isinstance(sym, _Lin) and sym.a == 0:
-                s = self._scalar(f"({sym.b}) >> {sh}") if not _is_lit(sym.b) \
-                    else str(int(sym.b) >> sh)
-                self.emit(f"{dst} = _gs({view}, {s}, _m, {ci})")
-            elif folded is not None:
-                gb, s = folded
-                if self.simple:
-                    self.emit(f"{dst} = {view}[{gb} + {s}]")
-                else:
-                    self.emit(f"{dst} = _gv({view}, {gb}, {s}, _m, {ci})")
-            elif vfolded is not None:
-                # table-driven address: the base vector was loaded with
-                # the inactive-lane clamp, so its garbage lanes are
-                # unbounded — always clamp the final index
-                gb, s = vfolded
-                self.emit(f"{dst} = _gv({view}, {gb}, {s}, _m, {ci})")
-            else:
-                addr = self._mat(sym, PTXType.U64)
-                self.emit(f"{dst} = _ld({view}, {addr}, {sh}, _m)")
-            self.sym[inst.dest] = dst
-            return
-        if op == "store":
-            a, v = inst.args
-            sh = _SHIFT[inst.type.nbytes]
-            ci = ALIGNMENT >> sh
-            view = self._view(inst.type)
-            sym = self._sym_of(a, PTXType.U64)
-            val = self._mat(self._sym_of(v, inst.type), inst.type)
-            folded = self._lin_mem(sym, sh) if isinstance(sym, _Lin) \
-                and sym.a != 0 else None
-            vfolded = self._vlin_mem(sym, sh) if isinstance(sym, _VLin) \
-                else None
-            if isinstance(sym, _Lin) and sym.a == 0:
-                s = self._scalar(f"({sym.b}) >> {sh}") if not _is_lit(sym.b) \
-                    else str(int(sym.b) >> sh)
-                self.emit(f"_ps({view}, {s}, {val}, _m, {ci})")
-            elif folded is not None:
-                gb, s = folded
-                self.emit(f"_pv({view}, {gb}, {s}, {val}, _m)")
-            elif vfolded is not None:
-                gb, s = vfolded
-                self.emit(f"_pv({view}, {gb}, {s}, {val}, _m)")
-            else:
-                addr = self._mat(sym, PTXType.U64)
-                self.emit(f"_st({view}, {addr}, {sh}, {val}, _m)")
-            return
-        if op == "cvt":
-            s, src_type = inst.args
-            sym = self._sym_of(s, src_type)
-            if inst.type.is_int and src_type.is_int:
-                # exact under the no-intermediate-overflow property of
-                # generated address chains (DESIGN.md "Known deviations")
-                if isinstance(sym, _Lin):
-                    self.sym[inst.dest] = sym
-                    return
-                if isinstance(sym, _VLin) and inst.type.nbytes == 8:
-                    self.sym[inst.dest] = sym
-                    return
-                if isinstance(sym, str) and inst.type.nbytes == 8:
-                    # widen a loaded index vector once; later address
-                    # arithmetic folds onto it (shift/subset tables)
-                    key = ("to64", sym)
-                    base = self._cse.get(key)
-                    if base is None:
-                        base = self.fresh()
-                        self.emit(f"{base} = np.asarray({sym})"
-                                  f".astype(np.int64)")
-                        self._cse[key] = base
-                    self.sym[inst.dest] = _VLin(base, 1, "0")
-                    return
-            x = self._mat(sym, src_type)
-            key = ("cvt", inst.type, src_type, self._key(sym))
-            name = self._cse.get(key)
-            if name is None:
-                name = self.fresh()
-                if inst.type.is_int and src_type.is_float:
-                    self.emit(f"{name} = np.trunc({x})"
-                              f".astype({_NP_DTYPE[inst.type]})")
-                else:
-                    self.emit(f"{name} = np.asarray({x})"
-                              f".astype({_NP_DTYPE[inst.type]})")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op == "cmp":
-            cmp, a, b = inst.args
-            sa, sb = (self._sym_of(x, inst.type) for x in (a, b))
-            key = ("cmp", cmp, inst.type, self._key(sa), self._key(sb))
-            name = self._cse.get(key)
-            if name is None:
-                ea = self._mat(sa, inst.type)
-                eb = self._mat(sb, inst.type)
-                name = self.fresh()
-                self.emit(f"{name} = ({ea} {_CMP_PY[cmp]} {eb})")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op == "select":
-            p, a, b = inst.args
-            sp = self._sym_of(p, PTXType.PRED)
-            sa, sb = (self._sym_of(x, inst.type) for x in (a, b))
-            key = ("select", inst.type, self._key(sp), self._key(sa),
-                   self._key(sb))
-            name = self._cse.get(key)
-            if name is None:
-                name = self.fresh()
-                self.emit(f"{name} = np.where("
-                          f"{self._mat(sp, PTXType.PRED)}, "
-                          f"{self._mat(sa, inst.type)}, "
-                          f"{self._mat(sb, inst.type)})")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op in ("fma", "add", "sub", "mul", "mul.lo", "shl", "neg"):
-            if self._fold_int(op, inst):
-                return
-        if op == "fma":
-            syms = [self._sym_of(s, inst.type) for s in inst.args]
-            key = ("fma", inst.type, *map(self._key, syms))
-            name = self._cse.get(key)
-            if name is None:
-                a, b, c = (self._mat(s, inst.type) for s in syms)
-                name = self.fresh()
-                self.emit(f"{name} = ({a} * {b} + {c})")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op == "div":
-            syms = [self._sym_of(s, inst.type) for s in inst.args]
-            key = ("div", inst.type, *map(self._key, syms))
-            name = self._cse.get(key)
-            if name is None:
-                a, b = (self._mat(s, inst.type) for s in syms)
-                name = self.fresh()
-                if inst.type.is_float:
-                    self.emit(f"{name} = ({a} / {b})")
-                else:
-                    # PTX integer division truncates toward zero (what
-                    # the sim backend emits; results must stay bitwise
-                    # identical to it, not merely numerically close)
-                    self.emit(
-                        f"{name} = np.trunc(np.asarray({a}, np.float64)"
-                        f" / np.asarray({b}, np.float64))"
-                        f".astype({_NP_DTYPE[inst.type]})")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op in _BIN_PY:
-            syms = [self._sym_of(s, inst.type) for s in inst.args]
-            key = (op, inst.type, *map(self._key, syms))
-            name = self._cse.get(key)
-            if name is None:
-                a, b = (self._mat(s, inst.type) for s in syms)
-                name = self.fresh()
-                self.emit(f"{name} = {_BIN_PY[op].format(a=a, b=b)}")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        if op in _UN_PY:
-            syms = [self._sym_of(s, inst.type) for s in inst.args]
-            key = (op, inst.type, self._key(syms[0]))
-            name = self._cse.get(key)
-            if name is None:
-                (a,) = (self._mat(s, inst.type) for s in syms)
-                name = self.fresh()
-                self.emit(f"{name} = {_UN_PY[op].format(a=a)}")
-                self._cse[key] = name
-            self.sym[inst.dest] = name
-            return
-        raise TranspileError(
-            f"{self.ir.name}: no NumPy lowering for IR op {op!r}")
-
-
-def generate_numpy_source(ir: IRModule) -> tuple[str, dict]:
-    """IRModule -> (Python source, hoisted-constant namespace)."""
-    gen = _NumpyCodegen(ir)
-    source = gen.generate()
-    return source, gen.consts
+            super()._translate_inst(inst)
+            if op == "bra":
+                self.post_guard = True
 
 
 @dataclass
@@ -1006,12 +569,13 @@ class CompiledCPUKernel:
     func: object
     source: str
     code: object                 # the cached compiled code object
-    ir: IRModule
+    parsed: ParsedKernel         # the instruction stream it was built from
     compile_seconds: float
 
     @property
     def llvm_text(self) -> str:
-        return self.ir.text
+        """The kernel as ``.ll`` text (unparsed on demand)."""
+        return transpile(self.parsed)
 
     def __call__(self, views, params, grid_dim, block_dim):
         with np.errstate(all="ignore"):
@@ -1045,15 +609,20 @@ def code_cache_stats() -> CodeCacheStats:
 
 def clear_code_cache() -> None:
     """Drop every cached code object and reset the counters (tests)."""
-    global _cache_stats
     _KERNEL_CACHE.clear()
-    _cache_stats = CodeCacheStats()
+    # in place: a stats object held across the clear stays live
+    _cache_stats.hits = _cache_stats.misses = 0
+    _cache_stats.total_compile_seconds = 0.0
 
 
-def compile_cpu_kernel(ptx_text: str) -> CompiledCPUKernel:
+def compile_cpu_kernel(ptx_text: str,
+                       parsed: ParsedKernel | None = None) -> CompiledCPUKernel:
     """PTX text -> compiled CPU kernel, through the cross-run cache.
 
-    Raises :class:`TranspileError` when the program falls outside the
+    ``parsed`` is the already-parsed form of ``ptx_text`` when the
+    caller has it (the backend registry does); the text is the cache
+    key and is parsed here only without one.  Raises
+    :class:`TranspileError` when the program falls outside the
     transpilable subset; the backend registry catches it and falls
     back to the ``sim`` backend per kernel.
     """
@@ -1063,38 +632,20 @@ def compile_cpu_kernel(ptx_text: str) -> CompiledCPUKernel:
         _cache_stats.hits += 1
         return kernel
     t0 = time.perf_counter()
-    ir = transpile(ptx_text)
-    source, consts = generate_numpy_source(ir)
-    code = compile(source, f"<cpujit:{ir.name}>", "exec")
-    namespace = {"np": np, "_ld": _ld, "_st": _st,
-                 "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
-                 **consts}
+    if parsed is None:
+        parsed = parse_ptx(ptx_text)
+    gen = _CpuTranslator(parsed)
+    source = gen.translate()
+    code = compile(source, f"<cpujit:{parsed.name}>", "exec")
+    namespace = {**_RUNTIME, "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
+                 **gen.consts}
     exec(code, namespace)
-    func = namespace[f"_cpu_{ir.name}"]
+    func = namespace[f"_kernel_{parsed.name}"]
     elapsed = time.perf_counter() - t0
-    kernel = CompiledCPUKernel(name=ir.name, func=func, source=source,
-                               code=code, ir=ir, compile_seconds=elapsed)
+    kernel = CompiledCPUKernel(name=parsed.name, func=func, source=source,
+                               code=code, parsed=parsed,
+                               compile_seconds=elapsed)
     _KERNEL_CACHE[key] = kernel
     _cache_stats.misses += 1
     _cache_stats.total_compile_seconds += elapsed
     return kernel
-
-
-class LLVMBackend:
-    """Compile PTX text through the LLVM path (cached).
-
-    Thin facade over :func:`compile_cpu_kernel` kept for the original
-    API; returns compiled kernels (the interpreter remains available
-    directly as :class:`CPUKernel` for benchmarking).
-    """
-
-    def __init__(self):
-        self._kernels: dict[str, CompiledCPUKernel] = {}
-
-    def get_or_compile(self, ptx_text: str) -> CompiledCPUKernel:
-        key = hashlib.sha256(ptx_text.encode()).hexdigest()
-        k = self._kernels.get(key)
-        if k is None:
-            k = compile_cpu_kernel(ptx_text)
-            self._kernels[key] = k
-        return k

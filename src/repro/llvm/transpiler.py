@@ -1,35 +1,61 @@
-"""PTX -> LLVM IR transpilation (paper Sec. XI, Future Work).
+"""PTX -> LLVM IR text (paper Sec. XI, Future Work).
 
 "We are exploring the possibility to interface to a compiler
 framework such as LLVM.  This would allow us to target other
 architectures as well."  — that exploration became the production
-QDP-JIT/LLVM backend; this module implements it for the reproduction:
-the kernels generated in our PTX dialect are transpiled into LLVM IR
-(SSA form, typed, two-basic-block control flow for the bounds-check
-pattern) targeting a *CPU work-item function* — the per-site function
-an LLVM-based backend JITs and wraps in a site loop.
+QDP-JIT/LLVM backend; this module implements its front half for the
+reproduction: a kernel in our PTX dialect is *unparsed* into a textual
+``.ll`` module (SSA form, typed, two-basic-block control flow for the
+bounds-check pattern) describing a *CPU work-item function* — the
+per-site function an LLVM-based backend JITs and wraps in a site loop.
 
-The transpiler produces both the textual ``.ll`` module and a
-structured instruction list; the CPU "target" executes the structured
-IR with the same vectorize-over-work-items strategy as the PTX driver,
-so the two backends can be cross-checked numerically — which the test
-suite does for every kernel family.
+It is a second unparser of the one kernel IR (the parsed
+:class:`~repro.ptx.isa.Instruction` stream), not a second IR: nothing
+is re-lowered, and the text is produced only when somebody asks for
+it.  The executable CPU target (:mod:`repro.llvm.cputarget`) walks the
+same instruction stream.
 
-Subset restrictions (checked, with clear errors): single static
-assignment per register (our code generators emit SSA already) and
-the guarded-forward-branch control flow the generators use.
+Subset restrictions (checked by :func:`check_subset`, with clear
+errors): single static assignment per register (our code generators
+emit SSA already) and the guarded-forward-branch control flow the
+generators use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..driver.parser import ParsedKernel, parse_ptx
+from ..diagnostics import errors
+from ..driver.backends import BackendBuildError
+from ..driver.parser import ParsedKernel
+from ..ir.ssa import SSAFunction
+from ..ir.verify import check_ssa
 from ..ptx.isa import Immediate, Instruction, PTXType, Register, Special
 
 
-class TranspileError(Exception):
+class TranspileError(BackendBuildError):
     """The PTX program falls outside the transpilable subset."""
+
+
+def check_subset(parsed: ParsedKernel) -> None:
+    """Raise :class:`TranspileError` unless ``parsed`` is in the subset
+    both LLVM-path unparsers accept: structurally valid SSA (every
+    register assigned once, defined before use) and no guarded
+    instruction other than a forward branch."""
+    for inst in parsed.instructions:
+        if inst.guard is not None and inst.opcode != "bra":
+            # the generators guard only forward branches; a guarded
+            # arithmetic/memory instruction would need per-instruction
+            # predication neither unparser models
+            raise TranspileError(
+                f"{parsed.name}: guarded {inst.opcode!r} — only guarded "
+                f"forward branches are in the transpilable subset")
+    fn = SSAFunction.from_instructions(parsed.name, parsed.params,
+                                       parsed.instructions)
+    errs = errors(check_ssa(fn))
+    if errs:
+        raise TranspileError(
+            f"{parsed.name}: outside the SSA subset the LLVM backend "
+            f"supports (a register assigned twice or used before its "
+            f"definition): " + "; ".join(d.message for d in errs))
 
 
 _LLVM_TYPE = {
@@ -45,6 +71,9 @@ _LLVM_TYPE = {
 _FLOAT_BIN = {"add": "fadd", "sub": "fsub", "mul": "fmul", "div": "fdiv"}
 _INT_BIN = {"add": "add", "sub": "sub", "mul.lo": "mul", "and": "and",
             "or": "or", "xor": "xor", "shl": "shl"}
+#: integer ops whose LLVM opcode depends on signedness: (signed, unsigned)
+_SIGNED_BIN = {"shr": ("ashr", "lshr"), "div": ("sdiv", "udiv"),
+               "rem": ("srem", "urem")}
 _CMP_F = {"eq": "oeq", "ne": "one", "lt": "olt", "le": "ole",
           "gt": "ogt", "ge": "oge"}
 _CMP_S = {"eq": "eq", "ne": "ne", "lt": "slt", "le": "sle",
@@ -59,116 +88,66 @@ _INTRINSIC = {"sqrt": "llvm.sqrt", "sin": "llvm.sin", "cos": "llvm.cos",
               "round": "llvm.rint"}
 
 
-@dataclass
-class IRValue:
-    """An SSA value: LLVM name + type."""
-
-    name: str
-    type: PTXType
-
-    @property
-    def ltype(self) -> str:
-        return _LLVM_TYPE[self.type]
-
-
-@dataclass
-class IRInst:
-    """One structured IR instruction (what the CPU target executes)."""
-
-    op: str                      # llvm opcode or pseudo-op
-    dest: str | None
-    type: PTXType | None
-    args: tuple = ()
-    text: str = ""               # the rendered .ll line
-
-
-@dataclass
-class IRModule:
-    """A transpiled kernel: text + structured form."""
-
-    name: str
-    params: list
-    instructions: list[IRInst] = field(default_factory=list)
-    text: str = ""
-
-
-class _Namer:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self, stem: str = "v") -> str:
-        self.n += 1
-        return f"%{stem}{self.n}"
-
-
 def _reg_name(r: Register) -> str:
     return f"%{r.type.reg_prefix[1:]}{r.index}"
 
 
+def _sfx(t: PTXType) -> str:
+    return "f64" if t == PTXType.F64 else "f32"
+
+
 class Transpiler:
-    """Translates one parsed PTX kernel into an IRModule."""
+    """Unparses one parsed PTX kernel into ``.ll`` text."""
 
     def __init__(self, parsed: ParsedKernel):
+        check_subset(parsed)
         self.p = parsed
-        self.mod = IRModule(name=parsed.name, params=list(parsed.params))
-        self.namer = _Namer()
-        self.defined: set[str] = set()
+        self.n = 0
         self.lines: list[str] = []
         self.intrinsics: set[str] = set()
 
-    # -- operand lowering ------------------------------------------------
+    def _fresh(self, stem: str) -> str:
+        self.n += 1
+        return f"%{stem}{self.n}"
 
-    def _operand(self, op, itype: PTXType) -> tuple[str, PTXType]:
+    def _emit(self, text: str) -> None:
+        self.lines.append("  " + text)
+
+    def _operand(self, op) -> str:
         if isinstance(op, Register):
-            name = _reg_name(op)
-            if name not in self.defined:
-                raise TranspileError(
-                    f"{self.p.name}: use of undefined SSA value {name}")
-            return name, op.type
+            return _reg_name(op)
         if isinstance(op, Immediate):
-            t = op.type
-            if t.is_float:
+            if op.type.is_float:
                 # LLVM accepts decimal FP literals; repr round-trips
-                return repr(float(op.value)), t
-            return str(int(op.value)), t
+                return repr(float(op.value))
+            return str(int(op.value))
         if isinstance(op, Special):
-            return f"%{op.which}", PTXType.U32
+            return f"%{op.which}"
         raise TranspileError(f"bad operand {op!r}")
 
-    def _emit(self, inst: IRInst) -> None:
-        self.mod.instructions.append(inst)
-        self.lines.append("  " + inst.text)
+    def _ptr(self, addr, lt: str) -> str:
+        ptr = self._fresh("p")
+        self._emit(f"{ptr} = inttoptr i64 {self._operand(addr)} to {lt}*")
+        return ptr
 
-    def _define(self, name: str) -> None:
-        if name in self.defined:
-            raise TranspileError(
-                f"{self.p.name}: register {name} assigned twice — "
-                f"outside the SSA subset the LLVM backend supports")
-        self.defined.add(name)
-
-    def _cvt_text(self, dst: str, src: str, frm: PTXType,
-                  to: PTXType) -> str:
+    @staticmethod
+    def _cvt_text(dst: str, src: str, frm: PTXType, to: PTXType) -> str:
         lf, lt = _LLVM_TYPE[frm], _LLVM_TYPE[to]
         if frm.is_float and to.is_float:
             op = "fpext" if to.nbytes > frm.nbytes else "fptrunc"
-            return f"{dst} = {op} {lf} {src} to {lt}"
-        if frm.is_float and to.is_int:
+        elif frm.is_float and to.is_int:
             op = "fptosi" if to.is_signed else "fptoui"
-            return f"{dst} = {op} {lf} {src} to {lt}"
-        if frm.is_int and to.is_float:
+        elif frm.is_int and to.is_float:
             op = "sitofp" if frm.is_signed else "uitofp"
-            return f"{dst} = {op} {lf} {src} to {lt}"
-        # int <-> int
-        if to.nbytes > frm.nbytes:
+        elif to.nbytes > frm.nbytes:
             op = "sext" if frm.is_signed else "zext"
-            return f"{dst} = {op} {lf} {src} to {lt}"
-        if to.nbytes < frm.nbytes:
-            return f"{dst} = trunc {lf} {src} to {lt}"
-        return f"{dst} = bitcast {lf} {src} to {lt}"
+        elif to.nbytes < frm.nbytes:
+            op = "trunc"
+        else:
+            op = "bitcast"
+        return f"{dst} = {op} {lf} {src} to {lt}"
 
-    # -- instruction lowering -------------------------------------------
-
-    def run(self) -> IRModule:
+    def run(self) -> str:
         plist = []
         for p in self.p.params:
             lt = "i8*" if p.is_pointer else _LLVM_TYPE[p.type]
@@ -187,207 +166,131 @@ class Transpiler:
             f"declare {t} @{i}.{s}({t})"
             for i in self.intrinsics
             for t, s in (("double", "f64"), ("float", "f32")))
-        self.mod.text = "\n".join(headers + self.lines + [""] + decls) + "\n"
-        return self.mod
+        return "\n".join(headers + self.lines + [""] + decls) + "\n"
 
     def _lower(self, inst: Instruction) -> None:
         op = inst.opcode
-        if inst.guard is not None and op != "bra":
-            # the generators guard only forward branches; a guarded
-            # arithmetic/memory instruction would need per-instruction
-            # predication the structured IR does not model
-            raise TranspileError(
-                f"{self.p.name}: guarded {op!r} — only guarded forward "
-                f"branches are in the transpilable subset")
         if op == "label":
             name = inst.label.lstrip("$")
-            self._emit(IRInst("label", None, None, (name,),
-                              text=f"br label %{name}"))
+            self._emit(f"br label %{name}")
             self.lines.append(f"{name}:")
             return
         if op == "bra":
             name = inst.label.lstrip("$")
             if inst.guard is None:
-                self._emit(IRInst("br", None, None, (name,),
-                                  text=f"br label %{name}"))
+                self._emit(f"br label %{name}")
                 return
-            g, _ = self._operand(inst.guard, PTXType.PRED)
-            cond = g
+            cond = self._operand(inst.guard)
             if inst.guard_negated:
-                cond = self.namer.fresh("not")
-                self._emit(IRInst("not", cond, PTXType.PRED,
-                                  (g,), text=f"{cond} = xor i1 {g}, true"))
-            cont = self.namer.fresh("cont").lstrip("%")
-            self._emit(IRInst("condbr", None, None, (cond, name, cont),
-                              text=f"br i1 {cond}, label %{name}, "
-                                   f"label %{cont}"))
+                g, cond = cond, self._fresh("not")
+                self._emit(f"{cond} = xor i1 {g}, true")
+            cont = self._fresh("cont").lstrip("%")
+            self._emit(f"br i1 {cond}, label %{name}, label %{cont}")
             self.lines.append(f"{cont}:")
             return
         if op == "ret":
-            self._emit(IRInst("ret", None, None, (), text="ret void"))
-            return
-        if op == "ld.param":
-            (pref,) = inst.srcs
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            param = next(q for q in self.p.params if q.name == pref.pname)
-            if param.is_pointer:
-                text = f"{dst} = ptrtoint i8* %{param.name} to i64"
-                self._emit(IRInst("ptrtoint", dst, inst.type,
-                                  (f"%{param.name}",), text=text))
-            else:
-                lt = _LLVM_TYPE[param.type]
-                text = (f"{dst} = bitcast {lt} %{param.name} to {lt}"
-                        if not param.type.is_float else
-                        f"{dst} = fadd {lt} %{param.name}, 0.0")
-                self._emit(IRInst("copy", dst, inst.type,
-                                  (f"%{param.name}",), text=text))
-            return
-        if op == "ld.global":
-            (addr,) = inst.srcs
-            a, _ = self._operand(addr, PTXType.U64)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            lt = _LLVM_TYPE[inst.type]
-            ptr = self.namer.fresh("p")
-            self.lines.append(
-                f"  {ptr} = inttoptr i64 {a} to {lt}*")
-            self._emit(IRInst("load", dst, inst.type, (a,),
-                              text=f"{dst} = load {lt}, {lt}* {ptr}"))
+            self._emit("ret void")
             return
         if op == "st.global":
             addr, val = inst.srcs
-            a, _ = self._operand(addr, PTXType.U64)
-            v, _ = self._operand(val, inst.type)
             lt = _LLVM_TYPE[inst.type]
-            ptr = self.namer.fresh("p")
-            self.lines.append(
-                f"  {ptr} = inttoptr i64 {a} to {lt}*")
-            self._emit(IRInst("store", None, inst.type, (a, v),
-                              text=f"store {lt} {v}, {lt}* {ptr}"))
+            ptr = self._ptr(addr, lt)
+            self._emit(f"store {lt} {self._operand(val)}, {lt}* {ptr}")
             return
-        if op == "mov":
-            (src,) = inst.srcs
-            s, st = self._operand(src, inst.type)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            lt = _LLVM_TYPE[inst.type]
-            if inst.type.is_float:
-                text = f"{dst} = fadd {lt} {s}, 0.0"
+        dst = _reg_name(inst.dst)
+        lt = _LLVM_TYPE[inst.type]
+        if op == "ld.param":
+            (pref,) = inst.srcs
+            param = next(q for q in self.p.params if q.name == pref.pname)
+            if param.is_pointer:
+                self._emit(f"{dst} = ptrtoint i8* %{param.name} to i64")
+            elif param.type.is_float:
+                self._emit(f"{dst} = fadd {lt} %{param.name}, 0.0")
             else:
-                text = f"{dst} = add {lt} {s}, 0"
-            self._emit(IRInst("copy", dst, inst.type, (s,), text=text))
+                self._emit(f"{dst} = bitcast {lt} %{param.name} to {lt}")
+            return
+        if op == "ld.global":
+            (addr,) = inst.srcs
+            ptr = self._ptr(addr, lt)
+            self._emit(f"{dst} = load {lt}, {lt}* {ptr}")
+            return
+        srcs = [self._operand(s) for s in inst.srcs]
+        if op == "mov":
+            if inst.type.is_float:
+                self._emit(f"{dst} = fadd {lt} {srcs[0]}, 0.0")
+            else:
+                self._emit(f"{dst} = add {lt} {srcs[0]}, 0")
             return
         if op == "cvt":
-            (src,) = inst.srcs
-            s, _ = self._operand(src, inst.src_type)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            text = self._cvt_text(dst, s, inst.src_type, inst.type)
-            self._emit(IRInst("cvt", dst, inst.type,
-                              (s, inst.src_type), text=text))
+            self._emit(self._cvt_text(dst, srcs[0], inst.src_type, inst.type))
             return
         if op == "setp":
-            a, b = inst.srcs
-            sa, _ = self._operand(a, inst.type)
-            sb, _ = self._operand(b, inst.type)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            lt = _LLVM_TYPE[inst.type]
             if inst.type.is_float:
-                text = f"{dst} = fcmp {_CMP_F[inst.cmp]} {lt} {sa}, {sb}"
+                cmp = f"fcmp {_CMP_F[inst.cmp]}"
             elif inst.type.is_signed:
-                text = f"{dst} = icmp {_CMP_S[inst.cmp]} {lt} {sa}, {sb}"
+                cmp = f"icmp {_CMP_S[inst.cmp]}"
             else:
-                text = f"{dst} = icmp {_CMP_U[inst.cmp]} {lt} {sa}, {sb}"
-            self._emit(IRInst("cmp", dst, inst.type,
-                              (inst.cmp, sa, sb), text=text))
+                cmp = f"icmp {_CMP_U[inst.cmp]}"
+            self._emit(f"{dst} = {cmp} {lt} {srcs[0]}, {srcs[1]}")
             return
         if op == "selp":
-            a, b, p = inst.srcs
-            sa, _ = self._operand(a, inst.type)
-            sb, _ = self._operand(b, inst.type)
-            sp, _ = self._operand(p, PTXType.PRED)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            lt = _LLVM_TYPE[inst.type]
-            self._emit(IRInst("select", dst, inst.type, (sp, sa, sb),
-                              text=f"{dst} = select i1 {sp}, {lt} {sa}, "
-                                   f"{lt} {sb}"))
+            a, b, p = srcs
+            self._emit(f"{dst} = select i1 {p}, {lt} {a}, {lt} {b}")
             return
         if op in ("fma", "mad.lo"):
-            a, b, c = (self._operand(s, inst.type)[0] for s in inst.srcs)
-            dst = _reg_name(inst.dst)
-            self._define(dst)
-            lt = _LLVM_TYPE[inst.type]
+            a, b, c = srcs
             if inst.type.is_float:
                 self.intrinsics.add("llvm.fma")
-                suffix = "f64" if inst.type == PTXType.F64 else "f32"
-                text = (f"{dst} = call {lt} @llvm.fma.{suffix}"
-                        f"({lt} {a}, {lt} {b}, {lt} {c})")
+                self._emit(f"{dst} = call {lt} @llvm.fma.{_sfx(inst.type)}"
+                           f"({lt} {a}, {lt} {b}, {lt} {c})")
             else:
-                tmp = self.namer.fresh("mad")
-                self.lines.append(f"  {tmp} = mul {lt} {a}, {b}")
-                text = f"{dst} = add {lt} {tmp}, {c}"
-            self._emit(IRInst("fma", dst, inst.type, (a, b, c), text=text))
+                tmp = self._fresh("mad")
+                self._emit(f"{tmp} = mul {lt} {a}, {b}")
+                self._emit(f"{dst} = add {lt} {tmp}, {c}")
             return
         # remaining unary / binary arithmetic
-        srcs = [self._operand(s, inst.type)[0] for s in inst.srcs]
-        dst = _reg_name(inst.dst)
-        self._define(dst)
-        lt = _LLVM_TYPE[inst.type]
         if len(srcs) == 2:
             if inst.type.is_float and op in _FLOAT_BIN:
-                text = f"{dst} = {_FLOAT_BIN[op]} {lt} {srcs[0]}, {srcs[1]}"
+                text = f"{_FLOAT_BIN[op]} {lt} {srcs[0]}, {srcs[1]}"
             elif inst.type.is_float and op in ("min", "max"):
                 intr = "llvm.minnum" if op == "min" else "llvm.maxnum"
                 self.intrinsics.add(intr)
-                sfx = "f64" if inst.type == PTXType.F64 else "f32"
-                text = (f"{dst} = call {lt} @{intr}.{sfx}"
+                text = (f"call {lt} @{intr}.{_sfx(inst.type)}"
                         f"({lt} {srcs[0]}, {lt} {srcs[1]})")
             elif op in _INT_BIN:
-                text = f"{dst} = {_INT_BIN[op]} {lt} {srcs[0]}, {srcs[1]}"
-            elif op == "shr":
-                o = "ashr" if inst.type.is_signed else "lshr"
-                text = f"{dst} = {o} {lt} {srcs[0]}, {srcs[1]}"
-            elif op == "div":
-                o = "sdiv" if inst.type.is_signed else "udiv"
-                text = f"{dst} = {o} {lt} {srcs[0]}, {srcs[1]}"
-            elif op == "rem":
-                o = "srem" if inst.type.is_signed else "urem"
-                text = f"{dst} = {o} {lt} {srcs[0]}, {srcs[1]}"
+                text = f"{_INT_BIN[op]} {lt} {srcs[0]}, {srcs[1]}"
+            elif op in _SIGNED_BIN:
+                o = _SIGNED_BIN[op][not inst.type.is_signed]
+                text = f"{o} {lt} {srcs[0]}, {srcs[1]}"
             else:
                 raise TranspileError(f"no LLVM lowering for {op!r}")
-            self._emit(IRInst(op, dst, inst.type, tuple(srcs), text=text))
+            self._emit(f"{dst} = {text}")
             return
         # unary
         if op == "neg":
             if inst.type.is_float:
-                text = f"{dst} = fneg {lt} {srcs[0]}"
+                text = f"fneg {lt} {srcs[0]}"
             else:
-                text = f"{dst} = sub {lt} 0, {srcs[0]}"
+                text = f"sub {lt} 0, {srcs[0]}"
         elif op == "not":
-            text = f"{dst} = xor {lt} {srcs[0]}, -1"
-        elif op in ("rsqrt", "rcp"):
-            sfx = "f64" if inst.type == PTXType.F64 else "f32"
-            if op == "rsqrt":
-                self.intrinsics.add("llvm.sqrt")
-                tmp = self.namer.fresh("sq")
-                self.lines.append(
-                    f"  {tmp} = call {lt} @llvm.sqrt.{sfx}({lt} {srcs[0]})")
-                text = f"{dst} = fdiv {lt} 1.0, {tmp}"
-            else:
-                text = f"{dst} = fdiv {lt} 1.0, {srcs[0]}"
+            text = f"xor {lt} {srcs[0]}, -1"
+        elif op == "rcp":
+            text = f"fdiv {lt} 1.0, {srcs[0]}"
+        elif op == "rsqrt":
+            self.intrinsics.add("llvm.sqrt")
+            tmp = self._fresh("sq")
+            self._emit(f"{tmp} = call {lt} @llvm.sqrt.{_sfx(inst.type)}"
+                       f"({lt} {srcs[0]})")
+            text = f"fdiv {lt} 1.0, {tmp}"
         elif op in _INTRINSIC:
             intr = _INTRINSIC[op]
             self.intrinsics.add(intr)
-            sfx = "f64" if inst.type == PTXType.F64 else "f32"
-            text = f"{dst} = call {lt} @{intr}.{sfx}({lt} {srcs[0]})"
+            text = f"call {lt} @{intr}.{_sfx(inst.type)}({lt} {srcs[0]})"
         else:
             raise TranspileError(f"no LLVM lowering for unary {op!r}")
-        self._emit(IRInst(op, dst, inst.type, tuple(srcs), text=text))
+        self._emit(f"{dst} = {text}")
 
 
-def transpile(ptx_text: str) -> IRModule:
-    """PTX text -> LLVM IR module (text + structured instructions)."""
-    return Transpiler(parse_ptx(ptx_text)).run()
+def transpile(parsed: ParsedKernel) -> str:
+    """Parsed PTX kernel -> LLVM IR module text."""
+    return Transpiler(parsed).run()

@@ -226,6 +226,10 @@ class TestCompiledKernelCache:
         other.get_or_compile(_ptx(7))
         stats = code_cache_stats()
         assert stats.misses == 1 and stats.hits == 1
+        # a stats object held across a clear is reset in place, not stale
+        clear_code_cache()
+        assert (stats.hits, stats.misses) == (0, 0) \
+            and code_cache_stats() is stats
 
     def test_distinct_ptx_compiles_separately(self, knob):
         knob("cpu")

@@ -200,3 +200,39 @@ class TestKernelCache:
         for n_instructions in (20, 100, 300, 500):
             t = modeled_jit_time(n_instructions)
             assert 0.05 <= t <= 0.25
+
+
+class TestGuardedLoad:
+    def test_guarded_off_lanes_keep_old_value(self, monkeypatch):
+        """A guarded ld.global into an already-defined register merges
+        like every other guarded opcode: guarded-off lanes keep the old
+        value, not the word read from the pool's safe address.  (The
+        redefinition is an ssa-structure error under the default
+        REPRO_VERIFY, so this is the warn/off-mode translation.)"""
+        monkeypatch.setenv("REPRO_VERIFY", "warn")
+        body = """
+    ld.param.u64 %ru0, [p_x];
+    ld.param.u64 %ru1, [p_y];
+    mov.u32 %u0, %tid.x;
+    cvt.s32.u32 %r0, %u0;
+    setp.lt.s32 %p0, %r0, 2;
+    cvt.s64.s32 %rd0, %r0;
+    mul.lo.s64 %rd1, %rd0, 8;
+    cvt.u64.s64 %ru2, %rd1;
+    add.u64 %ru4, %ru0, %ru2;
+    add.u64 %ru5, %ru1, %ru2;
+    mov.f64 %fd0, 7.0;
+    @%p0 ld.global.f64 %fd0, [%ru4];
+    st.global.f64 [%ru5], %fd0;
+    ret;
+"""
+        text = _wrap(body, [("p_x", "u64", True), ("p_y", "u64", True)])
+        with pytest.warns(RuntimeWarning):
+            k = compile_ptx(text)
+        pool = DevicePool(1 << 16)
+        x = pool.allocate(4 * 8)
+        y = pool.allocate(4 * 8)
+        pool.write(x, np.array([1.0, 2.0, 3.0, 4.0]))
+        k(_views(pool), {"p_x": x, "p_y": y}, grid_dim=1, block_dim=4)
+        assert np.array_equal(pool.read(y, 4 * 8, np.float64),
+                              [1.0, 2.0, 7.0, 7.0])

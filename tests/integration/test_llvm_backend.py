@@ -1,7 +1,7 @@
 """Tests for the LLVM backend (paper Sec. XI, Future Work).
 
-Every kernel family the expression layer generates is transpiled to
-LLVM IR and executed on the CPU target; results must be bit-identical
+Every kernel family the expression layer generates is compiled for the
+CPU target and unparsed to LLVM IR text; results must be bit-identical
 to the PTX driver's."""
 
 import math
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.llvm import LLVMBackend, TranspileError, transpile
+from repro.driver import parse_ptx
+from repro.llvm import TranspileError, compile_cpu_kernel, transpile
 from repro.qdp.fields import latt_color_matrix, latt_fermion, latt_real
 from repro.qdp.lattice import Lattice
 
@@ -53,7 +54,7 @@ def _run_llvm_and_compare(ctx, dest, build_expr, extra_fields,
     start = addrs[dest.uid] >> 3
     views["float64"][start:start + dest.host.size] = 0
 
-    kernel = LLVMBackend().get_or_compile(module.render())
+    kernel = compile_cpu_kernel(module.render())
     kernel(views, params, math.ceil(len(sub) / 128), 128)
     got = ctx.device.memcpy_dtoh(addrs[dest.uid], dest.nbytes,
                                  np.float64)[:dest.host.size]
@@ -127,11 +128,10 @@ class TestIRText:
         dest.assign(2.0 * a + a)
         llctx.flush()
         module = list(llctx.module_cache.values())[-1][0]
-        return module, transpile(module.render())
+        return module, transpile(parse_ptx(module.render()))
 
     def test_structure(self, llctx, rng):
-        module, ir = self._module_text(llctx, rng)
-        text = ir.text
+        module, text = self._module_text(llctx, rng)
         assert text.startswith("; transpiled from PTX kernel")
         assert f"define void @{module.name}(" in text
         assert "entry:" in text
@@ -140,24 +140,24 @@ class TestIRText:
             "}" in text
 
     def test_pointer_params(self, llctx, rng):
-        _, ir = self._module_text(llctx, rng)
-        assert "i8* %p_dst" in ir.text
-        assert "ptrtoint i8* %p_dst to i64" in ir.text
+        _, text = self._module_text(llctx, rng)
+        assert "i8* %p_dst" in text
+        assert "ptrtoint i8* %p_dst to i64" in text
 
     def test_control_flow(self, llctx, rng):
-        _, ir = self._module_text(llctx, rng)
-        assert "br i1 " in ir.text        # the bounds-check branch
-        assert "icmp sge i32" in ir.text
+        _, text = self._module_text(llctx, rng)
+        assert "br i1 " in text        # the bounds-check branch
+        assert "icmp sge i32" in text
 
     def test_loads_stores_typed(self, llctx, rng):
-        _, ir = self._module_text(llctx, rng)
-        assert "load double, double*" in ir.text
-        assert "store double" in ir.text
+        _, text = self._module_text(llctx, rng)
+        assert "load double, double*" in text
+        assert "store double" in text
 
     def test_ssa_unique_definitions(self, llctx, rng):
-        _, ir = self._module_text(llctx, rng)
+        _, text = self._module_text(llctx, rng)
         defs = [line.split(" = ")[0].strip()
-                for line in ir.text.splitlines()
+                for line in text.splitlines()
                 if " = " in line and line.startswith("  ")]
         assert len(defs) == len(set(defs)), "IR is not SSA"
 
@@ -171,9 +171,9 @@ class TestIRText:
         dest.assign(sqrt(r))
         llctx.flush()
         module = list(llctx.module_cache.values())[-1][0]
-        ir = transpile(module.render())
-        assert "@llvm.sqrt.f64" in ir.text
-        assert "declare double @llvm.sqrt.f64(double)" in ir.text
+        text = transpile(parse_ptx(module.render()))
+        assert "@llvm.sqrt.f64" in text
+        assert "declare double @llvm.sqrt.f64(double)" in text
 
 
 class TestSubsetRestrictions:
@@ -198,4 +198,4 @@ class TestSubsetRestrictions:
 }
 """
         with pytest.raises(TranspileError, match="assigned twice"):
-            transpile(ptx)
+            transpile(parse_ptx(ptx))

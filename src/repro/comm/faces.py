@@ -11,18 +11,14 @@ per element type.
 
 from __future__ import annotations
 
-from ..driver.cache import KernelCache
-from ..ir.pipeline import prepare_module
 from ..ptx.builder import KernelBuilder
 from ..ptx.isa import PTXType
 from ..ptx.module import PTXModule
-from ..ptx.verifier import verify
 
 _FT = {"f32": PTXType.F32, "f64": PTXType.F64}
 
 
-def build_gather_kernel(words_per_site: int, precision: str,
-                        ir_stats=None) -> PTXModule:
+def build_gather_kernel(words_per_site: int, precision: str) -> PTXModule:
     """buf[w * nface + t] = field[w * nsites + sites[t]]"""
     kb = KernelBuilder(f"gather_w{words_per_site}_{precision}")
     p_lo = kb.add_param("p_lo", PTXType.S32)        # field site stride
@@ -32,13 +28,10 @@ def build_gather_kernel(words_per_site: int, precision: str,
     p_src = kb.add_param("p_src", PTXType.U64, is_pointer=True)   # field
     _emit_copy_body(kb, p_lo, p_n, p_sites, p_dst, p_src,
                     words_per_site, precision, gather=True)
-    module = prepare_module(PTXModule.from_builder(kb), stats=ir_stats)
-    verify(module)
-    return module
+    return PTXModule.from_builder(kb)
 
 
-def build_scatter_kernel(words_per_site: int, precision: str,
-                         ir_stats=None) -> PTXModule:
+def build_scatter_kernel(words_per_site: int, precision: str) -> PTXModule:
     """field[w * nsites + sites[t]] = buf[w * nface + t]"""
     kb = KernelBuilder(f"scatter_w{words_per_site}_{precision}")
     p_lo = kb.add_param("p_lo", PTXType.S32)
@@ -48,9 +41,7 @@ def build_scatter_kernel(words_per_site: int, precision: str,
     p_src = kb.add_param("p_src", PTXType.U64, is_pointer=True)   # buffer
     _emit_copy_body(kb, p_lo, p_n, p_sites, p_dst, p_src,
                     words_per_site, precision, gather=False)
-    module = prepare_module(PTXModule.from_builder(kb), stats=ir_stats)
-    verify(module)
-    return module
+    return PTXModule.from_builder(kb)
 
 
 def _emit_copy_body(kb: KernelBuilder, p_lo, p_n, p_sites, p_dst, p_src,
@@ -122,9 +113,8 @@ def face_env(kind: str, words_per_site: int, precision: str,
 class FaceKernels:
     """Per-context cache of compiled gather/scatter kernels."""
 
-    def __init__(self, kernel_cache: KernelCache, ir_stats=None):
-        self.kernel_cache = kernel_cache
-        self.ir_stats = ir_stats
+    def __init__(self, ctx):
+        self.ctx = ctx
         self._modules: dict[tuple, tuple] = {}
 
     def get(self, kind: str, words_per_site: int, precision: str):
@@ -133,9 +123,6 @@ class FaceKernels:
         if entry is None:
             build = (build_gather_kernel if kind == "gather"
                      else build_scatter_kernel)
-            module = build(words_per_site, precision,
-                           ir_stats=self.ir_stats)
-            compiled, _ = self.kernel_cache.get_or_compile(module.render())
-            entry = (module, compiled)
-            self._modules[key] = entry
+            entry = self._modules[key] = self.ctx.build_kernel(
+                build(words_per_site, precision), charge_jit=False)
         return entry

@@ -173,9 +173,7 @@ class VirtualMachine:
         #: halo-layer fault injector (drop/corrupt/timeout recovery);
         #: shares the rank devices' plan
         self.faults = FaultInjector(plan)
-        self.face_kernels = [FaceKernels(c.kernel_cache,
-                                         ir_stats=c.stats.ir)
-                             for c in self.contexts]
+        self.face_kernels = [FaceKernels(c) for c in self.contexts]
         #: the VM's stream runtime: the *collective* step timeline
         #: (max-over-ranks costs), distinct from each rank context's
         #: per-device runtime.  ``streams=None`` consults REPRO_STREAMS.
@@ -226,9 +224,7 @@ class VirtualMachine:
         self.local_lattice = self.decomp.local_lattice()
         self.contexts = [self._make_rank_context()
                          for _ in range(self.nranks)]
-        self.face_kernels = [FaceKernels(c.kernel_cache,
-                                         ir_stats=c.stats.ir)
-                             for c in self.contexts]
+        self.face_kernels = [FaceKernels(c) for c in self.contexts]
         self._buffers.clear()
 
     def field(self, spec: TypeSpec, name: str | None = None

@@ -15,7 +15,7 @@ from ..device.autotune import Autotuner
 from ..device.gpu import Device
 from ..device.specs import DeviceSpec, K20X_ECC_OFF
 from ..driver.cache import KernelCache
-from ..ir.pipeline import IRStats
+from ..ir.pipeline import IRStats, prepare_module
 from ..memory.cache import CacheStats, FieldCache
 
 
@@ -196,6 +196,24 @@ class Context:
     def flush(self) -> None:
         """Launch every pending (deferred) statement now."""
         self.fusion.flush()
+
+    def build_kernel(self, module, env=None, charge_jit: bool = True):
+        """The one kernel build path, for a module-cache miss.
+
+        IR layer -> PTX text -> driver JIT, which verifies the
+        re-parsed text under the launch ``env`` as ``REPRO_VERIFY``
+        says.  The first time this context's kernel cache sees the
+        text the modeled JIT cost goes on the device clock
+        (``charge_jit=False``: halo face copies never were charged).
+        Returns ``(module, compiled)``.
+        """
+        module = prepare_module(module, stats=self.stats.ir)
+        compiled, was_cached = self.kernel_cache.get_or_compile(
+            module.render(), env=env)
+        if charge_jit and not was_cached:
+            self.device.charge_jit(compiled.modeled_compile_seconds)
+            self.stats.kernels_generated += 1
+        return module, compiled
 
     # -- scoped activation ----------------------------------------------
 

@@ -23,9 +23,7 @@ from typing import TYPE_CHECKING
 
 from ..device.memmodel import KernelCost
 from ..diagnostics import verify_mode
-from ..ir.pipeline import prepare_module
 from ..ptx.absint import KernelEnv, MemRegion, merge_envs, table_region
-from ..ptx.verifier import verify
 from .codegen import _check_assign_types, build_expression_kernel
 from .lint import check_assignment
 
@@ -158,7 +156,6 @@ def _launch_statement(dest, expr: Expr, subset, ctx: Context) -> KernelCost:
     modeled costs are identical under ``REPRO_FUSION=on`` and ``off``.
     """
     lattice = dest.lattice
-    mode = verify_mode()
     slots = SlotAssigner()
     sig = expr.signature(slots)
     subset_mode = not subset.is_full
@@ -171,13 +168,7 @@ def _launch_statement(dest, expr: Expr, subset, ctx: Context) -> KernelCost:
         name = "eval_" + hashlib.sha256(key.encode()).hexdigest()[:12]
         module, plan = build_expression_kernel(name, expr, dest.spec,
                                                subset_mode)
-        module = prepare_module(module, stats=ctx.stats.ir)
-        if mode != "off":
-            verify(module, env=env)
-        compiled, was_cached = ctx.kernel_cache.get_or_compile(module.render())
-        if not was_cached:
-            ctx.device.charge_jit(compiled.modeled_compile_seconds)
-            ctx.stats.kernels_generated += 1
+        module, compiled = ctx.build_kernel(module, env)
         entry = (module, plan, compiled)
         ctx.module_cache[key] = entry
     module, plan, compiled = entry

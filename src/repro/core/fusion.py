@@ -46,10 +46,8 @@ import hashlib
 
 from typing import TYPE_CHECKING
 
-from ..diagnostics import fusion_mode, verify_mode
-from ..ir.pipeline import prepare_module
+from ..diagnostics import fusion_mode
 from ..ptx.absint import KernelEnv, MemRegion, merge_envs, table_region
-from ..ptx.verifier import verify
 from .codegen import build_fused_kernel
 from .expr import Expr, FieldRef, SlotAssigner, _spec_sig
 from .lint import _walk
@@ -341,13 +339,7 @@ def _launch_group(ctx: "Context", group: Group,
             reduction=(None if reduction is None
                        else (reduction.kind, reduction.exprs)),
             subset_mode=subset_mode)
-        module = prepare_module(module, stats=ctx.stats.ir)
-        if verify_mode() != "off":
-            verify(module, env=env)
-        compiled, was_cached = ctx.kernel_cache.get_or_compile(module.render())
-        if not was_cached:
-            ctx.device.charge_jit(compiled.modeled_compile_seconds)
-            ctx.stats.kernels_generated += 1
+        module, compiled = ctx.build_kernel(module, env)
         entry = (module, None, compiled)
         ctx.module_cache[key] = entry
     module, _, compiled = entry

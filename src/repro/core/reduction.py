@@ -14,12 +14,10 @@ import hashlib
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING
 
-from ..ir.pipeline import prepare_module
 from ..ptx.absint import MemRegion, merge_envs
 from ..ptx.builder import KernelBuilder
 from ..ptx.isa import PTXType
 from ..ptx.module import PTXModule
-from ..ptx.verifier import verify
 from .codegen import CVal, Unparser, emit_reduction_partials
 
 if TYPE_CHECKING:
@@ -181,13 +179,7 @@ def _launch_partials(ctx: Context, kind: str, exprs: list[Expr],
         name = "red_" + hashlib.sha256(key.encode()).hexdigest()[:12]
         module = _build_reduction_kernel(name, kind, exprs, slots,
                                          subset_mode)
-        module = prepare_module(module, stats=ctx.stats.ir)
-        verify(module, env=env)
-        compiled, was_cached = ctx.kernel_cache.get_or_compile(module.render())
-        if not was_cached:
-            ctx.device.charge_jit(compiled.modeled_compile_seconds)
-            ctx.stats.kernels_generated += 1
-        entry = (module, compiled)
+        entry = ctx.build_kernel(module, env)
         ctx.module_cache[key] = entry
     module, compiled = entry
     prev = ctx.analysis_envs.get(module.name)

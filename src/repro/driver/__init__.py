@@ -1,9 +1,10 @@
-"""The simulated NVIDIA driver: PTX parser, JIT compiler, kernel cache."""
+"""The simulated NVIDIA driver: PTX parser, JIT compiler, kernel store."""
 
-from .cache import CacheStats, KernelCache
+from .cache import CacheStats, KernelCache, clear_kernel_store
 from .jitcompiler import (
     CompiledKernel,
     JITCompileError,
+    KernelArtifact,
     compile_ptx,
     modeled_jit_time,
 )
@@ -13,9 +14,11 @@ __all__ = [
     "CacheStats",
     "CompiledKernel",
     "JITCompileError",
+    "KernelArtifact",
     "KernelCache",
     "ParsedKernel",
     "PTXParseError",
+    "clear_kernel_store",
     "compile_ptx",
     "modeled_jit_time",
     "parse_ptx",

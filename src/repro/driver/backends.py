@@ -1,27 +1,31 @@
 """The execution-backend registry: per-kernel dispatch.
 
-The driver JIT always builds the ``sim`` function for a kernel — the
-reference execution semantics everything else is validated against,
-and what the verifier/liveness/occupancy analyses are attached to.
-The registry decides which *callable* a launch actually runs, per
-kernel, from the ``REPRO_BACKEND`` knob (resolved through the shared
-``_env_mode`` machinery, so bad values warn once and fall back to the
-default like every other ``REPRO_*`` knob):
+A kernel artifact (:class:`~repro.driver.jitcompiler.KernelArtifact`)
+carries one lazily built callable per backend; the registry decides
+which one a launch actually runs, per kernel, from the
+``REPRO_BACKEND`` knob (resolved through the shared ``_env_mode``
+machinery, so bad values warn once and fall back to the default like
+every other ``REPRO_*`` knob), and builds it on first dispatch:
 
 ``sim`` (default)
-    The PTX translator of :mod:`repro.driver.jitcompiler`.
+    The PTX translator of :mod:`repro.driver.jitcompiler` — the
+    reference execution semantics everything else is validated
+    against.
 ``cpu``
     The compiled NumPy backend of :mod:`repro.llvm.cputarget` — the
     same parsed PTX (post-``REPRO_IR`` pipeline) walked by a subclass
     of the ``sim`` translator that folds integer address arithmetic,
     bitwise identical to ``sim``.
 
-Kernels outside a backend's supported subset *fall back to* ``sim``
+Only the selected backend is built.  Kernels outside a backend's
+supported subset *fall back to* ``sim`` (translated then, not before)
 with a one-time warning naming the kernel and the unsupported
 construct — never an error: a run must complete on any knob setting.
 Fallbacks, per-backend kernel counts, compile seconds and launch
 counts accumulate in :class:`BackendStats`, surfaced as
-``ctx.stats.backend`` and in the ``repro.lint --json`` report.
+``ctx.stats.backend`` and in the ``repro.lint --json`` report; they
+count what *this* kernel cache dispatched, whether or not the
+process-wide store already held the callable.
 
 The registry is the permanent seam for additional backends: register
 a :class:`Backend` subclass under a new name and the knob accepts it
@@ -37,6 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from ..diagnostics import backend_mode
+from .jitcompiler import build_sim_kernel
 
 
 class BackendBuildError(Exception):
@@ -49,9 +54,9 @@ class BackendStats:
 
     #: the knob value the most recent compile resolved to
     mode: str = "sim"
-    #: backend name -> kernels built for it
+    #: backend name -> kernels this cache dispatched to it
     kernels: dict = field(default_factory=dict)
-    #: backend name -> wall-clock seconds spent building its kernels
+    #: backend name -> wall-clock seconds this cache spent building them
     compile_seconds: dict = field(default_factory=dict)
     #: backend name -> launches executed through it
     launches: dict = field(default_factory=dict)
@@ -67,8 +72,8 @@ class BackendStats:
 class Backend:
     """One execution backend: builds a launchable callable per kernel.
 
-    ``build`` receives the driver's
-    :class:`~repro.driver.jitcompiler.CompiledKernel` (which carries
+    ``build`` receives the
+    :class:`~repro.driver.jitcompiler.KernelArtifact` (which carries
     the PTX text and the parsed form) and returns a callable with the
     launch signature ``(views, params, grid_dim, block_dim)``.  Raise
     :class:`BackendBuildError` (``TranspileError`` is one) for kernels
@@ -77,7 +82,7 @@ class Backend:
 
     name = "backend"
 
-    def build(self, kernel):
+    def build(self, artifact):
         raise NotImplementedError
 
 
@@ -86,8 +91,8 @@ class SimBackend(Backend):
 
     name = "sim"
 
-    def build(self, kernel):
-        return kernel.func
+    def build(self, artifact):
+        return build_sim_kernel(artifact.parsed)
 
 
 class CpuBackend(Backend):
@@ -95,10 +100,10 @@ class CpuBackend(Backend):
 
     name = "cpu"
 
-    def build(self, kernel):
+    def build(self, artifact):
         from ..llvm.cputarget import compile_cpu_kernel
 
-        return compile_cpu_kernel(kernel.ptx_text, kernel.parsed)
+        return compile_cpu_kernel(artifact.ptx_text, artifact.parsed)
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -132,13 +137,31 @@ def resolve_backend_mode() -> str:
     return backend_mode(accepted=backend_names())
 
 
-#: kernels already warned about, keyed by (kernel name, backend) —
-#: fall back once per kernel, not once per launch
-_warned_fallbacks: set[tuple[str, str]] = set()
+@dataclass
+class BuildStats:
+    """Process-wide counters of one backend's builds in the kernel
+    store: ``misses`` built a callable, ``hits`` found one another
+    cache had built."""
+
+    hits: int = 0
+    misses: int = 0
+    total_compile_seconds: float = 0.0
+
+    @property
+    def n_kernels(self) -> int:
+        return self.misses
+
+
+_build_stats: dict[str, BuildStats] = {}
+
+
+def build_stats(name: str) -> BuildStats:
+    """The live store-wide build counters of backend ``name``."""
+    return _build_stats.setdefault(name, BuildStats())
 
 
 def select_backend(kernel, stats: BackendStats) -> None:
-    """Attach the active backend's callable to ``kernel`` (idempotent).
+    """Point ``kernel`` at the active backend's callable (idempotent).
 
     Called by the kernel cache on every compile *and* cache hit, so a
     mid-process knob change re-dispatches already-compiled kernels.
@@ -147,43 +170,46 @@ def select_backend(kernel, stats: BackendStats) -> None:
     """
     mode = resolve_backend_mode()
     stats.mode = mode
-    if "sim" not in kernel.backend_funcs:
-        # first selection for this kernel: account the sim build the
-        # driver JIT already performed
-        kernel.backend_funcs["sim"] = kernel.func
-        stats.kernels["sim"] = stats.kernels.get("sim", 0) + 1
-        stats.compile_seconds["sim"] = (
-            stats.compile_seconds.get("sim", 0.0) + kernel.compile_seconds)
     if kernel.backend == mode:
         return
-    if mode in kernel.backend_funcs:
-        kernel.backend = mode
-        return
-    if mode in kernel.backend_errors:
-        # already tried and fell back; don't rebuild (or recount) it
-        kernel.backend = "sim"
-        return
-    backend = _REGISTRY[mode]
-    t0 = time.perf_counter()
-    try:
-        func = backend.build(kernel)
-    except BackendBuildError as exc:
-        kernel.backend_errors[mode] = str(exc)
-        stats.fallbacks += 1
-        stats.fallback_kernels[kernel.name] = str(exc)
-        key = (kernel.name, mode)
-        if key not in _warned_fallbacks:
-            _warned_fallbacks.add(key)
+    funcs = kernel.backend_funcs
+    for name in (mode, "sim"):      # "sim": what a failed build falls back to
+        if name not in funcs:
+            funcs[name] = _callable_for(kernel.artifact, name, stats)
+        if funcs[name] is not None:
+            kernel.backend, kernel.func = name, funcs[name]
+            return
+
+
+def _callable_for(artifact, mode: str, stats: BackendStats):
+    """The artifact's ``mode`` callable (``None``: outside the backend's
+    subset), built here unless another cache already has; ``stats``
+    accounts this cache's first dispatch either way."""
+    func = artifact.callables.get(mode)
+    elapsed = 0.0
+    if func is not None:
+        build_stats(mode).hits += 1
+    elif mode not in artifact.build_errors:
+        t0 = time.perf_counter()
+        try:
+            func = _REGISTRY[mode].build(artifact)
+        except BackendBuildError as exc:
+            artifact.build_errors[mode] = str(exc)
             warnings.warn(
                 f"backend {mode!r} cannot build kernel "
-                f"{kernel.name!r} ({exc}); falling back to 'sim' "
-                f"for this kernel", RuntimeWarning, stacklevel=4)
-        kernel.backend_funcs["sim"] = kernel.func
-        kernel.backend = "sim"
-        return
-    elapsed = time.perf_counter() - t0
-    kernel.backend_funcs[mode] = func
-    kernel.backend = mode
+                f"{artifact.name!r} ({exc}); falling back to 'sim' "
+                f"for this kernel", RuntimeWarning, stacklevel=5)
+        else:
+            elapsed = time.perf_counter() - t0
+            artifact.callables[mode] = func
+            built = build_stats(mode)
+            built.misses += 1
+            built.total_compile_seconds += elapsed
+    if func is None:
+        stats.fallbacks += 1
+        stats.fallback_kernels[artifact.name] = artifact.build_errors[mode]
+        return None
     stats.kernels[mode] = stats.kernels.get(mode, 0) + 1
     stats.compile_seconds[mode] = (
         stats.compile_seconds.get(mode, 0.0) + elapsed)
+    return func

@@ -1,15 +1,25 @@
-"""Compiled-kernel cache.
+"""The kernel store and its per-context views.
 
-The driver JIT translates each distinct PTX module exactly once per
-process; subsequent requests hit this cache.  The paper measures the
-translation cost at 0.05-0.22 s per kernel and ~200 distinct kernels
-per HMC trajectory — the cache is what makes the total overhead the
-"10-30 seconds, negligible" of Sec. VIII-D.
+The driver JIT analyses each distinct PTX module exactly once per
+*process*: one store maps the text's sha256 to its
+:class:`~repro.driver.jitcompiler.KernelArtifact` (parsed stream,
+register footprint, modeled JIT cost, per-env diagnostics, per-backend
+callables).  The paper measures the translation cost at 0.05-0.22 s
+per kernel and ~200 distinct kernels per HMC trajectory, the same ones
+on every rank — the store is what makes the total overhead the "10-30
+seconds, negligible" of Sec. VIII-D for every context after the first.
 
-Every compile (and cache hit) also runs the backend registry's
-per-kernel dispatch (:func:`repro.driver.backends.select_backend`):
-under ``REPRO_BACKEND=cpu`` the kernel additionally gets a compiled
-NumPy callable attached, with graceful per-kernel fallback to ``sim``.
+A :class:`KernelCache` is one context's (or one server's) *accounting
+view* of the store.  Every counter and every modeled charge follows
+the view's own history: ``get_or_compile`` reports ``was_cached=False``
+the first time *this view* sees a digest whether or not the store
+already holds the artifact, so the modeled JIT clock, ``stats`` and
+``backend`` do not depend on what ran earlier in the process — only
+measured seconds do.
+
+Every lookup also runs the backend registry's per-kernel dispatch
+(:func:`repro.driver.backends.select_backend`), which builds the
+selected backend's callable on the artifact if no view has yet.
 """
 
 from __future__ import annotations
@@ -17,24 +27,41 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .backends import BackendStats, select_backend
-from .jitcompiler import CompiledKernel, compile_ptx
+from .backends import BackendStats, BuildStats, build_stats, select_backend
+from .jitcompiler import (CompiledKernel, KernelArtifact, compile_ptx,
+                          verify_artifact)
+
+#: PTX sha256 -> artifact, shared by every view in the process
+_STORE: dict[str, KernelArtifact] = {}
+
+
+def clear_kernel_store() -> None:
+    """Forget every artifact (tests that need a cold process).  Views
+    keep the handles they already hold."""
+    _STORE.clear()
+
+
+def drop_backend_callables(name: str) -> None:
+    """Forget the store's callables (and build failures) of backend
+    ``name`` and zero its :func:`~repro.driver.backends.build_stats`
+    in place, so a stats object held across the call stays live."""
+    for artifact in _STORE.values():
+        artifact.callables.pop(name, None)
+        artifact.build_errors.pop(name, None)
+    built = build_stats(name)
+    built.hits = built.misses = 0
+    built.total_compile_seconds = 0.0
 
 
 @dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    total_compile_seconds: float = 0.0
-    total_modeled_compile_seconds: float = 0.0
+class CacheStats(BuildStats):
+    """One view's lookups; seconds are of the artifacts *it* built."""
 
-    @property
-    def n_kernels(self) -> int:
-        return self.misses
+    total_modeled_compile_seconds: float = 0.0
 
 
 class KernelCache:
-    """Cache of JIT-compiled kernels keyed by PTX text digest."""
+    """One context's view of the kernel store, keyed by PTX digest."""
 
     def __init__(self):
         self._kernels: dict[str, CompiledKernel] = {}
@@ -46,27 +73,43 @@ class KernelCache:
     def key_for(ptx_text: str) -> str:
         return hashlib.sha256(ptx_text.encode()).hexdigest()
 
-    def get_or_compile(self, ptx_text: str) -> tuple[CompiledKernel, bool]:
-        """Return ``(kernel, was_cached)`` for the given PTX text."""
+    def get_or_compile(self, ptx_text: str,
+                       env=None) -> tuple[CompiledKernel, bool]:
+        """Return ``(kernel, was_cached)`` for the given PTX text.
+
+        ``env`` is the launch :class:`~repro.ptx.absint.KernelEnv` the
+        caller will bind; the artifact is verified under it unless it
+        already was (by any view).
+        """
         key = self.key_for(ptx_text)
         kernel = self._kernels.get(key)
         if kernel is not None:
             self.stats.hits += 1
+            verify_artifact(kernel.artifact, env, replay=False)
             # re-dispatch on every hit: the knob may have changed
             select_backend(kernel, self.backend)
             return kernel, True
-        kernel = compile_ptx(ptx_text)
+        artifact = _STORE.get(key)
+        if artifact is None:
+            kernel = compile_ptx(ptx_text, env)
+            artifact = _STORE[key] = kernel.artifact
+            self.stats.total_compile_seconds += artifact.compile_seconds
+        else:
+            verify_artifact(artifact, env)
+            kernel = CompiledKernel(artifact)
         kernel.backend_stats = self.backend
+        select_backend(kernel, self.backend)
         self._kernels[key] = kernel
         self.stats.misses += 1
-        self.stats.total_compile_seconds += kernel.compile_seconds
         self.stats.total_modeled_compile_seconds += (
-            kernel.modeled_compile_seconds)
-        select_backend(kernel, self.backend)
+            artifact.modeled_compile_seconds)
         return kernel, False
 
     def __len__(self) -> int:
         return len(self._kernels)
 
     def clear(self) -> None:
+        """Forget this view's handles and nothing else: the store keeps
+        the artifacts, so the next lookup is a view miss (counted and
+        charged as one) that builds nothing."""
         self._kernels.clear()

@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..diagnostics import emit_warnings, errors, verify_mode
+from ..diagnostics import Severity, emit_warnings, errors, verify_mode
 from ..memory.pool import ALIGNMENT
+from ..ptx.absint import analyze_module
 from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType,
                        Register, Special)
+from ..ptx.liveness import max_live_registers
+from ..ptx.module import PTXModule
+from ..ptx.verifier import run_passes
 from .parser import ParsedKernel, PTXParseError, parse_ptx
 
 
@@ -113,40 +117,74 @@ _RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_mand": _mand}
 
 
 @dataclass
-class CompiledKernel:
-    """A kernel translated by the driver JIT, ready to launch.
+class KernelArtifact:
+    """Everything the process knows about one PTX program.
 
-    ``func`` is the driver's own (``sim``) translation; the backend
-    registry (:mod:`repro.driver.backends`) may attach alternative
-    callables per backend name in ``backend_funcs`` and select one via
-    ``backend`` — a launch dispatches to the selected backend, falling
-    back to ``func`` if none was attached.
+    Built once per distinct PTX text by :func:`compile_ptx` and kept in
+    the process-wide kernel store (:mod:`repro.driver.cache`): the
+    re-parsed instruction stream (the one that executes), the
+    liveness-based register footprint, the modeled driver-JIT cost,
+    the static-analysis diagnostics per launch env it was checked
+    under, and one lazily built callable per execution backend.
     """
 
     name: str
-    func: object
-    parsed: ParsedKernel
     ptx_text: str
-    python_source: str
-    compile_seconds: float       # measured wall-clock of this translation
-    modeled_compile_seconds: float  # the modeled NVIDIA-driver JIT cost
-    regs_per_thread: int
-    #: backend name -> launchable callable ("sim" is ``func``)
-    backend_funcs: dict = field(default_factory=dict)
+    parsed: ParsedKernel
+    regs_per_thread: int = 0
+    compile_seconds: float = 0.0     # measured: parse + analysis
+    modeled_compile_seconds: float = 0.0   # the modeled NVIDIA-driver JIT
+    #: env key -> diagnostics of the passes run under that launch env
+    #: (empty for an artifact built under ``REPRO_VERIFY=off``)
+    checked: dict = field(default_factory=dict)
+    #: backend name -> launchable callable, built on first dispatch
+    callables: dict = field(default_factory=dict)
     #: failed backend builds: backend name -> unsupported construct
-    backend_errors: dict = field(default_factory=dict)
-    #: the backend a launch dispatches to (set by the registry)
-    backend: str = "sim"
-    #: per-backend launch accounting, shared with the owning cache
-    backend_stats: object = None
+    build_errors: dict = field(default_factory=dict)
+
+
+class CompiledKernel:
+    """One kernel cache's launch handle on a :class:`KernelArtifact`.
+
+    Holds what is per view: the backend the registry selected
+    (:func:`repro.driver.backends.select_backend`), its callable, the
+    backends this view has dispatched the kernel to, and the view's
+    launch accounting.  ``name`` and ``regs_per_thread`` are copied so
+    the launch path reads them off the handle.  A handle no cache has
+    dispatched (a bare :func:`compile_ptx` result) runs the reference
+    ``sim`` translation, built on its first launch.
+    """
+
+    def __init__(self, artifact: KernelArtifact):
+        self.artifact = artifact
+        self.name = artifact.name
+        self.regs_per_thread = artifact.regs_per_thread
+        #: the backend a launch dispatches to (set by the registry)
+        self.backend: str | None = None
+        self.func = self._launch_sim
+        #: backend name -> callable (``None``: it declined the kernel)
+        #: for every backend this view has dispatched the kernel to
+        self.backend_funcs: dict = {}
+        #: per-backend launch accounting, shared with the owning cache
+        self.backend_stats = None
+
+    parsed = property(lambda self: self.artifact.parsed)
+    ptx_text = property(lambda self: self.artifact.ptx_text)
+    compile_seconds = property(lambda self: self.artifact.compile_seconds)
+    modeled_compile_seconds = property(
+        lambda self: self.artifact.modeled_compile_seconds)
+
+    def _launch_sim(self, views, params, grid_dim, block_dim):
+        art = self.artifact
+        if "sim" not in art.callables:
+            art.callables["sim"] = build_sim_kernel(art.parsed)
+        self.backend, self.func = "sim", art.callables["sim"]
+        self.func(views, params, grid_dim, block_dim)
 
     def __call__(self, views, params, grid_dim, block_dim):
-        func = self.backend_funcs.get(self.backend)
-        if func is None:
-            func = self.func
         if self.backend_stats is not None:
             self.backend_stats.note_launch(self.backend)
-        func(views, params, grid_dim, block_dim)
+        self.func(views, params, grid_dim, block_dim)
 
 
 def modeled_jit_time(n_instructions: int) -> float:
@@ -349,69 +387,94 @@ class _Translator:
         raise JITCompileError(f"unsupported opcode {op!r}")
 
 
-def _verify_parsed(parsed: ParsedKernel) -> None:
-    """Run the static-analysis pass pipeline on a parsed kernel.
+def build_sim_kernel(parsed: ParsedKernel):
+    """The reference (``sim``) callable for a parsed kernel."""
+    source = _Translator(parsed).translate()
+    namespace = dict(_RUNTIME)
+    exec(compile(source, f"<ptxjit:{parsed.name}>", "exec"), namespace)
+    return namespace[f"_kernel_{parsed.name}"]
+
+
+def _env_key(env):
+    """Hashable identity of a launch env (frozen, but holds dicts)."""
+    if env is None:
+        return None
+    return (env.block_size, env.grid_size,
+            tuple(sorted(env.scalars.items())),
+            tuple(sorted(env.regions.items())))
+
+
+def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
+    """The JIT's one verification point, memoised per launch env.
 
     Every PTX program entering the JIT — generated or hand-written —
-    passes through the same verifier the code generators use, so
-    malformed kernels fail at compile time with diagnostics instead
-    of as downstream evaluator failures.  Strictness follows
-    ``REPRO_VERIFY`` (off / warn / error; see :mod:`repro.diagnostics`).
+    passes through the verifier pipeline on its *re-parsed* stream, so
+    malformed kernels fail at compile time with diagnostics instead of
+    as downstream evaluator failures.  A digest already checked under
+    ``env`` is not analysed again: its stored diagnostics are reported
+    again (``replay``: the first time a cache sees the kernel) or only
+    enforced (error-severity findings still raise under ``error``).
+    Strictness follows ``REPRO_VERIFY`` (off / warn / error; see
+    :mod:`repro.diagnostics`).  Returns the
+    :class:`~repro.ptx.absint.KernelAnalysis` when one was computed.
     """
     mode = verify_mode()
     if mode == "off":
-        return
-    from ..diagnostics import Severity
-    from ..ptx.module import PTXModule
-    from ..ptx.verifier import run_passes
-
-    info = KernelInfo(name=parsed.name, params=list(parsed.params))
-    module = PTXModule(info=info, instructions=list(parsed.instructions))
-    diagnostics = run_passes(module)
+        return None
+    key = _env_key(env)
+    diagnostics = artifact.checked.get(key)
+    analysis = None
+    if diagnostics is None:
+        parsed = artifact.parsed
+        module = PTXModule(
+            info=KernelInfo(name=parsed.name, params=list(parsed.params)),
+            instructions=list(parsed.instructions))
+        analysis = analyze_module(module, env=env)
+        diagnostics = run_passes(module, env=env, analysis=analysis)
+        artifact.checked[key] = diagnostics
     errs = errors(diagnostics)
-    if mode == "error" and errs:
-        emit_warnings([d for d in diagnostics
-                       if d.severity < Severity.ERROR], stacklevel=4)
+    fatal = mode == "error" and errs
+    if replay or analysis is not None:
+        # a launch env turns table strides into known strides; the
+        # coalescing verdicts that follow describe one binding (a
+        # checkerboard subset is stride 2), not the kernel:
+        # ``repro.lint`` reports them, the JIT does not warn on them
+        quiet = () if env is None else ("coalescing",)
+        emit_warnings([d for d in diagnostics if d.pass_name not in quiet
+                       and (not fatal or d.severity < Severity.ERROR)],
+                      stacklevel=4)
+    if fatal:
         raise JITCompileError(
-            "static verification failed:\n"
+            f"static verification of kernel {artifact.name!r} failed:\n"
             + "\n".join(d.render() for d in errs))
-    emit_warnings(diagnostics, stacklevel=4)
+    return analysis
 
 
-def compile_ptx(ptx_text: str) -> CompiledKernel:
+def compile_ptx(ptx_text: str, env=None) -> CompiledKernel:
     """JIT-compile a PTX module's text into an executable kernel.
 
-    Raises :class:`JITCompileError` on malformed or unsupported input;
-    the static-analysis pipeline runs on every program first (gated by
-    the ``REPRO_VERIFY`` knob).
+    Parses the text, verifies the parsed stream once under the
+    caller's launch ``env`` (a :class:`~repro.ptx.absint.KernelEnv`;
+    gated by ``REPRO_VERIFY``) and sizes the register footprint from
+    that one analysis.  No backend callable is built here — the
+    registry builds the selected one on dispatch.  Raises
+    :class:`JITCompileError` on malformed or rejected input.
     """
     t0 = time.perf_counter()
     try:
         parsed = parse_ptx(ptx_text)
     except PTXParseError as exc:
         raise JITCompileError(f"parse error: {exc}") from exc
-    _verify_parsed(parsed)
-    tr = _Translator(parsed)
-    source = tr.translate()
-    namespace = dict(_RUNTIME)
-    code = compile(source, f"<ptxjit:{parsed.name}>", "exec")
-    exec(code, namespace)
-    func = namespace[f"_kernel_{parsed.name}"]
-    elapsed = time.perf_counter() - t0
+    artifact = KernelArtifact(
+        name=parsed.name, ptx_text=ptx_text, parsed=parsed,
+        modeled_compile_seconds=modeled_jit_time(len(parsed.instructions)))
+    analysis = verify_artifact(artifact, env)
     # The real driver JIT performs register allocation; the SSA-style
     # .reg declarations wildly overstate pressure.  Use liveness,
     # capped at the Kepler per-thread hardware maximum of 255 — beyond
     # that a real compiler spills to local memory rather than failing.
-    from ..ptx.liveness import max_live_registers
-
-    regs = min(max_live_registers(parsed.instructions), 255)
-    return CompiledKernel(
-        name=parsed.name,
-        func=func,
-        parsed=parsed,
-        ptx_text=ptx_text,
-        python_source=source,
-        compile_seconds=elapsed,
-        modeled_compile_seconds=modeled_jit_time(len(parsed.instructions)),
-        regs_per_thread=max(regs, 8),
-    )
+    live = (analysis.max_live_regs if analysis is not None
+            else max_live_registers(parsed.instructions))
+    artifact.regs_per_thread = max(min(live, 255), 8)
+    artifact.compile_seconds = time.perf_counter() - t0
+    return CompiledKernel(artifact)

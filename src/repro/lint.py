@@ -249,8 +249,8 @@ def _suite_modules(ctx, lat, precision: str = "f64"):
     t_face = lat.face_sites(lat.nd - 1, +1)
     for kind, build in (("gather", build_gather_kernel),
                         ("scatter", build_scatter_kernel)):
-        module = build(24, precision, ir_stats=ctx.stats.ir)
-        compiled, _ = ctx.kernel_cache.get_or_compile(module.render())
+        module, compiled = ctx.build_kernel(build(24, precision),
+                                            charge_jit=False)
         env = face_env(kind, 24, precision, lat.nsites, t_face)
         out.append((module, compiled, env))
     return out

@@ -5,9 +5,10 @@ registry (:mod:`repro.driver.backends`) dispatches to: the parsed PTX
 instruction stream — the same :class:`~repro.driver.parser.ParsedKernel`
 the driver JIT translated for ``sim`` — is code-generated into
 vectorized-NumPy Python source (vectorized over work-items: the site
-loop an LLVM-backed QDP-JIT wraps around the per-site function),
-``compile()``d once, and cached process-wide keyed on the PTX text —
-the cross-run analogue of the per-context module cache.
+loop an LLVM-backed QDP-JIT wraps around the per-site function) and
+``compile()``d; the registry keeps the result on the kernel's artifact
+in the process-wide store (:mod:`repro.driver.cache`), so it is built
+once per process.
 
 The generator is a subclass of the driver's reference translator
 (:class:`repro.driver.jitcompiler._Translator`): one instruction walk,
@@ -26,13 +27,13 @@ the compiled CPU backend".
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ..driver.backends import BuildStats, build_stats
+from ..driver.cache import drop_backend_callables
 from ..driver.jitcompiler import _NP_DTYPE, _RUNTIME, _SHIFT, _Translator
 from ..driver.parser import ParsedKernel, parse_ptx
 from ..memory.pool import ALIGNMENT
@@ -568,9 +569,7 @@ class CompiledCPUKernel:
     name: str
     func: object
     source: str
-    code: object                 # the cached compiled code object
     parsed: ParsedKernel         # the instruction stream it was built from
-    compile_seconds: float
 
     @property
     def llvm_text(self) -> str:
@@ -582,70 +581,34 @@ class CompiledCPUKernel:
             self.func(views, params, grid_dim, block_dim)
 
 
-@dataclass
-class CodeCacheStats:
-    """Counters for the cross-run compiled-kernel cache."""
-
-    hits: int = 0
-    misses: int = 0
-    total_compile_seconds: float = 0.0
-
-    @property
-    def n_kernels(self) -> int:
-        return self.misses
-
-
-#: process-wide compiled-kernel cache keyed on PTX text — shared by
-#: every context/kernel-cache in the process ("cross-run"), mirroring
-#: the per-context module cache one level up
-_KERNEL_CACHE: dict[str, CompiledCPUKernel] = {}
-_cache_stats = CodeCacheStats()
-
-
-def code_cache_stats() -> CodeCacheStats:
-    """The live counters of the cross-run compiled-kernel cache."""
-    return _cache_stats
+def code_cache_stats() -> BuildStats:
+    """The live counters of the store's ``cpu`` builds: ``misses``
+    compiled a kernel, ``hits`` reused one another context compiled."""
+    return build_stats("cpu")
 
 
 def clear_code_cache() -> None:
-    """Drop every cached code object and reset the counters (tests)."""
-    _KERNEL_CACHE.clear()
-    # in place: a stats object held across the clear stays live
-    _cache_stats.hits = _cache_stats.misses = 0
-    _cache_stats.total_compile_seconds = 0.0
+    """Drop the store's ``cpu`` callables and reset the counters in
+    place (tests); everything else about the artifacts stays."""
+    drop_backend_callables("cpu")
 
 
 def compile_cpu_kernel(ptx_text: str,
                        parsed: ParsedKernel | None = None) -> CompiledCPUKernel:
-    """PTX text -> compiled CPU kernel, through the cross-run cache.
+    """PTX text -> compiled CPU kernel (uncached: the store caches).
 
     ``parsed`` is the already-parsed form of ``ptx_text`` when the
-    caller has it (the backend registry does); the text is the cache
-    key and is parsed here only without one.  Raises
-    :class:`TranspileError` when the program falls outside the
-    transpilable subset; the backend registry catches it and falls
-    back to the ``sim`` backend per kernel.
+    caller has it (the backend registry does); the text is parsed here
+    only without one.  Raises :class:`TranspileError` when the program
+    falls outside the transpilable subset; the backend registry
+    catches it and falls back to the ``sim`` backend per kernel.
     """
-    key = hashlib.sha256(ptx_text.encode()).hexdigest()
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is not None:
-        _cache_stats.hits += 1
-        return kernel
-    t0 = time.perf_counter()
     if parsed is None:
         parsed = parse_ptx(ptx_text)
     gen = _CpuTranslator(parsed)
     source = gen.translate()
-    code = compile(source, f"<cpujit:{parsed.name}>", "exec")
     namespace = {**_RUNTIME, "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
                  **gen.consts}
-    exec(code, namespace)
-    func = namespace[f"_kernel_{parsed.name}"]
-    elapsed = time.perf_counter() - t0
-    kernel = CompiledCPUKernel(name=parsed.name, func=func, source=source,
-                               code=code, parsed=parsed,
-                               compile_seconds=elapsed)
-    _KERNEL_CACHE[key] = kernel
-    _cache_stats.misses += 1
-    _cache_stats.total_compile_seconds += elapsed
-    return kernel
+    exec(compile(source, f"<cpujit:{parsed.name}>", "exec"), namespace)
+    return CompiledCPUKernel(name=parsed.name, source=source, parsed=parsed,
+                             func=namespace[f"_kernel_{parsed.name}"])

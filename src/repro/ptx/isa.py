@@ -22,11 +22,32 @@ import enum
 from dataclasses import dataclass, field
 
 
+#: mnemonic suffix -> (bytes, register-name prefix, is_float, is_signed).
+#: The prefixes follow the PTX convention (``%f`` f32, ``%fd`` f64,
+#: ``%r`` 32-bit, ``%rd`` 64-bit, ``%p`` pred) except that unsigned
+#: registers get their own (``%u``/``%ru``): real PTX uses untyped
+#: ``.b32``/``.b64`` registers for both signednesses, while our dialect
+#: keeps registers fully typed so names must be unambiguous (documented
+#: deviation, DESIGN.md).
+_TYPE_TABLE = {
+    "f32": (4, "%f", True, False),
+    "f64": (8, "%fd", True, False),
+    "s32": (4, "%r", False, True),
+    "s64": (8, "%rd", False, True),
+    "u32": (4, "%u", False, False),
+    "u64": (8, "%ru", False, False),
+    "pred": (1, "%p", False, False),
+}
+
+
 class PTXType(enum.Enum):
     """PTX fundamental types (the subset we use).
 
     Values are the textual suffixes used in instruction mnemonics,
-    e.g. ``add.f32``.
+    e.g. ``add.f32``.  ``nbytes``, ``reg_prefix``, ``is_float``,
+    ``is_int`` and ``is_signed`` are plain member attributes filled
+    from ``_TYPE_TABLE`` once, at class creation: liveness and the
+    abstract interpreter read them per register touch.
     """
 
     F32 = "f32"
@@ -37,50 +58,10 @@ class PTXType(enum.Enum):
     U64 = "u64"
     PRED = "pred"
 
-    @property
-    def is_float(self) -> bool:
-        return self in (PTXType.F32, PTXType.F64)
-
-    @property
-    def is_int(self) -> bool:
-        return self in (PTXType.S32, PTXType.S64, PTXType.U32, PTXType.U64)
-
-    @property
-    def is_signed(self) -> bool:
-        return self in (PTXType.S32, PTXType.S64)
-
-    @property
-    def nbytes(self) -> int:
-        return {
-            PTXType.F32: 4,
-            PTXType.F64: 8,
-            PTXType.S32: 4,
-            PTXType.S64: 8,
-            PTXType.U32: 4,
-            PTXType.U64: 8,
-            PTXType.PRED: 1,
-        }[self]
-
-    @property
-    def reg_prefix(self) -> str:
-        """Register-name prefix.
-
-        Follows the PTX convention (``%f`` f32, ``%fd`` f64, ``%r``
-        32-bit, ``%rd`` 64-bit, ``%p`` pred) except that unsigned
-        registers get their own prefixes (``%u``/``%ru``): real PTX
-        uses untyped ``.b32``/``.b64`` registers for both signednesses,
-        while our dialect keeps registers fully typed so names must be
-        unambiguous (documented deviation, DESIGN.md).
-        """
-        return {
-            PTXType.F32: "%f",
-            PTXType.F64: "%fd",
-            PTXType.S32: "%r",
-            PTXType.S64: "%rd",
-            PTXType.U32: "%u",
-            PTXType.U64: "%ru",
-            PTXType.PRED: "%p",
-        }[self]
+    def __init__(self, suffix: str):
+        (self.nbytes, self.reg_prefix, self.is_float,
+         self.is_signed) = _TYPE_TABLE[suffix]
+        self.is_int = not self.is_float and suffix != "pred"
 
 
 #: Floating-point type for a given precision name.

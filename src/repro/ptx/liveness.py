@@ -23,11 +23,8 @@ from .cfg import DataflowAnalysis, build_cfg, solve
 from .isa import Instruction, PTXType, Register
 
 
-def _slots(t: str) -> int:
-    pt = PTXType(t)
-    if pt == PTXType.PRED:
-        return 1
-    return 2 if pt.nbytes == 8 else 1
+#: type suffix -> 32-bit register slots (64-bit values take two)
+_SLOTS = {t.value: 2 if t.nbytes == 8 else 1 for t in PTXType}
 
 
 def _regkey(r: Register) -> tuple[str, int]:
@@ -42,21 +39,21 @@ def _scan_backward(instructions: list[Instruction], live_out: set,
     count after each instruction (used to record the peak).
     """
     live = set(live_out)
-    slots = sum(_slots(t) for t, _ in live)
+    slots = sum(_SLOTS[t] for t, _ in live)
 
     def add(r: Register) -> None:
         nonlocal slots
         key = _regkey(r)
         if key not in live:
             live.add(key)
-            slots += _slots(key[0])
+            slots += _SLOTS[key[0]]
 
     def kill(r: Register) -> None:
         nonlocal slots
         key = _regkey(r)
         if key in live:
             live.discard(key)
-            slots -= _slots(key[0])
+            slots -= _SLOTS[key[0]]
 
     def note() -> None:
         if watermark is not None:
@@ -110,7 +107,7 @@ def max_live_registers(instructions: list[Instruction]) -> int:
     for b in cfg.reachable():
         blk = cfg.blocks[b]
         out = set(live_at_end.get(b, frozenset()))
-        watermark(sum(_slots(t) for t, _ in out))
+        watermark(sum(_SLOTS[t] for t, _ in out))
         _scan_backward(blk.instructions(cfg.instructions), out,
                        watermark=watermark)
     return max(max_slots, 8)

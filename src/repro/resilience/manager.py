@@ -340,8 +340,7 @@ class ResilienceManager:
         from ..comm.faces import FaceKernels
 
         vm.contexts[dead] = spare
-        vm.face_kernels[dead] = FaceKernels(spare.kernel_cache,
-                                            ir_stats=spare.stats.ir)
+        vm.face_kernels[dead] = FaceKernels(spare)
         # the comm buffers are rank state too: without them, halos
         # delivered before this barrier would be lost with the rank.
         # The spare is already installed, so re-resolving a key

@@ -16,7 +16,7 @@ def env():
     lat = Lattice((4, 4, 4, 4))
     psi = latt_fermion(lat, context=ctx)
     psi.gaussian(np.random.default_rng(0))
-    fk = FaceKernels(ctx.kernel_cache)
+    fk = FaceKernels(ctx)
     return ctx, lat, psi, fk
 
 

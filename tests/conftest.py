@@ -1,8 +1,13 @@
 """Shared fixtures.
 
-Most tests share one default context (kernel caches stay warm, which
-keeps the suite fast); tests that exercise memory pressure, spilling
-or device statistics build private contexts.
+Most tests share one default context; tests that exercise memory
+pressure, spilling or device statistics build private contexts.  The
+kernel store is process-wide (:mod:`repro.driver.cache`), so private
+contexts start warm too: a kernel any earlier test built is parsed,
+verified and translated no more — while every counter and modeled
+clock of a context still follows that context's own history, whatever
+ran before it.  Nothing here clears the store; a test that needs a
+cold one calls ``repro.driver.clear_kernel_store()`` itself.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Tests for the execution-backend registry and dispatch knob.
 
-The registry is the seam between the driver JIT (which always builds
-the ``sim`` reference translation) and alternative execution targets;
-the ``REPRO_BACKEND`` knob picks the callable per kernel, with
-graceful per-kernel fallback to ``sim`` for anything a backend cannot
-build.
+The registry is the seam between the driver JIT and the execution
+targets (``sim``, the reference translation, is one of them); the
+``REPRO_BACKEND`` knob picks the callable per kernel and only that one
+is built, with graceful per-kernel fallback to ``sim`` for anything a
+backend cannot build.
 """
 
 import warnings
@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.driver import backends
 from repro.driver.backends import (
     Backend,
     BackendBuildError,
@@ -22,7 +21,7 @@ from repro.driver.backends import (
     resolve_backend_mode,
     unregister_backend,
 )
-from repro.driver.cache import KernelCache
+from repro.driver.cache import KernelCache, clear_kernel_store
 from repro.llvm import clear_code_cache, code_cache_stats
 
 _PTX = """
@@ -70,7 +69,9 @@ def _ptx(n=0):
 
 @pytest.fixture()
 def knob(monkeypatch):
-    """Set REPRO_BACKEND for the test and reset warn-once state."""
+    """Set REPRO_BACKEND for the test and reset warn-once state (a
+    failed build is remembered, and warned about, once per artifact:
+    start from a cold store)."""
 
     def set_mode(value):
         monkeypatch.setenv("REPRO_BACKEND", value)
@@ -78,7 +79,7 @@ def knob(monkeypatch):
     from repro import diagnostics
 
     monkeypatch.setattr(diagnostics, "_warned_backend_values", set())
-    monkeypatch.setattr(backends, "_warned_fallbacks", set())
+    clear_kernel_store()
     return set_mode
 
 
@@ -105,8 +106,8 @@ class TestKnob:
         class Null(Backend):
             name = "null"
 
-            def build(self, kernel):
-                return kernel.func
+            def build(self, artifact):
+                raise AssertionError("never dispatched")
 
         register_backend(Null())
         try:
@@ -246,8 +247,11 @@ class TestCompiledKernelCache:
         cache = KernelCache()
         cache.get_or_compile(_ptx(10))
         be = cache.backend
-        assert be.compile_seconds.get("sim", 0) > 0
         assert be.compile_seconds.get("cpu", 0) > 0
+        assert "sim" not in be.compile_seconds   # never translated
+        knob("sim")
+        cache.get_or_compile(_ptx(10))
+        assert be.compile_seconds.get("sim", 0) > 0
 
 
 class TestBackendStats:

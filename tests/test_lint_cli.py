@@ -158,8 +158,8 @@ class TestJSON:
         assert set(be) == {"mode", "kernels", "compile_seconds",
                            "launches", "fallbacks", "fallback_kernels",
                            "wall_s_by_family"}
-        assert be["mode"] in be["kernels"] or be["mode"] == "sim"
-        assert be["kernels"].get("sim", 0) > 0   # sim is always built
+        # only the selected backend is built (no fallbacks, below)
+        assert set(be["kernels"]) == {be["mode"]}
         assert be["fallbacks"] == 0              # whole suite transpiles
         assert be["fallback_kernels"] == {}
         assert sum(be["launches"].values()) > 0

@@ -38,7 +38,7 @@ def generated_kernels():
 
     norm2(out, context=ctx)
     innerProduct(psi, out, context=ctx)
-    return [entry[0] for entry in ctx.module_cache.values()]
+    return [entry.module for entry in ctx.module_cache.values()]
 
 
 def test_jit_compile_overhead(benchmark, generated_kernels):

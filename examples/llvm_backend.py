@@ -30,7 +30,7 @@ out = latt_fermion(lattice)
 # 1. evaluate through the PTX / simulated-GPU path
 out.assign(adj(u) * psi)
 gpu_result = out.to_numpy().copy()
-module = list(ctx.module_cache.values())[-1][0]
+module = list(ctx.module_cache.values())[-1].module
 print("generated PTX (head):")
 print("\n".join(module.render().splitlines()[:8]), "\n...")
 

@@ -46,7 +46,8 @@ print(f"derivative evaluated; |psi|^2 = {norm2(psi):.6f}")
 print(f"<phi|psi> = {innerProduct(phi, psi):.6f}")
 
 # 5. Peek at a generated kernel: its PTX text and its cost metadata.
-key, (module, plan, compiled) = next(iter(ctx.module_cache.items()))
+entry = next(iter(ctx.module_cache.values()))
+module, compiled = entry.module, entry.compiled
 print("\n--- one generated kernel ---")
 print(f"name:           {module.name}")
 print(f"flops/site:     {module.info.flops_per_site}")

@@ -22,7 +22,6 @@ is 6 flops, an add 2); constant spin matrices fold zeros and +/-1,
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import TYPE_CHECKING
 
 from ..ptx.builder import KernelBuilder
@@ -557,16 +556,23 @@ def _collect_uids(node: Expr, acc: set) -> None:
         _collect_uids(c, acc)
 
 
+def partials_names(kind: str) -> tuple[str, ...]:
+    """Output-pointer parameters of a reduction's partials: ``sum``
+    and ``inner`` are complex-valued, ``norm2`` is real."""
+    return ("p_out_re", "p_out_im") if kind in ("sum", "inner") \
+        else ("p_out_re",)
+
+
 def emit_reduction_partials(up: Unparser, kind: str, exprs,
-                            out_re_base, out_im_base, gid) -> None:
+                            out_bases, gid) -> None:
     """Emit the per-thread partial of a reduction and its store(s).
 
     Shared by the standalone partials kernel
-    (:func:`repro.core.reduction._build_reduction_kernel`) and by
-    fused kernels that absorb a reduction behind their stores.  The
-    accumulation always happens in f64 and the partial lands at
-    ``out + gid*8``, so absorbed and standalone partials are bitwise
-    identical.
+    (:func:`build_reduction_kernel`) and by fused kernels that absorb
+    a reduction behind their stores.  ``out_bases`` are the loaded
+    :func:`partials_names` pointers.  The accumulation always happens
+    in f64 and the partial lands at ``out + gid*8``, so absorbed and
+    standalone partials are bitwise identical.
     """
     kb = up.kb
     ops = up.ops
@@ -603,64 +609,39 @@ def emit_reduction_partials(up: Unparser, kind: str, exprs,
     # store partial at out + gid*8
     g64 = kb.cvt(gid, PTXType.S64)
     off = kb.cvt(kb.mul(g64, kb.imm(8, PTXType.S64)), PTXType.U64)
-    kb.st_global(kb.add(out_re_base, off), acc.re, PTXType.F64)
-    if out_im_base is not None:
+    kb.st_global(kb.add(out_bases[0], off), acc.re, PTXType.F64)
+    if len(out_bases) == 2:
         im_operand = acc.im if acc.im is not None else Immediate(
             PTXType.F64, 0.0)
-        kb.st_global(kb.add(out_im_base, off), im_operand, PTXType.F64)
+        kb.st_global(kb.add(out_bases[1], off), im_operand, PTXType.F64)
 
 
-@dataclass
-class KernelPlan:
-    """How to bind runtime values to the generated kernel's parameters.
+def _open_kernel(name: str, slots: SlotAssigner, spec: TypeSpec,
+                 subset_mode: bool, out_names: tuple[str, ...],
+                 fused: bool = False):
+    """Open a site-parallel kernel over pre-walked ``slots``.
 
-    ``shifts`` lists (mu, sign) per shift-table parameter; ``n_fields``
-    leaf pointers follow the destination pointer; scalars are listed
-    with their complexity.  The evaluator re-walks a structurally
-    identical expression with a fresh :class:`SlotAssigner` to recover
-    the actual fields/values in the same order.
+    Declares and loads the parameter block every statement kernel
+    shares — ``p_lo p_n [p_stab] p_sh* <out_names> p_f* p_s*``, bound
+    by name at launch — exits threads past ``p_n`` and resolves the
+    thread's site (through the subset table in ``subset_mode``).
+    ``out_names`` are the caller's output pointers (``p_dst`` or the
+    reduction partials ``p_out_re[, p_out_im]``).
+
+    Returns ``(unparser, out_bases, gid, exit_label)``;
+    :func:`_close_kernel` finishes the kernel.  The kernel is
+    volume-parametric (the layout stride I_V is a parameter), so one
+    compiled kernel serves every lattice size.
     """
-
-    subset_mode: bool
-    shifts: list[tuple[int, int]]
-    n_fields: int
-    scalar_complex: list[bool]
-    scalar_precisions: list[str]
-    dest_spec: TypeSpec
-
-
-def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
-                            subset_mode: bool) -> tuple[PTXModule, KernelPlan]:
-    """Generate the PTX kernel evaluating ``dest = expr``.
-
-    The kernel is volume-parametric (the layout stride I_V is a
-    parameter), so one compiled kernel serves every lattice size.
-    """
-    if dest_spec.is_complex is False:
-        # real destination: the expression must be real
-        if expr.spec.is_complex:
-            raise ExprTypeError(
-                f"cannot assign complex expression to real destination; "
-                f"use real()/imag()")
-    if expr.spec.spin != dest_spec.spin or expr.spec.color != dest_spec.color:
-        raise ExprTypeError(
-            f"shape mismatch in assignment: expression "
-            f"spin={expr.spec.spin} color={expr.spec.color}, destination "
-            f"spin={dest_spec.spin} color={dest_spec.color}")
-
     kb = KernelBuilder(name)
-    slots = SlotAssigner()
-    # pre-walk to discover slots in signature order
-    expr.signature(slots)
-
-    # --- parameters (fixed order; see KernelPlan) ---
     p_lo = kb.add_param("p_lo", PTXType.S32)
     p_n = kb.add_param("p_n", PTXType.S32)
-    p_stab = kb.add_param("p_stab", PTXType.U64, is_pointer=True) \
-        if subset_mode else None
+    p_stab = (kb.add_param("p_stab", PTXType.U64, is_pointer=True)
+              if subset_mode else None)
     p_shifts = [kb.add_param(f"p_sh{i}", PTXType.U64, is_pointer=True)
                 for i in range(len(slots.shifts))]
-    p_dst = kb.add_param("p_dst", PTXType.U64, is_pointer=True)
+    p_outs = [kb.add_param(p, PTXType.U64, is_pointer=True)
+              for p in out_names]
     p_fields = [kb.add_param(f"p_f{i}", PTXType.U64, is_pointer=True)
                 for i in range(len(slots.fields))]
     scalar_params = []
@@ -670,14 +651,12 @@ def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
         pim = kb.add_param(f"p_s{i}_im", ft) if sn.spec.is_complex else None
         scalar_params.append((pre, pim))
 
-    up = Unparser(kb, slots, dest_spec, subset_mode)
-
-    # --- preamble ---
+    up = Unparser(kb, slots, spec, subset_mode, fused)
     up.nsites_reg = kb.ld_param(p_lo)
     n_active = kb.ld_param(p_n)
     stab_base = kb.ld_param(p_stab) if subset_mode else None
     up._shift_bases = [kb.ld_param(p) for p in p_shifts]
-    dst_base = kb.ld_param(p_dst)
+    out_bases = [kb.ld_param(p) for p in p_outs]
     up._leaf_bases = [kb.ld_param(p) for p in p_fields]
     for (pre, pim) in scalar_params:
         re = kb.ld_param(pre)
@@ -697,6 +676,37 @@ def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
     else:
         up.site_reg = gid
     up._view_sites[None] = up.site_reg
+    return up, out_bases, gid, exit_lbl
+
+
+def _close_kernel(up: Unparser, exit_lbl) -> PTXModule:
+    up.kb.label(exit_lbl)
+    up.kb.ret()
+    return PTXModule.from_builder(up.kb)
+
+
+def _check_assign_types(dest_spec: TypeSpec, expr: Expr) -> None:
+    if dest_spec.is_complex is False and expr.spec.is_complex:
+        raise ExprTypeError(
+            "cannot assign complex expression to real destination; "
+            "use real()/imag()")
+    if expr.spec.spin != dest_spec.spin or expr.spec.color != dest_spec.color:
+        raise ExprTypeError(
+            f"shape mismatch in assignment: expression "
+            f"spin={expr.spec.spin} color={expr.spec.color}, destination "
+            f"spin={dest_spec.spin} color={dest_spec.color}")
+
+
+def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
+                            subset_mode: bool) -> PTXModule:
+    """Generate the PTX kernel evaluating ``dest = expr``."""
+    _check_assign_types(dest_spec, expr)
+    slots = SlotAssigner()
+    # pre-walk to discover slots in signature order
+    expr.signature(slots)
+    up, (dst_base,), _, exit_lbl = _open_kernel(
+        name, slots, dest_spec, subset_mode, ("p_dst",))
+    kb = up.kb
 
     # --- body: one store per destination word ---
     ft = _FT[dest_spec.precision]
@@ -720,32 +730,24 @@ def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
                 off = kb.fma(nsb, kb.imm(w, PTXType.S64), sb, PTXType.S64)
                 addr = kb.add(dst_base, kb.cvt(off, PTXType.U64))
                 kb.st_global(addr, operand, ft)
-
-    kb.label(exit_lbl)
-    kb.ret()
-
-    module = PTXModule.from_builder(kb)
-    plan = KernelPlan(
-        subset_mode=subset_mode,
-        shifts=list(slots.shifts),
-        n_fields=len(slots.fields),
-        scalar_complex=[sn.spec.is_complex for sn in slots.scalar_slots],
-        scalar_precisions=[sn.spec.precision for sn in slots.scalar_slots],
-        dest_spec=dest_spec,
-    )
-    return module, plan
+    return _close_kernel(up, exit_lbl)
 
 
-def _check_assign_types(dest_spec: TypeSpec, expr: Expr) -> None:
-    if dest_spec.is_complex is False and expr.spec.is_complex:
-        raise ExprTypeError(
-            "cannot assign complex expression to real destination; "
-            "use real()/imag()")
-    if expr.spec.spin != dest_spec.spin or expr.spec.color != dest_spec.color:
-        raise ExprTypeError(
-            f"shape mismatch in assignment: expression "
-            f"spin={expr.spec.spin} color={expr.spec.color}, destination "
-            f"spin={dest_spec.spin} color={dest_spec.color}")
+def build_reduction_kernel(name: str, kind: str, exprs: list[Expr],
+                           subset_mode: bool) -> PTXModule:
+    """Generate the standalone partials kernel for a reduction.
+
+    ``kind``: ``norm2`` (sum of |component|^2), ``sum`` (component sum
+    of a scalar-shaped expression, complex out) or ``inner``
+    (sum over components of conj(a)*b, complex out).
+    """
+    slots = SlotAssigner()
+    for e in exprs:
+        e.signature(slots)
+    up, outs, gid, exit_lbl = _open_kernel(
+        name, slots, exprs[0].spec, subset_mode, partials_names(kind))
+    emit_reduction_partials(up, kind, exprs, outs, gid)
+    return _close_kernel(up, exit_lbl)
 
 
 def build_fused_kernel(name: str, assigns, reduction,
@@ -760,7 +762,6 @@ def build_fused_kernel(name: str, assigns, reduction,
     key fully determines the code), and the fused :class:`Unparser`
     mode supplies load dedup, CSE and destination forwarding.
     """
-    kb = KernelBuilder(name)
     slots = SlotAssigner()
     # pre-walk in the exact order the launcher re-walks for binding:
     # each statement's expression, then its destination's slot, then
@@ -773,58 +774,14 @@ def build_fused_kernel(name: str, assigns, reduction,
         for e in reduction[1]:
             e.signature(slots)
 
-    # --- parameters (bound by name at launch) ---
-    p_lo = kb.add_param("p_lo", PTXType.S32)
-    p_n = kb.add_param("p_n", PTXType.S32)
-    p_stab = (kb.add_param("p_stab", PTXType.U64, is_pointer=True)
-              if subset_mode else None)
-    p_shifts = [kb.add_param(f"p_sh{i}", PTXType.U64, is_pointer=True)
-                for i in range(len(slots.shifts))]
-    p_out_re = p_out_im = None
-    if reduction is not None:
-        p_out_re = kb.add_param("p_out_re", PTXType.U64, is_pointer=True)
-        if reduction[0] in ("sum", "inner"):
-            p_out_im = kb.add_param("p_out_im", PTXType.U64, is_pointer=True)
-    p_fields = [kb.add_param(f"p_f{i}", PTXType.U64, is_pointer=True)
-                for i in range(len(slots.fields))]
-    scalar_params = []
-    for i, sn in enumerate(slots.scalar_slots):
-        ft = _FT[sn.spec.precision]
-        pre = kb.add_param(f"p_s{i}_re", ft)
-        pim = kb.add_param(f"p_s{i}_im", ft) if sn.spec.is_complex else None
-        scalar_params.append((pre, pim))
-
     # the scheduler only groups statements of one destination
     # precision, so the ComplexOps default type matches what each
     # statement's eager kernel would use
-    up = Unparser(kb, slots, assigns[0][0].spec, subset_mode, fused=True)
-
-    # --- preamble ---
-    up.nsites_reg = kb.ld_param(p_lo)
-    n_active = kb.ld_param(p_n)
-    stab_base = kb.ld_param(p_stab) if subset_mode else None
-    up._shift_bases = [kb.ld_param(p) for p in p_shifts]
-    out_re_base = kb.ld_param(p_out_re) if p_out_re is not None else None
-    out_im_base = kb.ld_param(p_out_im) if p_out_im is not None else None
-    up._leaf_bases = [kb.ld_param(p) for p in p_fields]
-    for (pre, pim) in scalar_params:
-        re = kb.ld_param(pre)
-        im = kb.ld_param(pim) if pim is not None else None
-        up._scalar_vals.append(CVal(re=re, im=im))
-
-    gid = kb.global_thread_id()
-    oob = kb.setp("ge", gid, n_active)
-    exit_lbl = kb.new_label("EXIT")
-    kb.bra(exit_lbl, guard=oob)
-
-    if subset_mode:
-        g64 = kb.cvt(gid, PTXType.S64)
-        off = kb.mul(g64, kb.imm(4, PTXType.S64))
-        addr = kb.add(stab_base, kb.cvt(off, PTXType.U64))
-        up.site_reg = kb.ld_global(addr, PTXType.S32)
-    else:
-        up.site_reg = gid
-    up._view_sites[None] = up.site_reg
+    up, outs, gid, exit_lbl = _open_kernel(
+        name, slots, assigns[0][0].spec, subset_mode,
+        () if reduction is None else partials_names(reduction[0]),
+        fused=True)
+    kb = up.kb
 
     # --- body: statements in order, one store per destination word ---
     ops = up.ops
@@ -862,9 +819,5 @@ def build_fused_kernel(name: str, assigns, reduction,
         up.end_statement(dest.uid)
 
     if reduction is not None:
-        emit_reduction_partials(up, reduction[0], reduction[1],
-                                out_re_base, out_im_base, gid)
-
-    kb.label(exit_lbl)
-    kb.ret()
-    return PTXModule.from_builder(kb)
+        emit_reduction_partials(up, reduction[0], reduction[1], outs, gid)
+    return _close_kernel(up, exit_lbl)

@@ -9,6 +9,7 @@ lazily by :func:`qdp_init`; multi-rank runs (the virtual machine in
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from ..device.autotune import Autotuner
@@ -17,6 +18,7 @@ from ..device.specs import DeviceSpec, K20X_ECC_OFF
 from ..driver.cache import KernelCache
 from ..ir.pipeline import IRStats, prepare_module
 from ..memory.cache import CacheStats, FieldCache
+from ..ptx.absint import KernelEnv, merge_envs
 
 
 @dataclass
@@ -29,7 +31,7 @@ class ContextStats:
     #: multi-statement fused launches / statements they covered
     fusion_groups: int = 0
     fused_statements: int = 0
-    #: generated-module cache outcomes (see :class:`ModuleCache`)
+    #: generated-module cache outcomes (:meth:`Context.lookup_kernel`)
     module_cache_hits: int = 0
     module_cache_misses: int = 0
     #: SSA IR layer counters (``REPRO_IR``; see :mod:`repro.ir.pipeline`)
@@ -48,8 +50,8 @@ class ContextStats:
         (:class:`repro.driver.backends.BackendStats`)."""
         from ..driver.backends import BackendStats
 
-        return (self._kernel_cache.backend if self._kernel_cache
-                else BackendStats())
+        return (self._kernel_cache.backend
+                if self._kernel_cache is not None else BackendStats())
 
     @property
     def overlap_fraction(self) -> float:
@@ -105,29 +107,16 @@ class ContextStats:
         return self._fault_counters.solver_restarts
 
 
-class ModuleCache(dict):
-    """The generated-PTX module cache, with hit/miss accounting.
+@dataclass
+class ModuleEntry:
+    """One generated kernel in :attr:`Context.module_cache`."""
 
-    A plain dict keyed by structural expression signature; the
-    evaluator, the reduction builder and the fusion engine go through
-    :meth:`lookup` so the context's stats record how often a launch
-    reused an existing module versus generating a new one — the
-    "kernels are compiled once, launched thousands of times" claim of
-    the paper, now measurable (``repro.lint --json`` reports it).
-    """
-
-    def __init__(self, stats: ContextStats):
-        super().__init__()
-        self._stats = stats
-
-    def lookup(self, key):
-        """Counted :meth:`dict.get`: the cache-consulting lookup."""
-        entry = super().get(key)
-        if entry is None:
-            self._stats.module_cache_misses += 1
-        else:
-            self._stats.module_cache_hits += 1
-        return entry
+    module: object      # the PTXModule as built (after the IR layer)
+    compiled: object    # the driver's CompiledKernel
+    #: launch env covering every binding seen so far (widened across
+    #: launches); what the verifier passes and ``repro.lint`` analyze
+    #: the kernel under
+    env: KernelEnv
 
 
 class Context:
@@ -178,12 +167,9 @@ class Context:
                                   _field_cache=self.field_cache,
                                   _faults=self.device.faults,
                                   _kernel_cache=self.kernel_cache)
-        #: structural expression signature -> (PTXModule, plan, compiled)
-        self.module_cache: ModuleCache = ModuleCache(self.stats)
-        #: kernel name -> ptx.absint.KernelEnv covering every launch
-        #: binding seen so far (widened across launches); feeds the
-        #: abstract-interpretation verifier passes and repro.lint
-        self.analysis_envs: dict[str, object] = {}
+        #: structural statement signature -> :class:`ModuleEntry`
+        #: (insertion ordered; filled by :meth:`lookup_kernel` only)
+        self.module_cache: dict[str, ModuleEntry] = {}
         #: deferred-evaluation queue (``fusion=None`` consults the
         #: ``REPRO_FUSION`` knob; an explicit bool overrides it)
         self.fusion = FusionQueue(self, enabled=fusion)
@@ -192,10 +178,37 @@ class Context:
         #: uploaded int32 tables (shift maps, subset site lists):
         #: key -> (addr, length)
         self._tables: dict[object, tuple[int, int]] = {}
+        #: grow-only reduction-partials buffer, ``(addr, nbytes)``
+        self._scratch: tuple[int, int] | None = None
 
     def flush(self) -> None:
         """Launch every pending (deferred) statement now."""
         self.fusion.flush()
+
+    def lookup_kernel(self, key: str, prefix: str, build,
+                      env: KernelEnv) -> ModuleEntry:
+        """The one generated-kernel lookup, for every statement path.
+
+        ``key`` is the statement's structural signature; on a miss the
+        kernel is named ``prefix + sha256(key)[:12]``, generated by
+        ``build(name)`` and built through :meth:`build_kernel` under
+        the launch ``env``.  On a hit the entry's recorded env widens
+        to cover this launch too.  Hits and misses are counted in
+        ``stats.module_cache_hits/misses`` — the "kernels are compiled
+        once, launched thousands of times" claim of the paper, made
+        measurable (``repro.lint --json`` reports it).
+        """
+        entry = self.module_cache.get(key)
+        if entry is None:
+            self.stats.module_cache_misses += 1
+            name = prefix + hashlib.sha256(key.encode()).hexdigest()[:12]
+            module, compiled = self.build_kernel(build(name), env)
+            entry = self.module_cache[key] = ModuleEntry(module, compiled,
+                                                         env)
+        else:
+            self.stats.module_cache_hits += 1
+            entry.env = merge_envs(entry.env, env)
+        return entry
 
     def build_kernel(self, module, env=None, charge_jit: bool = True):
         """The one kernel build path, for a module-cache miss.
@@ -250,6 +263,18 @@ class Context:
         addr = self.field_cache._allocate_with_spill(arr.nbytes, set())
         self.device.memcpy_htod(addr, arr)
         self._tables[key] = (addr, arr.size)
+        return addr
+
+    def scratch(self, nbytes: int) -> int:
+        """Address of the grow-only scratch allocation, at least
+        ``nbytes`` long (reduction partials land here)."""
+        cur = self._scratch
+        if cur is not None and cur[1] >= nbytes:
+            return cur[0]
+        if cur is not None:
+            self.device.mem_free(cur[0])
+        addr = self.field_cache._allocate_with_spill(nbytes, set())
+        self._scratch = (addr, nbytes)
         return addr
 
     def drop_tables(self) -> None:

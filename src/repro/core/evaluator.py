@@ -18,12 +18,11 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING
 
 from ..device.memmodel import KernelCost
 from ..diagnostics import verify_mode
-from ..ptx.absint import KernelEnv, MemRegion, merge_envs, table_region
+from ..ptx.absint import KernelEnv, MemRegion, table_region
 from .codegen import _check_assign_types, build_expression_kernel
 from .lint import check_assignment
 
@@ -39,13 +38,9 @@ from .expr import (
     SlotAssigner,
     TraceNode,
     UnaryNode,
+    _spec_sig,
     as_expr,
 )
-
-
-def _spec_sig(spec) -> str:
-    return (f"{spec.precision}:s{spec.spin}:c{spec.color}:"
-            f"{'c' if spec.is_complex else 'r'}")
 
 
 def _rebuild(node: Expr, new_children) -> Expr:
@@ -149,32 +144,24 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
 
 
 def _launch_statement(dest, expr: Expr, subset, ctx: Context) -> KernelCost:
-    """Compile (or hit the module cache) and launch one statement.
+    """Look up (or build) and launch one statement's own kernel.
 
-    The pre-fusion eager path, byte-for-byte: single-statement fusion
-    groups also drain through here, so their kernels, cache keys and
-    modeled costs are identical under ``REPRO_FUSION=on`` and ``off``.
+    Single-statement fusion groups also drain through here, so their
+    kernels, cache keys and modeled costs are identical under
+    ``REPRO_FUSION=on`` and ``off``.
     """
     lattice = dest.lattice
     slots = SlotAssigner()
     sig = expr.signature(slots)
     subset_mode = not subset.is_full
     key = f"{sig}->{_spec_sig(dest.spec)}|{'sub' if subset_mode else 'full'}"
-
-    env = _analysis_env(lattice, subset, subset_mode, slots, dest.spec)
-
-    entry = ctx.module_cache.lookup(key)
-    if entry is None:
-        name = "eval_" + hashlib.sha256(key.encode()).hexdigest()[:12]
-        module, plan = build_expression_kernel(name, expr, dest.spec,
-                                               subset_mode)
-        module, compiled = ctx.build_kernel(module, env)
-        entry = (module, plan, compiled)
-        ctx.module_cache[key] = entry
-    module, plan, compiled = entry
-    prev = ctx.analysis_envs.get(module.name)
-    ctx.analysis_envs[module.name] = (env if prev is None
-                                      else merge_envs(prev, env))
+    env = launch_env(lattice, subset, slots,
+                     {"p_dst": lattice.nsites * dest.spec.bytes_per_site})
+    entry = ctx.lookup_kernel(
+        key, "eval_",
+        lambda name: build_expression_kernel(name, expr, dest.spec,
+                                             subset_mode),
+        env)
 
     # -- automated memory management: page in the AST's leaves ----------
     fields = slots.fields
@@ -184,72 +171,73 @@ def _launch_statement(dest, expr: Expr, subset, ctx: Context) -> KernelCost:
     addrs = ctx.field_cache.make_available([dest] + fields,
                                            write_only=write_only)
 
-    # -- parameter binding -------------------------------------------------
-    params: dict[str, object] = {
-        "p_lo": lattice.nsites,
-        "p_n": len(subset),
-        "p_dst": addrs[dest.uid],
-    }
-    if subset_mode:
-        params["p_stab"] = ctx.upload_table(
-            ("subset", lattice.dims, subset.name), subset.sites)
-    # NB: bind shift tables from *this* walk's slots, not the cached
-    # plan — the kernel text is direction-independent (the gather table
-    # is a parameter), so one compiled kernel serves every (mu, sign).
-    for i, (mu, sign) in enumerate(slots.shifts):
-        table = _shift_table(ctx, lattice, mu, sign)
-        params[f"p_sh{i}"] = table
-    for i, f in enumerate(fields):
-        params[f"p_f{i}"] = addrs[f.uid]
-    for i, sn in enumerate(slots.scalar_slots):
-        params[f"p_s{i}_re"] = sn.value.real
-        if plan.scalar_complex[i]:
-            params[f"p_s{i}_im"] = sn.value.imag
-
-    # -- launch ---------------------------------------------------------------
-    precision = dest.spec.precision
-    n_active = len(subset)
-    if ctx.autotuner is not None:
-        cost = ctx.autotuner.launch(compiled, module.info, params, n_active,
-                                    precision=precision)
-    else:
-        cost = ctx.device.launch(compiled, module.info, params, n_active,
-                                 block_size=ctx.default_block_size,
-                                 precision=precision)
+    params = bind_params(ctx, lattice, subset, slots, addrs)
+    params["p_dst"] = addrs[dest.uid]
+    cost = launch(ctx, entry, params, len(subset), dest.spec.precision)
     ctx.field_cache.mark_device_dirty(dest)
     return cost
 
 
-def _analysis_env(lattice, subset, subset_mode: bool, slots,
-                  dest_spec) -> KernelEnv:
+# -- the launch steps every statement path shares (eager statements
+# -- above, fused groups in .fusion, reduction partials in .reduction)
+
+
+def launch_env(lattice, subset, slots: SlotAssigner,
+               out_regions: dict[str, int]) -> KernelEnv:
     """Launch-time facts for the abstract-interpretation verifier:
-    what the parameter binding below will actually provide — exact
-    site counts, field view sizes, and the content range / bulk
-    stride of every gather table."""
+    what :func:`bind_params` will actually provide — exact site
+    counts, field view sizes, and the content range / bulk stride of
+    every gather table — plus the caller's output pointers as
+    ``{param: nbytes}``."""
     nsites = lattice.nsites
-    regions = {
-        "p_dst": MemRegion("p_dst", nsites * dest_spec.bytes_per_site)}
+    regions = {p: MemRegion(p, nbytes) for p, nbytes in out_regions.items()}
     for i, f in enumerate(slots.fields):
         regions[f"p_f{i}"] = MemRegion(f"p_f{i}",
                                        nsites * f.spec.bytes_per_site)
     for i, (mu, sign) in enumerate(slots.shifts):
         regions[f"p_sh{i}"] = table_region(f"p_sh{i}",
                                            lattice.shift_map(mu, sign))
-    if subset_mode:
+    if not subset.is_full:
         regions["p_stab"] = table_region("p_stab", subset.sites)
     return KernelEnv(scalars={"p_lo": nsites, "p_n": len(subset)},
                      regions=regions)
 
 
-def _shift_table(ctx: Context, lattice, mu: int, sign: int) -> int:
-    """Device address of the gather table for shift (mu, sign).
+def bind_params(ctx: Context, lattice, subset, slots: SlotAssigner,
+                addrs: dict[int, int]) -> dict[str, object]:
+    """Bind the shared parameter block (everything but the caller's
+    output pointers) from this launch's slot walk; ``addrs`` is what
+    ``make_available`` returned for ``slots.fields``.
 
-    The context may carry a comm handler that substitutes tables whose
-    boundary entries point at received halo data; single-rank runs use
-    the periodic wrap-around table.
+    Shift tables come from *this* walk's slots: the kernel text is
+    direction-independent (the gather table is a parameter), so one
+    compiled kernel serves every (mu, sign).
     """
-    provider = getattr(ctx, "shift_table_provider", None)
-    if provider is not None:
-        return provider(lattice, mu, sign)
-    return ctx.upload_table(("shift", lattice.dims, mu, sign),
-                            lattice.shift_map(mu, sign))
+    params: dict[str, object] = {"p_lo": lattice.nsites,
+                                 "p_n": len(subset)}
+    if not subset.is_full:
+        params["p_stab"] = ctx.upload_table(
+            ("subset", lattice.dims, subset.name), subset.sites)
+    for i, (mu, sign) in enumerate(slots.shifts):
+        params[f"p_sh{i}"] = ctx.upload_table(
+            ("shift", lattice.dims, mu, sign), lattice.shift_map(mu, sign))
+    for i, f in enumerate(slots.fields):
+        params[f"p_f{i}"] = addrs[f.uid]
+    for i, sn in enumerate(slots.scalar_slots):
+        params[f"p_s{i}_re"] = sn.value.real
+        if sn.spec.is_complex:
+            params[f"p_s{i}_im"] = sn.value.imag
+    return params
+
+
+def launch(ctx: Context, entry, params: dict, n_active: int,
+           precision: str) -> KernelCost:
+    """Launch a looked-up kernel through the per-kernel auto-tuner
+    (paper Sec. VII), or at the context's fixed block size."""
+    module, compiled = entry.module, entry.compiled
+    if ctx.autotuner is not None:
+        return ctx.autotuner.launch(compiled, module.info, params, n_active,
+                                    precision=precision)
+    return ctx.device.launch(compiled, module.info, params, n_active,
+                             block_size=ctx.default_block_size,
+                             precision=precision)

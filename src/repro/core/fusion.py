@@ -32,23 +32,23 @@ Hazard model (the PR-1 lint walk provides the read sets):
   trailing group is *absorbed* into it: the group's kernel also writes
   the per-thread partials, saving the separate partials launch.
 
-Single-statement groups take the unchanged pre-fusion launch path, so
-their kernels, cache keys and byte accounting are identical to the
-eager evaluator's.  The ``REPRO_FUSION`` knob (default ``on``)
-restores fully eager evaluation with ``off``; results are bitwise
-identical either way — fusion changes *where* values flow (registers
-vs memory), never the arithmetic that produces them.
+Every group goes through the same lookup, binding and launch steps as
+an eager statement (:mod:`repro.core.evaluator`); a single-statement
+group also uses the eager statement's expression kernel, so its cache
+key, PTX and byte accounting are identical to the eager evaluator's.
+The ``REPRO_FUSION`` knob (default ``on``) restores fully eager
+evaluation with ``off``; results are bitwise identical either way —
+fusion changes *where* values flow (registers vs memory), never the
+arithmetic that produces them.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 from typing import TYPE_CHECKING
 
 from ..diagnostics import fusion_mode
-from ..ptx.absint import KernelEnv, MemRegion, merge_envs, table_region
-from .codegen import build_fused_kernel
+from .codegen import build_fused_kernel, partials_names
+from .evaluator import _launch_statement, bind_params, launch, launch_env
 from .expr import Expr, FieldRef, SlotAssigner, _spec_sig
 from .lint import _walk
 
@@ -95,7 +95,7 @@ class ReductionJob:
     """A reduction's partials pass, candidate for tail-group fusion."""
 
     __slots__ = ("kind", "exprs", "subset", "lattice", "reads",
-                 "shift_reads", "complex_out")
+                 "shift_reads", "out_names")
 
     def __init__(self, kind: str, exprs, subset, lattice):
         self.kind = kind
@@ -108,7 +108,22 @@ class ReductionJob:
             r, s = _expr_facts(e)
             self.reads |= r
             self.shift_reads |= s
-        self.complex_out = kind in ("sum", "inner")
+        #: the kernel's partials pointers, one f64 column each
+        self.out_names = partials_names(kind)
+
+    @property
+    def out_regions(self) -> dict[str, int]:
+        """``{param: nbytes}`` of the partials columns (launch env)."""
+        return dict.fromkeys(self.out_names, len(self.subset) * 8)
+
+    def bind_partials(self, ctx: "Context", params: dict) -> int:
+        """Point the partials pointers in ``params`` at consecutive
+        columns of the context's scratch buffer; returns its address."""
+        n = len(self.subset)
+        scratch = ctx.scratch(n * 8 * len(self.out_names))
+        for i, p in enumerate(self.out_names):
+            params[p] = scratch + i * n * 8
+        return scratch
 
 
 class Group:
@@ -296,17 +311,15 @@ def _release_temps(ctx: "Context", stmts) -> None:
 
 def _launch_group(ctx: "Context", group: Group,
                   reduction: ReductionJob | None = None):
-    """Compile (or hit the module cache) and launch one group.
+    """Look up (or build) and launch one group.
 
-    Returns ``(KernelCost, scratch_address_or_None)``.  Single
-    statements without an absorbed reduction go through the unchanged
-    eager launch path so their kernels and byte accounting are
+    Returns ``(KernelCost, scratch_address_or_None)``.  A single
+    statement without an absorbed reduction launches its own
+    expression kernel, so its cache key, PTX and byte accounting are
     identical to ``REPRO_FUSION=off``.
     """
     stmts = group.stmts
     if len(stmts) == 1 and reduction is None:
-        from .evaluator import _launch_statement
-
         st = stmts[0]
         st.cost = _launch_statement(st.dest, st.expr, st.subset, ctx)
         _release_temps(ctx, stmts)
@@ -315,7 +328,6 @@ def _launch_group(ctx: "Context", group: Group,
     lattice = group.lattice
     subset = group.subset
     subset_mode = group.subset_mode
-    n_active = len(subset)
 
     slots = SlotAssigner()
     parts = []
@@ -329,23 +341,18 @@ def _launch_group(ctx: "Context", group: Group,
     key = ("fus:" + ";".join(parts)
            + ("|sub" if subset_mode else "|full"))
 
-    env = _fused_env(lattice, subset, subset_mode, slots, reduction)
-
-    entry = ctx.module_cache.lookup(key)
-    if entry is None:
-        name = "fus_" + hashlib.sha256(key.encode()).hexdigest()[:12]
-        module = build_fused_kernel(
+    # destinations are ordinary ``p_f`` regions here; the only output
+    # pointers are the partials buffers of an absorbed reduction
+    env = launch_env(lattice, subset, slots,
+                     {} if reduction is None else reduction.out_regions)
+    entry = ctx.lookup_kernel(
+        key, "fus_",
+        lambda name: build_fused_kernel(
             name, [(st.dest, st.expr) for st in stmts],
             reduction=(None if reduction is None
                        else (reduction.kind, reduction.exprs)),
-            subset_mode=subset_mode)
-        module, compiled = ctx.build_kernel(module, env)
-        entry = (module, None, compiled)
-        ctx.module_cache[key] = entry
-    module, _, compiled = entry
-    prev = ctx.analysis_envs.get(module.name)
-    ctx.analysis_envs[module.name] = (env if prev is None
-                                      else merge_envs(prev, env))
+            subset_mode=subset_mode),
+        env)
 
     # -- paging: one make_available for the whole group's working set --
     written: set[int] = set()
@@ -361,40 +368,12 @@ def _launch_group(ctx: "Context", group: Group,
     addrs = ctx.field_cache.make_available(slots.fields,
                                            write_only=write_only)
 
-    # -- parameter binding (order mirrors build_fused_kernel) ----------
-    params: dict[str, object] = {"p_lo": lattice.nsites, "p_n": n_active}
-    if subset_mode:
-        params["p_stab"] = ctx.upload_table(
-            ("subset", lattice.dims, subset.name), subset.sites)
-    from .evaluator import _shift_table
-
-    for i, (mu, sign) in enumerate(slots.shifts):
-        params[f"p_sh{i}"] = _shift_table(ctx, lattice, mu, sign)
+    params = bind_params(ctx, lattice, subset, slots, addrs)
     scratch = None
     if reduction is not None:
-        from .reduction import ctx_scratch
-
-        nbytes = n_active * 8 * (2 if reduction.complex_out else 1)
-        scratch = ctx_scratch(ctx, nbytes)
-        params["p_out_re"] = scratch
-        if reduction.complex_out:
-            params["p_out_im"] = scratch + n_active * 8
-    for i, f in enumerate(slots.fields):
-        params[f"p_f{i}"] = addrs[f.uid]
-    for i, sn in enumerate(slots.scalar_slots):
-        params[f"p_s{i}_re"] = sn.value.real
-        if sn.spec.is_complex:
-            params[f"p_s{i}_im"] = sn.value.imag
-
-    precision = ("f64" if any(st.dest.spec.precision == "f64"
-                              for st in stmts) else "f32")
-    if ctx.autotuner is not None:
-        cost = ctx.autotuner.launch(compiled, module.info, params, n_active,
-                                    precision=precision)
-    else:
-        cost = ctx.device.launch(compiled, module.info, params, n_active,
-                                 block_size=ctx.default_block_size,
-                                 precision=precision)
+        scratch = reduction.bind_partials(ctx, params)
+    cost = launch(ctx, entry, params, len(subset),
+                  stmts[0].dest.spec.precision)
     for st in stmts:
         ctx.field_cache.mark_device_dirty(st.dest)
         st.cost = cost
@@ -402,26 +381,3 @@ def _launch_group(ctx: "Context", group: Group,
     ctx.stats.fusion_groups += 1
     ctx.stats.fused_statements += len(stmts)
     return cost, scratch
-
-
-def _fused_env(lattice, subset, subset_mode: bool, slots: SlotAssigner,
-               reduction: ReductionJob | None) -> KernelEnv:
-    """Launch facts for the absint verifier — the fused analogue of
-    :func:`repro.core.evaluator._analysis_env` (destinations are
-    ordinary ``p_f`` regions here; partials buffers when absorbed)."""
-    nsites = lattice.nsites
-    regions = {}
-    for i, f in enumerate(slots.fields):
-        regions[f"p_f{i}"] = MemRegion(f"p_f{i}",
-                                       nsites * f.spec.bytes_per_site)
-    for i, (mu, sign) in enumerate(slots.shifts):
-        regions[f"p_sh{i}"] = table_region(f"p_sh{i}",
-                                           lattice.shift_map(mu, sign))
-    if subset_mode:
-        regions["p_stab"] = table_region("p_stab", subset.sites)
-    if reduction is not None:
-        regions["p_out_re"] = MemRegion("p_out_re", len(subset) * 8)
-        if reduction.complex_out:
-            regions["p_out_im"] = MemRegion("p_out_im", len(subset) * 8)
-    return KernelEnv(scalars={"p_lo": nsites, "p_n": len(subset)},
-                     regions=regions)

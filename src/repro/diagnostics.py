@@ -78,41 +78,37 @@ BACKEND_MODES = ("sim", "cpu")
 SERVE_MODES = ("on", "off", "fifo", "fair")
 RESILIENCE_MODES = ("off", "detect", "recover")
 
-#: Bad ``REPRO_*`` values already warned about, keyed per knob (warn
-#: once per distinct value, not once per kernel build).  The knob-mode
+#: ``(env_var, raw value)`` pairs already warned about (warn once per
+#: distinct bad value, not once per kernel build).  The knob-mode
 #: functions below share one resolver, so every knob gets identical
 #: unknown-value handling: fall back to the default and announce it.
-_warned_verify_values: set[str] = set()
-_warned_fusion_values: set[str] = set()
-_warned_stream_values: set[str] = set()
-_warned_fault_values: set[str] = set()
-_warned_ir_values: set[str] = set()
-_warned_backend_values: set[str] = set()
-_warned_serve_values: set[str] = set()
-_warned_resilience_values: set[str] = set()
+_warned: set[tuple[str, str]] = set()
 
 
-def _env_mode(env_var: str, accepted: tuple[str, ...], default: str,
-              warned: set[str]) -> str:
+def _env_mode(env_var: str, accepted, default: str,
+              names: tuple[str, ...] | None = None) -> str:
     """Resolve one ``REPRO_*`` mode knob from the environment.
 
-    Unrecognized values fall back to ``default`` rather than raising —
-    a typo in an environment variable must not make every kernel build
-    unreproducibly strict or lax — but the fallback is *announced*: a
-    one-time warning names the bad value and the accepted set, so a
-    misspelled ``REPRO_VERIFY=of`` is not silently ignored.
+    ``accepted`` is the tuple of valid modes, or a predicate over the
+    normalized value (``names`` then spells the accepted set for the
+    warning).  Unrecognized values fall back to ``default`` rather
+    than raising — a typo in an environment variable must not make
+    every kernel build unreproducibly strict or lax — but the fallback
+    is *announced*: a one-time warning names the bad value and the
+    accepted set, so a misspelled ``REPRO_VERIFY=of`` is not silently
+    ignored.
     """
     raw = os.environ.get(env_var)
     if raw is None:
         return default
     mode = raw.strip().lower()
-    if mode in accepted:
+    if accepted(mode) if callable(accepted) else mode in accepted:
         return mode
-    if raw not in warned:
-        warned.add(raw)
+    if (env_var, raw) not in _warned:
+        _warned.add((env_var, raw))
         warnings.warn(
             f"ignoring unrecognized {env_var}={raw!r}: accepted "
-            f"values are {', '.join(accepted)}; using "
+            f"values are {', '.join(names or accepted)}; using "
             f"{default!r}", RuntimeWarning, stacklevel=4)
     return default
 
@@ -127,8 +123,7 @@ def verify_mode(default: str = "error") -> str:
     ``error`` (default)
         Error-severity diagnostics raise.
     """
-    return _env_mode("REPRO_VERIFY", VERIFY_MODES, default,
-                     _warned_verify_values)
+    return _env_mode("REPRO_VERIFY", VERIFY_MODES, default)
 
 
 def fusion_mode(default: str = "on") -> str:
@@ -142,8 +137,7 @@ def fusion_mode(default: str = "on") -> str:
         Every assignment launches its own kernel immediately — the
         pre-fusion eager behavior, bitwise identical in results.
     """
-    return _env_mode("REPRO_FUSION", FUSION_MODES, default,
-                     _warned_fusion_values)
+    return _env_mode("REPRO_FUSION", FUSION_MODES, default)
 
 
 def stream_mode(default: str = "on") -> str:
@@ -158,8 +152,7 @@ def stream_mode(default: str = "on") -> str:
         All lanes collapse onto one serial stream: the makespan equals
         the serial sum of every modeled cost (the pre-runtime model).
     """
-    return _env_mode("REPRO_STREAMS", STREAM_MODES, default,
-                     _warned_stream_values)
+    return _env_mode("REPRO_STREAMS", STREAM_MODES, default)
 
 
 def ir_mode(default: str = "verify") -> str:
@@ -177,7 +170,7 @@ def ir_mode(default: str = "verify") -> str:
         (:mod:`repro.ir.pipeline`): results stay bitwise identical,
         the instruction stream and register footprint shrink.
     """
-    return _env_mode("REPRO_IR", IR_MODES, default, _warned_ir_values)
+    return _env_mode("REPRO_IR", IR_MODES, default)
 
 
 def backend_mode(default: str = "sim",
@@ -199,8 +192,7 @@ def backend_mode(default: str = "sim",
     (:mod:`repro.driver.backends`) passes its registered names so
     dynamically registered backends are selectable through the knob.
     """
-    return _env_mode("REPRO_BACKEND", accepted, default,
-                     _warned_backend_values)
+    return _env_mode("REPRO_BACKEND", accepted, default)
 
 
 def serve_mode(default: str = "on") -> str:
@@ -227,8 +219,7 @@ def serve_mode(default: str = "on") -> str:
     mode — the scheduler only decides *when* ready work runs, never
     *what* it computes.
     """
-    return _env_mode("REPRO_SERVE", SERVE_MODES, default,
-                     _warned_serve_values)
+    return _env_mode("REPRO_SERVE", SERVE_MODES, default)
 
 
 def resilience_mode(default: str = "off") -> str:
@@ -250,8 +241,7 @@ def resilience_mode(default: str = "off") -> str:
         spare rank, or shrink-and-redistribute), charging honest
         modeled transfer + backoff cost on the ``fault`` lane.
     """
-    return _env_mode("REPRO_RESILIENCE", RESILIENCE_MODES, default,
-                     _warned_resilience_values)
+    return _env_mode("REPRO_RESILIENCE", RESILIENCE_MODES, default)
 
 
 def faults_mode(default: str = "off") -> str:
@@ -271,19 +261,10 @@ def faults_mode(default: str = "off") -> str:
     :mod:`repro.faults.plan`.  Unrecognized values fall back to the
     default with a one-time warning, like every other ``REPRO_*`` knob.
     """
-    raw = os.environ.get("REPRO_FAULTS")
-    if raw is None:
-        return default
-    mode = raw.strip().lower()
-    if mode == "off" or mode.startswith("plan:"):
-        return mode
-    if raw not in _warned_fault_values:
-        _warned_fault_values.add(raw)
-        warnings.warn(
-            f"ignoring unrecognized REPRO_FAULTS={raw!r}: accepted "
-            f"values are {', '.join(FAULT_MODES)}; using "
-            f"{default!r}", RuntimeWarning, stacklevel=3)
-    return default
+    return _env_mode(
+        "REPRO_FAULTS",
+        lambda mode: mode == "off" or mode.startswith("plan:"),
+        default, names=FAULT_MODES)
 
 
 def emit_warnings(diagnostics, stacklevel: int = 3,

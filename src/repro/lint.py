@@ -9,7 +9,7 @@ expression-AST lint (:mod:`repro.core.lint`) over the operators'
 defining expressions.
 
 Each kernel is analyzed under the :class:`~repro.ptx.absint.KernelEnv`
-recorded at build time (``Context.analysis_envs``) — actual region
+recorded with it (``ModuleEntry.env``) — actual region
 sizes, scalar parameter values, and gather-table contents — so the
 report states *proven* facts per kernel: bounds verdicts,
 transactions/warp and memory efficiency from the coalescing model,
@@ -241,10 +241,7 @@ def _suite_modules(ctx, lat, precision: str = "f64"):
     """
     from .comm.faces import build_gather_kernel, build_scatter_kernel, face_env
 
-    out = []
-    for entry in ctx.module_cache.values():
-        module, compiled = entry[0], entry[-1]
-        out.append((module, compiled, ctx.analysis_envs.get(module.name)))
+    out = [(e.module, e.compiled, e.env) for e in ctx.module_cache.values()]
 
     t_face = lat.face_sites(lat.nd - 1, +1)
     for kind, build in (("gather", build_gather_kernel),

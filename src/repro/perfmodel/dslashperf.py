@@ -60,19 +60,15 @@ def measure_dslash_kernels(precision: str) -> DslashKernelStats:
     hb = [latt_fermion(lattice, precision, ctx) for _ in range(4)]
     dest = latt_fermion(lattice, precision, ctx)
 
-    def last_module():
+    def last_entry():
         ctx.flush()     # force the deferred launch so the module exists
-        return list(ctx.module_cache.values())[-1][0]
+        return list(ctx.module_cache.values())[-1]
 
     tb.assign(adj(u[0]) * psi)
-    prep = last_module().info
-    prep_compiled, _ = ctx.kernel_cache.get_or_compile(
-        last_module().render())
+    prep = last_entry()
 
     hf[0].assign(shift(psi.ref(), +1, 0), subset=lattice.even)
-    fill = last_module().info
-    fill_compiled, _ = ctx.kernel_cache.get_or_compile(
-        last_module().render())
+    fill = last_entry()
 
     total = None
     for mu in range(4):
@@ -81,17 +77,17 @@ def measure_dslash_kernels(precision: str) -> DslashKernelStats:
                 * hb[mu].ref())
         total = term if total is None else total + term
     dest.assign(total)
-    main = last_module().info
-    main_compiled, _ = ctx.kernel_cache.get_or_compile(
-        last_module().render())
+    main = last_entry()
 
     return DslashKernelStats(
-        prep_bytes=prep.bytes_per_site, prep_flops=prep.flops_per_site,
-        prep_regs=prep_compiled.regs_per_thread,
-        fill_bytes=fill.bytes_per_site,
-        fill_regs=fill_compiled.regs_per_thread,
-        main_bytes=main.bytes_per_site, main_flops=main.flops_per_site,
-        main_regs=main_compiled.regs_per_thread,
+        prep_bytes=prep.module.info.bytes_per_site,
+        prep_flops=prep.module.info.flops_per_site,
+        prep_regs=prep.compiled.regs_per_thread,
+        fill_bytes=fill.module.info.bytes_per_site,
+        fill_regs=fill.compiled.regs_per_thread,
+        main_bytes=main.module.info.bytes_per_site,
+        main_flops=main.module.info.flops_per_site,
+        main_regs=main.compiled.regs_per_thread,
         face_words=24,
     )
 

@@ -109,10 +109,9 @@ def generate_test_kernels(precision: str = "f64",
         ctx.flush()   # deferred queue: force the launch (and compile) now
         # module_cache is insertion ordered: the entry just added by
         # this assignment is the expression kernel we want
-        module = _last_expression_module(ctx)
-        compiled, _ = ctx.kernel_cache.get_or_compile(module.render())
-        analysis = analyze_module(module,
-                                  env=ctx.analysis_envs.get(module.name))
+        entry = list(ctx.module_cache.values())[-1]
+        module, compiled = entry.module, entry.compiled
+        analysis = analyze_module(module, env=entry.env)
         out[name] = KernelStats(
             name=name,
             flops_per_site=module.info.flops_per_site,
@@ -123,11 +122,6 @@ def generate_test_kernels(precision: str = "f64",
                 analysis.ideal_transactions_per_warp),
         )
     return out
-
-
-def _last_expression_module(ctx: Context):
-    entry = list(ctx.module_cache.values())[-1]
-    return entry[0]
 
 
 def sustained_bandwidth_curve(stats: KernelStats, ls: list[int],

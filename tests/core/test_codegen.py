@@ -258,3 +258,84 @@ class TestTableII:
         for name in dp:
             assert sp[name].flops_per_site == dp[name].flops_per_site
             assert sp[name].bytes_per_site * 2 == dp[name].bytes_per_site
+
+
+class TestByteIdentity:
+    """The three statement paths share one kernel prologue; these pin
+    the exact PTX (sha256 of the rendered module, recorded before the
+    paths were merged) of one kernel per path and mode, so every
+    digest in the process-wide kernel store stays what it was."""
+
+    GOLDEN = {
+        "eager_full": "f5835a916f140740fa5f7d5b6eea2319d476b2f8c466fba81656f75634c14095",
+        "eager_subset": "7a77ec07be1bdfaf70b50d82e16c7d3ab234e014c9c3d634ec40faa45999157c",
+        "eager_shift": "19750bc2a50fd7ebf640e184126430a7459955cf5146199a742abba2ffbfdc10",
+        "fused_3": "1b09d4a11d46c9e5886dff04b46be16e98eecc9cdeeafeb12059877374028c74",
+        "fused_norm2": "114b7b70248ae6ddc7323c7b01d97c6d639f45660331efe481c5262f39dba412",
+        "norm2": "cd8076e3e90bb3261e32dca43cc103cc784c04243d0b7ef15c9e09b45e1f7d06",
+        "inner_subset": "c668cc9aaf80524d4d40309e1e1778dab998193ed73d43ce3a7df0437310e3ca",
+    }
+    #: kernel names the same statements get through the pipeline
+    GOLDEN_NAMES = [
+        "eval_89d2ba9d172c", "eval_19240b54a4d9", "eval_a8573a1dc138",
+        "fus_135b4ee03943", "fus_6258f1c7e9c1",
+        "red_8cc62da40cc0", "red_0ff803bcd4de",
+    ]
+
+    def test_golden_ptx_digests(self, lat4):
+        import hashlib
+
+        from repro.core.codegen import (
+            build_expression_kernel,
+            build_fused_kernel,
+            build_reduction_kernel,
+        )
+        from repro.core.expr import as_expr
+
+        x, y, a, b, c = (latt_fermion(lat4) for _ in range(5))
+        three = [(a, as_expr(2.0 * x + y)), (b, a.ref() - y.ref()),
+                 (c, as_expr(3.0 * a + b))]
+        modules = {
+            "eager_full": build_expression_kernel(
+                "golden", as_expr(2.0 * x + y), a.spec, False),
+            "eager_subset": build_expression_kernel(
+                "golden", as_expr(2.0 * x + y), a.spec, True),
+            "eager_shift": build_expression_kernel(
+                "golden", x + shift(y.ref(), +1, 0), a.spec, False),
+            "fused_3": build_fused_kernel("golden", three, None, False),
+            "fused_norm2": build_fused_kernel(
+                "golden", three[:2], ("norm2", [b.ref()]), False),
+            "norm2": build_reduction_kernel(
+                "golden", "norm2", [x.ref()], False),
+            "inner_subset": build_reduction_kernel(
+                "golden", "inner", [x.ref(), y.ref()], True),
+        }
+        got = {k: hashlib.sha256(m.render().encode()).hexdigest()
+               for k, m in modules.items()}
+        assert got == self.GOLDEN
+
+    def test_golden_kernel_names(self, lat4, rng):
+        from repro.core.context import Context
+        from repro.core.reduction import innerProduct, norm2
+
+        ctx = Context(fusion=True, autotune=False)
+        x, y, a, b, c = (latt_fermion(lat4, context=ctx) for _ in range(5))
+        x.gaussian(rng)
+        y.gaussian(rng)
+        a.assign(2.0 * x + y)
+        ctx.flush()
+        a.assign(2.0 * x + y, subset=lat4.even)
+        ctx.flush()
+        a.assign(x + shift(y.ref(), +1, 0))
+        ctx.flush()
+        a.assign(2.0 * x + y)
+        b.assign(a.ref() - y.ref())
+        c.assign(3.0 * a + b)
+        ctx.flush()
+        a.assign(2.0 * x + y)
+        b.assign(a.ref() - y.ref())
+        norm2(b)
+        norm2(x)
+        innerProduct(x, y, subset=lat4.even)
+        assert [e.module.name for e in ctx.module_cache.values()] \
+            == self.GOLDEN_NAMES

@@ -327,10 +327,8 @@ class TestIntegration:
                  if key.startswith("fus:")]
         assert fused
         for _, entry in fused:
-            module = entry[0]
-            analysis = analyze_module(
-                module, env=fctx.analysis_envs.get(module.name))
-            assert analysis.bounds_proven, module.name
+            analysis = analyze_module(entry.module, env=entry.env)
+            assert analysis.bounds_proven, entry.module.name
 
     def test_fused_group_module_cache_hit(self, fctx, lat, rng):
         x, a, b = _fermions(lat, fctx, 3, rng)

@@ -145,3 +145,38 @@ class TestSum:
         t = lat4.shift_map(2, +1)
         ref = complex(np.sum(a.to_numpy() * b.to_numpy()[t]))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+class TestLookup:
+    """The standalone partials path goes through the context's one
+    kernel lookup: counted, and its launch env recorded on the entry."""
+
+    @pytest.mark.parametrize("reduce, outs", [
+        (lambda a, b: norm2(a), {"p_out_re"}),
+        (lambda a, b: innerProduct(a, b), {"p_out_re", "p_out_im"}),
+    ], ids=["norm2", "innerProduct"])
+    def test_one_miss_then_hits(self, lat4, rng, reduce, outs):
+        from repro.core.context import Context
+
+        ctx = Context(fusion=False)
+        a = latt_fermion(lat4, context=ctx)
+        b = latt_fermion(lat4, context=ctx)
+        a.gaussian(rng)
+        b.gaussian(rng)
+        first = reduce(a, b)
+        assert (ctx.stats.module_cache_misses,
+                ctx.stats.module_cache_hits) == (1, 0)
+        assert reduce(a, b) == first
+        assert reduce(a, b) == first
+        assert (ctx.stats.module_cache_misses,
+                ctx.stats.module_cache_hits) == (1, 2)
+
+        (key, entry), = ctx.module_cache.items()
+        assert key.startswith("red:")
+        assert entry.module.name.startswith("red_")
+        regions = entry.env.regions
+        assert {p for p in regions if p.startswith("p_out")} == outs
+        assert "p_dst" not in regions
+        for p in outs:
+            assert regions[p].size_bytes == lat4.nsites * 8
+        assert entry.env.scalars["p_n"] == lat4.nsites

@@ -78,7 +78,7 @@ def knob(monkeypatch):
 
     from repro import diagnostics
 
-    monkeypatch.setattr(diagnostics, "_warned_backend_values", set())
+    monkeypatch.setattr(diagnostics, "_warned", set())
     clear_kernel_store()
     return set_mode
 
@@ -261,3 +261,13 @@ class TestBackendStats:
         stats.note_launch("cpu")
         stats.note_launch("sim")
         assert stats.launches == {"cpu": 2, "sim": 1}
+
+    def test_fresh_context_stats_backend_is_live(self):
+        """``KernelCache`` defines ``__len__``, so an empty cache is
+        falsy: a reference to ``ctx.stats.backend`` taken before the
+        first build must still be the cache's live counters."""
+        from repro.core.context import Context
+
+        ctx = Context()
+        assert len(ctx.kernel_cache) == 0
+        assert ctx.stats.backend is ctx.kernel_cache.backend

@@ -65,7 +65,7 @@ class TestGeneratedCodeQuality:
         norm2(out)
         checked = 0
         for entry in ctx.module_cache.values():
-            module = entry[0]
+            module = entry.module
             verify(module)
             k = compile_ptx(module.render())
             assert k.name == module.name

@@ -23,11 +23,11 @@ def _run_llvm_and_compare(ctx, dest, build_expr, extra_fields,
     """Evaluate via PTX, snapshot, zero, re-run via LLVM, compare."""
     dest.assign(build_expr(), subset=subset)
     ref = dest.to_numpy().copy()
-    module, plan, compiled = list(ctx.module_cache.values())[-1]
+    module = list(ctx.module_cache.values())[-1].module
 
     # capture the parameter binding by re-walking like the evaluator
     from repro.core.expr import SlotAssigner, as_expr
-    from repro.core.evaluator import _normalize, _shift_table
+    from repro.core.evaluator import _normalize, bind_params
 
     expr = _normalize(as_expr(build_expr()), dest, ctx)
     ctx.flush()   # _normalize may enqueue temp-materializing statements
@@ -36,19 +36,8 @@ def _run_llvm_and_compare(ctx, dest, build_expr, extra_fields,
     lattice = dest.lattice
     sub = subset if subset is not None else lattice.all_sites
     addrs = ctx.field_cache.make_available([dest] + slots.fields)
-    params = {"p_lo": lattice.nsites, "p_n": len(sub),
-              "p_dst": addrs[dest.uid]}
-    if not sub.is_full:
-        params["p_stab"] = ctx.upload_table(
-            ("subset", lattice.dims, sub.name), sub.sites)
-    for i, (mu, sign) in enumerate(slots.shifts):
-        params[f"p_sh{i}"] = _shift_table(ctx, lattice, mu, sign)
-    for i, f in enumerate(slots.fields):
-        params[f"p_f{i}"] = addrs[f.uid]
-    for i, sn in enumerate(slots.scalar_slots):
-        params[f"p_s{i}_re"] = sn.value.real
-        if sn.spec.is_complex:
-            params[f"p_s{i}_im"] = sn.value.imag
+    params = bind_params(ctx, lattice, sub, slots, addrs)
+    params["p_dst"] = addrs[dest.uid]
 
     views = {n: ctx.device.pool.view(n) for n in _VIEWS}
     start = addrs[dest.uid] >> 3
@@ -127,7 +116,7 @@ class TestIRText:
         dest = latt_fermion(lat, context=llctx)
         dest.assign(2.0 * a + a)
         llctx.flush()
-        module = list(llctx.module_cache.values())[-1][0]
+        module = list(llctx.module_cache.values())[-1].module
         return module, transpile(parse_ptx(module.render()))
 
     def test_structure(self, llctx, rng):
@@ -170,7 +159,7 @@ class TestIRText:
         dest = latt_real(lat, context=llctx)
         dest.assign(sqrt(r))
         llctx.flush()
-        module = list(llctx.module_cache.values())[-1][0]
+        module = list(llctx.module_cache.values())[-1].module
         text = transpile(parse_ptx(module.render()))
         assert "@llvm.sqrt.f64" in text
         assert "declare double @llvm.sqrt.f64(double)" in text

@@ -63,8 +63,8 @@ def _interp(tree, fields):
 @given(tree=_tree, subset_mode=st.booleans())
 def test_generated_kernels_verify_clean(flds, tree, subset_mode):
     expr = _interp(tree, flds)
-    module, _plan = build_expression_kernel("prop_verify", expr,
-                                            flds[0].spec, subset_mode)
+    module = build_expression_kernel("prop_verify", expr, flds[0].spec,
+                                     subset_mode)
     diagnostics = run_passes(module)
     assert not errors(diagnostics), [d.render() for d in diagnostics]
     # the generator's tid < nsites guard must dominate every access

@@ -192,7 +192,7 @@ def test_serve_mode_resolution(monkeypatch):
 
 def test_serve_mode_bad_value_warns_once(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE", "fare")
-    diagnostics._warned_serve_values.discard("fare")
+    diagnostics._warned.discard(("REPRO_SERVE", "fare"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert diagnostics.serve_mode() == "on"

@@ -16,11 +16,7 @@ from repro.diagnostics import (
 
 @pytest.fixture(autouse=True)
 def _fresh_warn_cache(monkeypatch):
-    monkeypatch.setattr(diagnostics, "_warned_verify_values", set())
-    monkeypatch.setattr(diagnostics, "_warned_fusion_values", set())
-    monkeypatch.setattr(diagnostics, "_warned_stream_values", set())
-    monkeypatch.setattr(diagnostics, "_warned_fault_values", set())
-    monkeypatch.setattr(diagnostics, "_warned_ir_values", set())
+    monkeypatch.setattr(diagnostics, "_warned", set())
 
 
 class TestVerifyMode:

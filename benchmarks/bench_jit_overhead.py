@@ -2,16 +2,20 @@
 
 The paper measures 0.05-0.22 s per compute kernel through the NVIDIA
 driver JIT, ~200 kernels per trajectory, 10-30 s total — negligible.
-Here we benchmark our driver's *actual* wall-clock translation of the
-generated kernels and report the modeled NVIDIA-driver cost next to
-it.
+Here we benchmark our driver's *actual* wall-clock for the whole
+driver step of each generated kernel — parse, verify/absint/liveness
+(``compile_ptx``) and the selected backend's build — and report the
+modeled NVIDIA-driver cost next to it.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.context import Context
 from repro.driver import compile_ptx
+from repro.driver.backends import BackendStats, select_backend
 from repro.perfmodel.dslashperf import measure_dslash_kernels
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
@@ -41,26 +45,43 @@ def generated_kernels():
     return [entry.module for entry in ctx.module_cache.values()]
 
 
+#: the paper's per-kernel JIT band (Sec. III-D), seconds
+PAPER_FLOOR_S, PAPER_CEILING_S = 0.05, 0.22
+
+
 def test_jit_compile_overhead(benchmark, generated_kernels):
     texts = [m.render() for m in generated_kernels]
+    best: dict[str, float] = {}     # kernel -> fastest driver step seen
 
     def compile_all():
-        return [compile_ptx(t) for t in texts]
+        kernels = []
+        for text in texts:
+            t0 = time.perf_counter()
+            kernel = compile_ptx(text)
+            select_backend(kernel, BackendStats())   # builds the callable
+            seconds = time.perf_counter() - t0
+            best[kernel.name] = min(seconds, best.get(kernel.name, seconds))
+            kernels.append(kernel)
+        return kernels
 
     kernels = benchmark(compile_all)
     header("JIT compilation overhead (per generated kernel)")
     rows = []
     for k in kernels:
-        rows.append((k.name[:24], len(k.parsed.instructions),
+        rows.append((k.name[:24], len(k.parsed.instructions), k.backend,
                      f"{k.compile_seconds * 1e3:.2f} ms",
+                     f"{best[k.name] * 1e3:.2f} ms",
                      f"{k.modeled_compile_seconds:.3f} s"))
-    table(rows, ("kernel", "instructions", "our JIT (wall)",
-                 "modeled driver JIT"))
-    report("paper band: 0.05 - 0.22 s per kernel; ~200 kernels => "
-           "10-30 s per trajectory, negligible")
+    table(rows, ("kernel", "instructions", "backend", "parse+verify (wall)",
+                 "whole driver step (wall)", "modeled driver JIT"))
+    report(f"paper band: {PAPER_FLOOR_S} - {PAPER_CEILING_S} s per kernel; "
+           "~200 kernels => 10-30 s per trajectory, negligible")
     for k in kernels:
         assert 0.04 <= k.modeled_compile_seconds <= 0.30
-        assert k.compile_seconds < 0.5
+        assert k.func is not None and k.backend is not None
+        # the measured driver step, backend build included, stays under
+        # the ceiling of what the paper's real driver took
+        assert best[k.name] < PAPER_CEILING_S, k.name
 
 
 def test_trajectory_population_overhead(benchmark):

@@ -26,6 +26,7 @@ import numpy as np
 from ..diagnostics import Severity, emit_warnings, errors, verify_mode
 from ..memory.pool import ALIGNMENT
 from ..ptx.absint import analyze_module
+from ..ptx.cfg import build_cfg
 from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType,
                        Register, Special)
 from ..ptx.liveness import max_live_registers
@@ -429,8 +430,11 @@ def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
         module = PTXModule(
             info=KernelInfo(name=parsed.name, params=list(parsed.params)),
             instructions=list(parsed.instructions))
-        analysis = analyze_module(module, env=env)
-        diagnostics = run_passes(module, env=env, analysis=analysis)
+        # the one CFG absint, liveness and every verifier pass read
+        cfg = build_cfg(module.instructions)
+        analysis = analyze_module(module, env=env, cfg=cfg)
+        diagnostics = run_passes(module, env=env, analysis=analysis,
+                                 cfg=cfg)
         artifact.checked[key] = diagnostics
     errs = errors(diagnostics)
     fatal = mode == "error" and errs

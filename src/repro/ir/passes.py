@@ -26,7 +26,6 @@ from .ssa import (
     SSAFunction,
     is_removable,
     is_speculative,
-    regkey,
     source_registers,
 )
 
@@ -44,14 +43,14 @@ def _rewrite(inst: Instruction, repl: dict) -> Instruction:
     changed = False
     srcs = []
     for op in inst.srcs:
-        if isinstance(op, Register) and regkey(op) in repl:
-            srcs.append(repl[regkey(op)])
+        if isinstance(op, Register) and op.key in repl:
+            srcs.append(repl[op.key])
             changed = True
         else:
             srcs.append(op)
     guard = inst.guard
-    if guard is not None and regkey(guard) in repl:
-        guard = repl[regkey(guard)]
+    if guard is not None and guard.key in repl:
+        guard = repl[guard.key]
         changed = True
     if not changed:
         return inst
@@ -65,7 +64,7 @@ def _rewrite(inst: Instruction, repl: dict) -> Instruction:
 
 def _operand_key(op, numbers: dict):
     if isinstance(op, Register):
-        key = regkey(op)
+        key = op.key
         return ("v", numbers.get(key, key))
     if isinstance(op, Immediate):
         v = op.value
@@ -121,7 +120,7 @@ def gvn(fn: SSAFunction) -> tuple[list[Instruction], dict]:
     """
     dom = fn.cfg.dominators()
     last_use = {key: max(positions) for key, positions in fn.uses.items()}
-    numbers: dict = {}          # regkey -> value number
+    numbers: dict = {}          # register key -> value number
     table: dict = {}            # value key -> (Register, block, number)
     repl: dict = {}
     next_number = 0
@@ -132,17 +131,17 @@ def gvn(fn: SSAFunction) -> tuple[list[Instruction], dict]:
         inst = _rewrite(inst, repl)
         if not is_speculative(inst):
             if inst.dst is not None:
-                numbers[regkey(inst.dst)] = next_number
+                numbers[inst.dst.key] = next_number
                 next_number += 1
             out.append(inst)
             continue
         block = fn.pos_block[pos]
-        dup_key = regkey(inst.dst)
+        dup_key = inst.dst.key
         key = _value_key(inst, numbers)
         hit = table.get(key)
         if hit is not None:
             canon, canon_block, number = hit
-            canon_key = regkey(canon)
+            canon_key = canon.key
             dominates = (canon_block == block
                          or canon_block in dom.get(block, ()))
             still_live = pos <= last_use.get(canon_key, -1)
@@ -196,14 +195,14 @@ def hoist(fn: SSAFunction) -> tuple[list[Instruction], dict]:
         if inst.opcode == "ld.global":
             (addr,) = inst.srcs
             guard = (None if inst.guard is None
-                     else (regkey(inst.guard), inst.guard_negated))
-            key = (regkey(addr), inst.type.value, guard)
+                     else (inst.guard.key, inst.guard_negated))
+            key = (addr.key, inst.type.value, guard)
             block = fn.pos_block[pos]
-            dup_key = regkey(inst.dst)
+            dup_key = inst.dst.key
             hit = avail.get(key)
             if hit is not None:
                 canon, canon_block = hit
-                canon_key = regkey(canon)
+                canon_key = canon.key
                 dominates = (canon_block == block
                              or canon_block in dom.get(block, ()))
                 still_live = pos <= last_use.get(canon_key, -1)
@@ -262,7 +261,7 @@ def strength(fn: SSAFunction) -> tuple[list[Instruction], dict]:
             v = _imm_int(b)
             if isinstance(a, Register) and v is not None:
                 if v == 1:
-                    repl[regkey(inst.dst)] = a
+                    repl[inst.dst.key] = a
                     stats["copies_propagated"] += 1
                     continue
                 if v > 1 and (v & (v - 1)) == 0:
@@ -278,7 +277,7 @@ def strength(fn: SSAFunction) -> tuple[list[Instruction], dict]:
             v = _imm_int(b)
             if isinstance(a, Register) and v is not None:
                 if v == 0 and isinstance(c, Register):
-                    repl[regkey(inst.dst)] = c
+                    repl[inst.dst.key] = c
                     stats["copies_propagated"] += 1
                     continue
                 if v == 1:
@@ -290,7 +289,7 @@ def strength(fn: SSAFunction) -> tuple[list[Instruction], dict]:
             if op == "add" and _imm_int(a) == 0 and isinstance(b, Register):
                 a, b = b, a
             if isinstance(a, Register) and _imm_int(b) == 0:
-                repl[regkey(inst.dst)] = a
+                repl[inst.dst.key] = a
                 stats["copies_propagated"] += 1
                 continue
         out.append(inst)
@@ -343,7 +342,7 @@ def remat(fn: SSAFunction) -> tuple[list[Instruction], dict]:
     instrs = fn.instructions
     def_pos = fn.defs
     last_use = {key: max(ps) for key, ps in fn.uses.items()}
-    refined = {regkey(op) for inst in instrs if inst.opcode == "setp"
+    refined = {op.key for inst in instrs if inst.opcode == "setp"
                for op in inst.srcs if isinstance(op, Register)}
 
     next_index: dict = {}
@@ -376,7 +375,7 @@ def remat(fn: SSAFunction) -> tuple[list[Instruction], dict]:
         if not is_speculative(d) or d.guard is not None:
             return False
         for s in source_registers(d):
-            if not plan(regkey(s), pos, acc, planned):
+            if not plan(s.key, pos, acc, planned):
                 return False
         planned.add(key)
         acc.append(dpos)
@@ -385,12 +384,12 @@ def remat(fn: SSAFunction) -> tuple[list[Instruction], dict]:
     stats = {"rematerialized": 0, "cloned": 0}
     out: list[Instruction] = []
     for blk in fn.cfg.blocks:
-        cache: dict = {}     # orig regkey -> (clone Register, clone site)
+        cache: dict = {}     # orig key -> (clone Register, clone site)
         for pos in range(blk.start, blk.stop):
             inst = instrs[pos]
             repl: dict = {}
             for r in source_registers(inst):
-                key = regkey(r)
+                key = r.key
                 if key in repl:
                     continue
                 dpos = def_pos.get(key)
@@ -406,7 +405,7 @@ def remat(fn: SSAFunction) -> tuple[list[Instruction], dict]:
                     continue
                 acc: list[int] = []
                 planned: set = set()
-                ok = all(plan(regkey(s), pos, acc, planned)
+                ok = all(plan(s.key, pos, acc, planned)
                          for s in source_registers(d))
                 if not ok or len(acc) >= REMAT_MAX_CHAIN:
                     continue
@@ -418,9 +417,9 @@ def remat(fn: SSAFunction) -> tuple[list[Instruction], dict]:
                         Instruction(ci.opcode, ci.type, nd, ci.srcs,
                                     cmp=ci.cmp, src_type=ci.src_type),
                         mapping))
-                    mapping[regkey(ci.dst)] = nd
+                    mapping[ci.dst.key] = nd
                     stats["cloned"] += 1
-                clone = mapping[regkey(d.dst)]
+                clone = mapping[d.dst.key]
                 cache[key] = (clone, pos)
                 repl[key] = clone
                 stats["rematerialized"] += 1
@@ -444,7 +443,7 @@ def dce(fn: SSAFunction) -> tuple[list[Instruction], dict]:
     counts: dict = {}
     for inst in insts:
         for r in source_registers(inst):
-            counts[regkey(r)] = counts.get(regkey(r), 0) + 1
+            counts[r.key] = counts.get(r.key, 0) + 1
 
     removed: set[int] = set()
     changed = True
@@ -456,12 +455,12 @@ def dce(fn: SSAFunction) -> tuple[list[Instruction], dict]:
             inst = insts[pos]
             if not is_removable(inst):
                 continue
-            if counts.get(regkey(inst.dst), 0):
+            if counts.get(inst.dst.key, 0):
                 continue
             removed.add(pos)
             changed = True
             for r in source_registers(inst):
-                counts[regkey(r)] -= 1
+                counts[r.key] -= 1
     out = [inst for pos, inst in enumerate(insts) if pos not in removed]
     return out, {"removed": len(removed)}
 
@@ -495,19 +494,19 @@ def sink(fn: SSAFunction) -> tuple[list[Instruction], dict]:
     moved = 0
     out: list[Instruction] = []
     for blk in fn.cfg.blocks:
-        deferred: dict = {}          # regkey -> Instruction
+        deferred: dict = {}          # register key -> Instruction
         block_out: list[Instruction] = []
 
         def emit(inst: Instruction) -> None:
             for r in source_registers(inst):
-                pending = deferred.pop(regkey(r), None)
+                pending = deferred.pop(r.key, None)
                 if pending is not None:
                     emit(pending)
             block_out.append(inst)
 
         for pos in range(blk.start, blk.stop):
             inst = fn.instructions[pos]
-            key = regkey(inst.dst) if inst.dst is not None else None
+            key = inst.dst.key if inst.dst is not None else None
             up = use_pos.get(key) if key is not None else None
             movable = (key is not None
                        and is_speculative(inst)
@@ -515,7 +514,7 @@ def sink(fn: SSAFunction) -> tuple[list[Instruction], dict]:
                        and up is not None
                        and blk.start <= up < blk.stop
                        and up > pos
-                       and all(last_use.get(regkey(r), -1) >= up
+                       and all(last_use.get(r.key, -1) >= up
                                for r in source_registers(inst)))
             if movable:
                 deferred[key] = inst
@@ -526,7 +525,7 @@ def sink(fn: SSAFunction) -> tuple[list[Instruction], dict]:
         # drained; flush defensively in original order regardless.
         for pos in range(blk.start, blk.stop):
             inst = fn.instructions[pos]
-            key = regkey(inst.dst) if inst.dst is not None else None
+            key = inst.dst.key if inst.dst is not None else None
             if key is not None and deferred.get(key) is inst:
                 block_out.append(deferred.pop(key))
         original = fn.instructions[blk.start:blk.stop]

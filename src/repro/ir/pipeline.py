@@ -41,7 +41,7 @@ from ..ptx.isa import Instruction, KernelInfo, PTXType, Register
 from ..ptx.liveness import max_live_registers
 from ..ptx.module import PTXModule
 from .passes import PASSES, _rewrite
-from .ssa import SSAFunction, regkey
+from .ssa import SSAFunction
 from .verify import assert_ssa
 
 DEFAULT_PIPELINE = tuple(PASSES)
@@ -129,7 +129,7 @@ def _renumber(instructions: list[Instruction]) -> list[Instruction]:
     for inst in instructions:
         if inst.dst is None:
             continue
-        key = regkey(inst.dst)
+        key = inst.dst.key
         if key in mapping:
             continue
         idx = counters.get(inst.dst.type, 0)
@@ -138,8 +138,8 @@ def _renumber(instructions: list[Instruction]) -> list[Instruction]:
     out = []
     for inst in instructions:
         inst = _rewrite(inst, mapping)
-        if inst.dst is not None and regkey(inst.dst) in mapping:
-            new_dst = mapping[regkey(inst.dst)]
+        if inst.dst is not None and inst.dst.key in mapping:
+            new_dst = mapping[inst.dst.key]
             if new_dst != inst.dst:
                 inst = Instruction(inst.opcode, inst.type, new_dst,
                                    inst.srcs, cmp=inst.cmp,
@@ -189,22 +189,19 @@ def prepare_module(module: PTXModule, stats: IRStats | None = None,
     if mode != "opt":
         return module
 
-    live_before = max_live_registers(module.instructions)
-    instructions = list(module.instructions)
+    live_before = max_live_registers(fn.instructions, cfg=fn.cfg)
     live = live_before
     for name in selected_passes():
-        fn = SSAFunction.from_instructions(module.name, module.info.params,
-                                           instructions)
         instructions, pass_stats = PASSES[name](fn)
         fn = SSAFunction.from_instructions(module.name, module.info.params,
                                            instructions)
         assert_ssa(fn, obj=f"{module.name} (after {name})")
-        live_after_pass = max_live_registers(instructions)
+        live_after_pass = max_live_registers(fn.instructions, cfg=fn.cfg)
         if stats is not None:
             stats.record_pass(name, pass_stats, live - live_after_pass)
         live = live_after_pass
 
-    instructions = _renumber(instructions)
+    instructions = _renumber(fn.instructions)
     fn = SSAFunction.from_instructions(module.name, module.info.params,
                                        instructions)
     assert_ssa(fn, obj=f"{module.name} (after renumber)")

@@ -18,12 +18,9 @@ from ..ptx.cfg import CFG, build_cfg
 from ..ptx.isa import Instruction, Param, Register
 from ..ptx.module import PTXModule
 
-#: Key identifying a virtual register across the function.
+#: Key identifying a virtual register across the function
+#: (:attr:`repro.ptx.isa.Register.key`).
 RegKey = tuple[str, int]
-
-
-def regkey(r: Register) -> RegKey:
-    return (r.type.value, r.index)
 
 
 def regname(key: RegKey) -> str:
@@ -98,9 +95,9 @@ class SSAFunction:
                 fn.pos_block[pos] = blk.index
         for pos, inst in enumerate(instructions):
             for r in source_registers(inst):
-                fn.uses.setdefault(regkey(r), []).append(pos)
+                fn.uses.setdefault(r.key, []).append(pos)
             if inst.dst is not None:
-                key = regkey(inst.dst)
+                key = inst.dst.key
                 if key in fn.defs:
                     fn.extra_defs.setdefault(key, []).append(pos)
                 else:

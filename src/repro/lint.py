@@ -331,9 +331,11 @@ def _kernel_report(module, compiled, env, spec):
     """Analyze one kernel; return (facts-dict, diagnostics)."""
     from .device.autotune import static_block_seed
     from .ptx.absint import analyze_module
+    from .ptx.cfg import build_cfg
 
-    analysis = analyze_module(module, env=env)
-    diagnostics = run_passes(module, env=env, analysis=analysis)
+    cfg = build_cfg(list(module.instructions))
+    analysis = analyze_module(module, env=env, cfg=cfg)
+    diagnostics = run_passes(module, env=env, analysis=analysis, cfg=cfg)
     regs = getattr(compiled, "regs_per_thread", None) or analysis.max_live_regs
     verdicts: dict[str, int] = {}
     for a in analysis.accesses:

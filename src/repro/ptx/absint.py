@@ -48,7 +48,8 @@ warp) and the auto-tuner's static occupancy seed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cfg import CFG, build_cfg
 from .isa import Immediate, PTXType, Register, Special
@@ -61,15 +62,16 @@ INF = math.inf
 WARP = 32
 SEGMENT = 128
 
-_INT_RANGE = {
-    PTXType.S32: (-(2 ** 31), 2 ** 31 - 1),
-    PTXType.S64: (-(2 ** 63), 2 ** 63 - 1),
-    PTXType.U32: (0, 2 ** 32 - 1),
-    PTXType.U64: (0, 2 ** 64 - 1),
-}
-
 _NEGATE = {"lt": "ge", "ge": "lt", "le": "gt", "gt": "le",
            "eq": "ne", "ne": "eq"}
+
+#: source operands an opcode needs before it can be interpreted
+_ARITY = {"add": 2, "sub": 2, "mul": 2, "mul.lo": 2, "mul.wide": 2,
+          "fma": 3, "mad.lo": 3, "shl": 2, "shr": 2, "div": 2,
+          "min": 2, "max": 2, "selp": 3}
+
+#: fixpoint rounds after which intervals still moving are widened
+_WIDEN_AFTER = 64
 
 
 # --- launch environment -----------------------------------------------------
@@ -189,8 +191,7 @@ class SymInfo:
     uniform: bool
 
 
-@dataclass(frozen=True)
-class AbsVal:
+class AbsVal(NamedTuple):
     """One register's abstraction: interval x affine form x provenance.
 
     ``affine`` is a sorted tuple of ``(symbol, coefficient)`` terms
@@ -218,9 +219,17 @@ def _const_val(v: float, uniform: bool = True) -> AbsVal:
     return AbsVal(v, v, (), v, None, uniform)
 
 
+def _range(t: PTXType | None) -> tuple[float, float]:
+    return (t.int_range if t is not None else None) or (-INF, INF)
+
+
+#: the immutable "nothing known" values, one per (type, uniformity)
+_TOP = {(t, u): AbsVal(*_range(t), None, 0.0, None, u)
+        for t in (None, *PTXType) for u in (False, True)}
+
+
 def _top(t: PTXType | None, uniform: bool = False) -> AbsVal:
-    lo, hi = _INT_RANGE.get(t, (-INF, INF))
-    return AbsVal(lo, hi, None, 0.0, None, uniform)
+    return _TOP[t, uniform]
 
 
 def _iadd(x: float, y: float) -> float:
@@ -296,7 +305,7 @@ def _join(a: AbsVal, b: AbsVal) -> AbsVal:
 def _clamp(v: AbsVal, t: PTXType | None) -> AbsVal:
     """Fall to the type's full range when the interval escapes it
     (models two's-complement wraparound soundly)."""
-    rng = _INT_RANGE.get(t)
+    rng = t.int_range if t is not None else None
     if rng is None:
         return v
     lo, hi = rng
@@ -340,8 +349,22 @@ def _state_join(a: _State, b: _State) -> _State:
     return _State(regs, preds)
 
 
-def _regkey(r: Register) -> tuple[str, int]:
-    return (r.type.value, r.index)
+def _state_widen(old: _State, new: _State) -> _State:
+    """``new`` with every bound that moved since ``old`` dropped to
+    infinity and every predicate that changed forgotten, so a loop the
+    plain iteration cannot settle (a pointer bumped once per trip)
+    reaches a sound fixpoint instead of being cut off mid-climb."""
+    regs = {}
+    for k, v in new.regs.items():
+        o = old.regs.get(k)
+        if o is not None and o != v:
+            v = AbsVal(o.lo if o.lo <= v.lo else -INF,
+                       o.hi if o.hi >= v.hi else INF, None, 0.0,
+                       v.base if v.base == o.base else None,
+                       v.uniform and o.uniform)
+        regs[k] = v
+    preds = {k: p for k, p in new.preds.items() if old.preds.get(k) == p}
+    return _State(regs, preds)
 
 
 # --- analysis results -------------------------------------------------------
@@ -451,6 +474,10 @@ class _Interp:
             "tid": SymInfo(0, env.block_size - 1, 1.0, False),
             "ctaid": SymInfo(0, env.grid_size - 1, 0.0, True),
         }
+        #: noted while sweeping, per instruction position; a block
+        #: swept again (cyclic CFGs only) overwrites its earlier notes
+        self.addresses: dict[int, AbsVal] = {}
+        self.branches: dict[int, BranchFact] = {}
 
     # -- symbols -----------------------------------------------------
 
@@ -489,7 +516,8 @@ class _Interp:
 
     def operand(self, op, state: _State) -> AbsVal:
         if isinstance(op, Register):
-            return state.regs.get(_regkey(op), _top(op.type))
+            v = state.regs.get(op.key)
+            return v if v is not None else _top(op.type)
         if isinstance(op, Immediate):
             if isinstance(op.value, (int, float)):
                 return _const_val(op.value)
@@ -510,10 +538,7 @@ class _Interp:
         if rng is not None and rng[0] == rng[1]:
             return _const_val(rng[0])
         sym = f"param:{pname}"
-        if rng is None:
-            lo, hi = _INT_RANGE.get(inst.type, (-INF, INF))
-        else:
-            lo, hi = rng
+        lo, hi = rng if rng is not None else _range(inst.type)
         self._ensure_sym(sym, SymInfo(lo, hi, 0.0, True))
         return self._sym_val(sym)
 
@@ -523,7 +548,7 @@ class _Interp:
         if region is not None and region.elem_range is not None:
             lo, hi = region.elem_range
         else:
-            lo, hi = _INT_RANGE.get(inst.type, (-INF, INF))
+            lo, hi = _range(inst.type)
         if uniform:
             d = 0.0
         elif region is not None and region.elem_stride is not None:
@@ -550,7 +575,7 @@ class _Interp:
                 # keeps it mod 2^64, which is what addressing computes in
                 return v
             return _clamp(v, dst_t)
-        return replace(v, base=None)  # float target: keep interval/affine
+        return v._replace(base=None)  # float target: keep interval/affine
 
     def eval_inst(self, inst, state: _State, pos: int) -> AbsVal:
         op = inst.opcode
@@ -565,10 +590,7 @@ class _Interp:
             return self._ld_global(inst, self.operand(inst.srcs[0], state),
                                    pos)
         srcs = [self.operand(s, state) for s in inst.srcs]
-        need = {"add": 2, "sub": 2, "mul": 2, "mul.lo": 2, "mul.wide": 2,
-                "fma": 3, "mad.lo": 3, "shl": 2, "shr": 2, "div": 2,
-                "min": 2, "max": 2, "selp": 3}
-        if len(srcs) < need.get(op, 1):
+        if len(srcs) < _ARITY.get(op, 1):
             return _top(t)          # malformed; the operands pass reports it
         if op == "add":
             return _clamp(_add(srcs[0], srcs[1]), t)
@@ -605,13 +627,10 @@ class _Interp:
             lo = 0.0 if a.lo < 0 <= a.hi else min(abs(a.lo), abs(a.hi))
             hi = max(abs(a.lo), abs(a.hi))
             return AbsVal(lo, hi, None, 0.0, None, a.uniform)
-        if op == "min":
-            return AbsVal(min(srcs[0].lo, srcs[1].lo),
-                          min(srcs[0].hi, srcs[1].hi), None, 0.0, None,
-                          srcs[0].uniform and srcs[1].uniform)
-        if op == "max":
-            return AbsVal(max(srcs[0].lo, srcs[1].lo),
-                          max(srcs[0].hi, srcs[1].hi), None, 0.0, None,
+        if op in ("min", "max"):
+            pick = min if op == "min" else max
+            return AbsVal(pick(srcs[0].lo, srcs[1].lo),
+                          pick(srcs[0].hi, srcs[1].hi), None, 0.0, None,
                           srcs[0].uniform and srcs[1].uniform)
         if op == "setp":
             return AbsVal(0.0, 1.0, None, 0.0, None,
@@ -619,13 +638,15 @@ class _Interp:
         if op == "selp":
             a, b, p = srcs
             v = _join(a, b)
-            return replace(v, uniform=v.uniform and p.uniform)
+            return v._replace(uniform=v.uniform and p.uniform)
         # anything else (float transcendentals, bitwise on unknowns):
         return _top(t, all(s.uniform for s in srcs))
 
     # -- transfer ----------------------------------------------------
 
-    def transfer(self, blk, state: _State, record=None) -> _State:
+    def transfer(self, blk, state: _State) -> _State:
+        """The state leaving ``blk``; notes the address value of every
+        global access and the divergence of every branch on the way."""
         state = state.copy()
         for pos in range(blk.start, blk.stop):
             inst = self.cfg.instructions[pos]
@@ -635,39 +656,40 @@ class _Interp:
             guard_uniform = True
             est = state
             if inst.guard is not None:
-                gval = state.regs.get(_regkey(inst.guard))
+                gval = state.regs.get(inst.guard.key)
                 guard_uniform = gval.uniform if gval is not None else False
-                refined = self.refine(state, _regkey(inst.guard),
+                refined = self.refine(state, inst.guard.key,
                                       want_true=not inst.guard_negated)
                 # an infeasible guard means the instruction is dead in
                 # every lane; keep the unrefined state conservatively
                 est = refined if refined is not None else state
             if op in ("bra", "ret"):
-                if record is not None and op == "bra":
-                    record.branch(pos, inst, guard_uniform, self)
+                if op == "bra":
+                    self.branches[pos] = self._branch_fact(
+                        blk, pos, inst, guard_uniform)
                 continue
             if op in ("ld.global", "st.global"):
-                addr = self.operand(inst.srcs[0], est)
-                if record is not None:
-                    record.access(pos, inst, addr, self)
+                self.addresses[pos] = self.operand(inst.srcs[0], est)
             val = self.eval_inst(inst, est, pos)
             if inst.dst is None:
                 continue
-            key = _regkey(inst.dst)
+            key = inst.dst.key
             if inst.guard is not None:
                 old = state.regs.get(key)
                 val = val if old is None else _join(old, val)
                 if not guard_uniform:
-                    val = replace(val, uniform=False)
+                    val = val._replace(uniform=False)
             # writing a register invalidates predicates derived from it
-            state.preds = {k: p for k, p in state.preds.items()
-                           if k != key and p.lkey != key and p.rkey != key}
-            if inst.opcode == "setp" and len(inst.srcs) == 2:
+            if state.preds:
+                state.preds = {k: p for k, p in state.preds.items()
+                               if k != key and p.lkey != key
+                               and p.rkey != key}
+            if op == "setp" and len(inst.srcs) == 2:
                 a, b = inst.srcs
                 state.preds[key] = _Pred(
                     inst.cmp, inst.type,
-                    _regkey(a) if isinstance(a, Register) else None,
-                    _regkey(b) if isinstance(b, Register) else None,
+                    a.key if isinstance(a, Register) else None,
+                    b.key if isinstance(b, Register) else None,
                     self.operand(a, est), self.operand(b, est),
                     val.uniform)
             state.regs[key] = val
@@ -706,11 +728,11 @@ class _Interp:
         if llo > lhi or rlo > rhi:
             return None
         if pred.lkey and pred.lkey in out.regs:
-            out.regs[pred.lkey] = replace(out.regs[pred.lkey],
-                                          lo=llo, hi=lhi)
+            out.regs[pred.lkey] = out.regs[pred.lkey]._replace(
+                lo=llo, hi=lhi)
         if pred.rkey and pred.rkey in out.regs:
-            out.regs[pred.rkey] = replace(out.regs[pred.rkey],
-                                          lo=rlo, hi=rhi)
+            out.regs[pred.rkey] = out.regs[pred.rkey]._replace(
+                lo=rlo, hi=rhi)
         return out
 
     def edge_states(self, blk, out: _State) -> dict[int, _State]:
@@ -722,7 +744,7 @@ class _Interp:
         last = self.cfg.instructions[blk.stop - 1]
         if last.guard is None:
             return states
-        gkey = _regkey(last.guard)
+        gkey = last.guard.key
         taken_true = not last.guard_negated
         if last.opcode == "bra":
             target = next((b.index for b in self.cfg.blocks
@@ -746,18 +768,25 @@ class _Interp:
                     states[s] = refined
         return states
 
+    # -- facts --------------------------------------------------------
 
-# --- recording of facts -----------------------------------------------------
+    def _branch_fact(self, blk, pos, inst, guard_uniform: bool
+                     ) -> BranchFact:
+        benign = False
+        if not guard_uniform:
+            target = next((b.index for b in self.cfg.blocks
+                           if b.label == inst.label), None)
+            benign = (_exit_like(self.cfg, target)
+                      or _exit_like(self.cfg, blk.index + 1))
+        return BranchFact(pos=pos, uniform=guard_uniform,
+                          benign_exit=benign)
 
-class _Recorder:
-    def __init__(self, interp: _Interp):
-        self.interp = interp
-        self.accesses: dict[int, AccessFact] = {}
-        self.branches: dict[int, BranchFact] = {}
-
-    def access(self, pos, inst, addr: AbsVal, interp: _Interp) -> None:
+    def access_fact(self, pos: int) -> AccessFact:
+        """What the address noted at ``pos`` proves about the access
+        (read after the sweep, against the final symbol table)."""
+        inst, addr = self.cfg.instructions[pos], self.addresses[pos]
         width = inst.type.nbytes
-        region = interp.env.regions.get(addr.base) if addr.base else None
+        region = self.env.regions.get(addr.base) if addr.base else None
         offset = None
         verdict = "unknown"
         if region is not None:
@@ -767,57 +796,13 @@ class _Recorder:
                     verdict = "proven"
                 elif addr.hi < 0 or addr.lo > region.size_bytes - width:
                     verdict = "oob"
-        stride = interp.dtid(addr)
-        fact = AccessFact(
+        stride = self.dtid(addr)
+        return AccessFact(
             pos=pos, opcode=inst.opcode, width=width,
             region=addr.base, offset=offset, stride_bytes=stride,
             uniform=addr.uniform, verdict=verdict,
             transactions=transactions_per_warp(stride, width),
             ideal_transactions=ideal_transactions(width))
-        old = self.accesses.get(pos)
-        if old is not None:
-            fact = self._merge(old, fact)
-        self.accesses[pos] = fact
-
-    @staticmethod
-    def _merge(a: AccessFact, b: AccessFact) -> AccessFact:
-        """Same instruction reached with different facts: keep the
-        weaker claim on every axis."""
-        order = {"oob": 0, "unguarded": 0, "unknown": 1,
-                 "guarded": 2, "proven": 3}
-        verdict = a.verdict if order[a.verdict] <= order[b.verdict] \
-            else b.verdict
-        stride = a.stride_bytes if a.stride_bytes == b.stride_bytes else None
-        offset = None
-        if a.offset is not None and b.offset is not None:
-            offset = (min(a.offset[0], b.offset[0]),
-                      max(a.offset[1], b.offset[1]))
-        return AccessFact(
-            pos=a.pos, opcode=a.opcode, width=a.width,
-            region=a.region if a.region == b.region else None,
-            offset=offset, stride_bytes=stride,
-            uniform=a.uniform and b.uniform, verdict=verdict,
-            transactions=transactions_per_warp(stride, a.width),
-            ideal_transactions=a.ideal_transactions)
-
-    def branch(self, pos, inst, guard_uniform: bool,
-               interp: _Interp) -> None:
-        benign = False
-        if not guard_uniform:
-            target = next((b.index for b in interp.cfg.blocks
-                           if b.label == inst.label), None)
-            fall = interp.cfg.block_of(pos) + 1 \
-                if interp.cfg.block_of(pos) + 1 < len(interp.cfg.blocks) \
-                else None
-            benign = (_exit_like(interp.cfg, target)
-                      or _exit_like(interp.cfg, fall))
-        fact = BranchFact(pos=pos, uniform=guard_uniform,
-                          benign_exit=benign)
-        old = self.branches.get(pos)
-        if old is not None:
-            fact = BranchFact(pos, old.uniform and fact.uniform,
-                              old.benign_exit and fact.benign_exit)
-        self.branches[pos] = fact
 
 
 def _exit_like(cfg: CFG, bidx: int | None, depth: int = 4) -> bool:
@@ -871,7 +856,7 @@ def _guard_dominated(cfg: CFG) -> set[int]:
     themselves predicated on one — the pre-absint heuristic, kept as
     the fallback when the affine form is inconclusive."""
     instructions = cfg.instructions
-    relational = {_regkey(i.dst) for i in instructions
+    relational = {i.dst.key for i in instructions
                   if i.opcode == "setp" and i.dst is not None}
     guard_blocks: set[int] = set()
     for blk in cfg.blocks:
@@ -880,7 +865,7 @@ def _guard_dominated(cfg: CFG) -> set[int]:
             continue
         last = insts[-1]
         if (last.opcode == "bra" and last.guard is not None
-                and _regkey(last.guard) in relational
+                and last.guard.key in relational
                 and blk.index + 1 < len(cfg.blocks)):
             guard_blocks.add(blk.index + 1)
     dom = cfg.dominators()
@@ -888,7 +873,7 @@ def _guard_dominated(cfg: CFG) -> set[int]:
     for pos, inst in enumerate(instructions):
         if inst.opcode not in ("ld.global", "st.global"):
             continue
-        if inst.guard is not None and _regkey(inst.guard) in relational:
+        if inst.guard is not None and inst.guard.key in relational:
             safe.add(pos)
             continue
         if guard_blocks & dom.get(cfg.block_of(pos), set()):
@@ -902,12 +887,15 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
                    cfg: CFG | None = None) -> KernelAnalysis:
     """Abstractly interpret ``module``; return its fact sheet.
 
-    Runs the interval/affine + uniformity fixpoint over the CFG with
-    per-edge predicate refinement, then one recording walk collecting
-    an :class:`AccessFact` per global access and a :class:`BranchFact`
-    per branch.  Accesses the affine engine cannot settle fall back to
-    the guard-domination heuristic (verdict ``guarded``/``unguarded``
-    instead of ``proven``).
+    Sweeps the CFG in reverse postorder with the interval/affine +
+    uniformity domains and per-edge predicate refinement, noting the
+    address of every global access and the divergence of every branch
+    as it goes.  An acyclic CFG (every generated kernel) is done after
+    one sweep; one with a back edge is swept to fixpoint, and bounds
+    still climbing after ``_WIDEN_AFTER`` rounds are widened to
+    infinity rather than read off mid-climb.  Accesses the affine
+    engine cannot settle fall back to the guard-domination heuristic
+    (verdict ``guarded``/``unguarded`` instead of ``proven``).
     """
     if cfg is None:
         cfg = build_cfg(list(module.instructions))
@@ -917,13 +905,13 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
 
     in_facts: dict[int, _State] = {}
     edge_facts: dict[tuple[int, int], _State] = {}
-    order = cfg.rpo()
+    one_sweep = cfg.is_acyclic
     changed = True
     rounds = 0
-    while changed and rounds < 64:
+    while changed:
         changed = False
         rounds += 1
-        for b in order:
+        for b in cfg.rpo():
             blk = cfg.blocks[b]
             feeds = [edge_facts[(p, b)] for p in blk.predecessors
                      if (p, b) in edge_facts]
@@ -934,10 +922,13 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
             fact_in = feeds[0]
             for f in feeds[1:]:
                 fact_in = _state_join(fact_in, f)
+            old = in_facts.get(b)
+            if old is not None and rounds > _WIDEN_AFTER:
+                fact_in = _state_widen(old, fact_in)
             # transfer is deterministic in fact_in (the symbol table
             # only ever widens when fact_in does), so an unchanged
             # input means unchanged edge outputs
-            if in_facts.get(b) == fact_in:
+            if old == fact_in:
                 continue
             in_facts[b] = fact_in
             out = interp.transfer(blk, fact_in)
@@ -945,16 +936,14 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
                 if edge_facts.get((b, s)) != st:
                     edge_facts[(b, s)] = st
                     changed = True
-
-    rec = _Recorder(interp)
-    for b in sorted(in_facts):
-        interp.transfer(cfg.blocks[b], in_facts[b], record=rec)
+        if one_sweep:
+            break
 
     # heuristic fallback for inconclusive bounds verdicts
     guarded = _guard_dominated(cfg)
     accesses = []
-    for pos in sorted(rec.accesses):
-        fact = rec.accesses[pos]
+    for pos in sorted(interp.addresses):
+        fact = interp.access_fact(pos)
         if fact.verdict == "unknown":
             fact.verdict = "guarded" if pos in guarded else "unguarded"
         accesses.append(fact)
@@ -963,5 +952,5 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
 
     return KernelAnalysis(
         name=module.name, env=env, accesses=accesses,
-        branches=[rec.branches[p] for p in sorted(rec.branches)],
-        max_live_regs=max_live_registers(list(module.instructions)))
+        branches=[interp.branches[p] for p in sorted(interp.branches)],
+        max_live_regs=max_live_registers(cfg.instructions, cfg=cfg))

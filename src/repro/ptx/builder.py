@@ -62,7 +62,7 @@ class KernelBuilder:
         self.name = name
         self.params: list[Param] = []
         self.instructions: list[Instruction] = []
-        self._reg_counters: dict[PTXType, int] = {}
+        self._reg_counters: dict[str, int] = {}   # type suffix -> count
         self._label_counter = 0
         self.info = KernelInfo(name=name)
 
@@ -76,8 +76,8 @@ class KernelBuilder:
         return p
 
     def new_reg(self, type: PTXType) -> Register:
-        idx = self._reg_counters.get(type, 0)
-        self._reg_counters[type] = idx + 1
+        idx = self._reg_counters.get(type.suffix, 0)
+        self._reg_counters[type.suffix] = idx + 1
         return Register(type=type, index=idx)
 
     def new_label(self, stem: str = "L") -> str:
@@ -292,10 +292,7 @@ class KernelBuilder:
             self.ret()
         self.info.params = list(self.params)
         self.info.n_instructions = len(self.instructions)
-        self.info.regs_per_thread = {
-            t.value: n for t, n in sorted(self._reg_counters.items(),
-                                          key=lambda kv: kv[0].value)
-        }
+        self.info.regs_per_thread = dict(sorted(self._reg_counters.items()))
         return self.info
 
 
@@ -309,10 +306,11 @@ def register_counts(instructions) -> dict[str, int]:
     — while the IR pipeline uses this to size declarations after
     passes have deleted and renumbered registers.
     """
-    counts: dict[PTXType, int] = {}
+    counts: dict[str, int] = {}
 
     def note(r: Register) -> None:
-        counts[r.type] = max(counts.get(r.type, 0), r.index + 1)
+        suffix = r.type.suffix
+        counts[suffix] = max(counts.get(suffix, 0), r.index + 1)
 
     for inst in instructions:
         if inst.dst is not None:
@@ -322,8 +320,7 @@ def register_counts(instructions) -> dict[str, int]:
                 note(op)
         if inst.guard is not None:
             note(inst.guard)
-    return {t.value: n for t, n in sorted(counts.items(),
-                                          key=lambda kv: kv[0].value)}
+    return dict(sorted(counts.items()))
 
 
 class _ParamRef:

@@ -6,8 +6,10 @@ be defined on one arm of a branch only, and a value may be live
 around a loop's back edge.  This module provides the shared
 machinery: basic-block construction from a flat instruction list,
 reachability, dominators, and a generic forward/backward dataflow
-solver (a classic round-robin fixpoint — kernels are tiny, so no
-worklist heuristics are needed).
+solver.  The solver sweeps the blocks in reverse postorder: on an
+acyclic CFG — every generated kernel, whose branches all go forward —
+one sweep *is* the fixpoint; a CFG with a back edge (hand-written
+loops) is swept round-robin until nothing changes.
 
 Control flow in the dialect is ``bra`` (optionally guarded) and
 ``ret`` (optionally guarded); a guarded terminator falls through as
@@ -49,6 +51,7 @@ class CFG:
                  blocks: list[BasicBlock]):
         self.instructions = instructions
         self.blocks = blocks
+        self._rpo: list[int] | None = None
 
     @property
     def entry(self) -> int:
@@ -63,25 +66,16 @@ class CFG:
 
     def reachable(self) -> set[int]:
         """Blocks reachable from the entry."""
-        seen: set[int] = set()
-        stack = [self.entry] if self.blocks else []
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(self.blocks[b].successors)
-        return seen
+        return set(self.rpo())
 
     def rpo(self) -> list[int]:
-        """Reverse postorder over the reachable blocks."""
-        seen: set[int] = set()
-        order: list[int] = []
-
-        def visit(b: int) -> None:
+        """Reverse postorder over the reachable blocks (computed once;
+        the graph is never edited after :func:`build_cfg`)."""
+        if self._rpo is None:
+            seen = {self.entry}
+            order: list[int] = []
             # iterative DFS: (block, next-successor-position) pairs
-            stack = [(b, 0)]
-            seen.add(b)
+            stack = [(self.entry, 0)] if self.blocks else []
             while stack:
                 blk, i = stack[-1]
                 succs = self.blocks[blk].successors
@@ -94,11 +88,18 @@ class CFG:
                 else:
                     order.append(blk)
                     stack.pop()
+            order.reverse()
+            self._rpo = order
+        return self._rpo
 
-        if self.blocks:
-            visit(self.entry)
-        order.reverse()
-        return order
+    @property
+    def is_acyclic(self) -> bool:
+        """No retreating edge: every edge leads forward in reverse
+        postorder, so one sweep in that order sees each block after
+        all its predecessors."""
+        position = {b: i for i, b in enumerate(self.rpo())}
+        return all(position[s] > i for b, i in position.items()
+                   for s in self.blocks[b].successors)
 
     def dominators(self) -> dict[int, set[int]]:
         """Dominator sets for every reachable block.
@@ -202,7 +203,8 @@ class DataflowAnalysis:
 
 
 def solve(cfg: CFG, analysis: DataflowAnalysis):
-    """Run ``analysis`` to fixpoint over ``cfg``.
+    """Run ``analysis`` to fixpoint over ``cfg`` — a single sweep
+    when the CFG is acyclic.
 
     Returns ``(inputs, outputs)``: dicts keyed by block index holding
     the fact entering and leaving each block's transfer function.
@@ -214,6 +216,8 @@ def solve(cfg: CFG, analysis: DataflowAnalysis):
     if not forward:
         order = list(reversed(order))
     reachable = set(order)
+    # acyclic: every feeding block is swept before its reader
+    one_sweep = cfg.is_acyclic
 
     inputs: dict[int, object] = {}
     outputs: dict[int, object] = {}
@@ -238,4 +242,6 @@ def solve(cfg: CFG, analysis: DataflowAnalysis):
                 inputs[b] = fact_in
                 outputs[b] = fact_out
                 changed = True
+        if one_sweep:
+            break
     return inputs, outputs

@@ -44,10 +44,13 @@ class PTXType(enum.Enum):
     """PTX fundamental types (the subset we use).
 
     Values are the textual suffixes used in instruction mnemonics,
-    e.g. ``add.f32``.  ``nbytes``, ``reg_prefix``, ``is_float``,
-    ``is_int`` and ``is_signed`` are plain member attributes filled
-    from ``_TYPE_TABLE`` once, at class creation: liveness and the
-    abstract interpreter read them per register touch.
+    e.g. ``add.f32``.  ``suffix`` (the value, without ``Enum.value``'s
+    descriptor), ``nbytes``, ``reg_prefix``, ``is_float``, ``is_int``,
+    ``is_signed``, ``slots`` (32-bit register slots: 64-bit values
+    take two) and ``int_range`` (the representable ``(lo, hi)`` of an
+    integer type, else ``None``) are plain member attributes filled
+    once, at class creation: the parser, liveness and the abstract
+    interpreter read them per instruction.
     """
 
     F32 = "f32"
@@ -59,9 +62,15 @@ class PTXType(enum.Enum):
     PRED = "pred"
 
     def __init__(self, suffix: str):
+        self.suffix = suffix
         (self.nbytes, self.reg_prefix, self.is_float,
          self.is_signed) = _TYPE_TABLE[suffix]
         self.is_int = not self.is_float and suffix != "pred"
+        self.slots = 2 if self.nbytes == 8 else 1
+        self.int_range = None
+        if self.is_int:
+            lo = -(2 ** (8 * self.nbytes - 1)) if self.is_signed else 0
+            self.int_range = (lo, lo + 2 ** (8 * self.nbytes) - 1)
 
 
 #: Floating-point type for a given precision name.
@@ -86,10 +95,19 @@ class Register:
     These are the "JIT variables" of paper Sec. III-A: they exist in
     the secondary language's execution context and are reified in the
     host language as these handle objects ("JIT values").
+
+    ``key`` — the operand's identity ``(type suffix, index)`` every
+    analysis keys its tables on — and ``slots`` are filled once here.
     """
 
     type: PTXType
     index: int
+    key: tuple = field(init=False, repr=False, compare=False)
+    slots: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.type.suffix, self.index))
+        object.__setattr__(self, "slots", self.type.slots)
 
     @property
     def name(self) -> str:
@@ -203,25 +221,25 @@ class Instruction:
             return f"{self.label}:"
         mnem = self.opcode
         if self.opcode == "setp":
-            mnem = f"setp.{self.cmp}.{self.type.value}"
+            mnem = f"setp.{self.cmp}.{self.type.suffix}"
         elif self.opcode == "cvt":
             rn = ".rn" if (self.type.is_float and self.src_type.is_float
                            and self.src_type.nbytes > self.type.nbytes) else ""
             rzi = ".rzi" if (self.type.is_int and self.src_type.is_float) else ""
-            mnem = f"cvt{rn}{rzi}.{self.type.value}.{self.src_type.value}"
+            mnem = f"cvt{rn}{rzi}.{self.type.suffix}.{self.src_type.suffix}"
         elif self.opcode in ("ld.global", "st.global", "ld.param"):
-            mnem = f"{self.opcode}.{self.type.value}"
+            mnem = f"{self.opcode}.{self.type.suffix}"
         elif self.opcode in ("mul.lo", "mad.lo", "mul.wide"):
-            mnem = f"{self.opcode}.{self.type.value}"
+            mnem = f"{self.opcode}.{self.type.suffix}"
         elif self.opcode in ("fma", "div") and self.type.is_float:
-            mnem = f"{self.opcode}.rn.{self.type.value}"
+            mnem = f"{self.opcode}.rn.{self.type.suffix}"
         elif self.opcode in ("sqrt", "rcp"):
             # .rn for f64, .approx allowed for f32 per PTX; we use .rn
-            mnem = f"{self.opcode}.rn.{self.type.value}"
+            mnem = f"{self.opcode}.rn.{self.type.suffix}"
         elif self.opcode in ("rsqrt", "sin", "cos", "ex2", "lg2"):
-            mnem = f"{self.opcode}.approx.{self.type.value}"
+            mnem = f"{self.opcode}.approx.{self.type.suffix}"
         elif self.type is not None:
-            mnem = f"{self.opcode}.{self.type.value}"
+            mnem = f"{self.opcode}.{self.type.suffix}"
         ops = []
         if self.dst is not None:
             ops.append(self.dst.name)
@@ -274,9 +292,5 @@ class KernelInfo:
         64-bit registers occupy two 32-bit slots, predicates one —
         matching how the PTX->SASS allocation is accounted on Kepler.
         """
-        total = 0
-        for tname, count in self.regs_per_thread.items():
-            t = PTXType(tname)
-            slots = 2 if t.nbytes == 8 else 1
-            total += count * slots
-        return total
+        return sum(count * PTXType(tname).slots
+                   for tname, count in self.regs_per_thread.items())

@@ -9,105 +9,84 @@ is what feeds the SM occupancy model and the launch-failure check that
 the auto-tuner (paper Sec. VII) relies on.
 
 The analysis is a classic backward dataflow over the kernel's CFG
-(:mod:`repro.ptx.cfg`), iterated to fixpoint so values live around a
-loop's back edge are counted through the whole loop body — a single
+(:mod:`repro.ptx.cfg`): one sweep on the acyclic CFGs the generators
+emit, iterated to fixpoint when there is a back edge, so values live
+around a loop are counted through the whole loop body — a single
 linear backward sweep misses exactly those, underreporting pressure
-for kernels with backward branches.  Guarded instructions are handled
+for kernels with backward branches.  The sweep that computes a
+block's live-in also records the block's slot watermark, so every
+block is scanned once per round.  Guarded instructions are handled
 conservatively (a guarded write does not kill the destination, since
 inactive lanes keep the old value).
 """
 
 from __future__ import annotations
 
-from .cfg import DataflowAnalysis, build_cfg, solve
+from .cfg import CFG, DataflowAnalysis, build_cfg, solve
 from .isa import Instruction, PTXType, Register
 
 
-#: type suffix -> 32-bit register slots (64-bit values take two)
-_SLOTS = {t.value: 2 if t.nbytes == 8 else 1 for t in PTXType}
-
-
-def _regkey(r: Register) -> tuple[str, int]:
-    return (r.type.value, r.index)
-
-
-def _scan_backward(instructions: list[Instruction], live_out: set,
-                   watermark=None) -> set:
-    """Backward walk of one block; returns the live set at its top.
-
-    ``watermark``, if given, is called with the live 32-bit slot
-    count after each instruction (used to record the peak).
-    """
+def _scan_backward(instructions: list[Instruction],
+                   live_out) -> tuple[set, int]:
+    """Backward walk of one block; returns the live set at its top
+    and the peak 32-bit slot count seen on the way (the live-out
+    itself included)."""
     live = set(live_out)
-    slots = sum(_SLOTS[t] for t, _ in live)
-
-    def add(r: Register) -> None:
-        nonlocal slots
-        key = _regkey(r)
-        if key not in live:
-            live.add(key)
-            slots += _SLOTS[key[0]]
-
-    def kill(r: Register) -> None:
-        nonlocal slots
-        key = _regkey(r)
-        if key in live:
-            live.discard(key)
-            slots -= _SLOTS[key[0]]
-
-    def note() -> None:
-        if watermark is not None:
-            watermark(slots)
-
+    slots = peak = sum(PTXType(t).slots for t, _ in live)
     for inst in reversed(instructions):
-        if inst.opcode in ("label", "bra", "ret"):
-            if inst.guard is not None:
-                add(inst.guard)
-            note()
-            continue
-        # A write kills the register *before* (in reverse order) the
-        # reads of the same instruction are added — unless guarded.
-        if inst.dst is not None and inst.guard is None:
-            kill(inst.dst)
-        for op in inst.srcs:
-            if isinstance(op, Register):
-                add(op)
-        if inst.guard is not None:
-            add(inst.guard)
-            if inst.dst is not None:
-                add(inst.dst)  # partial write: old value still needed
-        note()
-    return live
+        reads = [op for op in inst.srcs if isinstance(op, Register)]
+        guard, dst = inst.guard, inst.dst
+        if guard is not None:
+            reads.append(guard)
+        if dst is not None:
+            if guard is not None:
+                reads.append(dst)   # partial write: old value still needed
+            elif dst.key in live:
+                # a write kills the register *before* (in reverse
+                # order) the reads of the same instruction are added
+                live.discard(dst.key)
+                slots -= dst.slots
+        for r in reads:
+            if r.key not in live:
+                live.add(r.key)
+                slots += r.slots
+        if slots > peak:
+            peak = slots
+    return live, peak
 
 
 class _Liveness(DataflowAnalysis):
-    """live-in(b) = gen(b) ∪ (live-out(b) − kill(b)), meet = union."""
+    """live-in(b) = gen(b) ∪ (live-out(b) − kill(b)), meet = union.
+
+    ``peak`` holds each block's slot watermark under the live-out of
+    its latest transfer — the final one once :func:`solve` returns.
+    """
 
     direction = "backward"
 
+    def __init__(self):
+        self.peak: dict[int, int] = {}
+
     def transfer(self, block, instructions, fact):
-        return frozenset(_scan_backward(instructions, set(fact)))
+        live, self.peak[block.index] = _scan_backward(instructions, fact)
+        return frozenset(live)
 
 
-def max_live_registers(instructions: list[Instruction]) -> int:
+def max_live_registers(instructions: list[Instruction],
+                       cfg: CFG | None = None) -> int:
     """Maximum 32-bit register slots simultaneously live.
 
-    Returns at least 8 (a floor accounting for the fixed overhead —
-    parameter pointers, special registers — every real kernel carries).
+    ``cfg`` is the stream's control-flow graph when the caller already
+    built it.  Returns at least 8 (a floor accounting for the fixed
+    overhead — parameter pointers, special registers — every real
+    kernel carries).
     """
-    cfg = build_cfg(instructions)
-    live_at_end, _ = solve(cfg, _Liveness())
-
-    max_slots = 0
-
-    def watermark(slots: int) -> None:
-        nonlocal max_slots
-        max_slots = max(max_slots, slots)
-
-    for b in cfg.reachable():
-        blk = cfg.blocks[b]
-        out = set(live_at_end.get(b, frozenset()))
-        watermark(sum(_SLOTS[t] for t, _ in out))
-        _scan_backward(blk.instructions(cfg.instructions), out,
-                       watermark=watermark)
-    return max(max_slots, 8)
+    if cfg is None:
+        cfg = build_cfg(instructions)
+    live = _Liveness()
+    solve(cfg, live)
+    for b in cfg.rpo():
+        if b not in live.peak:      # no path from here to an exit
+            blk = cfg.blocks[b]
+            live.transfer(blk, blk.instructions(cfg.instructions), ())
+    return max(8, *live.peak.values())

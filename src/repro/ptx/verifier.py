@@ -74,10 +74,6 @@ class PTXVerificationError(Exception):
         self.diagnostics = list(diagnostics)
 
 
-def _regkey(r: Register) -> tuple[str, int]:
-    return (r.type.value, r.index)
-
-
 # --- pass: operands -------------------------------------------------------
 
 def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
@@ -207,7 +203,7 @@ class _DefinedRegisters(DataflowAnalysis):
         return out
 
     def transfer(self, block, instructions, fact):
-        defs = {_regkey(i.dst) for i in instructions if i.dst is not None}
+        defs = {i.dst.key for i in instructions if i.dst is not None}
         return fact | defs
 
 
@@ -220,7 +216,7 @@ def _check_definite_assignment(module: PTXModule,
     def use(inst: Instruction, pos: int, op, defined: set) -> None:
         if not isinstance(op, Register):
             return
-        key = _regkey(op)
+        key = op.key
         if key in defined or (pos, key) in reported:
             return
         reported.add((pos, key))
@@ -242,7 +238,7 @@ def _check_definite_assignment(module: PTXModule,
                 for op in inst.srcs:
                     use(inst, pos, op, defined)
             if inst.dst is not None:
-                defined.add(_regkey(inst.dst))
+                defined.add(inst.dst.key)
     out.sort(key=lambda d: d.message)
     return out
 
@@ -398,19 +394,21 @@ ANALYSIS_PASSES = frozenset({"proven-bounds", "coalescing", "divergence"})
 
 
 def run_passes(module: PTXModule, passes=None, env=None,
-               analysis=None) -> list[Diagnostic]:
+               analysis=None, cfg: CFG | None = None) -> list[Diagnostic]:
     """Run the verification pipeline; return *all* diagnostics found.
 
     ``env`` is an optional :class:`~repro.ptx.absint.KernelEnv` with
     launch-time facts (scalar parameter values, bound region sizes);
     without it the analysis passes run under a generic env and only
     claim what is provable for *any* launch.  A caller that already
-    holds the module's :class:`~repro.ptx.absint.KernelAnalysis` may
-    pass it as ``analysis`` to skip recomputation.
+    holds the module's :class:`~repro.ptx.absint.KernelAnalysis` or
+    its control-flow graph may pass them as ``analysis``/``cfg`` to
+    skip recomputation.
     """
     from .absint import analyze_module
 
-    cfg = build_cfg(list(module.instructions))
+    if cfg is None:
+        cfg = build_cfg(list(module.instructions))
     names = list(passes if passes is not None else PASSES)
     if analysis is None and any(n in ANALYSIS_PASSES for n in names):
         analysis = analyze_module(module, env=env, cfg=cfg)

@@ -113,3 +113,26 @@ class TestParser:
         commented = HANDWRITTEN.replace(
             "ret;", "// final return\n    ret;")
         assert parse_ptx(commented).name == "scale"
+
+
+@pytest.mark.parametrize("good,bad", [
+    ("setp.ge.s32 %p0, %r1, %r0;", "setp.lt.bogus %p0, %r1, %r0;"),
+    ("cvt.s32.u32 %r1, %u3;", "cvt.f32.xyz %r1, %u3;"),
+    ("ld.global.f64 %fd1, [%ru2];", "ld.global %fd1, [%ru2];"),
+    ("setp.ge.s32 %p0, %r1, %r0;", "setp.lt %p0, %r1, %r0;"),
+    ("@%p0 bra $DONE;", "bra;"),
+    ("st.global.f64 [%ru2], %fd2;", "st.global.f64 [%ru2];"),
+    ("ld.global.f64 %fd1, [%ru2];", "ld.global.f64 %fd1;"),
+], ids=["setp-bad-type", "cvt-bad-type", "ld-no-type", "setp-no-type",
+        "bra-no-label", "st-no-value", "ld-no-address"])
+def test_malformed_lines_raise_typed_errors(good, bad):
+    """No malformed shape escapes as ValueError/IndexError: the parser
+    raises PTXParseError, the JIT surface JITCompileError."""
+    from repro.driver.jitcompiler import JITCompileError, compile_ptx
+
+    assert good in HANDWRITTEN
+    text = HANDWRITTEN.replace(good, bad)
+    with pytest.raises(PTXParseError):
+        parse_ptx(text)
+    with pytest.raises(JITCompileError, match="parse error: "):
+        compile_ptx(text)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from ..device.autotune import Autotuner
 from ..device.gpu import Device
 from ..device.specs import DeviceSpec, K20X_ECC_OFF
+from ..diagnostics import warn_unknown_knobs
 from ..driver.cache import KernelCache
-from ..ir.pipeline import IRStats, prepare_module
+from ..ir.pipeline import prepare_module
 from ..memory.cache import CacheStats, FieldCache
 from ..ptx.absint import KernelEnv, merge_envs
 
@@ -34,8 +35,8 @@ class ContextStats:
     #: generated-module cache outcomes (:meth:`Context.lookup_kernel`)
     module_cache_hits: int = 0
     module_cache_misses: int = 0
-    #: SSA IR layer counters (``REPRO_IR``; see :mod:`repro.ir.pipeline`)
-    ir: IRStats = field(default_factory=IRStats)
+    #: generated modules SSA-checked (:func:`repro.ir.prepare_module`)
+    modules_verified: int = 0
     #: backrefs wired by :class:`Context` so timeline/cache figures
     #: read live through ``ctx.stats`` (not copied counters)
     _runtime: object = field(default=None, repr=False, compare=False)
@@ -151,6 +152,7 @@ class Context:
                  kernel_cache: KernelCache | None = None):
         from .fusion import FusionQueue
 
+        warn_unknown_knobs()
         if device is not None:
             # a shared device: spec/pool_capacity/faults belong to its
             # owner (the serving layer), not to this context
@@ -220,7 +222,7 @@ class Context:
         (``charge_jit=False``: halo face copies never were charged).
         Returns ``(module, compiled)``.
         """
-        module = prepare_module(module, stats=self.stats.ir)
+        module = prepare_module(module, stats=self.stats)
         compiled, was_cached = self.kernel_cache.get_or_compile(
             module.render(), env=env)
         if charge_jit and not was_cached:

@@ -69,11 +69,16 @@ def max_severity(diagnostics) -> Severity | None:
     return max((d.severity for d in diagnostics), default=None)
 
 
+#: every environment variable the package reads; any other ``REPRO_*``
+#: name in the environment is announced by :func:`warn_unknown_knobs`
+KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_STREAMS", "REPRO_FAULTS",
+         "REPRO_BACKEND", "REPRO_SERVE", "REPRO_RESILIENCE")
+_VERIFY, _FUSION, _STREAMS, _FAULTS, _BACKEND, _SERVE, _RESILIENCE = KNOBS
+
 VERIFY_MODES = ("off", "warn", "error")
 FUSION_MODES = ("on", "off")
 STREAM_MODES = ("on", "off")
 FAULT_MODES = ("off", "plan:<spec>")
-IR_MODES = ("off", "verify", "opt")
 BACKEND_MODES = ("sim", "cpu")
 SERVE_MODES = ("on", "off", "fifo", "fair")
 RESILIENCE_MODES = ("off", "detect", "recover")
@@ -113,6 +118,25 @@ def _env_mode(env_var: str, accepted, default: str,
     return default
 
 
+def warn_unknown_knobs() -> None:
+    """Announce every ``REPRO_*`` variable that names no knob.
+
+    The same rule as an unrecognized *value*: a misspelled name
+    (``REPRO_FUSON=off``), or one left in a CI file after its knob was
+    removed, changes nothing, so it must not be silently ignored.  One
+    warning per distinct ``(name, value)`` per process;
+    :class:`~repro.core.context.Context` calls this once at
+    construction, never on the launch path.
+    """
+    for name, raw in os.environ.items():
+        if (name.startswith("REPRO_") and name not in KNOBS
+                and (name, raw) not in _warned):
+            _warned.add((name, raw))
+            warnings.warn(
+                f"ignoring {name}={raw!r}: no such knob; the knobs are "
+                f"{', '.join(KNOBS)}", RuntimeWarning, stacklevel=3)
+
+
 def verify_mode(default: str = "error") -> str:
     """The current strictness mode from the ``REPRO_VERIFY`` knob.
 
@@ -123,7 +147,7 @@ def verify_mode(default: str = "error") -> str:
     ``error`` (default)
         Error-severity diagnostics raise.
     """
-    return _env_mode("REPRO_VERIFY", VERIFY_MODES, default)
+    return _env_mode(_VERIFY, VERIFY_MODES, default)
 
 
 def fusion_mode(default: str = "on") -> str:
@@ -137,7 +161,7 @@ def fusion_mode(default: str = "on") -> str:
         Every assignment launches its own kernel immediately — the
         pre-fusion eager behavior, bitwise identical in results.
     """
-    return _env_mode("REPRO_FUSION", FUSION_MODES, default)
+    return _env_mode(_FUSION, FUSION_MODES, default)
 
 
 def stream_mode(default: str = "on") -> str:
@@ -152,25 +176,7 @@ def stream_mode(default: str = "on") -> str:
         All lanes collapse onto one serial stream: the makespan equals
         the serial sum of every modeled cost (the pre-runtime model).
     """
-    return _env_mode("REPRO_STREAMS", STREAM_MODES, default)
-
-
-def ir_mode(default: str = "verify") -> str:
-    """The IR pipeline mode from the ``REPRO_IR`` knob.
-
-    ``off``
-        Bypass the IR layer entirely: generated modules go to the
-        verifier and driver JIT exactly as the unparser built them.
-    ``verify`` (default)
-        Build the SSA view of every generated module and check the
-        structural invariants (:mod:`repro.ir.verify`), then hand the
-        *original* module on — bitwise identical to ``off``.
-    ``opt``
-        Additionally run the optimization pass pipeline
-        (:mod:`repro.ir.pipeline`): results stay bitwise identical,
-        the instruction stream and register footprint shrink.
-    """
-    return _env_mode("REPRO_IR", IR_MODES, default)
+    return _env_mode(_STREAMS, STREAM_MODES, default)
 
 
 def backend_mode(default: str = "sim",
@@ -192,7 +198,7 @@ def backend_mode(default: str = "sim",
     (:mod:`repro.driver.backends`) passes its registered names so
     dynamically registered backends are selectable through the knob.
     """
-    return _env_mode("REPRO_BACKEND", accepted, default)
+    return _env_mode(_BACKEND, accepted, default)
 
 
 def serve_mode(default: str = "on") -> str:
@@ -219,7 +225,7 @@ def serve_mode(default: str = "on") -> str:
     mode — the scheduler only decides *when* ready work runs, never
     *what* it computes.
     """
-    return _env_mode("REPRO_SERVE", SERVE_MODES, default)
+    return _env_mode(_SERVE, SERVE_MODES, default)
 
 
 def resilience_mode(default: str = "off") -> str:
@@ -241,7 +247,7 @@ def resilience_mode(default: str = "off") -> str:
         spare rank, or shrink-and-redistribute), charging honest
         modeled transfer + backoff cost on the ``fault`` lane.
     """
-    return _env_mode("REPRO_RESILIENCE", RESILIENCE_MODES, default)
+    return _env_mode(_RESILIENCE, RESILIENCE_MODES, default)
 
 
 def faults_mode(default: str = "off") -> str:
@@ -262,7 +268,7 @@ def faults_mode(default: str = "off") -> str:
     default with a one-time warning, like every other ``REPRO_*`` knob.
     """
     return _env_mode(
-        "REPRO_FAULTS",
+        _FAULTS,
         lambda mode: mode == "off" or mode.startswith("plan:"),
         default, names=FAULT_MODES)
 

@@ -13,9 +13,9 @@ every other ``REPRO_*`` knob), and builds it on first dispatch:
     against.
 ``cpu``
     The compiled NumPy backend of :mod:`repro.llvm.cputarget` — the
-    same parsed PTX (post-``REPRO_IR`` pipeline) walked by a subclass
-    of the ``sim`` translator that folds integer address arithmetic,
-    bitwise identical to ``sim``.
+    same parsed PTX walked by a subclass of the ``sim`` translator
+    that folds integer address arithmetic, bitwise identical to
+    ``sim``.
 
 Only the selected backend is built.  Kernels outside a backend's
 supported subset *fall back to* ``sim`` (translated then, not before)

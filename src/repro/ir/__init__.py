@@ -1,29 +1,22 @@
-"""SSA mid-level IR between the expression unparser and PTX text.
+"""The SSA view of a generated kernel and its structural check.
 
 The code generators (:mod:`repro.core.codegen`) emit SSA by
-construction — every value gets a fresh register — but until this
-package the framework never *exploited* that: codegen, fusion, absint
-and the PTX verifier each re-derived fragments of dataflow reasoning
-over the raw instruction list.  ``repro.ir`` reifies the stream as an
-SSA function (:mod:`repro.ir.ssa`) with def/use chains and dominance,
-checks the SSA structural invariants (:mod:`repro.ir.verify`), and
-runs an optimization pass pipeline (:mod:`repro.ir.passes`,
-:mod:`repro.ir.pipeline`) before the module is rendered and handed to
-the driver JIT — the same mid-end position QDP-JIT gives LLVM.
-
-The pipeline is controlled by the ``REPRO_IR`` knob
-(:func:`repro.diagnostics.ir_mode`): ``off`` bypasses the layer
-entirely, ``verify`` (default) builds and checks the SSA view but
-returns the module untouched, ``opt`` additionally runs the passes.
+construction — every value gets a fresh register.  ``repro.ir`` makes
+that checkable: :mod:`repro.ir.ssa` reifies the instruction stream as
+an SSA function (def/use positions over the :mod:`repro.ptx.cfg`
+graph), :mod:`repro.ir.verify` checks single definition, defs dominate
+uses and no dangling operands, and :func:`prepare_module` runs that
+check on every kernel build before the module is rendered.  There is
+no mid-end optimiser: as in the paper, the stream the unparser emits
+is the stream the driver JIT gets (DESIGN §11 records why the pass
+pipeline that once lived here was removed).
 """
 
-from .pipeline import DEFAULT_PIPELINE, IRStats, prepare_module
+from .pipeline import prepare_module
 from .ssa import SSAFunction
 from .verify import IRVerificationError, check_ssa
 
 __all__ = [
-    "DEFAULT_PIPELINE",
-    "IRStats",
     "IRVerificationError",
     "SSAFunction",
     "check_ssa",

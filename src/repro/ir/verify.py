@@ -1,9 +1,8 @@
 """Structural SSA verification.
 
-Three invariants, checked after SSA construction and again after
-every optimization pass (a pass that breaks them has a bug, and the
-break must surface *there*, not as a bewildering downstream failure
-in the unparser or the driver JIT):
+Three invariants, checked on every freshly generated stream (a
+generator that breaks them has a bug, and the break must surface
+*there*, not as a bewildering downstream failure in the driver JIT):
 
 1. **Single definition** — every register is written by at most one
    instruction.

@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 8)::
+JSON schema (``schema_version`` 9)::
 
     {
-      "schema_version": 8,
+      "schema_version": 9,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -98,16 +98,8 @@ JSON schema (``schema_version`` 8)::
         "wall_s_by_family": {str: float}  # measured host wall-clock per
                                        # kernel family (eval/fus/red/...)
       },
-      "ir": {                          # SSA IR layer (REPRO_IR)
-        "mode": "off" | "verify" | "opt",
-        "modules_verified": int,       # SSA views built and checked
-        "modules_optimized": int,      # streams rewritten under opt
-        "pressure_reverts": int,       # streams the pressure gate refused
-        "instructions_before": int,    # totals over optimized modules
-        "instructions_after": int,
-        "live_regs_before": int,       # liveness-based 32-bit slots
-        "live_regs_after": int,
-        "passes": {str: {str: int}}    # per-pass counters
+      "ir": {                          # SSA structural check (repro.ir)
+        "modules_verified": int        # generated modules checked
       },
       "serving": {                     # multi-tenant layer (REPRO_SERVE)
         "mode": "fair" | "fifo" | "off",
@@ -157,7 +149,7 @@ import sys
 import warnings
 
 from .core.lint import LINT_PASSES, lint_assignment
-from .diagnostics import Severity
+from .diagnostics import Severity, warn_unknown_knobs
 from .ptx.verifier import PASSES, run_passes
 
 
@@ -402,7 +394,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 8; see module docstring)")
+                             "(schema_version 9; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -415,7 +407,9 @@ def main(argv=None) -> int:
               f"{'x'.join(map(str, args.lattice))} ...")
 
     # The build itself runs under the REPRO_VERIFY hooks; anything the
-    # hooks warn about is re-reported below, so keep the build quiet.
+    # hooks warn about is re-reported below, so keep the build quiet —
+    # except a stale knob name, which nothing below would report.
+    warn_unknown_knobs()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ctx, lat, ast_findings = _build_kernel_suite(args.lattice)
@@ -491,19 +485,8 @@ def main(argv=None) -> int:
               f"recovered, {fc.retries} retry(ies), "
               f"{fc.backoff_s * 1e6:.1f} us backoff, "
               f"{fc.solver_restarts} solver restart(s)")
-        ir = ctx.stats.ir
-        print(f"\n-- IR (REPRO_IR={ir.mode or 'off'}) " + "-" * 32)
-        print(f"  {ir.modules_verified} module(s) SSA-verified, "
-              f"{ir.modules_optimized} optimized, "
-              f"{ir.pressure_reverts} pressure revert(s)")
-        if ir.modules_optimized:
-            print(f"  instructions {ir.instructions_before} -> "
-                  f"{ir.instructions_after}; live register slots "
-                  f"{ir.live_regs_before} -> {ir.live_regs_after} "
-                  f"({ir.live_regs_saved} saved)")
-            for name, counters in ir.passes.items():
-                facts = ", ".join(f"{k}={v}" for k, v in counters.items())
-                print(f"    {name}: {facts}")
+        print("\n-- IR " + "-" * 48)
+        print(f"  {ctx.stats.modules_verified} module(s) SSA-verified")
         be = ctx.stats.backend
         print(f"\n-- backends (REPRO_BACKEND={be.mode}) " + "-" * 26)
         for name in sorted(set(be.kernels) | set(be.launches)):
@@ -558,7 +541,7 @@ def main(argv=None) -> int:
     else:
         be = ctx.stats.backend
         report = {
-            "schema_version": 8,
+            "schema_version": 9,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),
@@ -599,7 +582,7 @@ def main(argv=None) -> int:
                 "wall_s_by_family": _wall_by_family(
                     ctx.device.stats.per_kernel_wall_s),
             },
-            "ir": ctx.stats.ir.as_json(),
+            "ir": {"modules_verified": ctx.stats.modules_verified},
             "serving": serving.as_json(),
             "resilience": resilience,
             "summary": {

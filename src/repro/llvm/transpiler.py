@@ -48,8 +48,7 @@ def check_subset(parsed: ParsedKernel) -> None:
             raise TranspileError(
                 f"{parsed.name}: guarded {inst.opcode!r} — only guarded "
                 f"forward branches are in the transpilable subset")
-    fn = SSAFunction.from_instructions(parsed.name, parsed.params,
-                                       parsed.instructions)
+    fn = SSAFunction.from_instructions(parsed.name, parsed.instructions)
     errs = errors(check_ssa(fn))
     if errs:
         raise TranspileError(

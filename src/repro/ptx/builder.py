@@ -296,33 +296,6 @@ class KernelBuilder:
         return self.info
 
 
-def register_counts(instructions) -> dict[str, int]:
-    """Per-type register-name counts for an instruction stream.
-
-    The declaration count for each type is ``max index + 1`` over
-    every register the stream mentions (destinations, sources and
-    guards).  :meth:`KernelBuilder.finish` reports the builder's
-    allocation counters instead — identical for freshly built kernels
-    — while the IR pipeline uses this to size declarations after
-    passes have deleted and renumbered registers.
-    """
-    counts: dict[str, int] = {}
-
-    def note(r: Register) -> None:
-        suffix = r.type.suffix
-        counts[suffix] = max(counts.get(suffix, 0), r.index + 1)
-
-    for inst in instructions:
-        if inst.dst is not None:
-            note(inst.dst)
-        for op in inst.srcs:
-            if isinstance(op, Register):
-                note(op)
-        if inst.guard is not None:
-            note(inst.guard)
-    return dict(sorted(counts.items()))
-
-
 class _ParamRef:
     """Pseudo-operand naming a kernel parameter in ``ld.param``."""
 

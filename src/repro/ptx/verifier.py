@@ -16,11 +16,11 @@ Passes:
     parameter list (existence *and* type), load/store address and
     value types, ``cvt``/``setp``/``selp`` shapes.
 ``ssa-structure``
-    The SSA structural invariants the code generators guarantee and
-    the IR pass pipeline relies on (:mod:`repro.ir.verify`): single
+    The SSA structural invariants the code generators guarantee
+    (:mod:`repro.ir.verify`), here on the *re-parsed text*: single
     definition per register, defs dominate uses, no dangling
     operands.  A malformed stream fails here with a named diagnostic
-    instead of a deep unparser or pass traceback.
+    instead of a deep translator traceback.
 ``definite-assignment``
     Forward dataflow proving every register is written on **every**
     path before it is read — branch-aware, unlike a linear scan,
@@ -173,8 +173,8 @@ def _check_ssa_structure(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
     from ..ir.ssa import SSAFunction
     from ..ir.verify import check_ssa
 
-    fn = SSAFunction.from_instructions(module.name, module.info.params,
-                                       list(module.instructions), cfg=cfg)
+    fn = SSAFunction.from_instructions(module.name, module.instructions,
+                                       cfg=cfg)
     return check_ssa(fn, obj=module.name)
 
 

@@ -4,19 +4,15 @@ The compiled NumPy backend's contract is bitwise identity on every
 observable memory effect — not "close", *identical*.  These tests run
 the full kernel-family suite (Wilson dslash both signs, the packed
 clover operator, the reduction kernels, the halo face copies) under
-both backends and compare raw results, under both the verifying and
-the optimizing IR pipeline (the backend compiles post-``REPRO_IR``
-PTX, so both paths must hold).
+both backends and compare raw results.
 """
 
 import numpy as np
-import pytest
 
 
-def _run_suite(monkeypatch, backend, ir_mode):
+def _run_suite(monkeypatch, backend):
     """Run every kernel family on a fresh context; return outputs."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
-    monkeypatch.setenv("REPRO_IR", ir_mode)
 
     from repro.core.context import Context, set_default_context
     from repro.core.reduction import innerProduct, norm2, sum_sites
@@ -70,22 +66,21 @@ def _run_suite(monkeypatch, backend, ir_mode):
         set_default_context(old)
 
 
-@pytest.mark.parametrize("ir_mode", ["verify", "opt"])
 class TestBitwiseParity:
-    def test_cpu_matches_sim_bitwise(self, monkeypatch, ir_mode):
-        ref, _ = _run_suite(monkeypatch, "sim", ir_mode)
-        got, stats = _run_suite(monkeypatch, "cpu", ir_mode)
+    def test_cpu_matches_sim_bitwise(self, monkeypatch):
+        ref, _ = _run_suite(monkeypatch, "sim")
+        got, stats = _run_suite(monkeypatch, "cpu")
         assert len(ref) == len(got)
         for i, (a, b) in enumerate(zip(ref, got)):
             assert np.array_equal(np.asarray(a), np.asarray(b)), \
-                f"output {i} differs under REPRO_IR={ir_mode}"
+                f"output {i} differs"
         # every suite kernel compiled — no silent sim fallback hid a gap
         assert stats.fallbacks == 0, stats.fallback_kernels
         # ... and only the selected backend was ever built
         assert stats.kernels.get("cpu", 0) > 0
         assert "sim" not in stats.kernels
 
-    def test_cpu_backend_actually_launched(self, monkeypatch, ir_mode):
-        _, stats = _run_suite(monkeypatch, "cpu", ir_mode)
+    def test_cpu_backend_actually_launched(self, monkeypatch):
+        _, stats = _run_suite(monkeypatch, "cpu")
         assert sum(stats.launches.values()) > 0
         assert stats.launches.get("sim") is None   # nothing fell back

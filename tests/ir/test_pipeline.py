@@ -1,21 +1,17 @@
-"""Pipeline-level properties: round-trip identity, opt-mode acceptance.
+"""``prepare_module``: the SSA check on the kernel build path.
 
-The two tentpole gates live here: ``REPRO_IR=verify`` must be bitwise
-identical to ``off``, and ``REPRO_IR=opt`` must keep every generated
-kernel absint-*proven* in bounds (no heuristic fallbacks) while
-reducing the suite's total liveness-based register footprint.
+It returns the module object it was given (so rendered text and
+resource metadata cannot drift), counts it, and raises on a stream
+that is not SSA — whatever ``REPRO_VERIFY`` says, because it is the
+only structural check that runs when the verifier is off.
 """
 
-import os
-from contextlib import contextmanager
-
-import numpy as np
 import pytest
 
+from repro.core.context import ContextStats
 from repro.diagnostics import fusion_mode
-from repro.ir import pipeline
-from repro.ir.pipeline import IRStats, prepare_module
-from repro.ir.ssa import SSAFunction
+from repro.ir.pipeline import prepare_module
+from repro.ir.verify import IRVerificationError
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Immediate, Instruction, PTXType, Register
 from repro.ptx.module import PTXModule
@@ -23,36 +19,12 @@ from repro.ptx.module import PTXModule
 DIMS = (2, 2, 2, 4)
 
 
-@contextmanager
-def _ir_env(mode):
-    old = os.environ.get("REPRO_IR")
-    os.environ["REPRO_IR"] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_IR"]
-        else:
-            os.environ["REPRO_IR"] = old
-
-
-def _build_suite(mode):
+@pytest.fixture(scope="module")
+def suite():
     from repro.lint import _build_kernel_suite, _suite_modules
 
-    with _ir_env(mode):
-        ctx, lat, _ = _build_kernel_suite(DIMS)
-        modules = _suite_modules(ctx, lat)
-    return ctx, modules
-
-
-@pytest.fixture(scope="module")
-def verify_suite():
-    return _build_suite("verify")
-
-
-@pytest.fixture(scope="module")
-def opt_suite():
-    return _build_suite("opt")
+    ctx, lat, _ = _build_kernel_suite(DIMS)
+    return ctx, _suite_modules(ctx, lat)
 
 
 def _simple_module():
@@ -71,17 +43,37 @@ def _simple_module():
     return PTXModule.from_builder(kb)
 
 
+def _twice_assigned():
+    a = Register(PTXType.F64, 0)
+    kb = KernelBuilder("twice")
+    kb.emit(Instruction("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)))
+    kb.emit(Instruction("mov", PTXType.F64, a, (Immediate(PTXType.F64, 2.0),)))
+    kb.ret()
+    return PTXModule.from_builder(kb)
+
+
+def _dangling():
+    kb = KernelBuilder("dangling")
+    ghost = Register(PTXType.F64, 9)
+    kb.emit(Instruction("add", PTXType.F64, kb.new_reg(PTXType.F64),
+                        (ghost, ghost)))
+    kb.ret()
+    return PTXModule.from_builder(kb)
+
+
 class TestVerifyRoundTrip:
-    def test_every_suite_kernel_roundtrips_bitwise(self, verify_suite):
-        """Eager, fused, reduction and halo kernels all survive the
-        lower-to-IR / raise-to-module round trip byte-for-byte."""
-        _, modules = verify_suite
+    def test_every_suite_kernel_roundtrips_bitwise(self, suite):
+        """Eager or fused, reduction and halo kernels all pass the
+        check and come back as the object that went in, so the text
+        that reaches the driver is the text the generator built."""
+        ctx, modules = suite
         names = set()
         for module, _, _ in modules:
             names.add(module.name)
-            fn = SSAFunction.from_module(module)
-            assert fn.to_module(info=module.info).render() == \
-                module.render(), module.name
+            text = module.render()
+            assert prepare_module(module) is module
+            assert module.render() == text, module.name
+        assert ctx.stats.modules_verified == len(modules)
         # REPRO_FUSION=off builds the same statements one by one
         family = "fus_" if fusion_mode() == "on" else "eval_"
         assert any(n.startswith(family) for n in names)
@@ -91,113 +83,41 @@ class TestVerifyRoundTrip:
 
     def test_verify_returns_the_original_module_object(self):
         m = _simple_module()
-        assert prepare_module(m, mode="off") is m
-        assert prepare_module(m, mode="verify") is m
+        assert prepare_module(m) is m
 
     def test_verify_counts_modules(self):
-        stats = IRStats()
-        prepare_module(_simple_module(), stats=stats, mode="verify")
-        assert stats.mode == "verify"
-        assert stats.modules_verified == 1
-        assert stats.modules_optimized == 0
+        stats = ContextStats()
+        prepare_module(_simple_module(), stats=stats)
+        prepare_module(_simple_module(), stats=stats)
+        assert stats.modules_verified == 2
 
 
-class TestOptAcceptance:
-    def test_every_access_stays_proven(self, opt_suite):
-        """Optimized streams must not degrade the bounds proof: all
-        accesses *proven*, zero heuristic fallbacks."""
-        from repro.ptx.absint import analyze_module
+class TestRejectsNonSSA:
+    """The check does not depend on ``REPRO_VERIFY``: with the verifier
+    off it is all that stands between a generator bug and the JIT."""
 
-        _, modules = opt_suite
-        checked = 0
-        for module, _, env in modules:
-            analysis = analyze_module(module, env)
-            for access in analysis.accesses:
-                assert access.verdict == "proven", \
-                    f"{module.name}: {access.verdict}"
-                checked += 1
-        assert checked > 0
+    @pytest.mark.parametrize("verify", ["off", "warn", "error"])
+    @pytest.mark.parametrize("build,message", [
+        (_twice_assigned, "redefined"),
+        (_dangling, "no definition"),
+    ])
+    def test_raises_under_every_verify_mode(self, monkeypatch, verify,
+                                            build, message):
+        monkeypatch.setenv("REPRO_VERIFY", verify)
+        stats = ContextStats()
+        with pytest.raises(IRVerificationError, match=message):
+            prepare_module(build(), stats=stats)
+        assert stats.modules_verified == 0
 
-    def test_total_register_footprint_shrinks(self, opt_suite):
-        ctx, _ = opt_suite
-        ir = ctx.stats.ir
-        assert ir.mode == "opt"
-        assert ir.modules_optimized > 0
-        assert ir.pressure_reverts == 0
-        assert ir.live_regs_after < ir.live_regs_before
-        assert ir.live_regs_saved > 0
-
-    def test_per_pass_stats_accumulate(self, opt_suite):
-        ctx, _ = opt_suite
-        passes = ctx.stats.ir.passes
-        assert set(passes) == set(pipeline.DEFAULT_PIPELINE)
-        for counters in passes.values():
-            assert "registers_saved" in counters
-
-
-class TestOptEndToEnd:
-    def _compute(self, mode):
-        """One dslash + clover application and two reductions on a
-        fixed seed, under a fresh context."""
+    @pytest.mark.parametrize("verify", ["off", "warn", "error"])
+    def test_build_path_raises_before_the_jit(self, monkeypatch, verify):
+        """Through ``Context.build_kernel``, the surface every
+        generator uses: nothing is rendered, compiled or charged."""
         from repro.core.context import Context
-        from repro.core.reduction import innerProduct, norm2
-        from repro.qcd.cloverop import CloverOperator, CloverParams
-        from repro.qcd.dslash import WilsonDslash
-        from repro.qcd.gauge import weak_gauge
-        from repro.qdp.fields import latt_fermion
-        from repro.qdp.lattice import Lattice
 
-        with _ir_env(mode):
-            ctx = Context(autotune=False)
-            lat = Lattice(DIMS)
-            rng = np.random.default_rng(11)
-            u = weak_gauge(lat, rng, eps=0.3, context=ctx)
-            psi = latt_fermion(lat, context=ctx)
-            psi.gaussian(rng)
-            dest = latt_fermion(lat, context=ctx)
-            WilsonDslash(u)(dest, psi)
-            clov = CloverOperator(u, CloverParams(kappa=0.12,
-                                                  clover_coeff=1.0))
-            out = latt_fermion(lat, context=ctx)
-            clov.apply(out, dest)
-            n2 = norm2(out, context=ctx)
-            ip = innerProduct(out, psi, context=ctx)
-            return out.to_numpy().copy(), n2, ip
-
-    def test_field_results_bitwise_identical_off_vs_opt(self):
-        """The passes are value-preserving: optimized kernels must
-        give byte-identical fields and scalars, not merely close."""
-        base_field, base_n2, base_ip = self._compute("off")
-        for mode in ("verify", "opt"):
-            field, n2, ip = self._compute(mode)
-            assert field.tobytes() == base_field.tobytes(), mode
-            assert n2 == base_n2, mode
-            assert ip == base_ip, mode
-
-
-class TestPressureGate:
-    def test_pressure_raising_pipeline_is_reverted(self, monkeypatch):
-        """If the composed passes ever raised a kernel's liveness
-        footprint, the gate returns the original module untouched."""
-        def bloat(fn):
-            """Pin 8 fresh f64 values (16 slots — well past the
-            8-slot liveness floor) across the whole kernel."""
-            insts = list(fn.instructions)
-            for i in range(8):
-                t = Register(PTXType.F64, 9000 + i)
-                u = Register(PTXType.F64, 9100 + i)
-                insts.insert(0, Instruction(
-                    "mov", PTXType.F64, t, (Immediate(PTXType.F64, 1.0),)))
-                insts.insert(len(insts) - 1, Instruction(
-                    "add", PTXType.F64, u, (t, t)))
-            return insts, {"bloated": 8}
-
-        monkeypatch.delenv("REPRO_IR_PASSES", raising=False)
-        monkeypatch.setattr(pipeline, "PASSES", {"bloat": bloat})
-        monkeypatch.setattr(pipeline, "DEFAULT_PIPELINE", ("bloat",))
-        m = _simple_module()
-        stats = IRStats()
-        assert prepare_module(m, stats=stats, mode="opt") is m
-        assert stats.pressure_reverts == 1
-        assert stats.modules_optimized == 0
-        assert stats.live_regs_after == 0    # nothing accumulated
+        monkeypatch.setenv("REPRO_VERIFY", verify)
+        ctx = Context(autotune=False)
+        with pytest.raises(IRVerificationError, match="redefined"):
+            ctx.build_kernel(_twice_assigned())
+        assert ctx.stats.kernels_generated == 0
+        assert ctx.kernel_cache.stats.misses == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir.ssa import SSAFunction, is_removable, is_speculative
+from repro.ir.ssa import SSAFunction
 from repro.ir.verify import IRVerificationError, assert_ssa, check_ssa
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Immediate, Instruction, PTXType, Register
@@ -44,47 +44,6 @@ class TestConstruction:
         fn = SSAFunction.from_module(_simple_kernel())
         assert len(fn.pos_block) == len(fn.instructions)
 
-    def test_roundtrip_with_info_is_bitwise(self):
-        m = _simple_kernel()
-        fn = SSAFunction.from_module(m)
-        assert fn.to_module(info=m.info).render() == m.render()
-
-    def test_roundtrip_without_info_derives_registers(self):
-        m = _simple_kernel()
-        m2 = SSAFunction.from_module(m).to_module()
-        assert [i.render() for i in m2.instructions] == \
-               [i.render() for i in m.instructions]
-        assert m2.info.regs_per_thread == m.info.regs_per_thread
-
-    def test_no_backward_edge_in_generated_kernels(self):
-        assert not SSAFunction.from_module(_simple_kernel()) \
-            .has_backward_edge()
-
-    def test_backward_edge_detected(self):
-        loop = [
-            _inst("label", None, None, (), label="$L"),
-            _inst("bra", None, None, (), label="$L"),
-            _inst("ret", None, None, ()),
-        ]
-        fn = SSAFunction.from_instructions("spin", [], loop)
-        assert fn.has_backward_edge()
-
-
-class TestClassifiers:
-    def test_side_effect_ops_not_removable(self):
-        r = Register(PTXType.F64, 0)
-        a = Register(PTXType.U64, 0)
-        assert not is_removable(_inst("st.global", PTXType.F64, None, (a, r)))
-        assert not is_removable(_inst("ret", None, None, ()))
-        assert is_removable(_inst("add", PTXType.F64, r, (r, r)))
-
-    def test_global_load_removable_but_not_speculative(self):
-        d = Register(PTXType.F64, 0)
-        a = Register(PTXType.U64, 0)
-        ld = _inst("ld.global", PTXType.F64, d, (a,))
-        assert is_removable(ld)
-        assert not is_speculative(ld)
-
 
 class TestVerifier:
     def _base(self):
@@ -100,13 +59,13 @@ class TestVerifier:
 
     def test_clean_fragment_passes(self):
         _, _, insts = self._base()
-        assert_ssa(SSAFunction.from_instructions("ok", [], insts))
+        assert_ssa(SSAFunction.from_instructions("ok", insts))
 
     def test_redefinition_caught(self):
         a, _, insts = self._base()
         insts.insert(2, _inst("mov", PTXType.F64, a,
                               (Immediate(PTXType.F64, 2.0),)))
-        fn = SSAFunction.from_instructions("redef", [], insts)
+        fn = SSAFunction.from_instructions("redef", insts)
         findings = check_ssa(fn)
         assert any("redefined" in d.message for d in findings)
         with pytest.raises(IRVerificationError, match="redefined"):
@@ -120,8 +79,7 @@ class TestVerifier:
             _inst("add", PTXType.F64, b, (ghost, a)),
             _inst("ret", None, None, ()),
         ]
-        findings = check_ssa(SSAFunction.from_instructions("dangle", [],
-                                                           insts))
+        findings = check_ssa(SSAFunction.from_instructions("dangle", insts))
         assert len([d for d in findings
                     if "no definition" in d.message]) == 1
 
@@ -151,7 +109,7 @@ class TestVerifier:
             _inst("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)),
             _inst("ret", None, None, ()),
         ]
-        findings = check_ssa(SSAFunction.from_instructions("ubd", [], insts))
+        findings = check_ssa(SSAFunction.from_instructions("ubd", insts))
         assert any("does not dominate" in d.message for d in findings)
 
 

@@ -163,21 +163,15 @@ def _knobs(**values):
                 os.environ[k] = v
 
 
-def _suite(ir_mode: str):
+@pytest.fixture(scope="module")
+def suite():
+    """The seven ``repro.lint`` suite kernels."""
     from repro.lint import _build_kernel_suite, _suite_modules
 
-    with _knobs(REPRO_IR=ir_mode, REPRO_FUSION="on"), \
-            warnings.catch_warnings():
+    with _knobs(REPRO_FUSION="on"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ctx, lat, _ = _build_kernel_suite(DIMS)
         return _suite_modules(ctx, lat)
-
-
-@pytest.fixture(scope="module", params=["verify", "opt"])
-def suite(request):
-    """The seven ``repro.lint`` suite kernels as built under
-    ``REPRO_IR=verify`` and as rewritten under ``opt``: 14 streams."""
-    return request.param, _suite(request.param)
 
 
 # --- one visit per instruction ----------------------------------------------
@@ -297,18 +291,16 @@ class TestCyclicGolden:
 
 class TestSuiteGolden:
     def test_fact_sheets_match_the_parent(self, suite):
-        mode, modules = suite
         digests = []
-        for module, _, env in modules:
+        for module, _, env in suite:
             assert build_cfg(list(module.instructions)).is_acyclic
             analysis = analyze_module(module, env=env)
             diagnostics = run_passes(module, env=env, analysis=analysis)
             digests.append(_digest(_fact_sheet(analysis, diagnostics)))
-        assert digests == GOLDEN["suite." + mode]
+        assert digests == GOLDEN["suite.verify"]
 
     def test_text_round_trip_is_field_by_field(self, suite):
-        _, modules = suite
-        for module, _, _ in modules:
+        for module, _, _ in suite:
             parsed = parse_ptx(module.render()).instructions
             assert len(parsed) == len(module.instructions)
             for got, want in zip(parsed, module.instructions):
@@ -430,11 +422,4 @@ GOLDEN = {'float_loop.live_out': {0: [('f32', 0)], 1: [('f32', 0)], 2: []},
                   '9ecf1ed9c0562a1a',
                   '417cbfd1c7f13741',
                   '83e90fd73d61c6ee',
-                  'e090c30f20c0b36e'],
- 'suite.opt': ['f1b5c716da2112b9',
-               '749c2b6fad1f110a',
-               'ddb489395e67989a',
-               '370573d400a42b0d',
-               'f20497e4db5c0973',
-               'b4b5558105b250f5',
-               '9d18100d8b08736b']}
+                  'e090c30f20c0b36e']}

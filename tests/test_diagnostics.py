@@ -1,5 +1,6 @@
 """Tests for the diagnostics layer: the REPRO_* mode knobs."""
 
+import os
 import warnings
 
 import pytest
@@ -8,7 +9,6 @@ from repro import diagnostics
 from repro.diagnostics import (
     faults_mode,
     fusion_mode,
-    ir_mode,
     stream_mode,
     verify_mode,
 )
@@ -116,28 +116,46 @@ class TestFaultsMode:
             assert faults_mode() == "off"
 
 
-class TestIrMode:
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IR", raising=False)
-        assert ir_mode() == "verify"
-        assert ir_mode(default="off") == "off"
+class TestUnknownKnobs:
+    """A ``REPRO_*`` variable that names no knob is announced, once,
+    when a ``Context`` is built — a stale ``REPRO_IR=opt`` must not be
+    silently ignored any more than a misspelled value is."""
 
-    @pytest.mark.parametrize("value", ["off", "verify", "opt",
-                                       " Opt ", "VERIFY"])
-    def test_accepted_values_are_normalized(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_IR", value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ir_mode() == value.strip().lower()
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
 
-    def test_bad_value_warns_once_naming_accepted_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IR", "aggressive")
+    @pytest.mark.parametrize("name,value", [("REPRO_IR", "opt"),
+                                            ("REPRO_FUSON", "off")])
+    def test_stale_or_misspelled_name_warns_once(self, monkeypatch,
+                                                 name, value):
+        from repro.core.context import Context
+
+        monkeypatch.setenv(name, value)
         with pytest.warns(RuntimeWarning) as record:
-            assert ir_mode() == "verify"
+            Context(autotune=False)
         (w,) = record
-        assert "REPRO_IR" in str(w.message)
-        assert "'aggressive'" in str(w.message)
-        assert "off, verify, opt" in str(w.message)
+        assert f"{name}={value!r}" in str(w.message)
+        for knob in diagnostics.KNOBS:
+            assert knob in str(w.message)
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # a repeat would raise
-            assert ir_mode() == "verify"
+            Context(autotune=False)
+        monkeypatch.setenv(name, value + "x")  # a new value is news
+        with pytest.warns(RuntimeWarning, match=name):
+            Context(autotune=False)
+
+    def test_real_knobs_and_clean_environment_are_silent(self, monkeypatch):
+        from repro.core.context import Context
+
+        assert len(diagnostics.KNOBS) == 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Context(autotune=False)
+            for knob, value in zip(diagnostics.KNOBS,
+                                   ("warn", "off", "off", "off", "cpu",
+                                    "fifo", "detect")):
+                monkeypatch.setenv(knob, value)
+            Context(autotune=False)

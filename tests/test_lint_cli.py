@@ -105,7 +105,7 @@ class TestJSON:
     def test_exit_status_and_schema_version(self, run_json):
         status, report = run_json
         assert status == 0
-        assert report["schema_version"] == 8
+        assert report["schema_version"] == 9
         assert report["summary"]["status"] == "ok"
         assert report["summary"]["errors"] == 0
         assert report["summary"]["kernels"] == len(report["kernels"])
@@ -125,19 +125,11 @@ class TestJSON:
             rt["serial_s"])
 
     def test_ir_block(self, run_json):
-        """Under the default REPRO_IR=verify, every suite kernel gets
-        an SSA structural check and nothing is rewritten."""
+        """Every suite kernel gets an SSA structural check."""
         _, report = run_json
         ir = report["ir"]
-        assert set(ir) == {"mode", "modules_verified", "modules_optimized",
-                           "pressure_reverts", "instructions_before",
-                           "instructions_after", "live_regs_before",
-                           "live_regs_after", "passes"}
-        assert ir["mode"] in ("off", "verify", "opt")
-        if ir["mode"] == "verify":
-            assert ir["modules_verified"] == report["summary"]["kernels"]
-            assert ir["modules_optimized"] == 0
-            assert ir["passes"] == {}
+        assert set(ir) == {"modules_verified"}
+        assert ir["modules_verified"] == report["summary"]["kernels"]
 
     def test_faults_block(self, run_json):
         """Without REPRO_FAULTS, the faults block reports mode=off and
@@ -290,5 +282,18 @@ class TestJSON:
         """--json prints a single parseable document, nothing else."""
         buf = io.StringIO()
         with redirect_stdout(buf):
+            main(["--lattice", "2,2,2,2", "--json"])
+        json.loads(buf.getvalue())
+
+    def test_stale_knob_is_announced_and_output_stays_pure(
+            self, ctx, monkeypatch):
+        """The quiet build must not swallow the unknown-knob warning."""
+        from repro import diagnostics
+
+        monkeypatch.setattr(diagnostics, "_warned", set())
+        monkeypatch.setenv("REPRO_IR", "opt")
+        buf = io.StringIO()
+        with pytest.warns(RuntimeWarning, match="REPRO_IR='opt'"), \
+                redirect_stdout(buf):
             main(["--lattice", "2,2,2,2", "--json"])
         json.loads(buf.getvalue())

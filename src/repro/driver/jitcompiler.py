@@ -12,12 +12,21 @@ agree with a real device up to floating-point reassociation in ``fma``
 Control flow is compiled with an active-lane mask supporting guarded
 instructions and forward branches — sufficient for the bounds-check /
 face-select patterns the code generators emit, and verified against
-hand-written PTX in the test suite.
+hand-written PTX in the test suite.  A backward branch is rejected
+with :class:`JITCompileError`: the generated body is straight-line
+Python that runs every statement once, in textual order.
+
+That property is also what lets the JIT do the driver's register
+allocation (:func:`allocate_slots`): the translators emit one local
+per value, and a linear scan renames them onto as many reusable slots
+as are ever live at once, so a launch holds *max-live* arrays rather
+than one per instruction.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -188,6 +197,65 @@ class CompiledKernel:
         self.func(views, params, grid_dim, block_dim)
 
 
+#: a vector local of a translated body: a ``sim`` register (``Rfd12``)
+#: or a ``cpu`` temporary (``_v12``) — never part of a longer name or
+#: of a quoted parameter name (the look-behind sits after the leading
+#: literal so the search for it stays a plain character scan)
+_VECTOR_LOCAL = re.compile(r"((?:R(?<![\w']R)[a-z]+|_v(?<![\w']_v))\d+)")
+
+
+def allocate_slots(lines: list[str]) -> tuple[list[str], int]:
+    """Rename the vector locals of a translated body onto reusable slots.
+
+    The body is straight-line: every statement runs once, in textual
+    order.  One linear scan gives each name a slot ``_r<k>`` from its
+    first to its last textual occurrence and hands a released slot to
+    the next name that needs one, so rebinding it drops the dead
+    array.  A statement releases the names that occur in it for the
+    last time *before* it binds the name it defines — Python evaluates
+    the right-hand side first, so a destination may take the slot an
+    operand gives up.  Pure renaming: statements, their order and
+    their operands are untouched.  Returns the renamed lines and the
+    number of slots, which is the peak number of names held at once.
+    """
+    pieces = _VECTOR_LOCAL.split("\n".join(lines))   # text, name, text, ...
+    end = len(pieces)
+    last = dict(zip(pieces[1::2], range(1, end, 2)))
+    slot_of: dict[str, str] = {}
+    free: list[str] = []
+    n_slots = 0
+    born: list[int] = []      # this statement's occurrences of new names
+    dying: list[str] = []     # names whose last occurrence is on it
+    for k in range(1, end + 1, 2):        # k == end: past the last name
+        if (born or dying) and (k == end or "\n" in pieces[k - 1]):
+            # the previous statement is complete: release, then bind
+            for name in dying:
+                if name in slot_of:
+                    free.append(slot_of.pop(name))
+            for b in born:
+                name = pieces[b]
+                if name not in slot_of:
+                    if not free:
+                        free.append(f"_r{n_slots}")
+                        n_slots += 1
+                    slot_of[name] = free.pop()
+                pieces[b] = slot_of[name]
+            for name in dying:          # defined here and never read
+                if name in slot_of:
+                    free.append(slot_of.pop(name))
+            born, dying = [], []
+        if k == end:
+            break
+        name = pieces[k]
+        if name in slot_of:
+            pieces[k] = slot_of[name]
+        else:
+            born.append(k)
+        if last[name] == k:
+            dying.append(name)
+    return "".join(pieces).split("\n"), n_slots
+
+
 def modeled_jit_time(n_instructions: int) -> float:
     """Modeled NVIDIA driver JIT translation time for one kernel.
 
@@ -213,10 +281,15 @@ class _Translator:
 
     def __init__(self, parsed: ParsedKernel):
         self.parsed = parsed
+        #: the body as emitted, one local per value (what
+        #: :func:`allocate_slots` renames)
         self.lines: list[str] = []
+        #: slots the allocated body uses (set by :meth:`translate`)
+        self.n_slots = 0
         self.defined: set[str] = set()
         self.labels = [i.label for i in parsed.instructions
                        if i.opcode == "label"]
+        self._placed: set[str] = set()      # labels already walked past
 
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
@@ -226,7 +299,14 @@ class _Translator:
     def _operand(self, op, itype: PTXType) -> str:
         """The Python expression reading operand ``op``."""
         if isinstance(op, Register):
-            return _regname(op)
+            name = _regname(op)
+            if name not in self.defined:
+                # once slots are reused this would read a stale value
+                # where the unallocated body raised a NameError
+                raise JITCompileError(
+                    f"kernel {self.parsed.name!r}: {op.name} is read "
+                    f"before any instruction defines it")
+            return name
         if isinstance(op, Immediate):
             t = op.type if op.type != PTXType.PRED else itype
             return f"{_NP_DTYPE[t]}({op.value!r})"
@@ -279,20 +359,29 @@ class _Translator:
             self.emit(f"_pend_{lbl[1:]} = None")
         for inst in self.parsed.instructions:
             self._translate_inst(inst)
+        body, self.n_slots = allocate_slots(self.lines)
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
-        return "\n".join(head + self._prologue() + self.lines
+        return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
 
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
         if op == "label":
             lbl = inst.label[1:]
+            self._placed.add(inst.label)
             self.emit(f"if _pend_{lbl} is not None:")
             self.emit(f"    _m = _pend_{lbl} if _m is None else (_m | _pend_{lbl})")
             self.emit(f"    _pend_{lbl} = None")
             self.emit("    if _m is not None and _m.all(): _m = None")
             return
         if op == "bra":
+            if inst.label in self._placed:
+                # the body runs top to bottom once: lanes parked on a
+                # label already passed would never resume
+                raise JITCompileError(
+                    f"kernel {self.parsed.name!r}: backward branch to "
+                    f"{inst.label!r} — the JIT translates forward "
+                    f"branches only")
             lbl = inst.label[1:]
             if inst.guard is None:
                 self.emit("_t = np.ones(_nt, bool) if _m is None else _m")

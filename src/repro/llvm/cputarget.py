@@ -163,8 +163,6 @@ def _bmul(b1: str, b2: str) -> str:
     return f"({b1} * {b2})"
 
 
-
-
 #: integer opcodes whose result may stay a symbolic linear form
 _FOLDABLE = frozenset({"fma", "mad.lo", "add", "sub", "mul", "mul.lo",
                        "shl", "neg"})
@@ -197,7 +195,10 @@ class _CpuTranslator(_Translator):
         self.sym: dict[Register, object] = {}
         self._n = 0
         #: emitted pure expression -> the local holding it; locals are
-        #: assigned once, so identical text is the identical value
+        #: assigned once, so identical text is the identical value (the
+        #: inherited ``translate()`` maps them onto reusable slots only
+        #: after the walk: a local released earlier would have to leave
+        #: this table, changing which operations are emitted)
         self._cse: dict[str, str] = {}
         self._iparams: dict[str, str] = {}
         self._scalars: dict[str, str] = {}

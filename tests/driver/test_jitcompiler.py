@@ -3,11 +3,15 @@
 These run hand-written PTX through the full compile-and-execute path
 against a raw device pool — independent of the expression layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.driver import JITCompileError, KernelCache, compile_ptx, modeled_jit_time
 from repro.memory.pool import DevicePool
+
+from ..ptx.test_single_sweep import _module_of
 
 
 def _views(pool):
@@ -236,3 +240,116 @@ class TestGuardedLoad:
         k(_views(pool), {"p_x": x, "p_y": y}, grid_dim=1, block_dim=4)
         assert np.array_equal(pool.read(y, 4 * 8, np.float64),
                               [1.0, 2.0, 7.0, 7.0])
+
+
+class TestStraightLinePrecondition:
+    """The generated body is straight-line Python: every statement
+    runs once, top to bottom (it is what licenses the JIT's slot
+    allocation).  PTX that needs more is a typed error at build time,
+    never a wrong launch."""
+
+    #: a 4-trip accumulate: a device stores 10.0
+    ACCUMULATE = """
+    ld.param.u64 %ru0, [p_x];
+    mov.f64 %fd0, 0.0;
+    mov.s32 %r1, 0;
+$LOOP:
+    add.f64 %fd0, %fd0, 2.5;
+    add.s32 %r1, %r1, 1;
+    setp.lt.s32 %p1, %r1, 4;
+    @%p1 bra $LOOP;
+    st.global.f64 [%ru0], %fd0;
+    ret;
+"""
+    #: the same trip count carried through memory: structurally valid
+    #: SSA, so the verifier has nothing to say in any mode
+    THROUGH_MEMORY = """
+    ld.param.u64 %ru0, [p_x];
+$AGAIN:
+    ld.global.f64 %fd1, [%ru0];
+    add.f64 %fd2, %fd1, 2.5;
+    st.global.f64 [%ru0], %fd2;
+    setp.lt.f64 %p1, %fd2, 10.0;
+    @%p1 bra $AGAIN;
+    ret;
+"""
+    FORWARD = """
+    ld.param.u64 %ru0, [p_x];
+    ld.global.f64 %fd1, [%ru0];
+    setp.lt.f64 %p1, %fd1, 0.0;
+    @%p1 bra $SKIP;
+    add.f64 %fd2, %fd1, 2.5;
+    st.global.f64 [%ru0], %fd2;
+$SKIP:
+    ret;
+"""
+
+    @staticmethod
+    def _launch(text):
+        """Through a kernel cache, as every launch path does."""
+        pool = DevicePool(1 << 16)
+        addr = pool.allocate(8)
+        pool.write(addr, np.array([2.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kernel, _ = KernelCache().get_or_compile(text)
+            kernel(_views(pool), {"p_x": addr}, grid_dim=1, block_dim=1)
+        return pool.read(addr, 8, np.float64)[0]
+
+    @pytest.mark.parametrize("backend", ["sim", "cpu"])
+    @pytest.mark.parametrize("mode", ["off", "warn", "error"])
+    def test_backward_branch_is_a_typed_error(self, monkeypatch, mode, backend):
+        monkeypatch.setenv("REPRO_VERIFY", mode)
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        text = _wrap(self.ACCUMULATE, [("p_x", "u64", True)], name="accum")
+        # under ``error`` the verifier gets there first (%fd0 and %r1
+        # are assigned twice); either way nothing launches
+        match = "accum" if mode == "error" else r"'accum'.*'\$LOOP'"
+        with pytest.raises(JITCompileError, match=match):
+            self._launch(text)
+        text = _wrap(self.THROUGH_MEMORY, [("p_x", "u64", True)], name="thru")
+        with pytest.raises(JITCompileError, match=r"'thru'.*'\$AGAIN'"):
+            self._launch(text)
+
+    @pytest.mark.parametrize("mode", ["off", "warn"])
+    def test_a_bare_handle_rejects_it_on_its_first_launch(self, monkeypatch,
+                                                          mode):
+        monkeypatch.setenv("REPRO_VERIFY", mode)
+        text = _wrap(self.ACCUMULATE, [("p_x", "u64", True)], name="accum")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kernel = compile_ptx(text)
+        pool = DevicePool(1 << 16)
+        addr = pool.allocate(8)
+        with pytest.raises(JITCompileError, match=r"'accum'.*'\$LOOP'"):
+            kernel(_views(pool), {"p_x": addr}, grid_dim=1, block_dim=1)
+
+    @pytest.mark.parametrize("backend", ["sim", "cpu"])
+    def test_forward_branch_still_runs(self, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        text = _wrap(self.FORWARD, [("p_x", "u64", True)], name="fwd")
+        assert self._launch(text) == 5.0
+
+    def test_analysis_entry_points_keep_accepting_loops(self):
+        from repro.ptx.absint import analyze_module
+        from repro.ptx.verifier import run_passes
+
+        module = _module_of(_wrap(self.THROUGH_MEMORY,
+                                  [("p_x", "u64", True)], name="thru"))
+        analysis = analyze_module(module)
+        assert analysis.max_live_regs >= 8
+        run_passes(module, analysis=analysis)
+
+    def test_read_before_definition_is_a_typed_error(self, monkeypatch):
+        """With slots reused it would read whatever the slot last
+        held; the unallocated body raised a ``NameError``."""
+        monkeypatch.setenv("REPRO_VERIFY", "off")
+        body = """
+    ld.param.u64 %ru0, [p_x];
+    add.f64 %fd1, %fd0, 1.0;
+    st.global.f64 [%ru0], %fd1;
+    ret;
+"""
+        text = _wrap(body, [("p_x", "u64", True)], name="undef")
+        with pytest.raises(JITCompileError, match=r"'undef'.*%fd0"):
+            self._launch(text)

@@ -11,6 +11,7 @@ per element type.
 
 from __future__ import annotations
 
+from ..core.context import ModuleEntry
 from ..ptx.builder import KernelBuilder
 from ..ptx.isa import PTXType
 from ..ptx.module import PTXModule
@@ -115,14 +116,21 @@ class FaceKernels:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._modules: dict[tuple, tuple] = {}
+        self._modules: dict[tuple, ModuleEntry] = {}
 
-    def get(self, kind: str, words_per_site: int, precision: str):
+    def get(self, kind: str, words_per_site: int, precision: str,
+            nsites: int, face_sites) -> ModuleEntry:
+        """The kernel for one copy shape, built — and verified, like
+        every statement kernel — under the launch env of the face that
+        first needs it (:func:`face_env`; the entry keeps that env)."""
         key = (kind, words_per_site, precision)
         entry = self._modules.get(key)
         if entry is None:
             build = (build_gather_kernel if kind == "gather"
                      else build_scatter_kernel)
-            entry = self._modules[key] = self.ctx.build_kernel(
-                build(words_per_site, precision), charge_jit=False)
+            env = face_env(kind, words_per_site, precision, nsites,
+                           face_sites)
+            module, compiled = self.ctx.build_kernel(
+                build(words_per_site, precision), env, charge_jit=False)
+            entry = self._modules[key] = ModuleEntry(module, compiled, env)
         return entry

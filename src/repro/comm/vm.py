@@ -359,8 +359,9 @@ class VirtualMachine:
                 # gather reads src's device data outside the evaluator:
                 # deferred statements targeting it must land first
                 ctx.flush()
-                module, compiled = self.face_kernels[r].get(
-                    "gather", spec.words_per_site, spec.precision)
+                kernel = self.face_kernels[r].get(
+                    "gather", spec.words_per_site, spec.precision,
+                    local.nsites, send_sites)
                 addrs = ctx.field_cache.make_available([src.shards[r]])
                 params = {
                     "p_lo": local.nsites,
@@ -370,8 +371,8 @@ class VirtualMachine:
                     "p_dst": sbuf,
                     "p_src": addrs[src.shards[r].uid],
                 }
-                cost = ctx.device.launch(compiled, module.info, params,
-                                         nface, block_size=128,
+                cost = ctx.device.launch(kernel.compiled, kernel.module.info,
+                                         params, nface, block_size=128,
                                          precision=spec.precision)
                 gather_worst = max(gather_worst, cost.time_s)
 
@@ -443,8 +444,9 @@ class VirtualMachine:
             # the scatter writes dest's faces behind the evaluator's
             # back: pending statements touching dest must launch first
             ctx.flush()
-            module, compiled = self.face_kernels[r].get(
-                "scatter", spec.words_per_site, spec.precision)
+            kernel = self.face_kernels[r].get(
+                "scatter", spec.words_per_site, spec.precision,
+                local.nsites, ex.recv_sites)
             addrs = ctx.field_cache.make_available([dest.shards[r]])
             params = {
                 "p_lo": local.nsites,
@@ -460,8 +462,9 @@ class VirtualMachine:
                           if self.resilience is not None
                           else ex.recv_addrs[r]),
             }
-            cost = ctx.device.launch(compiled, module.info, params, ex.nface,
-                                     block_size=128, precision=spec.precision)
+            cost = ctx.device.launch(kernel.compiled, kernel.module.info,
+                                     params, ex.nface, block_size=128,
+                                     precision=spec.precision)
             ctx.field_cache.mark_device_dirty(dest.shards[r])
             worst = max(worst, cost.time_s)
         rt = self.runtime

@@ -72,15 +72,14 @@ def max_severity(diagnostics) -> Severity | None:
 #: every environment variable the package reads; any other ``REPRO_*``
 #: name in the environment is announced by :func:`warn_unknown_knobs`
 KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_STREAMS", "REPRO_FAULTS",
-         "REPRO_BACKEND", "REPRO_SERVE", "REPRO_RESILIENCE")
-_VERIFY, _FUSION, _STREAMS, _FAULTS, _BACKEND, _SERVE, _RESILIENCE = KNOBS
+         "REPRO_BACKEND", "REPRO_RESILIENCE")
+_VERIFY, _FUSION, _STREAMS, _FAULTS, _BACKEND, _RESILIENCE = KNOBS
 
 VERIFY_MODES = ("off", "warn", "error")
 FUSION_MODES = ("on", "off")
 STREAM_MODES = ("on", "off")
 FAULT_MODES = ("off", "plan:<spec>")
 BACKEND_MODES = ("sim", "cpu")
-SERVE_MODES = ("on", "off", "fifo", "fair")
 RESILIENCE_MODES = ("off", "detect", "recover")
 
 #: ``(env_var, raw value)`` pairs already warned about (warn once per
@@ -179,8 +178,7 @@ def stream_mode(default: str = "on") -> str:
     return _env_mode(_STREAMS, STREAM_MODES, default)
 
 
-def backend_mode(default: str = "sim",
-                 accepted: tuple[str, ...] = BACKEND_MODES) -> str:
+def backend_mode(default: str = "sim") -> str:
     """The execution-backend mode from the ``REPRO_BACKEND`` knob.
 
     ``sim`` (default)
@@ -194,38 +192,11 @@ def backend_mode(default: str = "sim",
         bitwise identical to ``sim``; kernels outside the transpilable
         subset fall back to ``sim`` per kernel with a one-time warning.
 
-    ``accepted`` defaults to the built-in set; the backend registry
-    (:mod:`repro.driver.backends`) passes its registered names so
-    dynamically registered backends are selectable through the knob.
+    Read once per :class:`~repro.driver.cache.KernelCache`, when it is
+    created — like the fusion, stream, fault and resilience knobs, a
+    change takes effect for the next context, not mid-run.
     """
-    return _env_mode(_BACKEND, accepted, default)
-
-
-def serve_mode(default: str = "on") -> str:
-    """The multi-tenant serving policy from the ``REPRO_SERVE`` knob.
-
-    ``on`` (default)
-        Alias for ``fair``: a :class:`~repro.serve.Server` created
-        without an explicit policy schedules tenants with weighted
-        deficit round-robin and enforces admission control.
-    ``fair``
-        Weighted deficit round-robin over tenants (explicit spelling).
-    ``fifo``
-        Non-preemptive first-come-first-served: each session runs to
-        completion in submission order (the baseline the serving
-        benchmark compares against); admission control still applies.
-    ``off``
-        The serving layer is inert: sessions run to completion in
-        submission order with no interleaving and no admission
-        queueing — equivalent to running each workload back-to-back
-        on a bare context.
-
-    A single-tenant workload is bitwise identical (results, reduction
-    scalars, modeled clock, trace modulo tenant tags) under every
-    mode — the scheduler only decides *when* ready work runs, never
-    *what* it computes.
-    """
-    return _env_mode(_SERVE, SERVE_MODES, default)
+    return _env_mode(_BACKEND, BACKEND_MODES, default)
 
 
 def resilience_mode(default: str = "off") -> str:

@@ -1,11 +1,11 @@
-"""The execution-backend registry: per-kernel dispatch.
+"""Execution backends: one build table, per-kernel dispatch.
 
 A kernel artifact (:class:`~repro.driver.jitcompiler.KernelArtifact`)
-carries one lazily built callable per backend; the registry decides
-which one a launch actually runs, per kernel, from the
-``REPRO_BACKEND`` knob (resolved through the shared ``_env_mode``
-machinery, so bad values warn once and fall back to the default like
-every other ``REPRO_*`` knob), and builds it on first dispatch:
+carries one lazily built callable per backend; which one a launch runs
+is the ``REPRO_BACKEND`` value the owning
+:class:`~repro.driver.cache.KernelCache` resolved when it was created
+(through the shared ``_env_mode`` machinery, so a bad value warns once
+and falls back to the default like every other ``REPRO_*`` knob):
 
 ``sim`` (default)
     The PTX translator of :mod:`repro.driver.jitcompiler` — the
@@ -17,21 +17,20 @@ every other ``REPRO_*`` knob), and builds it on first dispatch:
     that folds integer address arithmetic, bitwise identical to
     ``sim``.
 
-Only the selected backend is built.  Kernels outside a backend's
-supported subset *fall back to* ``sim`` (translated then, not before)
-with a one-time warning naming the kernel and the unsupported
-construct — never an error: a run must complete on any knob setting.
-Fallbacks, per-backend kernel counts, compile seconds and launch
-counts accumulate in :class:`BackendStats`, surfaced as
-``ctx.stats.backend`` and in the ``repro.lint --json`` report; they
-count what *this* kernel cache dispatched, whether or not the
-process-wide store already held the callable.
+Only the selected backend is built, the first time a cache sees the
+kernel.  Kernels outside a backend's supported subset *fall back to*
+``sim`` (translated then, not before) with a one-time warning naming
+the kernel and the unsupported construct — never an error: a run must
+complete on any knob setting.  Fallbacks, per-backend kernel counts,
+compile seconds and launch counts accumulate in :class:`BackendStats`,
+surfaced as ``ctx.stats.backend`` and in the ``repro.lint --json``
+report; they count what *this* kernel cache dispatched, whether or not
+the process-wide store already held the callable.
 
-The registry is the permanent seam for additional backends: register
-a :class:`Backend` subclass under a new name and the knob accepts it
-(``register_backend``); every launch path — eager, fused, reduction
-partials, halo faces — routes through here because they all compile
-through :class:`~repro.driver.cache.KernelCache`.
+Every launch path — eager, fused, reduction partials, halo faces —
+routes through here because they all compile through
+:class:`~repro.driver.cache.KernelCache`.  A further backend is one
+more row of :data:`BUILDERS` and one more accepted knob value.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from ..diagnostics import backend_mode
 from .jitcompiler import build_sim_kernel
 
 
@@ -52,7 +50,7 @@ class BackendBuildError(Exception):
 class BackendStats:
     """Per-backend accounting for one kernel cache (one context)."""
 
-    #: the knob value the most recent compile resolved to
+    #: the knob value the owning cache resolved at construction
     mode: str = "sim"
     #: backend name -> kernels this cache dispatched to it
     kernels: dict = field(default_factory=dict)
@@ -69,72 +67,24 @@ class BackendStats:
         self.launches[backend] = self.launches.get(backend, 0) + 1
 
 
-class Backend:
-    """One execution backend: builds a launchable callable per kernel.
-
-    ``build`` receives the
-    :class:`~repro.driver.jitcompiler.KernelArtifact` (which carries
-    the PTX text and the parsed form) and returns a callable with the
-    launch signature ``(views, params, grid_dim, block_dim)``.  Raise
-    :class:`BackendBuildError` (``TranspileError`` is one) for kernels
-    outside the backend's supported subset.
-    """
-
-    name = "backend"
-
-    def build(self, artifact):
-        raise NotImplementedError
+def _build_sim(artifact):
+    return build_sim_kernel(artifact.parsed)
 
 
-class SimBackend(Backend):
-    """The driver JIT's own translation — always available."""
+def _build_cpu(artifact):
+    from ..llvm.cputarget import compile_cpu_kernel
 
-    name = "sim"
-
-    def build(self, artifact):
-        return build_sim_kernel(artifact.parsed)
+    return compile_cpu_kernel(artifact.ptx_text, artifact.parsed)
 
 
-class CpuBackend(Backend):
-    """The compiled vectorized-NumPy backend (:mod:`repro.llvm`)."""
-
-    name = "cpu"
-
-    def build(self, artifact):
-        from ..llvm.cputarget import compile_cpu_kernel
-
-        return compile_cpu_kernel(artifact.ptx_text, artifact.parsed)
-
-
-_REGISTRY: dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> None:
-    """Register (or replace) a backend; the knob accepts its name."""
-    _REGISTRY[backend.name] = backend
-
-
-def unregister_backend(name: str) -> None:
-    if name in ("sim", "cpu"):
-        raise ValueError(f"built-in backend {name!r} cannot be removed")
-    _REGISTRY.pop(name, None)
-
-
-def get_backend(name: str) -> Backend:
-    return _REGISTRY[name]
-
-
-def backend_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-register_backend(SimBackend())
-register_backend(CpuBackend())
-
-
-def resolve_backend_mode() -> str:
-    """The active ``REPRO_BACKEND`` value against the live registry."""
-    return backend_mode(accepted=backend_names())
+#: backend name -> builder: takes the
+#: :class:`~repro.driver.jitcompiler.KernelArtifact` (PTX text and
+#: parsed form) and returns a callable with the launch signature
+#: ``(views, params, grid_dim, block_dim)``, or raises
+#: :class:`BackendBuildError` (``TranspileError`` is one) for a kernel
+#: outside the backend's subset.  ``sim`` is what a failed build falls
+#: back to.
+BUILDERS = {"sim": _build_sim, "cpu": _build_cpu}
 
 
 @dataclass
@@ -161,23 +111,17 @@ def build_stats(name: str) -> BuildStats:
 
 
 def select_backend(kernel, stats: BackendStats) -> None:
-    """Point ``kernel`` at the active backend's callable (idempotent).
+    """Point ``kernel`` at the callable of the cache's backend.
 
-    Called by the kernel cache on every compile *and* cache hit, so a
-    mid-process knob change re-dispatches already-compiled kernels.
-    Build failures degrade to ``sim`` with a one-time warning and are
-    counted in ``stats`` — they never propagate.
+    Called by the kernel cache once per kernel, the first time it sees
+    the digest; ``stats.mode`` is the backend the cache resolved at
+    construction.  Build failures degrade to ``sim`` with a one-time
+    warning and are counted in ``stats`` — they never propagate.
     """
-    mode = resolve_backend_mode()
-    stats.mode = mode
-    if kernel.backend == mode:
-        return
-    funcs = kernel.backend_funcs
-    for name in (mode, "sim"):      # "sim": what a failed build falls back to
-        if name not in funcs:
-            funcs[name] = _callable_for(kernel.artifact, name, stats)
-        if funcs[name] is not None:
-            kernel.backend, kernel.func = name, funcs[name]
+    for name in (stats.mode, "sim"):
+        func = _callable_for(kernel.artifact, name, stats)
+        if func is not None:
+            kernel.backend, kernel.func = name, func
             return
 
 
@@ -192,7 +136,7 @@ def _callable_for(artifact, mode: str, stats: BackendStats):
     elif mode not in artifact.build_errors:
         t0 = time.perf_counter()
         try:
-            func = _REGISTRY[mode].build(artifact)
+            func = BUILDERS[mode](artifact)
         except BackendBuildError as exc:
             artifact.build_errors[mode] = str(exc)
             warnings.warn(

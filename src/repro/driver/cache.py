@@ -17,9 +17,11 @@ already holds the artifact, so the modeled JIT clock, ``stats`` and
 ``backend`` do not depend on what ran earlier in the process — only
 measured seconds do.
 
-Every lookup also runs the backend registry's per-kernel dispatch
-(:func:`repro.driver.backends.select_backend`), which builds the
-selected backend's callable on the artifact if no view has yet.
+A view resolves ``REPRO_BACKEND`` once, when it is created; the first
+time it sees a digest it runs the per-kernel dispatch
+(:func:`repro.driver.backends.select_backend`), which builds that
+backend's callable on the artifact if no view has yet.  A hit returns
+the handle as dispatched, without consulting the knob.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .backends import BackendStats, BuildStats, build_stats, select_backend
+from ..diagnostics import backend_mode
+from .backends import BackendStats, BuildStats, select_backend
 from .jitcompiler import (CompiledKernel, KernelArtifact, compile_ptx,
                           verify_artifact)
 
@@ -39,18 +42,6 @@ def clear_kernel_store() -> None:
     """Forget every artifact (tests that need a cold process).  Views
     keep the handles they already hold."""
     _STORE.clear()
-
-
-def drop_backend_callables(name: str) -> None:
-    """Forget the store's callables (and build failures) of backend
-    ``name`` and zero its :func:`~repro.driver.backends.build_stats`
-    in place, so a stats object held across the call stays live."""
-    for artifact in _STORE.values():
-        artifact.callables.pop(name, None)
-        artifact.build_errors.pop(name, None)
-    built = build_stats(name)
-    built.hits = built.misses = 0
-    built.total_compile_seconds = 0.0
 
 
 @dataclass
@@ -66,8 +57,9 @@ class KernelCache:
     def __init__(self):
         self._kernels: dict[str, CompiledKernel] = {}
         self.stats = CacheStats()
-        #: per-backend dispatch accounting (``ctx.stats.backend``)
-        self.backend = BackendStats()
+        #: per-backend dispatch accounting (``ctx.stats.backend``); its
+        #: ``mode`` is this view's backend, read from the knob here only
+        self.backend = BackendStats(mode=backend_mode())
 
     @staticmethod
     def key_for(ptx_text: str) -> str:
@@ -86,8 +78,6 @@ class KernelCache:
         if kernel is not None:
             self.stats.hits += 1
             verify_artifact(kernel.artifact, env, replay=False)
-            # re-dispatch on every hit: the knob may have changed
-            select_backend(kernel, self.backend)
             return kernel, True
         artifact = _STORE.get(key)
         if artifact is None:

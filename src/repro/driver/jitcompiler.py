@@ -156,25 +156,21 @@ class KernelArtifact:
 class CompiledKernel:
     """One kernel cache's launch handle on a :class:`KernelArtifact`.
 
-    Holds what is per view: the backend the registry selected
-    (:func:`repro.driver.backends.select_backend`), its callable, the
-    backends this view has dispatched the kernel to, and the view's
-    launch accounting.  ``name`` and ``regs_per_thread`` are copied so
-    the launch path reads them off the handle.  A handle no cache has
-    dispatched (a bare :func:`compile_ptx` result) runs the reference
-    ``sim`` translation, built on its first launch.
+    Holds what is per view: the backend the view dispatched the kernel
+    to (:func:`repro.driver.backends.select_backend`), its callable,
+    and the view's launch accounting.  ``name`` and ``regs_per_thread``
+    are copied so the launch path reads them off the handle.  A handle
+    no cache has dispatched (a bare :func:`compile_ptx` result) runs
+    the reference ``sim`` translation, built on its first launch.
     """
 
     def __init__(self, artifact: KernelArtifact):
         self.artifact = artifact
         self.name = artifact.name
         self.regs_per_thread = artifact.regs_per_thread
-        #: the backend a launch dispatches to (set by the registry)
+        #: the backend a launch dispatches to (set by the dispatch)
         self.backend: str | None = None
         self.func = self._launch_sim
-        #: backend name -> callable (``None``: it declined the kernel)
-        #: for every backend this view has dispatched the kernel to
-        self.backend_funcs: dict = {}
         #: per-backend launch accounting, shared with the owning cache
         self.backend_stats = None
 
@@ -550,7 +546,7 @@ def compile_ptx(ptx_text: str, env=None) -> CompiledKernel:
     caller's launch ``env`` (a :class:`~repro.ptx.absint.KernelEnv`;
     gated by ``REPRO_VERIFY``) and sizes the register footprint from
     that one analysis.  No backend callable is built here — the
-    registry builds the selected one on dispatch.  Raises
+    kernel cache's dispatch builds the selected one.  Raises
     :class:`JITCompileError` on malformed or rejected input.
     """
     t0 = time.perf_counter()

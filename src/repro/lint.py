@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 9)::
+JSON schema (``schema_version`` 10)::
 
     {
-      "schema_version": 9,
+      "schema_version": 10,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -101,36 +101,6 @@ JSON schema (``schema_version`` 9)::
       "ir": {                          # SSA structural check (repro.ir)
         "modules_verified": int        # generated modules checked
       },
-      "serving": {                     # multi-tenant layer (REPRO_SERVE)
-        "mode": "fair" | "fifo" | "off",
-        "scheduler": {"policy": str, "decisions": int,
-                      "quantum_s": float},
-        "admission": {"budget_bytes": int, "queued": int,
-                      "rejections": int},
-        "jit_cache": {                 # shared compiled-kernel cache
-          "kernels": int, "cross_tenant_hits": int,
-          "hits_by_tenant": {str: int}, "misses_by_tenant": {str: int}
-        },
-        "tenants": {str: {...}},       # TenantStats.as_json() + weight
-        "sessions": {                  # server-wide session accounting
-          "decisions": int, "admission_queued": int,
-          "admission_rejections": int, "sessions_submitted": int,
-          "sessions_completed": int, "idle_s": float
-        }
-      },
-      "resilience": {                  # rank fault tolerance
-        "mode": "off" | "detect" | "recover",  # REPRO_RESILIENCE
-        "policy": "buddy" | "shrink" | null,   # null when mode is off
-        "kills_injected": int,         # fired rank.kill faults
-        "stragglers_injected": int,    # fired rank.straggler faults
-        "stragglers_flagged": int,     # ranks the detector flagged
-        "detections": int,             # dead ranks detected
-        "recoveries_by_policy": {str: int},
-        "recovery_modeled_s": float,   # fault-lane seconds charged
-        "checkpoints": int,            # buddy checkpoint refreshes
-        "checkpoint_bytes": int,
-        "restored_payloads": int       # payloads re-materialized
-      },
       "summary": {
         "kernels": int, "diagnostics": int,
         "errors": int, "warnings": int, "notes": int,
@@ -149,7 +119,7 @@ import sys
 import warnings
 
 from .core.lint import LINT_PASSES, lint_assignment
-from .diagnostics import Severity, warn_unknown_knobs
+from .diagnostics import Severity, max_severity, warn_unknown_knobs
 from .ptx.verifier import PASSES, run_passes
 
 
@@ -225,79 +195,20 @@ def _build_kernel_suite(dims: tuple[int, ...]):
 
 def _suite_modules(ctx, lat, precision: str = "f64"):
     """(module, compiled, env) for every kernel the suite built, plus
-    the halo face copies bound to a t-face of the same lattice.
+    the halo face copies, built through the cache the comm VM launches
+    them from and bound to a t-face of the same lattice.
 
-    The face copies are analyzed against the face normal to the
-    slowest-varying (t) dimension — a contiguous site run, which is
-    the direction the paper splits the lattice in.
+    That is the face normal to the slowest-varying (t) dimension — a
+    contiguous site run, the direction the paper splits the lattice in.
     """
-    from .comm.faces import build_gather_kernel, build_scatter_kernel, face_env
+    from .comm.faces import FaceKernels
 
-    out = [(e.module, e.compiled, e.env) for e in ctx.module_cache.values()]
-
+    faces = FaceKernels(ctx)
     t_face = lat.face_sites(lat.nd - 1, +1)
-    for kind, build in (("gather", build_gather_kernel),
-                        ("scatter", build_scatter_kernel)):
-        module, compiled = ctx.build_kernel(build(24, precision),
-                                            charge_jit=False)
-        env = face_env(kind, 24, precision, lat.nsites, t_face)
-        out.append((module, compiled, env))
-    return out
-
-
-def _serving_mini_run(dims: tuple[int, ...] = (2, 2, 2, 4)):
-    """A tiny two-tenant serving run under the current REPRO_SERVE
-    mode; returns the :class:`~repro.serve.Server` for its report.
-
-    Two tenants solve the same CG shape so the report demonstrates the
-    shared-JIT-cache economics (the second tenant's kernels are all
-    cross-tenant hits) alongside the scheduler and admission counters.
-    """
-    from .diagnostics import serve_mode
-    from .serve import Server, cg_diag_workload
-
-    srv = Server(policy=serve_mode())
-    a = srv.tenant("tenant-a", weight=2.0)
-    b = srv.tenant("tenant-b")
-    srv.submit(a, cg_diag_workload(dims=dims, seed=3, max_iter=8))
-    srv.submit(b, cg_diag_workload(dims=dims, seed=4, max_iter=8))
-    srv.drain()
-    return srv
-
-
-def _resilience_mini_run(global_dims=(2, 2, 2, 4),
-                         grid_dims=(1, 1, 1, 2)) -> dict:
-    """A tiny two-rank VM run under the current ``REPRO_RESILIENCE``
-    mode; returns the resilience JSON block (zeros when off).
-
-    One boundary-crossing shift per dimension drives the exchange
-    barrier — where buddy checkpoints refresh and rank faults are
-    drawn — so a ``REPRO_RESILIENCE=recover`` run with a
-    ``REPRO_FAULTS`` plan carrying ``rank.kill`` specs surfaces its
-    kill/recovery counters here.
-    """
-    import numpy as np
-
-    from .comm import VirtualMachine
-    from .diagnostics import resilience_mode
-    from .qdp.typesys import fermion
-    from .resilience import ResilienceStats
-
-    vm = VirtualMachine(global_dims, grid_dims)
-    g = vm.global_lattice
-    rng = np.random.default_rng(11)
-    data = (rng.normal(size=(g.nsites,) + (4, 3))
-            + 1j * rng.normal(size=(g.nsites,) + (4, 3)))
-    f = vm.field(fermion(), "psi")
-    f.from_global(data)
-    d = vm.field(fermion(), "chi")
-    for mu in range(len(global_dims)):
-        vm.shift_into(d, f, mu, +1)
-        f, d = d, f
-    if vm.resilience is not None:
-        return vm.resilience.as_json()
-    return {"mode": resilience_mode(), "policy": None,
-            **ResilienceStats().as_json()}
+    entries = list(ctx.module_cache.values()) + [
+        faces.get(kind, 24, precision, lat.nsites, t_face)
+        for kind in ("gather", "scatter")]
+    return [(e.module, e.compiled, e.env) for e in entries]
 
 
 def _wall_by_family(per_kernel_wall_s: dict) -> dict:
@@ -394,7 +305,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 9; see module docstring)")
+                             "(schema_version 10; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -414,12 +325,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         ctx, lat, ast_findings = _build_kernel_suite(args.lattice)
         suite = _suite_modules(ctx, lat)
-        serving = _serving_mini_run()
-        resilience = _resilience_mini_run()
 
-    worst = Severity.NOTE
-    n_diags = 0
-    counts_total = {s: 0 for s in Severity}
+    found = []
     kernels = []
     if text:
         print(f"\n-- PTX verifier: {len(suite)} kernel(s) "
@@ -428,15 +335,11 @@ def main(argv=None) -> int:
         record, diagnostics = _kernel_report(module, compiled, env,
                                              ctx.device.spec)
         kernels.append(record)
-        n_diags += len(diagnostics)
-        counts = _severity_counts(diagnostics)
-        for s, n in counts.items():
-            counts_total[s] += n
-        if diagnostics:
-            worst = max(worst, max(d.severity for d in diagnostics))
+        found += diagnostics
         if not text:
             continue
         if diagnostics:
+            counts = _severity_counts(diagnostics)
             summary = ", ".join(f"{counts[s]} {s.label}" for s in
                                 sorted(counts, reverse=True) if counts[s])
         else:
@@ -452,14 +355,14 @@ def main(argv=None) -> int:
         print("\n-- AST lint: operator expressions " + "-" * 20)
         if not ast_findings:
             print("  dslash expression: clean")
-    n_diags += len(ast_findings)
-    for d in ast_findings:
-        worst = max(worst, d.severity)
-        counts_total[d.severity] += 1
-        if text:
+        for d in ast_findings:
             print(f"  {d.render()}")
+    found += ast_findings
 
-    failed = worst >= Severity.ERROR
+    worst = max_severity(found)
+    failed = worst is not None and worst >= Severity.ERROR
+    be = ctx.stats.backend
+    wall_by_family = _wall_by_family(ctx.device.stats.per_kernel_wall_s)
     timeline = ctx.device.runtime.timeline
     cache = ctx.field_cache.stats
     if text:
@@ -487,7 +390,6 @@ def main(argv=None) -> int:
               f"{fc.solver_restarts} solver restart(s)")
         print("\n-- IR " + "-" * 48)
         print(f"  {ctx.stats.modules_verified} module(s) SSA-verified")
-        be = ctx.stats.backend
         print(f"\n-- backends (REPRO_BACKEND={be.mode}) " + "-" * 26)
         for name in sorted(set(be.kernels) | set(be.launches)):
             print(f"  {name}: {be.kernels.get(name, 0)} kernel(s) built "
@@ -497,51 +399,18 @@ def main(argv=None) -> int:
             print(f"  {be.fallbacks} fallback(s) to sim:")
             for kname, why in be.fallback_kernels.items():
                 print(f"    {kname}: {why}")
-        fam = _wall_by_family(ctx.device.stats.per_kernel_wall_s)
-        if fam:
+        if wall_by_family:
             wall = ", ".join(f"{k} {v * 1e3:.1f} ms"
-                             for k, v in sorted(fam.items()))
+                             for k, v in sorted(wall_by_family.items()))
             print(f"  measured kernel wall-clock: {wall}")
-        sj = serving.as_json()
-        print(f"\n-- serving (REPRO_SERVE={sj['mode']}) " + "-" * 26)
-        print(f"  scheduler {sj['scheduler']['policy']}: "
-              f"{sj['scheduler']['decisions']} decision(s), quantum "
-              f"{sj['scheduler']['quantum_s'] * 1e6:.0f} us; admission: "
-              f"{sj['admission']['queued']} queued, "
-              f"{sj['admission']['rejections']} rejection(s)")
-        print(f"  shared JIT cache: {sj['jit_cache']['kernels']} "
-              f"kernel(s), {sj['jit_cache']['cross_tenant_hits']} "
-              f"cross-tenant hit(s)")
-        for name, t in sorted(sj["tenants"].items()):
-            print(f"  {name} (weight {t['weight']:g}): "
-                  f"{t['sessions_completed']}/{t['sessions_submitted']} "
-                  f"session(s), {t['launches']} launch(es), service "
-                  f"{t['service_s'] * 1e6:.1f} us, jit "
-                  f"{t['jit_misses']} compile(s) + {t['jit_hits']} "
-                  f"hit(s) ({t['jit_shared_hits']} cross-tenant)")
-        rz = resilience
-        print(f"\n-- resilience (REPRO_RESILIENCE={rz['mode']}) "
-              + "-" * 20)
-        print(f"  policy {rz['policy'] or '-'}: {rz['kills_injected']} "
-              f"kill(s), {rz['stragglers_flagged']}/"
-              f"{rz['stragglers_injected']} straggler(s) flagged, "
-              f"{rz['detections']} detection(s)")
-        recov = ", ".join(
-            f"{k} x{v}" for k, v in
-            sorted(rz["recoveries_by_policy"].items())) or "none"
-        print(f"  recoveries: {recov}; modeled cost "
-              f"{rz['recovery_modeled_s'] * 1e6:.1f} us; "
-              f"{rz['checkpoints']} checkpoint(s) "
-              f"({rz['checkpoint_bytes']} bytes), "
-              f"{rz['restored_payloads']} payload(s) restored")
         status = "FAIL" if failed else "ok"
         print(f"\nrepro.lint: {status}: {len(suite)} kernel(s) verified, "
-              f"{n_diags} diagnostic(s), worst severity "
-              f"{worst.label if n_diags else 'none'}")
+              f"{len(found)} diagnostic(s), worst severity "
+              f"{worst.label if found else 'none'}")
     else:
-        be = ctx.stats.backend
+        counts = _severity_counts(found)
         report = {
-            "schema_version": 9,
+            "schema_version": 10,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),
@@ -579,19 +448,16 @@ def main(argv=None) -> int:
                 "launches": dict(be.launches),
                 "fallbacks": be.fallbacks,
                 "fallback_kernels": dict(be.fallback_kernels),
-                "wall_s_by_family": _wall_by_family(
-                    ctx.device.stats.per_kernel_wall_s),
+                "wall_s_by_family": wall_by_family,
             },
             "ir": {"modules_verified": ctx.stats.modules_verified},
-            "serving": serving.as_json(),
-            "resilience": resilience,
             "summary": {
                 "kernels": len(suite),
-                "diagnostics": n_diags,
-                "errors": counts_total[Severity.ERROR],
-                "warnings": counts_total[Severity.WARNING],
-                "notes": counts_total[Severity.NOTE],
-                "worst": worst.label if n_diags else None,
+                "diagnostics": len(found),
+                "errors": counts[Severity.ERROR],
+                "warnings": counts[Severity.WARNING],
+                "notes": counts[Severity.NOTE],
+                "worst": worst.label if found else None,
                 "status": "fail" if failed else "ok",
             },
         }

@@ -1,22 +1,11 @@
-"""The LLVM backend (paper Sec. XI, Future Work — implemented): a
-compiled CPU work-item target (the ``cpu`` entry of the backend
-registry) that walks the driver's parsed PTX instruction stream, and a
-PTX -> LLVM IR text unparser over the same stream."""
+"""The LLVM backend (paper Sec. XI, Future Work): a compiled CPU
+work-item target — the ``cpu`` row of the backend build table — that
+walks the driver's parsed PTX instruction stream."""
 
-from .cputarget import (
-    CompiledCPUKernel,
-    clear_code_cache,
-    code_cache_stats,
-    compile_cpu_kernel,
-)
-from .transpiler import TranspileError, Transpiler, transpile
+from .cputarget import TranspileError, code_cache_stats, compile_cpu_kernel
 
 __all__ = [
-    "CompiledCPUKernel",
     "TranspileError",
-    "Transpiler",
-    "clear_code_cache",
     "code_cache_stats",
     "compile_cpu_kernel",
-    "transpile",
 ]

@@ -1,14 +1,14 @@
 """The CPU target for the LLVM backend (paper Sec. XI).
 
-:class:`CompiledCPUKernel` is what the ``cpu`` entry of the backend
-registry (:mod:`repro.driver.backends`) dispatches to: the parsed PTX
-instruction stream — the same :class:`~repro.driver.parser.ParsedKernel`
-the driver JIT translated for ``sim`` — is code-generated into
-vectorized-NumPy Python source (vectorized over work-items: the site
-loop an LLVM-backed QDP-JIT wraps around the per-site function) and
-``compile()``d; the registry keeps the result on the kernel's artifact
-in the process-wide store (:mod:`repro.driver.cache`), so it is built
-once per process.
+:func:`compile_cpu_kernel` is the ``cpu`` row of the backend build
+table (:mod:`repro.driver.backends`): the parsed PTX instruction
+stream — the same :class:`~repro.driver.parser.ParsedKernel` the driver
+JIT translated for ``sim`` — is code-generated into vectorized-NumPy
+Python source (vectorized over work-items: the site loop an
+LLVM-backed QDP-JIT wraps around the per-site function) and
+``compile()``d; the dispatch keeps the resulting function on the
+kernel's artifact in the process-wide store
+(:mod:`repro.driver.cache`), so it is built once per process.
 
 The generator is a subclass of the driver's reference translator
 (:class:`repro.driver.jitcompiler._Translator`): one instruction walk,
@@ -16,29 +16,61 @@ one set of op tables, one mask/branch emission.  It overrides only
 what its contract licenses.  The compiled path is *bitwise identical
 to the sim backend on every observable memory effect* — the contract
 is on loaded/stored values, not on intermediate registers, which is
-what makes it fast.  Integer address arithmetic (exact, modular) is
-folded symbolically at compile time into per-kernel linear forms
-``gid*a + b`` whose scalar part is evaluated once per launch in
-Python-int arithmetic; floating-point operations are never
-reassociated or folded (only deduplicated when operands are identical,
-which cannot change bits).  See DESIGN.md "The backend registry and
-the compiled CPU backend".
+what makes it fast.  Integer address arithmetic is folded symbolically
+at compile time into per-kernel linear forms ``gid*a + b`` over
+Z/2**64, whose scalar part is evaluated once per launch in Python-int
+arithmetic; a form is reduced to its register's width wherever that
+width can be observed, so the fold is exact, wraps included.
+Floating-point operations are never reassociated or folded (only
+deduplicated when operands are identical, which cannot change bits).
+See DESIGN.md "The build table and the compiled CPU backend".
+
+Subset restrictions (checked by :func:`check_subset`, with clear
+errors): single static assignment per register (our code generators
+emit SSA already) and the guarded-forward-branch control flow the
+generators use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..driver.backends import BuildStats, build_stats
-from ..driver.cache import drop_backend_callables
+from ..diagnostics import errors
+from ..driver.backends import BackendBuildError, BuildStats, build_stats
 from ..driver.jitcompiler import _NP_DTYPE, _RUNTIME, _SHIFT, _Translator
 from ..driver.parser import ParsedKernel, parse_ptx
+from ..ir.ssa import SSAFunction
+from ..ir.verify import check_ssa
 from ..memory.pool import ALIGNMENT
 from ..ptx.isa import NUMPY_DTYPES, Immediate, Instruction, PTXType, Register, Special
-from .transpiler import TranspileError, check_subset, transpile
+
+
+class TranspileError(BackendBuildError):
+    """The PTX program falls outside the transpilable subset."""
+
+
+def check_subset(parsed: ParsedKernel) -> None:
+    """Raise :class:`TranspileError` unless ``parsed`` is in the subset
+    the ``cpu`` generator accepts: structurally valid SSA (every
+    register assigned once, defined before use) and no guarded
+    instruction other than a forward branch."""
+    for inst in parsed.instructions:
+        if inst.guard is not None and inst.opcode != "bra":
+            # the generators guard only forward branches; a guarded
+            # arithmetic/memory instruction would need per-instruction
+            # predication the generator does not model
+            raise TranspileError(
+                f"{parsed.name}: guarded {inst.opcode!r} — only guarded "
+                f"forward branches are in the transpilable subset")
+    fn = SSAFunction.from_instructions(parsed.name, parsed.instructions)
+    errs = errors(check_ssa(fn))
+    if errs:
+        raise TranspileError(
+            f"{parsed.name}: outside the SSA subset the LLVM backend "
+            f"supports (a register assigned twice or used before its "
+            f"definition): " + "; ".join(d.message for d in errs))
 
 
 # --- runtime helpers (beside the driver's _ld/_st) -------------------------
@@ -90,28 +122,75 @@ class _Lin(NamedTuple):
 
     ``a`` is a compile-time Python int; ``b`` is a Python-int
     expression over hoisted launch parameters (``_i<k>`` locals) and
-    literals, evaluated once per launch.  Exact because integer
-    arithmetic is modular and generated address chains do not overflow
-    (active-lane addresses are valid pool offsets by construction).
+    literals, evaluated once per launch, whose value lies in
+    ``[lo, hi]``.  The form stands for its register modulo
+    ``2**width``: ring operations fold exactly, ``a`` and ``b`` are
+    kept int64 representatives (:func:`_lin`), and the register's own
+    value is taken wherever the width shows — at a widening ``cvt``
+    (:meth:`_CpuTranslator._fold_cvt`) and at materialization.
     """
 
     a: int
     b: str
+    lo: int
+    hi: int
 
 
 class _VLin(NamedTuple):
     """Integer vector linear in a loaded index vector: ``base*a + b``.
 
     ``base`` names an int64 vector local (a gather/shift-map table
-    read widened once); ``a`` and ``b`` are as in :class:`_Lin`.  This
-    is what folds the table-driven address chains of shift and subset
-    kernels — the dominant pattern in dslash — down to one add per
-    memory access.
+    read widened once), so the form is always 64 bits wide; ``a``,
+    ``b``, ``lo`` and ``hi`` are as in :class:`_Lin`.  This is what
+    folds the table-driven address chains of shift and subset kernels
+    — the dominant pattern in dslash — down to one add per memory
+    access.
     """
 
     base: str
     a: int
     b: str
+    lo: int
+    hi: int
+
+
+#: the global thread id ``gid*1 + 0`` and the largest value it takes:
+#: lanes are elements of one NumPy array
+_GID = _Lin(1, "0", 0, 0)
+_GID_MAX = 2**31 - 1
+#: what a ``.ptr`` parameter holds: an address in the device pool, one
+#: host buffer (x86-64 user space is 47 bits)
+_PTR_RANGE = (0, 2**48 - 1)
+
+
+def _wrap(x: int, t: PTXType) -> int:
+    """``x`` modulo ``2**width``, in integer type ``t``'s range: what a
+    register of that type holds."""
+    lo, hi = t.int_range
+    return (x - lo) % (hi - lo + 1) + lo
+
+
+def _wrap_scalar(b: str, t: PTXType) -> tuple[str, int, int]:
+    """:func:`_wrap` of a scalar part, as ``(b, lo, hi)``: a literal is
+    reduced now, an expression once per launch."""
+    if _is_lit(b):
+        v = _wrap(int(b), t)
+        return str(v), v, v
+    lo, hi = t.int_range
+    return f"(({b} - {lo}) % {hi - lo + 1} + {lo})", lo, hi
+
+
+def _fits(lo: int, hi: int, t: PTXType) -> bool:
+    return t.int_range[0] <= lo and hi <= t.int_range[1]
+
+
+def _lin(a: int, b: str, lo: int, hi: int, base: str | None = None):
+    """The form with ``a`` and ``b`` as int64 representatives; ``b`` is
+    left alone when its bounds prove it one already."""
+    if not _fits(lo, hi, PTXType.S64):
+        b, lo, hi = _wrap_scalar(b, PTXType.S64)
+    a = _wrap(a, PTXType.S64)
+    return _Lin(a, b, lo, hi) if base is None else _VLin(base, a, b, lo, hi)
 
 
 class _FImm(NamedTuple):
@@ -189,7 +268,10 @@ class _CpuTranslator(_Translator):
         super().__init__(parsed)
         self.consts: dict[str, object] = {}
         self._const_names: dict[tuple, str] = {}
-        self.int_params = {p.name for p in parsed.params if p.type.is_int}
+        #: integer parameter -> the range of what a launch binds to it
+        self.int_params = {
+            p.name: _PTR_RANGE if p.is_pointer else p.type.int_range
+            for p in parsed.params if p.type.is_int}
         #: register -> symbolic value (a vector local's name, or a
         #: _Lin/_VLin/_FImm/_Spec still to be materialized)
         self.sym: dict[Register, object] = {}
@@ -333,7 +415,8 @@ class _CpuTranslator(_Translator):
                 t = op.type
             if t.is_float:
                 return _FImm(t, repr(float(op.value)))
-            return _Lin(0, str(int(op.value)))
+            v = int(op.value)
+            return _lin(0, str(v), v, v)
         raise TranspileError(f"{self.parsed.name}: bad operand {op!r}")
 
     def _gmul(self, a: int, gbase: str = "_G") -> str:
@@ -353,9 +436,12 @@ class _CpuTranslator(_Translator):
             self.need_gl = True
             return "_" + sym.which
         if isinstance(sym, _Lin) and sym.a == 0:
-            if _is_lit(sym.b):
-                return self._const(t, sym.b)
-            return self._shared(f"{_NP_DTYPE[t]}({self._scalar(sym.b)})")
+            b = sym.b
+            if t.is_int and not _fits(sym.lo, sym.hi, t):
+                b = _wrap_scalar(b, t)[0]     # what the register holds
+            if _is_lit(b):
+                return self._const(t, b)
+            return self._shared(f"{_NP_DTYPE[t]}({self._scalar(b)})")
         if isinstance(sym, _Lin):
             self.need_G = True
             core = self._gmul(sym.a)
@@ -378,7 +464,7 @@ class _CpuTranslator(_Translator):
         if op == "fma" and all(isinstance(s, _Spec) for s in syms) and \
                 tuple(s.which for s in syms) == ("ctaid", "ntid", "tid"):
             # the canonical global-thread-id computation
-            self.sym[inst.dst] = _Lin(1, "0")
+            self.sym[inst.dst] = _GID
             return True
         if not all(isinstance(s, (_Lin, _VLin)) for s in syms):
             return False
@@ -398,7 +484,8 @@ class _CpuTranslator(_Translator):
             x, y = syms
             if isinstance(y, _Lin) and y.a == 0 and _is_lit(y.b) \
                     and 0 <= int(y.b) <= 62:
-                out = self._lin_mul(x, _Lin(0, str(1 << int(y.b))))
+                k = 1 << int(y.b)
+                out = self._lin_mul(x, _Lin(0, str(k), k, k))
         elif op == "neg":
             out = self._lin_neg(syms[0])
         if out is None:
@@ -408,26 +495,28 @@ class _CpuTranslator(_Translator):
 
     @staticmethod
     def _lin_add(x, y):
+        lo, hi = x.lo + y.lo, x.hi + y.hi
         if isinstance(x, _Lin) and isinstance(y, _Lin):
-            return _Lin(x.a + y.a, _badd(x.b, y.b))
+            return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi)
         if isinstance(x, _Lin):
             x, y = y, x
         if isinstance(y, _VLin):                  # VLin + VLin
             if x.base != y.base:
                 return None
-            return _VLin(x.base, x.a + y.a, _badd(x.b, y.b))
+            return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi, x.base)
         if y.a != 0:
             return None                           # table vec + gid vec
-        return _VLin(x.base, x.a, _badd(x.b, y.b))
+        return _lin(x.a, _badd(x.b, y.b), lo, hi, x.base)
 
     @staticmethod
     def _lin_neg(x):
-        if isinstance(x, _Lin):
-            return _Lin(-x.a, _bsub("0", x.b))
-        return _VLin(x.base, -x.a, _bsub("0", x.b))
+        return _lin(-x.a, _bsub("0", x.b), -x.hi, -x.lo,
+                    x.base if isinstance(x, _VLin) else None)
 
     @staticmethod
     def _lin_mul(x, y):
+        corners = [p * q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+        lo, hi = min(corners), max(corners)
         if isinstance(x, _VLin) or isinstance(y, _VLin):
             if isinstance(x, _VLin) and isinstance(y, _VLin):
                 return None
@@ -437,8 +526,8 @@ class _CpuTranslator(_Translator):
                 return None                  # coeff must stay const
             k = int(x.b)
             if k == 0:
-                return _Lin(0, "0")
-            return _VLin(y.base, y.a * k, _bmul(y.b, str(k)))
+                return _Lin(0, "0", 0, 0)
+            return _lin(y.a * k, _bmul(y.b, str(k)), lo, hi, y.base)
         if x.a != 0 and y.a != 0:
             return None                      # gid^2: not linear
         if x.a != 0:
@@ -446,16 +535,24 @@ class _CpuTranslator(_Translator):
         if y.a != 0 and not _is_lit(x.b):
             return None                      # gid coeff must stay const
         scale = int(x.b) if y.a != 0 else 0
-        return _Lin(y.a * scale, _bmul(x.b, y.b))
+        return _lin(y.a * scale, _bmul(x.b, y.b), lo, hi)
 
     def _fold_cvt(self, inst: Instruction) -> bool:
         """Integer -> integer ``cvt`` of an address-chain value passes
-        through symbolically — exact under the no-intermediate-overflow
-        property of generated address chains (DESIGN.md "Known
-        deviations")."""
+        through symbolically.  Same-width and narrowing conversions
+        are the identity on a form (it stands for its register modulo
+        the width); a *widening* one shows the source width, so a form
+        not proven to lie in the source type's range first takes the
+        value the source register holds, as ``sim`` computes it."""
         if not (inst.type.is_int and inst.src_type.is_int):
             return False
-        sym = self._sym_of(inst.srcs[0], inst.src_type)
+        src = inst.src_type
+        sym = self._sym_of(inst.srcs[0], src)
+        if isinstance(sym, _Lin) and inst.type.nbytes > src.nbytes:
+            span = sym.a * _GID_MAX
+            if not _fits(sym.lo + min(span, 0), sym.hi + max(span, 0), src):
+                sym = (_Lin(0, *_wrap_scalar(sym.b, src)) if sym.a == 0
+                       else self._mat(sym, src))
         if isinstance(sym, _Lin) or \
                 (isinstance(sym, _VLin) and inst.type.nbytes == 8):
             self.sym[inst.dst] = sym
@@ -464,7 +561,7 @@ class _CpuTranslator(_Translator):
             # widen a loaded index vector once; later address
             # arithmetic folds onto it (shift/subset tables)
             base = self._shared(f"np.asarray({sym}).astype(np.int64)")
-            self.sym[inst.dst] = _VLin(base, 1, "0")
+            self.sym[inst.dst] = _VLin(base, 1, "0", 0, 0)
             return True
         return False
 
@@ -541,7 +638,9 @@ class _CpuTranslator(_Translator):
         op = inst.opcode
         if op == "ld.param" and inst.srcs[0].pname in self.int_params:
             # pointers and integer scalars are launch-uniform Python ints
-            self.sym[inst.dst] = _Lin(0, self._iparam(inst.srcs[0].pname))
+            pname = inst.srcs[0].pname
+            self.sym[inst.dst] = _lin(0, self._iparam(pname),
+                                      *self.int_params[pname])
         elif op == "mov":
             self.sym[inst.dst] = self._sym_of(inst.srcs[0], inst.type)
         elif op == "ld.global":
@@ -558,51 +657,22 @@ class _CpuTranslator(_Translator):
                 self.post_guard = True
 
 
-@dataclass
-class CompiledCPUKernel:
-    """A kernel compiled by the CPU backend, ready to launch.
-
-    Same call signature as the driver JIT's
-    :class:`~repro.driver.jitcompiler.CompiledKernel` function, so the
-    backend registry can swap one for the other per kernel.
-    """
-
-    name: str
-    func: object
-    source: str
-    parsed: ParsedKernel         # the instruction stream it was built from
-
-    @property
-    def llvm_text(self) -> str:
-        """The kernel as ``.ll`` text (unparsed on demand)."""
-        return transpile(self.parsed)
-
-    def __call__(self, views, params, grid_dim, block_dim):
-        with np.errstate(all="ignore"):
-            self.func(views, params, grid_dim, block_dim)
-
-
 def code_cache_stats() -> BuildStats:
     """The live counters of the store's ``cpu`` builds: ``misses``
     compiled a kernel, ``hits`` reused one another context compiled."""
     return build_stats("cpu")
 
 
-def clear_code_cache() -> None:
-    """Drop the store's ``cpu`` callables and reset the counters in
-    place (tests); everything else about the artifacts stays."""
-    drop_backend_callables("cpu")
-
-
-def compile_cpu_kernel(ptx_text: str,
-                       parsed: ParsedKernel | None = None) -> CompiledCPUKernel:
-    """PTX text -> compiled CPU kernel (uncached: the store caches).
+def compile_cpu_kernel(ptx_text: str, parsed: ParsedKernel | None = None):
+    """PTX text -> the ``cpu`` launch function (uncached: the store
+    caches), with the launch signature ``(views, params, grid_dim,
+    block_dim)`` of every backend callable.
 
     ``parsed`` is the already-parsed form of ``ptx_text`` when the
-    caller has it (the backend registry does); the text is parsed here
+    caller has it (the build table does); the text is parsed here
     only without one.  Raises :class:`TranspileError` when the program
-    falls outside the transpilable subset; the backend registry
-    catches it and falls back to the ``sim`` backend per kernel.
+    falls outside the transpilable subset; the dispatch catches it
+    and falls back to the ``sim`` backend per kernel.
     """
     if parsed is None:
         parsed = parse_ptx(ptx_text)
@@ -611,5 +681,4 @@ def compile_cpu_kernel(ptx_text: str,
     namespace = {**_RUNTIME, "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
                  **gen.consts}
     exec(compile(source, f"<cpujit:{parsed.name}>", "exec"), namespace)
-    return CompiledCPUKernel(name=parsed.name, source=source, parsed=parsed,
-                             func=namespace[f"_kernel_{parsed.name}"])
+    return namespace[f"_kernel_{parsed.name}"]

@@ -10,7 +10,7 @@ Public surface:
   rejection under memory pressure.
 * :class:`~repro.serve.scheduler.FairShareScheduler` /
   :class:`~repro.serve.scheduler.FIFOScheduler` — the policies behind
-  the ``REPRO_SERVE`` knob (:func:`repro.diagnostics.serve_mode`).
+  ``Server(policy="fair" | "fifo" | "off")``.
 * :mod:`~repro.serve.workloads` — canned chunked workloads (CG,
   stencil sweeps) used by the tests and ``benchmarks/bench_serving``.
 """

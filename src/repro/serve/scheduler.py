@@ -130,9 +130,11 @@ class FairShareScheduler:
 
 
 def make_scheduler(policy: str, quantum_s: float = 50e-6):
-    """The scheduler implementing ``policy`` (resolved knob value)."""
-    if policy in ("fair", "on"):
+    """The scheduler implementing ``policy``: ``off`` runs sessions
+    back-to-back, which is FIFO order without admission control."""
+    if policy == "fair":
         return FairShareScheduler(quantum_s=quantum_s)
     if policy in ("fifo", "off"):
         return FIFOScheduler()
-    raise ValueError(f"unknown serving policy {policy!r}")
+    raise ValueError(f"unknown serving policy {policy!r}: accepted "
+                     f"values are fair, fifo, off")

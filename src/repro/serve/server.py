@@ -3,10 +3,9 @@
 A :class:`Server` owns one shared :class:`~repro.device.gpu.Device`
 (one memory pool, one stream runtime, one modeled clock) and one
 :class:`SharedKernelCache`, and multiplexes the sessions of N tenants
-onto it under a scheduling policy resolved from the ``REPRO_SERVE``
-knob (:func:`~repro.diagnostics.serve_mode`) or passed explicitly:
+onto it under the scheduling policy it was constructed with:
 
-``fair`` (knob default, alias ``on``)
+``fair`` (default)
     Weighted deficit round-robin over tenants with admission control.
 ``fifo``
     Non-preemptive first-come-first-served with admission control.
@@ -53,7 +52,6 @@ from __future__ import annotations
 from ..core.context import Context
 from ..device.gpu import Device
 from ..device.specs import DeviceSpec, K20X_ECC_OFF
-from ..diagnostics import SERVE_MODES, serve_mode
 from ..driver.cache import KernelCache
 from ..memory.cache import SpillImpossible
 from .scheduler import make_scheduler
@@ -176,23 +174,16 @@ class Server:
 
     def __init__(self, spec: DeviceSpec = K20X_ECC_OFF,
                  pool_capacity: int | None = None,
-                 policy: str | None = None,
+                 policy: str = "fair",
                  quantum_s: float = 50e-6,
                  mem_budget: int | None = None,
                  faults=None):
-        resolved = policy if policy is not None else serve_mode()
-        if resolved not in SERVE_MODES:
-            raise ValueError(
-                f"unknown serving policy {resolved!r}: accepted values "
-                f"are {', '.join(SERVE_MODES)}")
-        #: resolved policy: "fair", "fifo" or "off" ("on" is an alias)
-        self.policy = "fair" if resolved == "on" else resolved
+        #: "fair", "fifo" or "off" (anything else raises here)
+        self.scheduler = make_scheduler(policy, quantum_s=quantum_s)
+        self.policy = policy
         self.device = Device(spec, pool_capacity=pool_capacity,
                              faults=faults)
         self.kernel_cache = SharedKernelCache()
-        self.scheduler = make_scheduler(
-            "fifo" if self.policy == "off" else self.policy,
-            quantum_s=quantum_s)
         self.quantum_s = quantum_s
         #: admission budget in bytes (defaults to the pool capacity)
         self.mem_budget = (mem_budget if mem_budget is not None

@@ -35,7 +35,8 @@ class TestKernels:
         ctx, lat, psi, fk = env
         face = lat.face_sites(3, +1)
         nface = face.size
-        module, compiled = fk.get("gather", 24, "f64")
+        kernel = fk.get("gather", 24, "f64", lat.nsites, face)
+        module, compiled = kernel.module, kernel.compiled
         addrs = ctx.field_cache.make_available([psi])
         buf = ctx.device.mem_alloc(24 * 8 * nface)
         params = {
@@ -54,8 +55,10 @@ class TestKernels:
         ctx, lat, psi, fk = env
         face = lat.face_sites(1, -1)
         nface = face.size
-        gmod, gk = fk.get("gather", 24, "f64")
-        smod, sk = fk.get("scatter", 24, "f64")
+        gather = fk.get("gather", 24, "f64", lat.nsites, face)
+        scatter = fk.get("scatter", 24, "f64", lat.nsites, face)
+        gmod, gk = gather.module, gather.compiled
+        smod, sk = scatter.module, scatter.compiled
         addrs = ctx.field_cache.make_available([psi])
         buf = ctx.device.mem_alloc(24 * 8 * nface)
         table = ctx.upload_table(("t2", lat.dims, 1, -1), face)
@@ -76,8 +79,28 @@ class TestKernels:
 
     def test_kernels_cached_per_shape(self, env):
         ctx, lat, psi, fk = env
-        a = fk.get("gather", 24, "f64")
-        b = fk.get("gather", 24, "f64")
-        c = fk.get("gather", 18, "f64")
-        assert a[1] is b[1]
-        assert a[1] is not c[1]
+        face = lat.face_sites(3, +1)
+        a = fk.get("gather", 24, "f64", lat.nsites, face)
+        b = fk.get("gather", 24, "f64", lat.nsites, lat.face_sites(0, -1))
+        c = fk.get("gather", 18, "f64", lat.nsites, face)
+        assert a is b       # one kernel per copy shape, whatever the face
+        assert a.compiled is not c.compiled
+
+    def test_built_and_verified_under_the_launch_env(self, env):
+        """Like every statement kernel: absint knows the region sizes
+        and the site table's content, so each access is proven."""
+        from repro.driver.jitcompiler import _env_key
+        from repro.ptx.absint import analyze_module
+
+        ctx, lat, psi, fk = env
+        for mu in (0, 3):
+            face = lat.face_sites(mu, +1)
+            kernel = FaceKernels(ctx).get("scatter", 24, "f64", lat.nsites,
+                                          face)
+            assert kernel.env.scalars == {"p_lo": lat.nsites,
+                                          "p_n": face.size}
+            assert _env_key(kernel.env) in kernel.compiled.artifact.checked
+            bound = analyze_module(kernel.module, env=kernel.env)
+            assert bound.bounds_proven and bound.n_heuristic == 0
+            bare = analyze_module(kernel.module)
+            assert not bare.bounds_proven and bare.n_heuristic == 49

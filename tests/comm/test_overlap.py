@@ -87,6 +87,40 @@ class TestCorrectness:
         assert np.abs(out.to_global() - dest.to_numpy()).max() < 1e-12
 
 
+def test_face_kernels_are_proven_under_the_env_they_launch_with():
+    """What the VM launches is what was verified: after one 2-rank
+    apply every face-copy artifact in the store was checked under a
+    launch env (region sizes, site-table content) and every access of
+    it is *proven* in bounds — not passed on the ``guarded`` heuristic
+    an env-less analysis falls back to."""
+    from repro.driver import cache, clear_kernel_store
+    from repro.driver.jitcompiler import _env_key
+    from repro.ptx.absint import analyze_module
+
+    clear_kernel_store()
+    rng = np.random.default_rng(5)
+    vm = VirtualMachine((2, 2, 2, 4), (1, 1, 1, 2))
+    ud = [vm.field(color_matrix()) for _ in range(4)]
+    for umu in ud:
+        umu.from_global(rng.normal(size=(32, 3, 3)) + 0j)
+    psid = vm.field(fermion())
+    psid.from_global(rng.normal(size=(32, 4, 3)) + 0j)
+    DistributedWilsonDslash(vm, ud).apply(vm.field(fermion()), psid)
+
+    faces = {a.name: a for a in cache._STORE.values()
+             if a.name.startswith(("gather_", "scatter_"))}
+    assert {n.split("_")[0] for n in faces} == {"gather", "scatter"}
+    for artifact in faces.values():
+        assert artifact.checked and None not in artifact.checked
+    launched = [e for fk in vm.face_kernels for e in fk._modules.values()]
+    assert {e.module.name for e in launched} == set(faces)
+    for entry in launched:
+        assert _env_key(entry.env) in faces[entry.module.name].checked
+        analysis = analyze_module(entry.module, env=entry.env)
+        assert analysis.bounds_proven and analysis.n_heuristic == 0
+        assert {a.verdict for a in analysis.accesses} == {"proven"}
+
+
 class TestTiming:
     def test_overlap_hides_comm(self, dslash_setup):
         vm, ud, psid, _ = dslash_setup

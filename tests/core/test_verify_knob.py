@@ -38,7 +38,9 @@ def _reduction(ctx, a, b):
 
 
 def _faces(ctx, a, b):
-    FaceKernels(ctx).get("gather", 24, "f64")
+    lat = a.lattice
+    FaceKernels(ctx).get("gather", 24, "f64", lat.nsites,
+                         lat.face_sites(0, +1))
     return 0.0, 0.0
 
 

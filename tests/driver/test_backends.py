@@ -1,10 +1,10 @@
-"""Tests for the execution-backend registry and dispatch knob.
+"""Tests for the execution-backend build table and dispatch knob.
 
-The registry is the seam between the driver JIT and the execution
-targets (``sim``, the reference translation, is one of them); the
-``REPRO_BACKEND`` knob picks the callable per kernel and only that one
-is built, with graceful per-kernel fallback to ``sim`` for anything a
-backend cannot build.
+The table is the seam between the driver JIT and the execution targets
+(``sim``, the reference translation, is one of them); a kernel cache
+reads the ``REPRO_BACKEND`` knob once, when it is created, and builds
+only that backend's callable per kernel, with graceful per-kernel
+fallback to ``sim`` for anything a backend cannot build.
 """
 
 import warnings
@@ -12,17 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.driver.backends import (
-    Backend,
-    BackendBuildError,
-    BackendStats,
-    backend_names,
-    register_backend,
-    resolve_backend_mode,
-    unregister_backend,
-)
+from repro.diagnostics import backend_mode
+from repro.driver import backends
+from repro.driver.backends import BackendBuildError, BackendStats
 from repro.driver.cache import KernelCache, clear_kernel_store
-from repro.llvm import clear_code_cache, code_cache_stats
+from repro.llvm import code_cache_stats
 
 _PTX = """
 .version 3.1
@@ -86,44 +80,53 @@ def knob(monkeypatch):
 class TestKnob:
     def test_default_is_sim(self, knob, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend_mode() == "sim"
+        assert backend_mode() == "sim"
 
     def test_accepted_values(self, knob):
         for value in ("sim", "cpu"):
             knob(value)
-            assert resolve_backend_mode() == value
+            assert backend_mode() == value
 
     def test_bad_value_falls_back_with_one_warning(self, knob):
         knob("gpu")
         with pytest.warns(RuntimeWarning, match="REPRO_BACKEND"):
-            assert resolve_backend_mode() == "sim"
+            assert backend_mode() == "sim"
         # warn once per distinct value, not per resolution
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend_mode() == "sim"
+            assert backend_mode() == "sim"
 
-    def test_registered_backend_extends_accepted_set(self, knob):
-        class Null(Backend):
-            name = "null"
-
-            def build(self, artifact):
-                raise AssertionError("never dispatched")
-
-        register_backend(Null())
-        try:
-            assert "null" in backend_names()
-            knob("null")
-            assert resolve_backend_mode() == "null"
-        finally:
-            unregister_backend("null")
+    def test_knob_is_read_once_at_cache_construction(self, knob):
+        """Like the fusion/stream/fault knobs: per object, not per
+        lookup.  A handle keeps the backend it was dispatched to; the
+        next cache sees the new value."""
         knob("sim")
-        assert "null" not in backend_names()
+        cache = KernelCache()
+        kernel, _ = cache.get_or_compile(_ptx(3))
+        knob("cpu")
+        kernel2, cached = cache.get_or_compile(_ptx(3))
+        assert cached and kernel2 is kernel
+        assert kernel.backend == cache.backend.mode == "sim"
+        other, _ = cache.get_or_compile(_ptx(11))   # a miss of the same view
+        assert other.backend == "sim"
+        fresh = KernelCache()
+        assert fresh.backend.mode == "cpu"
+        assert fresh.get_or_compile(_ptx(3))[0].backend == "cpu"
 
-    def test_builtin_backends_cannot_be_removed(self):
-        with pytest.raises(ValueError):
-            unregister_backend("sim")
-        with pytest.raises(ValueError):
-            unregister_backend("cpu")
+    def test_cache_hit_does_not_consult_the_knob(self, knob, monkeypatch):
+        knob("cpu")
+        cache = KernelCache()
+        cache.get_or_compile(_ptx(12))
+        monkeypatch.setattr("repro.driver.cache.backend_mode", None)
+        monkeypatch.setattr("repro.driver.cache.select_backend", None)
+        assert cache.get_or_compile(_ptx(12))[1]
+
+
+def _declines(message, calls):
+    def build(artifact):
+        calls.append(artifact.name)
+        raise BackendBuildError(message)
+    return build
 
 
 class TestDispatch:
@@ -140,19 +143,10 @@ class TestDispatch:
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(_ptx(2))
         assert kernel.backend == "cpu"
-        assert "cpu" in kernel.backend_funcs
+        assert kernel.func is kernel.artifact.callables["cpu"]
+        assert "sim" not in kernel.artifact.callables   # only one is built
         assert cache.backend.kernels.get("cpu") == 1
         assert cache.backend.fallbacks == 0
-
-    def test_mid_process_knob_change_redispatches_on_hit(self, knob):
-        knob("sim")
-        cache = KernelCache()
-        kernel, _ = cache.get_or_compile(_ptx(3))
-        assert kernel.backend == "sim"
-        knob("cpu")
-        kernel2, cached = cache.get_or_compile(_ptx(3))
-        assert cached and kernel2 is kernel
-        assert kernel.backend == "cpu"
 
     def test_launch_accounting(self, knob):
         knob("cpu")
@@ -165,82 +159,66 @@ class TestDispatch:
         assert cache.backend.launches.get("cpu") == 1
         assert cache.backend.launches.get("sim") is None
 
-    def test_build_failure_degrades_to_sim_with_one_warning(self, knob):
-        class Broken(Backend):
-            name = "broken"
-            calls = 0
+    def test_build_failure_degrades_to_sim_with_one_warning(
+            self, knob, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            backends.BUILDERS, "cpu",
+            _declines("unsupported construct: frobnicate", calls))
+        knob("cpu")
+        cache = KernelCache()
+        with pytest.warns(RuntimeWarning, match="frobnicate"):
+            kernel, _ = cache.get_or_compile(_ptx(5))
+        assert kernel.backend == "sim"
+        assert cache.backend.fallbacks == 1
+        assert "frobnicate" in \
+            cache.backend.fallback_kernels[kernel.name]
+        # cache hit: no rebuild, no re-count, no second warning; and
+        # another cache counts its own fallback without building again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache.get_or_compile(_ptx(5))
+            other = KernelCache()
+            other.get_or_compile(_ptx(5))
+        assert calls == [kernel.name]
+        assert cache.backend.fallbacks == other.backend.fallbacks == 1
 
-            def build(self, kernel):
-                Broken.calls += 1
-                raise BackendBuildError("unsupported construct: frobnicate")
-
-        register_backend(Broken())
-        try:
-            knob("broken")
-            cache = KernelCache()
-            with pytest.warns(RuntimeWarning, match="frobnicate"):
-                kernel, _ = cache.get_or_compile(_ptx(5))
-            assert kernel.backend == "sim"
-            assert cache.backend.fallbacks == 1
-            assert "frobnicate" in \
-                cache.backend.fallback_kernels[kernel.name]
-            # cache hit: no rebuild, no re-count, no second warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                cache.get_or_compile(_ptx(5))
-            assert Broken.calls == 1
-            assert cache.backend.fallbacks == 1
-        finally:
-            unregister_backend("broken")
-
-    def test_fallback_kernel_still_computes(self, knob):
-        class Picky(Backend):
-            name = "picky"
-
-            def build(self, kernel):
-                raise BackendBuildError("nope")
-
-        register_backend(Picky())
-        try:
-            knob("picky")
-            cache = KernelCache()
-            with pytest.warns(RuntimeWarning):
-                kernel, _ = cache.get_or_compile(_ptx(6))
-            views = {"float64": np.ones(8)}
-            kernel(views, {"p_dst": 0, "p_n": 8}, 1, 8)
-            assert np.array_equal(views["float64"], np.full(8, 2.0))
-        finally:
-            unregister_backend("picky")
+    def test_fallback_kernel_still_computes(self, knob, monkeypatch):
+        monkeypatch.setitem(backends.BUILDERS, "cpu", _declines("nope", []))
+        knob("cpu")
+        cache = KernelCache()
+        with pytest.warns(RuntimeWarning):
+            kernel, _ = cache.get_or_compile(_ptx(6))
+        views = {"float64": np.ones(8)}
+        kernel(views, {"p_dst": 0, "p_n": 8}, 1, 8)
+        assert np.array_equal(views["float64"], np.full(8, 2.0))
+        assert cache.backend.launches == {"sim": 1}
 
 
 class TestCompiledKernelCache:
     def test_keyed_on_ptx_text(self, knob):
         knob("cpu")
-        clear_code_cache()
+        stats = code_cache_stats()
+        hits, misses = stats.hits, stats.misses
         cache = KernelCache()
         cache.get_or_compile(_ptx(7))
-        stats = code_cache_stats()
-        assert stats.misses == 1 and stats.hits == 0
-        assert stats.n_kernels == 1
+        assert (stats.hits, stats.misses) == (hits, misses + 1)
         # a second kernel cache (another context) reuses the compile
         other = KernelCache()
         other.get_or_compile(_ptx(7))
-        stats = code_cache_stats()
-        assert stats.misses == 1 and stats.hits == 1
-        # a stats object held across a clear is reset in place, not stale
-        clear_code_cache()
-        assert (stats.hits, stats.misses) == (0, 0) \
-            and code_cache_stats() is stats
+        assert (stats.hits, stats.misses) == (hits + 1, misses + 1)
+        assert stats.n_kernels == stats.misses
+        assert code_cache_stats() is stats      # live, not a snapshot
 
     def test_distinct_ptx_compiles_separately(self, knob):
         knob("cpu")
-        clear_code_cache()
+        stats = code_cache_stats()
+        misses, seconds = stats.misses, stats.total_compile_seconds
         cache = KernelCache()
         cache.get_or_compile(_ptx(8))
         cache.get_or_compile(_ptx(9))
-        stats = code_cache_stats()
-        assert stats.misses == 2
-        assert stats.total_compile_seconds > 0
+        assert stats.misses == misses + 2
+        assert stats.total_compile_seconds > seconds
 
     def test_compile_seconds_counted_per_backend(self, knob):
         knob("cpu")
@@ -250,8 +228,10 @@ class TestCompiledKernelCache:
         assert be.compile_seconds.get("cpu", 0) > 0
         assert "sim" not in be.compile_seconds   # never translated
         knob("sim")
-        cache.get_or_compile(_ptx(10))
-        assert be.compile_seconds.get("sim", 0) > 0
+        other = KernelCache()
+        other.get_or_compile(_ptx(10))
+        assert other.backend.compile_seconds.get("sim", 0) > 0
+        assert "cpu" not in other.backend.compile_seconds
 
 
 class TestBackendStats:

@@ -181,6 +181,55 @@ def test_sim_and_cpu_bitwise_equal(case, monkeypatch):
     assert np.array_equal(ref, got), f"{op}.{t}: cpu != sim"
 
 
+#: integer chains whose fold must reproduce a wrap: ``cpu`` keeps a
+#: form modulo 2**64 and takes the register's own value wherever its
+#: width shows (a widening ``cvt``, materialization)
+WRAPS = {
+    "u32_wraps_then_widens": [
+        "mul.lo.u32 %u20, %u3, 1073741824;",
+        "cvt.u64.u32 %ru20, %u20;",
+        "st.global.u64 [%ru8], %ru20;"],
+    "uniform_s32_wraps_then_widens": [
+        "mul.lo.s32 %r20, %r0, 1073741824;",
+        "cvt.s64.s32 %rd20, %r20;",
+        "st.global.s64 [%ru8], %rd20;"],
+    "narrow_then_widen": [
+        "mul.lo.u64 %ru20, %ru4, 1073741824;",
+        "cvt.u32.u64 %u20, %ru20;",
+        "cvt.u64.u32 %ru21, %u20;",
+        "st.global.u64 [%ru8], %ru21;"],
+    "coefficient_beyond_int64": [
+        "mul.lo.u64 %ru20, %ru4, 18446744073709551615;",
+        "st.global.u64 [%ru8], %ru20;"],
+    "uniform_beyond_int64": [
+        "mul.lo.u64 %ru20, %ru0, 18446744073709551615;",
+        "mul.lo.u64 %ru21, %ru20, 4611686018427387904;",
+        "st.global.u64 [%ru8], %ru21;"],
+    "uniform_negative_as_unsigned": [
+        "sub.u64 %ru20, %ru0, %ru1;",
+        "st.global.u64 [%ru8], %ru20;"],
+    # in range: these pass through the widening cvt unmaterialized
+    "in_range_widens_signed": [
+        "sub.s32 %r20, %r1, 5;",
+        "cvt.s64.s32 %rd20, %r20;",
+        "st.global.s64 [%ru8], %rd20;"],
+    "in_range_widens_unsigned": [
+        "sub.s32 %r20, %r1, 5;",
+        "cvt.u64.s32 %ru20, %r20;",
+        "st.global.u64 [%ru8], %ru20;"],
+}
+
+
+@pytest.mark.parametrize("name", list(WRAPS))
+def test_folded_integer_wraps_bitwise_equal(name, monkeypatch):
+    text = _kernel("wrap_" + name, WRAPS[name])
+    monkeypatch.setenv("REPRO_BACKEND", "sim")
+    ref = _run(text, "u64", "sim")
+    monkeypatch.setenv("REPRO_BACKEND", "cpu")
+    got = _run(text, "u64", "cpu")
+    assert np.array_equal(ref, got), f"{name}: cpu != sim"
+
+
 class TestSubset:
     """Outside the cpu subset the build raises ``TranspileError`` and
     the launch still completes through ``sim``."""

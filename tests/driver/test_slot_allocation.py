@@ -264,6 +264,42 @@ def test_translate_returns_the_allocated_body(golden):
         assert source[-len(allocated) - 2:-2] == allocated
 
 
+#: sha256 of the source each visitor generates for ``TestByteIdentity``'s
+#: kernels, recorded at f1b4698 (before the ``cpu`` fold learned to
+#: reproduce integer wraps): ``(sim, cpu)``
+GOLDEN_SOURCE = {
+    "eager_full": ("eb8c9a7634b443183df413fa7332cf107623d2fb2ba7c131218024933064ba73",
+                   "02a62c10d087cca5dee0d019d703c1c8a50debec935060b9b090c69ac4e1aaff"),
+    "eager_subset": ("55c82869a03818ed52a73e7d484976345338fd1dc1ab1c19aa45be1cd43295b1",
+                     "99a9907632840d2e1ca69e936321a1c5271f31f310451f58737e5bbfe287639e"),
+    "eager_shift": ("ca290f23d0bde8121d3837d436df4744394ed92767146d91f4b4225430e6e0db",
+                    "682b6de738a29c590625d40632004e52f0a66d7ac4841be03a9681829c0582c6"),
+    "fused_3": ("ac1ad4786aca60f22b891a8558f6e813135090d0033a2e3dded359a83bf5ff1b",
+                "1ff9f3413adf67c03491cfa5200f3b55fdaf004bb2ca599b819625f478f39543"),
+    "fused_norm2": ("66e53de6bcabaea19fd467c93983b90cd26956c6ccfc1a0e893eb2c7e0e19eff",
+                    "92038b3b466e4aae947f73104b1a3eccf656669a0a037e1eb6ed4b927224426c"),
+    "norm2": ("fe555fca8b0dce358ae2899a8b8d60cf558c0d827dd8bf8fcf2184d56c593732",
+              "423c97b112130a3c3ecc661bfc3be36b0866c68366d75a7d96da879a00399cda"),
+    "inner_subset": ("04133e4ae4e16c122775ab00a666e756b68db24b08b7b7a79dfcf4676ad85089",
+                     "71334ddeb5c59b8ab281476efa4a582908a63e6747bdd83b6ff612c466664a15"),
+}
+
+
+def test_golden_generated_source_digests(golden):
+    """Both visitors emit, for the golden-PTX kernels, the text they
+    emitted before the fold became exact; and on no generated kernel
+    (lint suite and face copies included) does ``cpu`` reduce a scalar
+    at run time — their address chains are proven in range when the
+    kernel is built."""
+    got = {name: tuple(hashlib.sha256(
+               VISITORS[v](golden[name]).translate().encode()).hexdigest()
+               for v in ("sim", "cpu")) for name in GOLDEN_SOURCE}
+    assert got == GOLDEN_SOURCE
+    for name, parsed in golden.items():
+        source = _CpuTranslator(parsed).translate()
+        assert f"% {2**32}" not in source and f"% {2**64}" not in source, name
+
+
 # --- the allocator and ptx.liveness agree -------------------------------------
 
 class TestLivenessCrossCheck:

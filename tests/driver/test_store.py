@@ -223,11 +223,16 @@ class TestBackends:
         kernel, _ = view.get_or_compile(text)
         assert (kernel.backend, sim.calls, cpu.calls) == ("sim", 1, 0)
         cold_store.setenv("REPRO_BACKEND", "cpu")
+        # a view reads the knob when it is created: its handle stays
         assert view.get_or_compile(text)[0] is kernel
-        assert (kernel.backend, sim.calls, cpu.calls) == ("cpu", 1, 1)
+        assert (kernel.backend, sim.calls, cpu.calls) == ("sim", 1, 0)
+        # views created after the flip share one new build
         other, _ = KernelCache().get_or_compile(text)
         assert (other.backend, sim.calls, cpu.calls) == ("cpu", 1, 1)
-        assert other.func is kernel.func
+        third, _ = KernelCache().get_or_compile(text)
+        assert (third.backend, sim.calls, cpu.calls) == ("cpu", 1, 1)
+        assert third.func is other.func
+        assert other.artifact is kernel.artifact
 
     def test_cpu_translates_sim_only_on_fallback(self, cold_store):
         cold_store.setenv("REPRO_BACKEND", "cpu")

@@ -1,8 +1,7 @@
 """Tests for the LLVM backend (paper Sec. XI, Future Work).
 
 Every kernel family the expression layer generates is compiled for the
-CPU target and unparsed to LLVM IR text; results must be bit-identical
-to the PTX driver's."""
+CPU target; results must be bit-identical to the PTX driver's."""
 
 import math
 
@@ -10,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.driver import parse_ptx
-from repro.llvm import TranspileError, compile_cpu_kernel, transpile
-from repro.qdp.fields import latt_color_matrix, latt_fermion, latt_real
+from repro.llvm import TranspileError, compile_cpu_kernel
+from repro.qdp.fields import latt_color_matrix, latt_fermion
 from repro.qdp.lattice import Lattice
 
 _VIEWS = ("float32", "float64", "int32", "int64", "uint32", "uint64")
@@ -108,63 +106,6 @@ class TestCrossBackendAgreement:
         _run_llvm_and_compare(llctx, dest, lambda: adj(u) * psi, [u, psi])
 
 
-class TestIRText:
-    def _module_text(self, llctx, rng):
-        lat = Lattice((4, 4, 4, 4))
-        a = latt_fermion(lat, context=llctx)
-        a.gaussian(rng)
-        dest = latt_fermion(lat, context=llctx)
-        dest.assign(2.0 * a + a)
-        llctx.flush()
-        module = list(llctx.module_cache.values())[-1].module
-        return module, transpile(parse_ptx(module.render()))
-
-    def test_structure(self, llctx, rng):
-        module, text = self._module_text(llctx, rng)
-        assert text.startswith("; transpiled from PTX kernel")
-        assert f"define void @{module.name}(" in text
-        assert "entry:" in text
-        assert "ret void" in text
-        assert text.rstrip().splitlines()[-1].startswith("declare") or \
-            "}" in text
-
-    def test_pointer_params(self, llctx, rng):
-        _, text = self._module_text(llctx, rng)
-        assert "i8* %p_dst" in text
-        assert "ptrtoint i8* %p_dst to i64" in text
-
-    def test_control_flow(self, llctx, rng):
-        _, text = self._module_text(llctx, rng)
-        assert "br i1 " in text        # the bounds-check branch
-        assert "icmp sge i32" in text
-
-    def test_loads_stores_typed(self, llctx, rng):
-        _, text = self._module_text(llctx, rng)
-        assert "load double, double*" in text
-        assert "store double" in text
-
-    def test_ssa_unique_definitions(self, llctx, rng):
-        _, text = self._module_text(llctx, rng)
-        defs = [line.split(" = ")[0].strip()
-                for line in text.splitlines()
-                if " = " in line and line.startswith("  ")]
-        assert len(defs) == len(set(defs)), "IR is not SSA"
-
-    def test_math_intrinsics(self, llctx, rng):
-        from repro.core.expr import sqrt
-
-        lat = Lattice((4, 4, 4, 4))
-        r = latt_real(lat, context=llctx)
-        r.from_numpy(np.abs(rng.normal(size=lat.nsites)) + 0.1)
-        dest = latt_real(lat, context=llctx)
-        dest.assign(sqrt(r))
-        llctx.flush()
-        module = list(llctx.module_cache.values())[-1].module
-        text = transpile(parse_ptx(module.render()))
-        assert "@llvm.sqrt.f64" in text
-        assert "declare double @llvm.sqrt.f64(double)" in text
-
-
 class TestSubsetRestrictions:
     def test_non_ssa_rejected(self):
         ptx = """
@@ -187,4 +128,4 @@ class TestSubsetRestrictions:
 }
 """
         with pytest.raises(TranspileError, match="assigned twice"):
-            transpile(parse_ptx(ptx))
+            compile_cpu_kernel(ptx)

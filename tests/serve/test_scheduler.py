@@ -1,4 +1,4 @@
-"""Scheduler policies, admission control and the REPRO_SERVE knob."""
+"""Scheduler policies, admission control and the server's policy."""
 
 import warnings
 
@@ -79,7 +79,6 @@ def test_drr_does_not_bank_idle_deficit():
 
 def test_make_scheduler_mapping():
     assert isinstance(make_scheduler("fair"), FairShareScheduler)
-    assert isinstance(make_scheduler("on"), FairShareScheduler)
     assert isinstance(make_scheduler("fifo"), FIFOScheduler)
     assert isinstance(make_scheduler("off"), FIFOScheduler)
     with pytest.raises(ValueError):
@@ -177,37 +176,35 @@ def test_arrivals_respect_the_virtual_clock():
     assert s2.latency_s < s2.completed_s  # measured from arrival
 
 
-# -- the REPRO_SERVE knob ----------------------------------------------
-
-
-def test_serve_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVE", raising=False)
-    assert diagnostics.serve_mode() == "on"
-    for value in ("fair", "fifo", "off", "on"):
-        monkeypatch.setenv("REPRO_SERVE", value)
-        assert diagnostics.serve_mode() == value
-    monkeypatch.setenv("REPRO_SERVE", " FIFO ")
-    assert diagnostics.serve_mode() == "fifo"
-
-
-def test_serve_mode_bad_value_warns_once(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE", "fare")
-    diagnostics._warned.discard(("REPRO_SERVE", "fare"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert diagnostics.serve_mode() == "on"
-        assert diagnostics.serve_mode() == "on"
-    relevant = [w for w in caught if "REPRO_SERVE" in str(w.message)]
-    assert len(relevant) == 1
+# -- the policy is a constructor argument, not a knob --------------------
 
 
 def test_server_resolves_policy_from_knob(monkeypatch):
+    """The name is historical: ``REPRO_SERVE`` is gone, so the policy
+    is whatever the constructor was given, ``fair`` by default."""
     monkeypatch.setenv("REPRO_SERVE", "fifo")
-    assert Server().policy == "fifo"
-    monkeypatch.setenv("REPRO_SERVE", "on")
-    assert Server().policy == "fair"   # on is an alias
+    assert Server().policy == "fair"
     monkeypatch.delenv("REPRO_SERVE", raising=False)
     assert Server().policy == "fair"
+    assert Server(policy="fifo").policy == "fifo"
     assert Server(policy="off").admission_enabled is False
-    with pytest.raises(ValueError):
-        Server(policy="least-laxity")
+    for unknown in ("least-laxity", "on"):
+        with pytest.raises(ValueError):
+            Server(policy=unknown)
+
+
+def test_leftover_serve_knob_is_announced_once_per_context(monkeypatch):
+    from repro.core.context import Context
+
+    monkeypatch.setattr(diagnostics, "_warned", set())
+    monkeypatch.setenv("REPRO_SERVE", "fifo")
+    with pytest.warns(RuntimeWarning, match="REPRO_SERVE='fifo': no such "
+                                            "knob") as caught:
+        Context()
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Context()          # once per distinct (name, value) per process
+    monkeypatch.setattr(diagnostics, "_warned", set())
+    with pytest.warns(RuntimeWarning, match="REPRO_SERVE"):
+        Server().tenant("t")      # a tenant is a Context

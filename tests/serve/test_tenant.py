@@ -139,3 +139,41 @@ def test_tenant_registration_rules():
         pass
     else:
         raise AssertionError("non-positive weight must be rejected")
+
+
+def test_serving_block():
+    """``Server.as_json()`` — what ``bench_serving`` reads — over a
+    default-policy two-tenant run of one CG shape: both sessions
+    complete and the second tenant's kernels hit the shared cache."""
+    srv = Server()
+    a = srv.tenant("tenant-a", weight=2.0)
+    b = srv.tenant("tenant-b")
+    srv.submit(a, cg_diag_workload(dims=DIMS, seed=3, max_iter=8))
+    srv.submit(b, cg_diag_workload(dims=DIMS, seed=4, max_iter=8))
+    srv.drain()
+    sv = srv.as_json()
+    assert set(sv) == {"mode", "scheduler", "admission", "jit_cache",
+                       "tenants", "sessions"}
+    assert sv["mode"] == sv["scheduler"]["policy"] == "fair"
+    assert sv["scheduler"]["decisions"] >= 2
+    assert sv["scheduler"]["quantum_s"] > 0
+    assert sv["admission"]["rejections"] == 0
+    assert sv["jit_cache"]["kernels"] > 0
+    assert sv["jit_cache"]["cross_tenant_hits"] >= 1
+    assert set(sv["tenants"]) == {"tenant-a", "tenant-b"}
+    assert sv["tenants"]["tenant-a"]["weight"] == 2.0
+    for t in sv["tenants"].values():
+        assert t["sessions_completed"] == t["sessions_submitted"] == 1
+        assert t["launches"] > 0
+        assert t["service_s"] > 0
+    assert sv["sessions"]["sessions_completed"] == 2
+    # isolation + conservation: per-tenant jit splits sum to the
+    # global cache counters
+    cache_total = (sum(sv["jit_cache"]["hits_by_tenant"].values())
+                   + sum(sv["jit_cache"]["misses_by_tenant"].values()))
+    tenant_total = sum(t["jit_hits"] + t["jit_misses"]
+                       for t in sv["tenants"].values())
+    assert cache_total == tenant_total
+    # "off" reports itself as the mode over the FIFO scheduler it uses
+    off = Server(policy="off").as_json()
+    assert (off["mode"], off["scheduler"]["policy"]) == ("off", "fifo")

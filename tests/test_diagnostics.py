@@ -147,15 +147,27 @@ class TestUnknownKnobs:
         with pytest.warns(RuntimeWarning, match=name):
             Context(autotune=False)
 
+    def test_readme_knob_table_lists_exactly_the_knobs(self):
+        """One row per name in ``KNOBS``, in order — a deleted knob
+        cannot leave its row (or its mention anywhere else) behind."""
+        import re
+        from pathlib import Path
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("## Environment knobs")[1].split("\n\n")[1]
+        rows = re.findall(r"^\| `(REPRO_\w+)` \|", table, re.M)
+        assert tuple(rows) == diagnostics.KNOBS
+        assert set(re.findall(r"REPRO_[A-Z_]+", readme)) == set(rows)
+
     def test_real_knobs_and_clean_environment_are_silent(self, monkeypatch):
         from repro.core.context import Context
 
-        assert len(diagnostics.KNOBS) == 7
+        assert len(diagnostics.KNOBS) == 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Context(autotune=False)
             for knob, value in zip(diagnostics.KNOBS,
                                    ("warn", "off", "off", "off", "cpu",
-                                    "fifo", "detect")):
+                                    "detect")):
                 monkeypatch.setenv(knob, value)
             Context(autotune=False)

@@ -69,21 +69,6 @@ class TestCLI:
         assert "kernel(s) built" in out
         assert "measured kernel wall-clock" in out
 
-    def test_reports_serving_mini_run(self, run):
-        _, out = run
-        assert "-- serving (REPRO_SERVE=" in out
-        assert "shared JIT cache:" in out
-        assert "cross-tenant hit(s)" in out
-        assert "tenant-a (weight 2)" in out
-        assert "tenant-b (weight 1)" in out
-
-    def test_reports_resilience_mini_run(self, run):
-        _, out = run
-        assert "-- resilience (REPRO_RESILIENCE=" in out
-        assert "straggler(s) flagged" in out
-        assert "recoveries:" in out
-        assert "checkpoint(s)" in out
-
     def test_dslash_stencil_findings_surface(self, run):
         _, out = run
         assert "shift-antiparallel" in out
@@ -105,7 +90,12 @@ class TestJSON:
     def test_exit_status_and_schema_version(self, run_json):
         status, report = run_json
         assert status == 0
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
+        # v10 dropped the canned serving/resilience mini-runs
+        assert set(report) == {
+            "schema_version", "lattice", "passes", "ast_passes", "kernels",
+            "ast_findings", "module_cache", "fusion", "runtime", "cache",
+            "faults", "backend", "ir", "summary"}
         assert report["summary"]["status"] == "ok"
         assert report["summary"]["errors"] == 0
         assert report["summary"]["kernels"] == len(report["kernels"])
@@ -214,69 +204,6 @@ class TestJSON:
                  for k in report["kernels"]}
         assert any(s < 1024 for s in seeds.values()), seeds
         assert all(s >= 32 for s in seeds.values())
-
-    def test_serving_block(self, run_json):
-        """The serving mini-run: two tenants, both sessions complete,
-        and the second tenant's kernels all hit the shared cache."""
-        _, report = run_json
-        sv = report["serving"]
-        assert set(sv) == {"mode", "scheduler", "admission", "jit_cache",
-                           "tenants", "sessions"}
-        assert sv["mode"] in ("fair", "fifo", "off")
-        assert sv["scheduler"]["policy"] in ("fair", "fifo")
-        assert sv["scheduler"]["decisions"] >= 2
-        assert sv["scheduler"]["quantum_s"] > 0
-        assert sv["admission"]["rejections"] == 0
-        assert sv["jit_cache"]["kernels"] > 0
-        assert sv["jit_cache"]["cross_tenant_hits"] >= 1
-        assert set(sv["tenants"]) == {"tenant-a", "tenant-b"}
-        for t in sv["tenants"].values():
-            assert t["sessions_completed"] == t["sessions_submitted"] == 1
-            assert t["launches"] > 0
-            assert t["service_s"] > 0
-        assert sv["sessions"]["sessions_completed"] == 2
-        # isolation + conservation: per-tenant jit splits sum to the
-        # global cache counters
-        cache_total = (sum(sv["jit_cache"]["hits_by_tenant"].values())
-                       + sum(sv["jit_cache"]["misses_by_tenant"].values()))
-        tenant_total = sum(t["jit_hits"] + t["jit_misses"]
-                           for t in sv["tenants"].values())
-        assert cache_total == tenant_total
-
-    def test_resilience_block(self, run_json):
-        """Without REPRO_RESILIENCE the block reports mode=off, no
-        policy and all-zero counters (nothing was injected)."""
-        _, report = run_json
-        rz = report["resilience"]
-        assert set(rz) == {"mode", "policy", "kills_injected",
-                           "stragglers_injected", "stragglers_flagged",
-                           "detections", "recoveries_by_policy",
-                           "recovery_modeled_s", "checkpoints",
-                           "checkpoint_bytes", "restored_payloads"}
-        assert rz["mode"] in ("off", "detect", "recover")
-        if rz["mode"] == "off":
-            assert rz["policy"] is None
-            assert rz["kills_injected"] == 0
-            assert rz["recoveries_by_policy"] == {}
-            assert rz["recovery_modeled_s"] == 0.0
-
-    def test_resilience_mini_run_recovers_under_chaos(self, ctx,
-                                                      monkeypatch):
-        """Point the knobs at a rank-kill plan: the mini-run's VM
-        must detect the kill, recover it, and report it in the block."""
-        from repro.lint import _resilience_mini_run
-
-        monkeypatch.setenv("REPRO_FAULTS",
-                           "plan:seed=5,rank.kill=1x@rank1:*")
-        monkeypatch.setenv("REPRO_RESILIENCE", "recover")
-        rz = _resilience_mini_run()
-        assert rz["mode"] == "recover"
-        assert rz["policy"] == "buddy"
-        assert rz["kills_injected"] == 1
-        assert rz["recoveries_by_policy"] == {"buddy": 1}
-        assert rz["recovery_modeled_s"] > 0
-        assert rz["checkpoints"] > 0
-        assert rz["restored_payloads"] > 0
 
     def test_json_output_is_pure(self, ctx):
         """--json prints a single parseable document, nothing else."""

@@ -28,9 +28,21 @@ u.gaussian(rng)
 psi.gaussian(rng)
 out = latt_fermion(lattice)
 
-# 1. evaluate through the PTX / simulated-GPU path
+# 1. evaluate through the PTX / simulated-GPU path, keeping the
+#    parameter block the launcher binds (addresses, site counts)
+bound = {}
+device_launch = ctx.device.launch
+
+
+def recording_launch(kernel, info, params, *args, **kwargs):
+    bound.update(params)
+    return device_launch(kernel, info, params, *args, **kwargs)
+
+
+ctx.device.launch = recording_launch
 out.assign(adj(u) * psi)
 gpu_result = out.to_numpy().copy()
+ctx.device.launch = device_launch
 module = list(ctx.module_cache.values())[-1].module
 print("generated PTX (head):")
 print("\n".join(module.render().splitlines()[:8]), "\n...")
@@ -41,20 +53,18 @@ kernel = compile_cpu_kernel(module.render())
 print(f"\nCPU target: {kernel.__name__} compiled from "
       f"{len(module.instructions)} PTX instructions")
 
-# 3. execute on the CPU target against the same device memory
-addrs = ctx.field_cache.make_available([out, u, psi])
+# 3. execute on the CPU target against the same device memory, with
+#    the same parameter block
+out_addr = ctx.field_cache.entries[out.uid].addr
 views = {n: ctx.device.pool.view(n) for n in
          ("float32", "float64", "int32", "int64", "uint32", "uint64")}
-params = {"p_lo": lattice.nsites, "p_n": lattice.nsites,
-          "p_dst": addrs[out.uid], "p_f0": addrs[u.uid],
-          "p_f1": addrs[psi.uid]}
-start = addrs[out.uid] >> 3
+start = out_addr >> 3
 views["float64"][start:start + out.host.size] = 0   # wipe the result
 
 with np.errstate(all="ignore"):      # as Device.launch runs a kernel
-    kernel(views, params, math.ceil(lattice.nsites / 128), 128)
+    kernel(views, bound, math.ceil(lattice.nsites / 128), 128)
 
-cpu_words = ctx.device.memcpy_dtoh(addrs[out.uid], out.nbytes,
+cpu_words = ctx.device.memcpy_dtoh(out_addr, out.nbytes,
                                    np.float64)[:out.host.size]
 gpu_check = latt_fermion(lattice)
 gpu_check.from_numpy(gpu_result)

@@ -242,9 +242,9 @@ class Unparser:
     base-pointer registers per leaf slot, site registers per shift
     view, cached component loads per (leaf node, view, word).
 
-    In *fused* mode (multi-statement kernels) three extra mechanisms
-    activate, none of which change the arithmetic producing any stored
-    value:
+    In *fused* mode (a group of more than one member, counting a
+    reduction tail as one) three extra mechanisms activate, none of
+    which change the arithmetic producing any stored value:
 
     * loads dedup per **field** (uid) instead of per AST node — two
       statements reading the same field share one set of loads;
@@ -567,12 +567,11 @@ def emit_reduction_partials(up: Unparser, kind: str, exprs,
                             out_bases, gid) -> None:
     """Emit the per-thread partial of a reduction and its store(s).
 
-    Shared by the standalone partials kernel
-    (:func:`build_reduction_kernel`) and by fused kernels that absorb
-    a reduction behind their stores.  ``out_bases`` are the loaded
-    :func:`partials_names` pointers.  The accumulation always happens
-    in f64 and the partial lands at ``out + gid*8``, so absorbed and
-    standalone partials are bitwise identical.
+    The tail of a group's kernel, behind its stores (if any).
+    ``out_bases`` are the loaded :func:`partials_names` pointers.  The
+    accumulation always happens in f64 and the partial lands at
+    ``out + gid*8``, so absorbed and standalone partials are bitwise
+    identical.
     """
     kb = up.kb
     ops = up.ops
@@ -618,18 +617,17 @@ def emit_reduction_partials(up: Unparser, kind: str, exprs,
 
 def _open_kernel(name: str, slots: SlotAssigner, spec: TypeSpec,
                  subset_mode: bool, out_names: tuple[str, ...],
-                 fused: bool = False):
+                 fused: bool):
     """Open a site-parallel kernel over pre-walked ``slots``.
 
     Declares and loads the parameter block every statement kernel
     shares — ``p_lo p_n [p_stab] p_sh* <out_names> p_f* p_s*``, bound
     by name at launch — exits threads past ``p_n`` and resolves the
     thread's site (through the subset table in ``subset_mode``).
-    ``out_names`` are the caller's output pointers (``p_dst`` or the
-    reduction partials ``p_out_re[, p_out_im]``).
+    ``out_names`` are the partials pointers of a reduction tail
+    (``p_out_re[, p_out_im]``); destinations are ordinary ``p_f*``.
 
-    Returns ``(unparser, out_bases, gid, exit_label)``;
-    :func:`_close_kernel` finishes the kernel.  The kernel is
+    Returns ``(unparser, out_bases, gid, exit_label)``.  The kernel is
     volume-parametric (the layout stride I_V is a parameter), so one
     compiled kernel serves every lattice size.
     """
@@ -679,12 +677,6 @@ def _open_kernel(name: str, slots: SlotAssigner, spec: TypeSpec,
     return up, out_bases, gid, exit_lbl
 
 
-def _close_kernel(up: Unparser, exit_lbl) -> PTXModule:
-    up.kb.label(exit_lbl)
-    up.kb.ret()
-    return PTXModule.from_builder(up.kb)
-
-
 def _check_assign_types(dest_spec: TypeSpec, expr: Expr) -> None:
     if dest_spec.is_complex is False and expr.spec.is_complex:
         raise ExprTypeError(
@@ -697,70 +689,32 @@ def _check_assign_types(dest_spec: TypeSpec, expr: Expr) -> None:
             f"spin={dest_spec.spin} color={dest_spec.color}")
 
 
-def build_expression_kernel(name: str, expr: Expr, dest_spec: TypeSpec,
+def build_expression_kernel(name: str, expr: Expr, dest,
                             subset_mode: bool) -> PTXModule:
-    """Generate the PTX kernel evaluating ``dest = expr``."""
-    _check_assign_types(dest_spec, expr)
-    slots = SlotAssigner()
-    # pre-walk to discover slots in signature order
-    expr.signature(slots)
-    up, (dst_base,), _, exit_lbl = _open_kernel(
-        name, slots, dest_spec, subset_mode, ("p_dst",))
-    kb = up.kb
-
-    # --- body: one store per destination word ---
-    ft = _FT[dest_spec.precision]
-    wb = dest_spec.word_bytes
-    nsb = up._nsites_bytes_reg(wb)
-    sb = up._site_bytes_reg(None, wb)
-    ops = up.ops
-    for sidx in dest_spec.spin_indices():
-        for cidx in dest_spec.color_indices():
-            val = up.gen(expr, sidx, cidx)
-            val = ops._materialize(val, ft)
-            comps = [(0, val.re)]
-            if dest_spec.is_complex:
-                comps.append((1, val.im if val.im is not None
-                              else Immediate(ft, 0.0)))
-            elif val.im is not None:
-                raise ExprTypeError(
-                    "complex value assigned to real destination")
-            for ir, operand in comps:
-                w = dest_spec.word_index(sidx, cidx, ir)
-                off = kb.fma(nsb, kb.imm(w, PTXType.S64), sb, PTXType.S64)
-                addr = kb.add(dst_base, kb.cvt(off, PTXType.U64))
-                kb.st_global(addr, operand, ft)
-    return _close_kernel(up, exit_lbl)
-
-
-def build_reduction_kernel(name: str, kind: str, exprs: list[Expr],
-                           subset_mode: bool) -> PTXModule:
-    """Generate the standalone partials kernel for a reduction.
-
-    ``kind``: ``norm2`` (sum of |component|^2), ``sum`` (component sum
-    of a scalar-shaped expression, complex out) or ``inner``
-    (sum over components of conj(a)*b, complex out).
-    """
-    slots = SlotAssigner()
-    for e in exprs:
-        e.signature(slots)
-    up, outs, gid, exit_lbl = _open_kernel(
-        name, slots, exprs[0].spec, subset_mode, partials_names(kind))
-    emit_reduction_partials(up, kind, exprs, outs, gid)
-    return _close_kernel(up, exit_lbl)
+    """Generate the PTX kernel evaluating ``dest = expr`` into the
+    field ``dest``: a group of one statement."""
+    return build_fused_kernel(name, [(dest, expr)], None, subset_mode)
 
 
 def build_fused_kernel(name: str, assigns, reduction,
                        subset_mode: bool) -> PTXModule:
-    """Generate one multi-output kernel for a fused statement group.
+    """Generate the kernel of one statement group — the only
+    statement-kernel builder.
 
     ``assigns`` is an ordered list of ``(dest_field, expr)`` pairs
     (normalized ASTs); ``reduction`` is an optional trailing
     ``(kind, exprs)`` whose per-thread partials the kernel also
-    writes.  Statement order is preserved per thread, destinations are
-    addressed through their own field slot (so the structural cache
-    key fully determines the code), and the fused :class:`Unparser`
-    mode supplies load dedup, CSE and destination forwarding.
+    writes: ``norm2`` (sum of |component|^2), ``sum`` (component sum
+    of a scalar-shaped expression, complex out) or ``inner`` (sum over
+    components of conj(a)*b, complex out).  One statement and no tail
+    is an eager statement's kernel; no statement and a tail is a
+    standalone partials kernel.  Statement order is preserved per
+    thread and destinations are addressed through their own field slot
+    (so the structural cache key fully determines the code).  The
+    fused :class:`Unparser` mode — load dedup, CSE, destination
+    forwarding — is on exactly when the group has more than one member
+    (the tail counts as one): a lone statement keeps the per-node
+    loads Table II's byte accounting needs.
     """
     slots = SlotAssigner()
     # pre-walk in the exact order the launcher re-walks for binding:
@@ -774,13 +728,14 @@ def build_fused_kernel(name: str, assigns, reduction,
         for e in reduction[1]:
             e.signature(slots)
 
-    # the scheduler only groups statements of one destination
-    # precision, so the ComplexOps default type matches what each
-    # statement's eager kernel would use
+    # the scheduler only groups statements (and absorbs reductions) of
+    # one precision, so the ComplexOps default type matches what each
+    # member's own kernel would use
+    spec = assigns[0][0].spec if assigns else reduction[1][0].spec
     up, outs, gid, exit_lbl = _open_kernel(
-        name, slots, assigns[0][0].spec, subset_mode,
+        name, slots, spec, subset_mode,
         () if reduction is None else partials_names(reduction[0]),
-        fused=True)
+        fused=len(assigns) + (reduction is not None) > 1)
     kb = up.kb
 
     # --- body: statements in order, one store per destination word ---
@@ -820,4 +775,6 @@ def build_fused_kernel(name: str, assigns, reduction,
 
     if reduction is not None:
         emit_reduction_partials(up, reduction[0], reduction[1], outs, gid)
-    return _close_kernel(up, exit_lbl)
+    kb.label(exit_lbl)
+    kb.ret()
+    return PTXModule.from_builder(kb)

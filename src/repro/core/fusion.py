@@ -32,14 +32,18 @@ Hazard model (the PR-1 lint walk provides the read sets):
   trailing group is *absorbed* into it: the group's kernel also writes
   the per-thread partials, saving the separate partials launch.
 
-Every group goes through the same lookup, binding and launch steps as
-an eager statement (:mod:`repro.core.evaluator`); a single-statement
-group also uses the eager statement's expression kernel, so its cache
-key, PTX and byte accounting are identical to the eager evaluator's.
-The ``REPRO_FUSION`` knob (default ``on``) restores fully eager
-evaluation with ``off``; results are bitwise identical either way —
-fusion changes *where* values flow (registers vs memory), never the
-arithmetic that produces them.
+Every statement path is this one: :func:`_launch_group` is the only
+launcher and :func:`repro.core.codegen.build_fused_kernel` the only
+builder.  A statement is a group of one, a standalone reduction is a
+group with no statement and only a tail, and the multi-statement
+mechanisms switch on from what the group *is* (more than one member).
+The ``REPRO_FUSION`` knob (default ``on``) is read once, here: ``off``
+makes the queue flush after every enqueue, so it never holds two
+statements and every launch is a group of one — the same kernels,
+cache keys and byte accounting a lone statement gets under ``on``.
+Results are bitwise identical either way — fusion changes *where*
+values flow (registers vs memory), never the arithmetic that produces
+them.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..diagnostics import fusion_mode
+from ..ptx.absint import KernelEnv, MemRegion, table_region
 from .codegen import build_fused_kernel, partials_names
-from .evaluator import _launch_statement, bind_params, launch, launch_env
 from .expr import Expr, FieldRef, SlotAssigner, _spec_sig
 from .lint import _walk
 
@@ -111,37 +115,35 @@ class ReductionJob:
         #: the kernel's partials pointers, one f64 column each
         self.out_names = partials_names(kind)
 
-    @property
-    def out_regions(self) -> dict[str, int]:
-        """``{param: nbytes}`` of the partials columns (launch env)."""
-        return dict.fromkeys(self.out_names, len(self.subset) * 8)
-
-    def bind_partials(self, ctx: "Context", params: dict) -> int:
-        """Point the partials pointers in ``params`` at consecutive
-        columns of the context's scratch buffer; returns its address."""
-        n = len(self.subset)
-        scratch = ctx.scratch(n * 8 * len(self.out_names))
-        for i, p in enumerate(self.out_names):
-            params[p] = scratch + i * n * 8
-        return scratch
-
 
 class Group:
-    """An ordered run of statements that will launch as one kernel."""
+    """An ordered run of statements that will launch as one kernel.
+
+    May be empty: a standalone reduction launches as the tail of a
+    group with no statement.
+    """
 
     __slots__ = ("lattice", "subset", "subset_mode", "stmts", "writes",
-                 "reads", "shift_reads")
+                 "reads", "shift_reads", "need_host")
 
-    def __init__(self, stmt: Statement):
-        self.lattice = stmt.lattice
-        self.subset = stmt.subset
-        self.subset_mode = stmt.subset_mode
-        self.stmts = [stmt]
-        self.writes = {stmt.dest.uid}
-        self.reads = set(stmt.reads)
-        self.shift_reads = set(stmt.shift_reads)
+    def __init__(self, lattice, subset, stmts=()):
+        self.lattice = lattice
+        self.subset = subset
+        self.subset_mode = not subset.is_full
+        self.stmts: list[Statement] = []
+        self.writes: set[int] = set()
+        self.reads: set[int] = set()
+        self.shift_reads: set[int] = set()
+        #: fields whose current contents the kernel loads from memory
+        #: (a plain read of an earlier member's destination is
+        #: forwarded in registers instead)
+        self.need_host: set[int] = set()
+        for stmt in stmts:
+            self.add(stmt)
 
     def add(self, stmt: Statement) -> None:
+        self.need_host |= stmt.reads - self.writes
+        self.need_host |= stmt.shift_reads
         self.stmts.append(stmt)
         self.writes.add(stmt.dest.uid)
         self.reads |= stmt.reads
@@ -218,7 +220,8 @@ class FusionQueue:
                      == g.stmts[0].dest.spec.precision)
                 and len(g.stmts) < MAX_GROUP_STATEMENTS)
 
-    def enqueue(self, dest, expr: Expr, subset, temps) -> PendingCost:
+    def enqueue(self, dest, expr: Expr, subset, temps):
+        """Queue ``dest = expr``; returns its (lazy) launch cost."""
         if len(self.groups) >= MAX_PENDING_GROUPS:
             self.flush()
         stmt = Statement(dest, expr, subset, temps)
@@ -236,7 +239,11 @@ class FusionQueue:
                 placed = True
                 break
         if not placed:
-            self.groups.append(Group(stmt))
+            self.groups.append(Group(stmt.lattice, subset, [stmt]))
+        if not self.enabled:
+            # REPRO_FUSION=off: the queue never holds two statements
+            self.flush()
+            return stmt.cost
         return PendingCost(self, stmt)
 
     # -- barriers --------------------------------------------------------
@@ -248,8 +255,7 @@ class FusionQueue:
         self._flushing = True
         try:
             while self.groups:
-                g = self.groups.pop(0)
-                _launch_group(self.ctx, g)
+                _launch_group(self.ctx, self.groups.pop(0))
         finally:
             self._flushing = False
 
@@ -267,40 +273,37 @@ class FusionQueue:
             g = self.groups.pop(0)
             _release_temps(self.ctx, g.stmts)
 
-    def flush_for_reduction(self, job: ReductionJob) -> int | None:
-        """Drain the queue for a reduction, absorbing it if possible.
+    def flush_for_reduction(self, job: ReductionJob) -> int:
+        """Drain the queue for a reduction and launch its partials;
+        returns the device scratch address holding them.
 
-        If the trailing group is compatible with ``job`` (same lattice
-        and subset, none of its writes read through a shift by the
-        reduction), the group's kernel also computes the reduction
-        partials: returns the device scratch address holding them.
-        Otherwise the queue just drains and ``None`` is returned — the
-        caller runs the standalone partials kernel.
+        If the trailing group is compatible with ``job`` (same lattice,
+        subset and precision, none of its writes read through a shift
+        by the reduction) the reduction is *absorbed*: the group's
+        kernel also computes the partials.  Otherwise the queue just
+        drains and the tail launches on an empty group — the
+        standalone partials kernel.
         """
-        if self._flushing or not self.groups:
-            return None
-        tail = self.groups[-1]
-        absorbable = (tail.lattice is job.lattice
-                      and tail.subset_mode == (not job.subset.is_full)
-                      and (tail.subset is job.subset
-                           or tail.subset.name == job.subset.name)
-                      and (job.exprs[0].spec.precision
-                           == tail.stmts[0].dest.spec.precision)
-                      and not (tail.writes & job.shift_reads))
-        if not absorbable:
-            self.flush()
-            return None
-        self.groups.pop()
+        tail = self.groups[-1] if self.groups and not self._flushing else None
+        if (tail is not None and tail.lattice is job.lattice
+                and tail.subset_mode == (not job.subset.is_full)
+                and (tail.subset is job.subset
+                     or tail.subset.name == job.subset.name)
+                and (job.exprs[0].spec.precision
+                     == tail.stmts[0].dest.spec.precision)
+                and not (tail.writes & job.shift_reads)):
+            self.groups.pop()
+        else:
+            tail = Group(job.lattice, job.subset)
         self.flush()
-        self._flushing = True
+        was_flushing, self._flushing = self._flushing, True
         try:
-            _, scratch = _launch_group(self.ctx, tail, reduction=job)
+            return _launch_group(self.ctx, tail, job)
         finally:
-            self._flushing = False
-        return scratch
+            self._flushing = was_flushing
 
 
-# -- group launch -----------------------------------------------------------
+# -- group launch: the steps every statement path goes through --------------
 
 
 def _release_temps(ctx: "Context", stmts) -> None:
@@ -309,75 +312,118 @@ def _release_temps(ctx: "Context", stmts) -> None:
             ctx.field_cache.release(t)
 
 
-def _launch_group(ctx: "Context", group: Group,
-                  reduction: ReductionJob | None = None):
-    """Look up (or build) and launch one group.
+def launch_env(lattice, subset, slots: SlotAssigner,
+               out_names: tuple[str, ...]) -> KernelEnv:
+    """Launch-time facts for the abstract-interpretation verifier:
+    what the launcher will actually bind — exact site counts, field
+    view sizes, the content range / bulk stride of every gather table,
+    and one f64 partials column per ``out_names`` pointer."""
+    nsites = lattice.nsites
+    regions = {p: MemRegion(p, len(subset) * 8) for p in out_names}
+    for i, f in enumerate(slots.fields):
+        regions[f"p_f{i}"] = MemRegion(f"p_f{i}",
+                                       nsites * f.spec.bytes_per_site)
+    for i, (mu, sign) in enumerate(slots.shifts):
+        regions[f"p_sh{i}"] = table_region(f"p_sh{i}",
+                                           lattice.shift_map(mu, sign))
+    if not subset.is_full:
+        regions["p_stab"] = table_region("p_stab", subset.sites)
+    return KernelEnv(scalars={"p_lo": nsites, "p_n": len(subset)},
+                     regions=regions)
 
-    Returns ``(KernelCost, scratch_address_or_None)``.  A single
-    statement without an absorbed reduction launches its own
-    expression kernel, so its cache key, PTX and byte accounting are
-    identical to ``REPRO_FUSION=off``.
+
+def _launch_group(ctx: "Context", group: Group,
+                  reduction: ReductionJob | None = None) -> int | None:
+    """Look up (or build), bind, page in and launch one group — the
+    one launcher of every statement path (paper Secs. III-VII).
+
+    Sets each member statement's ``cost``; returns the scratch address
+    of the partials when there is a ``reduction`` tail.  The kernel
+    family follows from the group's shape: one statement ``eval_``, a
+    lone tail ``red_``, anything larger ``fus_`` — and only those
+    count as fusion groups.
     """
     stmts = group.stmts
-    if len(stmts) == 1 and reduction is None:
-        st = stmts[0]
-        st.cost = _launch_statement(st.dest, st.expr, st.subset, ctx)
-        _release_temps(ctx, stmts)
-        return st.cost, None
-
-    lattice = group.lattice
-    subset = group.subset
+    lattice, subset = group.lattice, group.subset
     subset_mode = group.subset_mode
+    n_active = len(subset)
 
+    # -- structural signature -> generated-module cache; a miss runs
+    # -- the code generator, the PTX verifier and the driver JIT
     slots = SlotAssigner()
     parts = []
     for st in stmts:
         sig = st.expr.signature(slots)
         dslot = slots.field_slot(st.dest)
         parts.append(f"{sig}->D{dslot}:{_spec_sig(st.dest.spec)}")
+    out_names = ()
     if reduction is not None:
         rsig = ",".join(e.signature(slots) for e in reduction.exprs)
         parts.append(f"red:{reduction.kind}({rsig})")
-    key = ("fus:" + ";".join(parts)
+        out_names = reduction.out_names
+    fused = len(parts) > 1
+    key = (("fus:" if fused else "") + ";".join(parts)
            + ("|sub" if subset_mode else "|full"))
-
-    # destinations are ordinary ``p_f`` regions here; the only output
-    # pointers are the partials buffers of an absorbed reduction
-    env = launch_env(lattice, subset, slots,
-                     {} if reduction is None else reduction.out_regions)
     entry = ctx.lookup_kernel(
-        key, "fus_",
+        key, "fus_" if fused else "eval_" if stmts else "red_",
         lambda name: build_fused_kernel(
             name, [(st.dest, st.expr) for st in stmts],
             reduction=(None if reduction is None
                        else (reduction.kind, reduction.exprs)),
             subset_mode=subset_mode),
-        env)
+        launch_env(lattice, subset, slots, out_names))
 
-    # -- paging: one make_available for the whole group's working set --
-    written: set[int] = set()
-    need_host: set[int] = set()
-    for st in stmts:
-        need_host |= {u for u in st.reads if u not in written}
-        need_host |= st.shift_reads
-        written.add(st.dest.uid)
+    # -- bind what may allocate *before* paging: a first-use table
+    # -- upload or a scratch grow can spill, and must not spill a field
+    # -- whose address this launch has already taken.  Shift tables
+    # -- come from this walk's slots: the kernel text is direction-
+    # -- independent, so one compiled kernel serves every (mu, sign).
+    params: dict[str, object] = {"p_lo": lattice.nsites, "p_n": n_active}
+    if subset_mode:
+        params["p_stab"] = ctx.upload_table(
+            ("subset", lattice.dims, subset.name), subset.sites)
+    for i, (mu, sign) in enumerate(slots.shifts):
+        params[f"p_sh{i}"] = ctx.upload_table(
+            ("shift", lattice.dims, mu, sign), lattice.shift_map(mu, sign))
+    for i, sn in enumerate(slots.scalar_slots):
+        params[f"p_s{i}_re"] = sn.value.real
+        if sn.spec.is_complex:
+            params[f"p_s{i}_im"] = sn.value.imag
+    scratch = None
+    need_host = group.need_host
     if reduction is not None:
-        need_host |= {u for u in reduction.reads if u not in written}
-        need_host |= reduction.shift_reads
-    write_only = set() if subset_mode else (written - need_host)
+        # one f64 partials column per pointer, consecutive in scratch
+        scratch = ctx.scratch(n_active * 8 * len(out_names))
+        for i, p in enumerate(out_names):
+            params[p] = scratch + i * n_active * 8
+        need_host = (need_host | (reduction.reads - group.writes)
+                     | reduction.shift_reads)
+
+    # -- automated memory management (paper Sec. IV): one
+    # -- make_available for the whole group's working set
+    write_only = set() if subset_mode else (group.writes - need_host)
     addrs = ctx.field_cache.make_available(slots.fields,
                                            write_only=write_only)
+    for i, f in enumerate(slots.fields):
+        params[f"p_f{i}"] = addrs[f.uid]
 
-    params = bind_params(ctx, lattice, subset, slots, addrs)
-    scratch = None
-    if reduction is not None:
-        scratch = reduction.bind_partials(ctx, params)
-    cost = launch(ctx, entry, params, len(subset),
-                  stmts[0].dest.spec.precision)
+    # -- launch through the per-kernel auto-tuner (paper Sec. VII), or
+    # -- at the context's fixed block size
+    info = entry.module.info
+    precision = (stmts[0].dest.spec if stmts
+                 else reduction.exprs[0].spec).precision
+    if ctx.autotuner is not None:
+        cost = ctx.autotuner.launch(entry.compiled, info, params, n_active,
+                                    precision=precision)
+    else:
+        cost = ctx.device.launch(entry.compiled, info, params, n_active,
+                                 block_size=ctx.default_block_size,
+                                 precision=precision)
     for st in stmts:
         ctx.field_cache.mark_device_dirty(st.dest)
         st.cost = cost
     _release_temps(ctx, stmts)
-    ctx.stats.fusion_groups += 1
-    ctx.stats.fused_statements += len(stmts)
-    return cost, scratch
+    if fused:
+        ctx.stats.fusion_groups += 1
+        ctx.stats.fused_statements += len(stmts)
+    return scratch

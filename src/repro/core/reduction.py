@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .codegen import build_reduction_kernel
-
 if TYPE_CHECKING:
     from ..qdp.lattice import Subset
 from .context import Context
-from .evaluator import _normalize, bind_params, launch, launch_env
-from .expr import Expr, ExprTypeError, FieldRef, SlotAssigner, as_expr
+from .evaluator import _normalize
+from .expr import Expr, ExprTypeError, FieldRef, as_expr
 from .fusion import ReductionJob
 
 
@@ -67,11 +65,7 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     # compatible, its fused kernel also writes our partials and the
     # separate partials launch disappears entirely
     job = ReductionJob(kind, exprs, subset, lattice)
-    scratch = None
-    if ctx.fusion.enabled:
-        scratch = ctx.fusion.flush_for_reduction(job)
-    if scratch is None:
-        scratch = _launch_partials(ctx, job)
+    scratch = ctx.fusion.flush_for_reduction(job)
     for t in temps:
         ctx.field_cache.release(t)
     ctx.stats.reductions += 1
@@ -79,32 +73,6 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     cols = [ctx.device.reduce_f64(scratch + i * n_active * 8, n_active)
             for i in range(len(job.out_names))]
     return complex(*cols) if len(cols) == 2 else cols[0]
-
-
-def _launch_partials(ctx: Context, job: ReductionJob) -> int:
-    """Look up (or build) and launch the standalone partials kernel;
-    returns the scratch address holding the partials."""
-    lattice, subset = job.lattice, job.subset
-    slots = SlotAssigner()
-    sigs = ",".join(e.signature(slots) for e in job.exprs)
-    subset_mode = not subset.is_full
-    key = f"red:{job.kind}({sigs})|{'sub' if subset_mode else 'full'}"
-    env = launch_env(lattice, subset, slots, job.out_regions)
-    entry = ctx.lookup_kernel(
-        key, "red_",
-        lambda name: build_reduction_kernel(name, job.kind, job.exprs,
-                                            subset_mode),
-        env)
-
-    # scratch before paging: its allocation may spill, and must not
-    # spill a field this launch just paged in
-    outs: dict[str, int] = {}
-    scratch = job.bind_partials(ctx, outs)
-    addrs = ctx.field_cache.make_available(slots.fields)
-    params = bind_params(ctx, lattice, subset, slots, addrs)
-    params.update(outs)
-    launch(ctx, entry, params, len(subset), job.exprs[0].spec.precision)
-    return scratch
 
 
 # -- public API ---------------------------------------------------------------

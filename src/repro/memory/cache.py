@@ -129,16 +129,6 @@ class FieldCache:
         #: guards against reentry; launches themselves never call
         #: ensure_host/invalidate_device.
         self.flush_hook = None
-        #: optional per-tenant attribution hook for the
-        #: :class:`CacheStats` counters: called as ``attribution(event,
-        #: uid, nbytes)`` with event one of hit/miss/page_in/page_out/
-        #: spill.  ``None`` (the default) costs bare-context users one
-        #: attribute check per counted event and changes no number.
-        self.attribution = None
-
-    def _attr(self, event: str, uid: int, nbytes: int) -> None:
-        if self.attribution is not None:
-            self.attribution(event, uid, nbytes)
 
     # -- internals -----------------------------------------------------
 
@@ -183,7 +173,6 @@ class FieldCache:
             f.host_valid = True
             self.stats.page_outs += 1
             self.stats.bytes_paged_out += entry.nbytes
-            self._attr("page_out", uid, entry.nbytes)
             # the freed memory may be handed right back out: gate the
             # next upload on this writeback draining
             self._reuse_event = self.device.runtime.d2h.record_event()
@@ -192,7 +181,6 @@ class FieldCache:
         if f is not None:
             f.device_valid = False
         self.stats.spills += 1
-        self._attr("spill", uid, entry.nbytes)
         self._release_entry(uid)
         return True
 
@@ -258,7 +246,6 @@ class FieldCache:
             entry = self.entries.get(f.uid)
             if entry is None:
                 self.stats.misses += 1
-                self._attr("miss", f.uid, f.nbytes)
                 addr = self._allocate_with_spill(f.nbytes, pinned)
                 entry = CacheEntry(
                     addr=addr, nbytes=f.nbytes, last_use=now,
@@ -272,7 +259,6 @@ class FieldCache:
                     self._page_in(entry, f)
             else:
                 self.stats.hits += 1
-                self._attr("hit", f.uid, f.nbytes)
                 entry.last_use = now
                 if f.uid not in write_only and not f.device_valid:
                     # device copy stale (host was modified): refresh
@@ -304,7 +290,6 @@ class FieldCache:
         f.device_valid = True
         self.stats.page_ins += 1
         self.stats.bytes_paged_in += f.nbytes
-        self._attr("page_in", f.uid, f.nbytes)
 
     def mark_device_dirty(self, f: CacheableField) -> None:
         """Record that a kernel wrote ``f``: host copy is now stale."""
@@ -331,7 +316,6 @@ class FieldCache:
         f.host_valid = True
         self.stats.page_outs += 1
         self.stats.bytes_paged_out += entry.nbytes
-        self._attr("page_out", f.uid, entry.nbytes)
 
     def invalidate_device(self, f: CacheableField) -> None:
         """CPU code wrote the host copy: the device copy is stale.

@@ -16,14 +16,14 @@ onto it under the scheduling policy it was constructed with:
 Isolation contract
 ------------------
 Each tenant gets its own :class:`~repro.core.context.Context` over the
-shared device, so module cache, fusion queue, field cache and
+shared device, so module cache, fusion queue, field cache (and with
+it the software-cache counters ``TenantStats.cache_events`` reads) and
 expression counters are private; everything the *shared* device
 records while a tenant's chunk runs is routed to that tenant through
-three hooks the server installs:
+two hooks the server installs:
 
 * ``device.stats.attribution`` — modeled seconds / wall / launches by
   operation kind, keyed on the tenant whose slice is running;
-* ``field_cache.attribution`` (per tenant) — software-cache events;
 * ``timeline.tenant`` — every span emitted during a slice carries an
   ``args["tenant"]`` tag, so ``tenant.timeline()`` is an exact
   per-tenant view of the shared trace.
@@ -219,15 +219,8 @@ class Server:
         ctx = Context(spec=self.device.spec, device=self.device,
                       kernel_cache=self.kernel_cache)
         t = Tenant(name, ctx, weight=weight, server=self)
-        stats = t.stats
-
-        def cache_attribution(event: str, uid: int, nbytes: int,
-                              _s=stats) -> None:
-            _s.cache_events[event] = _s.cache_events.get(event, 0) + 1
-
-        ctx.field_cache.attribution = cache_attribution
         self.tenants[name] = t
-        self.kernel_cache._tenant_stats[name] = stats
+        self.kernel_cache._tenant_stats[name] = t.stats
         return t
 
     def _attribute(self, kind: str, name: str, modeled_s: float,
@@ -392,7 +385,8 @@ class Server:
     # -- reporting -------------------------------------------------------
 
     def as_json(self) -> dict:
-        """The serving block of ``repro.lint --json`` (schema v7)."""
+        """One JSON-able report of this server: policy, scheduler and
+        admission decisions, shared JIT cache, per-tenant stats."""
         return {
             "mode": self.policy,
             "scheduler": {"policy": self.scheduler.policy,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..memory.cache import CacheStats
+
 
 @dataclass
 class TenantStats:
@@ -33,8 +35,6 @@ class TenantStats:
     modeled_s_by_kind: dict = field(default_factory=dict)
     #: measured host wall-clock of this tenant's kernel executions
     wall_s: float = 0.0
-    #: field software-cache events (hit/miss/page_in/page_out/spill)
-    cache_events: dict = field(default_factory=dict)
     #: shared compiled-kernel cache outcomes for this tenant
     jit_hits: int = 0
     jit_misses: int = 0
@@ -46,6 +46,18 @@ class TenantStats:
     sessions_rejected: int = 0
     #: modeled service seconds the scheduler charged to this tenant
     service_s: float = 0.0
+    #: the tenant's private field cache's counters (a tenant owns its
+    #: :class:`~repro.memory.cache.FieldCache`, so they are its own)
+    _cache: CacheStats = field(default_factory=CacheStats, repr=False,
+                               compare=False)
+
+    @property
+    def cache_events(self) -> dict:
+        """Field software-cache events, read live from the tenant's
+        own :class:`~repro.memory.cache.CacheStats`."""
+        c = self._cache
+        return {"hit": c.hits, "miss": c.misses, "page_in": c.page_ins,
+                "page_out": c.page_outs, "spill": c.spills}
 
     @property
     def modeled_s(self) -> float:
@@ -58,7 +70,7 @@ class TenantStats:
             "modeled_s": self.modeled_s,
             "modeled_s_by_kind": dict(self.modeled_s_by_kind),
             "wall_s": self.wall_s,
-            "cache_events": dict(self.cache_events),
+            "cache_events": self.cache_events,
             "jit_hits": self.jit_hits,
             "jit_misses": self.jit_misses,
             "jit_shared_hits": self.jit_shared_hits,
@@ -81,6 +93,8 @@ class Tenant:
         self.ctx = ctx
         self.weight = float(weight)
         self.stats = TenantStats()
+        if ctx is not None:   # scheduler unit tests build bare tenants
+            self.stats._cache = ctx.field_cache.stats
         self._server = server
 
     def timeline(self):

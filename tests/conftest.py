@@ -51,3 +51,27 @@ def lat_small(ctx) -> Lattice:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def launch_spy(monkeypatch):
+    """``launch_spy(ctx)`` records every ``Device.launch`` on ``ctx``'s
+    device as ``(kernel name, params, live)`` — the binding the
+    launcher really made, and ``{addr: nbytes}`` of the field-cache
+    entries alive at that moment — so no test re-creates the
+    parameter layout by hand."""
+
+    def install(ctx):
+        calls = []
+        real = ctx.device.launch
+
+        def spy(kernel, info, params, *args, **kwargs):
+            live = {e.addr: e.nbytes
+                    for e in ctx.field_cache.entries.values()}
+            calls.append((kernel.name, dict(params), live))
+            return real(kernel, info, params, *args, **kwargs)
+
+        monkeypatch.setattr(ctx.device, "launch", spy)
+        return calls
+
+    return install

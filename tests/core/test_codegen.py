@@ -261,15 +261,17 @@ class TestTableII:
 
 
 class TestByteIdentity:
-    """The three statement paths share one kernel prologue; these pin
-    the exact PTX (sha256 of the rendered module, recorded before the
-    paths were merged) of one kernel per path and mode, so every
-    digest in the process-wide kernel store stays what it was."""
+    """Every statement path is one builder; these pin the exact PTX
+    (sha256 of the rendered module) of one kernel per group shape and
+    mode.  The fused and reduction digests were recorded when there
+    were three builders and have not moved; the ``eager_*`` ones were
+    re-recorded when single statements began addressing their
+    destination through its field slot instead of ``p_dst`` (PR 21)."""
 
     GOLDEN = {
-        "eager_full": "f5835a916f140740fa5f7d5b6eea2319d476b2f8c466fba81656f75634c14095",
-        "eager_subset": "7a77ec07be1bdfaf70b50d82e16c7d3ab234e014c9c3d634ec40faa45999157c",
-        "eager_shift": "19750bc2a50fd7ebf640e184126430a7459955cf5146199a742abba2ffbfdc10",
+        "eager_full": "e678dad26feef54005c75837894c7dd19ebce17c58d985c27624eb771daaa652",
+        "eager_subset": "fb228e506c7f8c1208b1e6c38016b6d7be8cf2f9f794865c4e83bc7a009f4180",
+        "eager_shift": "89c5c394abf8bfbf64dcaf7344f02cca7597e460d6df0059eb1df8c2a9388237",
         "fused_3": "1b09d4a11d46c9e5886dff04b46be16e98eecc9cdeeafeb12059877374028c74",
         "fused_norm2": "114b7b70248ae6ddc7323c7b01d97c6d639f45660331efe481c5262f39dba412",
         "norm2": "cd8076e3e90bb3261e32dca43cc103cc784c04243d0b7ef15c9e09b45e1f7d06",
@@ -277,41 +279,43 @@ class TestByteIdentity:
     }
     #: kernel names the same statements get through the pipeline
     GOLDEN_NAMES = [
-        "eval_89d2ba9d172c", "eval_19240b54a4d9", "eval_a8573a1dc138",
+        "eval_3549524cf238", "eval_c69f66066454", "eval_980c1ca81bd1",
         "fus_135b4ee03943", "fus_6258f1c7e9c1",
         "red_8cc62da40cc0", "red_0ff803bcd4de",
     ]
 
-    def test_golden_ptx_digests(self, lat4):
-        import hashlib
-
-        from repro.core.codegen import (
-            build_expression_kernel,
-            build_fused_kernel,
-            build_reduction_kernel,
-        )
+    @staticmethod
+    def golden_modules(lat4):
+        """One kernel per group shape and mode, all from the one
+        builder (``tests/driver/test_slot_allocation.py`` reuses it)."""
+        from repro.core.codegen import (build_expression_kernel,
+                                        build_fused_kernel)
         from repro.core.expr import as_expr
 
         x, y, a, b, c = (latt_fermion(lat4) for _ in range(5))
         three = [(a, as_expr(2.0 * x + y)), (b, a.ref() - y.ref()),
                  (c, as_expr(3.0 * a + b))]
-        modules = {
+        return {
             "eager_full": build_expression_kernel(
-                "golden", as_expr(2.0 * x + y), a.spec, False),
+                "golden", as_expr(2.0 * x + y), a, False),
             "eager_subset": build_expression_kernel(
-                "golden", as_expr(2.0 * x + y), a.spec, True),
+                "golden", as_expr(2.0 * x + y), a, True),
             "eager_shift": build_expression_kernel(
-                "golden", x + shift(y.ref(), +1, 0), a.spec, False),
+                "golden", x + shift(y.ref(), +1, 0), a, False),
             "fused_3": build_fused_kernel("golden", three, None, False),
             "fused_norm2": build_fused_kernel(
                 "golden", three[:2], ("norm2", [b.ref()]), False),
-            "norm2": build_reduction_kernel(
-                "golden", "norm2", [x.ref()], False),
-            "inner_subset": build_reduction_kernel(
-                "golden", "inner", [x.ref(), y.ref()], True),
+            "norm2": build_fused_kernel(
+                "golden", [], ("norm2", [x.ref()]), False),
+            "inner_subset": build_fused_kernel(
+                "golden", [], ("inner", [x.ref(), y.ref()]), True),
         }
+
+    def test_golden_ptx_digests(self, lat4):
+        import hashlib
+
         got = {k: hashlib.sha256(m.render().encode()).hexdigest()
-               for k, m in modules.items()}
+               for k, m in self.golden_modules(lat4).items()}
         assert got == self.GOLDEN
 
     def test_golden_kernel_names(self, lat4, rng):

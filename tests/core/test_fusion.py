@@ -224,6 +224,109 @@ class TestReductionAbsorption:
         assert r == pytest.approx(4 * norm2(x))
 
 
+class TestScratchBeforePaging:
+    """A scratch grow under memory pressure spills; the launcher must
+    let it do so *before* the group's fields are paged in.  At
+    ``05a3afc`` the fused path grew scratch afterwards with nothing
+    pinned: the launch ran with the address of a field the grow had
+    just evicted, and the partials inside that field's freed slot."""
+
+    FIELD = 49152      # one 4^4 f64 fermion
+
+    def _chain(self, lat, rng, pool_capacity):
+        ctx = Context(pool_capacity=pool_capacity, autotune=False,
+                      fusion=True)
+        a, b, c = _fermions(lat, ctx, 3, rng)
+        d, e = _fermions(lat, ctx, 2)
+        return ctx, (a, b, c, d, e)
+
+    def test_absorbed_reduction_binds_no_freed_address(self, lat, rng,
+                                                       launch_spy):
+        # pool: base page + five fields + two partials columns + 1 KiB.
+        # Two resident bystanders and a one-column scratch behind them
+        # make the two-column grow need a spill whichever way round.
+        ctx, (a, b, c, d, e) = self._chain(
+            lat, rng, 256 + 5 * self.FIELD + 4096 + 1024)
+        z, z2 = _fermions(lat, ctx, 2, rng)
+        z2.assign(2.0 * z)
+        ctx.flush()
+        norm2(z2)
+        d.assign(a + b)
+        e.assign(d + c)
+        calls = launch_spy(ctx)
+        got = innerProduct(e, e)
+        assert [name[:4] for name, _, _ in calls] == ["fus_"]
+        for name, params, live in calls:
+            fields = {p: v for p, v in params.items() if p.startswith("p_f")}
+            assert len(fields) == 5 and set(fields.values()) <= set(live)
+            for p, out in params.items():
+                if p.startswith("p_out"):
+                    assert not any(
+                        addr < out + params["p_n"] * 8 and out < addr + nb
+                        for addr, nb in live.items()), (name, p)
+        want = a.to_numpy() + b.to_numpy() + c.to_numpy()
+        assert got.real == pytest.approx(float(np.sum(np.abs(want) ** 2)))
+
+    def test_a_working_set_that_cannot_fit_is_a_typed_error(self, lat, rng):
+        """The issue's original shape: five fields and 2 KiB of
+        partials in a pool of five fields and 1 KiB.  It used to
+        "work" by reading a freed field; now it says so."""
+        from repro.memory.cache import SpillImpossible
+
+        ctx, (a, b, c, d, e) = self._chain(lat, rng, 5 * self.FIELD + 1024)
+        d.assign(a + b)
+        e.assign(d + c)
+        with pytest.raises(SpillImpossible):
+            norm2(e)
+
+
+class TestGroupOfOne:
+    """A statement is a group of one and a standalone reduction a
+    group with only a tail: with nothing to fuse, ``fusion=True`` and
+    ``fusion=False`` run the same kernels."""
+
+    @staticmethod
+    def _run(fusion, program):
+        rng = np.random.default_rng(7)
+        lat = Lattice((4, 4, 4, 4))
+        ctx = Context(fusion=fusion, autotune=False)
+        x, y = _fermions(lat, ctx, 2, rng)
+        a = latt_fermion(lat, context=ctx)
+        out = program(ctx, lat, x, y, a)
+        ctx.flush()
+        # slots, not uids: kernel text and names are structural
+        mods = [(e.module.name, e.module.render())
+                for e in ctx.module_cache.values()]
+        return ctx, mods, a.to_numpy().copy(), out
+
+    @pytest.mark.parametrize("program", [
+        lambda ctx, lat, x, y, a: a.assign(2.0 * x + y),
+        lambda ctx, lat, x, y, a: a.assign(x + shift(y.ref(), +1, 0),
+                                           subset=lat.even),
+        lambda ctx, lat, x, y, a: norm2(x),
+        lambda ctx, lat, x, y, a: innerProduct(x, y, subset=lat.even),
+    ], ids=["assign", "shift_subset", "norm2", "inner_even"])
+    def test_on_and_off_build_the_same_kernel(self, program):
+        on, mods_on, a_on, out_on = self._run(True, program)
+        off, mods_off, a_off, out_off = self._run(False, program)
+        assert len(mods_on) == 1 and mods_on == mods_off
+        assert np.array_equal(a_on, a_off)
+        if not isinstance(out_on, PendingCost):
+            assert out_on == out_off          # the reduction's scalar
+        for ctx in (on, off):
+            assert ctx.stats.fusion_groups == 0
+            assert ctx.stats.fused_statements == 0
+
+    def test_fusion_off_returns_a_plain_kernel_cost(self, lat, rng):
+        from repro.device.memmodel import KernelCost
+
+        ctx = Context(fusion=False)
+        x, a = _fermions(lat, ctx, 2, rng)
+        cost = a.assign(2.0 * x)
+        assert isinstance(cost, KernelCost) and cost.time_s > 0.0
+        assert not ctx.fusion.groups
+
+
 class TestBitwiseTransparency:
     def _chain(self, fusion, seed=11):
         ctx = Context(fusion=fusion)

@@ -20,10 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.codegen import (build_expression_kernel, build_fused_kernel,
-                                build_reduction_kernel)
 from repro.core.context import Context
-from repro.core.expr import as_expr, shift
 from repro.driver.jitcompiler import (_RUNTIME, _VECTOR_LOCAL, _Translator,
                                       allocate_slots)
 from repro.driver.parser import parse_ptx
@@ -35,7 +32,6 @@ from repro.ptx.isa import Instruction
 from repro.ptx.liveness import max_live_registers
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
-from repro.qdp.fields import latt_fermion
 
 from ..core.test_codegen import TestByteIdentity as _Golden
 from ..ptx import test_single_sweep as _sweep
@@ -204,23 +200,7 @@ class TestAllocatorUnits:
 def golden(lat4):
     """``TestByteIdentity``'s kernels (digests checked), the lint
     suite and the acyclic generator of ``test_single_sweep``, parsed."""
-    x, y, a, b, c = (latt_fermion(lat4) for _ in range(5))
-    three = [(a, as_expr(2.0 * x + y)), (b, a.ref() - y.ref()),
-             (c, as_expr(3.0 * a + b))]
-    modules = {
-        "eager_full": build_expression_kernel(
-            "golden", as_expr(2.0 * x + y), a.spec, False),
-        "eager_subset": build_expression_kernel(
-            "golden", as_expr(2.0 * x + y), a.spec, True),
-        "eager_shift": build_expression_kernel(
-            "golden", x + shift(y.ref(), +1, 0), a.spec, False),
-        "fused_3": build_fused_kernel("golden", three, None, False),
-        "fused_norm2": build_fused_kernel(
-            "golden", three[:2], ("norm2", [b.ref()]), False),
-        "norm2": build_reduction_kernel("golden", "norm2", [x.ref()], False),
-        "inner_subset": build_reduction_kernel(
-            "golden", "inner", [x.ref(), y.ref()], True),
-    }
+    modules = _Golden.golden_modules(lat4)
     texts = {k: m.render() for k, m in modules.items()}
     assert {k: hashlib.sha256(t.encode()).hexdigest()
             for k, t in texts.items()} == _Golden.GOLDEN
@@ -266,14 +246,15 @@ def test_translate_returns_the_allocated_body(golden):
 
 #: sha256 of the source each visitor generates for ``TestByteIdentity``'s
 #: kernels, recorded at f1b4698 (before the ``cpu`` fold learned to
-#: reproduce integer wraps): ``(sim, cpu)``
+#: reproduce integer wraps; the ``eager_*`` rows re-recorded with their
+#: PTX digests when ``p_dst`` became a field slot): ``(sim, cpu)``
 GOLDEN_SOURCE = {
-    "eager_full": ("eb8c9a7634b443183df413fa7332cf107623d2fb2ba7c131218024933064ba73",
-                   "02a62c10d087cca5dee0d019d703c1c8a50debec935060b9b090c69ac4e1aaff"),
-    "eager_subset": ("55c82869a03818ed52a73e7d484976345338fd1dc1ab1c19aa45be1cd43295b1",
-                     "99a9907632840d2e1ca69e936321a1c5271f31f310451f58737e5bbfe287639e"),
-    "eager_shift": ("ca290f23d0bde8121d3837d436df4744394ed92767146d91f4b4225430e6e0db",
-                    "682b6de738a29c590625d40632004e52f0a66d7ac4841be03a9681829c0582c6"),
+    "eager_full": ("d4620b1700397f098ab36c174a414ae47e10ef2331045fcba9a12d0d200e86e2",
+                   "b3f62f4302106097bd7ce328060eabd2199eb448df847de573497e96bc0836d9"),
+    "eager_subset": ("3251555449073523e3a8f3c516ba0cf3a02e2380cf1e6a1a3b61d2a2a1a6700d",
+                     "bc4a23c8543b1b406e704467a29a3384232865b002c38f27a2d84904fce11576"),
+    "eager_shift": ("bfcfc8f6d90ebb0630009c150fd33e6cb7017bb5890e72cc12296a45aed3a705",
+                    "17e9401dd555a489054496b57b14c0acfe21518c0419818c271d48f5a8f6b1a0"),
     "fused_3": ("ac1ad4786aca60f22b891a8558f6e813135090d0033a2e3dded359a83bf5ff1b",
                 "1ff9f3413adf67c03491cfa5200f3b55fdaf004bb2ca599b819625f478f39543"),
     "fused_norm2": ("66e53de6bcabaea19fd467c93983b90cd26956c6ccfc1a0e893eb2c7e0e19eff",

@@ -16,34 +16,25 @@ from repro.qdp.lattice import Lattice
 _VIEWS = ("float32", "float64", "int32", "int64", "uint32", "uint64")
 
 
-def _run_llvm_and_compare(ctx, dest, build_expr, extra_fields,
-                          subset=None):
-    """Evaluate via PTX, snapshot, zero, re-run via LLVM, compare."""
+def _run_llvm_and_compare(ctx, launch_spy, dest, build_expr, subset=None):
+    """Evaluate via PTX, snapshot, zero, re-run via LLVM with the very
+    parameter block the launcher bound, compare."""
+    calls = launch_spy(ctx)
     dest.assign(build_expr(), subset=subset)
     ref = dest.to_numpy().copy()
     module = list(ctx.module_cache.values())[-1].module
-
-    # capture the parameter binding by re-walking like the evaluator
-    from repro.core.expr import SlotAssigner, as_expr
-    from repro.core.evaluator import _normalize, bind_params
-
-    expr = _normalize(as_expr(build_expr()), dest, ctx)
-    ctx.flush()   # _normalize may enqueue temp-materializing statements
-    slots = SlotAssigner()
-    expr.signature(slots)
-    lattice = dest.lattice
-    sub = subset if subset is not None else lattice.all_sites
-    addrs = ctx.field_cache.make_available([dest] + slots.fields)
-    params = bind_params(ctx, lattice, sub, slots, addrs)
-    params["p_dst"] = addrs[dest.uid]
+    name, params, _ = calls[-1]
+    assert name == module.name
 
     views = {n: ctx.device.pool.view(n) for n in _VIEWS}
-    start = addrs[dest.uid] >> 3
+    addr = ctx.field_cache.entries[dest.uid].addr
+    assert addr in params.values()
+    start = addr >> 3
     views["float64"][start:start + dest.host.size] = 0
 
     kernel = compile_cpu_kernel(module.render())
-    kernel(views, params, math.ceil(len(sub) / 128), 128)
-    got = ctx.device.memcpy_dtoh(addrs[dest.uid], dest.nbytes,
+    kernel(views, params, math.ceil(params["p_n"] / 128), 128)
+    got = ctx.device.memcpy_dtoh(addr, dest.nbytes,
                                  np.float64)[:dest.host.size]
     # compare raw SoA words against the PTX result
     ctx.field_cache.invalidate_device(dest)
@@ -58,43 +49,43 @@ def llctx():
 
 
 class TestCrossBackendAgreement:
-    def test_axpy(self, llctx, rng):
+    def test_axpy(self, llctx, launch_spy, rng):
         lat = Lattice((4, 4, 4, 4))
         a = latt_fermion(lat, context=llctx)
         b = latt_fermion(lat, context=llctx)
         a.gaussian(rng)
         b.gaussian(rng)
         dest = latt_fermion(lat, context=llctx)
-        _run_llvm_and_compare(llctx, dest, lambda: 0.5 * a + b, [a, b])
+        _run_llvm_and_compare(llctx, launch_spy, dest, lambda: 0.5 * a + b)
 
-    def test_matvec(self, llctx, rng):
+    def test_matvec(self, llctx, launch_spy, rng):
         lat = Lattice((4, 4, 4, 4))
         u = latt_color_matrix(lat, context=llctx)
         psi = latt_fermion(lat, context=llctx)
         u.gaussian(rng)
         psi.gaussian(rng)
         dest = latt_fermion(lat, context=llctx)
-        _run_llvm_and_compare(llctx, dest, lambda: u * psi, [u, psi])
+        _run_llvm_and_compare(llctx, launch_spy, dest, lambda: u * psi)
 
-    def test_shift(self, llctx, rng):
+    def test_shift(self, llctx, launch_spy, rng):
         from repro.core.expr import shift
 
         lat = Lattice((4, 4, 4, 4))
         psi = latt_fermion(lat, context=llctx)
         psi.gaussian(rng)
         dest = latt_fermion(lat, context=llctx)
-        _run_llvm_and_compare(llctx, dest,
-                              lambda: shift(psi.ref(), +1, 2), [psi])
+        _run_llvm_and_compare(llctx, launch_spy, dest,
+                              lambda: shift(psi.ref(), +1, 2))
 
-    def test_subset(self, llctx, rng):
+    def test_subset(self, llctx, launch_spy, rng):
         lat = Lattice((4, 4, 4, 4))
         a = latt_fermion(lat, context=llctx)
         a.gaussian(rng)
         dest = latt_fermion(lat, context=llctx)
-        _run_llvm_and_compare(llctx, dest, lambda: 2.0 * a, [a],
+        _run_llvm_and_compare(llctx, launch_spy, dest, lambda: 2.0 * a,
                               subset=lat.even)
 
-    def test_adjoint_product(self, llctx, rng):
+    def test_adjoint_product(self, llctx, launch_spy, rng):
         from repro.core.expr import adj
 
         lat = Lattice((4, 4, 4, 4))
@@ -103,7 +94,7 @@ class TestCrossBackendAgreement:
         u.gaussian(rng)
         psi.gaussian(rng)
         dest = latt_fermion(lat, context=llctx)
-        _run_llvm_and_compare(llctx, dest, lambda: adj(u) * psi, [u, psi])
+        _run_llvm_and_compare(llctx, launch_spy, dest, lambda: adj(u) * psi)
 
 
 class TestSubsetRestrictions:

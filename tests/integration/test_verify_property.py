@@ -21,7 +21,7 @@ _slow = settings(max_examples=25,
 @pytest.fixture(scope="module")
 def flds(ctx):
     lat = Lattice((4, 4, 4, 4))
-    return latt_complex(lat), latt_complex(lat)
+    return latt_complex(lat), latt_complex(lat), latt_complex(lat)
 
 
 # A random expression tree: leaves are field references, shifted field
@@ -63,7 +63,7 @@ def _interp(tree, fields):
 @given(tree=_tree, subset_mode=st.booleans())
 def test_generated_kernels_verify_clean(flds, tree, subset_mode):
     expr = _interp(tree, flds)
-    module = build_expression_kernel("prop_verify", expr, flds[0].spec,
+    module = build_expression_kernel("prop_verify", expr, flds[2],
                                      subset_mode)
     diagnostics = run_passes(module)
     assert not errors(diagnostics), [d.render() for d in diagnostics]

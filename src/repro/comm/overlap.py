@@ -35,27 +35,12 @@ class DslashTiming:
     main_inner_s: float
     main_face_s: float
     overlap: bool
-    #: makespan of this apply's window on the VM's stream-runtime
-    #: timeline (``None`` when the runtime ran in serial mode); when
-    #: set it *is* the total — event-ordered lanes, not the coarse
-    #: two-term max below
-    timeline_s: float | None = None
+    #: the total: makespan of this apply's window on the
+    #: stream-runtime timeline (event-ordered lanes)
+    total_s: float
     #: the window's spans (a :class:`repro.runtime.Timeline` view),
     #: exportable with :func:`repro.runtime.write_chrome_trace`
     timeline: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def total_s(self) -> float:
-        if self.timeline_s is not None:
-            return self.timeline_s
-        if self.overlap:
-            hidden = max(self.comm_s,
-                         self.interior_fill_s + self.main_inner_s)
-            return (self.prepare_s + self.gather_s + hidden
-                    + self.scatter_s + self.main_face_s)
-        return (self.prepare_s + self.gather_s + self.comm_s
-                + self.interior_fill_s + self.scatter_s
-                + self.main_inner_s + self.main_face_s)
 
     @property
     def serial_s(self) -> float:
@@ -187,13 +172,10 @@ class DistributedWilsonDslash:
             main_inner = vm.assign_local(
                 dest, lambda r: self._main_expr(r, sign))
 
-        timeline_s = None
-        window = None
-        if vm.runtime.enabled:
-            timeline_s = vm.runtime.synchronize() - t_begin
-            window = vm.timeline.since(t_begin)
+        total = vm.runtime.synchronize() - t_begin
         return DslashTiming(
             prepare_s=prepare, gather_s=gather, comm_s=comm,
             interior_fill_s=interior_fill, scatter_s=scatter,
             main_inner_s=main_inner, main_face_s=main_face,
-            overlap=overlap, timeline_s=timeline_s, timeline=window)
+            overlap=overlap, total_s=total,
+            timeline=vm.timeline.since(t_begin))

@@ -142,7 +142,6 @@ class VirtualMachine:
                  net: NetworkModel = IB_QDR_CUDA_AWARE,
                  pool_capacity: int | None = None,
                  autotune: bool = True,
-                 streams: bool | None = None,
                  faults=None,
                  resilience=None,
                  recover_policy: str = "buddy"):
@@ -176,8 +175,8 @@ class VirtualMachine:
         self.face_kernels = [FaceKernels(c) for c in self.contexts]
         #: the VM's stream runtime: the *collective* step timeline
         #: (max-over-ranks costs), distinct from each rank context's
-        #: per-device runtime.  ``streams=None`` consults REPRO_STREAMS.
-        self.runtime = StreamRuntime(enabled=streams)
+        #: per-device runtime
+        self.runtime = StreamRuntime()
         self.timeline = self.runtime.timeline
         # persistent per-(rank, mu, sign) send/recv buffers
         self._buffers: dict[tuple, tuple[int, int]] = {}

@@ -71,6 +71,7 @@ class TunerState:
     best_time: float = float("inf")
     launches: int = 0
     failures: int = 0
+    #: ``(block size, modeled time)`` of every probing launch
     history: list[tuple[int, float]] = field(default_factory=list)
 
     @property
@@ -122,10 +123,10 @@ class Autotuner:
                     st.best_block = st.next_block
                 continue
             st.launches += 1
-            st.history.append((bs, cost.time_s))
             if st.phase is Phase.TUNED:
                 return cost
             # probing phase bookkeeping
+            st.history.append((bs, cost.time_s))
             if cost.time_s < st.best_time:
                 st.best_time = cost.time_s
                 st.best_block = bs

@@ -4,15 +4,19 @@ A :class:`Device` owns the flat device memory pool and executes
 JIT-compiled kernels.  Execution is *functionally real* — the compiled
 kernel reads and writes the pool through typed views, producing the
 same answers a GPU would — while *time* is modeled by
-:mod:`repro.device.memmodel` and accounted twice:
+:mod:`repro.device.memmodel` and accounted in one place,
+:meth:`Device.charge`.  Each modeled cost is added there to
 
-* the legacy serial ``clock`` accumulates every modeled cost in
-  program order (the one-clock model, still what ``REPRO_STREAMS=off``
-  reports as the makespan), and
-* the :class:`~repro.runtime.stream.StreamRuntime` places each cost as
-  a span on its stream's lane of the unified timeline — kernels on the
-  compute stream, H2D/D2H copies on dedicated copy streams — so copy
-  and compute time genuinely overlap unless an event orders them.
+* the serial ``clock`` (every cost in program order: what a one-stream
+  device would take),
+* its :class:`DeviceStats` counter,
+* the :class:`~repro.runtime.stream.StreamRuntime` timeline, as a span
+  on its category's lane — kernels on the compute stream, H2D/D2H
+  copies on dedicated copy streams — so copy and compute time
+  genuinely overlap unless an event orders them, and
+* the ``attribution`` hook (the serving layer's per-tenant split),
+
+so the four always describe the same seconds.
 """
 
 from __future__ import annotations
@@ -26,10 +30,18 @@ from ..driver.jitcompiler import CompiledKernel
 from ..memory.pool import DevicePool
 from ..ptx.isa import KernelInfo
 from ..runtime.stream import Stream, StreamRuntime
+from ..runtime.timeline import Span
 from .memmodel import KernelCost, LaunchError, blocks_per_sm, kernel_cost, transfer_time
 from .specs import DeviceSpec, K20X_ECC_OFF
 
 _VIEW_DTYPES = ("float32", "float64", "int32", "int64", "uint32", "uint64")
+
+#: span categories that share a :attr:`DeviceStats.modeled_s` counter
+#: (every other category is its own): each counter stays one
+#: accumulator in program order
+_COUNTER = {"fold": "kernel", "h2d": "transfer", "d2h": "transfer"}
+#: span categories with a lane of their own (the rest run on compute)
+_COPY_LANES = ("h2d", "d2h")
 
 
 @dataclass
@@ -42,7 +54,11 @@ class DeviceStats:
     #: fusion can eliminate the latter but never the former
     fold_launches: int = 0
     launch_failures: int = 0
-    modeled_kernel_time_s: float = 0.0
+    #: modeled seconds per counter — ``kernel`` (launches and folds),
+    #: ``transfer`` (h2d and d2h), ``jit``, and under a fault plan
+    #: ``backoff`` / ``fault``; written only by :meth:`Device.charge`,
+    #: so the values sum to ``Device.clock``
+    modeled_s: dict = field(default_factory=dict)
     #: modeled global-memory traffic of generated kernels (sum of
     #: ``KernelCost.bytes_moved``); fused kernels move fewer bytes
     modeled_kernel_bytes: int = 0
@@ -51,19 +67,28 @@ class DeviceStats:
     bytes_d2h: int = 0
     n_h2d: int = 0
     n_d2h: int = 0
-    modeled_transfer_time_s: float = 0.0
-    modeled_jit_time_s: float = 0.0
     per_kernel_time_s: dict = field(default_factory=dict)
     #: measured host wall-clock per kernel name (what the active
     #: execution backend actually cost, vs the modeled GPU time above)
     per_kernel_wall_s: dict = field(default_factory=dict)
     #: optional per-tenant attribution hook (the serving layer's stats
     #: splitter): called as ``attribution(kind, name, modeled_s,
-    #: wall_s, nbytes)`` after each accounted operation — kernel
-    #: launches (incl. ``per_kernel_wall_s`` updates), folds, copies
-    #: and JIT charges.  ``None`` (the default) costs bare-context
-    #: users one attribute check and changes no number.
+    #: wall_s, nbytes)`` by :meth:`Device.charge`, i.e. for every
+    #: modeled cost.  ``None`` (the default) costs bare-context users
+    #: one attribute check and changes no number.
     attribution: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def modeled_kernel_time_s(self) -> float:
+        return self.modeled_s.get("kernel", 0.0)
+
+    @property
+    def modeled_transfer_time_s(self) -> float:
+        return self.modeled_s.get("transfer", 0.0)
+
+    @property
+    def modeled_jit_time_s(self) -> float:
+        return self.modeled_s.get("jit", 0.0)
 
 
 class Device:
@@ -98,8 +123,8 @@ class Device:
         #: serial reference clock: the sum of every modeled cost, in
         #: program order (what a one-stream device would take)
         self.clock = 0.0
-        #: the stream/event runtime; all modeled costs also land as
-        #: spans on its lane-based timeline
+        #: the stream/event runtime; every modeled cost is also a span
+        #: on its lane-based timeline
         self.runtime = StreamRuntime()
         from ..faults.inject import FaultInjector
         from ..faults.plan import active_plan
@@ -135,15 +160,7 @@ class Device:
         call to obtain the completion event.
         """
         self.pool.write(addr, host)
-        t = transfer_time(self.spec, host.nbytes)
-        self.stats.bytes_h2d += host.nbytes
-        self.stats.n_h2d += 1
-        self.stats.modeled_transfer_time_s += t
-        self.clock += t
-        s = stream if stream is not None else self.runtime.h2d
-        s.enqueue(name, t, "h2d", args={"bytes": host.nbytes})
-        if self.stats.attribution is not None:
-            self.stats.attribution("h2d", name, t, 0.0, host.nbytes)
+        t = self.charge_copy("h2d", name, host.nbytes, stream)
         if self.faults.active:
             self.faults.guard_h2d(addr, host, name)
         return t
@@ -159,16 +176,9 @@ class Device:
         record).
         """
         out = self.pool.read(addr, nbytes, dtype=dtype)
-        t = transfer_time(self.spec, nbytes)
-        self.stats.bytes_d2h += nbytes
-        self.stats.n_d2h += 1
-        self.stats.modeled_transfer_time_s += t
-        self.clock += t
         s = stream if stream is not None else self.runtime.d2h
         s.wait_event(self.runtime.compute.record_event())
-        s.enqueue(name, t, "d2h", args={"bytes": nbytes})
-        if self.stats.attribution is not None:
-            self.stats.attribution("d2h", name, t, 0.0, nbytes)
+        self.charge_copy("d2h", name, nbytes, s)
         if self.faults.active:
             self.faults.guard_d2h(addr, out, name)
         return out
@@ -221,21 +231,16 @@ class Device:
             kernel(self._views, params, grid, block_size)
         wall = _time.perf_counter() - w0
         self.stats.kernel_launches += 1
-        self.stats.modeled_kernel_time_s += cost.time_s
         self.stats.modeled_kernel_bytes += cost.bytes_moved
         self.stats.wall_kernel_time_s += wall
         per = self.stats.per_kernel_time_s
         per[kernel.name] = per.get(kernel.name, 0.0) + cost.time_s
         pw = self.stats.per_kernel_wall_s
         pw[kernel.name] = pw.get(kernel.name, 0.0) + wall
-        self.clock += cost.time_s
-        s = stream if stream is not None else self.runtime.compute
-        s.enqueue(kernel.name, cost.time_s, "kernel",
-                  args={"bytes": cost.bytes_moved, "nsites": nsites,
-                        "block": block_size})
-        if self.stats.attribution is not None:
-            self.stats.attribution("kernel", kernel.name, cost.time_s,
-                                   wall, cost.bytes_moved)
+        self.charge("kernel", kernel.name, cost.time_s, stream=stream,
+                    nbytes=cost.bytes_moved, wall_s=wall,
+                    args={"bytes": cost.bytes_moved, "nsites": nsites,
+                          "block": block_size})
         if self.faults.active:
             self.faults.note_launch_success(kernel.name, block_size)
         return cost
@@ -259,14 +264,55 @@ class Device:
         t = count * 8 / bw + self.spec.launch_overhead_s
         self.stats.kernel_launches += 1
         self.stats.fold_launches += 1
-        self.stats.modeled_kernel_time_s += t
-        self.clock += t
-        s = stream if stream is not None else self.runtime.compute
-        s.enqueue("reduce_f64", t, "fold", args={"count": count})
-        if self.stats.attribution is not None:
-            self.stats.attribution("fold", "reduce_f64", t, 0.0,
-                                   count * 8)
+        self.charge("fold", "reduce_f64", t, stream=stream,
+                    nbytes=count * 8, args={"count": count})
         return value
+
+    # -- the ledger -----------------------------------------------------
+
+    def charge(self, cat: str, name: str, seconds: float, *,
+               stream: Stream | None = None, nbytes: int = 0,
+               wall_s: float = 0.0, args: dict | None = None) -> Span:
+        """Account one modeled cost: the only writer of ``clock``,
+        ``stats.modeled_s``, this device's timeline and the
+        attribution hook.
+
+        The span lands on ``stream`` — by default the lane of its
+        category: the copy streams for ``h2d``/``d2h``, compute for
+        everything else.  A ``backoff`` is recovery time: it goes on
+        the ``fault`` lane, fenced against ``stream`` (the lane it
+        delays).
+        """
+        self.clock += seconds
+        totals = self.stats.modeled_s
+        counter = _COUNTER.get(cat, cat)
+        totals[counter] = totals.get(counter, 0.0) + seconds
+        if stream is None:
+            stream = getattr(self.runtime,
+                             cat if cat in _COPY_LANES else "compute")
+        if cat == "backoff":
+            span = self.runtime.fence(stream, name, seconds, cat)
+        else:
+            span = stream.enqueue(name, seconds, cat, args=args)
+        if self.stats.attribution is not None:
+            self.stats.attribution(cat, name, seconds, wall_s, nbytes)
+        return span
+
+    def charge_copy(self, cat: str, name: str, nbytes: int,
+                    stream: Stream | None = None) -> float:
+        """Count and charge one pool copy of ``nbytes`` in direction
+        ``cat`` (``"h2d"``/``"d2h"``); returns its modeled time."""
+        st = self.stats
+        if cat == "h2d":
+            st.bytes_h2d += nbytes
+            st.n_h2d += 1
+        else:
+            st.bytes_d2h += nbytes
+            st.n_d2h += 1
+        t = transfer_time(self.spec, nbytes)
+        self.charge(cat, name, t, stream=stream, nbytes=nbytes,
+                    args={"bytes": nbytes})
+        return t
 
     def charge_jit(self, modeled_seconds: float) -> None:
         """Account the modeled driver-JIT compilation cost.
@@ -274,17 +320,10 @@ class Device:
         Driver JIT (``cuModuleLoadData``) is synchronous: it occupies
         the compute lane — nothing launches while the module loads.
         """
-        self.stats.modeled_jit_time_s += modeled_seconds
-        self.clock += modeled_seconds
-        self.runtime.compute.enqueue("driver_jit", modeled_seconds, "jit")
-        if self.stats.attribution is not None:
-            self.stats.attribution("jit", "driver_jit", modeled_seconds,
-                                   0.0, 0)
+        self.charge("jit", "driver_jit", modeled_seconds)
 
     def charge_interface_transfer(self, modeled_seconds: float,
                                   name: str = "interface_xfer") -> None:
         """Account modeled layout-change/PCIe time charged outside the
         pool-copy paths (e.g. the non-device QUDA interface)."""
-        self.stats.modeled_transfer_time_s += modeled_seconds
-        self.clock += modeled_seconds
-        self.runtime.h2d.enqueue(name, modeled_seconds, "h2d")
+        self.charge("h2d", name, modeled_seconds)

@@ -71,13 +71,12 @@ def max_severity(diagnostics) -> Severity | None:
 
 #: every environment variable the package reads; any other ``REPRO_*``
 #: name in the environment is announced by :func:`warn_unknown_knobs`
-KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_STREAMS", "REPRO_FAULTS",
-         "REPRO_BACKEND", "REPRO_RESILIENCE")
-_VERIFY, _FUSION, _STREAMS, _FAULTS, _BACKEND, _RESILIENCE = KNOBS
+KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_FAULTS", "REPRO_BACKEND",
+         "REPRO_RESILIENCE")
+_VERIFY, _FUSION, _FAULTS, _BACKEND, _RESILIENCE = KNOBS
 
 VERIFY_MODES = ("off", "warn", "error")
 FUSION_MODES = ("on", "off")
-STREAM_MODES = ("on", "off")
 FAULT_MODES = ("off", "plan:<spec>")
 BACKEND_MODES = ("sim", "cpu")
 RESILIENCE_MODES = ("off", "detect", "recover")
@@ -163,21 +162,6 @@ def fusion_mode(default: str = "on") -> str:
     return _env_mode(_FUSION, FUSION_MODES, default)
 
 
-def stream_mode(default: str = "on") -> str:
-    """The stream/event runtime mode from the ``REPRO_STREAMS`` knob.
-
-    ``on`` (default)
-        The modeled timeline runs on concurrent lanes — compute, H2D
-        and D2H copies, and communication overlap unless an event
-        orders them (:mod:`repro.runtime.stream`).  Results are bitwise
-        identical either way; only modeled *time* changes.
-    ``off``
-        All lanes collapse onto one serial stream: the makespan equals
-        the serial sum of every modeled cost (the pre-runtime model).
-    """
-    return _env_mode(_STREAMS, STREAM_MODES, default)
-
-
 def backend_mode(default: str = "sim") -> str:
     """The execution-backend mode from the ``REPRO_BACKEND`` knob.
 
@@ -193,7 +177,7 @@ def backend_mode(default: str = "sim") -> str:
         subset fall back to ``sim`` per kernel with a one-time warning.
 
     Read once per :class:`~repro.driver.cache.KernelCache`, when it is
-    created — like the fusion, stream, fault and resilience knobs, a
+    created — like the fusion, fault and resilience knobs, a
     change takes effect for the next context, not mid-run.
     """
     return _env_mode(_BACKEND, BACKEND_MODES, default)

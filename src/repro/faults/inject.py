@@ -29,9 +29,9 @@ import zlib
 
 import numpy as np
 
-from ..device.memmodel import LaunchError, transfer_time
+from ..device.memmodel import LaunchError
 from ..memory.pool import DeviceOutOfMemory
-from ..runtime.stream import Stream, StreamRuntime
+from ..runtime.stream import StreamRuntime
 from .plan import ZERO_COUNTERS, FaultCounters, FaultEvent, FaultPlan, FaultSpec
 
 
@@ -70,8 +70,6 @@ class FaultInjector:
         self._sticky_sizes: dict[str, frozenset[int]] = {}
         #: (kernel name, block size) -> the recorded sticky event
         self._sticky_events: dict[tuple[str, int], FaultEvent] = {}
-        #: one lazily created ``fault`` lane per stream runtime
-        self._fault_streams: dict[int, Stream] = {}
 
     @property
     def active(self) -> bool:
@@ -82,59 +80,6 @@ class FaultInjector:
     @property
     def counters(self) -> FaultCounters:
         return self.plan.counters if self.plan is not None else ZERO_COUNTERS
-
-    # -- modeled recovery cost -----------------------------------------
-
-    def _fault_stream(self, runtime: StreamRuntime) -> Stream:
-        s = self._fault_streams.get(id(runtime))
-        if s is None:
-            s = Stream(runtime.timeline, "fault", "fault")
-            self._fault_streams[id(runtime)] = s
-        return s
-
-    def charge_backoff(self, name: str, seconds: float,
-                       runtime: StreamRuntime | None = None,
-                       stream: Stream | None = None) -> None:
-        """Charge one backoff interval as modeled time.
-
-        The interval lands as a span on the ``fault`` lane, fenced both
-        ways against ``stream`` (the lane the recovery delays): the
-        backoff starts after the stream's queued work and the stream's
-        next operation waits for the backoff to elapse.  Also advances
-        the owning device's serial clock so ``REPRO_STREAMS=off``
-        accounting stays consistent.
-        """
-        dev = self.device
-        if runtime is None and dev is not None:
-            runtime = dev.runtime
-        if dev is not None:
-            dev.clock += seconds
-        if runtime is None:
-            return
-        target = stream if stream is not None else runtime.compute
-        fault = self._fault_stream(runtime)
-        fault.wait_event(target.record_event())
-        fault.enqueue(name, seconds, "backoff")
-        target.wait_event(fault.record_event())
-
-    def charge_recovery(self, runtime: StreamRuntime, name: str,
-                        seconds: float, cat: str = "restore",
-                        stream: Stream | None = None) -> float:
-        """Charge one rank-recovery step (restore transfer,
-        redistribution, absorbed straggler stall) as modeled time.
-
-        Like :meth:`charge_backoff` the span lands on the ``fault``
-        lane fenced both ways against ``stream`` (default: compute) —
-        a collective exchange cannot proceed until the recovery
-        completes, and the recovery starts after the queued work.
-        Returns ``seconds`` so callers can accumulate the cost.
-        """
-        target = stream if stream is not None else runtime.compute
-        fault = self._fault_stream(runtime)
-        fault.wait_event(target.record_event())
-        fault.enqueue(name, seconds, cat)
-        target.wait_event(fault.record_event())
-        return seconds
 
     # -- Device.launch: sticky + transient failures --------------------
 
@@ -194,7 +139,7 @@ class FaultInjector:
                     f"injected transient launch failure for {name!r}: "
                     f"{retries} retries exhausted")
             b = policy.backoff_s(retries)
-            self.charge_backoff(f"backoff:{name}", b)
+            self.device.charge("backoff", f"backoff:{name}", b)
             retries += 1
             backoff += b
             again = self.plan.draw("launch", "transient", name)
@@ -250,44 +195,17 @@ class FaultInjector:
         event = self.plan.draw("h2d", "bitflip", name)
         if event is None:
             return
-        dev = self.device
+        pool = self.device.pool
         raw = np.ascontiguousarray(host).view(np.uint8).reshape(-1)
         nbytes = raw.size
         expected = zlib.crc32(raw.tobytes())
-        bit = int(self.plan.rng.integers(nbytes * 8))
-        dev.pool.flip_bit(addr, bit)
-        event.detail.update({"bytes": nbytes, "bit": bit})
-        policy = self.plan.policy
-        retries = 0
-        backoff = 0.0
-        while zlib.crc32(dev.pool.read(addr, nbytes).tobytes()) != expected:
-            if retries >= policy.max_retries:
-                raise TransferChecksumError(
-                    f"h2d transfer {name!r} still corrupt after "
-                    f"{retries} retransmissions")
-            b = policy.backoff_s(retries)
-            self.charge_backoff(f"backoff:{name}", b,
-                                stream=dev.runtime.h2d)
-            retries += 1
-            backoff += b
-            dev.pool.write(addr, host)
-            t = transfer_time(dev.spec, nbytes)
-            dev.stats.bytes_h2d += nbytes
-            dev.stats.n_h2d += 1
-            dev.stats.modeled_transfer_time_s += t
-            dev.clock += t
-            dev.runtime.h2d.enqueue(f"retransmit:{name}", t, "h2d",
-                                    args={"bytes": nbytes})
-            again = self.plan.draw("h2d", "bitflip", name)
-            if again is not None:
-                rebit = int(self.plan.rng.integers(nbytes * 8))
-                dev.pool.flip_bit(addr, rebit)
-                again.detail.update({"bytes": nbytes, "bit": rebit})
-                self.plan.record_recovery(
-                    again, "absorbed into retransmit chain")
-        self.plan.record_recovery(
-            event, f"checksum mismatch detected; retransmitted "
-                   f"({retries}x)", retries=retries, backoff_s=backoff)
+        self._retransmit(
+            event, "h2d", name, nbytes,
+            flip=lambda bit: pool.flip_bit(addr, bit),
+            intact=lambda: zlib.crc32(
+                pool.read(addr, nbytes).tobytes()) == expected,
+            resend=lambda: pool.write(addr, host),
+            action="retransmitted")
 
     def guard_d2h(self, addr: int, out: np.ndarray, name: str) -> None:
         """Verify (and if corrupted, repair) a D2H transfer.
@@ -300,43 +218,61 @@ class FaultInjector:
         event = self.plan.draw("d2h", "bitflip", name)
         if event is None:
             return
-        dev = self.device
+        pool = self.device.pool
         flat = out.view(np.uint8).reshape(-1)
         nbytes = flat.size
         expected = zlib.crc32(flat.tobytes())
-        bit = int(self.plan.rng.integers(nbytes * 8))
-        flat[bit >> 3] ^= np.uint8(1 << (bit & 7))
+
+        def flip(bit: int) -> None:
+            flat[bit >> 3] ^= np.uint8(1 << (bit & 7))
+
+        def resend() -> None:
+            flat[:] = pool.read(addr, nbytes)
+
+        self._retransmit(
+            event, "d2h", name, nbytes, flip=flip,
+            intact=lambda: zlib.crc32(flat.tobytes()) == expected,
+            resend=resend, action="re-read device copy")
+
+    def _retransmit(self, event: FaultEvent, cat: str, name: str,
+                    nbytes: int, flip, intact, resend,
+                    action: str) -> None:
+        """The guarded-retransmit loop both copy directions share.
+
+        ``flip(bit)`` corrupts the received copy, ``intact()`` compares
+        its checksum with the sender's, ``resend()`` moves the payload
+        again.  Every retry charges its backoff (fenced against the
+        ``cat`` copy lane) and one more modeled transfer; a fault drawn
+        on a retry corrupts that retransmission too.
+        """
+        dev = self.device
+        plan = self.plan
+        bit = int(plan.rng.integers(nbytes * 8))
+        flip(bit)
         event.detail.update({"bytes": nbytes, "bit": bit})
-        policy = self.plan.policy
+        lane = getattr(dev.runtime, cat)
         retries = 0
         backoff = 0.0
-        while zlib.crc32(flat.tobytes()) != expected:
-            if retries >= policy.max_retries:
+        while not intact():
+            if retries >= plan.policy.max_retries:
                 raise TransferChecksumError(
-                    f"d2h transfer {name!r} still corrupt after "
+                    f"{cat} transfer {name!r} still corrupt after "
                     f"{retries} retransmissions")
-            b = policy.backoff_s(retries)
-            self.charge_backoff(f"backoff:{name}", b,
-                                stream=dev.runtime.d2h)
+            b = plan.policy.backoff_s(retries)
+            dev.charge("backoff", f"backoff:{name}", b, stream=lane)
             retries += 1
             backoff += b
-            flat[:] = dev.pool.read(addr, nbytes)
-            t = transfer_time(dev.spec, nbytes)
-            dev.stats.bytes_d2h += nbytes
-            dev.stats.n_d2h += 1
-            dev.stats.modeled_transfer_time_s += t
-            dev.clock += t
-            dev.runtime.d2h.enqueue(f"retransmit:{name}", t, "d2h",
-                                    args={"bytes": nbytes})
-            again = self.plan.draw("d2h", "bitflip", name)
+            resend()
+            dev.charge_copy(cat, f"retransmit:{name}", nbytes)
+            again = plan.draw(cat, "bitflip", name)
             if again is not None:
-                rebit = int(self.plan.rng.integers(nbytes * 8))
-                flat[rebit >> 3] ^= np.uint8(1 << (rebit & 7))
+                rebit = int(plan.rng.integers(nbytes * 8))
+                flip(rebit)
                 again.detail.update({"bytes": nbytes, "bit": rebit})
-                self.plan.record_recovery(
+                plan.record_recovery(
                     again, "absorbed into retransmit chain")
-        self.plan.record_recovery(
-            event, f"checksum mismatch detected; re-read device copy "
+        plan.record_recovery(
+            event, f"checksum mismatch detected; {action} "
                    f"({retries}x)", retries=retries, backoff_s=backoff)
 
     # -- halo exchange: drop / corrupt / timeout -----------------------
@@ -446,10 +382,7 @@ class FaultInjector:
         total = 0.0
         for kind, span_name, seconds in penalties:
             if kind == "backoff":
-                fault = self._fault_stream(runtime)
-                fault.wait_event(runtime.comm.record_event())
-                fault.enqueue(span_name, seconds, "backoff")
-                runtime.comm.wait_event(fault.record_event())
+                runtime.fence(runtime.comm, span_name, seconds, "backoff")
             else:
                 runtime.comm.enqueue(
                     span_name, seconds,

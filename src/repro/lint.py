@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 10)::
+JSON schema (``schema_version`` 11)::
 
     {
-      "schema_version": 10,
+      "schema_version": 11,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -68,9 +68,9 @@ JSON schema (``schema_version`` 10)::
         "fused_statements": int        # statements they covered
       },
       "runtime": {                     # stream/event runtime timeline
-        "streams": "on" | "off",       # the REPRO_STREAMS mode it ran in
         "elapsed_s": float,            # makespan over all lanes
         "serial_s": float,             # serial sum of every span
+                                       # (= the device clock)
         "overlap_fraction": float,     # 1 - elapsed/serial
         "critical_path_s": float,
         "lane_busy_s": {str: float}    # busy seconds per lane
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 10; see module docstring)")
+                             "(schema_version 11; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -374,9 +374,7 @@ def main(argv=None) -> int:
         print(f"  field cache: {cache.hits} hit(s), {cache.misses} "
               f"miss(es), {cache.spills} spill(s), high water "
               f"{cache.resident_bytes_hwm} bytes")
-        print(f"\n-- runtime (REPRO_STREAMS="
-              f"{'on' if ctx.device.runtime.enabled else 'off'}) "
-              + "-" * 24)
+        print("\n-- runtime " + "-" * 43)
         print(f"  makespan {timeline.end_s * 1e6:.1f} us; serial sum "
               f"{timeline.serial_s * 1e6:.1f} us; overlap "
               f"{timeline.overlap_fraction:.1%}; critical path "
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
     else:
         counts = _severity_counts(found)
         report = {
-            "schema_version": 10,
+            "schema_version": 11,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),
@@ -425,7 +423,6 @@ def main(argv=None) -> int:
                 "fused_statements": ctx.stats.fused_statements,
             },
             "runtime": {
-                "streams": "on" if ctx.device.runtime.enabled else "off",
                 "elapsed_s": timeline.end_s,
                 "serial_s": timeline.serial_s,
                 "overlap_fraction": timeline.overlap_fraction,

@@ -27,7 +27,7 @@ failure cost.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,17 +109,7 @@ class ResilienceStats:
     restored_payloads: int = 0
 
     def as_json(self) -> dict:
-        return {
-            "kills_injected": self.kills_injected,
-            "stragglers_injected": self.stragglers_injected,
-            "stragglers_flagged": self.stragglers_flagged,
-            "detections": self.detections,
-            "recoveries_by_policy": dict(self.recoveries_by_policy),
-            "recovery_modeled_s": self.recovery_modeled_s,
-            "checkpoints": self.checkpoints,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "restored_payloads": self.restored_payloads,
-        }
+        return asdict(self)
 
 
 class ResilienceManager:
@@ -237,10 +227,7 @@ class ResilienceManager:
     def _hang(self, r: int, event) -> None:
         """Apply one injected hang: the rank's modeled clock stalls."""
         hang = self.vm.faults.plan.policy.straggler_hang_s
-        ctx = self.vm.contexts[r]
-        ctx.device.clock += hang
-        ctx.device.runtime.compute.enqueue(
-            f"hang:rank{r}", hang, "fault")
+        self.vm.contexts[r].device.charge("fault", f"hang:rank{r}", hang)
         event.detail.update({"rank": r, "hang_s": hang})
         self._open_stragglers[r] = event
         self.stats.stragglers_injected += 1
@@ -265,10 +252,8 @@ class ResilienceManager:
                                          plan.policy.straggler_hang_s)
                         if event is not None
                         else plan.policy.straggler_hang_s)
-                self.stats.recovery_modeled_s += (
-                    vm.faults.charge_recovery(
-                        vm.runtime, f"straggler:rank{r}", hang,
-                        cat="straggler"))
+                self.stats.recovery_modeled_s += self._charge_recovery(
+                    f"straggler:rank{r}", hang, cat="straggler")
                 action = (f"straggler flagged at {ratio:.1f}x median; "
                           f"stall absorbed by collective")
             else:
@@ -277,6 +262,17 @@ class ResilienceManager:
             plan.record_recovery(event, action)
 
     # -- rank kills ------------------------------------------------------
+
+    def _charge_recovery(self, name: str, seconds: float,
+                         cat: str = "restore") -> float:
+        """Charge one rank-recovery step (restore transfer,
+        redistribution, absorbed straggler stall) on the VM's
+        collective timeline: a ``fault``-lane span fenced against
+        compute — the next exchange cannot start until the recovery
+        completes.  Returns ``seconds`` so callers can accumulate."""
+        rt = self.vm.runtime
+        rt.fence(rt.compute, name, seconds, cat)
+        return seconds
 
     def _on_kill(self, r: int, event, tag: str) -> None:
         vm = self.vm
@@ -290,8 +286,8 @@ class ResilienceManager:
             raise RankFailureError(r, tag, vm.nranks)
         plan = vm.faults.plan
         backoff = plan.policy.backoff_s(0)
-        seconds = vm.faults.charge_recovery(
-            vm.runtime, f"detect:rank{r}", backoff, cat="backoff")
+        seconds = self._charge_recovery(f"detect:rank{r}", backoff,
+                                        cat="backoff")
         if self.policy == "buddy":
             seconds += self._recover_buddy(r)
             action = (f"buddy restore onto spare rank "
@@ -366,9 +362,11 @@ class ResilienceManager:
         transfer = vm.net.message_time(max(moved, 1))
         others = [c.device.clock
                   for i, c in enumerate(vm.contexts) if i != dead]
+        # a barrier join *sets* a fresh rank's time, it charges no
+        # cost: the one clock write outside ``Device.charge`` (with
+        # the shrink below)
         spare.device.clock = (max(others) if others else 0.0) + transfer
-        return vm.faults.charge_recovery(
-            vm.runtime, f"restore:rank{dead}", transfer, cat="restore")
+        return self._charge_recovery(f"restore:rank{dead}", transfer)
 
     def _recover_shrink(self, dead: int) -> float:
         """Rebuild the machine on a smaller processor grid and
@@ -398,11 +396,11 @@ class ResilienceManager:
         # every byte of field state crossed the wire to its new owner;
         # the survivors' clocks carry forward through the stall
         transfer = vm.net.message_time(max(moved, 1))
+        # barrier join, as in ``_recover_buddy``: the rebuilt ranks'
+        # time is set, not charged
         for c in vm.contexts:
             c.device.clock = base + transfer
-        return vm.faults.charge_recovery(
-            vm.runtime, f"shrink:{vm.nranks}ranks", transfer,
-            cat="restore")
+        return self._charge_recovery(f"shrink:{vm.nranks}ranks", transfer)
 
     def _global_from_checkpoint(self, f) -> np.ndarray:
         """Reassemble ``f``'s global array from the checkpoint store

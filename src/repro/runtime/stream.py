@@ -10,16 +10,14 @@ is expressed the CUDA way — :meth:`Stream.record_event` /
 genuinely overlap unless an event says otherwise.
 
 Execution stays eager and deterministic: the data side of every
-operation completes immediately in program order (results are bitwise
-identical with streams on or off); streams model only *when* the work
-would finish on a real device.  The ``REPRO_STREAMS`` knob (default
-``on``) collapses all lanes onto one ``serial`` stream, restoring the
-single-clock model where the makespan equals the serial sum.
+operation completes immediately in program order; streams model only
+*when* the work would finish on a real device.  What one serial clock
+would charge for the same work is the timeline's ``serial_s`` (on a
+device, :attr:`~repro.device.gpu.Device.clock`).
 """
 
 from __future__ import annotations
 
-from ..diagnostics import stream_mode
 from .timeline import Span, Timeline
 
 
@@ -101,30 +99,34 @@ class StreamRuntime:
 
     Mirrors the classic CUDA setup — a default compute stream, a
     dedicated H2D copy stream, a dedicated D2H copy stream and a
-    communication lane (NIC / CUDA-aware MPI progress).  With
-    ``enabled=False`` (or ``REPRO_STREAMS=off``) all four names alias
-    one ``serial`` stream and every operation serializes, reproducing
-    the old single-clock device model exactly.
+    communication lane (NIC / CUDA-aware MPI progress) — plus the
+    ``fault`` lane recovery cost is fenced onto (:meth:`fence`).
     """
 
     LANES = ("compute", "h2d", "d2h", "comm")
 
-    def __init__(self, enabled: bool | None = None,
-                 timeline: Timeline | None = None):
-        if enabled is None:
-            enabled = stream_mode() == "on"
-        self.enabled = enabled
+    def __init__(self, timeline: Timeline | None = None):
         self.timeline = timeline if timeline is not None else Timeline()
-        if enabled:
-            self.compute = Stream(self.timeline, "compute", "compute")
-            self.h2d = Stream(self.timeline, "h2d", "h2d")
-            self.d2h = Stream(self.timeline, "d2h", "d2h")
-            self.comm = Stream(self.timeline, "comm", "comm")
-            self.streams = [self.compute, self.h2d, self.d2h, self.comm]
-        else:
-            serial = Stream(self.timeline, "serial", "serial")
-            self.compute = self.h2d = self.d2h = self.comm = serial
-            self.streams = [serial]
+        self.compute = Stream(self.timeline, "compute", "compute")
+        self.h2d = Stream(self.timeline, "h2d", "h2d")
+        self.d2h = Stream(self.timeline, "d2h", "d2h")
+        self.comm = Stream(self.timeline, "comm", "comm")
+        self.streams = [self.compute, self.h2d, self.d2h, self.comm]
+        #: recovery lane.  Not one of ``streams``: everything on it is
+        #: fenced against the lane it delays, so a barrier over those
+        #: already covers it
+        self.fault = Stream(self.timeline, "fault", "fault")
+
+    def fence(self, target: Stream, name: str, seconds: float,
+              cat: str) -> Span:
+        """Place one recovery interval on the ``fault`` lane, fenced
+        both ways against ``target`` (the lane the recovery delays):
+        it starts after the target's queued work and the target's next
+        operation waits for it to elapse."""
+        self.fault.wait_event(target.record_event())
+        span = self.fault.enqueue(name, seconds, cat)
+        target.wait_event(self.fault.record_event())
+        return span
 
     def synchronize(self) -> float:
         """Device-wide barrier: all streams drain; clocks align.
@@ -144,6 +146,5 @@ class StreamRuntime:
         return self.timeline.end_s
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "streams" if self.enabled else "serial"
-        return (f"<StreamRuntime {mode}, {len(self.timeline)} spans, "
+        return (f"<StreamRuntime {len(self.timeline)} spans, "
                 f"elapsed {self.elapsed_s * 1e6:.1f}us>")

@@ -3,7 +3,7 @@
 Every modeled cost in the framework — kernel launches, H2D/D2H
 transfers, JIT compiles, halo messages, allreduces — lands here as a
 :class:`Span` on a *lane* (one lane per stream: compute, h2d, d2h,
-comm; one ``serial`` lane when streams are off).  Spans carry their
+comm, fault).  Spans carry their
 dependency edges (program order within a stream plus explicit event
 waits), so the timeline can answer the questions the serial device
 clock cannot:
@@ -105,8 +105,8 @@ class Timeline:
     def overlap_fraction(self) -> float:
         """Fraction of the serial cost hidden by lane concurrency.
 
-        ``0.0`` means fully serial (the ``REPRO_STREAMS=off`` model);
-        approaching ``1 - 1/n_lanes`` means near-perfect overlap.
+        ``0.0`` means fully serial (every span waited for the one
+        before); approaching ``1 - 1/n_lanes`` means near-perfect overlap.
         """
         serial = self.serial_s
         if serial <= 0.0:

@@ -22,10 +22,11 @@ import argparse
 import json
 import sys
 
+from .stream import StreamRuntime
 from .timeline import Timeline
 
 #: stable lane ordering for the trace's pseudo-threads
-_LANE_ORDER = ("serial", "compute", "h2d", "d2h", "comm")
+_LANE_ORDER = StreamRuntime.LANES
 
 
 def _lane_tids(timeline: Timeline) -> dict[str, int]:

@@ -20,13 +20,15 @@ shared device, so module cache, fusion queue, field cache (and with
 it the software-cache counters ``TenantStats.cache_events`` reads) and
 expression counters are private; everything the *shared* device
 records while a tenant's chunk runs is routed to that tenant through
-two hooks the server installs:
+``timeline.tenant`` — the shared device's one "who is running" field,
+set around each slice:
 
-* ``device.stats.attribution`` — modeled seconds / wall / launches by
-  operation kind, keyed on the tenant whose slice is running;
-* ``timeline.tenant`` — every span emitted during a slice carries an
-  ``args["tenant"]`` tag, so ``tenant.timeline()`` is an exact
-  per-tenant view of the shared trace.
+* every span emitted during a slice carries an ``args["tenant"]`` tag,
+  so ``tenant.timeline()`` is an exact per-tenant view of the shared
+  trace;
+* ``device.stats.attribution`` (modeled seconds / wall / launches by
+  operation kind), the shared kernel cache's hit/miss split and the
+  fault plan's ``tenant_hook`` all read it.
 
 The scheduler only decides *when* ready chunks run, never *what* they
 compute: a single-tenant workload is bitwise identical (results,
@@ -49,13 +51,15 @@ but the freed memory.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 from ..core.context import Context
 from ..device.gpu import Device
 from ..device.specs import DeviceSpec, K20X_ECC_OFF
 from ..driver.cache import KernelCache
 from ..memory.cache import SpillImpossible
 from .scheduler import make_scheduler
-from .tenant import QUEUED, READY, Session, Tenant, TenantStats
+from .tenant import QUEUED, READY, Session, Tenant
 
 
 class AdmissionRejected(Exception):
@@ -97,24 +101,39 @@ class SharedKernelCache(KernelCache):
     workload shape produce byte-identical PTX and the second one's
     lookup is a hit of this view: no modeled JIT charge.  Storage is
     the process-wide store (:mod:`repro.driver.cache`); this class adds
-    only tenant attribution — per-tenant hit/miss splits beside the
-    inherited counters, and a *cross-tenant* hit when the tenant that
-    first compiled a digest differs from the one hitting it: the
-    multi-tenant payoff the serving benchmark measures.
+    only tenant attribution — each lookup also counts on the running
+    tenant's :class:`~repro.serve.tenant.TenantStats`, as a
+    *cross-tenant* hit when the tenant that first compiled a digest
+    differs from the one hitting it: the multi-tenant payoff the
+    serving benchmark measures.
     """
 
     def __init__(self):
         super().__init__()
-        #: tenant whose slice is running (set by the server's loop)
-        self.current_tenant: str | None = None
+        #: the shared device's timeline (wired by :class:`Server`):
+        #: its ``tenant`` names whose slice is running
+        self.timeline = None
         #: PTX digest -> name of the tenant that first compiled it
         self._owner: dict[str, str] = {}
-        self.hits_by_tenant: dict[str, int] = {}
-        self.misses_by_tenant: dict[str, int] = {}
-        self.cross_hits_by_tenant: dict[str, int] = {}
-        #: wired by :class:`Server` so per-tenant JIT counters also
-        #: land on the owning :class:`~repro.serve.tenant.TenantStats`
-        self._tenant_stats: dict[str, TenantStats] = {}
+        #: the server's tenant registry (wired by :class:`Server`)
+        self.tenants: dict[str, Tenant] = {}
+
+    def _by_tenant(self, counter: str) -> dict[str, int]:
+        return {name: getattr(t.stats, counter)
+                for name, t in self.tenants.items()
+                if getattr(t.stats, counter)}
+
+    @property
+    def hits_by_tenant(self) -> dict[str, int]:
+        return self._by_tenant("jit_hits")
+
+    @property
+    def misses_by_tenant(self) -> dict[str, int]:
+        return self._by_tenant("jit_misses")
+
+    @property
+    def cross_hits_by_tenant(self) -> dict[str, int]:
+        return self._by_tenant("jit_shared_hits")
 
     @property
     def cross_tenant_hits(self) -> int:
@@ -123,50 +142,38 @@ class SharedKernelCache(KernelCache):
 
     def get_or_compile(self, ptx_text: str, env=None):
         kernel, was_cached = super().get_or_compile(ptx_text, env)
-        who = self.current_tenant
-        if who is None:
+        tenant = self.tenants.get(self.timeline.tenant)
+        if tenant is None:
             return kernel, was_cached
+        who, stats = tenant.name, tenant.stats
         key = self.key_for(ptx_text)
-        stats = self._tenant_stats.get(who)
         if was_cached:
-            self.hits_by_tenant[who] = self.hits_by_tenant.get(who, 0) + 1
-            if stats is not None:
-                stats.jit_hits += 1
+            stats.jit_hits += 1
             if self._owner.get(key, who) != who:
-                self.cross_hits_by_tenant[who] = (
-                    self.cross_hits_by_tenant.get(who, 0) + 1)
-                if stats is not None:
-                    stats.jit_shared_hits += 1
+                stats.jit_shared_hits += 1
         else:
             self._owner[key] = who
-            self.misses_by_tenant[who] = self.misses_by_tenant.get(who, 0) + 1
-            if stats is not None:
-                stats.jit_misses += 1
+            stats.jit_misses += 1
         return kernel, was_cached
 
 
+@dataclass
 class ServingStats:
     """Server-wide counters (per-tenant detail lives on TenantStats)."""
 
-    def __init__(self):
-        #: scheduling decisions taken by the drain loop
-        self.decisions = 0
-        #: sessions held back by admission control at least once
-        self.admission_queued = 0
-        #: sessions rejected (at submit or by a runtime spill failure)
-        self.admission_rejections = 0
-        self.sessions_submitted = 0
-        self.sessions_completed = 0
-        #: modeled seconds the device sat idle waiting for arrivals
-        self.idle_s = 0.0
+    #: scheduling decisions taken by the drain loop
+    decisions: int = 0
+    #: sessions held back by admission control at least once
+    admission_queued: int = 0
+    #: sessions rejected (at submit or by a runtime spill failure)
+    admission_rejections: int = 0
+    sessions_submitted: int = 0
+    sessions_completed: int = 0
+    #: modeled seconds the device sat idle waiting for arrivals
+    idle_s: float = 0.0
 
     def as_json(self) -> dict:
-        return {"decisions": self.decisions,
-                "admission_queued": self.admission_queued,
-                "admission_rejections": self.admission_rejections,
-                "sessions_submitted": self.sessions_submitted,
-                "sessions_completed": self.sessions_completed,
-                "idle_s": self.idle_s}
+        return asdict(self)
 
 
 class Server:
@@ -184,6 +191,7 @@ class Server:
         self.device = Device(spec, pool_capacity=pool_capacity,
                              faults=faults)
         self.kernel_cache = SharedKernelCache()
+        self.kernel_cache.timeline = self.device.runtime.timeline
         self.quantum_s = quantum_s
         #: admission budget in bytes (defaults to the pool capacity)
         self.mem_budget = (mem_budget if mem_budget is not None
@@ -192,6 +200,7 @@ class Server:
         #: back-to-back exactly as bare contexts would
         self.admission_enabled = self.policy != "off"
         self.tenants: dict[str, Tenant] = {}
+        self.kernel_cache.tenants = self.tenants
         self.stats = ServingStats()
         self._reserved = 0
         #: admission queue (FIFO — held sessions admit in order, so a
@@ -200,15 +209,14 @@ class Server:
         #: submitted sessions whose modeled arrival is in the future
         self._arrivals: list[Session] = []
         self.sessions: list[Session] = []
-        #: tenant whose slice is running (attribution target)
-        self._current: str | None = None
         self._clock0 = self.device.clock
         self._idle_s = 0.0
         # route every shared-device cost to the running tenant
+        # (``timeline.tenant``, set around each slice)
         self.device.stats.attribution = self._attribute
         if self.device.faults.plan is not None:
-            self.device.faults.plan.tenant_hook = lambda: self._current
-        self.kernel_cache._tenant_stats = {}
+            timeline = self.device.runtime.timeline
+            self.device.faults.plan.tenant_hook = lambda: timeline.tenant
 
     # -- tenants --------------------------------------------------------
 
@@ -220,12 +228,11 @@ class Server:
                       kernel_cache=self.kernel_cache)
         t = Tenant(name, ctx, weight=weight, server=self)
         self.tenants[name] = t
-        self.kernel_cache._tenant_stats[name] = t.stats
         return t
 
     def _attribute(self, kind: str, name: str, modeled_s: float,
                    wall_s: float, nbytes: int) -> None:
-        t = self.tenants.get(self._current) if self._current else None
+        t = self.tenants.get(self.device.runtime.timeline.tenant)
         if t is None:
             return
         st = t.stats
@@ -337,8 +344,6 @@ class Server:
         ctx = tenant.ctx
         timeline = self.device.runtime.timeline
         clock_before = self.device.clock
-        self._current = tenant.name
-        self.kernel_cache.current_tenant = tenant.name
         timeline.tenant = tenant.name
         outcome = "continue"
         try:
@@ -366,8 +371,6 @@ class Server:
                     outcome = "rejected"
         finally:
             timeline.tenant = None
-            self.kernel_cache.current_tenant = None
-            self._current = None
         used = self.device.clock - clock_before
         self.scheduler.charge(session, used)
         if outcome == "done":

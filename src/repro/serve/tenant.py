@@ -19,7 +19,7 @@ computes, only *when* its chunks run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..memory.cache import CacheStats
 
@@ -65,20 +65,11 @@ class TenantStats:
         return sum(self.modeled_s_by_kind.values())
 
     def as_json(self) -> dict:
-        return {
-            "launches": self.launches,
-            "modeled_s": self.modeled_s,
-            "modeled_s_by_kind": dict(self.modeled_s_by_kind),
-            "wall_s": self.wall_s,
-            "cache_events": self.cache_events,
-            "jit_hits": self.jit_hits,
-            "jit_misses": self.jit_misses,
-            "jit_shared_hits": self.jit_shared_hits,
-            "sessions_submitted": self.sessions_submitted,
-            "sessions_completed": self.sessions_completed,
-            "sessions_rejected": self.sessions_rejected,
-            "service_s": self.service_s,
-        }
+        out = asdict(self)
+        del out["_cache"]
+        out["modeled_s"] = self.modeled_s
+        out["cache_events"] = self.cache_events
+        return out
 
 
 class Tenant:

@@ -76,6 +76,21 @@ class TestAutotuner:
         times_at_best = [t for b, t in st.history if b == st.best_block]
         assert min(times_at_best) == best_seen
 
+    def test_history_records_the_probe_only(self, launch_env):
+        """The launch path of a tuned kernel keeps no per-launch
+        record: ``history`` stops growing when probing ends."""
+        dev, module, compiled, params, n = launch_env
+        tuner = Autotuner(dev)
+        st = tuner.state(compiled.name)
+        while st.phase is not Phase.TUNED:
+            tuner.launch(compiled, module.info, params, n, "f64")
+        probes = len(st.history)
+        assert probes == st.launches
+        for _ in range(1000):
+            tuner.launch(compiled, module.info, params, n, "f64")
+        assert len(st.history) == probes
+        assert st.launches == probes + 1000
+
     def _fat_kernel_env(self):
         dev = Device()
         module = _streaming_kernel("fat_kernel")

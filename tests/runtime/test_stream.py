@@ -1,10 +1,7 @@
 """Unit tests for streams, events and the per-device runtime."""
 
-import warnings
-
 import pytest
 
-from repro.diagnostics import stream_mode
 from repro.runtime import Stream, StreamRuntime, Timeline
 
 
@@ -75,22 +72,13 @@ class TestStream:
 
 
 class TestStreamRuntime:
-    def test_enabled_has_four_lanes(self):
-        rt = StreamRuntime(enabled=True)
+    def test_has_four_lanes(self):
+        rt = StreamRuntime()
         assert len({id(s) for s in rt.streams}) == 4
         assert [s.lane for s in rt.streams] == list(StreamRuntime.LANES)
 
-    def test_disabled_aliases_one_serial_stream(self):
-        rt = StreamRuntime(enabled=False)
-        assert rt.compute is rt.h2d is rt.d2h is rt.comm
-        assert rt.compute.lane == "serial"
-        rt.compute.enqueue("A", 1.0, "kernel")
-        rt.h2d.enqueue("B", 2.0, "h2d")
-        assert rt.timeline.end_s == 3.0             # fully serialized
-        assert rt.timeline.overlap_fraction == 0.0
-
     def test_synchronize_aligns_clocks(self):
-        rt = StreamRuntime(enabled=True)
+        rt = StreamRuntime()
         rt.compute.enqueue("K", 5.0, "kernel")
         rt.h2d.enqueue("U", 1.0, "h2d")
         t = rt.synchronize()
@@ -99,51 +87,33 @@ class TestStreamRuntime:
         assert rt.h2d.enqueue("U2", 1.0, "h2d").t0 == 5.0
 
     def test_elapsed_is_timeline_end(self):
-        rt = StreamRuntime(enabled=True)
+        rt = StreamRuntime()
         rt.compute.enqueue("K", 5.0, "kernel")
         assert rt.elapsed_s == rt.timeline.end_s == 5.0
 
     def test_shared_timeline_injection(self):
         tl = Timeline()
-        rt = StreamRuntime(enabled=True, timeline=tl)
+        rt = StreamRuntime(timeline=tl)
         rt.compute.enqueue("K", 1.0, "kernel")
         assert len(tl) == 1
 
-
-class TestStreamModeKnob:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMS", raising=False)
-        assert stream_mode() == "on"
-        assert StreamRuntime().enabled
-
-    def test_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "off")
-        assert stream_mode() == "off"
-        assert not StreamRuntime().enabled
-
-    def test_case_and_whitespace_tolerant(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "  OFF ")
-        assert stream_mode() == "off"
-
-    def test_bad_value_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "bogus-value-for-test")
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            assert stream_mode() == "on"
-            assert stream_mode() == "on"
-        hits = [x for x in w if "REPRO_STREAMS" in str(x.message)]
-        assert len(hits) == 1
-
-    def test_explicit_bool_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "off")
-        assert StreamRuntime(enabled=True).enabled
+    def test_fence_orders_the_fault_lane_both_ways(self):
+        rt = StreamRuntime()
+        k = rt.h2d.enqueue("upload", 2.0, "h2d")
+        rt.compute.enqueue("K", 5.0, "kernel")      # not delayed
+        b = rt.fence(rt.h2d, "backoff:upload", 1.0, "backoff")
+        again = rt.h2d.enqueue("retransmit:upload", 2.0, "h2d")
+        assert (b.lane, b.cat, b.t0, b.t1) == ("fault", "backoff", 2.0, 3.0)
+        assert k.sid in b.deps and b.sid in again.deps
+        assert again.t0 == 3.0
+        assert rt.fault not in rt.streams
 
 
 class TestBitwiseEquivalence:
-    """Streams model only time: results and the serial clock must not
-    depend on the REPRO_STREAMS mode."""
+    """Streams model only time: the lanes overlap, the device clock
+    stays the serial sum, and no environment variable changes either."""
 
-    def _run(self, monkeypatch, streams: bool):
+    def _run(self):
         import numpy as np
 
         from repro.core.context import Context
@@ -151,9 +121,7 @@ class TestBitwiseEquivalence:
         from repro.qdp.fields import latt_fermion, latt_real
         from repro.qdp.lattice import Lattice
 
-        monkeypatch.setenv("REPRO_STREAMS", "on" if streams else "off")
         ctx = Context(autotune=False)
-        assert ctx.device.runtime.enabled is streams
         lat = Lattice((4, 4, 4, 4))
         rng = np.random.default_rng(99)
         w = latt_real(lat, context=ctx)
@@ -166,19 +134,8 @@ class TestBitwiseEquivalence:
         ctx.flush()
         return ctx, x.to_numpy()
 
-    def test_results_bitwise_identical(self, monkeypatch):
-        import numpy as np
-
-        _, x_on = self._run(monkeypatch, True)
-        _, x_off = self._run(monkeypatch, False)
-        assert np.array_equal(x_on, x_off)
-
-    def test_serial_mode_makespan_equals_device_clock(self, monkeypatch):
-        ctx, _ = self._run(monkeypatch, False)
-        assert ctx.device.runtime.timeline.end_s == ctx.device.clock
-
-    def test_stream_mode_never_exceeds_serial_clock(self, monkeypatch):
-        ctx, _ = self._run(monkeypatch, True)
+    def test_stream_mode_never_exceeds_serial_clock(self):
+        ctx, _ = self._run()
         tl = ctx.device.runtime.timeline
         assert tl.end_s <= ctx.device.clock
         assert tl.serial_s == pytest.approx(ctx.device.clock)
@@ -187,3 +144,23 @@ class TestBitwiseEquivalence:
         assert ctx.stats.critical_path_s == tl.critical_path_s
         assert ctx.stats.lane_busy_s == tl.lane_busy()
         assert ctx.stats.cache.page_ins > 0
+
+    def test_removed_streams_knob_changes_nothing(self, monkeypatch):
+        """``REPRO_STREAMS=off`` used to alias every lane onto one
+        ``serial`` stream; now it is only a stale name (announced by
+        ``warn_unknown_knobs``, see ``tests/test_diagnostics.py``)."""
+        import numpy as np
+
+        from repro import diagnostics
+
+        ref, x_ref = self._run()
+        monkeypatch.setattr(diagnostics, "_warned", set())
+        monkeypatch.setenv("REPRO_STREAMS", "off")
+        with pytest.warns(RuntimeWarning, match="REPRO_STREAMS"):
+            ctx, x = self._run()
+        assert np.array_equal(x, x_ref)
+        rt = ctx.device.runtime
+        assert [s.lane for s in rt.streams] == list(StreamRuntime.LANES)
+        assert ctx.device.clock == ref.device.clock
+        assert rt.timeline.end_s == ref.device.runtime.timeline.end_s
+        assert rt.timeline.end_s < ctx.device.clock

@@ -9,7 +9,6 @@ from repro import diagnostics
 from repro.diagnostics import (
     faults_mode,
     fusion_mode,
-    stream_mode,
     verify_mode,
 )
 
@@ -59,12 +58,10 @@ class TestVerifyMode:
 
 
 class TestOnOffKnobs:
-    """REPRO_FUSION / REPRO_STREAMS share the resolver: identical
-    unknown-value handling — warn once naming the accepted set, fall
-    back to the default."""
+    """An on/off knob goes through the shared resolver: warn once
+    naming the accepted set, fall back to the default."""
 
-    CASES = [(fusion_mode, "REPRO_FUSION"), (stream_mode,
-                                             "REPRO_STREAMS")]
+    CASES = [(fusion_mode, "REPRO_FUSION")]
 
     @pytest.mark.parametrize("mode_fn,env", CASES)
     def test_unset_uses_default(self, mode_fn, env, monkeypatch):
@@ -118,8 +115,9 @@ class TestFaultsMode:
 
 class TestUnknownKnobs:
     """A ``REPRO_*`` variable that names no knob is announced, once,
-    when a ``Context`` is built — a stale ``REPRO_IR=opt`` must not be
-    silently ignored any more than a misspelled value is."""
+    when a ``Context`` is built — a stale ``REPRO_IR=opt`` or
+    ``REPRO_STREAMS=off`` must not be silently ignored any more than a
+    misspelled value is."""
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
@@ -128,6 +126,7 @@ class TestUnknownKnobs:
                 monkeypatch.delenv(name)
 
     @pytest.mark.parametrize("name,value", [("REPRO_IR", "opt"),
+                                            ("REPRO_STREAMS", "off"),
                                             ("REPRO_FUSON", "off")])
     def test_stale_or_misspelled_name_warns_once(self, monkeypatch,
                                                  name, value):
@@ -162,12 +161,12 @@ class TestUnknownKnobs:
     def test_real_knobs_and_clean_environment_are_silent(self, monkeypatch):
         from repro.core.context import Context
 
-        assert len(diagnostics.KNOBS) == 6
+        assert len(diagnostics.KNOBS) == 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Context(autotune=False)
             for knob, value in zip(diagnostics.KNOBS,
-                                   ("warn", "off", "off", "off", "cpu",
+                                   ("warn", "off", "off", "cpu",
                                     "detect")):
                 monkeypatch.setenv(knob, value)
             Context(autotune=False)

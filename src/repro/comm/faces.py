@@ -65,21 +65,15 @@ def _emit_copy_body(kb: KernelBuilder, p_lo, p_n, p_sites, p_dst, p_src,
     saddr = kb.add(sites_base, kb.cvt(soff, PTXType.U64))
     site = kb.cvt(kb.ld_global(saddr, PTXType.S32), PTXType.S64)
 
-    field_site_b = kb.mul(site, kb.imm(wb, PTXType.S64))
-    buf_slot_b = kb.mul(g64, kb.imm(wb, PTXType.S64))
-    ns_b = kb.mul(kb.cvt(nsites, PTXType.S64), kb.imm(wb, PTXType.S64))
-    n_b = kb.mul(kb.cvt(n, PTXType.S64), kb.imm(wb, PTXType.S64))
+    # (plane bytes, this thread's site bytes) of either side of the copy
+    field = (kb.words_to_bytes(nsites, wb), kb.words_to_bytes(site, wb))
+    buf = (kb.words_to_bytes(n, wb), kb.words_to_bytes(g64, wb))
+    (src_plane, src_site), (dst_plane, dst_site) = \
+        (field, buf) if gather else (buf, field)
 
     for w in range(words_per_site):
-        w_imm = kb.imm(w, PTXType.S64)
-        field_off = kb.fma(ns_b, w_imm, field_site_b, PTXType.S64)
-        buf_off = kb.fma(n_b, w_imm, buf_slot_b, PTXType.S64)
-        if gather:
-            addr_src = kb.add(src_base, kb.cvt(field_off, PTXType.U64))
-            addr_dst = kb.add(dst_base, kb.cvt(buf_off, PTXType.U64))
-        else:
-            addr_src = kb.add(src_base, kb.cvt(buf_off, PTXType.U64))
-            addr_dst = kb.add(dst_base, kb.cvt(field_off, PTXType.U64))
+        addr_src = kb.soa_address(src_base, src_plane, w, src_site)
+        addr_dst = kb.soa_address(dst_base, dst_plane, w, dst_site)
         val = kb.ld_global(addr_src, ft)
         kb.st_global(addr_dst, val, ft)
 

@@ -329,9 +329,7 @@ class Unparser:
     def _nsites_bytes_reg(self, word_bytes: int) -> Register:
         r = self._nsites_bytes.get(word_bytes)
         if r is None:
-            kb = self.kb
-            ns64 = kb.cvt(self.nsites_reg, PTXType.S64)
-            r = kb.mul(ns64, kb.imm(word_bytes, PTXType.S64))
+            r = self.kb.words_to_bytes(self.nsites_reg, word_bytes)
             self._nsites_bytes[word_bytes] = r
         return r
 
@@ -353,9 +351,7 @@ class Unparser:
         key = (view, word_bytes)
         r = self._site_bytes.get(key)
         if r is None:
-            kb = self.kb
-            s64 = kb.cvt(self._view_site_reg(view), PTXType.S64)
-            r = kb.mul(s64, kb.imm(word_bytes, PTXType.S64))
+            r = self.kb.words_to_bytes(self._view_site_reg(view), word_bytes)
             self._site_bytes[key] = r
         return r
 
@@ -385,8 +381,7 @@ class Unparser:
                 kb = self.kb
                 nsb = self._nsites_bytes_reg(wb)
                 sb = self._site_bytes_reg(view, wb)
-                off = kb.fma(nsb, kb.imm(w, PTXType.S64), sb, PTXType.S64)
-                addr = kb.add(self._leaf_bases[slot], kb.cvt(off, PTXType.U64))
+                addr = kb.soa_address(self._leaf_bases[slot], nsb, w, sb)
                 cached = kb.ld_global(addr, ft)
                 self._load_cache[key] = cached
             parts.append(cached)
@@ -763,10 +758,8 @@ def build_fused_kernel(name: str, assigns, reduction,
                         "complex value assigned to real destination")
                 for ir, operand in comps:
                     w = dspec.word_index(sidx, cidx, ir)
-                    off = kb.fma(nsb, kb.imm(w, PTXType.S64), sb,
-                                 PTXType.S64)
-                    addr = kb.add(dst_base, kb.cvt(off, PTXType.U64))
-                    kb.st_global(addr, operand, ft)
+                    kb.st_global(kb.soa_address(dst_base, nsb, w, sb),
+                                 operand, ft)
                 # later statements read these registers instead of
                 # re-loading the destination from memory
                 up.stage_forward(dest.uid, sidx, cidx,

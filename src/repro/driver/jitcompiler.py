@@ -14,7 +14,14 @@ instructions and forward branches — sufficient for the bounds-check /
 face-select patterns the code generators emit, and verified against
 hand-written PTX in the test suite.  A backward branch is rejected
 with :class:`JITCompileError`: the generated body is straight-line
-Python that runs every statement once, in textual order.
+Python that runs every statement once, in textual order.  Two things
+a real device does are done here too: in the generators' canonical
+bounds check the threads that take the exit branch are *retired*
+(dropped from every value, not masked), and an access ``uniform +
+width * gid`` — what the coalesced SoA layout makes of every plain
+field access — is one block copy whose address is never formed, with
+the literal gather as the fallback the same helper takes when its
+exactness conditions do not hold (DESIGN.md §12).
 
 That property is also what lets the JIT do the driver's register
 allocation (:func:`allocate_slots`): the translators emit one local
@@ -89,6 +96,14 @@ _UN_PY = {
     "round": "np.rint({a})",
 }
 
+#: opcodes whose result is a function of their sources alone
+_PURE = frozenset({"mov", "cvt", "setp", "selp", "fma", "mad.lo", "div",
+                   *_BIN_PY, *_UN_PY})
+
+#: the largest global thread id a launch binds (DESIGN.md §15): lanes
+#: are elements of one NumPy array
+_GID_MAX = 2**31 - 1
+
 
 def _regname(r: Register) -> str:
     return f"R{r.type.reg_prefix[1:]}{r.index}"
@@ -97,22 +112,71 @@ def _regname(r: Register) -> str:
 # --- runtime helpers (shared by all compiled kernels) ---------------------
 
 def _ld(view, addr, shift, m):
-    """Masked global load: inactive lanes read a safe address."""
+    """Masked global load: inactive lanes read a safe address.  Word
+    indices are below 2**62, so the ``int64`` view has the same values
+    (and indexes several times faster than ``uint64``)."""
+    idx = (addr >> shift).view(np.int64)
     if m is not None:
-        addr = np.where(m, addr, np.uint64(ALIGNMENT))
-    return view[addr >> shift]
+        idx = np.where(m, idx, ALIGNMENT >> shift)
+    return view[idx]
 
 
 def _st(view, addr, shift, val, m):
     """Masked global store."""
-    idx = addr >> shift
+    idx = (addr >> shift).view(np.int64)
     if m is None:
         view[idx] = val
+    elif np.ndim(val) == 0:
+        view[idx[m]] = val
     else:
-        if np.ndim(val) == 0:
-            view[idx[m]] = val
-        else:
-            view[idx[m]] = val[m]
+        view[idx[m]] = val[m]
+
+
+def _block(view, u, s, shift, m, prefix):
+    """The slice of ``view`` a coalesced access ``u + s`` covers, or
+    None when it has to run lane by lane.  ``s`` is exactly ``width *
+    gid`` per lane, so with every lane active and the lanes exactly
+    gids ``0 .. c-1`` the words are ``(u >> shift) + [0, c)`` — one
+    block, provided it lies inside the view (outside, the literal
+    access raises what it always raised)."""
+    if m is None and prefix:
+        i = int(u) >> shift
+        j = i + s.shape[0]
+        if 0 <= i and j <= view.shape[0]:
+            return slice(i, j)
+    return None
+
+
+def _ldc(view, u, s, shift, m, prefix):
+    """Coalesced load.  A copy, not a view: a later store to the same
+    words must not change a register already loaded."""
+    block = _block(view, u, s, shift, m, prefix)
+    if block is None:
+        return _ld(view, u + s, shift, m)
+    return view[block].copy()
+
+
+def _stc(view, u, s, shift, val, m, prefix):
+    """Coalesced store."""
+    block = _block(view, u, s, shift, m, prefix)
+    if block is None:
+        _st(view, u + s, shift, val, m)
+    else:
+        view[block] = val
+
+
+def _retire(exits, *values):
+    """Drop the lanes that take the exit branch of the canonical
+    bounds check from every value defined so far (launch-uniform
+    scalars pass through).  Returns ``(survivors, prefix, *values)``:
+    ``prefix`` says the survivors are exactly lanes ``0 .. survivors-1``
+    — then dropping is slicing."""
+    if np.ndim(exits) == 0:             # a uniform predicate that held
+        return (0, True, *values)
+    n = exits.shape[0] - np.count_nonzero(exits)
+    prefix = not exits[:n].any()
+    keep = slice(n) if prefix else ~exits
+    return (n, prefix, *[v if np.ndim(v) == 0 else v[keep] for v in values])
 
 
 def _mand(m, p):
@@ -123,7 +187,8 @@ def _mand(m, p):
 
 
 #: the globals every generated kernel function is exec'd against
-_RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_mand": _mand}
+_RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_stc": _stc,
+            "_retire": _retire, "_mand": _mand}
 
 
 @dataclass
@@ -282,13 +347,139 @@ class _Translator:
         self.lines: list[str] = []
         #: slots the allocated body uses (set by :meth:`translate`)
         self.n_slots = 0
-        self.defined: set[str] = set()
-        self.labels = [i.label for i in parsed.instructions
-                       if i.opcode == "label"]
+        #: ``sim`` local -> the register it holds, in definition order
+        self.defined: dict[str, Register] = {}
+        insts = parsed.instructions
+        ops = [i.opcode for i in insts]
+        #: the generators' bounds check: one guarded ``bra`` to a final
+        #: ``label; ret`` and no other guarded instruction.  The lanes
+        #: that take it do nothing more, so they are *retired* — dropped
+        #: from every value — instead of masked; ``_m`` stays None
+        self.canonical = (
+            ops.count("bra") == 1 and ops.count("label") == 1
+            and ops.count("ret") == 1 and ops[-2:] == ["label", "ret"]
+            and [i.opcode for i in insts if i.guard is not None] == ["bra"]
+            and insts[ops.index("bra")].label == insts[-2].label)
+        self.labels = [] if self.canonical else [
+            i.label for i in insts if i.opcode == "label"]
         self._placed: set[str] = set()      # labels already walked past
+        #: where the retire statement goes and the locals it names
+        #: (the lane vectors are only known once the walk is over)
+        self._retire_at: tuple[int, list[str]] | None = None
+        self.pos = 0                        # index of the instruction walked
+        #: positions of the accesses emitted as ``_ldc`` / ``_stc``
+        self.coalesced: list[int] = []
+        #: unformed address register -> its (uniform, stride) operands
+        self._deferred: dict[tuple, tuple[str, str]] = {}
+        self._scan()
 
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
+
+    # -- what the stream says before it is walked ------------------------
+
+    def _scan(self) -> None:
+        """Classify registers in one pass (keys are ``Register.key``).
+
+        ``_uniform``: the same value in every lane — ``ld.param``,
+        immediates, ``%ntid`` and pure operations on those.
+        ``_stride``: ``k`` where the value is exactly ``k * gid`` — the
+        canonical ``mad.lo ctaid, ntid, tid`` through ``mov``, integer
+        ``cvt`` and ``mul.lo`` / ``shl`` by an immediate, each step
+        within its type's range for ``gid <= _GID_MAX``, so no step
+        wraps.  Both describe the one value of a register defined
+        once, without a guard: a second or guarded definition takes the
+        register out of both.  ``_address_of``: the widths of the
+        unguarded accesses a ``u64`` register is the address of;
+        ``_formed``: the registers that have to exist — ``u64``
+        registers used any other way, and every register defined twice
+        or under a guard.
+        """
+        self._uniform: set[tuple] = set()
+        self._stride: dict[tuple, int] = {}
+        self._address_of: dict[tuple, set[int]] = {}
+        self._formed: set[tuple] = set()
+        special: dict[tuple, str] = {}      # mov of %tid / %ntid / %ctaid
+        seen: set[tuple] = set()
+
+        def which(op):
+            return op.which if isinstance(op, Special) else (
+                special.get(op.key) if isinstance(op, Register) else None)
+
+        def uniform(op):
+            return isinstance(op, Immediate) or which(op) == "ntid" or (
+                isinstance(op, Register) and op.key in self._uniform)
+
+        for inst in self.parsed.instructions:
+            op, srcs = inst.opcode, inst.srcs
+            access = inst.guard is None and op in ("ld.global", "st.global")
+            for j, src in enumerate(srcs):
+                if isinstance(src, Register) and src.type is PTXType.U64:
+                    if access and j == 0:
+                        self._address_of.setdefault(src.key, set()).add(
+                            inst.type.nbytes)
+                    else:
+                        self._formed.add(src.key)
+            dst = inst.dst
+            if dst is None:
+                continue
+            key = dst.key
+            rebound = key in seen or inst.guard is not None
+            seen.add(key)
+            if rebound:
+                self._formed.add(key)
+                self._uniform.discard(key)
+                self._stride.pop(key, None)
+                special.pop(key, None)
+                continue
+            if op == "mov" and isinstance(srcs[0], Special):
+                special[key] = srcs[0].which
+            if op == "ld.param" or (op in _PURE and all(map(uniform, srcs))):
+                self._uniform.add(key)
+                continue
+            if not dst.type.is_int:
+                continue
+            k = None
+            if op in ("mov", "cvt"):
+                k = self._stride_of(srcs[0])
+            elif op == "mad.lo":
+                if tuple(map(which, srcs)) == ("ctaid", "ntid", "tid"):
+                    k = 1
+            elif op in ("mul", "mul.lo", "shl"):
+                a, b = srcs
+                if op != "shl" and isinstance(a, Immediate):
+                    a, b = b, a
+                if isinstance(b, Immediate) and self._stride_of(a) is not None:
+                    c = int(b.value)
+                    if op == "shl":
+                        c = 1 << c if 0 <= c < 64 else None
+                    if c is not None:
+                        k = self._stride_of(a) * c
+            if k is not None:
+                lo, hi = dst.type.int_range
+                if lo <= min(0, k * _GID_MAX) and max(0, k * _GID_MAX) <= hi:
+                    self._stride[key] = k
+
+    def _stride_of(self, op) -> int | None:
+        return self._stride.get(op.key) if isinstance(op, Register) else None
+
+    def _coalescable(self, inst: Instruction) -> tuple | None:
+        """``(uniform, stride)`` sources of an ``add.u64`` that need not
+        be formed: every use of its result is the address of an
+        unguarded access exactly as wide as the stride."""
+        if inst.type is not PTXType.U64 or inst.guard is not None:
+            return None
+        key = inst.dst.key
+        widths = self._address_of.get(key, ())
+        if len(widths) != 1 or key in self._formed:
+            return None
+        (width,) = widths
+        for u, s in (inst.srcs, inst.srcs[::-1]):
+            if width in _SHIFT and self._stride_of(s) == width and (
+                    isinstance(u, Immediate) or (
+                        isinstance(u, Register) and u.key in self._uniform)):
+                return u, s
+        return None
 
     # -- hooks ---------------------------------------------------------
 
@@ -323,7 +514,7 @@ class _Translator:
             if dst in self.defined:
                 expr = f"np.where({em}, {expr}, {dst})"
         self.emit(f"{dst} = {expr}")
-        self.defined.add(dst)
+        self.defined[dst] = inst.dst
 
     def _prologue(self) -> list[str]:
         """The lines between the ``def`` and the translated body."""
@@ -334,7 +525,18 @@ class _Translator:
             "    _ctaid = _gl // np.uint32(_bd)",
             "    _ntid = np.uint32(_bd)",
             "    _m = None",
+            "    _pre = True",
         ]
+
+    def _lane_vectors(self) -> list[str]:
+        """The prologue's per-lane locals a retirement must shorten."""
+        return ["_tid", "_ctaid"]
+
+    def _vector_locals(self) -> list[str]:
+        """Every local defined so far that may hold one value per lane."""
+        return [name for name, reg in self.defined.items()
+                if reg.key not in self._uniform
+                and reg.key not in self._deferred]
 
     # -- mask handling -------------------------------------------------
 
@@ -353,15 +555,53 @@ class _Translator:
     def translate(self) -> str:
         for lbl in self.labels:
             self.emit(f"_pend_{lbl[1:]} = None")
-        for inst in self.parsed.instructions:
+        for self.pos, inst in enumerate(self.parsed.instructions):
             self._translate_inst(inst)
+        if self._retire_at is not None:
+            at, names = self._retire_at
+            names = names + self._lane_vectors()
+            self.lines[at] = (
+                f"        {', '.join(['_nt', '_pre'] + names)} = "
+                f"_retire({', '.join(['_x'] + names)})")
         body, self.n_slots = allocate_slots(self.lines)
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
         return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
 
+    def _access(self, kind: str, inst: Instruction, addr, sh: int,
+                tail: str) -> str:
+        """The call performing a global access: through the two halves
+        of an unformed coalesced address, else through the address."""
+        view = self._view(inst.type)
+        parts = self._deferred.get(addr.key) \
+            if isinstance(addr, Register) else None
+        if parts is None:
+            return (f"_{kind}({view}, {self._operand(addr, PTXType.U64)}, "
+                    f"{sh}, {tail})")
+        self.coalesced.append(self.pos)
+        return f"_{kind}c({view}, {parts[0]}, {parts[1]}, {sh}, {tail}, _pre)"
+
+    def _shift(self, inst: Instruction) -> int:
+        """log2 of the word size of a global access."""
+        sh = _SHIFT.get(inst.type.nbytes)
+        if sh is None:
+            raise JITCompileError(
+                f"kernel {self.parsed.name!r}: '{inst.render()}' — there "
+                f"is no device view of type .{inst.type.value}")
+        return sh
+
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
+        if self.canonical and op in ("bra", "label", "ret"):
+            if op == "bra":
+                # retire the exiting lanes; nothing runs for them again,
+                # so the label and the ret have nothing left to do
+                self.emit(f"_x = {self._guard(inst)}")
+                self.emit("if _x.any():")
+                self._retire_at = (len(self.lines), self._vector_locals())
+                self.emit("    <retire>")
+                self.emit("    if _nt == 0: return None")
+            return
         if op == "label":
             lbl = inst.label[1:]
             self._placed.add(inst.label)
@@ -405,22 +645,27 @@ class _Translator:
             return
         if op == "ld.global":
             (addr,) = inst.srcs
-            a = self._operand(addr, PTXType.U64)
+            sh = self._shift(inst)
             em = self._effective_mask(inst)
-            sh = _SHIFT[inst.type.nbytes]
             # guarded-off lanes keep the old value (via _assign), not
             # the word _ld read from the safe address
-            self._assign(inst, f"_ld({self._view(inst.type)}, {a}, {sh}, {em})",
-                         em)
+            self._assign(inst, self._access("ld", inst, addr, sh, em), em)
             return
         if op == "st.global":
             addr, val = inst.srcs
-            a = self._operand(addr, PTXType.U64)
+            sh = self._shift(inst)
             v = self._operand(val, inst.type)
-            em = self._effective_mask(inst)
-            sh = _SHIFT[inst.type.nbytes]
-            self.emit(f"_st({self._view(inst.type)}, {a}, {sh}, {v}, {em})")
+            self.emit(self._access("st", inst, addr, sh,
+                                   f"{v}, {self._effective_mask(inst)}"))
             return
+        if op == "add":
+            parts = self._coalescable(inst)
+            if parts is not None:
+                # never formed: its accesses take the two halves
+                u, s = (self._operand(x, PTXType.U64) for x in parts)
+                self._deferred[inst.dst.key] = (u, s)
+                self.defined[_regname(inst.dst)] = inst.dst
+                return
         if op == "mov":
             (src,) = inst.srcs
             self._assign(inst, self._operand(src, inst.type))

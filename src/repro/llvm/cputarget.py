@@ -39,7 +39,7 @@ import numpy as np
 
 from ..diagnostics import errors
 from ..driver.backends import BackendBuildError, BuildStats, build_stats
-from ..driver.jitcompiler import _NP_DTYPE, _RUNTIME, _SHIFT, _Translator
+from ..driver.jitcompiler import _GID_MAX, _NP_DTYPE, _RUNTIME, _Translator
 from ..driver.parser import ParsedKernel, parse_ptx
 from ..ir.ssa import SSAFunction
 from ..ir.verify import check_ssa
@@ -154,10 +154,8 @@ class _VLin(NamedTuple):
     hi: int
 
 
-#: the global thread id ``gid*1 + 0`` and the largest value it takes:
-#: lanes are elements of one NumPy array
+#: the global thread id ``gid*1 + 0`` (at most the driver's ``_GID_MAX``)
 _GID = _Lin(1, "0", 0, 0)
-_GID_MAX = 2**31 - 1
 #: what a ``.ptr`` parameter holds: an address in the device pool, one
 #: host buffer (x86-64 user space is 47 bits)
 _PTR_RANGE = (0, 2**48 - 1)
@@ -288,21 +286,6 @@ class _CpuTranslator(_Translator):
         self.need_G = False
         self.need_gl = False
         self.need_ntid = False
-        # the generators' canonical bounds-check shape: one guarded bra
-        # to an EXIT label immediately followed by ret, no other control
-        # flow.  Inside it, guarded-off lanes can never store, so their
-        # loaded garbage is unobservable and the clamp index is free —
-        # one shared np.where(_m, _G, 0) replaces a per-load clamp.
-        insts = parsed.instructions
-        ops = [i.opcode for i in insts]
-        bras = [i for i in insts if i.opcode == "bra"]
-        self.simple = (
-            len(bras) == 1 and bras[0].guard is not None
-            and ops.count("label") == 1 and ops.count("ret") == 1
-            and ops[-2:] == ["label", "ret"]
-            and bras[0].label == insts[-2].label)
-        self.post_guard = False
-        self._gc_emitted = False
 
     # -- small emission helpers ----------------------------------------
 
@@ -396,8 +379,14 @@ class _CpuTranslator(_Translator):
             pro.append(f"    {var} = int(_P[{pname!r}])")
         for expr, var in self._scalars.items():
             pro.append(f"    {var} = {expr}")
-        pro.append("    _m = None")
+        pro += ["    _m = None", "    _pre = True"]
         return pro
+
+    def _lane_vectors(self) -> list[str]:
+        return ["_tid", "_ctaid"] * self.need_gl + ["_G"] * self.need_G
+
+    def _vector_locals(self) -> list[str]:
+        return [f"_v{k}" for k in range(1, self._n + 1)]
 
     # -- symbolic values ------------------------------------------------
 
@@ -567,18 +556,6 @@ class _CpuTranslator(_Translator):
 
     # -- folded memory access ---------------------------------------------
 
-    def _emit_gc(self) -> None:
-        """In the canonical bounds-check shape, one shared clamped gid
-        vector replaces the per-load inactive-lane clamp: guarded-off
-        lanes read the (in-bounds) gid-0 word of each access instead of
-        the sim backend's alignment word.  Both are garbage that only
-        exists on lanes which can never store, so no observable bit
-        differs."""
-        if not self._gc_emitted:
-            self.need_G = True
-            self.emit("_Gc = _G if _m is None else np.where(_m, _G, 0)")
-            self._gc_emitted = True
-
     def _fold_addr(self, addr, sh: int):
         """Fold the byte->word shift through a gid-linear or
         table-driven (vector linear) address; returns
@@ -586,51 +563,50 @@ class _CpuTranslator(_Translator):
         if not isinstance(addr, (_Lin, _VLin)) or addr.a <= 0 \
                 or addr.a % (1 << sh) != 0:
             return None
-        aw = addr.a >> sh
         s = self._word(addr.b, sh)
         if isinstance(addr, _VLin):
-            return self._gmul(aw, addr.base), s
-        if self.simple and self.post_guard:
-            self._emit_gc()
-            return self._gmul(aw, "_Gc"), s
+            return self._gmul(addr.a >> sh, addr.base), s
         self.need_G = True
-        return self._gmul(aw), s
+        return self._gmul(addr.a >> sh), s
+
+    def _access(self, kind: str, inst: Instruction, addr, sh: int,
+                tail: str) -> str:
+        """The call performing a global access.  A form ``gid*width +
+        b`` is the coalesced shape: it goes through the driver's
+        ``_ldc`` / ``_stc`` with ``b`` as the uniform half; the other
+        forms index by word (``tail``: the mask, behind a stored
+        value)."""
+        if isinstance(addr, Register) and addr.key in self._deferred:
+            return super()._access(kind, inst, addr, sh, tail)
+        view = self._view(inst.type)
+        sym = self._sym_of(addr, PTXType.U64)
+        ci = ALIGNMENT >> sh        # the word inactive lanes read
+        if isinstance(sym, _Lin) and sym.a == 0:
+            return (f"{'_gs' if kind == 'ld' else '_ps'}({view}, "
+                    f"{self._word(sym.b, sh)}, {tail}, {ci})")
+        if isinstance(sym, _Lin) and sym.a == inst.type.nbytes:
+            self.need_G = True
+            self.coalesced.append(self.pos)
+            return (f"_{kind}c({view}, {self._scalar(sym.b)}, "
+                    f"{self._gmul(sym.a)}, {sh}, {tail}, _pre)")
+        folded = self._fold_addr(sym, sh)
+        if folded is None:
+            return (f"_{kind}({view}, {self._mat(sym, PTXType.U64)}, {sh}, "
+                    f"{tail})")
+        if kind == "ld":
+            return f"_gv({view}, {folded[0]}, {folded[1]}, {tail}, {ci})"
+        return f"_pv({view}, {folded[0]}, {folded[1]}, {tail})"
 
     def _load(self, inst: Instruction) -> None:
         (addr,) = inst.srcs
-        sh = _SHIFT[inst.type.nbytes]
-        ci = ALIGNMENT >> sh
-        view = self._view(inst.type)
-        sym = self._sym_of(addr, PTXType.U64)
-        folded = self._fold_addr(sym, sh)
-        if isinstance(sym, _Lin) and sym.a == 0:
-            self._bind(inst, f"_gs({view}, {self._word(sym.b, sh)}, _m, {ci})")
-        elif folded is None:
-            self._bind(inst, f"_ld({view}, {self._mat(sym, PTXType.U64)}, "
-                             f"{sh}, _m)")
-        elif self.simple and isinstance(sym, _Lin):
-            self._bind(inst, f"{view}[{folded[0]} + {folded[1]}]")
-        else:
-            # outside the canonical shape — or table-driven, where the
-            # base vector was loaded with the inactive-lane clamp and
-            # its garbage lanes are unbounded — clamp the final index
-            self._bind(inst, f"_gv({view}, {folded[0]}, {folded[1]}, _m, {ci})")
+        self._bind(inst, self._access("ld", inst, addr, self._shift(inst),
+                                      "_m"))
 
     def _store(self, inst: Instruction) -> None:
         addr, val = inst.srcs
-        sh = _SHIFT[inst.type.nbytes]
-        view = self._view(inst.type)
-        sym = self._sym_of(addr, PTXType.U64)
         v = self._operand(val, inst.type)
-        folded = self._fold_addr(sym, sh)
-        if isinstance(sym, _Lin) and sym.a == 0:
-            self.emit(f"_ps({view}, {self._word(sym.b, sh)}, {v}, _m, "
-                      f"{ALIGNMENT >> sh})")
-        elif folded is None:
-            self.emit(f"_st({view}, {self._mat(sym, PTXType.U64)}, {sh}, "
-                      f"{v}, _m)")
-        else:
-            self.emit(f"_pv({view}, {folded[0]}, {folded[1]}, {v}, _m)")
+        self.emit(self._access("st", inst, addr, self._shift(inst),
+                               f"{v}, _m"))
 
     # -- the instruction walk ---------------------------------------------
 
@@ -653,8 +629,6 @@ class _CpuTranslator(_Translator):
             pass
         else:
             super()._translate_inst(inst)
-            if op == "bra":
-                self.post_guard = True
 
 
 def code_cache_stats() -> BuildStats:

@@ -261,6 +261,32 @@ class KernelBuilder:
         if count_bytes:
             self.info.bytes_stored_per_site += type.nbytes
 
+    def words_to_bytes(self, count: Register, word_bytes: int) -> Register:
+        """``count * word_bytes`` as the ``u64`` byte count
+        :meth:`soa_address` takes (``count``: a signed site or word
+        count; the product is formed in ``s64``)."""
+        c64 = self.cvt(count, PTXType.S64)
+        return self.cvt(self.mul(c64, self.imm(word_bytes, PTXType.S64)),
+                        PTXType.U64)
+
+    def soa_address(self, base: Register, plane_bytes: Register, word: int,
+                    site_bytes: Register) -> Register:
+        """The byte address of word ``word`` of one site in the
+        coalesced SoA layout (paper Sec. III-B): ``base + word *
+        plane_bytes + site_bytes``, all ``u64``.
+
+        The launch-uniform part is formed first — ``mad.lo.u64`` over
+        the field base, the plane size ``nsites * word_bytes`` and the
+        word index — so the only per-thread instruction of an address
+        is its last ``add``; ``site_bytes`` is ``site * word_bytes``
+        (both byte counts from :meth:`words_to_bytes`).
+        Ring operations only: the sum is the address modulo 2**64
+        however it is associated.
+        """
+        plane = self.fma(plane_bytes, self.imm(word, PTXType.U64), base,
+                         PTXType.U64)
+        return self.add(plane, site_bytes, PTXType.U64)
+
     # -- control flow ----------------------------------------------------
 
     def bra(self, label: str, guard: Register | None = None,

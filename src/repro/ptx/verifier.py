@@ -120,6 +120,10 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
             for i, op in enumerate(inst.srcs):
                 check_src(inst, op, i)
         # type checks
+        if inst.opcode in ("ld.global", "st.global") \
+                and inst.type == PTXType.PRED:
+            err("global access of type .pred: device memory has no "
+                "view of that type", inst)
         if inst.opcode == "st.global":
             addr, val = inst.srcs
             if isinstance(addr, Register) and addr.type != PTXType.U64:

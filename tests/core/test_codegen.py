@@ -264,18 +264,23 @@ class TestByteIdentity:
     """Every statement path is one builder; these pin the exact PTX
     (sha256 of the rendered module) of one kernel per group shape and
     mode.  The fused and reduction digests were recorded when there
-    were three builders and have not moved; the ``eager_*`` ones were
-    re-recorded when single statements began addressing their
-    destination through its field slot instead of ``p_dst`` (PR 21)."""
+    were three builders; the ``eager_*`` ones were re-recorded when
+    single statements began addressing their destination through its
+    field slot instead of ``p_dst`` (PR 21).  All seven were
+    re-recorded on purpose when every SoA address began to come from
+    ``KernelBuilder.soa_address`` — uniform part first, one integer
+    instruction fewer per access (PR 23): only address arithmetic
+    moved, no float operation and no load or store
+    (``test_an_eager_kernel_loads_once_per_node_word``)."""
 
     GOLDEN = {
-        "eager_full": "e678dad26feef54005c75837894c7dd19ebce17c58d985c27624eb771daaa652",
-        "eager_subset": "fb228e506c7f8c1208b1e6c38016b6d7be8cf2f9f794865c4e83bc7a009f4180",
-        "eager_shift": "89c5c394abf8bfbf64dcaf7344f02cca7597e460d6df0059eb1df8c2a9388237",
-        "fused_3": "1b09d4a11d46c9e5886dff04b46be16e98eecc9cdeeafeb12059877374028c74",
-        "fused_norm2": "114b7b70248ae6ddc7323c7b01d97c6d639f45660331efe481c5262f39dba412",
-        "norm2": "cd8076e3e90bb3261e32dca43cc103cc784c04243d0b7ef15c9e09b45e1f7d06",
-        "inner_subset": "c668cc9aaf80524d4d40309e1e1778dab998193ed73d43ce3a7df0437310e3ca",
+        "eager_full": "d3cc84d47252d92a1a04774cfd6e86fb6e75586fccb85d8afb2995d721cd367a",
+        "eager_subset": "6d52d641286a7aa3f17df1184862aa5ad19565f8d01e8eca2fe4fcd9f4e939e6",
+        "eager_shift": "c06c3dee77a608779b4f710dfcc14481db35f459a229c306b67ef179eef18fd4",
+        "fused_3": "b82bd8c921645b26a3e568e653ff0c5d04a3d5e2b62a0699f4a18f85206e7fea",
+        "fused_norm2": "1c4f778e73cdee04227279252d76dba9e12c80025e396e1b3c5c7fdc8ee3d19d",
+        "norm2": "0f985185c9e4994433337431c2cbf4b1e32b1696beddbcf4d241db427bb7aad2",
+        "inner_subset": "eb962250126827288250a9ed84dbaa76805d066b9d3f558c764e7206ddc9952e",
     }
     #: kernel names the same statements get through the pipeline
     GOLDEN_NAMES = [
@@ -317,6 +322,28 @@ class TestByteIdentity:
         got = {k: hashlib.sha256(m.render().encode()).hexdigest()
                for k, m in self.golden_modules(lat4).items()}
         assert got == self.GOLDEN
+
+    def test_an_eager_kernel_loads_once_per_node_word(self, lat4):
+        """Table II's byte accounting is per *load*, not per address:
+        ``matvec`` reads ``u`` twice, and a lone statement must keep
+        both sets of loads however its addresses are formed."""
+        from repro.core.codegen import build_expression_kernel
+        from repro.core.expr import as_expr
+
+        u = latt_color_matrix(lat4)
+        psi, phi, chi = (latt_fermion(lat4) for _ in range(3))
+        module = build_expression_kernel(
+            "golden", as_expr(u * psi + u * phi), chi, False)
+        loads = [i for i in module.instructions if i.opcode == "ld.global"]
+        words = 2 * 18 + 24 + 24
+        assert len(loads) == words
+        assert module.info.bytes_loaded_per_site == 8 * words
+        # one address per access, each formed by the builder's two
+        # instructions
+        planes = [i for i in module.instructions
+                  if i.opcode == "mad.lo" and i.type.value == "u64"]
+        assert len(planes) == words + 24
+        assert len({i.srcs[0] for i in loads}) == words
 
     def test_golden_kernel_names(self, lat4, rng):
         from repro.core.context import Context

@@ -353,3 +353,59 @@ $SKIP:
         text = _wrap(body, [("p_x", "u64", True)], name="undef")
         with pytest.raises(JITCompileError, match=r"'undef'.*%fd0"):
             self._launch(text)
+
+
+class TestAccessOfATypeWithNoDeviceView:
+    """``ld.global.pred`` parses and builds; device memory has 4- and
+    8-byte views only.  It used to die with a bare ``KeyError: 1`` from
+    inside the first launch."""
+
+    BODIES = {
+        "ld": """
+    ld.param.u64 %ru0, [p_x];
+    ld.global.pred %p0, [%ru0];
+    ret;
+""",
+        "st": """
+    ld.param.u64 %ru0, [p_x];
+    setp.eq.u64 %p0, %ru0, 0;
+    st.global.pred [%ru0], %p0;
+    ret;
+"""}
+
+    @pytest.mark.parametrize("kind", BODIES)
+    def test_error_mode_rejects_it_at_compile_ptx(self, monkeypatch, kind):
+        monkeypatch.setenv("REPRO_VERIFY", "error")
+        text = _wrap(self.BODIES[kind], [("p_x", "u64", True)], name="nov")
+        with pytest.raises(JITCompileError,
+                           match=rf"operands \[nov\].*{kind}\.global\.pred"):
+            compile_ptx(text)
+
+    @pytest.mark.parametrize("kind", BODIES)
+    def test_the_verifier_names_it_in_warn_mode(self, monkeypatch, kind):
+        monkeypatch.setenv("REPRO_VERIFY", "warn")
+        text = _wrap(self.BODIES[kind], [("p_x", "u64", True)], name="nov")
+        with pytest.warns(RuntimeWarning,
+                          match=r"error: operands \[nov\]: global access "
+                                r"of type \.pred"):
+            compile_ptx(text)
+
+    @pytest.mark.parametrize("backend", ["sim", "cpu"])
+    @pytest.mark.parametrize("mode", ["warn", "off"])
+    @pytest.mark.parametrize("kind", BODIES)
+    def test_the_translator_names_it_at_first_dispatch(
+            self, monkeypatch, kind, mode, backend):
+        monkeypatch.setenv("REPRO_VERIFY", mode)
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        text = _wrap(self.BODIES[kind], [("p_x", "u64", True)], name="nov")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(
+                    JITCompileError,
+                    match=rf"'nov': '{kind}\.global\.pred .*no device view"):
+                KernelCache().get_or_compile(text)
+            kernel = compile_ptx(text)        # a bare handle: first launch
+        pool = DevicePool(1 << 16)
+        with pytest.raises(JITCompileError, match="no device view"):
+            kernel(_views(pool), {"p_x": pool.allocate(8)}, grid_dim=1,
+                   block_dim=4)

@@ -240,19 +240,24 @@ class Unparser:
 
     One instance per generated kernel; carries the per-kernel state:
     base-pointer registers per leaf slot, site registers per shift
-    view, cached component loads per (leaf node, view, word).
+    view, cached component loads per (leaf node, view, word), and a
+    value memo per (subtree, view, component, conjugation) — every
+    component of a subtree is computed once per kernel (registers are
+    SSA, and a memo hit returns what a recomputation would derive from
+    the same cached loads, so no stored bit and no float operation
+    order changes).  A lone statement keys the memo by node identity,
+    the granularity its loads are cached at.
 
     In *fused* mode (a group of more than one member, counting a
-    reduction tail as one) three extra mechanisms activate, none of
-    which change the arithmetic producing any stored value:
+    reduction tail as one) three mechanisms widen, none of which
+    change the arithmetic producing any stored value:
 
     * loads dedup per **field** (uid) instead of per AST node — two
       statements reading the same field share one set of loads;
-    * a common-subexpression memo keyed by structural signature,
-      component and a per-field *write epoch* reuses whole subtree
-      values across statements (registers are SSA, so reuse is safe;
-      the epoch key invalidates values that read a field a later
-      statement overwrote);
+    * the memo is keyed by structural signature and a per-field
+      *write epoch* instead of node identity, so it reuses whole
+      subtree values across statements (the epoch key invalidates
+      values that read a field a later statement overwrote);
     * destination *forwarding*: once a statement's stores are emitted,
       plain (unshifted) reads of that destination by later statements
       in the same kernel resolve to the stored register values —
@@ -278,10 +283,15 @@ class Unparser:
         self._shift_bases: list[Register] = []
         self._scalar_vals: list[CVal] = []
         self._load_cache: dict[tuple, CVal] = {}
+        # memo key -> (node, value); holding the node keeps its id()
+        # from being reused while the entry exists
+        self._memo: dict[tuple, tuple[Expr, CVal]] = {}
+        # (uid, word) of the destination words the current statement
+        # has stored: a later first load of one would read the new value
+        self._stored: set[tuple[int, int]] = set()
         # fused-mode state (see class docstring)
         self._forward: dict[tuple, CVal] = {}
         self._pending_forward: dict[tuple, CVal] = {}
-        self._cse: dict[tuple, CVal] = {}
         self._epoch: dict[int, int] = {}
         self._sig_cache: dict[int, str] = {}
         self._uids_cache: dict[int, tuple] = {}
@@ -322,6 +332,7 @@ class Unparser:
     def end_statement(self, uid: int) -> None:
         self._forward.update(self._pending_forward)
         self._pending_forward.clear()
+        self._stored.clear()
         self._epoch[uid] = self._epoch.get(uid, 0) + 1
 
     # -- address helpers (JIT data views) --------------------------------
@@ -363,6 +374,12 @@ class Unparser:
         node each memory word is loaded once, but distinct references
         to the same field load again — matching the paper's byte
         accounting for Table II (``matvec`` counts U1 twice).
+
+        A first load of a destination word the current statement has
+        already stored would read the new value instead of the old
+        one; it raises :class:`CodegenError` (the evaluator copies a
+        destination read out of component order — shifted, or under
+        ``adj``/``transpose`` — into a temporary first).
         """
         spec = node.spec
         slot = self.slots.field_slot(node.field)
@@ -378,6 +395,11 @@ class Unparser:
             key = (leaf_key, view, w)
             cached = self._load_cache.get(key)
             if cached is None:
+                if (node.field.uid, w) in self._stored:
+                    raise CodegenError(
+                        f"word {w} of the destination is read after the "
+                        f"statement stored it; copy the destination into "
+                        f"a temporary first")
                 kb = self.kb
                 nsb = self._nsites_bytes_reg(wb)
                 sb = self._site_bytes_reg(view, wb)
@@ -399,22 +421,25 @@ class Unparser:
         ``conjugate``/index reversal for ``adj`` are pushed down to the
         leaves structurally (zero-cost where possible).
 
-        In fused mode this is the CSE entry point: structurally equal
-        subtrees at the same component/view/conjugation — with no
-        intervening write to any field they read — return the value
-        already computed (registers are SSA, so reuse is sound).
+        This is the value memo's entry point: a subtree asked for the
+        same component/view/conjugation again returns the value
+        already computed.  A lone statement keys it by node identity;
+        in fused mode structurally equal subtrees share it too, as long
+        as no intervening statement wrote a field they read.
         """
-        if self.fused and not isinstance(node, (ScalarLit, ScalarParam,
-                                                ConstSpinMatrix)):
+        if isinstance(node, (ScalarLit, ScalarParam, ConstSpinMatrix)):
+            return self._gen(node, sidx, cidx, view, conjugate)
+        if self.fused:
             key = (self._sig(node), view, sidx, cidx, conjugate,
                    self._epoch_key(node))
-            hit = self._cse.get(key)
-            if hit is not None:
-                return hit
-            val = self._gen(node, sidx, cidx, view, conjugate)
-            self._cse[key] = val
-            return val
-        return self._gen(node, sidx, cidx, view, conjugate)
+        else:
+            key = (id(node), view, sidx, cidx, conjugate)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit[1]
+        val = self._gen(node, sidx, cidx, view, conjugate)
+        self._memo[key] = (node, val)
+        return val
 
     def _gen(self, node: Expr, sidx: tuple, cidx: tuple,
              view: int | None = None, conjugate: bool = False) -> CVal:
@@ -705,11 +730,13 @@ def build_fused_kernel(name: str, assigns, reduction,
     is an eager statement's kernel; no statement and a tail is a
     standalone partials kernel.  Statement order is preserved per
     thread and destinations are addressed through their own field slot
-    (so the structural cache key fully determines the code).  The
-    fused :class:`Unparser` mode — load dedup, CSE, destination
-    forwarding — is on exactly when the group has more than one member
-    (the tail counts as one): a lone statement keeps the per-node
-    loads Table II's byte accounting needs.
+    (so the structural cache key fully determines the code).  Every
+    kernel computes each subtree component once (the unparser's value
+    memo); the fused :class:`Unparser` mode — per-field load dedup,
+    cross-statement reuse, destination forwarding — is on exactly when
+    the group has more than one member (the tail counts as one): a
+    lone statement keeps the per-node loads Table II's byte accounting
+    needs.
     """
     slots = SlotAssigner()
     # pre-walk in the exact order the launcher re-walks for binding:
@@ -760,6 +787,7 @@ def build_fused_kernel(name: str, assigns, reduction,
                     w = dspec.word_index(sidx, cidx, ir)
                     kb.st_global(kb.soa_address(dst_base, nsb, w, sb),
                                  operand, ft)
+                    up._stored.add((dest.uid, w))
                 # later statements read these registers instead of
                 # re-loading the destination from memory
                 up.stage_forward(dest.uid, sidx, cidx,

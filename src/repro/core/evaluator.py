@@ -5,7 +5,8 @@
 *normalized* — shifts of non-leaf subexpressions are materialized
 into temporaries (QDP++ semantics; also the paper's "shifts of shifts
 execute the inner-most shift non-overlapping"), and a destination
-aliased inside a shift is copied first — type-checked against its
+aliased inside a shift or read under ``adj``/``transpose`` is copied
+first — type-checked against its
 destination, and handed to the context's statement queue.  Lookup,
 paging, binding and launch (paper Secs. IV-VII) are the queue's one
 launcher, :func:`repro.core.fusion._launch_group`.
@@ -55,34 +56,53 @@ def _rebuild(node: Expr, new_children) -> Expr:
     raise TypeError(f"cannot rebuild {type(node).__name__}")
 
 
-def _normalize(node: Expr, dest, ctx: Context,
-               temps: list | None = None) -> Expr:
-    """Materialize shift-of-expression and shift-of-destination.
+def _normalize(node: Expr, dest, ctx: Context, temps: list | None = None,
+               stores: bool = True, flipped: bool = False) -> Expr:
+    """Materialize shift-of-expression and shift-of-destination, and a
+    destination read under ``adj``/``transpose`` (``flipped``).
+
+    The kernel stores component (i, j) before it generates (j, i), so
+    a transposed read of the destination would load words the
+    statement has already overwritten; like an aliased shift it reads
+    a copy instead.  A reduction, which stores nothing, passes its
+    first field as ``dest`` with ``stores=False``.
 
     Created temporaries are appended to ``temps`` so the caller can
     :meth:`~repro.memory.cache.FieldCache.release` them once the
     statement that consumes them has launched — a dead temporary must
     never cost D2H spill traffic later.
     """
+    if isinstance(node, FieldRef):
+        if flipped and stores and node.field.uid == dest.uid:
+            return _materialize(node, dest, ctx, temps)
+        return node
     children = node.children()
     if not children:
         return node
-    new = [_normalize(c, dest, ctx, temps) for c in children]
     if isinstance(node, ShiftNode):
-        child = new[0]
-        needs_temp = not isinstance(child, FieldRef)
-        aliases_dest = (isinstance(child, FieldRef)
-                        and child.field.uid == dest.uid)
-        if needs_temp or aliases_dest:
-            temp = _new_temp(dest.lattice, child.spec, ctx)
-            evaluate(temp, child, context=ctx)
-            if temps is not None:
-                temps.append(temp)
-            child = FieldRef(temp)
+        # a shifted operand is a leaf or becomes a fresh temporary:
+        # either way the statement's stores cannot reach it
+        child = _normalize(node.child, dest, ctx, temps, stores)
+        if not isinstance(child, FieldRef) or child.field.uid == dest.uid:
+            child = _materialize(child, dest, ctx, temps)
         return ShiftNode(child, node.mu, node.sign)
+    flipped = flipped or (isinstance(node, UnaryNode)
+                          and node.op in ("adj", "transpose"))
+    new = [_normalize(c, dest, ctx, temps, stores, flipped)
+           for c in children]
     if all(a is b for a, b in zip(new, children)):
         return node
     return _rebuild(node, new)
+
+
+def _materialize(expr: Expr, dest, ctx: Context,
+                 temps: list | None) -> FieldRef:
+    """Evaluate ``expr`` into a fresh temporary on ``dest``'s lattice."""
+    temp = _new_temp(dest.lattice, expr.spec, ctx)
+    evaluate(temp, expr, context=ctx)
+    if temps is not None:
+        temps.append(temp)
+    return FieldRef(temp)
 
 
 def _new_temp(lattice, spec, ctx: Context):

@@ -58,7 +58,7 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     if subset is None:
         subset = lattice.all_sites
     temps: list = []
-    exprs = [_normalize(e, f0, ctx, temps) for e in exprs]
+    exprs = [_normalize(e, f0, ctx, temps, stores=False) for e in exprs]
     _validate(kind, exprs)
 
     # a reduction is a queue barrier; if the trailing pending group is

@@ -259,6 +259,239 @@ class TestTableII:
             assert sp[name].flops_per_site == dp[name].flops_per_site
             assert sp[name].bytes_per_site * 2 == dp[name].bytes_per_site
 
+    def test_eager_wilson_kernel_counts(self, wilson_eager):
+        """The kernel of ``M = 1 - kappa*D`` as a lone statement.
+
+        1 560 flops = U·psi on all four spins of the four forward hops
+        (4 x 4 x 66 = 1 056) + the eight projectors' adds and ±i signs
+        (288) + the eight-term sum (168) + ``1 - kappa*`` (48).
+        ``DSLASH_FLOPS_PER_SITE = 1320`` counts D the standard way —
+        eight hops of projection (12) and U on a half spinor (132),
+        plus the same sum — so it projects before multiplying, and
+        includes the backward hops' ``adj(U)·psi``, which this kernel
+        reads from materialized temporaries.  (4 728 before the value
+        memo covered a lone statement: U·psi recomputed per projector
+        row.)  Bytes: 288 f64 loads, 8 shift-table words, 24 stores.
+        """
+        from repro.qcd.dslash import DSLASH_FLOPS_PER_SITE
+
+        m = wilson_eager["M"]
+        assert m.info.flops_per_site == 1560
+        assert m.info.bytes_per_site == 2528    # 288*8 + 8*4 + 24*8
+        assert DSLASH_FLOPS_PER_SITE == 1320
+
+
+class TestReadAfterStore:
+    """The builder refuses a kernel that would load a destination word
+    its own statement has already stored (the evaluator copies such a
+    destination first, ``tests/core/test_evaluator.py``)."""
+
+    @pytest.mark.parametrize("make", [lambda u, v: adj(u),
+                                      lambda u, v: transpose(u),
+                                      lambda u, v: adj(u) * v])
+    def test_a_late_destination_load_is_an_error(self, lat4, make):
+        from repro.core.codegen import CodegenError, build_expression_kernel
+
+        u, v = latt_color_matrix(lat4), latt_color_matrix(lat4)
+        with pytest.raises(CodegenError, match="after the statement stored"):
+            build_expression_kernel("late", make(u.ref(), v), u, False)
+
+    def test_an_early_destination_load_is_not(self, lat4):
+        from repro.core.codegen import build_expression_kernel
+
+        u, v = latt_color_matrix(lat4), latt_color_matrix(lat4)
+        for expr in (u * adj(u.ref()), v * u, conj(u.ref())):
+            build_expression_kernel("early", expr, u, False)
+
+
+def _float_repeats(instructions) -> int:
+    """Exact-repeat float instructions of a kernel, by transitive value
+    numbering over its instruction list — a witness that shares nothing
+    with the unparser's memo.
+
+    Two instructions compute the same value when opcode, type,
+    modifiers and the value numbers of their sources agree.  A load or
+    a guarded definition is never equal to another (memory, or the
+    lanes that execute it, may differ)."""
+    from repro.ptx.isa import Register
+
+    number: dict = {}
+    seen: dict = {}
+    repeats = 0
+    for pos, ins in enumerate(instructions):
+        if ins.dst is None:
+            continue
+        if ins.opcode.startswith("ld") or ins.guard is not None:
+            number[ins.dst.key] = pos
+            continue
+        srcs = tuple(number.get(s.key, s.key) if isinstance(s, Register)
+                     else s for s in ins.srcs)
+        key = (ins.opcode, ins.type, ins.cmp, ins.src_type, srcs)
+        if key in seen:
+            number[ins.dst.key] = seen[key]
+            repeats += ins.type.is_float
+        else:
+            seen[key] = number[ins.dst.key] = pos
+    return repeats
+
+
+@pytest.fixture(scope="module")
+def wilson_eager(lat4):
+    """The two kernels of ``M = 1 - kappa*D`` with fusion off: the
+    backward hop ``adj(U)·psi`` (one kernel serves all four directions)
+    and ``M`` itself, which reads the hops shifted."""
+    from repro.core.context import Context
+    from repro.qcd.gauge import weak_gauge
+    from repro.qcd.wilson import WilsonOperator, WilsonParams
+
+    ctx = Context(fusion=False, autotune=False)
+    rng = np.random.default_rng(5)
+    op = WilsonOperator(weak_gauge(lat4, rng, eps=0.3, context=ctx),
+                        WilsonParams(kappa=0.12))
+    psi, out = op.new_fermion(), op.new_fermion()
+    psi.gaussian(rng)
+    op.apply(out, psi)
+    ctx.flush()
+    hop, m = sorted((e.module for e in ctx.module_cache.values()),
+                    key=lambda m: len(m.instructions))
+    return {"hop": hop, "M": m}
+
+
+def _without_memo(monkeypatch, *args):
+    """``build_fused_kernel(*args)`` with every ``Unparser.gen`` request
+    computed afresh — a lone statement's code before the value memo
+    covered it."""
+    from repro.core.codegen import Unparser, build_fused_kernel
+
+    with monkeypatch.context() as m:
+        m.setattr(Unparser, "gen", Unparser._gen)
+        return build_fused_kernel(*args)
+
+
+def _memory_footprint(module):
+    ops = [i.opcode for i in module.instructions]
+    return (ops.count("ld.global"), ops.count("st.global"),
+            module.info.bytes_per_site)
+
+
+class TestValueMemo:
+    """Every kernel computes each subtree component once.  A lone
+    statement keys the unparser's memo by node identity — the
+    granularity its loads are cached at — so no load or store moves,
+    only repeated arithmetic goes."""
+
+    def test_census_of_the_eager_wilson_kernels(self, wilson_eager):
+        m, hop = wilson_eager["M"], wilson_eager["hop"]
+        # 2 784 repeats before; the 48 left are projector-row sums
+        # (``psi_s + psi_t`` at two rows), which the fused M^+M kernel
+        # has too
+        assert _float_repeats(m.instructions) == 48
+        assert len(m.instructions) == 2452
+        # the hop's conj(U) components were negated once per spin: 27
+        assert _float_repeats(hop.instructions) == 0
+        assert [i.opcode for i in hop.instructions].count("neg") == 9
+
+    def test_table2_kernels_keep_their_memory_traffic(self, ctx, lat4,
+                                                      monkeypatch):
+        from repro.core.codegen import build_expression_kernel
+        from repro.core.expr import as_expr
+        from repro.perfmodel.kernelperf import _clover_expr
+
+        u1, u2, u3 = (latt_color_matrix(lat4) for _ in range(3))
+        psi1, psi2 = latt_fermion(lat4), latt_fermion(lat4)
+        g2, g3 = latt_spin_matrix(lat4), latt_spin_matrix(lat4)
+        cases = {
+            "lcm": (latt_color_matrix(lat4), u2 * u3),
+            "upsi": (latt_fermion(lat4), u1 * psi2),
+            "spmat": (latt_spin_matrix(lat4), g2 * g3),
+            "matvec": (latt_fermion(lat4), u1 * psi1 + u1 * psi2),
+            "clover": (latt_fermion(lat4),
+                       _clover_expr(lat4, "f64", ctx, None)),
+        }
+        for name, (dest, expr) in cases.items():
+            expr = as_expr(expr)
+            module = build_expression_kernel(name, expr, dest, False)
+            bare = _without_memo(monkeypatch, name, [(dest, expr)], None,
+                                 False)
+            assert _float_repeats(module.instructions) == 0, name
+            assert _memory_footprint(module) == _memory_footprint(bare), \
+                name
+
+    def test_expr_zoo_pool_keeps_its_memory_traffic(self, monkeypatch):
+        """Each of the benchmark's 30 expressions (read-only import),
+        built through the launcher, against the same group built with
+        the memo off."""
+        import warnings
+        from pathlib import Path
+
+        from repro.core import fusion
+
+        build, built = fusion.build_fused_kernel, []
+
+        def both(name, assigns, reduction, subset_mode):
+            module = build(name, assigns, reduction, subset_mode)
+            bare = _without_memo(monkeypatch, name, assigns, reduction,
+                                 subset_mode)
+            built.append((name, module, bare))
+            return module
+
+        monkeypatch.setattr(fusion, "build_fused_kernel", both)
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"))
+        import workloads
+
+        zoo = workloads.ExprZoo()
+        inputs = zoo.generate(seed=0, smoke=True)
+        inputs["names"] = workloads.ZOO_REQUIRED + workloads.ZOO_OPTIONAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            zoo.run(zoo.bind(inputs))
+        assert len(built) >= 30
+        fewer = 0
+        for name, module, bare in built:
+            assert _memory_footprint(module) == _memory_footprint(bare), \
+                name
+            assert len(module.instructions) <= len(bare.instructions), name
+            assert _float_repeats(module.instructions) <= \
+                _float_repeats(bare.instructions), name
+            fewer += len(module.instructions) < len(bare.instructions)
+        assert fewer > 0
+
+    def test_one_node_under_two_conjugations_and_two_views(
+            self, lat4, monkeypatch):
+        """One node object read conjugated and plain, and through two
+        shift views: neither pair may share a memo entry.  With fusion
+        on the two statements are one group (the structural memo), off
+        they are two lone statements (the identity memo); both backends
+        store the same bits either way."""
+        from repro.core.context import Context
+
+        x = latt_complex(lat4)
+        x.gaussian(np.random.default_rng(7))
+        x = x.to_numpy()
+        fwd, bwd = x[lat4.shift_map(0, +1)], x[lat4.shift_map(0, -1)]
+        images = []
+        for fusion in (True, False):
+            for backend in ("sim", "cpu"):
+                monkeypatch.setenv("REPRO_BACKEND", backend)
+                ctx = Context(fusion=fusion, autotune=False)
+                c1, c, d = (latt_complex(lat4, context=ctx)
+                            for _ in range(3))
+                c1.from_numpy(x)
+                r = c1.ref()
+                c.assign(conj(r) * r)
+                d.assign(shift(r, +1, 0) * shift(r, -1, 0) + r)
+                ctx.flush()
+                kinds = {e.module.name[:4] for e in ctx.module_cache.values()}
+                assert kinds == ({"fus_"} if fusion else {"eval"})
+                np.testing.assert_allclose(c.to_numpy(), np.abs(x) ** 2,
+                                           rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(d.to_numpy(), fwd * bwd + x,
+                                           rtol=1e-13)
+                images.append(np.concatenate([c.to_numpy(), d.to_numpy()]))
+        for image in images[1:]:
+            assert np.array_equal(image, images[0])
+
 
 class TestByteIdentity:
     """Every statement path is one builder; these pin the exact PTX

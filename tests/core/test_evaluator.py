@@ -2,10 +2,13 @@
 subsets, JIT accounting."""
 
 import numpy as np
+import pytest
 
 from repro.core.context import Context
-from repro.core.expr import shift
-from repro.qdp.fields import latt_fermion
+from repro.core.expr import adj, conj, shift, trace, transpose
+from repro.core.reduction import sum_sites
+from repro.qcd.gamma import gamma5_const, projector, projector_const
+from repro.qdp.fields import latt_color_matrix, latt_fermion
 from repro.qdp.lattice import Lattice
 
 
@@ -149,3 +152,68 @@ class TestStatsAndAccounting:
         ctx.flush()
         states = list(ctx.autotuner.states.values())
         assert states and states[0].launches >= 10
+
+
+def _dag(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+#: ``dest = expr`` shapes that read the destination, with their NumPy
+#: reference and whether the evaluator copies the destination first.
+#: A kernel stores component (i, j) before it generates (j, i): a read
+#: under ``adj``/``transpose`` would otherwise see words the statement
+#: has already overwritten.
+DEST_READS = {
+    "adj(u)": (lambda u, v: adj(u), lambda un, vn: _dag(un), True),
+    "transpose(u)": (lambda u, v: transpose(u),
+                     lambda un, vn: un.swapaxes(1, 2), True),
+    "adj(u)*v": (lambda u, v: adj(u) * v, lambda un, vn: _dag(un) @ vn,
+                 True),
+    "u*adj(u)": (lambda u, v: u * adj(u), lambda un, vn: un @ _dag(un),
+                 True),
+    "v*u": (lambda u, v: v * u, lambda un, vn: vn @ un, False),
+    "conj(u)": (lambda u, v: conj(u), lambda un, vn: un.conj(), False),
+    "gamma5*psi": (lambda u, v: gamma5_const() * u,
+                   lambda un, vn: np.einsum("st,ntc->nsc",
+                                            gamma5_const().matrix, un),
+                   False),
+    "projector*psi": (lambda u, v: projector_const(2, +1) * u,
+                      lambda un, vn: np.einsum("st,ntc->nsc",
+                                               projector(2, +1), un), False),
+}
+
+
+class TestDestinationReadOrder:
+    @pytest.mark.parametrize("backend", ["sim", "cpu"])
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("shape", list(DEST_READS))
+    def test_matches_numpy(self, shape, fusion, backend, monkeypatch):
+        expr, ref, copies = DEST_READS[shape]
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        ctx = Context(fusion=fusion, autotune=False)
+        lat = Lattice((2, 2, 2, 2))
+        new = latt_fermion if "psi" in shape else latt_color_matrix
+        u, v = new(lat, context=ctx), new(lat, context=ctx)
+        rng = np.random.default_rng(11)
+        u.gaussian(rng)
+        v.gaussian(rng)
+        un, vn = u.to_numpy(), v.to_numpy()
+        u.assign(expr(u, v))
+        ctx.flush()
+        np.testing.assert_allclose(u.to_numpy(), ref(un, vn), rtol=1e-13,
+                                   atol=1e-14)
+        # one copy exactly when the destination is read under a flip
+        assert ctx.stats.expressions_evaluated == 1 + copies
+
+    def test_a_reduction_makes_no_copy(self, rng):
+        """A reduction stores nothing: its first field under ``adj`` is
+        read in place."""
+        ctx = Context(autotune=False)
+        lat = Lattice((2, 2, 2, 2))
+        u, v = (latt_color_matrix(lat, context=ctx) for _ in range(2))
+        u.gaussian(rng)
+        v.gaussian(rng)
+        got = sum_sites(trace(adj(u) * v))
+        want = np.einsum("nba,nba->", u.to_numpy().conj(), v.to_numpy())
+        assert got == pytest.approx(want, rel=1e-12)
+        assert ctx.stats.expressions_evaluated == 0

@@ -110,21 +110,22 @@ class FaceKernels:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._modules: dict[tuple, ModuleEntry] = {}
+        self._modules: dict[str, ModuleEntry] = {}
 
     def get(self, kind: str, words_per_site: int, precision: str,
             nsites: int, face_sites) -> ModuleEntry:
         """The kernel for one copy shape, built — and verified, like
         every statement kernel — under the launch env of the face that
-        first needs it (:func:`face_env`; the entry keeps that env)."""
-        key = (kind, words_per_site, precision)
+        first needs it (:func:`face_env`; the entry keeps that env).
+        The ``face:`` key prefix is one no statement signature has."""
+        key = f"face:{kind}:{words_per_site}:{precision}"
         entry = self._modules.get(key)
         if entry is None:
             build = (build_gather_kernel if kind == "gather"
                      else build_scatter_kernel)
-            env = face_env(kind, words_per_site, precision, nsites,
-                           face_sites)
-            module, compiled = self.ctx.build_kernel(
-                build(words_per_site, precision), env, charge_jit=False)
-            entry = self._modules[key] = ModuleEntry(module, compiled, env)
+            entry = self._modules[key] = self.ctx.build_kernel(
+                key, lambda: build(words_per_site, precision),
+                face_env(kind, words_per_site, precision, nsites,
+                         face_sites),
+                charge_jit=False)
         return entry

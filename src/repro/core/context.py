@@ -16,7 +16,7 @@ from ..device.autotune import Autotuner
 from ..device.gpu import Device
 from ..device.specs import DeviceSpec, K20X_ECC_OFF
 from ..diagnostics import warn_unknown_knobs
-from ..driver.cache import KernelCache
+from ..driver.cache import KernelCache, generated_module
 from ..ir.pipeline import prepare_module
 from ..memory.cache import CacheStats, FieldCache
 from ..ptx.absint import KernelEnv, merge_envs
@@ -35,7 +35,8 @@ class ContextStats:
     #: generated-module cache outcomes (:meth:`Context.lookup_kernel`)
     module_cache_hits: int = 0
     module_cache_misses: int = 0
-    #: generated modules SSA-checked (:func:`repro.ir.prepare_module`)
+    #: module-cache misses through the SSA check
+    #: (:func:`repro.ir.prepare_module`), whichever context ran it
     modules_verified: int = 0
     #: backrefs wired by :class:`Context` so timeline/cache figures
     #: read live through ``ctx.stats`` (not copied counters)
@@ -112,8 +113,8 @@ class ContextStats:
 class ModuleEntry:
     """One generated kernel in :attr:`Context.module_cache`."""
 
-    module: object      # the PTXModule as built (after the IR layer)
-    compiled: object    # the driver's CompiledKernel
+    module: object      # the PTXModule as built (shared process-wide)
+    compiled: object    # this context's CompiledKernel handle
     #: launch env covering every binding seen so far (widened across
     #: launches); what the verifier passes and ``repro.lint`` analyze
     #: the kernel under
@@ -193,9 +194,10 @@ class Context:
 
         ``key`` is the statement's structural signature; on a miss the
         kernel is named ``prefix + sha256(key)[:12]``, generated by
-        ``build(name)`` and built through :meth:`build_kernel` under
-        the launch ``env``.  On a hit the entry's recorded env widens
-        to cover this launch too.  Hits and misses are counted in
+        ``build(name)`` (unless another context already did) and built
+        through :meth:`build_kernel` under the launch ``env``.  On a
+        hit the entry's recorded env widens to cover this launch too.
+        Hits and misses are counted in
         ``stats.module_cache_hits/misses`` — the "kernels are compiled
         once, launched thousands of times" claim of the paper, made
         measurable (``repro.lint --json`` reports it).
@@ -203,32 +205,33 @@ class Context:
         entry = self.module_cache.get(key)
         if entry is None:
             self.stats.module_cache_misses += 1
-            name = prefix + hashlib.sha256(key.encode()).hexdigest()[:12]
-            module, compiled = self.build_kernel(build(name), env)
-            entry = self.module_cache[key] = ModuleEntry(module, compiled,
-                                                         env)
+            entry = self.module_cache[key] = self.build_kernel(
+                key, lambda: build(
+                    prefix + hashlib.sha256(key.encode()).hexdigest()[:12]),
+                env)
         else:
             self.stats.module_cache_hits += 1
             entry.env = merge_envs(entry.env, env)
         return entry
 
-    def build_kernel(self, module, env=None, charge_jit: bool = True):
+    def build_kernel(self, key: str, generate, env=None,
+                     charge_jit: bool = True) -> ModuleEntry:
         """The one kernel build path, for a module-cache miss.
 
-        IR layer -> PTX text -> driver JIT, which verifies the
-        re-parsed text under the launch ``env`` as ``REPRO_VERIFY``
-        says.  The first time this context's kernel cache sees the
-        text the modeled JIT cost goes on the device clock
-        (``charge_jit=False``: halo face copies never were charged).
-        Returns ``(module, compiled)``.
+        ``generate()`` -> IR layer -> PTX text, once per ``key`` per
+        process -> this context's driver JIT view, which verifies the
+        text under the launch ``env`` as ``REPRO_VERIFY`` says and, on a
+        view miss, charges the modeled JIT cost (``charge_jit=False``:
+        halo face copies never were charged).  Counted as if built here.
         """
-        module = prepare_module(module, stats=self.stats)
-        compiled, was_cached = self.kernel_cache.get_or_compile(
-            module.render(), env=env)
+        module, text = generated_module(
+            key, lambda: prepare_module(generate()))
+        self.stats.modules_verified += 1
+        compiled, was_cached = self.kernel_cache.get_or_compile(text, env=env)
         if charge_jit and not was_cached:
             self.device.charge_jit(compiled.modeled_compile_seconds)
             self.stats.kernels_generated += 1
-        return module, compiled
+        return ModuleEntry(module, compiled, env)
 
     # -- scoped activation ----------------------------------------------
 

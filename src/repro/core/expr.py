@@ -16,6 +16,8 @@ precision promotes implicitly (paper Sec. III-D).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..typesys import TypeSpec
@@ -247,7 +249,7 @@ class ConstSpinMatrix(Expr):
     should.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_sig")
 
     def __init__(self, matrix, precision: str = "f64"):
         m = np.asarray(matrix, dtype=complex)
@@ -256,9 +258,12 @@ class ConstSpinMatrix(Expr):
         super().__init__(TypeSpec(spin=m.shape, color=(), is_complex=True,
                                   precision=precision, is_lattice=False))
         self.matrix = m
+        # a digest, not hash(): the kernel name must not change with
+        # PYTHONHASHSEED, and a collision would share a wrong kernel
+        self._sig = "G" + hashlib.sha256(m.tobytes()).hexdigest()[:16]
 
     def signature(self, slots: SlotAssigner) -> str:
-        return f"G{hash(self.matrix.tobytes()) & 0xFFFFFFFF:x}"
+        return self._sig
 
 
 class BinaryNode(Expr):
@@ -398,6 +403,10 @@ class ShiftNode(Expr):
         return f"shift{sl}({self.child.signature(slots)})"
 
 
+#: custom-op name -> the code object of the generator it first named
+_CUSTOM_OP_CODE: dict[str, object] = {}
+
+
 class CustomOpNode(Expr):
     """A user-defined operation with its own code generator.
 
@@ -407,12 +416,19 @@ class CustomOpNode(Expr):
     plug a custom component-generator into the same kernel-generation
     machinery.  ``gen`` is called by the unparser as
     ``gen(ctx, operand_values, sidx, cidx)`` and must return a CVal.
+    Kernels are shared process-wide by signature, which holds only
+    ``name``: one name means one generator (checked), and a closure
+    puts the constants it captures in the name (not checked).
     """
 
     __slots__ = ("name", "operands", "gen")
 
     def __init__(self, name: str, operands: tuple[Expr, ...],
                  result_spec: TypeSpec, gen):
+        code = _CUSTOM_OP_CODE.setdefault(name, gen.__code__)
+        if code is not gen.__code__:
+            raise ExprTypeError(f"custom op {name!r} already names "
+                                f"{code.co_name!r}; use your own name")
         super().__init__(result_spec)
         self.name = name
         self.operands = tuple(operands)

@@ -22,6 +22,10 @@ time it sees a digest it runs the per-kernel dispatch
 (:func:`repro.driver.backends.select_backend`), which builds that
 backend's callable on the artifact if no view has yet.  A hit returns
 the handle as dispatched, without consulting the knob.
+
+One step earlier, the module table maps a structural key to the
+module generated for it and its text, so a context's module-cache miss
+runs codegen, the SSA check and ``render`` once per key per process.
 """
 
 from __future__ import annotations
@@ -37,11 +41,25 @@ from .jitcompiler import (CompiledKernel, KernelArtifact, compile_ptx,
 #: PTX sha256 -> artifact, shared by every view in the process
 _STORE: dict[str, KernelArtifact] = {}
 
+#: structural key -> (module, PTX text); a built module is immutable
+_MODULES: dict[str, tuple[object, str]] = {}
+
 
 def clear_kernel_store() -> None:
-    """Forget every artifact (tests that need a cold process).  Views
-    keep the handles they already hold."""
+    """Forget every artifact and every generated module (tests that
+    need a cold process).  Views keep the handles they already hold."""
     _STORE.clear()
+    _MODULES.clear()
+
+
+def generated_module(key: str, generate) -> tuple[object, str]:
+    """``(module, text)`` for structural ``key``: ``generate()`` and
+    ``render`` run only the first time anyone in the process asks."""
+    hit = _MODULES.get(key)
+    if hit is None:
+        module = generate()
+        hit = _MODULES[key] = (module, module.render())
+    return hit
 
 
 @dataclass

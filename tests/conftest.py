@@ -2,12 +2,14 @@
 
 Most tests share one default context; tests that exercise memory
 pressure, spilling or device statistics build private contexts.  The
-kernel store is process-wide (:mod:`repro.driver.cache`), so private
-contexts start warm too: a kernel any earlier test built is parsed,
-verified and translated no more — while every counter and modeled
-clock of a context still follows that context's own history, whatever
-ran before it.  Nothing here clears the store; a test that needs a
-cold one calls ``repro.driver.clear_kernel_store()`` itself.
+module table and the kernel store are process-wide
+(:mod:`repro.driver.cache`), so private contexts start warm too: a
+kernel any earlier test built is generated, rendered, parsed, verified
+and translated no more — while every counter and modeled clock of a
+context still follows that context's own history, whatever ran before
+it.  Nothing here clears them; a test that needs a cold process (one
+that spies on the code generator or the driver) calls
+``repro.driver.clear_kernel_store()`` itself.
 """
 
 from __future__ import annotations

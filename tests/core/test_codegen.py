@@ -425,7 +425,9 @@ class TestValueMemo:
         from pathlib import Path
 
         from repro.core import fusion
+        from repro.driver import clear_kernel_store
 
+        clear_kernel_store()    # the spy must see every group generated
         build, built = fusion.build_fused_kernel, []
 
         def both(name, assigns, reduction, subset_mode):

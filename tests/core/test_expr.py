@@ -184,6 +184,46 @@ class TestSignatures:
         e1 = gamma_const(1) * psi
         assert self._sig(e0) != self._sig(e1)
 
+    def test_gamma_constants_do_not_follow_the_hash_seed(self):
+        """Kernel names derive from signatures: two processes must name
+        a gamma-constant kernel alike."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = ("from repro.core.expr import SlotAssigner\n"
+                 "from repro.qcd.gamma import projector_const\n"
+                 "print(projector_const(2, -1).signature(SlotAssigner()))")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        sigs = {subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src,
+                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+        assert len(sigs) == 1 and sigs.pop().startswith("G")
+
+    def test_one_custom_op_name_one_generator(self, ctx, lat4):
+        """Kernels are shared by signature and a custom op's signature
+        is its name: a second generator under a known name is refused.
+        Closures of one generator (the ``sproj*`` ops) share its code."""
+        from repro.core.expr import CustomOpNode
+
+        def closure(scale):
+            def gen(up, node, sidx, cidx, view, conjugate):
+                return scale
+            return gen
+
+        def other(up, node, sidx, cidx, view, conjugate):
+            return None
+
+        psi = latt_fermion(lat4)
+        for scale in (1, 2):
+            CustomOpNode("t_one_name", (psi.ref(),), psi.spec, closure(scale))
+        with pytest.raises(ExprTypeError, match="t_one_name.*own name"):
+            CustomOpNode("t_one_name", (psi.ref(),), psi.spec, other)
+        CustomOpNode("t_other_name", (psi.ref(),), psi.spec, other)
+
     def test_slot_order_is_first_visit(self, ctx, lat4):
         a = latt_fermion(lat4)
         b = latt_fermion(lat4)

@@ -1,9 +1,10 @@
-"""The process-wide kernel store and its per-context views.
+"""The process-wide module table and kernel store, and their views.
 
-One artifact per distinct PTX text per process; a ``KernelCache`` is
-an accounting view of it.  Everything modeled and every counter follows
-the view's own history (so nothing depends on which test ran first);
-only what is *built* depends on the store.
+One generated module per structural key and one artifact per distinct
+PTX text per process; a context's module cache and its ``KernelCache``
+are accounting views of them.  Everything modeled and every counter
+follows the view's own history (so nothing depends on which test ran
+first); only what is *built* depends on the table and the store.
 """
 
 import warnings
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import context as context_mod, fusion
 from repro.core.context import Context
 from repro.core.expr import shift
 from repro.core.reduction import innerProduct, norm2
@@ -19,6 +21,7 @@ from repro.driver import backends, cache as cache_mod, jitcompiler
 from repro.llvm import cputarget
 from repro.ptx.absint import KernelEnv, MemRegion
 from repro.ptx.liveness import max_live_registers
+from repro.ptx.module import PTXModule
 from repro.qdp.fields import latt_fermion
 from repro.qdp.lattice import Lattice
 
@@ -114,22 +117,38 @@ def _statements():
     ctx.flush()
     c.assign(shift(b.ref(), +1, 3), subset=lat.even)
     scalars = (norm2(c, context=ctx), innerProduct(a, c, context=ctx))
-    ks, be = ctx.kernel_cache.stats, ctx.stats.backend
     return {
         "fields": (b.to_numpy().tobytes(), c.to_numpy().tobytes()),
         "scalars": scalars,
+        **_accounts(ctx),
+    }
+
+
+def _accounts(ctx):
+    """Every counter and the modeled clock of one context."""
+    ks, be, st = ctx.kernel_cache.stats, ctx.stats.backend, ctx.stats
+    return {
         "clock": ctx.device.clock,
         "cache": (ks.hits, ks.misses, ks.total_modeled_compile_seconds),
-        "kernels_generated": ctx.stats.kernels_generated,
+        "modules": (st.module_cache_hits, st.module_cache_misses,
+                    st.modules_verified, st.kernels_generated),
         "backend": (be.mode, be.kernels, be.launches, be.fallbacks),
     }
+
+
+def _generator_spies(monkeypatch):
+    """The build steps a second context must not repeat."""
+    return [_Spy(monkeypatch, fusion, "build_fused_kernel"),
+            _Spy(monkeypatch, context_mod, "prepare_module"),
+            _Spy(monkeypatch, PTXModule, "render")]
 
 
 class TestSecondContext:
     def _spies(self, monkeypatch):
         return [_Spy(monkeypatch, jitcompiler, "parse_ptx"),
                 _Spy(monkeypatch, jitcompiler, "run_passes"),
-                _Spy(monkeypatch, jitcompiler._Translator, "translate")]
+                _Spy(monkeypatch, jitcompiler._Translator, "translate"),
+                *_generator_spies(monkeypatch)]
 
     @pytest.mark.parametrize("backend", ["sim", "cpu"])
     def test_builds_nothing_and_accounts_everything(self, cold_store,
@@ -138,9 +157,11 @@ class TestSecondContext:
         spies = self._spies(cold_store)
         first = _statements()
         built = [s.calls for s in spies]
-        assert first["cache"][1] > 0 and all(n > 0 for n in built)
-        # one parse, one verification, one translation per kernel
-        assert built == [first["cache"][1]] * 3
+        kernels = first["cache"][1]
+        assert kernels > 0 and first["modules"][1:3] == (kernels, kernels)
+        # one parse, verification, translation, generation, SSA check
+        # and render per kernel
+        assert built == [kernels] * 6
         second = _statements()
         assert [s.calls for s in spies] == built
         assert second == first
@@ -158,6 +179,68 @@ class TestSecondContext:
         _, was_cached = view.get_or_compile(_ptx("st_view"))
         assert not was_cached and view.stats.misses == 2
         assert parse.calls == 0
+
+
+def _dslash_2rank():
+    """One distributed Wilson dslash on a fresh 2-rank machine."""
+    from repro.comm import DistributedWilsonDslash, VirtualMachine
+    from repro.qdp.typesys import color_matrix, fermion
+
+    rng = np.random.default_rng(5)
+    vm = VirtualMachine((2, 2, 2, 4), (1, 1, 1, 2))
+    ud = [vm.field(color_matrix()) for _ in range(4)]
+    for umu in ud:
+        umu.from_global(rng.normal(size=(32, 3, 3)) + 0j)
+    psid = vm.field(fermion())
+    psid.from_global(rng.normal(size=(32, 4, 3)) + 0j)
+    out = vm.field(fermion())
+    DistributedWilsonDslash(vm, ud).apply(out, psid)
+    return vm, out.to_global().tobytes()
+
+
+def test_second_rank_generates_nothing(cold_store):
+    """Rank 1 takes every module rank 0 generated (halo face copies
+    included), and both ranks account exactly as on a cold store."""
+    generated = []
+    build_kernel = Context.build_kernel
+
+    def spy(ctx, key, generate, *args, **kwargs):
+        def counted():
+            generated.append(ctx)
+            return generate()
+        return build_kernel(ctx, key, counted, *args, **kwargs)
+
+    cold_store.setattr(Context, "build_kernel", spy)
+    cold_vm, cold = _dslash_2rank()
+    rank0, rank1 = cold_vm.contexts
+    assert generated and all(ctx is rank0 for ctx in generated)
+    n_faces = len(cold_vm.face_kernels[0]._modules)
+    assert n_faces and len(generated) == (rank0.stats.module_cache_misses
+                                          + n_faces)
+    assert rank1.stats.modules_verified == rank0.stats.modules_verified
+    warm_vm, warm = _dslash_2rank()
+    assert len(generated) == rank0.stats.module_cache_misses + n_faces
+    assert warm == cold
+    assert ([_accounts(c) for c in warm_vm.contexts]
+            == [_accounts(c) for c in cold_vm.contexts])
+
+
+def test_the_key_determines_the_code(cold_store):
+    """A structural key names one kernel text whoever generates it:
+    rebuilt from nothing, by other contexts over other fields and
+    another lattice, the table holds the same bytes under every key."""
+    from repro.lint import _build_kernel_suite, _suite_modules
+
+    def table(dims):
+        _statements()
+        ctx, lat, _ = _build_kernel_suite(dims)
+        _suite_modules(ctx, lat)
+        return {key: text for key, (_, text) in cache_mod._MODULES.items()}
+
+    first = table((2, 2, 2, 2))
+    assert any(key.startswith("face:") for key in first)
+    clear_kernel_store()
+    assert table((2, 2, 2, 4)) == first
 
 
 class TestEnvMemo:

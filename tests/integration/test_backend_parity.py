@@ -57,8 +57,10 @@ def _run_suite(monkeypatch, backend):
 
         from repro.comm.faces import build_gather_kernel, build_scatter_kernel
 
-        for build in (build_gather_kernel, build_scatter_kernel):
-            ctx.build_kernel(build(24, "f64"), charge_jit=False)
+        for kind, build in (("gather", build_gather_kernel),
+                            ("scatter", build_scatter_kernel)):
+            ctx.build_kernel(f"face:{kind}:24:f64",
+                             lambda: build(24, "f64"), charge_jit=False)
 
         stats = ctx.stats.backend
         return out, stats

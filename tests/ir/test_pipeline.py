@@ -1,14 +1,14 @@
 """``prepare_module``: the SSA check on the kernel build path.
 
 It returns the module object it was given (so rendered text and
-resource metadata cannot drift), counts it, and raises on a stream
-that is not SSA — whatever ``REPRO_VERIFY`` says, because it is the
-only structural check that runs when the verifier is off.
+resource metadata cannot drift) and raises on a stream that is not
+SSA — whatever ``REPRO_VERIFY`` says, because it is the only
+structural check that runs when the verifier is off.  The build path
+runs it once per structural key and counts it in every context.
 """
 
 import pytest
 
-from repro.core.context import ContextStats
 from repro.diagnostics import fusion_mode
 from repro.ir.pipeline import prepare_module
 from repro.ir.verify import IRVerificationError
@@ -85,11 +85,22 @@ class TestVerifyRoundTrip:
         m = _simple_module()
         assert prepare_module(m) is m
 
-    def test_verify_counts_modules(self):
-        stats = ContextStats()
-        prepare_module(_simple_module(), stats=stats)
-        prepare_module(_simple_module(), stats=stats)
-        assert stats.modules_verified == 2
+    def test_verify_counts_modules(self, monkeypatch):
+        """Each context counts a module it takes through the build path,
+        though the check itself runs once per structural key."""
+        from repro.core import context as context_mod
+        from repro.core.context import Context
+        from repro.driver import clear_kernel_store
+
+        clear_kernel_store()
+        checks = []
+        monkeypatch.setattr(context_mod, "prepare_module",
+                            lambda m: checks.append(m) or prepare_module(m))
+        contexts = [Context(autotune=False) for _ in range(2)]
+        for ctx in contexts:
+            ctx.build_kernel("simple", _simple_module)
+        assert [c.stats.modules_verified for c in contexts] == [1, 1]
+        assert len(checks) == 1
 
 
 class TestRejectsNonSSA:
@@ -104,10 +115,8 @@ class TestRejectsNonSSA:
     def test_raises_under_every_verify_mode(self, monkeypatch, verify,
                                             build, message):
         monkeypatch.setenv("REPRO_VERIFY", verify)
-        stats = ContextStats()
         with pytest.raises(IRVerificationError, match=message):
-            prepare_module(build(), stats=stats)
-        assert stats.modules_verified == 0
+            prepare_module(build())
 
     @pytest.mark.parametrize("verify", ["off", "warn", "error"])
     def test_build_path_raises_before_the_jit(self, monkeypatch, verify):
@@ -118,6 +127,7 @@ class TestRejectsNonSSA:
         monkeypatch.setenv("REPRO_VERIFY", verify)
         ctx = Context(autotune=False)
         with pytest.raises(IRVerificationError, match="redefined"):
-            ctx.build_kernel(_twice_assigned())
+            ctx.build_kernel("twice", _twice_assigned)
         assert ctx.stats.kernels_generated == 0
+        assert ctx.stats.modules_verified == 0
         assert ctx.kernel_cache.stats.misses == 0

@@ -47,7 +47,7 @@ class Diagnostic:
     """One finding of a static-analysis pass."""
 
     severity: Severity
-    pass_name: str        # e.g. "definite-assignment", "shift-alias"
+    pass_name: str        # e.g. "ssa-structure", "shift-alias"
     message: str
     obj: str = ""         # kernel name / destination field name
     location: str = ""    # rendered instruction or AST fragment

@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 11)::
+JSON schema (``schema_version`` 12)::
 
     {
-      "schema_version": 11,
+      "schema_version": 12,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -42,9 +42,8 @@ JSON schema (``schema_version`` 11)::
           "regs_per_thread": int,
           "static_block_seed": int,    # auto-tuner starting block
           "bounds": {
-            "verdicts": {str: int},    # proven/oob/guarded/unguarded
-            "proven": bool,            # every access proven in-bounds
-            "heuristic_fallbacks": int
+            "verdicts": {str: int},    # proven/oob/unproven
+            "proven": bool             # every access proven in-bounds
           },
           "coalescing": {
             "transactions_per_warp": float,
@@ -98,7 +97,8 @@ JSON schema (``schema_version`` 11)::
         "wall_s_by_family": {str: float}  # measured host wall-clock per
                                        # kernel family (eval/fus/red/...)
       },
-      "ir": {                          # SSA structural check (repro.ir)
+      "ir": {                          # the build path's ssa-structure
+                                       # check (repro.ir.prepare_module)
         "modules_verified": int        # generated modules checked
       },
       "summary": {
@@ -251,7 +251,6 @@ def _kernel_report(module, compiled, env, spec):
         "bounds": {
             "verdicts": verdicts,
             "proven": analysis.bounds_proven,
-            "heuristic_fallbacks": analysis.n_heuristic,
         },
         "coalescing": {
             "transactions_per_warp": analysis.transactions_per_warp,
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 11; see module docstring)")
+                             "(schema_version 12; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
     else:
         counts = _severity_counts(found)
         report = {
-            "schema_version": 11,
+            "schema_version": 12,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),

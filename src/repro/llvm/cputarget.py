@@ -37,14 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..diagnostics import errors
 from ..driver.backends import BackendBuildError, BuildStats, build_stats
 from ..driver.jitcompiler import _GID_MAX, _NP_DTYPE, _RUNTIME, _Translator
 from ..driver.parser import ParsedKernel, parse_ptx
-from ..ir.ssa import SSAFunction
-from ..ir.verify import check_ssa
 from ..memory.pool import ALIGNMENT
-from ..ptx.isa import NUMPY_DTYPES, Immediate, Instruction, PTXType, Register, Special
+from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo,
+                       PTXType, Register, Special)
+from ..ptx.module import PTXModule
+from ..ptx.verifier import run_passes
 
 
 class TranspileError(BackendBuildError):
@@ -64,8 +64,10 @@ def check_subset(parsed: ParsedKernel) -> None:
             raise TranspileError(
                 f"{parsed.name}: guarded {inst.opcode!r} — only guarded "
                 f"forward branches are in the transpilable subset")
-    fn = SSAFunction.from_instructions(parsed.name, parsed.instructions)
-    errs = errors(check_ssa(fn))
+    module = PTXModule(
+        info=KernelInfo(name=parsed.name, params=list(parsed.params)),
+        instructions=parsed.instructions)
+    errs = run_passes(module, passes=["ssa-structure"])
     if errs:
         raise TranspileError(
             f"{parsed.name}: outside the SSA subset the LLVM backend "

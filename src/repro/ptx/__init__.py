@@ -5,7 +5,7 @@ assembly-like language and handed as text to the driver JIT.
 """
 
 from .builder import KernelBuilder, PTXBuildError, promote
-from .cfg import CFG, BasicBlock, DataflowAnalysis, build_cfg, solve
+from .cfg import CFG, BasicBlock, build_cfg
 from .isa import (
     BINARY_OPS,
     CMP_OPS,
@@ -26,7 +26,6 @@ __all__ = [
     "BasicBlock",
     "CFG",
     "CMP_OPS",
-    "DataflowAnalysis",
     "UNARY_OPS",
     "Immediate",
     "Instruction",
@@ -45,6 +44,5 @@ __all__ = [
     "build_cfg",
     "promote",
     "run_passes",
-    "solve",
     "verify",
 ]

@@ -1,9 +1,9 @@
 """Abstract interpretation of PTX kernels.
 
-The verifier's original bounds check was a *heuristic* (is the access
-dominated by a ``tid < nsites`` guard?), and nothing checked that the
-addresses the code generators emit actually realize the coalesced SoA
-layout ``I(iV,iS,iC,iR) = ((iR*I_C + iC)*I_S + iS)*I_V + iV`` the
+Nothing structural proves that an access is in bounds (a dominating
+``tid < nsites`` guard says nothing about the region's size), or that
+the addresses the code generators emit actually realize the coalesced
+SoA layout ``I(iV,iS,iC,iR) = ((iR*I_C + iC)*I_S + iS)*I_V + iV`` the
 paper's performance rests on.  This module *proves* such properties at
 compile time by abstractly interpreting the kernel over its CFG with
 two cooperating domains:
@@ -34,8 +34,8 @@ scalar parameter values (``p_lo`` = nsites), pointer region sizes
 (``nsites * bytes_per_site`` for field views), and the content range /
 bulk stride of site tables (shift gather maps are unit-stride away
 from the lattice wrap).  Without an env a generic one is used —
-regions of unknown size — under which bounds verdicts degrade to the
-guard heuristic and coalescing facts to "unknown", never to unsound
+regions of unknown size — under which bounds verdicts degrade to
+``unproven`` and coalescing facts to "unknown", never to unsound
 claims.
 
 The results feed three verifier passes (:mod:`repro.ptx.verifier`),
@@ -380,7 +380,7 @@ class AccessFact:
     offset: tuple | None           # proven (lo, hi) byte offset range
     stride_bytes: float | None     # d(address)/d(%tid.x); None unknown
     uniform: bool                  # address warp-uniform (broadcast)
-    verdict: str                   # proven | oob | guarded | unguarded
+    verdict: str                   # proven | oob | unproven
     transactions: float | None     # est. memory transactions per warp
     ideal_transactions: int        # transactions at perfect coalescing
 
@@ -412,19 +412,6 @@ class KernelAnalysis:
     max_live_regs: int = 0
 
     # -- bounds -----------------------------------------------------
-    @property
-    def n_proven(self) -> int:
-        return sum(1 for a in self.accesses if a.verdict == "proven")
-
-    @property
-    def n_heuristic(self) -> int:
-        return sum(1 for a in self.accesses if a.verdict == "guarded")
-
-    @property
-    def n_unguarded(self) -> int:
-        return sum(1 for a in self.accesses
-                   if a.verdict in ("unguarded", "oob"))
-
     @property
     def bounds_proven(self) -> bool:
         return all(a.verdict == "proven" for a in self.accesses)
@@ -788,7 +775,7 @@ class _Interp:
         width = inst.type.nbytes
         region = self.env.regions.get(addr.base) if addr.base else None
         offset = None
-        verdict = "unknown"
+        verdict = "unproven"
         if region is not None:
             offset = (addr.lo, addr.hi)
             if region.size_bytes is not None:
@@ -849,38 +836,6 @@ def ideal_transactions(width: int) -> int:
     return max(1, math.ceil(WARP * width / SEGMENT))
 
 
-# --- heuristic fallback (guard domination) ----------------------------------
-
-def _guard_dominated(cfg: CFG) -> set[int]:
-    """Instruction positions dominated by a relational bounds guard, or
-    themselves predicated on one — the pre-absint heuristic, kept as
-    the fallback when the affine form is inconclusive."""
-    instructions = cfg.instructions
-    relational = {i.dst.key for i in instructions
-                  if i.opcode == "setp" and i.dst is not None}
-    guard_blocks: set[int] = set()
-    for blk in cfg.blocks:
-        insts = blk.instructions(instructions)
-        if not insts:
-            continue
-        last = insts[-1]
-        if (last.opcode == "bra" and last.guard is not None
-                and last.guard.key in relational
-                and blk.index + 1 < len(cfg.blocks)):
-            guard_blocks.add(blk.index + 1)
-    dom = cfg.dominators()
-    safe: set[int] = set()
-    for pos, inst in enumerate(instructions):
-        if inst.opcode not in ("ld.global", "st.global"):
-            continue
-        if inst.guard is not None and inst.guard.key in relational:
-            safe.add(pos)
-            continue
-        if guard_blocks & dom.get(cfg.block_of(pos), set()):
-            safe.add(pos)
-    return safe
-
-
 # --- entry point ------------------------------------------------------------
 
 def analyze_module(module: PTXModule, env: KernelEnv | None = None,
@@ -894,8 +849,7 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
     one sweep; one with a back edge is swept to fixpoint, and bounds
     still climbing after ``_WIDEN_AFTER`` rounds are widened to
     infinity rather than read off mid-climb.  Accesses the affine
-    engine cannot settle fall back to the guard-domination heuristic
-    (verdict ``guarded``/``unguarded`` instead of ``proven``).
+    engine cannot settle get the verdict ``unproven``.
     """
     if cfg is None:
         cfg = build_cfg(list(module.instructions))
@@ -939,18 +893,10 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
         if one_sweep:
             break
 
-    # heuristic fallback for inconclusive bounds verdicts
-    guarded = _guard_dominated(cfg)
-    accesses = []
-    for pos in sorted(interp.addresses):
-        fact = interp.access_fact(pos)
-        if fact.verdict == "unknown":
-            fact.verdict = "guarded" if pos in guarded else "unguarded"
-        accesses.append(fact)
-
     from .liveness import max_live_registers
 
     return KernelAnalysis(
-        name=module.name, env=env, accesses=accesses,
+        name=module.name, env=env,
+        accesses=[interp.access_fact(p) for p in sorted(interp.addresses)],
         branches=[interp.branches[p] for p in sorted(interp.branches)],
         max_live_regs=max_live_registers(cfg.instructions, cfg=cfg))

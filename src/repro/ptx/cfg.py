@@ -1,15 +1,15 @@
-"""Control-flow graphs and dataflow analysis over PTX streams.
+"""Control-flow graphs over PTX streams.
 
-The verifier and the liveness analysis both need to reason about
-*paths* through a kernel, not just its textual order: a register may
-be defined on one arm of a branch only, and a value may be live
-around a loop's back edge.  This module provides the shared
-machinery: basic-block construction from a flat instruction list,
-reachability, dominators, and a generic forward/backward dataflow
-solver.  The solver sweeps the blocks in reverse postorder: on an
-acyclic CFG — every generated kernel, whose branches all go forward —
-one sweep *is* the fixpoint; a CFG with a back edge (hand-written
-loops) is swept round-robin until nothing changes.
+The verifier, the abstract interpreter and the liveness analysis all
+need to reason about *paths* through a kernel, not just its textual
+order: a register may be defined on one arm of a branch only, and a
+value may be live around a loop's back edge.  This module provides the
+shared graph: basic-block construction from a flat instruction list,
+reachability, reverse postorder and dominators.  The analyses sweep
+the blocks in reverse postorder: on an acyclic CFG — every generated
+kernel, whose branches all go forward — one sweep *is* the fixpoint; a
+CFG with a back edge (hand-written loops) is swept round-robin until
+nothing changes.
 
 Control flow in the dialect is ``bra`` (optionally guarded) and
 ``ret`` (optionally guarded); a guarded terminator falls through as
@@ -173,75 +173,3 @@ def build_cfg(instructions: list[Instruction]) -> CFG:
         if falls_through and b.index + 1 < len(blocks):
             link(b.index, b.index + 1)
     return CFG(instructions, blocks)
-
-
-class DataflowAnalysis:
-    """Base class for dataflow problems over a :class:`CFG`.
-
-    Facts are arbitrary immutable values (typically ``frozenset``).
-    Subclasses set ``direction`` and implement :meth:`boundary` (the
-    fact at the entry for forward problems, at every exit for
-    backward ones), :meth:`meet` and :meth:`transfer`.  ``transfer``
-    receives the fact flowing *into* the block — for a backward
-    problem that is the fact at the block's end.
-    """
-
-    direction = "forward"   # or "backward"
-
-    def boundary(self):
-        return frozenset()
-
-    def meet(self, facts):
-        """Combine facts from multiple edges (default: union)."""
-        out = frozenset()
-        for f in facts:
-            out = out | f
-        return out
-
-    def transfer(self, block: BasicBlock, instructions, fact):
-        raise NotImplementedError
-
-
-def solve(cfg: CFG, analysis: DataflowAnalysis):
-    """Run ``analysis`` to fixpoint over ``cfg`` — a single sweep
-    when the CFG is acyclic.
-
-    Returns ``(inputs, outputs)``: dicts keyed by block index holding
-    the fact entering and leaving each block's transfer function.
-    Unreachable blocks are absent from both.  For backward problems
-    "entering" means the fact at the block's *end*.
-    """
-    forward = analysis.direction == "forward"
-    order = cfg.rpo()
-    if not forward:
-        order = list(reversed(order))
-    reachable = set(order)
-    # acyclic: every feeding block is swept before its reader
-    one_sweep = cfg.is_acyclic
-
-    inputs: dict[int, object] = {}
-    outputs: dict[int, object] = {}
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            blk = cfg.blocks[b]
-            edges = blk.predecessors if forward else blk.successors
-            feeds = [outputs[e] for e in edges
-                     if e in reachable and e in outputs]
-            at_boundary = ((forward and b == cfg.entry)
-                           or (not forward and not blk.successors))
-            if at_boundary:
-                feeds = feeds + [analysis.boundary()]
-            if not feeds:
-                continue
-            fact_in = analysis.meet(feeds)
-            fact_out = analysis.transfer(
-                blk, blk.instructions(cfg.instructions), fact_in)
-            if inputs.get(b) != fact_in or outputs.get(b) != fact_out:
-                inputs[b] = fact_in
-                outputs[b] = fact_out
-                changed = True
-        if one_sweep:
-            break
-    return inputs, outputs

@@ -222,7 +222,7 @@ class Instruction:
         mnem = self.opcode
         if self.opcode == "setp":
             mnem = f"setp.{self.cmp}.{self.type.suffix}"
-        elif self.opcode == "cvt":
+        elif self.opcode == "cvt" and self.src_type is not None:
             rn = ".rn" if (self.type.is_float and self.src_type.is_float
                            and self.src_type.nbytes > self.type.nbytes) else ""
             rzi = ".rzi" if (self.type.is_int and self.src_type.is_float) else ""

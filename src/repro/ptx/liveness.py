@@ -9,20 +9,20 @@ is what feeds the SM occupancy model and the launch-failure check that
 the auto-tuner (paper Sec. VII) relies on.
 
 The analysis is a classic backward dataflow over the kernel's CFG
-(:mod:`repro.ptx.cfg`): one sweep on the acyclic CFGs the generators
-emit, iterated to fixpoint when there is a back edge, so values live
-around a loop are counted through the whole loop body — a single
-linear backward sweep misses exactly those, underreporting pressure
-for kernels with backward branches.  The sweep that computes a
-block's live-in also records the block's slot watermark, so every
-block is scanned once per round.  Guarded instructions are handled
-conservatively (a guarded write does not kill the destination, since
-inactive lanes keep the old value).
+(:mod:`repro.ptx.cfg`), solved by :func:`solve`: one sweep on the
+acyclic CFGs the generators emit, iterated to fixpoint when there is a
+back edge, so values live around a loop are counted through the whole
+loop body — a single linear backward sweep misses exactly those,
+underreporting pressure for kernels with backward branches.  The sweep
+that computes a block's live-in also records the block's slot
+watermark, so every block is scanned once per round.  Guarded
+instructions are handled conservatively (a guarded write does not kill
+the destination, since inactive lanes keep the old value).
 """
 
 from __future__ import annotations
 
-from .cfg import CFG, DataflowAnalysis, build_cfg, solve
+from .cfg import CFG, build_cfg
 from .isa import Instruction, PTXType, Register
 
 
@@ -55,14 +55,12 @@ def _scan_backward(instructions: list[Instruction],
     return live, peak
 
 
-class _Liveness(DataflowAnalysis):
+class _Liveness:
     """live-in(b) = gen(b) ∪ (live-out(b) − kill(b)), meet = union.
 
     ``peak`` holds each block's slot watermark under the live-out of
     its latest transfer — the final one once :func:`solve` returns.
     """
-
-    direction = "backward"
 
     def __init__(self):
         self.peak: dict[int, int] = {}
@@ -70,6 +68,41 @@ class _Liveness(DataflowAnalysis):
     def transfer(self, block, instructions, fact):
         live, self.peak[block.index] = _scan_backward(instructions, fact)
         return frozenset(live)
+
+
+def solve(cfg: CFG, liveness: _Liveness):
+    """Run the backward liveness problem to fixpoint over ``cfg`` — a
+    single sweep (reverse postorder, reversed) when the CFG is acyclic.
+
+    Returns ``(live_out, live_in)``: dicts keyed by block index holding
+    the live set at each block's end and at its top.  Blocks that are
+    unreachable, or from which no exit is reachable, are absent.
+    """
+    order = list(reversed(cfg.rpo()))
+    # acyclic: every successor is swept before the block that reads it
+    one_sweep = cfg.is_acyclic
+    live_out: dict[int, frozenset] = {}
+    live_in: dict[int, frozenset] = {}
+    changed = True
+    while changed:
+        changed = False
+        for b in order:
+            blk = cfg.blocks[b]
+            feeds = [live_in[s] for s in blk.successors if s in live_in]
+            if not blk.successors:          # an exit: nothing is live after
+                feeds.append(frozenset())
+            if not feeds:
+                continue
+            fact_out = frozenset().union(*feeds)
+            fact_in = liveness.transfer(
+                blk, blk.instructions(cfg.instructions), fact_out)
+            if live_out.get(b) != fact_out or live_in.get(b) != fact_in:
+                live_out[b] = fact_out
+                live_in[b] = fact_in
+                changed = True
+        if one_sweep:
+            break
+    return live_out, live_in
 
 
 def max_live_registers(instructions: list[Instruction],

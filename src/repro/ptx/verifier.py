@@ -16,16 +16,15 @@ Passes:
     parameter list (existence *and* type), load/store address and
     value types, ``cvt``/``setp``/``selp`` shapes.
 ``ssa-structure``
-    The SSA structural invariants the code generators guarantee
-    (:mod:`repro.ir.verify`), here on the *re-parsed text*: single
-    definition per register, defs dominate uses, no dangling
-    operands.  A malformed stream fails here with a named diagnostic
-    instead of a deep translator traceback.
-``definite-assignment``
-    Forward dataflow proving every register is written on **every**
-    path before it is read — branch-aware, unlike a linear scan,
-    which both misses one-armed definitions and falsely accepts
-    defs that textually precede but do not dominate a use.
+    The SSA structural invariants the code generators guarantee:
+    single definition per register, defs dominate uses, no dangling
+    operands.  Together they say every read is of a register written
+    on **every** path to it — branch-aware, unlike a linear scan,
+    which both misses one-armed definitions and falsely accepts defs
+    that textually precede but do not dominate a use.  A malformed
+    stream fails here with a named diagnostic instead of a deep
+    translator traceback.  The build path (:mod:`repro.ir`) and the
+    ``cpu`` backend's subset check run this pass alone.
 ``unreachable-code``
     Blocks that no path from the entry reaches.
 ``return-paths``
@@ -35,8 +34,8 @@ Passes:
     (:mod:`repro.ptx.absint`): every ``ld.global``/``st.global``
     address is recovered as ``region + affine offset`` and checked
     against the bound region's size.  Proven out-of-bounds accesses
-    are errors; accesses the engine cannot settle fall back to the
-    old guard-domination heuristic (warning when even that fails).
+    are errors; accesses the engine cannot settle are ``unproven``
+    warnings.
 ``coalescing``
     Warns on accesses with a known ``%tid.x`` stride whose 32-thread
     warp span costs more memory transactions than the stride-1 SoA
@@ -57,7 +56,7 @@ from __future__ import annotations
 import math
 
 from ..diagnostics import Diagnostic, Severity, errors
-from .cfg import CFG, DataflowAnalysis, build_cfg, solve
+from .cfg import CFG, build_cfg
 from .isa import Immediate, Instruction, PTXType, Register, Special
 from .module import PTXModule
 
@@ -79,10 +78,9 @@ class PTXVerificationError(Exception):
 def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
-    def err(message: str, inst: Instruction | None = None) -> None:
+    def err(message: str, inst: Instruction) -> None:
         out.append(Diagnostic(Severity.ERROR, "operands", message,
-                              obj=module.name,
-                              location=inst.render() if inst else ""))
+                              obj=module.name, location=inst.render()))
 
     labels = {i.label for i in module.instructions if i.opcode == "label"}
     params = {p.name: p for p in module.info.params}
@@ -101,7 +99,7 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
             continue
         if inst.opcode == "bra":
             if inst.label not in labels:
-                err(f"branch to undefined label {inst.label}")
+                err(f"branch to undefined label {inst.label}", inst)
             continue
         if inst.opcode == "ret":
             continue
@@ -111,7 +109,7 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
             param = params.get(pname)
             if param is None:
                 err(f"ld.param of undeclared parameter "
-                    f"'{inst.render()}'")
+                    f"'{inst.render()}'", inst)
             elif param.type != inst.type:
                 err(f"ld.param type mismatch: parameter {pname!r} is "
                     f"declared .{param.type.value} but loaded as "
@@ -130,28 +128,28 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
                 err("store address must be u64", inst)
             if isinstance(val, Register) and val.type != inst.type:
                 err(f"store value type {val.type.value} != "
-                    f"instruction type {inst.type.value}")
+                    f"instruction type {inst.type.value}", inst)
         elif inst.opcode == "ld.global":
             (addr,) = inst.srcs
             if isinstance(addr, Register) and addr.type != PTXType.U64:
                 err("load address must be u64", inst)
         elif inst.opcode == "cvt":
             if inst.src_type is None:
-                err("cvt without source type")
+                err("cvt without source type", inst)
             else:
                 (src,) = inst.srcs
                 if isinstance(src, Register) and src.type != inst.src_type:
                     err("cvt source register type mismatch", inst)
         elif inst.opcode == "setp":
             if inst.dst is not None and inst.dst.type != PTXType.PRED:
-                err("setp destination must be a predicate")
+                err("setp destination must be a predicate", inst)
             for op in inst.srcs:
                 if isinstance(op, Register) and op.type != inst.type:
                     err("setp operand type mismatch", inst)
         elif inst.opcode == "selp":
             a, b, p = inst.srcs
             if isinstance(p, Register) and p.type != PTXType.PRED:
-                err("selp selector must be a predicate")
+                err("selp selector must be a predicate", inst)
             for op in (a, b):
                 if isinstance(op, Register) and op.type != inst.type:
                     err("selp operand type mismatch", inst)
@@ -171,79 +169,60 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
 # --- pass: SSA structure ---------------------------------------------------
 
 def _check_ssa_structure(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
-    """Single def per register, defs dominate uses, no dangling
-    operands — delegated to the IR layer's structural verifier
-    (imported lazily: :mod:`repro.ir` builds on this package)."""
-    from ..ir.ssa import SSAFunction
-    from ..ir.verify import check_ssa
-
-    fn = SSAFunction.from_instructions(module.name, module.instructions,
-                                       cfg=cfg)
-    return check_ssa(fn, obj=module.name)
-
-
-# --- pass: definite assignment --------------------------------------------
-
-class _DefinedRegisters(DataflowAnalysis):
-    """Forward must-analysis: registers written on every path.
-
-    Meet is intersection (a register counts as defined only if every
-    incoming path defines it).  A guarded write still counts as a
-    definition — inactive lanes keep the previous value, and the
-    driver's lane-masked translation initializes the slot — matching
-    the conservatism of the original linear-scan verifier.
-    """
-
-    direction = "forward"
-
-    def boundary(self):
-        return frozenset()
-
-    def meet(self, facts):
-        it = iter(facts)
-        out = next(it)
-        for f in it:
-            out = out & f
-        return out
-
-    def transfer(self, block, instructions, fact):
-        defs = {i.dst.key for i in instructions if i.dst is not None}
-        return fact | defs
-
-
-def _check_definite_assignment(module: PTXModule,
-                               cfg: CFG) -> list[Diagnostic]:
-    inputs, _ = solve(cfg, _DefinedRegisters())
-    out: list[Diagnostic] = []
-    reported: set[tuple[int, tuple[str, int]]] = set()
-
-    def use(inst: Instruction, pos: int, op, defined: set) -> None:
-        if not isinstance(op, Register):
-            return
-        key = op.key
-        if key in defined or (pos, key) in reported:
-            return
-        reported.add((pos, key))
-        out.append(Diagnostic(
-            Severity.ERROR, "definite-assignment",
-            f"use of undefined register {op.name} in "
-            f"'{inst.render()}'", obj=module.name))
-
-    for b in cfg.reachable():
-        blk = cfg.blocks[b]
-        defined = set(inputs.get(b, frozenset()))
-        for pos in range(blk.start, blk.stop):
-            inst = cfg.instructions[pos]
-            if inst.guard is not None:
-                use(inst, pos, inst.guard, defined)
-            if inst.opcode in ("label", "bra", "ret", "ld.param"):
-                pass
+    """Single definition per register, defs dominate uses (same block
+    and textually earlier, or in a dominating block), no dangling
+    operands — over def/use positions gathered in one walk.  Findings
+    come out per invariant in that order, sorted by register."""
+    instructions = cfg.instructions
+    defs: dict[tuple[str, int], int] = {}          # first write
+    again: list[tuple[tuple[str, int], int]] = []  # every further write
+    uses: dict[tuple[str, int], list[int]] = {}    # every read, guards too
+    for pos, inst in enumerate(instructions):
+        for op in inst.srcs:
+            if isinstance(op, Register):
+                uses.setdefault(op.key, []).append(pos)
+        if inst.guard is not None:
+            uses.setdefault(inst.guard.key, []).append(pos)
+        if inst.dst is not None:
+            if inst.dst.key in defs:
+                again.append((inst.dst.key, pos))
             else:
-                for op in inst.srcs:
-                    use(inst, pos, op, defined)
-            if inst.dst is not None:
-                defined.add(inst.dst.key)
-    out.sort(key=lambda d: d.message)
+                defs[inst.dst.key] = pos
+
+    block = [0] * len(instructions)
+    for blk in cfg.blocks:
+        block[blk.start:blk.stop] = [blk.index] * (blk.stop - blk.start)
+    dom = cfg.dominators()
+    late = []
+    for key, reads in uses.items():
+        d = defs.get(key)
+        if d is None:
+            continue
+        db = block[d]
+        for p in reads:
+            pb = block[p]
+            # a read in an unreachable block is reported elsewhere
+            if pb in dom and not (d < p if db == pb else db in dom[pb]):
+                late.append((key, p))
+
+    out: list[Diagnostic] = []
+
+    def err(message: str, pos: int) -> None:
+        out.append(Diagnostic(Severity.ERROR, "ssa-structure", message,
+                              obj=module.name,
+                              location=instructions[pos].render()))
+
+    def name(key: tuple[str, int]) -> str:
+        return f"{PTXType(key[0]).reg_prefix}{key[1]}"
+
+    for key, pos in sorted(again):
+        err(f"register {name(key)} redefined (first definition at "
+            f"instruction {defs[key]})", pos)
+    # a dangling register is reported once, not once per use
+    for key in sorted(k for k in uses if k not in defs):
+        err(f"use of register {name(key)} with no definition", uses[key][0])
+    for key, pos in sorted(late):
+        err(f"definition of {name(key)} does not dominate its use", pos)
     return out
 
 
@@ -307,9 +286,9 @@ def _check_proven_bounds(module: PTXModule, cfg: CFG,
     ``region + affine offset`` and its interval compared against the
     bound region's size (:mod:`repro.ptx.absint`).  A proven
     out-of-bounds access is an *error*; an access the affine engine
-    cannot settle falls back to the old guard-domination heuristic and
-    warns only when even that fails (hand-written kernels may
-    establish safety by launch-geometry contract).
+    cannot settle is ``unproven`` and warns (hand-written kernels may
+    establish safety by launch-geometry contract; a guard without
+    region sizes is not a proof).
     """
     out: list[Diagnostic] = []
     for a in analysis.accesses:
@@ -323,10 +302,10 @@ def _check_proven_bounds(module: PTXModule, cfg: CFG,
                 f"escapes region '{a.region}' of "
                 f"{region.size_bytes} bytes",
                 obj=module.name, location=inst.render()))
-        elif a.verdict == "unguarded":
+        elif a.verdict == "unproven":
             out.append(Diagnostic(
                 Severity.WARNING, "proven-bounds",
-                f"{a.opcode} is not dominated by a thread bounds guard "
+                f"{a.opcode} is not proven in bounds "
                 f"(out-of-range threads may access out of bounds)",
                 obj=module.name, location=inst.render()))
     return out
@@ -385,7 +364,6 @@ def inst_render_safe(cfg: CFG, pos: int) -> str:
 PASSES = {
     "operands": lambda m, c, a: _check_operands(m, c),
     "ssa-structure": lambda m, c, a: _check_ssa_structure(m, c),
-    "definite-assignment": lambda m, c, a: _check_definite_assignment(m, c),
     "unreachable-code": lambda m, c, a: _check_unreachable(m, c),
     "return-paths": lambda m, c, a: _check_return_paths(m, c),
     "proven-bounds": _check_proven_bounds,

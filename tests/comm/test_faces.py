@@ -101,6 +101,7 @@ class TestKernels:
                                           "p_n": face.size}
             assert _env_key(kernel.env) in kernel.compiled.artifact.checked
             bound = analyze_module(kernel.module, env=kernel.env)
-            assert bound.bounds_proven and bound.n_heuristic == 0
+            assert bound.bounds_proven
+            # a guard without region sizes is not a proof
             bare = analyze_module(kernel.module)
-            assert not bare.bounds_proven and bare.n_heuristic == 49
+            assert [a.verdict for a in bare.accesses] == ["unproven"] * 49

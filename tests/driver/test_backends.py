@@ -17,6 +17,7 @@ from repro.driver import backends
 from repro.driver.backends import BackendBuildError, BackendStats
 from repro.driver.cache import KernelCache, clear_kernel_store
 from repro.llvm import code_cache_stats
+from repro.ptx.absint import KernelEnv, MemRegion
 
 _PTX = """
 .version 3.1
@@ -59,6 +60,10 @@ $EXIT:
 
 def _ptx(n=0):
     return _PTX.format(n=n)
+
+
+#: the launch facts of an 8-thread run over an 8-element buffer
+_ENV = KernelEnv(scalars={"p_n": 8}, regions={"p_dst": MemRegion("p_dst", 64)})
 
 
 @pytest.fixture()
@@ -168,7 +173,7 @@ class TestDispatch:
         knob("cpu")
         cache = KernelCache()
         with pytest.warns(RuntimeWarning, match="frobnicate"):
-            kernel, _ = cache.get_or_compile(_ptx(5))
+            kernel, _ = cache.get_or_compile(_ptx(5), _ENV)
         assert kernel.backend == "sim"
         assert cache.backend.fallbacks == 1
         assert "frobnicate" in \
@@ -177,9 +182,9 @@ class TestDispatch:
         # another cache counts its own fallback without building again
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache.get_or_compile(_ptx(5))
+            cache.get_or_compile(_ptx(5), _ENV)
             other = KernelCache()
-            other.get_or_compile(_ptx(5))
+            other.get_or_compile(_ptx(5), _ENV)
         assert calls == [kernel.name]
         assert cache.backend.fallbacks == other.backend.fallbacks == 1
 

@@ -327,14 +327,15 @@ class TestBackends:
         guarded = ("setp.gt.f64 %p1, %fd0, 0.0;\n    " + _DOUBLE
                    + "\n    @%p1 add.f64 %fd2, %fd1, %fd0;")
         with pytest.warns(RuntimeWarning, match="falling back to 'sim'"):
-            kernel, _ = view.get_or_compile(_ptx("st_guard", body=guarded))
+            kernel, _ = view.get_or_compile(_ptx("st_guard", body=guarded),
+                                            _env(N))
         assert kernel.backend == "sim" and sim.calls == 1
         assert view.backend.kernels == {"cpu": 1, "sim": 1}
         # another view: counted again, built (and warned) no more
         other = KernelCache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            other.get_or_compile(_ptx("st_guard", body=guarded))
+            other.get_or_compile(_ptx("st_guard", body=guarded), _env(N))
         assert other.backend.fallbacks == 1 and sim.calls == 1
 
     def test_bare_compile_ptx_result_launches_through_sim(self, cold_store):

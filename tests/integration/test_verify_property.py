@@ -1,13 +1,15 @@
 """Property test: every generated expression kernel passes the full
-static-verification pipeline (no error diagnostics, bounds guard in
-place) for random well-formed expressions."""
+static-verification pipeline (no error diagnostics, every access
+proven in bounds under its launch env) for random well-formed
+expressions."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import build_expression_kernel
-from repro.core.expr import shift
+from repro.core.expr import SlotAssigner, shift
+from repro.core.fusion import launch_env
 from repro.diagnostics import errors
 from repro.ptx.verifier import run_passes
 from repro.qdp.fields import latt_complex
@@ -65,7 +67,14 @@ def test_generated_kernels_verify_clean(flds, tree, subset_mode):
     expr = _interp(tree, flds)
     module = build_expression_kernel("prop_verify", expr, flds[2],
                                      subset_mode)
-    diagnostics = run_passes(module)
+    # the env the launcher binds: slots in the builder's walk order
+    slots = SlotAssigner()
+    expr.signature(slots)
+    slots.field_slot(flds[2])
+    lat = flds[2].lattice
+    env = launch_env(lat, lat.even if subset_mode else lat.all_sites,
+                     slots, ())
+    diagnostics = run_passes(module, env=env)
     assert not errors(diagnostics), [d.render() for d in diagnostics]
-    # the generator's tid < nsites guard must dominate every access
+    # the generator's tid < nsites guard bounds every access
     assert not [d for d in diagnostics if d.pass_name == "proven-bounds"]

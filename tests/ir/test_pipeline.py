@@ -11,10 +11,10 @@ import pytest
 
 from repro.diagnostics import fusion_mode
 from repro.ir.pipeline import prepare_module
-from repro.ir.verify import IRVerificationError
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Immediate, Instruction, PTXType, Register
 from repro.ptx.module import PTXModule
+from repro.ptx.verifier import PTXVerificationError
 
 DIMS = (2, 2, 2, 4)
 
@@ -115,7 +115,7 @@ class TestRejectsNonSSA:
     def test_raises_under_every_verify_mode(self, monkeypatch, verify,
                                             build, message):
         monkeypatch.setenv("REPRO_VERIFY", verify)
-        with pytest.raises(IRVerificationError, match=message):
+        with pytest.raises(PTXVerificationError, match=message):
             prepare_module(build())
 
     @pytest.mark.parametrize("verify", ["off", "warn", "error"])
@@ -126,7 +126,7 @@ class TestRejectsNonSSA:
 
         monkeypatch.setenv("REPRO_VERIFY", verify)
         ctx = Context(autotune=False)
-        with pytest.raises(IRVerificationError, match="redefined"):
+        with pytest.raises(PTXVerificationError, match="redefined"):
             ctx.build_kernel("twice", _twice_assigned)
         assert ctx.stats.kernels_generated == 0
         assert ctx.stats.modules_verified == 0

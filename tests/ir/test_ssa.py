@@ -1,12 +1,17 @@
-"""SSA construction and structural-verifier tests."""
+"""The SSA structural check: the verifier's ``ssa-structure`` pass.
+
+Single definition per register, defs dominate uses, no dangling
+operands — run alone, as the build path (``prepare_module``) and the
+``cpu`` backend's subset check run it.
+"""
 
 import pytest
 
-from repro.ir.ssa import SSAFunction
-from repro.ir.verify import IRVerificationError, assert_ssa, check_ssa
 from repro.ptx.builder import KernelBuilder
-from repro.ptx.isa import Immediate, Instruction, PTXType, Register
+from repro.ptx.cfg import build_cfg
+from repro.ptx.isa import Immediate, Instruction, KernelInfo, PTXType, Register
 from repro.ptx.module import PTXModule
+from repro.ptx.verifier import PTXVerificationError, run_passes, verify
 
 
 def _simple_kernel():
@@ -29,20 +34,40 @@ def _inst(op, t, dst, srcs, **kw):
     return Instruction(op, t, dst, tuple(srcs), **kw)
 
 
+def _module(name, insts):
+    return PTXModule(info=KernelInfo(name=name, params=[]),
+                     instructions=list(insts))
+
+
+def _ssa(module):
+    return run_passes(module, passes=["ssa-structure"])
+
+
 class TestConstruction:
     def test_single_defs_and_uses_recorded(self):
-        fn = SSAFunction.from_module(_simple_kernel())
-        assert not fn.extra_defs
-        for key, d in fn.defs.items():
-            for p in fn.uses.get(key, ()):
-                assert p > d
+        """Every register of a builder stream is written once, and
+        every read comes after that write."""
+        insts = _simple_kernel().instructions
+        defs = {}
+        for pos, inst in enumerate(insts):
+            if inst.dst is not None:
+                assert inst.dst.key not in defs
+                defs[inst.dst.key] = pos
+        for pos, inst in enumerate(insts):
+            for op in (*inst.srcs, inst.guard):
+                if isinstance(op, Register):
+                    assert defs[op.key] < pos
 
     def test_builder_streams_are_ssa(self):
-        assert not check_ssa(SSAFunction.from_module(_simple_kernel()))
+        assert not _ssa(_simple_kernel())
 
     def test_pos_block_covers_stream(self):
-        fn = SSAFunction.from_module(_simple_kernel())
-        assert len(fn.pos_block) == len(fn.instructions)
+        """The blocks the pass maps positions through partition the
+        stream."""
+        insts = _simple_kernel().instructions
+        cfg = build_cfg(list(insts))
+        covered = [p for b in cfg.blocks for p in range(b.start, b.stop)]
+        assert covered == list(range(len(insts)))
 
 
 class TestVerifier:
@@ -59,17 +84,17 @@ class TestVerifier:
 
     def test_clean_fragment_passes(self):
         _, _, insts = self._base()
-        assert_ssa(SSAFunction.from_instructions("ok", insts))
+        assert not _ssa(_module("ok", insts))
+        verify(_module("ok", insts))
 
     def test_redefinition_caught(self):
         a, _, insts = self._base()
         insts.insert(2, _inst("mov", PTXType.F64, a,
                               (Immediate(PTXType.F64, 2.0),)))
-        fn = SSAFunction.from_instructions("redef", insts)
-        findings = check_ssa(fn)
+        findings = _ssa(_module("redef", insts))
         assert any("redefined" in d.message for d in findings)
-        with pytest.raises(IRVerificationError, match="redefined"):
-            assert_ssa(fn)
+        with pytest.raises(PTXVerificationError, match="redefined"):
+            verify(_module("redef", insts))
 
     def test_dangling_operand_caught_once(self):
         a, b, _ = self._base()
@@ -79,7 +104,7 @@ class TestVerifier:
             _inst("add", PTXType.F64, b, (ghost, a)),
             _inst("ret", None, None, ()),
         ]
-        findings = check_ssa(SSAFunction.from_instructions("dangle", insts))
+        findings = _ssa(_module("dangle", insts))
         assert len([d for d in findings
                     if "no definition" in d.message]) == 1
 
@@ -98,8 +123,7 @@ class TestVerifier:
         y = kb.new_reg(PTXType.F64)
         kb.emit(_inst("add", PTXType.F64, y, (x, x)))
         kb.ret()
-        findings = check_ssa(SSAFunction.from_module(
-            PTXModule.from_builder(kb)))
+        findings = _ssa(PTXModule.from_builder(kb))
         assert any("does not dominate" in d.message for d in findings)
 
     def test_use_before_def_in_same_block_caught(self):
@@ -109,16 +133,14 @@ class TestVerifier:
             _inst("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)),
             _inst("ret", None, None, ()),
         ]
-        findings = check_ssa(SSAFunction.from_instructions("ubd", insts))
+        findings = _ssa(_module("ubd", insts))
         assert any("does not dominate" in d.message for d in findings)
 
 
 class TestVerifierPipelinePass:
     def test_malformed_module_fails_named_diagnostic(self):
-        """The ptx.verifier pipeline reports SSA breaks under the
-        ``ssa-structure`` pass name (the diagnostic layer satellite)."""
-        from repro.ptx.verifier import run_passes
-
+        """The full pipeline reports SSA breaks under the
+        ``ssa-structure`` pass name, at the offending instruction."""
         a = Register(PTXType.F64, 0)
         kb = KernelBuilder("notssa")
         kb.emit(_inst("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)))
@@ -127,3 +149,4 @@ class TestVerifierPipelinePass:
         diagnostics = run_passes(PTXModule.from_builder(kb))
         named = [d for d in diagnostics if d.pass_name == "ssa-structure"]
         assert named and "redefined" in named[0].message
+        assert named[0].location == "mov.f64 %fd0, 2.0;"

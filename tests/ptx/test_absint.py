@@ -64,7 +64,6 @@ class TestIntervalAffine:
         analysis = analyze_module(_soa_kernel(), env=_env())
         assert analysis.accesses, "kernel has global accesses"
         assert analysis.bounds_proven
-        assert analysis.n_heuristic == 0
         assert all(a.verdict == "proven" for a in analysis.accesses)
 
     def test_offsets_are_exact(self):
@@ -76,12 +75,16 @@ class TestIntervalAffine:
         assert los == [w * n * 8 for w in range(words)]
         assert his == [(w * n + n - 1) * 8 for w in range(words)]
 
-    def test_without_env_falls_back_to_heuristic(self):
+    def test_without_env_is_unproven(self):
+        """A guard without region sizes is not a proof: every access
+        is ``unproven``, one warning each, and nothing raises."""
         analysis = analyze_module(_soa_kernel())
         assert not analysis.bounds_proven
-        assert all(a.verdict == "guarded" for a in analysis.accesses)
-        # ... which produces no diagnostics, like the old bounds pass
-        assert not _by_pass(run_passes(_soa_kernel()), "proven-bounds")
+        assert all(a.verdict == "unproven" for a in analysis.accesses)
+        found = _by_pass(run_passes(_soa_kernel()), "proven-bounds")
+        assert len(found) == len(analysis.accesses)
+        assert all(d.severity == Severity.WARNING for d in found)
+        verify(_soa_kernel())
 
     def test_unguarded_access_warns(self):
         kb = KernelBuilder("nog")

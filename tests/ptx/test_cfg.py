@@ -1,8 +1,8 @@
-"""Tests for CFG construction, dominators, and the dataflow solver."""
+"""Tests for CFG construction, dominators, and the liveness solver."""
 
 from repro.ptx import KernelBuilder, PTXType
-from repro.ptx.cfg import DataflowAnalysis, build_cfg, solve
-from repro.ptx.liveness import max_live_registers
+from repro.ptx.cfg import build_cfg
+from repro.ptx.liveness import max_live_registers, solve
 
 
 def _diamond():
@@ -113,29 +113,28 @@ class TestDominators:
         assert body in dom[exit_b]
 
 
-class _ReachingConsts(DataflowAnalysis):
-    """Toy forward may-analysis: labels of blocks executed so far."""
-
-    direction = "forward"
+class _BlocksAhead:
+    """Toy transfer in the liveness solver's shape: indices of the
+    blocks still to execute (a may-analysis, meet = union)."""
 
     def transfer(self, block, instructions, fact):
         return fact | {block.index}
 
 
 class TestSolver:
-    def test_forward_union(self):
+    def test_backward_union(self):
         cfg = build_cfg(_diamond().instructions)
-        inputs, outputs = solve(cfg, _ReachingConsts())
-        # at the join, both arms' facts merge
-        assert inputs[3] == {0, 1, 2}
-        assert outputs[3] == {0, 1, 2, 3}
+        ends, tops = solve(cfg, _BlocksAhead())
+        # at the branch, both arms' facts merge
+        assert ends[0] == {1, 2, 3}
+        assert tops[0] == {0, 1, 2, 3}
 
     def test_loop_reaches_fixpoint(self):
         cfg = build_cfg(_loop().instructions)
-        inputs, outputs = solve(cfg, _ReachingConsts())
+        ends, tops = solve(cfg, _BlocksAhead())
         body = next(b.index for b in cfg.blocks if b.label == "$LOOP")
-        # the back edge feeds the body's own fact into its input
-        assert body in inputs[body]
+        # the back edge feeds the body's own fact into its end
+        assert body in ends[body]
 
 
 class TestLivenessLoops:

@@ -75,7 +75,7 @@ class TestVerifier:
         ghost = Register(PTXType.F64, 99)
         dst = kb.new_reg(PTXType.F64)
         kb.emit(Instruction("add", PTXType.F64, dst, (ghost, ghost)))
-        with pytest.raises(PTXVerificationError, match="undefined register"):
+        with pytest.raises(PTXVerificationError, match="no definition"):
             verify(PTXModule.from_builder(kb))
 
     def test_branch_to_unknown_label_caught(self):

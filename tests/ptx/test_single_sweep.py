@@ -1,7 +1,7 @@
 """The analysis half of the build path visits each instruction once.
 
-On the forward-branch-only CFGs the generators emit, dataflow, the
-abstract interpreter and liveness finish in one sweep, facts are
+On the forward-branch-only CFGs the generators emit, the abstract
+interpreter and the liveness dataflow finish in one sweep, facts are
 recorded during that sweep, and the JIT's verification point builds
 one CFG per parsed stream.  Cyclic hand-written kernels keep the
 iterate-to-fixpoint path.  The golden values and digests below were
@@ -22,10 +22,10 @@ from repro.driver.parser import parse_ptx
 from repro.ptx import KernelBuilder, PTXModule, PTXType
 from repro.ptx import absint, liveness
 from repro.ptx.absint import KernelEnv, MemRegion, analyze_module
-from repro.ptx.cfg import build_cfg, solve
+from repro.ptx.cfg import build_cfg
 from repro.ptx.isa import Register
-from repro.ptx.liveness import max_live_registers
-from repro.ptx.verifier import _DefinedRegisters, run_passes
+from repro.ptx.liveness import max_live_registers, solve
+from repro.ptx.verifier import run_passes
 
 DIMS = (2, 2, 2, 2)
 
@@ -211,7 +211,7 @@ class TestOneVisit:
         assert cfg.is_acyclic
         transfers = []
 
-        class Counted(_DefinedRegisters):
+        class Counted(liveness._Liveness):
             def transfer(self, block, instructions, fact):
                 transfers.append(block.index)
                 return super().transfer(block, instructions, fact)
@@ -260,8 +260,6 @@ class TestCyclicGolden:
         live_out, live_in = solve(cfg, liveness._Liveness())
         assert _sorted_facts(live_out) == GOLDEN["float_loop.live_out"]
         assert _sorted_facts(live_in) == GOLDEN["float_loop.live_in"]
-        defined_in, _ = solve(cfg, _DefinedRegisters())
-        assert _sorted_facts(defined_in) == GOLDEN["float_loop.defined_in"]
         assert max_live_registers(list(module.instructions)) == \
             GOLDEN["float_loop.max_live"]
         analysis = analyze_module(module)
@@ -330,9 +328,6 @@ class TestSuiteGolden:
 #: computed at the parent commit (see the module docstring)
 GOLDEN = {'float_loop.live_out': {0: [('f32', 0)], 1: [('f32', 0)], 2: []},
  'float_loop.live_in': {0: [], 1: [('f32', 0)], 2: []},
- 'float_loop.defined_in': {0: [],
-                           1: [('f32', 0)],
-                           2: [('f32', 0), ('f32', 1), ('pred', 0)]},
  'float_loop.max_live': 8,
  'float_loop.sheet': ([], [(4, True, False)], 8, []),
  'indexed_loop.live_out': {0: [('s32', 1), ('u64', 0)],

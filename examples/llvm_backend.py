@@ -1,10 +1,10 @@
-"""The second target: paper Sec. XI's future work, as far as it goes here.
+"""PTX text as the portable interface: paper Sec. XI's future work.
 
 Generates a kernel through the normal expression pipeline, shows the
-PTX the framework emits, and runs the same computation through the
-compiled CPU work-item target (the ``cpu`` backend, which walks the
-same parsed PTX) — verifying bit-exact agreement with the (simulated)
-GPU path.
+PTX the framework emits, and compiles that *text* again through the
+``cpu`` entry point (``repro.llvm.compile_cpu_kernel``: the driver
+JIT's one generator, vectorized over work-items) — verifying
+bit-exact agreement with the (simulated) GPU path.
 
 Run:  python examples/llvm_backend.py
 """

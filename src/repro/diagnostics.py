@@ -163,18 +163,10 @@ def fusion_mode(default: str = "on") -> str:
 
 
 def backend_mode(default: str = "sim") -> str:
-    """The execution-backend mode from the ``REPRO_BACKEND`` knob.
-
-    ``sim`` (default)
-        Kernels execute through the simulated driver JIT — the PTX
-        translator of :mod:`repro.driver.jitcompiler`, the reference
-        execution semantics everything else is checked against.
-    ``cpu``
-        Kernels execute through the compiled CPU backend: the parsed
-        PTX is code-generated into vectorized NumPy with integer
-        address arithmetic folded (:mod:`repro.llvm.cputarget`).  Results are
-        bitwise identical to ``sim``; kernels outside the transpilable
-        subset fall back to ``sim`` per kernel with a one-time warning.
+    """The execution-backend mode from the ``REPRO_BACKEND`` knob:
+    ``sim`` (default) or ``cpu``, two dispatch names of the one
+    generator of :mod:`repro.driver.jitcompiler` (each with its own
+    build counters; :mod:`repro.llvm.cputarget`).
 
     Read once per :class:`~repro.driver.cache.KernelCache`, when it is
     created — like the fusion, fault and resilience knobs, a

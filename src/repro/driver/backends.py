@@ -7,15 +7,10 @@ is the ``REPRO_BACKEND`` value the owning
 (through the shared ``_env_mode`` machinery, so a bad value warns once
 and falls back to the default like every other ``REPRO_*`` knob):
 
-``sim`` (default)
-    The PTX translator of :mod:`repro.driver.jitcompiler` — the
-    reference execution semantics everything else is validated
-    against.
-``cpu``
-    The compiled NumPy backend of :mod:`repro.llvm.cputarget` — the
-    same parsed PTX walked by a subclass of the ``sim`` translator
-    that folds integer address arithmetic, bitwise identical to
-    ``sim``.
+``sim`` (default) and ``cpu`` build the same callable: the one
+PTX -> NumPy generator of :mod:`repro.driver.jitcompiler`, which folds
+integer address arithmetic.  ``cpu`` is a dispatch name with its own
+store entry and build counters (:mod:`repro.llvm.cputarget`).
 
 Only the selected backend is built, the first time a cache sees the
 kernel.  Kernels outside a backend's supported subset *fall back to*
@@ -81,9 +76,8 @@ def _build_cpu(artifact):
 #: :class:`~repro.driver.jitcompiler.KernelArtifact` (PTX text and
 #: parsed form) and returns a callable with the launch signature
 #: ``(views, params, grid_dim, block_dim)``, or raises
-#: :class:`BackendBuildError` (``TranspileError`` is one) for a kernel
-#: outside the backend's subset.  ``sim`` is what a failed build falls
-#: back to.
+#: :class:`BackendBuildError` for a kernel outside the backend's
+#: subset.  ``sim`` is what a failed build falls back to.
 BUILDERS = {"sim": _build_sim, "cpu": _build_cpu}
 
 

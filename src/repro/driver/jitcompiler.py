@@ -3,28 +3,26 @@
 This plays the role of the NVIDIA compute-compile driver (part of the
 Linux kernel driver) in paper Fig. 2: it accepts PTX assembly text and
 produces executable code.  Here "executable" means a generated Python
-function in which every PTX instruction becomes one NumPy operation
-vectorized over the *thread* axis — the SPMD semantics of the GPU are
-preserved exactly (each array lane is one CUDA thread), so results
-agree with a real device up to floating-point reassociation in ``fma``
-(NumPy does not fuse; see DESIGN.md "Known deviations").
+function vectorized over the *thread* axis — the SPMD semantics of the
+GPU are preserved exactly (each array lane is one CUDA thread), so
+results agree with a real device up to floating-point reassociation in
+``fma`` (NumPy does not fuse; see DESIGN.md "Known deviations").
 
+One generator (:class:`_Translator`) serves every dispatch name.
 Control flow is compiled with an active-lane mask supporting guarded
-instructions and forward branches — sufficient for the bounds-check /
-face-select patterns the code generators emit, and verified against
-hand-written PTX in the test suite.  A backward branch is rejected
-with :class:`JITCompileError`: the generated body is straight-line
-Python that runs every statement once, in textual order.  Two things
-a real device does are done here too: in the generators' canonical
-bounds check the threads that take the exit branch are *retired*
-(dropped from every value, not masked), and an access ``uniform +
-width * gid`` — what the coalesced SoA layout makes of every plain
-field access — is one block copy whose address is never formed, with
-the literal gather as the fallback the same helper takes when its
-exactness conditions do not hold (DESIGN.md §12).
+instructions and forward branches; a backward branch is rejected with
+:class:`JITCompileError`: the body is straight-line Python that runs
+every statement once, in textual order.  Integer address arithmetic
+is folded when the kernel is built into forms ``gid*a + b`` or
+``table[i]*a + b`` (exact modulo 2**64), so an access is one block
+copy (``uniform + width*gid``, what the coalesced SoA layout makes of
+every plain field access) or one gather through its table, and the
+address is never formed.  In the generators' canonical bounds check
+the threads that take the exit branch are *retired*: dropped from
+every value, not masked (DESIGN.md §12).
 
 That property is also what lets the JIT do the driver's register
-allocation (:func:`allocate_slots`): the translators emit one local
+allocation (:func:`allocate_slots`): the generator emits one local
 per value, and a linear scan renames them onto as many reusable slots
 as are ever live at once, so a launch holds *max-live* arrays rather
 than one per instruction.
@@ -36,6 +34,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,10 +94,6 @@ _UN_PY = {
     "trunc": "np.trunc({a})",
     "round": "np.rint({a})",
 }
-
-#: opcodes whose result is a function of their sources alone
-_PURE = frozenset({"mov", "cvt", "setp", "selp", "fma", "mad.lo", "div",
-                   *_BIN_PY, *_UN_PY})
 
 #: the largest global thread id a launch binds (DESIGN.md §15): lanes
 #: are elements of one NumPy array
@@ -186,8 +181,48 @@ def _mand(m, p):
     return m & p
 
 
+def _gv(view, gb, s, m, ci):
+    """Gather through a folded linear index ``gb + s`` (inactive lanes
+    read word ``ci``, the safe word ``_ld`` reads)."""
+    idx = gb + s
+    if m is not None:
+        idx = np.where(m, idx, ci)
+    return view[idx]
+
+
+def _gs(view, s, m, ci):
+    """Gather through a per-launch scalar index."""
+    if m is None:
+        return view[s]
+    return view[np.where(m, s, ci)]
+
+
+def _pv(view, gb, s, val, m):
+    """Scatter through a folded linear index (mirrors ``_st``)."""
+    idx = gb + s
+    if m is None:
+        view[idx] = val
+    elif np.ndim(val) == 0:
+        view[idx[m]] = val
+    else:
+        view[idx[m]] = val[m]
+
+
+def _ps(view, s, val, m, ci):
+    """Scatter through a per-launch scalar index."""
+    if m is None:
+        view[s] = val
+        return
+    idx = np.where(m, s, ci)
+    if np.ndim(val) == 0:
+        view[idx[m]] = val
+    else:
+        view[idx[m]] = val[m]
+
+
 #: the globals every generated kernel function is exec'd against
 _RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_stc": _stc,
+            "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
             "_retire": _retire, "_mand": _mand}
 
 
@@ -226,7 +261,7 @@ class CompiledKernel:
     and the view's launch accounting.  ``name`` and ``regs_per_thread``
     are copied so the launch path reads them off the handle.  A handle
     no cache has dispatched (a bare :func:`compile_ptx` result) runs
-    the reference ``sim`` translation, built on its first launch.
+    the ``sim`` build, made on its first launch.
     """
 
     def __init__(self, artifact: KernelArtifact):
@@ -258,8 +293,8 @@ class CompiledKernel:
         self.func(views, params, grid_dim, block_dim)
 
 
-#: a vector local of a translated body: a ``sim`` register (``Rfd12``)
-#: or a ``cpu`` temporary (``_v12``) — never part of a longer name or
+#: a vector local of a translated body: a named register (``Rfd12``)
+#: or a temporary (``_v12``) — never part of a longer name or
 #: of a quoted parameter name (the look-behind sits after the leading
 #: literal so the search for it stays a plain character scan)
 _VECTOR_LOCAL = re.compile(r"((?:R(?<![\w']R)[a-z]+|_v(?<![\w']_v))\d+)")
@@ -329,15 +364,198 @@ def modeled_jit_time(n_instructions: int) -> float:
     return 0.05 + 0.17 * (1.0 - math.exp(-n_instructions / 800.0))
 
 
+# --- symbolic integer values ------------------------------------------------
+
+
+class _Lin(NamedTuple):
+    """Integer value linear in the global thread id: ``gid*a + b``.
+
+    ``a`` is a compile-time Python int; ``b`` is a Python-int
+    expression over hoisted launch parameters (``_i<k>`` locals) and
+    literals, evaluated once per launch, whose value lies in
+    ``[lo, hi]``.  The form stands for its register modulo
+    ``2**width``: ring operations fold exactly, ``a`` and ``b`` are
+    kept int64 representatives (:func:`_lin`), and the register's own
+    value is taken wherever the width shows — at a widening ``cvt``
+    (:meth:`_Translator._fold_cvt`) and at materialization.
+    """
+
+    a: int
+    b: str
+    lo: int
+    hi: int
+
+
+class _VLin(NamedTuple):
+    """Integer vector linear in a loaded index vector: ``base*a + b``.
+
+    ``base`` names an int64 vector local (a gather/shift-map table
+    read widened once), so the form is always 64 bits wide; ``a``,
+    ``b``, ``lo`` and ``hi`` are as in :class:`_Lin`.  This is what
+    folds the table-driven address chains of shift and subset kernels
+    — the dominant pattern in dslash — down to one add per memory
+    access.
+    """
+
+    base: str
+    a: int
+    b: str
+    lo: int
+    hi: int
+
+
+class _FImm(NamedTuple):
+    """A floating-point immediate (hoisted into the kernel's constants)."""
+
+    type: PTXType
+    tok: str
+
+
+class _Spec(NamedTuple):
+    which: str
+
+
+#: the global thread id ``gid*1 + 0`` (at most ``_GID_MAX``)
+_GID = _Lin(1, "0", 0, 0)
+#: what a ``.ptr`` parameter holds: an address in the device pool, one
+#: host buffer (x86-64 user space is 47 bits)
+_PTR_RANGE = (0, 2**48 - 1)
+
+#: integer opcodes whose result may stay a symbolic linear form
+_FOLDABLE = frozenset({"fma", "mad.lo", "add", "sub", "mul", "mul.lo",
+                       "shl", "neg"})
+
+
+def _wrap(x: int, t: PTXType) -> int:
+    """``x`` modulo ``2**width``, in integer type ``t``'s range: what a
+    register of that type holds."""
+    lo, hi = t.int_range
+    return (x - lo) % (hi - lo + 1) + lo
+
+
+def _is_lit(b: str) -> bool:
+    """``b`` is a decimal literal (what ``str(int)`` gives)."""
+    return b.lstrip("-").isdigit()
+
+
+def _wrap_scalar(b: str, t: PTXType) -> tuple[str, int, int]:
+    """:func:`_wrap` of a scalar part, as ``(b, lo, hi)``: a literal is
+    reduced now, an expression once per launch."""
+    if _is_lit(b):
+        v = _wrap(int(b), t)
+        return str(v), v, v
+    lo, hi = t.int_range
+    return f"(({b} - {lo}) % {hi - lo + 1} + {lo})", lo, hi
+
+
+def _fits(lo: int, hi: int, t: PTXType) -> bool:
+    return t.int_range[0] <= lo and hi <= t.int_range[1]
+
+
+def _lin(a: int, b: str, lo: int, hi: int, base: str | None = None):
+    """The form with ``a`` and ``b`` as int64 representatives; ``b`` is
+    left alone when its bounds prove it one already."""
+    if not _fits(lo, hi, PTXType.S64):
+        b, lo, hi = _wrap_scalar(b, PTXType.S64)
+    a = _wrap(a, PTXType.S64)
+    return _Lin(a, b, lo, hi) if base is None else _VLin(base, a, b, lo, hi)
+
+
+def _badd(b1: str, b2: str) -> str:
+    if _is_lit(b1) and _is_lit(b2):
+        return str(int(b1) + int(b2))
+    if b1 == "0":
+        return b2
+    if b2 == "0":
+        return b1
+    return f"({b1} + {b2})"
+
+
+def _bsub(b1: str, b2: str) -> str:
+    if _is_lit(b1) and _is_lit(b2):
+        return str(int(b1) - int(b2))
+    if b2 == "0":
+        return b1
+    return f"({b1} - {b2})"
+
+
+def _bmul(b1: str, b2: str) -> str:
+    if _is_lit(b1) and _is_lit(b2):
+        return str(int(b1) * int(b2))
+    if b1 == "0" or b2 == "0":
+        return "0"
+    if b1 == "1":
+        return b2
+    if b2 == "1":
+        return b1
+    return f"({b1} * {b2})"
+
+
+def _lin_add(x, y):
+    lo, hi = x.lo + y.lo, x.hi + y.hi
+    if isinstance(x, _Lin) and isinstance(y, _Lin):
+        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi)
+    if isinstance(x, _Lin):
+        x, y = y, x
+    if isinstance(y, _VLin):                  # VLin + VLin
+        if x.base != y.base:
+            return None
+        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi, x.base)
+    if y.a != 0:
+        return None                           # table vec + gid vec
+    return _lin(x.a, _badd(x.b, y.b), lo, hi, x.base)
+
+
+def _lin_neg(x):
+    return _lin(-x.a, _bsub("0", x.b), -x.hi, -x.lo,
+                x.base if isinstance(x, _VLin) else None)
+
+
+def _lin_mul(x, y):
+    corners = [p * q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+    lo, hi = min(corners), max(corners)
+    if isinstance(x, _VLin) or isinstance(y, _VLin):
+        if isinstance(x, _VLin) and isinstance(y, _VLin):
+            return None
+        if isinstance(x, _VLin):
+            x, y = y, x                      # x: the _Lin side, y: _VLin
+        if x.a != 0 or not _is_lit(x.b):
+            return None                      # coeff must stay const
+        k = int(x.b)
+        if k == 0:
+            return _Lin(0, "0", 0, 0)
+        return _lin(y.a * k, _bmul(y.b, str(k)), lo, hi, y.base)
+    if x.a != 0 and y.a != 0:
+        return None                          # gid^2: not linear
+    if x.a != 0:
+        x, y = y, x                          # x is now the scalar side
+    if y.a != 0 and not _is_lit(x.b):
+        return None                          # gid coeff must stay const
+    scale = int(x.b) if y.a != 0 else 0
+    return _lin(y.a * scale, _bmul(x.b, y.b), lo, hi)
+
+
 class _Translator:
     """Translates one parsed kernel into Python source.
 
-    This is the reference (``sim``) visitor over the
-    :class:`~repro.ptx.isa.Instruction` stream and the owner of the op
-    tables, the mask/branch emission and the runtime helpers.  Other
-    targets subclass it (:mod:`repro.llvm.cputarget`) and override the
-    four hooks — :meth:`_operand`, :meth:`_view`, :meth:`_assign`,
-    :meth:`_prologue` — plus the instructions they lower differently.
+    The one visitor over the :class:`~repro.ptx.isa.Instruction`
+    stream: it owns the op tables, the mask/branch emission and the
+    runtime helpers, and it folds integer address arithmetic.
+
+    Contract: the generated function has the PTX semantics on every
+    observable memory effect — which addresses are loaded, in which
+    order; which addresses, values and active lanes are stored.  A
+    register defined exactly once and never under a guard (what
+    :meth:`_scan` finds; every generated kernel's registers) is bound
+    to a *symbolic* value instead of a local: integer address chains
+    fold into :class:`_Lin` / :class:`_VLin` forms over Z/2**64, whose
+    scalar part is one Python-int expression per launch and whose
+    ``>> shift`` word conversion folds through them, and pure
+    expressions with identical text are emitted once.  Every other
+    register — redefined, or defined under a guard, as hand-written
+    PTX may be — is a named local (``R<class><n>``) assigned the
+    reference way, guarded values through ``np.where``.  Float
+    arithmetic is never folded, reordered or reassociated.
     """
 
     def __init__(self, parsed: ParsedKernel):
@@ -347,7 +565,7 @@ class _Translator:
         self.lines: list[str] = []
         #: slots the allocated body uses (set by :meth:`translate`)
         self.n_slots = 0
-        #: ``sim`` local -> the register it holds, in definition order
+        #: named local -> the register it holds, in definition order
         self.defined: dict[str, Register] = {}
         insts = parsed.instructions
         ops = [i.opcode for i in insts]
@@ -367,147 +585,231 @@ class _Translator:
         #: (the lane vectors are only known once the walk is over)
         self._retire_at: tuple[int, list[str]] | None = None
         self.pos = 0                        # index of the instruction walked
-        #: positions of the accesses emitted as ``_ldc`` / ``_stc``
-        self.coalesced: list[int] = []
-        #: unformed address register -> its (uniform, stride) operands
-        self._deferred: dict[tuple, tuple[str, str]] = {}
-        self._scan()
+        #: position of each global access -> the helper it calls
+        #: (``_ldc``/``_stc``: a block copy; ``_gv``/``_pv``: through a
+        #: folded index vector; ``_gs``/``_ps``: a launch-uniform word;
+        #: ``_ld``/``_st``: a formed address)
+        self.accesses: dict[int, str] = {}
+        #: the float constants the body names (``_K<k>``)
+        self.consts: dict[str, object] = {}
+        self._const_names: dict[tuple, str] = {}
+        #: integer parameter -> the range of what a launch binds to it
+        self.int_params = {
+            p.name: _PTR_RANGE if p.is_pointer else p.type.int_range
+            for p in parsed.params if p.type.is_int}
+        #: ``Register.key`` -> symbolic value of a single-definition
+        #: register (a vector local's name, or a _Lin/_VLin/_FImm/_Spec
+        #: still to be materialized)
+        self.sym: dict[tuple, object] = {}
+        self._n = 0
+        #: emitted pure expression -> the local holding it; locals are
+        #: assigned once, so identical text is the identical value (the
+        #: slots are allocated only after the walk: a local released
+        #: earlier would have to leave this table, changing which
+        #: operations are emitted)
+        self._cse: dict[str, str] = {}
+        self._iparams: dict[str, str] = {}
+        self._scalars: dict[str, str] = {}
+        self._views: dict[str, str] = {}
+        self.need_G = False
+        self.need_gl = False
+        self.need_ntid = False
+        #: keys of the registers held in named locals
+        self._rebound = self._scan()
+
+    @property
+    def coalesced(self) -> list[int]:
+        """Positions of the accesses emitted as ``_ldc`` / ``_stc``."""
+        return [p for p, h in self.accesses.items() if h in ("_ldc", "_stc")]
 
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
 
-    # -- what the stream says before it is walked ------------------------
-
-    def _scan(self) -> None:
-        """Classify registers in one pass (keys are ``Register.key``).
-
-        ``_uniform``: the same value in every lane — ``ld.param``,
-        immediates, ``%ntid`` and pure operations on those.
-        ``_stride``: ``k`` where the value is exactly ``k * gid`` — the
-        canonical ``mad.lo ctaid, ntid, tid`` through ``mov``, integer
-        ``cvt`` and ``mul.lo`` / ``shl`` by an immediate, each step
-        within its type's range for ``gid <= _GID_MAX``, so no step
-        wraps.  Both describe the one value of a register defined
-        once, without a guard: a second or guarded definition takes the
-        register out of both.  ``_address_of``: the widths of the
-        unguarded accesses a ``u64`` register is the address of;
-        ``_formed``: the registers that have to exist — ``u64``
-        registers used any other way, and every register defined twice
-        or under a guard.
-        """
-        self._uniform: set[tuple] = set()
-        self._stride: dict[tuple, int] = {}
-        self._address_of: dict[tuple, set[int]] = {}
-        self._formed: set[tuple] = set()
-        special: dict[tuple, str] = {}      # mov of %tid / %ntid / %ctaid
+    def _scan(self) -> set[tuple]:
+        """The keys of the registers defined more than once or under a
+        guard.  Every other register is defined once, unguarded, and
+        may be bound symbolically."""
         seen: set[tuple] = set()
-
-        def which(op):
-            return op.which if isinstance(op, Special) else (
-                special.get(op.key) if isinstance(op, Register) else None)
-
-        def uniform(op):
-            return isinstance(op, Immediate) or which(op) == "ntid" or (
-                isinstance(op, Register) and op.key in self._uniform)
-
+        rebound: set[tuple] = set()
         for inst in self.parsed.instructions:
-            op, srcs = inst.opcode, inst.srcs
-            access = inst.guard is None and op in ("ld.global", "st.global")
-            for j, src in enumerate(srcs):
-                if isinstance(src, Register) and src.type is PTXType.U64:
-                    if access and j == 0:
-                        self._address_of.setdefault(src.key, set()).add(
-                            inst.type.nbytes)
-                    else:
-                        self._formed.add(src.key)
-            dst = inst.dst
-            if dst is None:
-                continue
-            key = dst.key
-            rebound = key in seen or inst.guard is not None
-            seen.add(key)
-            if rebound:
-                self._formed.add(key)
-                self._uniform.discard(key)
-                self._stride.pop(key, None)
-                special.pop(key, None)
-                continue
-            if op == "mov" and isinstance(srcs[0], Special):
-                special[key] = srcs[0].which
-            if op == "ld.param" or (op in _PURE and all(map(uniform, srcs))):
-                self._uniform.add(key)
-                continue
-            if not dst.type.is_int:
-                continue
-            k = None
-            if op in ("mov", "cvt"):
-                k = self._stride_of(srcs[0])
-            elif op == "mad.lo":
-                if tuple(map(which, srcs)) == ("ctaid", "ntid", "tid"):
-                    k = 1
-            elif op in ("mul", "mul.lo", "shl"):
-                a, b = srcs
-                if op != "shl" and isinstance(a, Immediate):
-                    a, b = b, a
-                if isinstance(b, Immediate) and self._stride_of(a) is not None:
-                    c = int(b.value)
-                    if op == "shl":
-                        c = 1 << c if 0 <= c < 64 else None
-                    if c is not None:
-                        k = self._stride_of(a) * c
-            if k is not None:
-                lo, hi = dst.type.int_range
-                if lo <= min(0, k * _GID_MAX) and max(0, k * _GID_MAX) <= hi:
-                    self._stride[key] = k
+            if inst.dst is not None:
+                key = inst.dst.key
+                if key in seen or inst.guard is not None:
+                    rebound.add(key)
+                seen.add(key)
+        return rebound
 
-    def _stride_of(self, op) -> int | None:
-        return self._stride.get(op.key) if isinstance(op, Register) else None
+    def _named(self, op) -> bool:
+        """``op`` is a register held in a named local."""
+        return isinstance(op, Register) and op.key in self._rebound
 
-    def _coalescable(self, inst: Instruction) -> tuple | None:
-        """``(uniform, stride)`` sources of an ``add.u64`` that need not
-        be formed: every use of its result is the address of an
-        unguarded access exactly as wide as the stride."""
-        if inst.type is not PTXType.U64 or inst.guard is not None:
-            return None
-        key = inst.dst.key
-        widths = self._address_of.get(key, ())
-        if len(widths) != 1 or key in self._formed:
-            return None
-        (width,) = widths
-        for u, s in (inst.srcs, inst.srcs[::-1]):
-            if width in _SHIFT and self._stride_of(s) == width and (
-                    isinstance(u, Immediate) or (
-                        isinstance(u, Register) and u.key in self._uniform)):
-                return u, s
-        return None
+    def _reads_named(self, inst: Instruction) -> bool:
+        return bool(self._rebound) and any(map(self._named, inst.srcs))
 
-    # -- hooks ---------------------------------------------------------
+    # -- small emission helpers ----------------------------------------
 
-    def _operand(self, op, itype: PTXType) -> str:
-        """The Python expression reading operand ``op``."""
+    def fresh(self) -> str:
+        self._n += 1
+        return f"_v{self._n}"
+
+    def _bind(self, inst: Instruction, expr: str) -> None:
+        """Evaluate ``expr`` into a fresh local bound to the destination."""
+        name = self.fresh()
+        self.emit(f"{name} = {expr}")
+        self.sym[inst.dst.key] = name
+
+    def _shared(self, expr: str) -> str:
+        """The local holding pure expression ``expr`` (emitted once)."""
+        if expr.isidentifier():
+            return expr
+        name = self._cse.get(expr)
+        if name is None:
+            name = self.fresh()
+            self.emit(f"{name} = {expr}")
+            self._cse[expr] = name
+        return name
+
+    def _const(self, t: PTXType, tok: str) -> str:
+        key = (t, tok)
+        name = self._const_names.get(key)
+        if name is None:
+            dt = np.dtype(NUMPY_DTYPES[t]).type
+            name = f"_K{len(self.consts)}"
+            self._const_names[key] = name
+            self.consts[name] = dt(float(tok)) if t.is_float else dt(int(tok))
+        return name
+
+    def _iparam(self, pname: str) -> str:
+        name = self._iparams.get(pname)
+        if name is None:
+            name = f"_i{len(self._iparams)}"
+            self._iparams[pname] = name
+        return name
+
+    def _scalar(self, expr: str) -> str:
+        """Hoist a per-launch Python-int scalar expression."""
+        if _is_lit(expr):
+            return expr
+        name = self._scalars.get(expr)
+        if name is None:
+            name = f"_s{len(self._scalars)}"
+            self._scalars[expr] = name
+        return name
+
+    def _word(self, b: str, sh: int) -> str:
+        """The word index of byte offset ``b``: literal offsets fold
+        now, the rest is deferred to one per-launch scalar."""
+        if _is_lit(b):
+            return str(int(b) >> sh)
+        return self._scalar(f"({b}) >> {sh}")
+
+    def _view(self, t: PTXType) -> str:
+        """The local naming the device-memory view of type ``t``."""
+        dname = NUMPY_DTYPES[t]
+        name = self._views.get(dname)
+        if name is None:
+            name = f"_Vw{len(self._views)}"
+            self._views[dname] = name
+        return name
+
+    def _prologue(self) -> list[str]:
+        """The lines between the ``def`` and the translated body."""
+        pro = ["    _nt = _gd * _bd"]
+        if self.need_gl:
+            pro += ["    _gl = np.arange(_nt, dtype=np.uint32)",
+                    "    _tid = _gl % np.uint32(_bd)",
+                    "    _ctaid = _gl // np.uint32(_bd)"]
+        if self.need_ntid:
+            pro.append("    _ntid = np.uint32(_bd)")
+        if self.need_G:
+            pro.append("    _G = np.arange(_nt, dtype=np.int64)")
+        for dname, var in self._views.items():
+            pro.append(f"    {var} = _V[{dname!r}]")
+        for pname, var in self._iparams.items():
+            pro.append(f"    {var} = int(_P[{pname!r}])")
+        for expr, var in self._scalars.items():
+            pro.append(f"    {var} = {expr}")
+        pro += ["    _m = None", "    _pre = True"]
+        return pro
+
+    # -- operands --------------------------------------------------------
+
+    def _sym_of(self, op, t: PTXType):
+        """The symbolic value of operand ``op`` read as type ``t`` (a
+        named register's local name)."""
         if isinstance(op, Register):
-            name = _regname(op)
-            if name not in self.defined:
+            if op.key in self._rebound:
+                s = _regname(op)
+                s = s if s in self.defined else None
+            else:
+                s = self.sym.get(op.key)
+            if s is None:
                 # once slots are reused this would read a stale value
                 # where the unallocated body raised a NameError
                 raise JITCompileError(
                     f"kernel {self.parsed.name!r}: {op.name} is read "
                     f"before any instruction defines it")
-            return name
-        if isinstance(op, Immediate):
-            t = op.type if op.type != PTXType.PRED else itype
-            return f"{_NP_DTYPE[t]}({op.value!r})"
+            return s
         if isinstance(op, Special):
-            return {"tid": "_tid", "ntid": "_ntid", "ctaid": "_ctaid"}[op.which]
+            return _Spec(op.which)
+        if isinstance(op, Immediate):
+            if op.type != PTXType.PRED:
+                t = op.type
+            if t.is_float:
+                return _FImm(t, repr(float(op.value)))
+            v = int(op.value)
+            return _lin(0, str(v), v, v)
         raise JITCompileError(f"bad operand {op!r}")
 
-    def _view(self, t: PTXType) -> str:
-        """The expression naming the device-memory view of type ``t``."""
-        return f"_V[{NUMPY_DTYPES[t]!r}]"
+    def _operand(self, op, itype: PTXType) -> str:
+        """The Python expression reading operand ``op``."""
+        return self._mat(self._sym_of(op, itype), itype)
+
+    def _gmul(self, a: int, gbase: str = "_G") -> str:
+        """The shared ``gid-vector * a`` product (CSE'd per kernel)."""
+        return gbase if a == 1 else self._shared(f"{gbase} * {a}")
+
+    def _mat(self, sym, t: PTXType) -> str:
+        """Materialize a symbolic value as an expression of type ``t``."""
+        if isinstance(sym, str):
+            return sym
+        if isinstance(sym, _FImm):
+            return self._const(sym.type, sym.tok)
+        if isinstance(sym, _Spec):
+            if sym.which == "ntid":
+                self.need_ntid = True
+                return "_ntid"
+            self.need_gl = True
+            return "_" + sym.which
+        if isinstance(sym, _Lin) and sym.a == 0:
+            b = sym.b
+            if t.is_int and not _fits(sym.lo, sym.hi, t):
+                b = _wrap_scalar(b, t)[0]     # what the register holds
+            if _is_lit(b):
+                return self._const(t, b)
+            return self._shared(f"{_NP_DTYPE[t]}({self._scalar(b)})")
+        if isinstance(sym, _Lin):
+            self.need_G = True
+            core = self._gmul(sym.a)
+        else:
+            core = sym.base if sym.a == 1 else f"({sym.base} * {sym.a})"
+        expr = core if sym.b == "0" else f"({core} + {self._scalar(sym.b)})"
+        if t != PTXType.S64:
+            expr = f"{expr}.astype({_NP_DTYPE[t]})"
+        return self._shared(expr)
 
     def _assign(self, inst: Instruction, expr: str, em: str | None = None) -> None:
-        """Assign ``expr`` to the destination, honoring the guard
-        (``em``: the effective mask, when the caller already emitted it)."""
+        """Assign pure ``expr`` to the destination.  A single-definition
+        register binds it — shared, unless it reads a named local, whose
+        value may change — and a named one is rebound, honoring the
+        guard (``em``: the effective mask, when the caller already
+        emitted it)."""
+        if not self._named(inst.dst):
+            if self._reads_named(inst):
+                self._bind(inst, expr)
+            else:
+                self.sym[inst.dst.key] = self._shared(expr)
+            return
         dst = _regname(inst.dst)
         if inst.guard is not None:
             em = em or self._effective_mask(inst)
@@ -516,27 +818,121 @@ class _Translator:
         self.emit(f"{dst} = {expr}")
         self.defined[dst] = inst.dst
 
-    def _prologue(self) -> list[str]:
-        """The lines between the ``def`` and the translated body."""
-        return [
-            "    _nt = _gd * _bd",
-            "    _gl = np.arange(_nt, dtype=np.uint32)",
-            "    _tid = _gl % np.uint32(_bd)",
-            "    _ctaid = _gl // np.uint32(_bd)",
-            "    _ntid = np.uint32(_bd)",
-            "    _m = None",
-            "    _pre = True",
-        ]
+    # -- integer folding -------------------------------------------------
 
-    def _lane_vectors(self) -> list[str]:
-        """The prologue's per-lane locals a retirement must shorten."""
-        return ["_tid", "_ctaid"]
+    def _fold_int(self, inst: Instruction) -> bool:
+        """Try to fold an integer arithmetic op symbolically; returns
+        True when the destination got a :class:`_Lin` binding."""
+        op = "fma" if inst.opcode == "mad.lo" else inst.opcode
+        syms = [self._sym_of(s, inst.type) for s in inst.srcs]
+        if op == "fma" and all(isinstance(s, _Spec) for s in syms) and \
+                tuple(s.which for s in syms) == ("ctaid", "ntid", "tid"):
+            # the canonical global-thread-id computation
+            self.sym[inst.dst.key] = _GID
+            return True
+        if not all(isinstance(s, (_Lin, _VLin)) for s in syms):
+            return False
+        out = None
+        if op == "add":
+            out = _lin_add(*syms)
+        elif op == "sub":
+            x, y = syms
+            out = _lin_add(x, _lin_neg(y))
+        elif op in ("mul", "mul.lo"):
+            out = _lin_mul(*syms)
+        elif op == "fma":
+            x, y, z = syms
+            prod = _lin_mul(x, y)
+            out = _lin_add(prod, z) if prod is not None else None
+        elif op == "shl":
+            x, y = syms
+            if isinstance(y, _Lin) and y.a == 0 and _is_lit(y.b) \
+                    and 0 <= int(y.b) <= 62:
+                k = 1 << int(y.b)
+                out = _lin_mul(x, _Lin(0, str(k), k, k))
+        elif op == "neg":
+            out = _lin_neg(syms[0])
+        if out is None:
+            return False
+        self.sym[inst.dst.key] = out
+        return True
 
-    def _vector_locals(self) -> list[str]:
-        """Every local defined so far that may hold one value per lane."""
-        return [name for name, reg in self.defined.items()
-                if reg.key not in self._uniform
-                and reg.key not in self._deferred]
+    def _fold_cvt(self, inst: Instruction) -> bool:
+        """Integer -> integer ``cvt`` of an address-chain value passes
+        through symbolically.  Same-width and narrowing conversions
+        are the identity on a form (it stands for its register modulo
+        the width); a *widening* one shows the source width, so a form
+        not proven to lie in the source type's range first takes the
+        value the source register holds."""
+        if not inst.src_type.is_int:
+            return False
+        src = inst.src_type
+        sym = self._sym_of(inst.srcs[0], src)
+        if isinstance(sym, _Lin) and inst.type.nbytes > src.nbytes:
+            span = sym.a * _GID_MAX
+            if not _fits(sym.lo + min(span, 0), sym.hi + max(span, 0), src):
+                sym = (_Lin(0, *_wrap_scalar(sym.b, src)) if sym.a == 0
+                       else self._mat(sym, src))
+        if isinstance(sym, _Lin) or \
+                (isinstance(sym, _VLin) and inst.type.nbytes == 8):
+            self.sym[inst.dst.key] = sym
+            return True
+        if isinstance(sym, str) and inst.type.nbytes == 8:
+            # widen a loaded index vector once; later address
+            # arithmetic folds onto it (shift/subset tables)
+            base = self._shared(f"np.asarray({sym}).astype(np.int64)")
+            self.sym[inst.dst.key] = _VLin(base, 1, "0", 0, 0)
+            return True
+        return False
+
+    # -- global memory ---------------------------------------------------
+
+    def _access(self, kind: str, inst: Instruction, addr, sh: int,
+                tail: str) -> str:
+        """The call performing a global access (``tail``: the mask,
+        behind a stored value).  An unguarded ``gid*width + b`` is the
+        coalesced shape: a block copy through ``_ldc`` / ``_stc`` with
+        ``b`` as the uniform half.  Otherwise the byte->word shift
+        folds through a form whose coefficient the width divides (one
+        fancy index, ``_gv``/``_pv``; a launch-uniform word,
+        ``_gs``/``_ps``), and any other address is formed."""
+        view = self._view(inst.type)
+        sym = self._sym_of(addr, PTXType.U64)
+        ci = ALIGNMENT >> sh        # the word inactive lanes read
+        if isinstance(sym, _Lin) and sym.a == 0:
+            helper = "_gs" if kind == "ld" else "_ps"
+            call = f"({view}, {self._word(sym.b, sh)}, {tail}, {ci})"
+        elif isinstance(sym, _Lin) and sym.a == inst.type.nbytes \
+                and inst.guard is None:
+            self.need_G = True
+            helper = f"_{kind}c"
+            call = (f"({view}, {self._scalar(sym.b)}, {self._gmul(sym.a)}, "
+                    f"{sh}, {tail}, _pre)")
+        elif isinstance(sym, (_Lin, _VLin)) and sym.a > 0 \
+                and sym.a % (1 << sh) == 0:
+            if isinstance(sym, _Lin):
+                self.need_G = True
+                gb = self._gmul(sym.a >> sh)
+            else:
+                gb = self._gmul(sym.a >> sh, sym.base)
+            s = self._word(sym.b, sh)
+            helper = "_gv" if kind == "ld" else "_pv"
+            call = (f"({view}, {gb}, {s}, {tail}, {ci})" if kind == "ld"
+                    else f"({view}, {gb}, {s}, {tail})")
+        else:
+            helper = f"_{kind}"
+            call = f"({view}, {self._mat(sym, PTXType.U64)}, {sh}, {tail})"
+        self.accesses[self.pos] = helper
+        return helper + call
+
+    def _shift(self, inst: Instruction) -> int:
+        """log2 of the word size of a global access."""
+        sh = _SHIFT.get(inst.type.nbytes)
+        if sh is None:
+            raise JITCompileError(
+                f"kernel {self.parsed.name!r}: '{inst.render()}' — there "
+                f"is no device view of type .{inst.type.value}")
+        return sh
 
     # -- mask handling -------------------------------------------------
 
@@ -552,14 +948,18 @@ class _Translator:
         self.emit(f"_em = _mand(_m, {self._guard(inst)})")
         return "_em"
 
+    # -- the instruction walk ---------------------------------------------
+
     def translate(self) -> str:
         for lbl in self.labels:
             self.emit(f"_pend_{lbl[1:]} = None")
         for self.pos, inst in enumerate(self.parsed.instructions):
             self._translate_inst(inst)
         if self._retire_at is not None:
+            # with the prologue's lane vectors, known only now
             at, names = self._retire_at
-            names = names + self._lane_vectors()
+            names = (names + ["_tid", "_ctaid"] * self.need_gl
+                     + ["_G"] * self.need_G)
             self.lines[at] = (
                 f"        {', '.join(['_nt', '_pre'] + names)} = "
                 f"_retire({', '.join(['_x'] + names)})")
@@ -567,28 +967,6 @@ class _Translator:
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
         return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
-
-    def _access(self, kind: str, inst: Instruction, addr, sh: int,
-                tail: str) -> str:
-        """The call performing a global access: through the two halves
-        of an unformed coalesced address, else through the address."""
-        view = self._view(inst.type)
-        parts = self._deferred.get(addr.key) \
-            if isinstance(addr, Register) else None
-        if parts is None:
-            return (f"_{kind}({view}, {self._operand(addr, PTXType.U64)}, "
-                    f"{sh}, {tail})")
-        self.coalesced.append(self.pos)
-        return f"_{kind}c({view}, {parts[0]}, {parts[1]}, {sh}, {tail}, _pre)"
-
-    def _shift(self, inst: Instruction) -> int:
-        """log2 of the word size of a global access."""
-        sh = _SHIFT.get(inst.type.nbytes)
-        if sh is None:
-            raise JITCompileError(
-                f"kernel {self.parsed.name!r}: '{inst.render()}' — there "
-                f"is no device view of type .{inst.type.value}")
-        return sh
 
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
@@ -598,7 +976,9 @@ class _Translator:
                 # so the label and the ret have nothing left to do
                 self.emit(f"_x = {self._guard(inst)}")
                 self.emit("if _x.any():")
-                self._retire_at = (len(self.lines), self._vector_locals())
+                # every local so far that may hold one value per lane
+                names = [f"_v{k}" for k in range(1, self._n + 1)]
+                self._retire_at = (len(self.lines), names + list(self.defined))
                 self.emit("    <retire>")
                 self.emit("    if _nt == 0: return None")
             return
@@ -641,15 +1021,24 @@ class _Translator:
             pname = pref.pname
             if not any(q.name == pname for q in self.parsed.params):
                 raise JITCompileError(f"ld.param of unknown param {pname!r}")
-            self._assign(inst, f"{_NP_DTYPE[inst.type]}(_P[{pname!r}])")
+            if pname in self.int_params and not self._named(inst.dst):
+                # pointers and integer scalars are launch-uniform ints
+                self.sym[inst.dst.key] = _lin(0, self._iparam(pname),
+                                              *self.int_params[pname])
+            else:
+                self._assign(inst, f"{_NP_DTYPE[inst.type]}(_P[{pname!r}])")
             return
         if op == "ld.global":
             (addr,) = inst.srcs
             sh = self._shift(inst)
             em = self._effective_mask(inst)
-            # guarded-off lanes keep the old value (via _assign), not
-            # the word _ld read from the safe address
-            self._assign(inst, self._access("ld", inst, addr, sh, em), em)
+            call = self._access("ld", inst, addr, sh, em)
+            if self._named(inst.dst):
+                # guarded-off lanes keep the old value (via _assign),
+                # not the word _ld read from the safe address
+                self._assign(inst, call, em)
+            else:
+                self._bind(inst, call)
             return
         if op == "st.global":
             addr, val = inst.srcs
@@ -658,13 +1047,13 @@ class _Translator:
             self.emit(self._access("st", inst, addr, sh,
                                    f"{v}, {self._effective_mask(inst)}"))
             return
-        if op == "add":
-            parts = self._coalescable(inst)
-            if parts is not None:
-                # never formed: its accesses take the two halves
-                u, s = (self._operand(x, PTXType.U64) for x in parts)
-                self._deferred[inst.dst.key] = (u, s)
-                self.defined[_regname(inst.dst)] = inst.dst
+        if not (self._named(inst.dst) or self._reads_named(inst)):
+            if op == "mov":
+                self.sym[inst.dst.key] = self._sym_of(inst.srcs[0], inst.type)
+                return
+            if inst.type.is_int and (
+                    (op == "cvt" and self._fold_cvt(inst))
+                    or (op in _FOLDABLE and self._fold_int(inst))):
                 return
         if op == "mov":
             (src,) = inst.srcs
@@ -719,9 +1108,10 @@ class _Translator:
 
 
 def build_sim_kernel(parsed: ParsedKernel):
-    """The reference (``sim``) callable for a parsed kernel."""
-    source = _Translator(parsed).translate()
-    namespace = dict(_RUNTIME)
+    """The callable for a parsed kernel (every dispatch name's)."""
+    gen = _Translator(parsed)
+    source = gen.translate()
+    namespace = {**_RUNTIME, **gen.consts}
     exec(compile(source, f"<ptxjit:{parsed.name}>", "exec"), namespace)
     return namespace[f"_kernel_{parsed.name}"]
 

@@ -1,11 +1,9 @@
-"""The LLVM backend (paper Sec. XI, Future Work): a compiled CPU
-work-item target — the ``cpu`` row of the backend build table — that
-walks the driver's parsed PTX instruction stream."""
+"""The ``cpu`` dispatch name of the backend build table (paper
+Sec. XI): the driver JIT's one generator under a second name."""
 
-from .cputarget import TranspileError, code_cache_stats, compile_cpu_kernel
+from .cputarget import code_cache_stats, compile_cpu_kernel
 
 __all__ = [
-    "TranspileError",
     "code_cache_stats",
     "compile_cpu_kernel",
 ]

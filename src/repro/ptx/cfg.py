@@ -57,13 +57,6 @@ class CFG:
     def entry(self) -> int:
         return 0
 
-    def block_of(self, inst_index: int) -> int:
-        """The block containing instruction ``inst_index``."""
-        for b in self.blocks:
-            if b.start <= inst_index < b.stop:
-                return b.index
-        raise IndexError(f"instruction {inst_index} not in any block")
-
     def reachable(self) -> set[int]:
         """Blocks reachable from the entry."""
         return set(self.rpo())

@@ -7,9 +7,11 @@ copy — when no mask is live, the surviving lanes are exactly gids
 takes the literal gather/scatter path, which a kernel outside the
 canonical shape (here: one extra label, so the mask machinery runs and
 the launch's spare threads keep a mask live) still reaches for every
-access.  Each case runs under both visitors and is compared bitwise
-with that literal path.
+access.  Each case runs under both dispatch names and is compared
+bitwise with that literal path.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -17,15 +19,14 @@ import pytest
 from repro.driver import jitcompiler
 from repro.driver.jitcompiler import _Translator, build_sim_kernel
 from repro.driver.parser import parse_ptx
-from repro.llvm import TranspileError, compile_cpu_kernel
-from repro.llvm.cputarget import _CpuTranslator
+from repro.llvm import compile_cpu_kernel
 from repro.memory.pool import DevicePool
+from repro.ptx.isa import Register
 
 from .test_op_table import _VIEWS, _kernel
 
 BUILD = {"sim": lambda text: build_sim_kernel(parse_ptx(text)),
          "cpu": compile_cpu_kernel}
-VISITORS = {"sim": _Translator, "cpu": _CpuTranslator}
 BACKENDS = list(BUILD)
 
 #: out[g] = x[g] * y[g] + z[g]: four coalescable accesses
@@ -43,10 +44,15 @@ def _masked(text):
     return text.replace("$EXIT:\n", "$PAD:\n$EXIT:\n")
 
 
-def _accesses(backend, text):
-    """``{instruction text: coalesced?}`` for the global accesses."""
-    t = VISITORS[backend](parse_ptx(text))
+def _translated(text):
+    t = _Translator(parse_ptx(text))
     t.translate()
+    return t
+
+
+def _accesses(text):
+    """``{instruction text: coalesced?}`` for the global accesses."""
+    t = _translated(text)
     insts = t.parsed.instructions
     return {i.render(): pos in t.coalesced for pos, i in enumerate(insts)
             if i.opcode in ("ld.global", "st.global")}
@@ -101,7 +107,7 @@ class TestExactness:
     def test_prefix_survivors_take_the_block_path(self, backend,
                                                   literal_calls):
         text = _kernel("co_axpy", AXPY)
-        assert all(_accesses(backend, text).values())
+        assert all(_accesses(text).values())
         got = _launch(backend, text, n=100, grid=1, block=128)
         assert literal_calls == []
         ref = _launch(backend, _masked(text), n=100, grid=1, block=128)
@@ -118,7 +124,7 @@ class TestExactness:
                  "st.global.f64 [%ru5], %fd21;",
                  "st.global.f64 [%ru8], %fd20;"]
         text = _kernel("co_copy", lines)
-        assert all(_accesses(backend, text).values())
+        assert all(_accesses(text).values())
         got = _launch(backend, text, n=12, grid=1, block=16)
         assert _same(got, _launch(backend, _masked(text), n=12, grid=1,
                                   block=16))
@@ -132,7 +138,7 @@ class TestExactness:
         text = _kernel("co_odd", AXPY).replace(
             "    setp.ge.s32 %p0, %r1, %r0;\n",
             "    and.s32 %r2, %r1, 1;\n    setp.eq.s32 %p0, %r2, 1;\n")
-        assert all(_accesses(backend, text).values())
+        assert all(_accesses(text).values())
         got = _launch(backend, text, n=0, grid=2, block=16)
         assert literal_calls.count("_ld") == 3 \
             and literal_calls.count("_st") == 1
@@ -162,14 +168,14 @@ class TestExactness:
 
     def test_a_uniform_half_the_cpu_fold_does_not_follow(self, backend,
                                                          literal_calls):
-        """``and`` is not a ring operation, so ``cpu`` materializes the
-        base; the address is still left unformed, by the shared
-        recogniser."""
+        """``and`` is not a ring operation, so the fold stops there: the
+        base is materialized, the address formed and the store takes
+        the literal path — to the same bytes."""
         lines = AXPY[:-1] + ["and.u64 %ru20, %ru3, 18446744073709551615;",
                              "add.u64 %ru21, %ru4, %ru20;",
                              "st.global.f64 [%ru21], %fd23;"]
         text = _kernel("co_and", lines)
-        assert _accesses(backend, text)["st.global.f64 [%ru21], %fd23;"]
+        assert _accesses(text)["st.global.f64 [%ru21], %fd23;"] is False
         got = _launch(backend, text, n=10, grid=1, block=16)
         assert literal_calls == []
         assert _same(got, _launch(backend, _masked(text), n=10, grid=1,
@@ -188,20 +194,12 @@ class TestExactness:
 
 
 class TestNotCoalesced:
-    """The recogniser declines; ``sim`` then forms the address."""
+    """The fold declines a block copy; the access is then a gather or
+    scatter."""
 
     def _flags(self, name, lines):
         text = _kernel(name, lines)
-        return _accesses("sim", text), text
-
-    def test_an_address_with_one_other_use(self):
-        flags, text = self._flags("no_use", AXPY + [
-            "add.u64 %ru20, %ru8, 8;"])
-        assert flags.pop("st.global.f64 [%ru8], %fd23;") is False
-        assert all(flags.values())
-        t = _Translator(parse_ptx(text))
-        t.translate()
-        assert any(ln.strip().startswith("Rru8 = ") for ln in t.lines)
+        return _accesses(text), text
 
     def test_a_guarded_access(self):
         flags, _ = self._flags("no_guard", [
@@ -221,21 +219,15 @@ class TestNotCoalesced:
         assert flags == {"ld.global.u32 %u20, [%ru5];": False,
                          "st.global.u64 [%ru8], %ru20;": True}
 
-    def test_one_address_for_two_widths(self):
-        flags, _ = self._flags("no_widths", [
-            "ld.global.f64 %fd20, [%ru5];",
-            "ld.global.f32 %f20, [%ru5];",
-            "st.global.f64 [%ru8], %fd20;"])
-        assert flags["ld.global.f64 %fd20, [%ru5];"] is False
-
     def test_a_register_assigned_twice(self):
         for twice in ("add.u64 %ru8, %ru3, %ru4;",     # the address
                       "mov.u64 %ru3, %ru2;",           # its uniform half
                       "cvt.u64.s64 %ru4, %rd1;"):      # its stride half
             flags, text = self._flags("no_twice", [twice] + AXPY)
             assert flags["st.global.f64 [%ru8], %fd23;"] is False
-            with pytest.raises(TranspileError, match="assigned twice"):
-                compile_cpu_kernel(text)
+            assert _same(_launch("sim", text, n=9, grid=1, block=16),
+                         _launch("sim", _masked(text), n=9, grid=1,
+                                 block=16))
 
     def test_a_stride_that_could_wrap(self):
         """``gid * 2**30`` leaves ``u32`` within the launch bound: not
@@ -250,11 +242,42 @@ class TestNotCoalesced:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_declined_accesses_still_run_bitwise_equal(self, backend):
-        lines = AXPY + ["add.u64 %ru20, %ru8, 8;",
-                        "st.global.u64 [%ru7], %ru20;"]
+        lines = ["ld.global.f64 %fd20, [%ru5];",
+                 "ld.global.f32 %f20, [%ru6];",
+                 "cvt.f64.f32 %fd21, %f20;",
+                 "add.f64 %fd22, %fd20, %fd21;",
+                 "setp.gt.f64 %p1, %fd20, 0.0;",
+                 "@%p1 st.global.f64 [%ru8], %fd22;"]
         text = _kernel("no_use_run", lines)
+        assert list(_accesses(text).values()) == [True, False, False]
         assert _same(_launch(backend, text, n=9, grid=1, block=16),
                      _launch(backend, _masked(text), n=9, grid=1, block=16))
+
+
+class TestCoalescedAnyway:
+    """Shapes the fold coalesces that a recogniser of unformed
+    addresses had to decline."""
+
+    def test_an_address_with_one_other_use(self):
+        """The other use gets its own value; the access still needs
+        none."""
+        text = _kernel("co_use", AXPY + ["add.u64 %ru20, %ru8, 8;",
+                                         "st.global.u64 [%ru7], %ru20;"])
+        flags = _accesses(text)
+        assert flags.pop("st.global.u64 [%ru7], %ru20;") is True
+        assert all(flags.values())
+        assert not any(ln.strip().startswith("R")
+                       for ln in _translated(text).lines)
+
+    def test_one_address_for_two_widths(self):
+        """Each access is judged by its own width: a 4-byte load at an
+        8-byte stride is a gather."""
+        text = _kernel("co_widths", ["ld.global.f64 %fd20, [%ru5];",
+                                     "ld.global.f32 %f20, [%ru5];",
+                                     "st.global.f64 [%ru8], %fd20;"])
+        assert _accesses(text) == {"ld.global.f64 %fd20, [%ru5];": True,
+                                   "ld.global.f32 %f20, [%ru5];": False,
+                                   "st.global.f64 [%ru8], %fd20;": True}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -310,32 +333,78 @@ def _generated_kernels(monkeypatch):
     return entries
 
 
+def _pointer_of(parsed, addr):
+    """The pointer parameters an address register is computed from —
+    following its definitions, not through a load (a table read's own
+    address is another access)."""
+    defs = {i.dst.key: i for i in parsed.instructions if i.dst is not None}
+    pointers = {p.name for p in parsed.params if p.is_pointer}
+    found, todo, seen = set(), [addr], set()
+    while todo:
+        reg = todo.pop()
+        if reg.key in seen:
+            continue
+        seen.add(reg.key)
+        inst = defs[reg.key]
+        if inst.opcode == "ld.param":
+            found |= {inst.srcs[0].pname} & pointers
+        elif inst.opcode != "ld.global":
+            todo += [s for s in inst.srcs if isinstance(s, Register)]
+    return found
+
+
 def test_recogniser_agrees_with_absint(monkeypatch):
-    """An independent witness: absint's per-access stride under the
-    recorded launch env.  Every access a visitor coalesces must have
-    ``stride_bytes == width`` there; on a kernel that reads no site
-    table (where a unit stride can only come from ``gid`` itself, never
-    from a table's content) the two sets are equal."""
+    """An independent witness: absint's facts per access under the
+    recorded launch env.  Every access the generator coalesces must
+    have ``stride_bytes == width`` there; on a kernel that reads no
+    site table (where a unit stride can only come from ``gid`` itself,
+    never from a table's content) the two sets are equal.  Every access
+    indexed through a folded vector (``_gv``/``_pv``: the table-driven
+    shift and subset accesses) is proven in bounds in the region of
+    the pointer its address is formed from, and every access through a
+    launch-uniform word (``_gs``/``_ps``) is uniform."""
     from repro.ptx.absint import analyze_module
     from repro.ptx.isa import KernelInfo, PTXType
     from repro.ptx.module import PTXModule
 
+    from repro.ptx.absint import KernelEnv, MemRegion
+
     kernels = _generated_kernels(monkeypatch)
     assert len(kernels) >= 30
+    # no generated kernel reads a launch-uniform word: one that does
+    text = _kernel("uniform_word", ["ld.global.f64 %fd20, [%ru0];",
+                                    "ld.global.f64 %fd21, [%ru5];",
+                                    "add.f64 %fd22, %fd20, %fd21;",
+                                    "st.global.f64 [%ru3], %fd22;"])
+    regions = {f"p_{a}": MemRegion(f"p_{a}", 64) for a in "x y z out".split()}
+    kernels.append(("uniform_word", parse_ptx(text),
+                    KernelEnv(scalars={"p_n": 8}, regions=regions)))
     n_equal = 0
+    helpers = collections.Counter()
     for name, parsed, env in kernels:
         module = PTXModule(
             info=KernelInfo(name=parsed.name, params=list(parsed.params)),
             instructions=list(parsed.instructions))
-        unit = {a.pos for a in analyze_module(module, env=env).accesses
-                if a.stride_bytes == a.width}
+        facts = {a.pos: a for a in analyze_module(module, env=env).accesses}
+        unit = {p for p, a in facts.items() if a.stride_bytes == a.width}
         tables = any(i.opcode == "ld.global" and i.type is PTXType.S32
                      for i in parsed.instructions)
-        for visitor in VISITORS.values():
-            t = visitor(parsed)
-            t.translate()
-            assert set(t.coalesced) <= unit, name
-            if not tables:
-                assert set(t.coalesced) == unit, name
-                n_equal += 1
-    assert n_equal >= 30, n_equal    # both visitors, the table-free kernels
+        t = _Translator(parsed)
+        t.translate()
+        assert set(t.coalesced) <= unit, name
+        if not tables:
+            assert set(t.coalesced) == unit, name
+            n_equal += 1
+        for pos, helper in t.accesses.items():
+            helpers[helper] += 1
+            fact = facts[pos]
+            if helper in ("_gv", "_pv"):
+                (pointer,) = _pointer_of(parsed,
+                                         parsed.instructions[pos].srcs[0])
+                assert fact.verdict == "proven", (name, pos)
+                assert fact.region == pointer, (name, pos)
+            elif helper in ("_gs", "_ps"):
+                assert fact.uniform, (name, pos)
+    assert n_equal >= 15, n_equal    # the table-free kernels
+    assert helpers["_gv"] > 0 and helpers["_pv"] > 0, helpers
+    assert helpers["_gs"] > 0 and helpers["_ps"] > 0, helpers

@@ -323,19 +323,26 @@ class TestBackends:
         view = KernelCache()
         view.get_or_compile(_ptx("st_cpu"))
         assert sim.calls == 0 and view.backend.kernels == {"cpu": 1}
-        # a guarded arithmetic op is outside the cpu subset
+        # a guarded arithmetic op is no reason to fall back
         guarded = ("setp.gt.f64 %p1, %fd0, 0.0;\n    " + _DOUBLE
                    + "\n    @%p1 add.f64 %fd2, %fd1, %fd0;")
+        kernel, _ = view.get_or_compile(_ptx("st_guard", body=guarded),
+                                        _env(N))
+        assert kernel.backend == "cpu" and sim.calls == 0
+        # a build that declines falls back, and builds sim then
+        def decline(artifact):
+            raise backends.BackendBuildError("declined")
+
+        cold_store.setitem(backends.BUILDERS, "cpu", decline)
         with pytest.warns(RuntimeWarning, match="falling back to 'sim'"):
-            kernel, _ = view.get_or_compile(_ptx("st_guard", body=guarded),
-                                            _env(N))
+            kernel, _ = view.get_or_compile(_ptx("st_decl"), _env(N))
         assert kernel.backend == "sim" and sim.calls == 1
-        assert view.backend.kernels == {"cpu": 1, "sim": 1}
+        assert view.backend.kernels == {"cpu": 2, "sim": 1}
         # another view: counted again, built (and warned) no more
         other = KernelCache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            other.get_or_compile(_ptx("st_guard", body=guarded), _env(N))
+            other.get_or_compile(_ptx("st_decl"), _env(N))
         assert other.backend.fallbacks == 1 and sim.calls == 1
 
     def test_bare_compile_ptx_result_launches_through_sim(self, cold_store):

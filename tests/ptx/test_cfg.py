@@ -62,11 +62,15 @@ class TestBlocks:
         assert then.successors == [3]  # only the branch target
 
     def test_block_of(self):
+        """The blocks' ``start``/``stop`` tile the instruction list in
+        order: every instruction is in exactly one block."""
         kb = _diamond()
         cfg = build_cfg(kb.instructions)
-        for blk in cfg.blocks:
-            for i in range(blk.start, blk.stop):
-                assert cfg.block_of(i) == blk.index
+        assert [b.index for b in cfg.blocks] == list(range(len(cfg.blocks)))
+        bounds = [(b.start, b.stop) for b in cfg.blocks]
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(kb.instructions)
+        assert all(start < stop for start, stop in bounds)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_loop_back_edge(self):
         cfg = build_cfg(_loop().instructions)
@@ -83,7 +87,7 @@ class TestReachability:
         kb.label("$END")
         kb.ret()
         cfg = build_cfg(kb.instructions)
-        dead = cfg.block_of(1)
+        (dead,) = [b.index for b in cfg.blocks if b.start <= 1 < b.stop]
         assert dead not in cfg.reachable()
 
     def test_rpo_starts_at_entry_ends_at_exit(self):

@@ -4,7 +4,7 @@ The paper measures 0.05-0.22 s per compute kernel through the NVIDIA
 driver JIT, ~200 kernels per trajectory, 10-30 s total — negligible.
 Here we benchmark our driver's *actual* wall-clock for the whole
 driver step of each generated kernel — parse, verify/absint/liveness
-(``compile_ptx``) and the selected backend's build — and report the
+(``compile_ptx``) and the callable's build — and report the
 modeled NVIDIA-driver cost next to it.
 """
 
@@ -68,18 +68,18 @@ def test_jit_compile_overhead(benchmark, generated_kernels):
     header("JIT compilation overhead (per generated kernel)")
     rows = []
     for k in kernels:
-        rows.append((k.name[:24], len(k.parsed.instructions), k.backend,
+        rows.append((k.name[:24], len(k.parsed.instructions),
                      f"{k.compile_seconds * 1e3:.2f} ms",
                      f"{best[k.name] * 1e3:.2f} ms",
                      f"{k.modeled_compile_seconds:.3f} s"))
-    table(rows, ("kernel", "instructions", "backend", "parse+verify (wall)",
+    table(rows, ("kernel", "instructions", "parse+verify (wall)",
                  "whole driver step (wall)", "modeled driver JIT"))
     report(f"paper band: {PAPER_FLOOR_S} - {PAPER_CEILING_S} s per kernel; "
            "~200 kernels => 10-30 s per trajectory, negligible")
     for k in kernels:
         assert 0.04 <= k.modeled_compile_seconds <= 0.30
-        assert k.func is not None and k.backend is not None
-        # the measured driver step, backend build included, stays under
+        assert k.func is not None
+        # the measured driver step, callable build included, stays under
         # the ceiling of what the paper's real driver took
         assert best[k.name] < PAPER_CEILING_S, k.name
 

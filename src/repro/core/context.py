@@ -47,8 +47,8 @@ class ContextStats:
 
     @property
     def backend(self):
-        """Per-backend dispatch counters (``REPRO_BACKEND``): kernels
-        built, compile seconds, launches and sim-fallbacks per backend
+        """The kernel cache's backend accounting: the resolved
+        ``REPRO_BACKEND`` mode and its fallbacks
         (:class:`repro.driver.backends.BackendStats`)."""
         from ..driver.backends import BackendStats
 
@@ -114,7 +114,7 @@ class ModuleEntry:
     """One generated kernel in :attr:`Context.module_cache`."""
 
     module: object      # the PTXModule as built (shared process-wide)
-    compiled: object    # this context's CompiledKernel handle
+    compiled: object    # the store's CompiledKernel
     #: launch env covering every binding seen so far (widened across
     #: launches); what the verifier passes and ``repro.lint`` analyze
     #: the kernel under

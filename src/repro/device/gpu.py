@@ -242,7 +242,7 @@ class Device:
                     args={"bytes": cost.bytes_moved, "nsites": nsites,
                           "block": block_size})
         if self.faults.active:
-            self.faults.note_launch_success(kernel.name, block_size)
+            self.faults.post_launch(kernel.name, block_size)
         return cost
 
     def reduce_f64(self, addr: int, count: int,

@@ -4,7 +4,6 @@ from .cache import CacheStats, KernelCache, clear_kernel_store
 from .jitcompiler import (
     CompiledKernel,
     JITCompileError,
-    KernelArtifact,
     compile_ptx,
     modeled_jit_time,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "CacheStats",
     "CompiledKernel",
     "JITCompileError",
-    "KernelArtifact",
     "KernelCache",
     "ParsedKernel",
     "PTXParseError",

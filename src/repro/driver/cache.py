@@ -2,26 +2,25 @@
 
 The driver JIT analyses each distinct PTX module exactly once per
 *process*: one store maps the text's sha256 to its
-:class:`~repro.driver.jitcompiler.KernelArtifact` (parsed stream,
-register footprint, modeled JIT cost, per-env diagnostics, per-backend
-callables).  The paper measures the translation cost at 0.05-0.22 s
+:class:`~repro.driver.jitcompiler.CompiledKernel` (parsed stream,
+register footprint, modeled JIT cost, per-env diagnostics, the launch
+callable).  The paper measures the translation cost at 0.05-0.22 s
 per kernel and ~200 distinct kernels per HMC trajectory, the same ones
 on every rank — the store is what makes the total overhead the "10-30
 seconds, negligible" of Sec. VIII-D for every context after the first.
 
 A :class:`KernelCache` is one context's (or one server's) *accounting
-view* of the store.  Every counter and every modeled charge follows
-the view's own history: ``get_or_compile`` reports ``was_cached=False``
-the first time *this view* sees a digest whether or not the store
-already holds the artifact, so the modeled JIT clock, ``stats`` and
-``backend`` do not depend on what ran earlier in the process — only
-measured seconds do.
+view* of the store; every view returns the store's one object per
+digest.  Every counter and every modeled charge follows the view's own
+history: ``get_or_compile`` reports ``was_cached=False`` the first
+time *this view* sees a digest whether or not the store already holds
+the kernel, so the modeled JIT clock and ``stats`` do not depend on
+what ran earlier in the process — only measured seconds do.
 
 A view resolves ``REPRO_BACKEND`` once, when it is created; the first
-time it sees a digest it runs the per-kernel dispatch
-(:func:`repro.driver.backends.select_backend`), which builds that
-backend's callable on the artifact if no view has yet.  A hit returns
-the handle as dispatched, without consulting the knob.
+time it sees a digest it runs the dispatch
+(:func:`repro.driver.backends.select_backend`), which builds the
+kernel's callable if no view has yet.
 
 One step earlier, the module table maps a structural key to the
 module generated for it and its text, so a context's module-cache miss
@@ -35,19 +34,18 @@ from dataclasses import dataclass
 
 from ..diagnostics import backend_mode
 from .backends import BackendStats, BuildStats, select_backend
-from .jitcompiler import (CompiledKernel, KernelArtifact, compile_ptx,
-                          verify_artifact)
+from .jitcompiler import CompiledKernel, compile_ptx, verify_kernel
 
-#: PTX sha256 -> artifact, shared by every view in the process
-_STORE: dict[str, KernelArtifact] = {}
+#: PTX sha256 -> kernel, shared by every view in the process
+_STORE: dict[str, CompiledKernel] = {}
 
 #: structural key -> (module, PTX text); a built module is immutable
 _MODULES: dict[str, tuple[object, str]] = {}
 
 
 def clear_kernel_store() -> None:
-    """Forget every artifact and every generated module (tests that
-    need a cold process).  Views keep the handles they already hold."""
+    """Forget every kernel and every generated module (tests that
+    need a cold process).  Views keep the kernels they already hold."""
     _STORE.clear()
     _MODULES.clear()
 
@@ -64,7 +62,7 @@ def generated_module(key: str, generate) -> tuple[object, str]:
 
 @dataclass
 class CacheStats(BuildStats):
-    """One view's lookups; seconds are of the artifacts *it* built."""
+    """One view's lookups; seconds are of the kernels *it* built."""
 
     total_modeled_compile_seconds: float = 0.0
 
@@ -75,8 +73,8 @@ class KernelCache:
     def __init__(self):
         self._kernels: dict[str, CompiledKernel] = {}
         self.stats = CacheStats()
-        #: per-backend dispatch accounting (``ctx.stats.backend``); its
-        #: ``mode`` is this view's backend, read from the knob here only
+        #: backend accounting (``ctx.stats.backend``); its ``mode`` is
+        #: this view's backend, read from the knob here only
         self.backend = BackendStats(mode=backend_mode())
 
     @staticmethod
@@ -88,36 +86,33 @@ class KernelCache:
         """Return ``(kernel, was_cached)`` for the given PTX text.
 
         ``env`` is the launch :class:`~repro.ptx.absint.KernelEnv` the
-        caller will bind; the artifact is verified under it unless it
+        caller will bind; the kernel is verified under it unless it
         already was (by any view).
         """
         key = self.key_for(ptx_text)
         kernel = self._kernels.get(key)
         if kernel is not None:
             self.stats.hits += 1
-            verify_artifact(kernel.artifact, env, replay=False)
+            verify_kernel(kernel, env, replay=False)
             return kernel, True
-        artifact = _STORE.get(key)
-        if artifact is None:
-            kernel = compile_ptx(ptx_text, env)
-            artifact = _STORE[key] = kernel.artifact
-            self.stats.total_compile_seconds += artifact.compile_seconds
+        kernel = _STORE.get(key)
+        if kernel is None:
+            kernel = _STORE[key] = compile_ptx(ptx_text, env)
+            self.stats.total_compile_seconds += kernel.compile_seconds
         else:
-            verify_artifact(artifact, env)
-            kernel = CompiledKernel(artifact)
-        kernel.backend_stats = self.backend
+            verify_kernel(kernel, env)
         select_backend(kernel, self.backend)
         self._kernels[key] = kernel
         self.stats.misses += 1
         self.stats.total_modeled_compile_seconds += (
-            artifact.modeled_compile_seconds)
+            kernel.modeled_compile_seconds)
         return kernel, False
 
     def __len__(self) -> int:
         return len(self._kernels)
 
     def clear(self) -> None:
-        """Forget this view's handles and nothing else: the store keeps
-        the artifacts, so the next lookup is a view miss (counted and
-        charged as one) that builds nothing."""
+        """Forget this view's kernels and nothing else: the store keeps
+        them, so the next lookup is a view miss (counted and charged as
+        one) that builds nothing."""
         self._kernels.clear()

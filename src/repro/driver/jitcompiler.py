@@ -226,16 +226,20 @@ _RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_stc": _stc,
             "_retire": _retire, "_mand": _mand}
 
 
-@dataclass
-class KernelArtifact:
+@dataclass(eq=False)
+class CompiledKernel:
     """Everything the process knows about one PTX program.
 
     Built once per distinct PTX text by :func:`compile_ptx` and kept in
-    the process-wide kernel store (:mod:`repro.driver.cache`): the
-    re-parsed instruction stream (the one that executes), the
-    liveness-based register footprint, the modeled driver-JIT cost,
-    the static-analysis diagnostics per launch env it was checked
-    under, and one lazily built callable per execution backend.
+    the process-wide kernel store (:mod:`repro.driver.cache`), which
+    hands this one object to every view: the re-parsed instruction
+    stream (the one that executes), the liveness-based register
+    footprint, the modeled driver-JIT cost, the static-analysis
+    diagnostics per launch env it was checked under, and the launch
+    callable, built on first dispatch
+    (:func:`repro.driver.backends.select_backend`) or, for a kernel no
+    cache has dispatched (a bare :func:`compile_ptx` result), on its
+    first launch.
     """
 
     name: str
@@ -245,51 +249,14 @@ class KernelArtifact:
     compile_seconds: float = 0.0     # measured: parse + analysis
     modeled_compile_seconds: float = 0.0   # the modeled NVIDIA-driver JIT
     #: env key -> diagnostics of the passes run under that launch env
-    #: (empty for an artifact built under ``REPRO_VERIFY=off``)
+    #: (empty for a kernel built under ``REPRO_VERIFY=off``)
     checked: dict = field(default_factory=dict)
-    #: backend name -> launchable callable, built on first dispatch
-    callables: dict = field(default_factory=dict)
-    #: failed backend builds: backend name -> unsupported construct
-    build_errors: dict = field(default_factory=dict)
-
-
-class CompiledKernel:
-    """One kernel cache's launch handle on a :class:`KernelArtifact`.
-
-    Holds what is per view: the backend the view dispatched the kernel
-    to (:func:`repro.driver.backends.select_backend`), its callable,
-    and the view's launch accounting.  ``name`` and ``regs_per_thread``
-    are copied so the launch path reads them off the handle.  A handle
-    no cache has dispatched (a bare :func:`compile_ptx` result) runs
-    the ``sim`` build, made on its first launch.
-    """
-
-    def __init__(self, artifact: KernelArtifact):
-        self.artifact = artifact
-        self.name = artifact.name
-        self.regs_per_thread = artifact.regs_per_thread
-        #: the backend a launch dispatches to (set by the dispatch)
-        self.backend: str | None = None
-        self.func = self._launch_sim
-        #: per-backend launch accounting, shared with the owning cache
-        self.backend_stats = None
-
-    parsed = property(lambda self: self.artifact.parsed)
-    ptx_text = property(lambda self: self.artifact.ptx_text)
-    compile_seconds = property(lambda self: self.artifact.compile_seconds)
-    modeled_compile_seconds = property(
-        lambda self: self.artifact.modeled_compile_seconds)
-
-    def _launch_sim(self, views, params, grid_dim, block_dim):
-        art = self.artifact
-        if "sim" not in art.callables:
-            art.callables["sim"] = build_sim_kernel(art.parsed)
-        self.backend, self.func = "sim", art.callables["sim"]
-        self.func(views, params, grid_dim, block_dim)
+    #: ``(views, params, grid_dim, block_dim)`` -> None
+    func: object = None
 
     def __call__(self, views, params, grid_dim, block_dim):
-        if self.backend_stats is not None:
-            self.backend_stats.note_launch(self.backend)
+        if self.func is None:
+            self.func = build_sim_kernel(self.parsed)
         self.func(views, params, grid_dim, block_dim)
 
 
@@ -1125,7 +1092,7 @@ def _env_key(env):
             tuple(sorted(env.regions.items())))
 
 
-def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
+def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
     """The JIT's one verification point, memoised per launch env.
 
     Every PTX program entering the JIT — generated or hand-written —
@@ -1143,10 +1110,10 @@ def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
     if mode == "off":
         return None
     key = _env_key(env)
-    diagnostics = artifact.checked.get(key)
+    diagnostics = kernel.checked.get(key)
     analysis = None
     if diagnostics is None:
-        parsed = artifact.parsed
+        parsed = kernel.parsed
         module = PTXModule(
             info=KernelInfo(name=parsed.name, params=list(parsed.params)),
             instructions=list(parsed.instructions))
@@ -1155,7 +1122,7 @@ def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
         analysis = analyze_module(module, env=env, cfg=cfg)
         diagnostics = run_passes(module, env=env, analysis=analysis,
                                  cfg=cfg)
-        artifact.checked[key] = diagnostics
+        kernel.checked[key] = diagnostics
     errs = errors(diagnostics)
     fatal = mode == "error" and errs
     if replay or analysis is not None:
@@ -1169,7 +1136,7 @@ def verify_artifact(artifact: KernelArtifact, env=None, replay: bool = True):
                       stacklevel=4)
     if fatal:
         raise JITCompileError(
-            f"static verification of kernel {artifact.name!r} failed:\n"
+            f"static verification of kernel {kernel.name!r} failed:\n"
             + "\n".join(d.render() for d in errs))
     return analysis
 
@@ -1180,8 +1147,8 @@ def compile_ptx(ptx_text: str, env=None) -> CompiledKernel:
     Parses the text, verifies the parsed stream once under the
     caller's launch ``env`` (a :class:`~repro.ptx.absint.KernelEnv`;
     gated by ``REPRO_VERIFY``) and sizes the register footprint from
-    that one analysis.  No backend callable is built here — the
-    kernel cache's dispatch builds the selected one.  Raises
+    that one analysis.  The launch callable is not built here — the
+    kernel cache's dispatch builds it.  Raises
     :class:`JITCompileError` on malformed or rejected input.
     """
     t0 = time.perf_counter()
@@ -1189,16 +1156,16 @@ def compile_ptx(ptx_text: str, env=None) -> CompiledKernel:
         parsed = parse_ptx(ptx_text)
     except PTXParseError as exc:
         raise JITCompileError(f"parse error: {exc}") from exc
-    artifact = KernelArtifact(
+    kernel = CompiledKernel(
         name=parsed.name, ptx_text=ptx_text, parsed=parsed,
         modeled_compile_seconds=modeled_jit_time(len(parsed.instructions)))
-    analysis = verify_artifact(artifact, env)
+    analysis = verify_kernel(kernel, env)
     # The real driver JIT performs register allocation; the SSA-style
     # .reg declarations wildly overstate pressure.  Use liveness,
     # capped at the Kepler per-thread hardware maximum of 255 — beyond
     # that a real compiler spills to local memory rather than failing.
     live = (analysis.max_live_regs if analysis is not None
             else max_live_registers(parsed.instructions))
-    artifact.regs_per_thread = max(min(live, 255), 8)
-    artifact.compile_seconds = time.perf_counter() - t0
-    return CompiledKernel(artifact)
+    kernel.regs_per_thread = max(min(live, 255), 8)
+    kernel.compile_seconds = time.perf_counter() - t0
+    return kernel

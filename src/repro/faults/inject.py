@@ -112,7 +112,7 @@ class FaultInjector:
 
         Sticky failures raise :class:`LaunchError` immediately (every
         time — the auto-tuner's halving series is the recovery, and
-        :meth:`note_launch_success` closes the event once it settles).
+        :meth:`post_launch` closes the event once it settles).
         Transient failures are retried here with exponential backoff
         until a retry draws clean, raising only when the retry budget
         is exhausted.
@@ -153,7 +153,7 @@ class FaultInjector:
         for ev in chain[:-1]:
             self.plan.record_recovery(ev, action)
 
-    def note_launch_success(self, name: str, block_size: int) -> None:
+    def post_launch(self, name: str, block_size: int) -> None:
         """A launch of ``name`` succeeded at ``block_size``: the
         halving series has recovered this kernel's sticky failures."""
         for (kname, _bs), ev in self._sticky_events.items():

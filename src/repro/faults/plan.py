@@ -57,7 +57,6 @@ and ``<glob>`` restricts the spec to matching kernel names / tags.
 from __future__ import annotations
 
 import fnmatch
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -427,10 +426,9 @@ def active_plan() -> FaultPlan | None:
     try:
         return parse_plan(mode)
     except FaultPlanError as e:
-        raw = os.environ.get("REPRO_FAULTS", mode)
-        if raw not in _warned_bad_specs:
-            _warned_bad_specs.add(raw)
+        if mode not in _warned_bad_specs:
+            _warned_bad_specs.add(mode)
             warnings.warn(
-                f"ignoring unparsable REPRO_FAULTS plan {raw!r}: {e}; "
+                f"ignoring unparsable REPRO_FAULTS plan {mode!r}: {e}; "
                 f"faults are off", RuntimeWarning, stacklevel=3)
         return None

@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 12)::
+JSON schema (``schema_version`` 13)::
 
     {
-      "schema_version": 12,
+      "schema_version": 13,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -89,11 +89,6 @@ JSON schema (``schema_version`` 12)::
       },
       "backend": {                     # execution backends (REPRO_BACKEND)
         "mode": str,                   # resolved knob value ("sim"/"cpu")
-        "kernels": {str: int},         # backend -> kernels built for it
-        "compile_seconds": {str: float},
-        "launches": {str: int},        # backend -> launches through it
-        "fallbacks": int,              # non-sim builds that degraded
-        "fallback_kernels": {str: str},# kernel -> unsupported construct
         "wall_s_by_family": {str: float}  # measured host wall-clock per
                                        # kernel family (eval/fus/red/...)
       },
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 12; see module docstring)")
+                             "(schema_version 13; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -360,7 +355,7 @@ def main(argv=None) -> int:
 
     worst = max_severity(found)
     failed = worst is not None and worst >= Severity.ERROR
-    be = ctx.stats.backend
+    mode = ctx.stats.backend.mode
     wall_by_family = _wall_by_family(ctx.device.stats.per_kernel_wall_s)
     timeline = ctx.device.runtime.timeline
     cache = ctx.field_cache.stats
@@ -387,15 +382,7 @@ def main(argv=None) -> int:
               f"{fc.solver_restarts} solver restart(s)")
         print("\n-- IR " + "-" * 48)
         print(f"  {ctx.stats.modules_verified} module(s) SSA-verified")
-        print(f"\n-- backends (REPRO_BACKEND={be.mode}) " + "-" * 26)
-        for name in sorted(set(be.kernels) | set(be.launches)):
-            print(f"  {name}: {be.kernels.get(name, 0)} kernel(s) built "
-                  f"in {be.compile_seconds.get(name, 0.0) * 1e3:.1f} ms, "
-                  f"{be.launches.get(name, 0)} launch(es)")
-        if be.fallbacks:
-            print(f"  {be.fallbacks} fallback(s) to sim:")
-            for kname, why in be.fallback_kernels.items():
-                print(f"    {kname}: {why}")
+        print(f"\n-- backends (REPRO_BACKEND={mode}) " + "-" * 26)
         if wall_by_family:
             wall = ", ".join(f"{k} {v * 1e3:.1f} ms"
                              for k, v in sorted(wall_by_family.items()))
@@ -407,7 +394,7 @@ def main(argv=None) -> int:
     else:
         counts = _severity_counts(found)
         report = {
-            "schema_version": 12,
+            "schema_version": 13,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),
@@ -438,12 +425,7 @@ def main(argv=None) -> int:
                 "solver_restarts": ctx.stats.solver_restarts,
             },
             "backend": {
-                "mode": be.mode,
-                "kernels": dict(be.kernels),
-                "compile_seconds": dict(be.compile_seconds),
-                "launches": dict(be.launches),
-                "fallbacks": be.fallbacks,
-                "fallback_kernels": dict(be.fallback_kernels),
+                "mode": mode,
                 "wall_s_by_family": wall_by_family,
             },
             "ir": {"modules_verified": ctx.stats.modules_verified},

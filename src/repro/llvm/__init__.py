@@ -1,5 +1,5 @@
-"""The ``cpu`` dispatch name of the backend build table (paper
-Sec. XI): the driver JIT's one generator under a second name."""
+"""The ``cpu`` dispatch name (paper Sec. XI): the driver JIT's one
+generator under a second name."""
 
 from .cputarget import code_cache_stats, compile_cpu_kernel
 

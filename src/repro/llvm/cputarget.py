@@ -1,24 +1,24 @@
-"""The ``cpu`` row of the backend build table (paper Sec. XI).
+"""The ``cpu`` dispatch name's build entry point (paper Sec. XI).
 
 There is one PTX -> NumPy generator,
-:class:`repro.driver.jitcompiler._Translator`; ``cpu`` is a dispatch
-name that builds the same callable under its own entry in the kernel
-store and its own build counters.  It is kept because
-``benchmarks/e2e`` traces :func:`compile_cpu_kernel` and reads
-:func:`code_cache_stats`.
+:class:`repro.driver.jitcompiler._Translator`; under ``cpu`` the kernel
+store builds a kernel's one callable through :func:`compile_cpu_kernel`.
+Both are kept because ``benchmarks/e2e`` traces :func:`compile_cpu_kernel`
+and reads :func:`code_cache_stats`.
 """
 
 from __future__ import annotations
 
-from ..driver.backends import BuildStats, build_stats
+from ..driver.backends import STORE_BUILDS, BuildStats
 from ..driver.jitcompiler import build_sim_kernel
 from ..driver.parser import ParsedKernel, parse_ptx
 
 
 def code_cache_stats() -> BuildStats:
-    """The live counters of the store's ``cpu`` builds: ``misses``
-    built a kernel, ``hits`` reused one another context built."""
-    return build_stats("cpu")
+    """The live counters of the kernel store's builds (both dispatch
+    names): ``misses`` built a kernel, ``hits`` reused one another
+    context built."""
+    return STORE_BUILDS
 
 
 def compile_cpu_kernel(ptx_text: str, parsed: ParsedKernel | None = None):

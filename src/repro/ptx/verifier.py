@@ -23,8 +23,8 @@ Passes:
     which both misses one-armed definitions and falsely accepts defs
     that textually precede but do not dominate a use.  A malformed
     stream fails here with a named diagnostic instead of a deep
-    translator traceback.  The build path (:mod:`repro.ir`) and the
-    ``cpu`` backend's subset check run this pass alone.
+    translator traceback.  The build path (:mod:`repro.ir`) runs this
+    pass alone.
 ``unreachable-code``
     Blocks that no path from the entry reaches.
 ``return-paths``

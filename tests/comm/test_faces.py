@@ -99,7 +99,7 @@ class TestKernels:
                                           face)
             assert kernel.env.scalars == {"p_lo": lat.nsites,
                                           "p_n": face.size}
-            assert _env_key(kernel.env) in kernel.compiled.artifact.checked
+            assert _env_key(kernel.env) in kernel.compiled.checked
             bound = analyze_module(kernel.module, env=kernel.env)
             assert bound.bounds_proven
             # a guard without region sizes is not a proof

@@ -1,10 +1,9 @@
-"""Tests for the execution-backend build table and dispatch knob.
+"""Tests for the execution-backend dispatch knob.
 
-The table is the seam between the driver JIT and the execution targets
-(``sim``, the reference translation, is one of them); a kernel cache
-reads the ``REPRO_BACKEND`` knob once, when it is created, and builds
-only that backend's callable per kernel, with graceful per-kernel
-fallback to ``sim`` for anything a backend cannot build.
+A kernel cache reads the ``REPRO_BACKEND`` knob once, when it is
+created; ``sim`` and ``cpu`` are two dispatch names of one callable per
+kernel, built by the first view that dispatches it
+(``cpu`` through :func:`repro.llvm.cputarget.compile_cpu_kernel`).
 """
 
 import warnings
@@ -13,11 +12,8 @@ import numpy as np
 import pytest
 
 from repro.diagnostics import backend_mode
-from repro.driver import backends
-from repro.driver.backends import BackendBuildError, BackendStats
 from repro.driver.cache import KernelCache, clear_kernel_store
-from repro.llvm import code_cache_stats
-from repro.ptx.absint import KernelEnv, MemRegion
+from repro.llvm import code_cache_stats, cputarget
 
 _PTX = """
 .version 3.1
@@ -62,15 +58,10 @@ def _ptx(n=0):
     return _PTX.format(n=n)
 
 
-#: the launch facts of an 8-thread run over an 8-element buffer
-_ENV = KernelEnv(scalars={"p_n": 8}, regions={"p_dst": MemRegion("p_dst", 64)})
-
-
 @pytest.fixture()
 def knob(monkeypatch):
-    """Set REPRO_BACKEND for the test and reset warn-once state (a
-    failed build is remembered, and warned about, once per artifact:
-    start from a cold store)."""
+    """Set REPRO_BACKEND for the test, reset warn-once state and start
+    from a cold store (a kernel is built once per process)."""
 
     def set_mode(value):
         monkeypatch.setenv("REPRO_BACKEND", value)
@@ -101,22 +92,24 @@ class TestKnob:
             warnings.simplefilter("error")
             assert backend_mode() == "sim"
 
-    def test_knob_is_read_once_at_cache_construction(self, knob):
+    def test_knob_is_read_once_at_cache_construction(self, knob,
+                                                     monkeypatch):
         """Like the fusion/stream/fault knobs: per object, not per
-        lookup.  A handle keeps the backend it was dispatched to; the
-        next cache sees the new value."""
+        lookup.  A view keeps the mode it resolved; the next cache sees
+        the new value."""
+        cpu = _spy_cpu_builds(monkeypatch)
         knob("sim")
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(_ptx(3))
         knob("cpu")
         kernel2, cached = cache.get_or_compile(_ptx(3))
         assert cached and kernel2 is kernel
-        assert kernel.backend == cache.backend.mode == "sim"
-        other, _ = cache.get_or_compile(_ptx(11))   # a miss of the same view
-        assert other.backend == "sim"
+        cache.get_or_compile(_ptx(11))     # a miss of the same view
+        assert cache.backend.mode == "sim" and cpu == []
         fresh = KernelCache()
         assert fresh.backend.mode == "cpu"
-        assert fresh.get_or_compile(_ptx(3))[0].backend == "cpu"
+        fresh.get_or_compile(_ptx(13))
+        assert cpu == ["scale_13"]
 
     def test_cache_hit_does_not_consult_the_knob(self, knob, monkeypatch):
         knob("cpu")
@@ -127,77 +120,49 @@ class TestKnob:
         assert cache.get_or_compile(_ptx(12))[1]
 
 
-def _declines(message, calls):
-    def build(artifact):
-        calls.append(artifact.name)
-        raise BackendBuildError(message)
-    return build
+def _spy_cpu_builds(monkeypatch):
+    """The names of the kernels built through the ``cpu`` entry point."""
+    calls = []
+    original = cputarget.compile_cpu_kernel
+
+    def spy(ptx_text, parsed=None):
+        calls.append(parsed.name)
+        return original(ptx_text, parsed)
+
+    monkeypatch.setattr(cputarget, "compile_cpu_kernel", spy)
+    return calls
 
 
 class TestDispatch:
-    def test_sim_mode_runs_the_driver_translation(self, knob):
+    def test_sim_mode_runs_the_driver_translation(self, knob, monkeypatch):
+        cpu = _spy_cpu_builds(monkeypatch)
         knob("sim")
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(_ptx(1))
-        assert kernel.backend == "sim"
-        assert cache.backend.kernels.get("sim") == 1
-        assert "cpu" not in cache.backend.kernels
+        assert kernel.func is not None and cpu == []
+        assert cache.backend.mode == "sim"
 
-    def test_cpu_mode_attaches_compiled_callable(self, knob):
+    def test_cpu_mode_attaches_compiled_callable(self, knob, monkeypatch):
+        cpu = _spy_cpu_builds(monkeypatch)
         knob("cpu")
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(_ptx(2))
-        assert kernel.backend == "cpu"
-        assert kernel.func is kernel.artifact.callables["cpu"]
-        assert "sim" not in kernel.artifact.callables   # only one is built
-        assert cache.backend.kernels.get("cpu") == 1
+        assert kernel.func is not None and cpu == [kernel.name]
+        assert cache.backend.mode == "cpu"
         assert cache.backend.fallbacks == 0
 
     def test_launch_accounting(self, knob):
+        """A launch runs the built callable and builds nothing."""
         knob("cpu")
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(_ptx(4))
+        stats = code_cache_stats()
+        built = (stats.hits, stats.misses)
         views = {"float64": np.ones(8), "uint64": np.zeros(0, np.uint64)}
         kernel(views, {"p_dst": 0, "p_n": 4}, 1, 4)
         assert np.array_equal(views["float64"],
                               [2, 2, 2, 2, 1, 1, 1, 1])
-        assert cache.backend.launches.get("cpu") == 1
-        assert cache.backend.launches.get("sim") is None
-
-    def test_build_failure_degrades_to_sim_with_one_warning(
-            self, knob, monkeypatch):
-        calls = []
-        monkeypatch.setitem(
-            backends.BUILDERS, "cpu",
-            _declines("unsupported construct: frobnicate", calls))
-        knob("cpu")
-        cache = KernelCache()
-        with pytest.warns(RuntimeWarning, match="frobnicate"):
-            kernel, _ = cache.get_or_compile(_ptx(5), _ENV)
-        assert kernel.backend == "sim"
-        assert cache.backend.fallbacks == 1
-        assert "frobnicate" in \
-            cache.backend.fallback_kernels[kernel.name]
-        # cache hit: no rebuild, no re-count, no second warning; and
-        # another cache counts its own fallback without building again
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache.get_or_compile(_ptx(5), _ENV)
-            other = KernelCache()
-            other.get_or_compile(_ptx(5), _ENV)
-        assert calls == [kernel.name]
-        assert cache.backend.fallbacks == other.backend.fallbacks == 1
-
-    def test_fallback_kernel_still_computes(self, knob, monkeypatch):
-        monkeypatch.setitem(backends.BUILDERS, "cpu", _declines("nope", []))
-        knob("cpu")
-        cache = KernelCache()
-        with pytest.warns(RuntimeWarning):
-            kernel, _ = cache.get_or_compile(_ptx(6))
-        views = {"float64": np.ones(8)}
-        kernel(views, {"p_dst": 0, "p_n": 8}, 1, 8)
-        assert np.array_equal(views["float64"], np.full(8, 2.0))
-        assert cache.backend.launches == {"sim": 1}
+        assert (stats.hits, stats.misses) == built
 
 
 class TestCompiledKernelCache:
@@ -225,28 +190,8 @@ class TestCompiledKernelCache:
         assert stats.misses == misses + 2
         assert stats.total_compile_seconds > seconds
 
-    def test_compile_seconds_counted_per_backend(self, knob):
-        knob("cpu")
-        cache = KernelCache()
-        cache.get_or_compile(_ptx(10))
-        be = cache.backend
-        assert be.compile_seconds.get("cpu", 0) > 0
-        assert "sim" not in be.compile_seconds   # never translated
-        knob("sim")
-        other = KernelCache()
-        other.get_or_compile(_ptx(10))
-        assert other.backend.compile_seconds.get("sim", 0) > 0
-        assert "cpu" not in other.backend.compile_seconds
-
 
 class TestBackendStats:
-    def test_note_launch(self):
-        stats = BackendStats()
-        stats.note_launch("cpu")
-        stats.note_launch("cpu")
-        stats.note_launch("sim")
-        assert stats.launches == {"cpu": 2, "sim": 1}
-
     def test_fresh_context_stats_backend_is_live(self):
         """``KernelCache`` defines ``__len__``, so an empty cache is
         falsy: a reference to ``ctx.stats.backend`` taken before the

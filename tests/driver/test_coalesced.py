@@ -299,8 +299,7 @@ def test_a_statement_reading_its_destination(backend, monkeypatch, lat4):
     psi.assign(u * psi)
     want = np.einsum("nab,nsb->nsa", u0, psi0)
     np.testing.assert_allclose(psi.to_numpy(), want, rtol=1e-13, atol=1e-13)
-    (entry,) = ctx.module_cache.values()
-    assert entry.compiled.backend == backend
+    assert ctx.stats.backend.mode == backend
 
 
 # --- the recogniser against the abstract interpreter --------------------------

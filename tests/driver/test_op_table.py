@@ -188,7 +188,7 @@ def _run(text, in_t, backend):
     pool, addrs = _pool(in_t)
     cache = KernelCache()
     kernel, _ = cache.get_or_compile(text)
-    assert kernel.backend == backend and cache.backend.fallbacks == 0
+    assert cache.backend.mode == backend and cache.backend.fallbacks == 0
     params = {"p_n": N, **{f"p_{a}": addr for a, addr in addrs.items()}}
     with np.errstate(all="ignore"):
         kernel({n: pool.view(n) for n in _VIEWS}, params, 1, 16)
@@ -356,7 +356,7 @@ class TestSubset:
         pool.write(addrs["x"], x)
         cache = KernelCache()
         kernel, _ = cache.get_or_compile(text)
-        assert kernel.backend == "cpu" and cache.backend.fallbacks == 0
+        assert cache.backend.mode == "cpu" and cache.backend.fallbacks == 0
         params = {"p_n": N, **{f"p_{a}": addr for a, addr in addrs.items()}}
         kernel({n: pool.view(n) for n in _VIEWS}, params, 1, 16)
         assert np.array_equal(pool.read(addrs["out"], N * 8, np.float64),
@@ -418,7 +418,7 @@ def test_rebound_and_guarded_registers_are_not_folded(backend, monkeypatch):
     assert {"Rru20", "Rrd20", "Rfd26"} <= set(t.defined)
     cache = KernelCache()
     kernel, _ = cache.get_or_compile(text)
-    assert kernel.backend == backend and cache.backend.fallbacks == 0
+    assert cache.backend.mode == backend and cache.backend.fallbacks == 0
     params = {"p_n": N, **{f"p_{a}": addr for a, addr in addrs.items()}}
     kernel({n: pool.view(n) for n in _VIEWS}, params, 1, 16)
     assert 0 < np.count_nonzero(x > 0) < N

@@ -512,7 +512,7 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
     projector's ``U·ψ`` components)."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     w = _Wilson(lat4)
-    assert w.entry.compiled.backend == backend
+    assert w.ctx.stats.backend.mode == backend
     n_inst = len(w.parsed.instructions)
     assert n_inst == 2452
     t = _translated(w.parsed)

@@ -1,6 +1,6 @@
 """The process-wide module table and kernel store, and their views.
 
-One generated module per structural key and one artifact per distinct
+One generated module per structural key and one kernel per distinct
 PTX text per process; a context's module cache and its ``KernelCache``
 are accounting views of them.  Everything modeled and every counter
 follows the view's own history (so nothing depends on which test ran
@@ -17,7 +17,7 @@ from repro.core.context import Context
 from repro.core.expr import shift
 from repro.core.reduction import innerProduct, norm2
 from repro.driver import JITCompileError, KernelCache, clear_kernel_store
-from repro.driver import backends, cache as cache_mod, jitcompiler
+from repro.driver import cache as cache_mod, jitcompiler
 from repro.llvm import cputarget
 from repro.ptx.absint import KernelEnv, MemRegion
 from repro.ptx.liveness import max_live_registers
@@ -132,7 +132,7 @@ def _accounts(ctx):
         "cache": (ks.hits, ks.misses, ks.total_modeled_compile_seconds),
         "modules": (st.module_cache_hits, st.module_cache_misses,
                     st.modules_verified, st.kernels_generated),
-        "backend": (be.mode, be.kernels, be.launches, be.fallbacks),
+        "backend": (be.mode, be.fallbacks),
     }
 
 
@@ -298,59 +298,35 @@ class TestEnvMemo:
 
 
 class TestBackends:
-    def test_knob_flip_builds_the_missing_callable_once(self, cold_store):
-        text = _ptx("st_flip")
+    def test_one_build_per_process_across_dispatch_names(self, cold_store):
+        """A ``sim`` view and then a ``cpu`` view of one digest: one
+        build in the process, one object, one callable — and the
+        ``cpu`` entry point runs only for a ``cpu`` build."""
+        stats = cputarget.code_cache_stats()
+        hits, misses = stats.hits, stats.misses
         cpu = _Spy(cold_store, cputarget, "compile_cpu_kernel")
-        sim = _Spy(cold_store, backends, "build_sim_kernel")
-        view = KernelCache()
-        kernel, _ = view.get_or_compile(text)
-        assert (kernel.backend, sim.calls, cpu.calls) == ("sim", 1, 0)
+        text = _ptx("st_once")
+        kernel, _ = KernelCache().get_or_compile(text)
+        assert cpu.calls == 0
         cold_store.setenv("REPRO_BACKEND", "cpu")
-        # a view reads the knob when it is created: its handle stays
-        assert view.get_or_compile(text)[0] is kernel
-        assert (kernel.backend, sim.calls, cpu.calls) == ("sim", 1, 0)
-        # views created after the flip share one new build
-        other, _ = KernelCache().get_or_compile(text)
-        assert (other.backend, sim.calls, cpu.calls) == ("cpu", 1, 1)
-        third, _ = KernelCache().get_or_compile(text)
-        assert (third.backend, sim.calls, cpu.calls) == ("cpu", 1, 1)
-        assert third.func is other.func
-        assert other.artifact is kernel.artifact
-
-    def test_cpu_translates_sim_only_on_fallback(self, cold_store):
-        cold_store.setenv("REPRO_BACKEND", "cpu")
-        sim = _Spy(cold_store, backends, "build_sim_kernel")
-        view = KernelCache()
-        view.get_or_compile(_ptx("st_cpu"))
-        assert sim.calls == 0 and view.backend.kernels == {"cpu": 1}
-        # a guarded arithmetic op is no reason to fall back
-        guarded = ("setp.gt.f64 %p1, %fd0, 0.0;\n    " + _DOUBLE
-                   + "\n    @%p1 add.f64 %fd2, %fd1, %fd0;")
-        kernel, _ = view.get_or_compile(_ptx("st_guard", body=guarded),
-                                        _env(N))
-        assert kernel.backend == "cpu" and sim.calls == 0
-        # a build that declines falls back, and builds sim then
-        def decline(artifact):
-            raise backends.BackendBuildError("declined")
-
-        cold_store.setitem(backends.BUILDERS, "cpu", decline)
-        with pytest.warns(RuntimeWarning, match="falling back to 'sim'"):
-            kernel, _ = view.get_or_compile(_ptx("st_decl"), _env(N))
-        assert kernel.backend == "sim" and sim.calls == 1
-        assert view.backend.kernels == {"cpu": 2, "sim": 1}
-        # another view: counted again, built (and warned) no more
-        other = KernelCache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            other.get_or_compile(_ptx("st_decl"), _env(N))
-        assert other.backend.fallbacks == 1 and sim.calls == 1
+        other, cached = KernelCache().get_or_compile(text)
+        assert not cached and other is kernel
+        assert other.func is kernel.func is not None
+        assert (stats.hits, stats.misses) == (hits + 1, misses + 1)
+        assert cpu.calls == 0
+        # on a cold store the cpu view builds, through the entry point
+        clear_kernel_store()
+        KernelCache().get_or_compile(text)
+        assert cpu.calls == 1 and stats.misses == misses + 2
 
     def test_bare_compile_ptx_result_launches_through_sim(self, cold_store):
         cold_store.setenv("REPRO_BACKEND", "cpu")
+        cpu = _Spy(cold_store, cputarget, "compile_cpu_kernel")
         kernel = jitcompiler.compile_ptx(_ptx("st_bare"))
+        assert kernel.func is None
         views = {"float64": np.ones(N)}
         kernel(views, {"p_dst": 0, "p_n": N}, 1, N)
-        assert kernel.backend == "sim"
+        assert kernel.func is not None and cpu.calls == 0
         assert np.array_equal(views["float64"], np.full(N, 2.0))
         assert cache_mod._STORE == {}     # compile_ptx stores nothing
 

@@ -157,3 +157,17 @@ class TestEnvironmentKnob:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert active_plan() is None   # second call: silent
+
+    def test_unparsable_plan_is_named_by_its_resolved_value(
+            self, monkeypatch):
+        import warnings
+
+        from repro.faults import plan as plan_mod
+
+        monkeypatch.setenv("REPRO_FAULTS", " Plan:Bogus=1 ")
+        monkeypatch.setattr(plan_mod, "_warned_bad_specs", set())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert active_plan() is None and active_plan() is None
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "'plan:bogus=1'" in str(caught[0].message)

@@ -66,7 +66,6 @@ class TestCLI:
     def test_reports_backend_dispatch(self, run):
         _, out = run
         assert "-- backends (REPRO_BACKEND=" in out
-        assert "kernel(s) built" in out
         assert "measured kernel wall-clock" in out
 
     def test_dslash_stencil_findings_surface(self, run):
@@ -90,7 +89,7 @@ class TestJSON:
     def test_exit_status_and_schema_version(self, run_json):
         status, report = run_json
         assert status == 0
-        assert report["schema_version"] == 12
+        assert report["schema_version"] == 13
         # v10 dropped the canned serving/resilience mini-runs
         assert set(report) == {
             "schema_version", "lattice", "passes", "ast_passes", "kernels",
@@ -135,18 +134,13 @@ class TestJSON:
         assert faults["solver_restarts"] == 0
 
     def test_backend_block(self, run_json):
-        """The backend block reports the dispatch mode, per-backend
-        build/launch counters and measured wall-clock per family."""
+        """The backend block reports the dispatch mode and measured
+        wall-clock per family."""
         _, report = run_json
         be = report["backend"]
-        assert set(be) == {"mode", "kernels", "compile_seconds",
-                           "launches", "fallbacks", "fallback_kernels",
-                           "wall_s_by_family"}
-        # only the selected backend is built (no fallbacks, below)
-        assert set(be["kernels"]) == {be["mode"]}
-        assert be["fallbacks"] == 0              # whole suite transpiles
-        assert be["fallback_kernels"] == {}
-        assert sum(be["launches"].values()) > 0
+        assert set(be) == {"mode", "wall_s_by_family"}
+        assert be["mode"] in ("sim", "cpu")
+        assert be["wall_s_by_family"]
         assert all(v >= 0 for v in be["wall_s_by_family"].values())
 
     def test_cache_block(self, run_json):

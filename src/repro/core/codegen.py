@@ -69,12 +69,6 @@ class CVal:
     def is_const(self) -> bool:
         return self.const is not None
 
-    @property
-    def is_real(self) -> bool:
-        if self.is_const:
-            return self.const.imag == 0.0
-        return self.im is None
-
 
 def _op_type(op: Operand) -> PTXType | None:
     if isinstance(op, (Register, Immediate)):

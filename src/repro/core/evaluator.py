@@ -7,7 +7,10 @@ into temporaries (QDP++ semantics; also the paper's "shifts of shifts
 execute the inner-most shift non-overlapping"), and a destination
 aliased inside a shift or read under ``adj``/``transpose`` is copied
 first — type-checked against its
-destination, and handed to the context's statement queue.  Lookup,
+destination, and handed to the context's statement queue.  The
+normalize walk is the one walk that also collects the statement's
+plain and shifted read uids, the queue's hazard facts; the lint walk
+(skipped under ``REPRO_VERIFY=off``) only reports.  Lookup,
 paging, binding and launch (paper Secs. IV-VII) are the queue's one
 launcher, :func:`repro.core.fusion._launch_group`.
 """
@@ -37,15 +40,13 @@ from .expr import (
 
 
 def _rebuild(node: Expr, new_children) -> Expr:
-    """Rebuild an inner node with replaced children."""
+    """Rebuild an inner node (not a shift) with replaced children."""
     if isinstance(node, BinaryNode):
         return BinaryNode(node.op, new_children[0], new_children[1])
     if isinstance(node, UnaryNode):
         return UnaryNode(node.op, new_children[0])
     if isinstance(node, TraceNode):
         return TraceNode(node.which, new_children[0])
-    if isinstance(node, ShiftNode):
-        return ShiftNode(new_children[0], node.mu, node.sign)
     if isinstance(node, CustomOpNode):
         return CustomOpNode(node.name, tuple(new_children), node.spec,
                             node.gen)
@@ -56,7 +57,7 @@ def _rebuild(node: Expr, new_children) -> Expr:
     raise TypeError(f"cannot rebuild {type(node).__name__}")
 
 
-def _normalize(node: Expr, dest, ctx: Context, temps: list | None = None,
+def _normalize(node: Expr, dest, ctx: Context, temps: list, reads,
                stores: bool = True, flipped: bool = False) -> Expr:
     """Materialize shift-of-expression and shift-of-destination, and a
     destination read under ``adj``/``transpose`` (``flipped``).
@@ -70,11 +71,15 @@ def _normalize(node: Expr, dest, ctx: Context, temps: list | None = None,
     Created temporaries are appended to ``temps`` so the caller can
     :meth:`~repro.memory.cache.FieldCache.release` them once the
     statement that consumes them has launched — a dead temporary must
-    never cost D2H spill traffic later.
+    never cost D2H spill traffic later.  The uids the *normalized*
+    tree reads are added to the pair of sets ``reads`` (plain, through
+    a shift).  A subtree with nothing to materialize comes back as the
+    same object.
     """
     if isinstance(node, FieldRef):
         if flipped and stores and node.field.uid == dest.uid:
-            return _materialize(node, dest, ctx, temps)
+            node = _materialize(node, dest, ctx, temps)
+        reads[0].add(node.field.uid)
         return node
     children = node.children()
     if not children:
@@ -82,26 +87,29 @@ def _normalize(node: Expr, dest, ctx: Context, temps: list | None = None,
     if isinstance(node, ShiftNode):
         # a shifted operand is a leaf or becomes a fresh temporary:
         # either way the statement's stores cannot reach it
-        child = _normalize(node.child, dest, ctx, temps, stores)
+        child = node.child
         if not isinstance(child, FieldRef) or child.field.uid == dest.uid:
-            child = _materialize(child, dest, ctx, temps)
-        return ShiftNode(child, node.mu, node.sign)
+            # what ``child`` reads, the temporary's own statement reads
+            child = _materialize(
+                _normalize(child, dest, ctx, temps, (set(), set()), stores),
+                dest, ctx, temps)
+        reads[1].add(child.field.uid)
+        return (node if child is node.child
+                else ShiftNode(child, node.mu, node.sign))
     flipped = flipped or (isinstance(node, UnaryNode)
                           and node.op in ("adj", "transpose"))
-    new = [_normalize(c, dest, ctx, temps, stores, flipped)
+    new = [_normalize(c, dest, ctx, temps, reads, stores, flipped)
            for c in children]
     if all(a is b for a, b in zip(new, children)):
         return node
     return _rebuild(node, new)
 
 
-def _materialize(expr: Expr, dest, ctx: Context,
-                 temps: list | None) -> FieldRef:
+def _materialize(expr: Expr, dest, ctx: Context, temps: list) -> FieldRef:
     """Evaluate ``expr`` into a fresh temporary on ``dest``'s lattice."""
     temp = _new_temp(dest.lattice, expr.spec, ctx)
     evaluate(temp, expr, context=ctx)
-    if temps is not None:
-        temps.append(temp)
+    temps.append(temp)
     return FieldRef(temp)
 
 
@@ -138,9 +146,10 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
     mode = verify_mode()
     check_assignment(dest, expr, subset=subset, mode=mode)
     temps: list = []
-    expr = _normalize(expr, dest, ctx, temps)
+    reads = (set(), set())
+    expr = _normalize(expr, dest, ctx, temps, reads)
     # type errors must surface at the assignment site, not at the
     # (possibly much later) deferred launch
     _check_assign_types(dest.spec, expr)
     ctx.stats.expressions_evaluated += 1
-    return ctx.fusion.enqueue(dest, expr, subset, temps)
+    return ctx.fusion.enqueue(dest, expr, subset, temps, reads)

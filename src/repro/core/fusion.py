@@ -14,7 +14,8 @@ with common-subexpression elimination and register-forwarded
 intermediates, so the axpy chains of the Krylov solvers read and write
 each field once instead of once per statement.
 
-Hazard model (the PR-1 lint walk provides the read sets):
+Hazard model (the read sets come from the evaluator's normalize walk,
+which runs under every ``REPRO_VERIFY`` mode):
 
 * plain read-after-write inside a group is *forwarded* — the consumer
   uses the producer's register value, eliminating a store/load pair's
@@ -51,10 +52,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..diagnostics import fusion_mode
-from ..ptx.absint import KernelEnv, MemRegion, table_region
+from ..ptx.absint import KernelEnv, MemRegion
 from .codegen import build_fused_kernel, partials_names
-from .expr import Expr, FieldRef, SlotAssigner, _spec_sig
-from .lint import _walk
+from .expr import Expr, SlotAssigner, _spec_sig
 
 if TYPE_CHECKING:
     from .context import Context
@@ -68,50 +68,37 @@ MAX_GROUP_STATEMENTS = 8
 MAX_PENDING_GROUPS = 32
 
 
-def _expr_facts(expr: Expr) -> tuple[set[int], set[int]]:
-    """(plain-read uids, shift-read uids) of a normalized AST."""
-    reads: set[int] = set()
-    shift_reads: set[int] = set()
-    for node, under_shift in _walk(expr):
-        if isinstance(node, FieldRef):
-            (shift_reads if under_shift else reads).add(node.field.uid)
-    return reads, shift_reads
-
-
 class Statement:
-    """One pending ``dest = expr`` assignment."""
+    """One pending ``dest = expr`` assignment; ``reads`` is the
+    normalize walk's (plain, shifted) read-uid pair for ``expr``."""
 
     __slots__ = ("dest", "expr", "subset", "subset_mode", "lattice",
                  "reads", "shift_reads", "temps", "cost")
 
-    def __init__(self, dest, expr: Expr, subset, temps):
+    def __init__(self, dest, expr: Expr, subset, temps, reads):
         self.dest = dest
         self.expr = expr
         self.subset = subset
         self.subset_mode = not subset.is_full
         self.lattice = dest.lattice
-        self.reads, self.shift_reads = _expr_facts(expr)
+        self.reads, self.shift_reads = reads
         self.temps = temps
         self.cost = None
 
 
 class ReductionJob:
-    """A reduction's partials pass, candidate for tail-group fusion."""
+    """A reduction's partials pass, candidate for tail-group fusion;
+    ``reads`` as for :class:`Statement`, over all of ``exprs``."""
 
     __slots__ = ("kind", "exprs", "subset", "lattice", "reads",
                  "shift_reads", "out_names")
 
-    def __init__(self, kind: str, exprs, subset, lattice):
+    def __init__(self, kind: str, exprs, subset, lattice, reads):
         self.kind = kind
         self.exprs = list(exprs)
         self.subset = subset
         self.lattice = lattice
-        self.reads = set()
-        self.shift_reads = set()
-        for e in self.exprs:
-            r, s = _expr_facts(e)
-            self.reads |= r
-            self.shift_reads |= s
+        self.reads, self.shift_reads = reads
         #: the kernel's partials pointers, one f64 column each
         self.out_names = partials_names(kind)
 
@@ -220,11 +207,11 @@ class FusionQueue:
                      == g.stmts[0].dest.spec.precision)
                 and len(g.stmts) < MAX_GROUP_STATEMENTS)
 
-    def enqueue(self, dest, expr: Expr, subset, temps):
+    def enqueue(self, dest, expr: Expr, subset, temps, reads):
         """Queue ``dest = expr``; returns its (lazy) launch cost."""
         if len(self.groups) >= MAX_PENDING_GROUPS:
             self.flush()
-        stmt = Statement(dest, expr, subset, temps)
+        stmt = Statement(dest, expr, subset, temps, reads)
         lower = 0
         for i, g in enumerate(self.groups):
             bound = self._dep_bound(g, stmt)
@@ -316,18 +303,19 @@ def launch_env(lattice, subset, slots: SlotAssigner,
                out_names: tuple[str, ...]) -> KernelEnv:
     """Launch-time facts for the abstract-interpretation verifier:
     what the launcher will actually bind — exact site counts, field
-    view sizes, the content range / bulk stride of every gather table,
-    and one f64 partials column per ``out_names`` pointer."""
+    view sizes, the content range / bulk stride of every gather table
+    (measured once per table by its owner), and one f64 partials
+    column per ``out_names`` pointer."""
     nsites = lattice.nsites
     regions = {p: MemRegion(p, len(subset) * 8) for p in out_names}
     for i, f in enumerate(slots.fields):
         regions[f"p_f{i}"] = MemRegion(f"p_f{i}",
                                        nsites * f.spec.bytes_per_site)
     for i, (mu, sign) in enumerate(slots.shifts):
-        regions[f"p_sh{i}"] = table_region(f"p_sh{i}",
-                                           lattice.shift_map(mu, sign))
+        regions[f"p_sh{i}"] = MemRegion(f"p_sh{i}",
+                                        *lattice.shift_facts(mu, sign))
     if not subset.is_full:
-        regions["p_stab"] = table_region("p_stab", subset.sites)
+        regions["p_stab"] = MemRegion("p_stab", *subset.table_facts)
     return KernelEnv(scalars={"p_lo": nsites, "p_n": len(subset)},
                      regions=regions)
 

@@ -52,14 +52,6 @@ class LintError(Exception):
         self.diagnostics = list(diagnostics)
 
 
-def _walk(node: Expr, under_shift: bool = False):
-    """Yield ``(node, under_shift)`` for every node in the tree."""
-    yield node, under_shift
-    inner = under_shift or isinstance(node, ShiftNode)
-    for child in node.children():
-        yield from _walk(child, inner)
-
-
 def _field_name(field) -> str:
     return getattr(field, "name", None) or f"field#{field.uid}"
 
@@ -79,27 +71,30 @@ def lint_assignment(dest, expr: Expr, subset=None,
     out: list[Diagnostic] = []
     dest_name = _field_name(dest) if dest is not None else ""
 
-    # -- single walk collecting the facts every pass needs ---------------
+    # -- one preorder walk collecting the facts every pass needs; each
+    # -- node carries the (mu, sign) of the shifts enclosing it
     shifted_uids: set[int] = set()           # fields read through a shift
     shift_signs: dict[tuple[int, int], set[int]] = {}   # (uid, mu) -> signs
-    lattices: dict[int, object] = {}          # field uid -> lattice
-    field_names: dict[int, str] = {}
+    fields: dict[int, object] = {}            # uid -> field
     deep_shifts: list[ShiftNode] = []
 
-    for node, under_shift in _walk(expr):
+    stack = [(expr, ())]
+    while stack:
+        node, shifts = stack.pop()
         if isinstance(node, FieldRef):
             f = node.field
-            lattices.setdefault(f.uid, f.lattice)
-            field_names.setdefault(f.uid, _field_name(f))
-            if under_shift:
+            fields.setdefault(f.uid, f)
+            if shifts:
                 shifted_uids.add(f.uid)
-        elif isinstance(node, ShiftNode):
+                for mu, sign in shifts:
+                    shift_signs.setdefault((f.uid, mu), set()).add(sign)
+            continue
+        if isinstance(node, ShiftNode):
             if not isinstance(node.child, FieldRef):
                 deep_shifts.append(node)
-            for sub, _ in _walk(node.child):
-                if isinstance(sub, FieldRef):
-                    key = (sub.field.uid, node.mu)
-                    shift_signs.setdefault(key, set()).add(node.sign)
+            shifts += ((node.mu, node.sign),)
+        for child in reversed(node.children()):
+            stack.append((child, shifts))
 
     # -- shift-alias ------------------------------------------------------
     if dest is not None and dest.uid in shifted_uids:
@@ -117,49 +112,43 @@ def lint_assignment(dest, expr: Expr, subset=None,
             obj=dest_name))
 
     # -- shift-antiparallel ----------------------------------------------
-    seen_pairs: set[tuple[int, int]] = set()
     for (uid, mu), signs in sorted(shift_signs.items()):
-        if {+1, -1} <= signs and (uid, mu) not in seen_pairs:
-            seen_pairs.add((uid, mu))
+        if {+1, -1} <= signs:
             out.append(Diagnostic(
                 Severity.NOTE, "shift-antiparallel",
-                f"field '{field_names[uid]}' is shifted both FORWARD and "
-                f"BACKWARD along mu={mu} in one expression — both faces "
-                f"are required before any site can start, defeating "
-                f"face-buffered comm/compute overlap",
+                f"field '{_field_name(fields[uid])}' is shifted both "
+                f"FORWARD and BACKWARD along mu={mu} in one expression — "
+                f"both faces are required before any site can start, "
+                f"defeating face-buffered comm/compute overlap",
                 obj=dest_name))
 
     # -- lattice-conformance ----------------------------------------------
-    all_lattices = dict(lattices)
     if dest is not None:
-        all_lattices.setdefault(dest.uid, dest.lattice)
-        if dest.uid not in field_names:
-            field_names[dest.uid] = dest_name
-    ref_uid = dest.uid if dest is not None else (
-        min(all_lattices) if all_lattices else None)
-    if ref_uid is not None:
-        ref_lat = all_lattices[ref_uid]
-        for uid, lat in sorted(all_lattices.items()):
+        fields.setdefault(dest.uid, dest)
+    ref = dest if dest is not None else (
+        fields[min(fields)] if fields else None)
+    if ref is not None:
+        ref_lat = ref.lattice
+        for uid, f in sorted(fields.items()):
+            lat = f.lattice
             if lat is ref_lat:
                 continue
             if getattr(lat, "dims", None) != getattr(ref_lat, "dims", None):
                 out.append(Diagnostic(
                     Severity.ERROR, "lattice-conformance",
-                    f"field '{field_names[uid]}' lives on lattice "
+                    f"field '{_field_name(f)}' lives on lattice "
                     f"{getattr(lat, 'dims', '?')} but "
-                    f"'{field_names[ref_uid]}' is on "
+                    f"'{_field_name(ref)}' is on "
                     f"{getattr(ref_lat, 'dims', '?')} — non-conformant "
                     f"operands in one expression",
                     obj=dest_name))
-        if subset is not None and dest is not None and len(subset) > 0:
-            import numpy as np
-
-            if int(np.max(subset.sites)) >= dest.lattice.nsites:
+        if subset is not None and dest is not None:
+            hi = subset.table_facts[1][1]     # measured (lo, hi) range
+            if hi >= dest.lattice.nsites:
                 out.append(Diagnostic(
                     Severity.ERROR, "lattice-conformance",
-                    f"subset '{subset.name}' references site "
-                    f"{int(np.max(subset.sites))} beyond the destination "
-                    f"lattice ({dest.lattice.nsites} sites)",
+                    f"subset '{subset.name}' references site {hi} beyond "
+                    f"the destination lattice ({dest.lattice.nsites} sites)",
                     obj=dest_name))
 
     # -- shift-materialization --------------------------------------------

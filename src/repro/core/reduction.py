@@ -58,13 +58,15 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     if subset is None:
         subset = lattice.all_sites
     temps: list = []
-    exprs = [_normalize(e, f0, ctx, temps, stores=False) for e in exprs]
+    reads = (set(), set())
+    exprs = [_normalize(e, f0, ctx, temps, reads, stores=False)
+             for e in exprs]
     _validate(kind, exprs)
 
     # a reduction is a queue barrier; if the trailing pending group is
     # compatible, its fused kernel also writes our partials and the
     # separate partials launch disappears entirely
-    job = ReductionJob(kind, exprs, subset, lattice)
+    job = ReductionJob(kind, exprs, subset, lattice, reads)
     scratch = ctx.fusion.flush_for_reduction(job)
     for t in temps:
         ctx.field_cache.release(t)

@@ -31,7 +31,7 @@ from ..memory.pool import DevicePool
 from ..ptx.isa import KernelInfo
 from ..runtime.stream import Stream, StreamRuntime
 from ..runtime.timeline import Span
-from .memmodel import KernelCost, LaunchError, blocks_per_sm, kernel_cost, transfer_time
+from .memmodel import KernelCost, LaunchError, kernel_cost, transfer_time
 from .specs import DeviceSpec, K20X_ECC_OFF
 
 _VIEW_DTYPES = ("float32", "float64", "int32", "int64", "uint32", "uint64")
@@ -184,10 +184,6 @@ class Device:
         return out
 
     # -- kernel launch ----------------------------------------------------
-
-    def validate_launch(self, block_size: int, regs_per_thread: int) -> None:
-        """Raise :class:`LaunchError` if the configuration cannot run."""
-        blocks_per_sm(self.spec, block_size, regs_per_thread)
 
     def launch(self, kernel: CompiledKernel, info: KernelInfo,
                params: dict, nsites: int, block_size: int,

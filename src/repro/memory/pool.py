@@ -136,9 +136,6 @@ class DevicePool:
                 self._free[i - 1] = (pa, ps + s)
                 self._free.pop(i)
 
-    def is_allocated(self, addr: int) -> bool:
-        return addr in self._allocs
-
     def allocation_size(self, addr: int) -> int:
         return self._allocs[addr]
 

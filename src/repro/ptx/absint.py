@@ -160,6 +160,12 @@ def merge_envs(a: KernelEnv, b: KernelEnv) -> KernelEnv:
 def table_region(param: str, values) -> MemRegion:
     """Describe an int32 site table (shift map / subset list) as a
     region: measured content range and bulk stride."""
+    return MemRegion(param, *table_facts(values))
+
+
+def table_facts(values) -> tuple[int, tuple[int, int], int | None]:
+    """``(size_bytes, elem_range, elem_stride)`` of an int32 site
+    table, the :class:`MemRegion` fields :func:`table_region` fills."""
     import numpy as np
 
     arr = np.asarray(values)
@@ -175,8 +181,7 @@ def table_region(param: str, values) -> MemRegion:
         stride = 0
     lo = int(arr.min()) if arr.size else 0
     hi = int(arr.max()) if arr.size else 0
-    return MemRegion(param, size_bytes=4 * int(arr.size),
-                     elem_range=(lo, hi), elem_stride=stride)
+    return 4 * int(arr.size), (lo, hi), stride
 
 
 # --- abstract values --------------------------------------------------------

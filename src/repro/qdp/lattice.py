@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ..ptx.absint import table_facts
+
 FORWARD = +1
 BACKWARD = -1
 
@@ -25,14 +27,24 @@ BACKWARD = -1
 class Subset:
     """A subset of lattice sites (QDP++ ``Subset``).
 
-    ``sites`` is the sorted array of member site indices; ``name``
-    feeds kernel cache keys (kernels are specialized on whether they
-    run on the full lattice or through a site table).
+    ``sites`` is the sorted array of member site indices, read-only
+    from construction on; ``name`` feeds kernel cache keys (kernels
+    are specialized on whether they run on the full lattice or
+    through a site table).
     """
 
     name: str
     sites: np.ndarray
     is_full: bool = False
+
+    def __post_init__(self):
+        self.sites.flags.writeable = False
+
+    @cached_property
+    def table_facts(self) -> tuple:
+        """:func:`~repro.ptx.absint.table_facts` of ``sites``, measured
+        once: the launch env's ``p_stab`` region."""
+        return table_facts(self.sites)
 
     def __len__(self) -> int:
         return int(self.sites.size)
@@ -66,6 +78,7 @@ class Lattice:
         self.nd = len(dims)
         self.nsites = int(np.prod(dims))
         self._shift_maps: dict[tuple[int, int], np.ndarray] = {}
+        self._shift_facts: dict[tuple[int, int], tuple] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Lattice{self.dims}"
@@ -136,7 +149,7 @@ class Lattice:
         ``T`` such that ``result[x] = phi[T[x]]``; for the forward
         shift ``T[x] = index(x + mu_hat)`` with periodic wrap.  Tables
         are int32 (they are uploaded to the device and read by the
-        generated kernels).
+        generated kernels) and read-only.
         """
         if not 0 <= mu < self.nd:
             raise ValueError(f"bad direction mu={mu}")
@@ -148,8 +161,16 @@ class Lattice:
             c = self.coords.copy()
             c[:, mu] = (c[:, mu] + sign) % self.dims[mu]
             table = np.asarray(self.site_index(c), dtype=np.int32)
+            table.flags.writeable = False
             self._shift_maps[key] = table
+            self._shift_facts[key] = table_facts(table)
         return table
+
+    def shift_facts(self, mu: int, sign: int) -> tuple:
+        """:func:`~repro.ptx.absint.table_facts` of :meth:`shift_map`'s
+        table, measured with it: the launch env's ``p_sh`` region."""
+        self.shift_map(mu, sign)
+        return self._shift_facts[mu, sign]
 
     def face_sites(self, mu: int, sign: int) -> np.ndarray:
         """Sites whose ``shift(, sign, mu)`` source wraps the boundary.

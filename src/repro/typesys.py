@@ -29,6 +29,7 @@ memory words), then spin, then color, then the reality component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -77,12 +78,12 @@ class TypeSpec:
     @property
     def spin_size(self) -> int:
         """I_S: number of spin-level components (flattened)."""
-        return int(np.prod(self.spin)) if self.spin else 1
+        return math.prod(self.spin)
 
     @property
     def color_size(self) -> int:
         """I_C: number of color-level components (flattened)."""
-        return int(np.prod(self.color)) if self.color else 1
+        return math.prod(self.color)
 
     @property
     def reality_size(self) -> int:
@@ -222,11 +223,6 @@ def complex_field(precision: str = "f64") -> TypeSpec:
 
 def real_field(precision: str = "f64") -> TypeSpec:
     """LatticeReal."""
-    return TypeSpec(spin=(), color=(), is_complex=False, precision=precision)
-
-
-def int_like_real(precision: str = "f64") -> TypeSpec:
-    """LatticeInteger stand-in (stored as real words)."""
     return TypeSpec(spin=(), color=(), is_complex=False, precision=precision)
 
 

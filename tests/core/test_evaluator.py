@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
+from repro.core.evaluator import _normalize
 from repro.core.expr import adj, conj, shift, trace, transpose
 from repro.core.reduction import sum_sites
 from repro.qcd.gamma import gamma5_const, projector, projector_const
@@ -217,3 +218,36 @@ class TestDestinationReadOrder:
         want = np.einsum("nba,nba->", u.to_numpy().conj(), v.to_numpy())
         assert got == pytest.approx(want, rel=1e-12)
         assert ctx.stats.expressions_evaluated == 0
+
+
+class TestNormalize:
+    def _fields(self):
+        ctx = Context()
+        lat = Lattice((4, 4, 4, 4))
+        u = latt_color_matrix(lat, context=ctx)
+        psi, chi, phi = (latt_fermion(lat, context=ctx) for _ in range(3))
+        return ctx, u, psi, chi, phi
+
+    def test_untouched_shifts_return_the_same_object(self, monkeypatch):
+        ctx, u, psi, chi, phi = self._fields()
+        expr = u * shift(phi.ref(), +1, 0) + adj(u) * shift(chi.ref(), -1, 3)
+        queued = []
+        monkeypatch.setattr(ctx.fusion, "enqueue",
+                            lambda dest, e, subset, temps, *rest:
+                            queued.append((e, temps)))
+        psi.assign(expr)
+        assert queued[0][0] is expr
+        assert queued[0][1] == []
+
+    def test_read_sets_of_the_normalized_tree(self):
+        ctx, u, psi, chi, phi = self._fields()
+        expr = u * shift(phi.ref(), +1, 0) + psi.ref()
+        reads = (set(), set())
+        assert _normalize(expr, psi, ctx, [], reads) is expr
+        assert reads == ({u.uid, psi.uid}, {phi.uid})
+        temps, reads = [], (set(), set())
+        out = _normalize(shift(psi.ref(), +1, 0) + chi.ref(), psi, ctx,
+                         temps, reads)
+        (temp,) = temps
+        assert out.children()[0].child.field is temp
+        assert reads == ({chi.uid}, {temp.uid})

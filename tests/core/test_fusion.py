@@ -392,6 +392,41 @@ class TestBitwiseTransparency:
         assert np.array_equal(run(True), run(False))
 
 
+class TestIndependentOfLint:
+    """The queue's hazard facts come from the normalize walk, which
+    runs under every ``REPRO_VERIFY`` mode; only the lint is skipped."""
+
+    def _run(self):
+        ctx = Context(fusion=True)
+        lat = Lattice((4, 4, 4, 4))
+        x, y, a, b, c = _fermions(lat, ctx, 5)
+        rng = np.random.default_rng(17)
+        x.gaussian(rng)
+        y.gaussian(rng)
+        n0 = ctx.device.stats.kernel_launches
+        a.assign(2.0 * x + shift(y.ref(), +1, 0))
+        b.assign(a.ref() + shift(x.ref(), -1, 1))    # joins, forwarded
+        c.assign(shift(a.ref(), +1, 2) + b.ref())    # shift barrier
+        a.assign(c.ref() - x.ref())                  # write-after-write
+        rr = norm2(a)
+        return (ctx.stats.fusion_groups,
+                ctx.device.stats.kernel_launches - n0, rr,
+                [f.to_numpy() for f in (a, b, c)])
+
+    def test_fusion_is_the_same_under_every_verify_mode(self, monkeypatch):
+        runs = []
+        for mode in ("off", "warn", "error"):
+            monkeypatch.setenv("REPRO_VERIFY", mode)
+            runs.append(self._run())
+        groups, launches, rr, arrays = runs[0]
+        assert groups >= 1
+        for g, n, r, arrs in runs[1:]:
+            assert (g, n) == (groups, launches)
+            assert r == rr
+            for got, want in zip(arrs, arrays):
+                assert np.array_equal(got, want)
+
+
 class TestTrafficModel:
     def test_cse_across_statements_saves_loads(self, fctx, lat, rng):
         """a = x+y; b = (x+y)*2 — the shared subexpression is computed

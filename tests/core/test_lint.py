@@ -6,8 +6,9 @@ import pytest
 from repro.core.expr import shift
 from repro.core.lint import LintError, check_assignment, lint_assignment
 from repro.diagnostics import Severity
-from repro.qdp.fields import latt_complex, latt_fermion
-from repro.qdp.lattice import Lattice, Subset
+from repro.qdp.fields import LatticeField, latt_complex, latt_fermion
+from repro.qdp.lattice import BACKWARD, FORWARD, Lattice, Subset
+from repro.typesys import fermion
 
 
 def _by_pass(diagnostics, name):
@@ -75,6 +76,29 @@ class TestAntiparallel:
         expr = shift(chi.ref(), +1, 0) + shift(chi.ref(), -1, 1)
         assert not _by_pass(lint_assignment(psi, expr), "shift-antiparallel")
 
+    def test_nested_opposite_shifts_noted_on_the_leaf(self, fields):
+        psi, chi = fields
+        expr = shift(shift(chi.ref(), FORWARD, 2), BACKWARD, 2)
+        found = _by_pass(lint_assignment(psi, expr), "shift-antiparallel")
+        assert len(found) == 1
+        assert "along mu=2" in found[0].message
+        assert f"'{chi.name}'" in found[0].message
+
+    def test_shift_of_expression_counts_each_leaf(self, ctx, lat4):
+        a, b, c = (latt_complex(lat4) for _ in range(3))
+        expr = shift(a.ref() * b.ref(), FORWARD, 0) \
+            + shift(a.ref(), BACKWARD, 0)
+        found = _by_pass(lint_assignment(c, expr), "shift-antiparallel")
+        assert len(found) == 1
+        assert f"'{a.name}'" in found[0].message
+
+    @pytest.mark.parametrize("outer", [(BACKWARD, 1), (FORWARD, 0)])
+    def test_nested_same_sign_or_other_axis_is_clean(self, fields, outer):
+        psi, chi = fields
+        sign, mu = outer
+        expr = shift(shift(chi.ref(), BACKWARD, 1), sign, mu)
+        assert not _by_pass(lint_assignment(psi, expr), "shift-antiparallel")
+
 
 class TestConformance:
     def test_mixed_lattices_are_an_error(self, ctx, lat4):
@@ -109,6 +133,46 @@ class TestMaterializationNote:
         psi, chi = fields
         assert not _by_pass(lint_assignment(psi, shift(chi.ref(), +1, 0)),
                             "shift-materialization")
+
+
+class TestReport:
+    def test_multi_finding_report_is_pinned(self, ctx, lat4):
+        psi, chi, phi = (LatticeField(lat4, fermion(), name=n)
+                         for n in ("psi", "chi", "phi"))
+        eta = LatticeField(Lattice((2, 2, 2, 2)), fermion(), name="eta")
+        expr = (shift(psi.ref() * 2.0, +1, 0)
+                + shift(shift(chi.ref(), +1, 1), -1, 1)
+                + shift(chi.ref(), -1, 0) + shift(phi.ref(), +1, 0)
+                + shift(chi.ref(), +1, 0) + shift(psi.ref(), -1, 0)
+                + eta.ref())
+        bad = Subset("bad", np.array([0, lat4.nsites + 3], dtype=np.int32))
+        got = [d.render() for d in lint_assignment(
+            psi, expr, subset=bad, assume_materialization=True)]
+        faces = ("in one expression — both faces are required before any "
+                 "site can start, defeating face-buffered comm/compute "
+                 "overlap")
+        temp = ("is materialized into a temporary before the main kernel "
+                "(extra kernel launch and field traffic)")
+        assert got == [
+            "warning: shift-alias [psi]: destination 'psi' aliases a "
+            "shifted operand — the evaluator materializes a temporary "
+            "copy first (extra kernel launch and field traffic)",
+            "note: shift-antiparallel [psi]: field 'psi' is shifted both "
+            f"FORWARD and BACKWARD along mu=0 {faces}",
+            "note: shift-antiparallel [psi]: field 'chi' is shifted both "
+            f"FORWARD and BACKWARD along mu=0 {faces}",
+            "note: shift-antiparallel [psi]: field 'chi' is shifted both "
+            f"FORWARD and BACKWARD along mu=1 {faces}",
+            "error: lattice-conformance [psi]: field 'eta' lives on "
+            "lattice (2, 2, 2, 2) but 'psi' is on (4, 4, 4, 4) — "
+            "non-conformant operands in one expression",
+            "error: lattice-conformance [psi]: subset 'bad' references "
+            "site 259 beyond the destination lattice (256 sites)",
+            f"note: shift-materialization [psi]: shift of a non-leaf "
+            f"expression {temp}",
+            f"note: shift-materialization [psi]: shift of a nested shift "
+            f"{temp}",
+        ]
 
 
 class TestCheckAssignment:

@@ -95,6 +95,34 @@ class TestShiftMaps:
         lat = Lattice((4, 4, 4, 4))
         assert lat.shift_map(0, FORWARD) is lat.shift_map(0, FORWARD)
 
+    def test_site_tables_are_read_only(self):
+        lat = Lattice((4, 4, 4, 4))
+        with pytest.raises(ValueError):
+            lat.shift_map(0, FORWARD)[0] = 1
+        with pytest.raises(ValueError):
+            lat.even.sites[0] = 1
+
+    def test_comm_subsets_are_read_only(self):
+        from repro.comm import DistributedWilsonDslash, VirtualMachine
+        from repro.comm.vm import _interior_subset
+
+        vm = VirtualMachine((4, 4, 4, 8), (1, 1, 1, 2))
+        inner, face = DistributedWilsonDslash(vm, [])._partition()
+        for sub in (_interior_subset(vm.local_lattice, 3, FORWARD),
+                    inner, face):
+            with pytest.raises(ValueError):
+                sub.sites[0] = 1
+
+    def test_table_facts_measured_once_per_table(self):
+        from repro.ptx.absint import table_facts
+
+        lat = Lattice((4, 4, 4, 4))
+        facts = lat.shift_facts(1, BACKWARD)
+        assert facts == table_facts(lat.shift_map(1, BACKWARD))
+        assert lat.shift_facts(1, BACKWARD) is facts
+        assert lat.odd.table_facts == table_facts(lat.odd.sites)
+        assert lat.odd.table_facts is lat.odd.table_facts
+
     def test_bad_direction(self):
         lat = Lattice((4, 4, 4, 4))
         with pytest.raises(ValueError):

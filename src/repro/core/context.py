@@ -218,16 +218,19 @@ class Context:
                      charge_jit: bool = True) -> ModuleEntry:
         """The one kernel build path, for a module-cache miss.
 
-        ``generate()`` -> IR layer -> PTX text, once per ``key`` per
-        process -> this context's driver JIT view, which verifies the
-        text under the launch ``env`` as ``REPRO_VERIFY`` says and, on a
-        view miss, charges the modeled JIT cost (``charge_jit=False``:
-        halo face copies never were charged).  Counted as if built here.
+        ``generate()`` -> IR layer -> PTX module and text, once per
+        ``key`` per process -> this context's driver JIT view, handed
+        both: the text names the kernel, the module's stream is what
+        it compiles and verifies under the launch ``env`` as
+        ``REPRO_VERIFY`` says.  On a view miss it charges the modeled
+        JIT cost (``charge_jit=False``: halo face copies never were
+        charged).  Counted as if built here.
         """
         module, text = generated_module(
             key, lambda: prepare_module(generate()))
         self.stats.modules_verified += 1
-        compiled, was_cached = self.kernel_cache.get_or_compile(text, env=env)
+        compiled, was_cached = self.kernel_cache.get_or_compile(
+            text, env=env, module=module)
         if charge_jit and not was_cached:
             self.device.charge_jit(compiled.modeled_compile_seconds)
             self.stats.kernels_generated += 1

@@ -2,7 +2,7 @@
 
 The driver JIT analyses each distinct PTX module exactly once per
 *process*: one store maps the text's sha256 to its
-:class:`~repro.driver.jitcompiler.CompiledKernel` (parsed stream,
+:class:`~repro.driver.jitcompiler.CompiledKernel` (instruction stream,
 register footprint, modeled JIT cost, per-env diagnostics, the launch
 callable).  The paper measures the translation cost at 0.05-0.22 s
 per kernel and ~200 distinct kernels per HMC trajectory, the same ones
@@ -81,13 +81,15 @@ class KernelCache:
     def key_for(ptx_text: str) -> str:
         return hashlib.sha256(ptx_text.encode()).hexdigest()
 
-    def get_or_compile(self, ptx_text: str,
-                       env=None) -> tuple[CompiledKernel, bool]:
+    def get_or_compile(self, ptx_text: str, env=None,
+                       module=None) -> tuple[CompiledKernel, bool]:
         """Return ``(kernel, was_cached)`` for the given PTX text.
 
         ``env`` is the launch :class:`~repro.ptx.absint.KernelEnv` the
         caller will bind; the kernel is verified under it unless it
-        already was (by any view).
+        already was (by any view).  ``module`` is the prepared module
+        that rendered the text, if the caller holds it: a store miss
+        then compiles its stream instead of parsing the text.
         """
         key = self.key_for(ptx_text)
         kernel = self._kernels.get(key)
@@ -97,7 +99,7 @@ class KernelCache:
             return kernel, True
         kernel = _STORE.get(key)
         if kernel is None:
-            kernel = _STORE[key] = compile_ptx(ptx_text, env)
+            kernel = _STORE[key] = compile_ptx(ptx_text, env, module)
             self.stats.total_compile_seconds += kernel.compile_seconds
         else:
             verify_kernel(kernel, env)

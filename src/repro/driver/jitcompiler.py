@@ -1,12 +1,14 @@
-"""The simulated driver JIT: PTX text -> executable kernel.
+"""The simulated driver JIT: PTX -> executable kernel.
 
 This plays the role of the NVIDIA compute-compile driver (part of the
-Linux kernel driver) in paper Fig. 2: it accepts PTX assembly text and
-produces executable code.  Here "executable" means a generated Python
-function vectorized over the *thread* axis — the SPMD semantics of the
-GPU are preserved exactly (each array lane is one CUDA thread), so
-results agree with a real device up to floating-point reassociation in
-``fma`` (NumPy does not fuse; see DESIGN.md "Known deviations").
+Linux kernel driver) in paper Fig. 2: it accepts PTX assembly text —
+or, for a kernel generated in the process, the module that rendered
+it, whose stream needs no parse — and produces executable code.  Here
+"executable" means a generated Python function vectorized over the
+*thread* axis — the SPMD semantics of the GPU are preserved exactly
+(each array lane is one CUDA thread), so results agree with a real
+device up to floating-point reassociation in ``fma`` (NumPy does not
+fuse; see DESIGN.md "Known deviations").
 
 One generator (:class:`_Translator`) serves every dispatch name.
 Control flow is compiled with an active-lane mask supporting guarded
@@ -45,8 +47,8 @@ from ..ptx.cfg import build_cfg
 from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType,
                        Register, Special)
 from ..ptx.liveness import max_live_registers
-from ..ptx.module import PTXModule
-from ..ptx.verifier import run_passes
+from ..ptx.module import PTX_TARGET, PTX_VERSION, PTXModule
+from ..ptx.verifier import PASSES, run_passes
 from .parser import ParsedKernel, PTXParseError, parse_ptx
 
 
@@ -232,11 +234,11 @@ class CompiledKernel:
 
     Built once per distinct PTX text by :func:`compile_ptx` and kept in
     the process-wide kernel store (:mod:`repro.driver.cache`), which
-    hands this one object to every view: the re-parsed instruction
-    stream (the one that executes), the liveness-based register
-    footprint, the modeled driver-JIT cost, the static-analysis
-    diagnostics per launch env it was checked under, and the launch
-    callable, built on first dispatch
+    hands this one object to every view: the instruction stream that
+    executes (the builder's, or the parse of text), the liveness-based
+    register footprint, the modeled driver-JIT cost, the
+    static-analysis diagnostics per launch env it was checked under,
+    and the launch callable, built on first dispatch
     (:func:`repro.driver.backends.select_backend`) or, for a kernel no
     cache has dispatched (a bare :func:`compile_ptx` result), on its
     first launch.
@@ -245,8 +247,12 @@ class CompiledKernel:
     name: str
     ptx_text: str
     parsed: ParsedKernel
+    #: the stream is the builder's, handed over with its text, and
+    #: :func:`repro.ir.prepare_module` has run ``ssa-structure`` on it
+    prepared: bool = False
     regs_per_thread: int = 0
-    compile_seconds: float = 0.0     # measured: parse + analysis
+    #: measured: parse (text input only) + analysis
+    compile_seconds: float = 0.0
     modeled_compile_seconds: float = 0.0   # the modeled NVIDIA-driver JIT
     #: env key -> diagnostics of the passes run under that launch env
     #: (empty for a kernel built under ``REPRO_VERIFY=off``)
@@ -1092,16 +1098,24 @@ def _env_key(env):
             tuple(sorted(env.regions.items())))
 
 
+#: the JIT's pipeline on a prepared stream: every pass but the one
+#: :func:`repro.ir.prepare_module` ran
+_AFTER_PREPARE = tuple(n for n in PASSES if n != "ssa-structure")
+
+
 def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
     """The JIT's one verification point, memoised per launch env.
 
     Every PTX program entering the JIT — generated or hand-written —
-    passes through the verifier pipeline on its *re-parsed* stream, so
-    malformed kernels fail at compile time with diagnostics instead of
-    as downstream evaluator failures.  A digest already checked under
-    ``env`` is not analysed again: its stored diagnostics are reported
-    again (``replay``: the first time a cache sees the kernel) or only
-    enforced (error-severity findings still raise under ``error``).
+    passes through the verifier pipeline on the stream that executes,
+    so malformed kernels fail at compile time with diagnostics instead
+    of as downstream evaluator failures; on a prepared stream the
+    pipeline skips ``ssa-structure``, which
+    :func:`repro.ir.prepare_module` ran on it.  A digest already
+    checked under ``env`` is not analysed again: its stored diagnostics
+    are reported again (``replay``: the first time a cache sees the
+    kernel) or only enforced (error-severity findings still raise
+    under ``error``).
     Strictness follows ``REPRO_VERIFY`` (off / warn / error; see
     :mod:`repro.diagnostics`).  Returns the
     :class:`~repro.ptx.absint.KernelAnalysis` when one was computed.
@@ -1120,8 +1134,9 @@ def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
         # the one CFG absint, liveness and every verifier pass read
         cfg = build_cfg(module.instructions)
         analysis = analyze_module(module, env=env, cfg=cfg)
-        diagnostics = run_passes(module, env=env, analysis=analysis,
-                                 cfg=cfg)
+        diagnostics = run_passes(
+            module, passes=_AFTER_PREPARE if kernel.prepared else None,
+            env=env, analysis=analysis, cfg=cfg)
         kernel.checked[key] = diagnostics
     errs = errors(diagnostics)
     fatal = mode == "error" and errs
@@ -1141,23 +1156,34 @@ def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
     return analysis
 
 
-def compile_ptx(ptx_text: str, env=None) -> CompiledKernel:
-    """JIT-compile a PTX module's text into an executable kernel.
+def compile_ptx(ptx_text: str, env=None, module=None) -> CompiledKernel:
+    """JIT-compile a PTX module into an executable kernel.
 
-    Parses the text, verifies the parsed stream once under the
-    caller's launch ``env`` (a :class:`~repro.ptx.absint.KernelEnv`;
-    gated by ``REPRO_VERIFY``) and sizes the register footprint from
-    that one analysis.  The launch callable is not built here — the
-    kernel cache's dispatch builds it.  Raises
-    :class:`JITCompileError` on malformed or rejected input.
+    The stream is ``module``'s — the prepared
+    :class:`~repro.ptx.module.PTXModule` that rendered ``ptx_text``,
+    when the caller holds it — or else the parse of ``ptx_text``.
+    Verifies it once under the caller's launch ``env`` (a
+    :class:`~repro.ptx.absint.KernelEnv`; gated by ``REPRO_VERIFY``)
+    and sizes the register footprint from that one analysis.  The
+    launch callable is not built here — the kernel cache's dispatch
+    builds it.  Raises :class:`JITCompileError` on malformed or
+    rejected input.
     """
     t0 = time.perf_counter()
-    try:
-        parsed = parse_ptx(ptx_text)
-    except PTXParseError as exc:
-        raise JITCompileError(f"parse error: {exc}") from exc
+    if module is not None:
+        info = module.info
+        parsed = ParsedKernel(info.name, list(info.params),
+                              list(module.instructions),
+                              dict(info.regs_per_thread),
+                              PTX_VERSION, PTX_TARGET)
+    else:
+        try:
+            parsed = parse_ptx(ptx_text)
+        except PTXParseError as exc:
+            raise JITCompileError(f"parse error: {exc}") from exc
     kernel = CompiledKernel(
         name=parsed.name, ptx_text=ptx_text, parsed=parsed,
+        prepared=module is not None,
         modeled_compile_seconds=modeled_jit_time(len(parsed.instructions)))
     analysis = verify_kernel(kernel, env)
     # The real driver JIT performs register allocation; the SSA-style

@@ -1,10 +1,11 @@
 """Parser for the PTX dialect emitted by :mod:`repro.ptx`.
 
-The simulated driver JIT consumes PTX *text*, not the in-memory
-builder objects — the same boundary the NVIDIA compute-compile driver
-sits behind (paper Fig. 2).  This keeps the code-generation and
-execution stages honestly decoupled and lets hand-written PTX run too
-(used in tests).
+PTX *text* is what crosses the boundary the NVIDIA compute-compile
+driver sits behind (paper Fig. 2): hand-written kernels, text handed
+to :func:`~repro.driver.jitcompiler.compile_ptx`.  A kernel generated
+in the process reaches the JIT as its builder's stream instead, which
+this parser reproduces instruction by instruction from the rendered
+text.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ..ptx.isa import Immediate, Instruction, Param, PTXType, Register, Special
+from ..ptx.isa import (Immediate, Instruction, Param, ParamRef, PTXType,
+                       Register, Special)
 
 
 class PTXParseError(Exception):
@@ -52,17 +54,6 @@ class ParsedKernel:
     reg_decls: dict[str, int] = field(default_factory=dict)
     version: str = ""
     target: str = ""
-
-
-class _ParamOperand:
-    """Operand standing for a kernel parameter in ``ld.param``."""
-
-    def __init__(self, pname: str):
-        self.pname = pname
-
-    @property
-    def name(self) -> str:
-        return self.pname
 
 
 def _ptx_type(tname: str, where: str) -> PTXType:
@@ -226,7 +217,7 @@ def parse_ptx(text: str) -> ParsedKernel:
                 raise PTXParseError(
                     f"bad {'store' if store else 'load'} address: {ln!r}")
             if opcode == "ld.param":
-                addr: object = _ParamOperand(am.group(1))
+                addr: object = ParamRef(am.group(1))
             else:
                 addr = _parse_operand(am.group(1), PTXType.U64, interned)
             reg = _parse_operand(rtok, itype, interned)

@@ -93,7 +93,8 @@ JSON schema (``schema_version`` 13)::
                                        # kernel family (eval/fus/red/...)
       },
       "ir": {                          # the build path's ssa-structure
-                                       # check (repro.ir.prepare_module)
+                                       # check (repro.ir.prepare_module),
+                                       # the one a generated stream gets
         "modules_verified": int        # generated modules checked
       },
       "summary": {

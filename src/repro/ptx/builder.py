@@ -19,6 +19,7 @@ from .isa import (
     KernelInfo,
     Operand,
     Param,
+    ParamRef,
     PTXType,
     Register,
     Special,
@@ -237,7 +238,7 @@ class KernelBuilder:
     def ld_param(self, param: Param) -> Register:
         dst = self.new_reg(param.type)
         self.emit(Instruction("ld.param", param.type, dst,
-                              (_ParamRef(param.name),)))
+                              (ParamRef(param.name),)))
         return dst
 
     def ld_global(self, addr: Register, type: PTXType,
@@ -320,18 +321,3 @@ class KernelBuilder:
         self.info.n_instructions = len(self.instructions)
         self.info.regs_per_thread = dict(sorted(self._reg_counters.items()))
         return self.info
-
-
-class _ParamRef:
-    """Pseudo-operand naming a kernel parameter in ``ld.param``."""
-
-    def __init__(self, pname: str):
-        self.pname = pname
-
-    @property
-    def name(self) -> str:
-        # The ld.param render path wraps this in brackets.
-        return self.pname
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.pname

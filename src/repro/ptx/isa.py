@@ -150,6 +150,22 @@ class Special:
         return self.name
 
 
+@dataclass(frozen=True)
+class ParamRef:
+    """The operand of ``ld.param``: a kernel parameter, by name (the
+    builder's and the parser's, so the two streams compare equal)."""
+
+    pname: str
+
+    @property
+    def name(self) -> str:
+        # the ld.param render path wraps this in brackets
+        return self.pname
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.pname
+
+
 Operand = Register | Immediate | Special
 
 

@@ -1,11 +1,12 @@
-"""PTX module: the textual program handed to the driver JIT.
+"""PTX module: one kernel's translation unit, stream and text.
 
 A :class:`PTXModule` owns one ``.entry`` kernel (our code generators
 emit one kernel per expression, as in QDP-JIT) and renders it as PTX
-assembly text.  The text is the *sole* interface to the simulated
-driver (:mod:`repro.driver`): the driver parses it back, which keeps
-an honest language boundary between code generation and execution —
-exactly the property the paper relies on (Figure 2).
+assembly text.  The text's sha256 names the kernel in the driver's
+store (:mod:`repro.driver`); in-process the driver JIT compiles the
+module's own instruction stream, and the text is parsed only where it
+crosses a boundary — the language boundary between code generation
+and execution the paper relies on (Figure 2).
 """
 
 from __future__ import annotations

@@ -86,10 +86,9 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
     params = {p.name: p for p in module.info.params}
 
     def check_src(inst: Instruction, op, pos: int) -> None:
-        if isinstance(op, (Register, Immediate, Special)):
-            return
-        # _ParamRef in ld.param is checked separately
-        if inst.opcode != "ld.param":
+        # a ParamRef is an operand of ld.param only, checked below
+        # against the declared parameters
+        if not isinstance(op, (Register, Immediate, Special)):
             err(f"bad operand at position {pos}", inst)
 
     for inst in module.instructions:

@@ -140,8 +140,8 @@ class SharedKernelCache(KernelCache):
         """Total hits on kernels compiled by a *different* tenant."""
         return sum(self.cross_hits_by_tenant.values())
 
-    def get_or_compile(self, ptx_text: str, env=None):
-        kernel, was_cached = super().get_or_compile(ptx_text, env)
+    def get_or_compile(self, ptx_text: str, env=None, module=None):
+        kernel, was_cached = super().get_or_compile(ptx_text, env, module)
         tenant = self.tenants.get(self.timeline.tenant)
         if tenant is None:
             return kernel, was_cached

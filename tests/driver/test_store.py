@@ -19,6 +19,7 @@ from repro.core.reduction import innerProduct, norm2
 from repro.driver import JITCompileError, KernelCache, clear_kernel_store
 from repro.driver import cache as cache_mod, jitcompiler
 from repro.llvm import cputarget
+from repro.ptx import verifier
 from repro.ptx.absint import KernelEnv, MemRegion
 from repro.ptx.liveness import max_live_registers
 from repro.ptx.module import PTXModule
@@ -159,9 +160,10 @@ class TestSecondContext:
         built = [s.calls for s in spies]
         kernels = first["cache"][1]
         assert kernels > 0 and first["modules"][1:3] == (kernels, kernels)
-        # one parse, verification, translation, generation, SSA check
-        # and render per kernel
-        assert built == [kernels] * 6
+        # no parse (the JIT takes the builder's stream), and one
+        # verification, translation, generation, SSA check and render
+        # per kernel
+        assert built == [0] + [kernels] * 5
         second = _statements()
         assert [s.calls for s in spies] == built
         assert second == first
@@ -297,6 +299,41 @@ class TestEnvMemo:
         assert passes.calls == 1
 
 
+class TestOneSSACheck:
+    """``prepare_module`` SSA-checks a generated stream; the JIT runs
+    the rest of the pipeline on it.  Parsed text gets all of it."""
+
+    @staticmethod
+    def _axpy(dims):
+        ctx = Context()
+        lat = Lattice(dims)
+        a, b = (latt_fermion(lat, context=ctx) for _ in range(2))
+        a.gaussian(np.random.default_rng(2))
+        b.assign(2.0 * a + a)
+        norm2(b, context=ctx)
+        return ctx
+
+    def test_once_per_generated_kernel_under_every_env(self, cold_store):
+        ssa = _Spy(cold_store, verifier, "_check_ssa_structure")
+        passes = _Spy(cold_store, jitcompiler, "run_passes")
+        kernels = self._axpy((2, 2, 2, 4)).stats.module_cache_misses
+        assert kernels > 0 and (ssa.calls, passes.calls) == (kernels,
+                                                            kernels)
+        # another lattice: the same texts under other launch envs, so
+        # every kernel is verified again, without its SSA check
+        self._axpy((2, 2, 4, 4))
+        assert (ssa.calls, passes.calls) == (kernels, 2 * kernels)
+
+    def test_a_parsed_non_ssa_kernel_still_fails(self, cold_store):
+        text = _ptx("st_ssa", body=_DOUBLE + "\n    " + _DOUBLE)
+        ssa = _Spy(cold_store, verifier, "_check_ssa_structure")
+        for compile_text in (jitcompiler.compile_ptx,
+                             KernelCache().get_or_compile):
+            with pytest.raises(JITCompileError, match="st_ssa.*redefined"):
+                compile_text(text)
+        assert ssa.calls == 2
+
+
 class TestBackends:
     def test_one_build_per_process_across_dispatch_names(self, cold_store):
         """A ``sim`` view and then a ``cpu`` view of one digest: one
@@ -365,3 +402,16 @@ def test_serving_is_unchanged_by_a_warm_store(cold_store):
     cold = serve()
     assert cold[0] > 0 and cold[2] == {"alice": cold[3]}
     assert serve() == cold
+
+
+def test_a_generated_only_serve_run_parses_nothing(cold_store):
+    """The server's shared view forwards the builder's stream."""
+    from repro.serve import Server, cg_diag_workload
+
+    parse = _Spy(cold_store, jitcompiler, "parse_ptx")
+    srv = Server(policy="fifo")
+    for seed, name in enumerate(("alice", "bob")):
+        srv.submit(srv.tenant(name),
+                   cg_diag_workload(dims=(2, 2, 2, 4), seed=seed, max_iter=4))
+    srv.drain()
+    assert srv.kernel_cache.stats.misses > 0 and parse.calls == 0

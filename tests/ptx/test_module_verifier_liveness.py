@@ -95,13 +95,12 @@ class TestVerifier:
             verify(PTXModule.from_builder(kb))
 
     def test_ld_param_of_undeclared_param(self):
-        from repro.ptx.builder import _ParamRef
-        from repro.ptx.isa import Instruction
+        from repro.ptx.isa import Instruction, ParamRef
 
         kb = KernelBuilder("bad")
         dst = kb.new_reg(PTXType.S32)
         kb.emit(Instruction("ld.param", PTXType.S32, dst,
-                            (_ParamRef("p_ghost"),)))
+                            (ParamRef("p_ghost"),)))
         with pytest.raises(PTXVerificationError, match="undeclared"):
             verify(PTXModule.from_builder(kb))
 

@@ -12,8 +12,7 @@ from repro.ptx import (
     verify,
 )
 from repro.ptx.absint import KernelEnv, MemRegion
-from repro.ptx.builder import _ParamRef
-from repro.ptx.isa import Immediate, Instruction, Register
+from repro.ptx.isa import Immediate, Instruction, ParamRef, Register
 
 
 def _by_pass(diagnostics, name):
@@ -300,7 +299,7 @@ class TestLdParamTypes:
         kb.add_param("p_n", PTXType.S32)
         dst = kb.new_reg(PTXType.F64)
         kb.emit(Instruction("ld.param", PTXType.F64, dst,
-                            (_ParamRef("p_n"),)))
+                            (ParamRef("p_n"),)))
         kb.ret()
         diagnostics = run_passes(PTXModule.from_builder(kb))
         found = [d for d in _by_pass(diagnostics, "operands")
@@ -345,7 +344,7 @@ def _operand_faults():
                                        label="$NOWHERE"),
         "undeclared-param": Instruction("ld.param", PTXType.S32,
                                         Register(PTXType.S32, 0),
-                                        (_ParamRef("p_missing"),)),
+                                        (ParamRef("p_missing"),)),
         "store-value-type": Instruction("st.global", PTXType.F64, None,
                                         (u64, f32)),
         "cvt-no-source-type": Instruction("cvt", PTXType.F64,

@@ -41,6 +41,7 @@ from .expr import (
     TraceNode,
     UnaryNode,
     _level_mul_pairs,
+    group_key,
 )
 
 if TYPE_CHECKING:  # avoid importing the qdp package at module load
@@ -294,24 +295,19 @@ class Unparser:
 
     def _sig(self, node: Expr) -> str:
         """Structural signature of a subtree (slot-stable: every slot
-        was assigned during the pre-walk, so this is a pure lookup)."""
+        was assigned during the pre-pass, so this is a pure lookup)."""
         s = self._sig_cache.get(id(node))
         if s is None:
             s = node.signature(self.slots)
             self._sig_cache[id(node)] = s
         return s
 
-    def _uids(self, node: Expr) -> tuple:
-        u = self._uids_cache.get(id(node))
-        if u is None:
-            acc: set[int] = set()
-            _collect_uids(node, acc)
-            u = tuple(sorted(acc))
-            self._uids_cache[id(node)] = u
-        return u
-
     def _epoch_key(self, node: Expr) -> tuple:
-        return tuple(self._epoch.get(u, 0) for u in self._uids(node))
+        uids = self._uids_cache.get(id(node))
+        if uids is None:
+            uids = self._uids_cache[id(node)] = tuple(
+                sorted(node.reads | node.shift_reads))
+        return tuple(self._epoch.get(u, 0) for u in uids)
 
     def stage_forward(self, uid: int, sidx: tuple, cidx: tuple,
                       val: CVal) -> None:
@@ -449,7 +445,7 @@ class Unparser:
             c = node.value.conjugate() if conjugate else node.value
             return CVal(const=c)
         if isinstance(node, ScalarParam):
-            v = self._scalar_vals[self.slots.scalar_slot(node)]
+            v = self._scalar_vals[self.slots.slot(node)]
             return ops.conj(v) if conjugate else v
         if isinstance(node, ConstSpinMatrix):
             entry = complex(node.matrix[sidx])
@@ -464,7 +460,7 @@ class Unparser:
             if not isinstance(child, FieldRef):
                 raise CodegenError(
                     "shift of a non-leaf must be materialized before codegen")
-            sl = self.slots.shift_slot(node.mu, node.sign)
+            sl = self.slots.slot((node.mu, node.sign))
             return self.gen(child, sidx, cidx, view=sl, conjugate=conjugate)
         if isinstance(node, UnaryNode):
             op = node.op
@@ -561,13 +557,6 @@ class Unparser:
             x = self.kb._coerce(v.re, ft)
             return CVal(re=emit_pow(self.kb, x, node.exponent, ft))
         raise CodegenError(f"cannot unparse node {type(node).__name__}")
-
-
-def _collect_uids(node: Expr, acc: set) -> None:
-    if isinstance(node, FieldRef):
-        acc.add(node.field.uid)
-    for c in node.children():
-        _collect_uids(c, acc)
 
 
 def partials_names(kind: str) -> tuple[str, ...]:
@@ -732,17 +721,10 @@ def build_fused_kernel(name: str, assigns, reduction,
     lone statement keeps the per-node loads Table II's byte accounting
     needs.
     """
-    slots = SlotAssigner()
-    # pre-walk in the exact order the launcher re-walks for binding:
-    # each statement's expression, then its destination's slot, then
-    # the reduction operands
     for dest, expr in assigns:
         _check_assign_types(dest.spec, expr)
-        expr.signature(slots)
-        slots.field_slot(dest)
-    if reduction is not None:
-        for e in reduction[1]:
-            e.signature(slots)
+    # the slots the launcher binds, numbered by the one key builder
+    slots = group_key(assigns, reduction, subset_mode)[1]
 
     # the scheduler only groups statements (and absorbs reductions) of
     # one precision, so the ComplexOps default type matches what each

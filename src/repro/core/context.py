@@ -119,6 +119,9 @@ class ModuleEntry:
     #: launches); what the verifier passes and ``repro.lint`` analyze
     #: the kernel under
     env: KernelEnv
+    #: per binding ``env`` covers, ``(id(lattice), id(subset), shifts)``
+    #: -> ``(lattice, subset, table params)`` (held: no id is reused)
+    bound: dict = field(default_factory=dict, repr=False)
 
 
 class Context:
@@ -188,31 +191,51 @@ class Context:
         """Launch every pending (deferred) statement now."""
         self.fusion.flush()
 
-    def lookup_kernel(self, key: str, prefix: str, build,
-                      env: KernelEnv) -> ModuleEntry:
+    def lookup_kernel(self, key: str, prefix: str, build, binding,
+                      launch_env) -> tuple[ModuleEntry, dict]:
         """The one generated-kernel lookup, for every statement path.
 
         ``key`` is the statement's structural signature; on a miss the
         kernel is named ``prefix + sha256(key)[:12]``, generated by
         ``build(name)`` (unless another context already did) and built
-        through :meth:`build_kernel` under the launch ``env``.  On a
-        hit the entry's recorded env widens to cover this launch too.
-        Hits and misses are counted in
+        through :meth:`build_kernel` under the env ``launch_env()``.
+        ``binding`` — ``(lattice, subset, shifts)``, the ``(mu, sign)``
+        of each shift slot — is the rest of what the launch binds; with
+        the key it fixes the env (view sizes from the key's specs,
+        tables from the binding), and widening an env by one it covers
+        changes nothing, so the env is built and merged once per
+        binding, as are the table parameters returned with the entry
+        (``p_lo``, ``p_n``, ``p_stab``, ``p_sh<i>``; a table uploads on
+        first use).  Hits and misses are counted in
         ``stats.module_cache_hits/misses`` — the "kernels are compiled
         once, launched thousands of times" claim of the paper, made
         measurable (``repro.lint --json`` reports it).
         """
+        lattice, subset, shifts = binding
+        seen = (id(lattice), id(subset), shifts)
         entry = self.module_cache.get(key)
         if entry is None:
             self.stats.module_cache_misses += 1
             entry = self.module_cache[key] = self.build_kernel(
                 key, lambda: build(
                     prefix + hashlib.sha256(key.encode()).hexdigest()[:12]),
-                env)
+                launch_env())
         else:
             self.stats.module_cache_hits += 1
-            entry.env = merge_envs(entry.env, env)
-        return entry
+            bound = entry.bound.get(seen)
+            if bound is not None:
+                return entry, bound[2]
+            entry.env = merge_envs(entry.env, launch_env())
+        tables = {"p_lo": lattice.nsites, "p_n": len(subset)}
+        if not subset.is_full:
+            tables["p_stab"] = self.upload_table(
+                ("subset", lattice.dims, subset.name), subset.sites)
+        for i, (mu, sign) in enumerate(shifts):
+            tables[f"p_sh{i}"] = self.upload_table(
+                ("shift", lattice.dims, mu, sign),
+                lattice.shift_map(mu, sign))
+        entry.bound[seen] = (lattice, subset, tables)
+        return entry, tables
 
     def build_kernel(self, key: str, generate, env=None,
                      charge_jit: bool = True) -> ModuleEntry:
@@ -289,6 +312,8 @@ class Context:
         for addr, _ in self._tables.values():
             self.device.mem_free(addr)
         self._tables.clear()
+        for entry in self.module_cache.values():
+            entry.bound.clear()     # their table addresses are gone
 
 
 _default_context: Context | None = None

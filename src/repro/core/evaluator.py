@@ -6,13 +6,13 @@
 into temporaries (QDP++ semantics; also the paper's "shifts of shifts
 execute the inner-most shift non-overlapping"), and a destination
 aliased inside a shift or read under ``adj``/``transpose`` is copied
-first — type-checked against its
-destination, and handed to the context's statement queue.  The
-normalize walk is the one walk that also collects the statement's
-plain and shifted read uids, the queue's hazard facts; the lint walk
-(skipped under ``REPRO_VERIFY=off``) only reports.  Lookup,
-paging, binding and launch (paper Secs. IV-VII) are the queue's one
-launcher, :func:`repro.core.fusion._launch_group`.
+first — type-checked against its destination, and handed to the
+context's statement queue.  No step walks the tree: the lint tests
+the root's facts (:class:`~repro.core.expr.Expr`) against the
+destination, normalization descends only where they show something to
+copy, and the queue's hazard facts are the normalized root's read
+sets.  Lookup, paging, binding and launch (paper Secs. IV-VII) are the
+queue's one launcher, :func:`repro.core.fusion._launch_group`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .expr import (
     CustomOpNode,
     Expr,
     FieldRef,
+    PowNode,
     ShiftNode,
     TraceNode,
     UnaryNode,
@@ -50,14 +51,12 @@ def _rebuild(node: Expr, new_children) -> Expr:
     if isinstance(node, CustomOpNode):
         return CustomOpNode(node.name, tuple(new_children), node.spec,
                             node.gen)
-    from .expr import PowNode
-
     if isinstance(node, PowNode):
         return PowNode(new_children[0], node.exponent)
     raise TypeError(f"cannot rebuild {type(node).__name__}")
 
 
-def _normalize(node: Expr, dest, ctx: Context, temps: list, reads,
+def _normalize(node: Expr, dest, ctx: Context, temps: list,
                stores: bool = True, flipped: bool = False) -> Expr:
     """Materialize shift-of-expression and shift-of-destination, and a
     destination read under ``adj``/``transpose`` (``flipped``).
@@ -71,34 +70,28 @@ def _normalize(node: Expr, dest, ctx: Context, temps: list, reads,
     Created temporaries are appended to ``temps`` so the caller can
     :meth:`~repro.memory.cache.FieldCache.release` them once the
     statement that consumes them has launched — a dead temporary must
-    never cost D2H spill traffic later.  The uids the *normalized*
-    tree reads are added to the pair of sets ``reads`` (plain, through
-    a shift).  A subtree with nothing to materialize comes back as the
-    same object.
+    never cost D2H spill traffic later.  A subtree whose facts show
+    nothing to materialize comes back unvisited, as the same object;
+    a rebuilt node computes its facts anew.
     """
-    if isinstance(node, FieldRef):
-        if flipped and stores and node.field.uid == dest.uid:
-            node = _materialize(node, dest, ctx, temps)
-        reads[0].add(node.field.uid)
+    d = dest.uid
+    if not (node.deep or d in node.shift_reads
+            or stores and d in (node.reads if flipped else node.flip_reads)):
         return node
-    children = node.children()
-    if not children:
-        return node
+    if isinstance(node, FieldRef):          # a flipped read of dest
+        return _materialize(node, dest, ctx, temps)
     if isinstance(node, ShiftNode):
-        # a shifted operand is a leaf or becomes a fresh temporary:
-        # either way the statement's stores cannot reach it
-        child = node.child
-        if not isinstance(child, FieldRef) or child.field.uid == dest.uid:
-            # what ``child`` reads, the temporary's own statement reads
-            child = _materialize(
-                _normalize(child, dest, ctx, temps, (set(), set()), stores),
-                dest, ctx, temps)
-        reads[1].add(child.field.uid)
-        return (node if child is node.child
-                else ShiftNode(child, node.mu, node.sign))
+        # a shift of a non-leaf or of the destination: the shifted
+        # operand becomes a fresh temporary, which the statement's
+        # stores cannot reach
+        child = _materialize(_normalize(node.child, dest, ctx, temps,
+                                        stores),
+                             dest, ctx, temps)
+        return ShiftNode(child, node.mu, node.sign)
     flipped = flipped or (isinstance(node, UnaryNode)
                           and node.op in ("adj", "transpose"))
-    new = [_normalize(c, dest, ctx, temps, reads, stores, flipped)
+    children = node.children()
+    new = [_normalize(c, dest, ctx, temps, stores, flipped)
            for c in children]
     if all(a is b for a, b in zip(new, children)):
         return node
@@ -143,13 +136,11 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
                           mem_time_s=0.0, flop_time_s=0.0,
                           bytes_moved=0, flops=0)
     # -- AST lint: surface data hazards before any kernel is built ------
-    mode = verify_mode()
-    check_assignment(dest, expr, subset=subset, mode=mode)
+    check_assignment(dest, expr, subset=subset, mode=verify_mode())
     temps: list = []
-    reads = (set(), set())
-    expr = _normalize(expr, dest, ctx, temps, reads)
+    expr = _normalize(expr, dest, ctx, temps)
     # type errors must surface at the assignment site, not at the
     # (possibly much later) deferred launch
     _check_assign_types(dest.spec, expr)
     ctx.stats.expressions_evaluated += 1
-    return ctx.fusion.enqueue(dest, expr, subset, temps, reads)
+    return ctx.fusion.enqueue(dest, expr, subset, temps)

@@ -89,13 +89,70 @@ def addsub_spec(l: TypeSpec, r: TypeSpec) -> TypeSpec:
     )
 
 
+SLOT = "\x00"               # a slot number's place in ``Expr.frag``
+_NONE: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a | b if a and b else a or b
+
+
 class Expr:
-    """Base class for AST nodes.  Carries the result type in ``spec``."""
+    """Base class for AST nodes.
 
-    __slots__ = ("spec",)
+    Nodes are immutable, so each computes its facts in ``__init__``
+    from its children and no consumer walks a tree: ``spec``;
+    ``reads`` / ``shift_reads``, the uids read plainly / under a shift;
+    ``flip_reads``, those read under ``adj``/``transpose`` and not
+    under a shift; ``signs``, ``(uid, mu, sign)`` of every enclosing
+    shift of every read; ``deep``, one flag per shift of a non-leaf in
+    preorder (``True``: it shifts a shift); ``frag``, the structural
+    signature with a :data:`SLOT` mark per slot number, and
+    ``leaves``, what each mark numbers — a field, a shift's
+    ``(mu, sign)`` or a :class:`ScalarParam` (which builds its
+    ``leaves`` on access: a node holding itself would be a reference
+    cycle, freed only by the garbage collector).
+    """
 
-    def __init__(self, spec: TypeSpec):
+    __slots__ = ("spec", "reads", "shift_reads", "flip_reads", "signs",
+                 "deep", "frag")
+
+    leaves: tuple = ()
+
+    def __init__(self, spec: TypeSpec, frag: str):
+        """A node that reads no field."""
         self.spec = spec
+        self.reads = self.shift_reads = self.flip_reads = self.signs = _NONE
+        self.deep = ()
+        self.frag = frag
+
+    def _inherit(self, spec: TypeSpec, child: "Expr", head: str) -> None:
+        """The facts of a node that only wraps ``child``."""
+        self.spec = spec
+        self.reads = child.reads
+        self.shift_reads = child.shift_reads
+        self.flip_reads = child.flip_reads
+        self.signs = child.signs
+        self.deep = child.deep
+        self.frag = f"{head}({child.frag})"
+        self.leaves = child.leaves
+
+    def _gather(self, spec: TypeSpec, kids, head: str) -> None:
+        """The facts of a node over several children, in order."""
+        self.spec = spec
+        reads = shift_reads = flip_reads = signs = _NONE
+        deep = leaves = ()
+        for k in kids:
+            reads = _union(reads, k.reads)
+            shift_reads = _union(shift_reads, k.shift_reads)
+            flip_reads = _union(flip_reads, k.flip_reads)
+            signs = _union(signs, k.signs)
+            deep += k.deep
+            leaves += k.leaves
+        self.reads, self.shift_reads = reads, shift_reads
+        self.flip_reads, self.signs = flip_reads, signs
+        self.deep, self.leaves = deep, leaves
+        self.frag = f"{head}({','.join(k.frag for k in kids)})"
 
     # -- operator infix form (the QDP++ user interface) -----------------
 
@@ -126,62 +183,82 @@ class Expr:
     def __neg__(self):
         return UnaryNode("neg", self)
 
-    # structural signature pieces
-
     def signature(self, slots: "SlotAssigner") -> str:
-        raise NotImplementedError
+        """The structural signature: ``frag`` numbered by ``slots``."""
+        return slots.fill(self.frag, self.leaves)
 
     def children(self) -> tuple["Expr", ...]:
         return ()
 
 
-def _spec_sig(spec: TypeSpec) -> str:
-    return (f"{spec.precision}:s{spec.spin}:c{spec.color}:"
-            f"{'c' if spec.is_complex else 'r'}")
+#: every derived result spec per ``(op, operand spec idents)`` (and a
+#: scalar's spec and fragment): each is a pure function of its key, so
+#: a tree shape derives its specs once per process
+_SPECS: dict[tuple, object] = {}
+
+
+def leaf_fields(leaves) -> list:
+    """The fields among ``leaves``, in order."""
+    return [x for x in leaves
+            if type(x) is not tuple and type(x) is not ScalarParam]
 
 
 class SlotAssigner:
-    """Assigns stable slots to leaves during a structural walk.
+    """Assigns stable slots to leaves, in the order a signature reads
+    them, counting each kind from 0.
 
-    Fields are slotted by identity (``uid``): two references to the
+    Fields and scalars are slotted by identity: two references to the
     *same* field share a slot, references to different fields get
     different slots — so ``u*u`` and ``u1*u2`` generate different
     kernels, as they must (different parameter lists).
     """
 
     def __init__(self):
-        self.field_slots: dict[int, int] = {}
         self.fields: list[object] = []
         self.scalar_slots: list["ScalarParam"] = []
-        self._scalar_ids: dict[int, int] = {}
-        self.shift_slots: dict[tuple[int, int], int] = {}
         self.shifts: list[tuple[int, int]] = []
+        #: leaf (field, scalar node or ``(mu, sign)``) -> its slot
+        self._slots: dict[object, int] = {}
 
-    def field_slot(self, field) -> int:
-        slot = self.field_slots.get(field.uid)
+    def slot(self, leaf) -> int:
+        """The slot of one ``leaves`` entry, numbering it if new."""
+        slot = self._slots.get(leaf)
         if slot is None:
-            slot = len(self.fields)
-            self.field_slots[field.uid] = slot
-            self.fields.append(field)
+            t = type(leaf)
+            order = (self.shifts if t is tuple else self.scalar_slots
+                     if t is ScalarParam else self.fields)
+            slot = self._slots[leaf] = len(order)
+            order.append(leaf)
         return slot
 
-    def scalar_slot(self, node: "ScalarParam") -> int:
-        key = id(node)
-        slot = self._scalar_ids.get(key)
-        if slot is None:
-            slot = len(self.scalar_slots)
-            self._scalar_ids[key] = slot
-            self.scalar_slots.append(node)
-        return slot
+    field_slot = slot
 
-    def shift_slot(self, mu: int, sign: int) -> int:
-        key = (mu, sign)
-        slot = self.shift_slots.get(key)
-        if slot is None:
-            slot = len(self.shifts)
-            self.shift_slots[key] = slot
-            self.shifts.append(key)
-        return slot
+    def fill(self, frag: str, leaves: tuple) -> str:
+        """``frag`` with each :data:`SLOT` mark replaced by the slot of
+        its leaf: one pass over the leaves, numbering new ones."""
+        slot = self.slot
+        joined = [None] * (2 * len(leaves) + 1)
+        joined[0::2] = frag.split(SLOT)
+        joined[1::2] = [str(slot(leaf)) for leaf in leaves]
+        return "".join(joined)
+
+
+def group_key(assigns, reduction, subset_mode: bool
+              ) -> tuple[str, SlotAssigner]:
+    """The structural signature of a statement group and the slots it
+    binds: each ``(dest, expr)`` root's fragment numbered in one pass
+    over its leaves and then its destination, and a ``(kind, exprs)``
+    reduction tail's — the order the kernel's parameters follow."""
+    slots = SlotAssigner()
+    parts = [slots.fill(f"{e.frag}->D{SLOT}:{d.spec.sig}", e.leaves + (d,))
+             for d, e in assigns]
+    if reduction is not None:
+        kind, exprs = reduction
+        rsig = ",".join(slots.fill(e.frag, e.leaves) for e in exprs)
+        parts.append(f"red:{kind}({rsig})")
+    key = (("fus:" if len(parts) > 1 else "") + ";".join(parts)
+           + ("|sub" if subset_mode else "|full"))
+    return key, slots
 
 
 class FieldRef(Expr):
@@ -192,14 +269,22 @@ class FieldRef(Expr):
     field into device memory (paper Sec. IV).
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "leaves")
 
     def __init__(self, field):
-        super().__init__(field.spec)
+        self.spec = field.spec
+        try:
+            self.reads, self.frag = field._ref_facts
+        except AttributeError:
+            # once per field: every reference to it shares these (not
+            # ``leaves``: a field holding itself would be a cycle)
+            self.reads = frozenset((field.uid,))
+            self.frag = f"F{SLOT}[{field.spec.sig}]"
+            field._ref_facts = (self.reads, self.frag)
+        self.leaves = (field,)
+        self.shift_reads = self.flip_reads = self.signs = _NONE
+        self.deep = ()
         self.field = field
-
-    def signature(self, slots: SlotAssigner) -> str:
-        return f"F{slots.field_slot(self.field)}[{_spec_sig(self.spec)}]"
 
 
 class ScalarParam(Expr):
@@ -212,16 +297,21 @@ class ScalarParam(Expr):
 
     __slots__ = ("value",)
 
+    @property
+    def leaves(self) -> tuple:
+        return (self,)
+
     def __init__(self, value, precision: str = "f64"):
         value = complex(value)
-        is_complex = value.imag != 0.0
-        super().__init__(TypeSpec(spin=(), color=(), is_complex=is_complex,
-                                  precision=precision, is_lattice=False))
+        key = ("scalar", value.imag != 0.0, precision)
+        facts = _SPECS.get(key)
+        if facts is None:
+            facts = _SPECS[key] = (
+                TypeSpec(spin=(), color=(), is_complex=key[1],
+                         precision=precision, is_lattice=False),
+                f"S{SLOT}{'c' if key[1] else 'r'}:{precision}")
+        super().__init__(*facts)
         self.value = value
-
-    def signature(self, slots: SlotAssigner) -> str:
-        kind = "c" if self.spec.is_complex else "r"
-        return f"S{slots.scalar_slot(self)}{kind}:{self.spec.precision}"
 
 
 class ScalarLit(Expr):
@@ -233,11 +323,9 @@ class ScalarLit(Expr):
         value = complex(value)
         super().__init__(TypeSpec(spin=(), color=(),
                                   is_complex=value.imag != 0.0,
-                                  precision=precision, is_lattice=False))
+                                  precision=precision, is_lattice=False),
+                         f"L({value.real!r},{value.imag!r})")
         self.value = value
-
-    def signature(self, slots: SlotAssigner) -> str:
-        return f"L({self.value.real!r},{self.value.imag!r})"
 
 
 class ConstSpinMatrix(Expr):
@@ -249,46 +337,51 @@ class ConstSpinMatrix(Expr):
     should.
     """
 
-    __slots__ = ("matrix", "_sig")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix, precision: str = "f64"):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ExprTypeError("ConstSpinMatrix requires a square matrix")
-        super().__init__(TypeSpec(spin=m.shape, color=(), is_complex=True,
-                                  precision=precision, is_lattice=False))
-        self.matrix = m
         # a digest, not hash(): the kernel name must not change with
         # PYTHONHASHSEED, and a collision would share a wrong kernel
-        self._sig = "G" + hashlib.sha256(m.tobytes()).hexdigest()[:16]
+        super().__init__(TypeSpec(spin=m.shape, color=(), is_complex=True,
+                                  precision=precision, is_lattice=False),
+                         "G" + hashlib.sha256(m.tobytes()).hexdigest()[:16])
+        self.matrix = m
 
-    def signature(self, slots: SlotAssigner) -> str:
-        return self._sig
+
+_BINARY_SPECS = {"add": addsub_spec, "sub": addsub_spec, "mul": mul_spec}
 
 
 class BinaryNode(Expr):
     """Inner node: add / sub / mul (paper Fig. 3's BinaryNode)."""
 
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "leaves")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        if op in ("add", "sub"):
-            spec = addsub_spec(left.spec, right.spec)
-        elif op == "mul":
-            spec = mul_spec(left.spec, right.spec)
-        else:
-            raise ExprTypeError(f"unknown binary op {op!r}")
-        super().__init__(spec)
+        key = (op, left.spec.ident, right.spec.ident)
+        spec = _SPECS.get(key)
+        if spec is None:
+            rule = _BINARY_SPECS.get(op)
+            if rule is None:
+                raise ExprTypeError(f"unknown binary op {op!r}")
+            spec = _SPECS[key] = rule(left.spec, right.spec)
+        # _gather over two children, spelled out: the hot constructor
+        self.spec = spec
+        self.reads = _union(left.reads, right.reads)
+        self.shift_reads = _union(left.shift_reads, right.shift_reads)
+        self.flip_reads = _union(left.flip_reads, right.flip_reads)
+        self.signs = _union(left.signs, right.signs)
+        self.deep = left.deep + right.deep
+        self.frag = f"{op}({left.frag},{right.frag})"
+        self.leaves = left.leaves + right.leaves
         self.op = op
         self.left = left
         self.right = right
 
     def children(self):
         return (self.left, self.right)
-
-    def signature(self, slots: SlotAssigner) -> str:
-        return (f"{self.op}({self.left.signature(slots)},"
-                f"{self.right.signature(slots)})")
 
 
 #: Real-valued mathematical functions (paper Sec. III-D: PTX has no
@@ -328,27 +421,30 @@ def _require_real(s: TypeSpec, what: str) -> TypeSpec:
 class UnaryNode(Expr):
     """Inner node: neg / conj / adj / transpose / timesI / real / imag."""
 
-    __slots__ = ("op", "child")
+    __slots__ = ("op", "child", "leaves")
 
     def __init__(self, op: str, child: Expr):
-        fn = _UNARY_SPECS.get(op)
-        if fn is None:
-            raise ExprTypeError(f"unknown unary op {op!r}")
-        super().__init__(fn(child.spec))
+        key = (op, child.spec.ident)
+        spec = _SPECS.get(key)
+        if spec is None:
+            fn = _UNARY_SPECS.get(op)
+            if fn is None:
+                raise ExprTypeError(f"unknown unary op {op!r}")
+            spec = _SPECS[key] = fn(child.spec)
+        self._inherit(spec, child, op)
+        if op in ("adj", "transpose"):
+            self.flip_reads = child.reads
         self.op = op
         self.child = child
 
     def children(self):
         return (self.child,)
 
-    def signature(self, slots: SlotAssigner) -> str:
-        return f"{self.op}({self.child.signature(slots)})"
-
 
 class TraceNode(Expr):
     """traceSpin / traceColor / trace (both)."""
 
-    __slots__ = ("which", "child")
+    __slots__ = ("which", "child", "leaves")
 
     def __init__(self, which: str, child: Expr):
         s = child.spec
@@ -363,16 +459,17 @@ class TraceNode(Expr):
             spin = ()
         if which in ("color", "both") and len(color) == 2:
             color = ()
-        super().__init__(TypeSpec(spin, color, s.is_complex, s.precision,
-                                  s.is_lattice))
+        key = (f"trace_{which}", s.ident)
+        spec = _SPECS.get(key)
+        if spec is None:
+            spec = _SPECS[key] = TypeSpec(spin, color, s.is_complex,
+                                          s.precision, s.is_lattice)
+        self._inherit(spec, child, key[0])
         self.which = which
         self.child = child
 
     def children(self):
         return (self.child,)
-
-    def signature(self, slots: SlotAssigner) -> str:
-        return f"trace_{self.which}({self.child.signature(slots)})"
 
 
 class ShiftNode(Expr):
@@ -385,22 +482,31 @@ class ShiftNode(Expr):
     entries point into the receive buffer (paper Sec. V).
     """
 
-    __slots__ = ("child", "mu", "sign")
+    __slots__ = ("child", "mu", "sign", "leaves")
 
     def __init__(self, child: Expr, mu: int, sign: int):
         if sign not in (+1, -1):
             raise ExprTypeError("shift sign must be +1 (FORWARD)/-1 (BACKWARD)")
-        super().__init__(child.spec)
+        self.spec = child.spec
+        self.reads = self.flip_reads = _NONE
+        if type(child) is FieldRef:
+            self.shift_reads = child.reads
+            self.signs = frozenset(((child.field.uid, mu, sign),))
+            self.deep = ()
+        else:
+            uids = _union(child.reads, child.shift_reads)
+            self.shift_reads = uids
+            self.signs = _union(child.signs,
+                                frozenset((u, mu, sign) for u in uids))
+            self.deep = (type(child) is ShiftNode,) + child.deep
+        self.frag = f"shift{SLOT}({child.frag})"
+        self.leaves = ((mu, sign),) + child.leaves
         self.child = child
         self.mu = mu
         self.sign = sign
 
     def children(self):
         return (self.child,)
-
-    def signature(self, slots: SlotAssigner) -> str:
-        sl = slots.shift_slot(self.mu, self.sign)
-        return f"shift{sl}({self.child.signature(slots)})"
 
 
 #: custom-op name -> the code object of the generator it first named
@@ -421,7 +527,7 @@ class CustomOpNode(Expr):
     puts the constants it captures in the name (not checked).
     """
 
-    __slots__ = ("name", "operands", "gen")
+    __slots__ = ("name", "operands", "gen", "leaves")
 
     def __init__(self, name: str, operands: tuple[Expr, ...],
                  result_spec: TypeSpec, gen):
@@ -429,21 +535,18 @@ class CustomOpNode(Expr):
         if code is not gen.__code__:
             raise ExprTypeError(f"custom op {name!r} already names "
                                 f"{code.co_name!r}; use your own name")
-        super().__init__(result_spec)
-        self.name = name
         self.operands = tuple(operands)
+        self._gather(result_spec, self.operands, name)
+        self.name = name
         self.gen = gen
 
     def children(self):
         return self.operands
 
-    def signature(self, slots: SlotAssigner) -> str:
-        inner = ",".join(o.signature(slots) for o in self.operands)
-        return f"{self.name}({inner})"
 
-
-def as_expr(x, like: Expr | None = None) -> Expr:
-    """Coerce a Python value into an expression node."""
+def as_expr(x, like=None) -> Expr:
+    """Coerce a Python value into an expression node; a number takes
+    the precision of ``like`` (a node or a field), else ``f64``."""
     if isinstance(x, Expr):
         return x
     if hasattr(x, "spec") and hasattr(x, "uid"):  # a field
@@ -551,18 +654,16 @@ def fabs(x) -> Expr:
 class PowNode(Expr):
     """x^p for a compile-time exponent (structural constant)."""
 
-    __slots__ = ("child", "exponent")
+    __slots__ = ("child", "exponent", "leaves")
 
     def __init__(self, child: Expr, exponent: float):
-        super().__init__(_require_real(child.spec, "pow"))
-        self.child = child
         self.exponent = float(exponent)
+        self._inherit(_require_real(child.spec, "pow"), child,
+                      f"pow[{self.exponent!r}]")
+        self.child = child
 
     def children(self):
         return (self.child,)
-
-    def signature(self, slots: SlotAssigner) -> str:
-        return f"pow[{self.exponent!r}]({self.child.signature(slots)})"
 
 
 def pow_const(x, exponent: float) -> Expr:

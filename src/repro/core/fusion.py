@@ -14,8 +14,9 @@ with common-subexpression elimination and register-forwarded
 intermediates, so the axpy chains of the Krylov solvers read and write
 each field once instead of once per statement.
 
-Hazard model (the read sets come from the evaluator's normalize walk,
-which runs under every ``REPRO_VERIFY`` mode):
+Hazard model (the read sets are the normalized root's ``reads`` and
+``shift_reads``, computed when its nodes were built, under every
+``REPRO_VERIFY`` mode):
 
 * plain read-after-write inside a group is *forwarded* — the consumer
   uses the producer's register value, eliminating a store/load pair's
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 from ..diagnostics import fusion_mode
 from ..ptx.absint import KernelEnv, MemRegion
 from .codegen import build_fused_kernel, partials_names
-from .expr import Expr, SlotAssigner, _spec_sig
+from .expr import Expr, SlotAssigner, _NONE, _union, group_key
 
 if TYPE_CHECKING:
     from .context import Context
@@ -69,19 +70,19 @@ MAX_PENDING_GROUPS = 32
 
 
 class Statement:
-    """One pending ``dest = expr`` assignment; ``reads`` is the
-    normalize walk's (plain, shifted) read-uid pair for ``expr``."""
+    """One pending ``dest = expr`` assignment; ``reads`` and
+    ``shift_reads`` are the (normalized) root's."""
 
     __slots__ = ("dest", "expr", "subset", "subset_mode", "lattice",
                  "reads", "shift_reads", "temps", "cost")
 
-    def __init__(self, dest, expr: Expr, subset, temps, reads):
+    def __init__(self, dest, expr: Expr, subset, temps):
         self.dest = dest
         self.expr = expr
         self.subset = subset
         self.subset_mode = not subset.is_full
         self.lattice = dest.lattice
-        self.reads, self.shift_reads = reads
+        self.reads, self.shift_reads = expr.reads, expr.shift_reads
         self.temps = temps
         self.cost = None
 
@@ -93,12 +94,15 @@ class ReductionJob:
     __slots__ = ("kind", "exprs", "subset", "lattice", "reads",
                  "shift_reads", "out_names")
 
-    def __init__(self, kind: str, exprs, subset, lattice, reads):
+    def __init__(self, kind: str, exprs, subset, lattice):
         self.kind = kind
         self.exprs = list(exprs)
         self.subset = subset
         self.lattice = lattice
-        self.reads, self.shift_reads = reads
+        self.reads = self.shift_reads = _NONE
+        for e in self.exprs:
+            self.reads = _union(self.reads, e.reads)
+            self.shift_reads = _union(self.shift_reads, e.shift_reads)
         #: the kernel's partials pointers, one f64 column each
         self.out_names = partials_names(kind)
 
@@ -188,10 +192,10 @@ class FusionQueue:
         ``None``: independent.
         """
         d = stmt.dest.uid
-        if (g.writes & stmt.shift_reads) or d in g.shift_reads \
+        if not g.writes.isdisjoint(stmt.shift_reads) or d in g.shift_reads \
                 or d in g.writes:
             return "after"
-        if (g.writes & stmt.reads) or d in g.reads:
+        if not g.writes.isdisjoint(stmt.reads) or d in g.reads:
             return "join"
         return None
 
@@ -207,11 +211,11 @@ class FusionQueue:
                      == g.stmts[0].dest.spec.precision)
                 and len(g.stmts) < MAX_GROUP_STATEMENTS)
 
-    def enqueue(self, dest, expr: Expr, subset, temps, reads):
+    def enqueue(self, dest, expr: Expr, subset, temps):
         """Queue ``dest = expr``; returns its (lazy) launch cost."""
         if len(self.groups) >= MAX_PENDING_GROUPS:
             self.flush()
-        stmt = Statement(dest, expr, subset, temps, reads)
+        stmt = Statement(dest, expr, subset, temps)
         lower = 0
         for i, g in enumerate(self.groups):
             bound = self._dep_bound(g, stmt)
@@ -337,42 +341,21 @@ def _launch_group(ctx: "Context", group: Group,
     n_active = len(subset)
 
     # -- structural signature -> generated-module cache; a miss runs
-    # -- the code generator, the PTX verifier and the driver JIT
-    slots = SlotAssigner()
-    parts = []
-    for st in stmts:
-        sig = st.expr.signature(slots)
-        dslot = slots.field_slot(st.dest)
-        parts.append(f"{sig}->D{dslot}:{_spec_sig(st.dest.spec)}")
-    out_names = ()
-    if reduction is not None:
-        rsig = ",".join(e.signature(slots) for e in reduction.exprs)
-        parts.append(f"red:{reduction.kind}({rsig})")
-        out_names = reduction.out_names
-    fused = len(parts) > 1
-    key = (("fus:" if fused else "") + ";".join(parts)
-           + ("|sub" if subset_mode else "|full"))
-    entry = ctx.lookup_kernel(
+    # -- the code generator, the PTX verifier and the driver JIT.  The
+    # -- lookup also binds the tables (a first-use upload may spill, so
+    # -- it comes before paging, as does a scratch grow); shift tables
+    # -- follow the slots: one kernel serves every (mu, sign)
+    assigns = [(st.dest, st.expr) for st in stmts]
+    tail = None if reduction is None else (reduction.kind, reduction.exprs)
+    key, slots = group_key(assigns, tail, subset_mode)
+    out_names = () if reduction is None else reduction.out_names
+    fused = len(stmts) + (reduction is not None) > 1
+    entry, tables = ctx.lookup_kernel(
         key, "fus_" if fused else "eval_" if stmts else "red_",
-        lambda name: build_fused_kernel(
-            name, [(st.dest, st.expr) for st in stmts],
-            reduction=(None if reduction is None
-                       else (reduction.kind, reduction.exprs)),
-            subset_mode=subset_mode),
-        launch_env(lattice, subset, slots, out_names))
-
-    # -- bind what may allocate *before* paging: a first-use table
-    # -- upload or a scratch grow can spill, and must not spill a field
-    # -- whose address this launch has already taken.  Shift tables
-    # -- come from this walk's slots: the kernel text is direction-
-    # -- independent, so one compiled kernel serves every (mu, sign).
-    params: dict[str, object] = {"p_lo": lattice.nsites, "p_n": n_active}
-    if subset_mode:
-        params["p_stab"] = ctx.upload_table(
-            ("subset", lattice.dims, subset.name), subset.sites)
-    for i, (mu, sign) in enumerate(slots.shifts):
-        params[f"p_sh{i}"] = ctx.upload_table(
-            ("shift", lattice.dims, mu, sign), lattice.shift_map(mu, sign))
+        lambda name: build_fused_kernel(name, assigns, tail, subset_mode),
+        (lattice, subset, tuple(slots.shifts)),
+        lambda: launch_env(lattice, subset, slots, out_names))
+    params = dict(tables)
     for i, sn in enumerate(slots.scalar_slots):
         params[f"p_s{i}_re"] = sn.value.real
         if sn.spec.is_complex:

@@ -31,13 +31,14 @@ expressions hazardous:
 :func:`lint_assignment` reports findings as structured
 :class:`~repro.diagnostics.Diagnostic` records;
 :func:`check_assignment` is the evaluator hook that applies the
-``REPRO_VERIFY`` strictness knob.
+``REPRO_VERIFY`` strictness knob.  Neither walks the tree: a pass is a
+set operation on the root's facts (:class:`~repro.core.expr.Expr`).
 """
 
 from __future__ import annotations
 
 from ..diagnostics import Diagnostic, Severity, emit_warnings, errors
-from .expr import Expr, FieldRef, ShiftNode
+from .expr import Expr, leaf_fields
 
 #: Names of the AST lint passes, for reporting.
 LINT_PASSES = ("shift-alias", "shift-antiparallel", "lattice-conformance",
@@ -56,6 +57,21 @@ def _field_name(field) -> str:
     return getattr(field, "name", None) or f"field#{field.uid}"
 
 
+def _fields(expr: Expr) -> dict:
+    """uid -> field of every field ``expr`` reads."""
+    return {f.uid: f for f in leaf_fields(expr.leaves)}
+
+
+def _nonconformant(ref, fields) -> list:
+    """The fields (by uid) whose lattice differs in shape from
+    ``ref``'s."""
+    ref_lat = ref.lattice
+    dims = getattr(ref_lat, "dims", None)
+    return [f for _, f in sorted(fields.items())
+            if f.lattice is not ref_lat
+            and getattr(f.lattice, "dims", None) != dims]
+
+
 def lint_assignment(dest, expr: Expr, subset=None,
                     assume_materialization: bool = False
                     ) -> list[Diagnostic]:
@@ -64,40 +80,16 @@ def lint_assignment(dest, expr: Expr, subset=None,
     ``dest`` may be ``None`` to lint a bare expression.  With
     ``assume_materialization`` (the evaluator's view) the
     ``shift-alias`` race is downgraded to a warning, because the
-    evaluator copies the aliased field into a temporary before
-    launching the site-parallel kernel; without it (the raw-kernel
-    view used by ``repro.lint`` and direct callers) it is an error.
+    evaluator copies the aliased field into a temporary first;
+    without it (the raw-kernel view used by ``repro.lint`` and direct
+    callers) it is an error.
     """
     out: list[Diagnostic] = []
     dest_name = _field_name(dest) if dest is not None else ""
-
-    # -- one preorder walk collecting the facts every pass needs; each
-    # -- node carries the (mu, sign) of the shifts enclosing it
-    shifted_uids: set[int] = set()           # fields read through a shift
-    shift_signs: dict[tuple[int, int], set[int]] = {}   # (uid, mu) -> signs
-    fields: dict[int, object] = {}            # uid -> field
-    deep_shifts: list[ShiftNode] = []
-
-    stack = [(expr, ())]
-    while stack:
-        node, shifts = stack.pop()
-        if isinstance(node, FieldRef):
-            f = node.field
-            fields.setdefault(f.uid, f)
-            if shifts:
-                shifted_uids.add(f.uid)
-                for mu, sign in shifts:
-                    shift_signs.setdefault((f.uid, mu), set()).add(sign)
-            continue
-        if isinstance(node, ShiftNode):
-            if not isinstance(node.child, FieldRef):
-                deep_shifts.append(node)
-            shifts += ((node.mu, node.sign),)
-        for child in reversed(node.children()):
-            stack.append((child, shifts))
+    fields = _fields(expr)
 
     # -- shift-alias ------------------------------------------------------
-    if dest is not None and dest.uid in shifted_uids:
+    if dest is not None and dest.uid in expr.shift_reads:
         if assume_materialization:
             sev = Severity.WARNING
             tail = (" — the evaluator materializes a temporary copy "
@@ -112,15 +104,16 @@ def lint_assignment(dest, expr: Expr, subset=None,
             obj=dest_name))
 
     # -- shift-antiparallel ----------------------------------------------
-    for (uid, mu), signs in sorted(shift_signs.items()):
-        if {+1, -1} <= signs:
-            out.append(Diagnostic(
-                Severity.NOTE, "shift-antiparallel",
-                f"field '{_field_name(fields[uid])}' is shifted both "
-                f"FORWARD and BACKWARD along mu={mu} in one expression — "
-                f"both faces are required before any site can start, "
-                f"defeating face-buffered comm/compute overlap",
-                obj=dest_name))
+    signs = expr.signs
+    for uid, mu in sorted((u, m) for u, m, s in signs
+                          if s > 0 and (u, m, -1) in signs):
+        out.append(Diagnostic(
+            Severity.NOTE, "shift-antiparallel",
+            f"field '{_field_name(fields[uid])}' is shifted both "
+            f"FORWARD and BACKWARD along mu={mu} in one expression — "
+            f"both faces are required before any site can start, "
+            f"defeating face-buffered comm/compute overlap",
+            obj=dest_name))
 
     # -- lattice-conformance ----------------------------------------------
     if dest is not None:
@@ -128,33 +121,27 @@ def lint_assignment(dest, expr: Expr, subset=None,
     ref = dest if dest is not None else (
         fields[min(fields)] if fields else None)
     if ref is not None:
-        ref_lat = ref.lattice
-        for uid, f in sorted(fields.items()):
-            lat = f.lattice
-            if lat is ref_lat:
-                continue
-            if getattr(lat, "dims", None) != getattr(ref_lat, "dims", None):
-                out.append(Diagnostic(
-                    Severity.ERROR, "lattice-conformance",
-                    f"field '{_field_name(f)}' lives on lattice "
-                    f"{getattr(lat, 'dims', '?')} but "
-                    f"'{_field_name(ref)}' is on "
-                    f"{getattr(ref_lat, 'dims', '?')} — non-conformant "
-                    f"operands in one expression",
-                    obj=dest_name))
-        if subset is not None and dest is not None:
-            hi = subset.table_facts[1][1]     # measured (lo, hi) range
-            if hi >= dest.lattice.nsites:
-                out.append(Diagnostic(
-                    Severity.ERROR, "lattice-conformance",
-                    f"subset '{subset.name}' references site {hi} beyond "
-                    f"the destination lattice ({dest.lattice.nsites} sites)",
-                    obj=dest_name))
+        for f in _nonconformant(ref, fields):
+            out.append(Diagnostic(
+                Severity.ERROR, "lattice-conformance",
+                f"field '{_field_name(f)}' lives on lattice "
+                f"{getattr(f.lattice, 'dims', '?')} but "
+                f"'{_field_name(ref)}' is on "
+                f"{getattr(ref.lattice, 'dims', '?')} — non-conformant "
+                f"operands in one expression",
+                obj=dest_name))
+        if subset is not None and dest is not None \
+                and _beyond(subset, dest):
+            out.append(Diagnostic(
+                Severity.ERROR, "lattice-conformance",
+                f"subset '{subset.name}' references site "
+                f"{subset.table_facts[1][1]} beyond the destination "
+                f"lattice ({dest.lattice.nsites} sites)",
+                obj=dest_name))
 
     # -- shift-materialization --------------------------------------------
-    for node in deep_shifts:
-        what = ("a nested shift" if isinstance(node.child, ShiftNode)
-                else "a non-leaf expression")
+    for nested in expr.deep:
+        what = "a nested shift" if nested else "a non-leaf expression"
         out.append(Diagnostic(
             Severity.NOTE, "shift-materialization",
             f"shift of {what} is materialized into a temporary before "
@@ -164,20 +151,31 @@ def lint_assignment(dest, expr: Expr, subset=None,
     return out
 
 
+def _beyond(subset, dest) -> bool:
+    """The subset's measured site range leaves ``dest``'s lattice."""
+    return subset.table_facts[1][1] >= dest.lattice.nsites
+
+
 def check_assignment(dest, expr: Expr, subset=None,
                      mode: str = "error") -> list[Diagnostic]:
     """Evaluator hook: lint and apply the strictness ``mode``.
 
-    ``off`` skips the lint; ``warn`` reports everything as Python
+    ``off`` skips the lint; ``warn`` reports findings as Python
     warnings; ``error`` additionally raises :class:`LintError` on
-    error-severity findings.  Returns the diagnostics either way.
+    error-severity findings.  Notes are never reported, so diagnostics
+    are formatted (and returned, notes included) only when the facts
+    show an aliased shift, a non-conformant operand or a subset beyond
+    the destination; otherwise the result is empty.
     """
-    if mode == "off":
+    lattice = dest.lattice
+    if mode == "off" or not (
+            dest.uid in expr.shift_reads
+            or (subset is not None and _beyond(subset, dest))
+            or (any(f.lattice is not lattice for f in leaf_fields(expr.leaves))
+                and _nonconformant(dest, _fields(expr)))):
         return []
     diagnostics = lint_assignment(dest, expr, subset=subset,
                                   assume_materialization=True)
-    if not diagnostics:
-        return diagnostics
     errs = errors(diagnostics)
     if mode == "error" and errs:
         emit_warnings([d for d in diagnostics if d not in errs])

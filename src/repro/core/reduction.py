@@ -15,7 +15,7 @@ if TYPE_CHECKING:
     from ..qdp.lattice import Subset
 from .context import Context
 from .evaluator import _normalize
-from .expr import Expr, ExprTypeError, FieldRef, as_expr
+from .expr import Expr, ExprTypeError, as_expr, leaf_fields
 from .fusion import ReductionJob
 
 
@@ -24,13 +24,8 @@ class ReductionError(Exception):
 
 
 def _find_field(expr: Expr):
-    if isinstance(expr, FieldRef):
-        return expr.field
-    for c in expr.children():
-        f = _find_field(c)
-        if f is not None:
-            return f
-    return None
+    """The first field ``expr`` reads, in signature order."""
+    return next(iter(leaf_fields(expr.leaves)), None)
 
 
 def _validate(kind: str, exprs: list[Expr]) -> None:
@@ -58,15 +53,13 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     if subset is None:
         subset = lattice.all_sites
     temps: list = []
-    reads = (set(), set())
-    exprs = [_normalize(e, f0, ctx, temps, reads, stores=False)
-             for e in exprs]
+    exprs = [_normalize(e, f0, ctx, temps, stores=False) for e in exprs]
     _validate(kind, exprs)
 
     # a reduction is a queue barrier; if the trailing pending group is
     # compatible, its fused kernel also writes our partials and the
     # separate partials launch disappears entirely
-    job = ReductionJob(kind, exprs, subset, lattice, reads)
+    job = ReductionJob(kind, exprs, subset, lattice)
     scratch = ctx.fusion.flush_for_reduction(job)
     for t in temps:
         ctx.field_cache.release(t)

@@ -137,6 +137,9 @@ class Device:
         #: the fault injector; inert (:attr:`FaultInjector.active`
         #: False) unless a plan is configured
         self.faults = FaultInjector(plan, device=self)
+        #: modeled :class:`KernelCost` per launch shape (a function of
+        #: the shape and ``spec``; a shape that cannot launch raises)
+        self._costs: dict[tuple, KernelCost] = {}
 
     # -- memory ---------------------------------------------------------
 
@@ -208,16 +211,20 @@ class Device:
             except LaunchError:
                 self.stats.launch_failures += 1
                 raise
-        try:
-            cost = kernel_cost(
-                self.spec, nsites=nsites, block_size=block_size,
-                regs_per_thread=regs_per_thread,
-                bytes_per_site=info.bytes_per_site,
-                flops_per_site=info.flops_per_site,
-                precision=precision)
-        except LaunchError:
-            self.stats.launch_failures += 1
-            raise
+        shape = (nsites, block_size, regs_per_thread, info.bytes_per_site,
+                 info.flops_per_site, precision)
+        cost = self._costs.get(shape)
+        if cost is None:
+            try:
+                cost = self._costs[shape] = kernel_cost(
+                    self.spec, nsites=nsites, block_size=block_size,
+                    regs_per_thread=regs_per_thread,
+                    bytes_per_site=info.bytes_per_site,
+                    flops_per_site=info.flops_per_site,
+                    precision=precision)
+            except LaunchError:
+                self.stats.launch_failures += 1
+                raise
         grid = math.ceil(nsites / block_size)
         w0 = _time.perf_counter()
         # inactive (guarded-off) lanes compute on whatever their safe

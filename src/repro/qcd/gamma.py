@@ -11,6 +11,8 @@ Sec. VI-A.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ..core.expr import ConstSpinMatrix
@@ -69,15 +71,22 @@ def projector(mu: int, sign: int) -> np.ndarray:
     return IDENTITY - sign * GAMMA[mu]
 
 
+# the expression-tree constants are immutable nodes: one per argument
+# list serves every tree, instead of a matrix and a digest per statement
+
+
+@cache
 def gamma_const(mu: int, precision: str = "f64") -> ConstSpinMatrix:
     """gamma_mu as an expression-tree constant."""
     return ConstSpinMatrix(GAMMA[mu], precision)
 
 
+@cache
 def gamma5_const(precision: str = "f64") -> ConstSpinMatrix:
     return ConstSpinMatrix(GAMMA5, precision)
 
 
+@cache
 def projector_const(mu: int, sign: int,
                     precision: str = "f64") -> ConstSpinMatrix:
     """``(1 - sign*gamma_mu)`` as an expression-tree constant."""

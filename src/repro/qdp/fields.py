@@ -116,7 +116,7 @@ class LatticeField:
         """
         from ..core.evaluator import evaluate
 
-        return evaluate(self, as_expr(expr, like=self.ref()), subset=subset,
+        return evaluate(self, as_expr(expr, like=self), subset=subset,
                         context=self.context)
 
     def __ilshift__(self, expr):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -166,6 +167,17 @@ class TypeSpec:
         """The per-site NumPy shape ``spin + color``."""
         return self.spin + self.color
 
+    @cached_property
+    def sig(self) -> str:
+        """This type's part of a structural kernel signature."""
+        return (f"{self.precision}:s{self.spin}:c{self.color}:"
+                f"{'c' if self.is_complex else 'r'}")
+
+    @cached_property
+    def ident(self) -> int:
+        """An int shared by equal specs: a cheap memo key."""
+        return _IDENTS.setdefault(self, len(_IDENTS))
+
     def describe(self) -> str:
         """Render the nested C++-style type (Table I notation)."""
         real = "float" if self.precision == "f32" else "double"
@@ -183,6 +195,8 @@ class TypeSpec:
         outer = "Lattice" if self.is_lattice else "OScalar"
         return f"{outer}<{t}>"
 
+
+_IDENTS: dict[TypeSpec, int] = {}   # spec -> TypeSpec.ident
 
 # -- the standard QDP++ type aliases (paper Table I, upper part) -----------
 

@@ -242,12 +242,12 @@ class TestNormalize:
     def test_read_sets_of_the_normalized_tree(self):
         ctx, u, psi, chi, phi = self._fields()
         expr = u * shift(phi.ref(), +1, 0) + psi.ref()
-        reads = (set(), set())
-        assert _normalize(expr, psi, ctx, [], reads) is expr
-        assert reads == ({u.uid, psi.uid}, {phi.uid})
-        temps, reads = [], (set(), set())
+        out = _normalize(expr, psi, ctx, [])
+        assert out is expr
+        assert (out.reads, out.shift_reads) == ({u.uid, psi.uid}, {phi.uid})
+        temps = []
         out = _normalize(shift(psi.ref(), +1, 0) + chi.ref(), psi, ctx,
-                         temps, reads)
+                         temps)
         (temp,) = temps
         assert out.children()[0].child.field is temp
-        assert reads == ({chi.uid}, {temp.uid})
+        assert (out.reads, out.shift_reads) == ({chi.uid}, {temp.uid})

@@ -51,6 +51,7 @@ from repro.core.expr import (
     as_expr,
     conj,
     group_key,
+    leaf_fields,
     shift,
     timesI,
     trace,
@@ -338,7 +339,8 @@ def _outcome(fn):
 
 
 def check_tree(ctx, dest, expr, subset=None, stores=True):
-    """Every per-tree comparison; returns the normalized tree."""
+    """Every per-tree comparison (normalization too, given a ``dest``;
+    ``stores=False`` as for a reduction)."""
     for node in _nodes(expr):
         assert node_facts(node) == ref_facts(node)
         assert node.signature(SlotAssigner()) == ref_signature(
@@ -356,7 +358,7 @@ def check_tree(ctx, dest, expr, subset=None, stores=True):
     assert [d.render() for d in lint_assignment(None, expr)] == \
         [d.render() for d in ref_lint(None, expr)]
     if dest is None:
-        return expr
+        return
     # normalization: the same materializations, and the normalized
     # root's facts are the read sets the reference accumulated
     ref_temps, reads = [], (set(), set())
@@ -374,7 +376,6 @@ def check_tree(ctx, dest, expr, subset=None, stores=True):
     assert out.signature(SlotAssigner()) == ref_signature(ref_out,
                                                           RefSlots())
     ctx.fusion.discard()
-    return out
 
 
 def check_group(stmts, reduction=None, subset=None):
@@ -574,9 +575,14 @@ def test_zoo_pool_facts_and_keys(zoo, monkeypatch):
     state, pool = zoo
     ctx = state.ctx
     for kind, dest, build, subset in pool.values():
-        exprs = build() if dest is None else [build()]
-        for e in exprs:
-            check_tree(ctx, dest, as_expr(e), subset)
+        if dest is not None:
+            check_tree(ctx, dest, build(), subset)
+            continue
+        exprs = [as_expr(e) for e in build()]
+        for e in exprs:     # a reduction normalizes against its first field
+            check_tree(ctx, None, e, subset)
+            check_tree(ctx, leaf_fields(exprs[0].leaves)[0], e, subset,
+                       stores=False)
     # every group the launcher forms keys exactly like the reference
     seen = []
     real = fusion._launch_group

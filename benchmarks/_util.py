@@ -5,10 +5,14 @@ prints the series it reports.  Under pytest the default fd-level
 capture would swallow ordinary prints, so :func:`report` routes lines
 through pytest's terminal reporter (exempt from capture — it is what
 draws the progress dots); standalone use falls back to stdout.
+:func:`write_bench` is the one writer of the ``BENCH_<name>.json``
+artifacts.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 
 _CONFIG = None
@@ -53,3 +57,12 @@ def table(rows, headers) -> None:
     report(fmt.format(*("-" * w for w in widths)))
     for r in rows:
         report(fmt.format(*r))
+
+
+def write_bench(name: str, payload) -> None:
+    """Write ``payload`` to ``BENCH_<name>.json`` in the working
+    directory and report the path."""
+    path = os.path.join(os.getcwd(), f"BENCH_{name}.json")
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2)
+    report(f"wrote {path}")

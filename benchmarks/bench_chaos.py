@@ -18,9 +18,6 @@ Emits ``BENCH_chaos.json`` (summary) and ``BENCH_chaos_trace.json``
 (the CG chaos run's full fault/recovery trace — the CI artifact).
 """
 
-import json
-import os
-
 import numpy as np
 
 from repro.comm import VirtualMachine
@@ -31,7 +28,7 @@ from repro.qdp.fields import latt_fermion, latt_real
 from repro.qdp.lattice import Lattice
 from repro.qdp.typesys import fermion
 
-from _util import header, report, table
+from _util import header, report, table, write_bench
 
 DIMS = (4, 4, 4, 4)
 TOL = 1e-10
@@ -158,13 +155,8 @@ def test_chaos_cg(tmp_path):
         "fault_lane_busy_s":
             ctx.device.runtime.timeline.lane_busy().get("fault", 0.0),
     }
-    with open(os.path.join(os.getcwd(), "BENCH_chaos.json"), "w") as f:
-        json.dump(out, f, indent=2)
-    with open(os.path.join(os.getcwd(),
-                           "BENCH_chaos_trace.json"), "w") as f:
-        json.dump(plan.trace_json(), f, indent=2)
-    report(f"wrote {os.path.join(os.getcwd(), 'BENCH_chaos.json')} "
-           f"and BENCH_chaos_trace.json")
+    write_bench("chaos", out)
+    write_bench("chaos_trace", plan.trace_json())
 
     assert converged
     assert same_solution
@@ -189,67 +181,6 @@ def test_chaos_halo():
            f"backoff")
     assert bitwise
     assert c.injected == c.recovered == 2
-
-
-def _serve_pair(faults, policy="fair"):
-    """Two tenants interleaving CG solves on one faulty device."""
-    from repro.serve import Server, cg_diag_workload
-
-    srv = Server(policy=policy, faults=faults)
-    a = srv.tenant("alice", weight=2.0)
-    b = srv.tenant("bob")
-    sa = srv.submit(a, cg_diag_workload(dims=(2, 2, 2, 4), seed=21,
-                                        max_iter=25))
-    sb = srv.submit(b, cg_diag_workload(dims=(2, 2, 2, 4), seed=22,
-                                        max_iter=25))
-    srv.drain()
-    return srv, sa, sb
-
-
-def test_chaos_serving():
-    """Injected faults in a multi-tenant run stay contained: every
-    fault recovers, every event is attributed to the tenant it landed
-    in, and both tenants reach the bitwise fault-free answers."""
-    _, ca, cb = _serve_pair(False)
-    plan = FaultPlan(seed=23).add("launch", count=2).add("alloc", count=1)
-    srv, sa, sb = _serve_pair(plan)
-
-    same_a = bool(np.array_equal(sa.result["x"], ca.result["x"]))
-    same_b = bool(np.array_equal(sb.result["x"], cb.result["x"]))
-    all_recovered = plan.all_recovered()
-    tenants_hit = sorted({e.detail.get("tenant") for e in plan.trace})
-    tagged = all(t in ("alice", "bob") for t in tenants_hit)
-
-    replay = FaultPlan(seed=23).add("launch", count=2).add("alloc",
-                                                          count=1)
-    _serve_pair(replay)
-    replay_identical = (plan.trace_signature()
-                        == replay.trace_signature())
-
-    # off-path: a disabled injector is bitwise invisible to serving
-    srv2, sa2, sb2 = _serve_pair(False)
-    off_identical = (bool(np.array_equal(sa2.result["x"],
-                                         ca.result["x"]))
-                     and bool(np.array_equal(sb2.result["x"],
-                                             cb.result["x"]))
-                     and srv2.stats.sessions_completed == 2)
-
-    c = plan.counters
-    header("Chaos harness: 2-tenant fair-share serving under "
-           "launch=2x + alloc=1x")
-    report(f"bitwise vs fault-free: alice {same_a}, bob {same_b}; "
-           f"injected/recovered: {c.injected}/{c.recovered}; "
-           f"faults landed in tenants {tenants_hit} (all tagged: "
-           f"{tagged})",
-           f"off-path bitwise identical: {off_identical}; same-seed "
-           f"replay identical: {replay_identical}")
-    assert same_a and same_b
-    assert all_recovered
-    assert c.injected == c.recovered == 3
-    assert tagged and tenants_hit
-    assert sa.state == sb.state == "done"
-    assert off_identical
-    assert replay_identical
 
 
 def test_chaos_hmc():

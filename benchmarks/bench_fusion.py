@@ -18,9 +18,6 @@ per-iteration launch and modeled-byte numbers plus the bitwise
 fused-vs-eager solution check.
 """
 
-import json
-import os
-
 import numpy as np
 
 from repro.core.context import Context
@@ -28,7 +25,7 @@ from repro.qcd.solver import cg
 from repro.qdp.fields import LatticeField, latt_fermion, latt_real
 from repro.qdp.lattice import Lattice
 
-from _util import header, report, table
+from _util import header, report, table, write_bench
 
 DIMS = (4, 4, 4, 4)
 WARMUP_ITERS = 4       # covers setup + JIT of every kernel shape
@@ -110,10 +107,7 @@ def test_fused_cg_iteration(tmp_path):
         "byte_reduction": byte_reduction,
         "bitwise_identical": bitwise,
     }
-    path = os.path.join(os.getcwd(), "BENCH_fusion.json")
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-    report(f"wrote {path}")
+    write_bench("fusion", out)
 
     # the tentpole's acceptance bar
     assert bitwise

@@ -14,17 +14,14 @@ overlapped apply's window as a Chrome trace (load it at
 ui.perfetto.dev) — next to the CI lint report.
 """
 
-import json
-import os
-
 import numpy as np
 
 from repro.comm import DistributedWilsonDslash, VirtualMachine
 from repro.perfmodel.dslashperf import model_dslash_timing
 from repro.qdp.typesys import color_matrix, fermion
-from repro.runtime import write_chrome_trace
+from repro.runtime import chrome_trace
 
-from _util import header, report, table
+from _util import header, report, table, write_bench
 
 GLOBAL_DIMS = (4, 4, 4, 8)
 GRID = (1, 1, 1, 2)
@@ -116,12 +113,8 @@ def test_overlap_timeline(tmp_path):
                       "no_overlap_s": m_no.total_s},
         "bitwise_identical": bitwise,
     }
-    path = os.path.join(os.getcwd(), "BENCH_overlap.json")
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-    trace_path = os.path.join(os.getcwd(), "BENCH_overlap_trace.json")
-    write_chrome_trace(window, trace_path)
-    report(f"wrote {path}", f"wrote {trace_path}")
+    write_bench("overlap", out)
+    write_bench("overlap_trace", chrome_trace(window))
 
     # the tentpole's acceptance bar
     assert bitwise

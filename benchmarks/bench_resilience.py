@@ -12,8 +12,6 @@ asserts the layer's contract:
   numbers (``allclose`` per contract; bitwise is recorded);
 * a mid-campaign kill replays the trajectory from its snapshot and
   the surviving stream is bitwise identical to an uninterrupted one;
-* a dead rank inside one tenant's session leaves co-tenants bitwise
-  unperturbed;
 * every kill is recovered, the recovery cost lands on the ``fault``
   lane, the same seed replays the identical trace
   (``FaultPlan.trace_signature``), and with ``REPRO_RESILIENCE`` off
@@ -24,16 +22,13 @@ tests) and ``BENCH_resilience_trace.json`` (the buddy dslash run's
 full fault/recovery trace — the CI artifact).
 """
 
-import json
-import os
-
 import numpy as np
 
 from repro.comm import DistributedWilsonDslash, VirtualMachine
 from repro.faults import FaultPlan
 from repro.qdp.typesys import color_matrix, fermion
 
-from _util import header, report, table
+from _util import header, report, table, write_bench
 
 DIMS = (4, 4, 4, 8)
 GRID = (1, 1, 2, 2)
@@ -42,12 +37,6 @@ SHRINK_PLAN = "seed=7: rank.kill=1x@rank0:0+:psi"
 
 _SUMMARY: dict = {"benchmark": "resilience", "lattice": list(DIMS),
                   "grid": list(GRID)}
-
-
-def _flush_summary():
-    with open(os.path.join(os.getcwd(),
-                           "BENCH_resilience.json"), "w") as f:
-        json.dump(_SUMMARY, f, indent=2)
 
 
 def _buddy_plan():
@@ -125,12 +114,8 @@ def test_resilience_dslash_buddy():
         "replay_identical": replay_identical,
         "fault_lane_busy_s": fault_busy, "resilience": rz,
     }
-    _flush_summary()
-    with open(os.path.join(os.getcwd(),
-                           "BENCH_resilience_trace.json"), "w") as f:
-        json.dump(plan.trace_json(), f, indent=2)
-    report(f"wrote {os.path.join(os.getcwd(), 'BENCH_resilience.json')} "
-           f"and BENCH_resilience_trace.json")
+    write_bench("resilience", _SUMMARY)
+    write_bench("resilience_trace", plan.trace_json())
 
     assert bitwise
     assert all_recovered
@@ -164,7 +149,7 @@ def test_resilience_dslash_shrink():
         "plan": SHRINK_PLAN, "nranks_after": vm.nranks,
         "allclose": close, "bitwise": bitwise, "resilience": rz,
     }
-    _flush_summary()
+    write_bench("resilience", _SUMMARY)
 
     assert close
     assert vm.nranks < 4
@@ -208,7 +193,7 @@ def test_resilience_straggler():
         "flagged": rz["stragglers_flagged"],
         "bitwise": bool(np.array_equal(got, clean)),
     }
-    _flush_summary()
+    write_bench("resilience", _SUMMARY)
 
     assert rz["stragglers_injected"] == 1
     assert rz["stragglers_flagged"] == 1
@@ -264,7 +249,7 @@ def test_resilience_hmc_campaign():
         "kills": chaos.kills, "replays": chaos.replays,
         "lost_work_s": chaos.lost_work_s,
     }
-    _flush_summary()
+    write_bench("resilience", _SUMMARY)
 
     assert plaq == plaq_clean
     assert chaos.kills == chaos.replays == 1
@@ -272,60 +257,3 @@ def test_resilience_hmc_campaign():
     assert plan.all_recovered()
     assert [r.accepted for r in chaos.results] \
         == [r.accepted for r in clean.results]
-
-
-def _serve_pair(alice_faults, resilience=False):
-    """alice brings a private VM (killable), bob a plain CG solve."""
-    from repro.serve import Server, cg_diag_workload, vm_shift_workload
-
-    srv = Server(policy="fair")
-    a = srv.tenant("alice", weight=2.0)
-    b = srv.tenant("bob")
-    sa = srv.submit(a, vm_shift_workload(
-        global_dims=(4, 4, 4, 8), grid_dims=(1, 1, 1, 2), seed=31,
-        sweeps=3, faults=alice_faults, resilience=resilience))
-    sb = srv.submit(b, cg_diag_workload(dims=(2, 2, 2, 4), seed=22,
-                                        max_iter=25))
-    srv.drain()
-    return srv, sa, sb
-
-
-def test_resilience_serving_isolation():
-    """A rank dies inside alice's session; bob's results and stats
-    are bitwise unperturbed (wall_s is measured host time, excluded)."""
-    srv0, ca, cb = _serve_pair(False)
-    plan = FaultPlan(seed=19).add("rank.kill", count=1,
-                                  match="rank1:*")
-    srv1, sa, sb = _serve_pair(plan, resilience="recover")
-
-    alice_same = bool(np.array_equal(sa.result["f"], ca.result["f"]))
-    bob_same = bool(np.array_equal(sb.result["x"], cb.result["x"]))
-
-    def nw(t):
-        j = t.stats.as_json()
-        j.pop("wall_s")
-        return j
-
-    bob_stats_same = nw(srv1.tenants["bob"]) == nw(srv0.tenants["bob"])
-    rz = sa.result["resilience"]
-
-    header("Resilience: multi-tenant isolation (kill inside alice's "
-           "private VM)")
-    report(f"alice recovered bitwise: {alice_same} "
-           f"(kills {rz['kills_injected']}, policy buddy); bob bitwise "
-           f"unperturbed: {bob_same}; bob deterministic stats equal: "
-           f"{bob_stats_same}")
-
-    _SUMMARY["serving_isolation"] = {
-        "alice_bitwise": alice_same, "bob_bitwise": bob_same,
-        "bob_stats_equal": bob_stats_same,
-        "alice_resilience": rz,
-    }
-    _flush_summary()
-
-    assert alice_same
-    assert bob_same
-    assert bob_stats_same
-    assert rz["kills_injected"] == 1
-    assert rz["recoveries_by_policy"] == {"buddy": 1}
-    assert plan.all_recovered()

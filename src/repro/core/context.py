@@ -50,10 +50,7 @@ class ContextStats:
         """The kernel cache's backend accounting: the resolved
         ``REPRO_BACKEND`` mode and its fallbacks
         (:class:`repro.driver.backends.BackendStats`)."""
-        from ..driver.backends import BackendStats
-
-        return (self._kernel_cache.backend
-                if self._kernel_cache is not None else BackendStats())
+        return self._kernel_cache.backend
 
     @property
     def overlap_fraction(self) -> float:
@@ -127,23 +124,20 @@ class ModuleEntry:
 class Context:
     """Framework state for one (simulated) GPU.
 
-    A context may *own* its device (the default: a fresh
-    :class:`Device` per context) or *share* one passed in via
-    ``device=`` — the multi-tenant serving layer
-    (:mod:`repro.serve`) creates one context per tenant over a single
-    shared device pool and stream runtime.  Likewise ``kernel_cache=``
-    injects a shared compiled-kernel cache so tenants reuse each
-    other's driver-JIT work; both default to private instances, so
-    single-context callers see no change.
+    A context owns its :class:`Device` and its :class:`KernelCache`
+    view.  Two contexts in one process share their build work without
+    being wired together: the kernel store and the module table behind
+    the views are process-wide, so a second context builds nothing.
 
     Contexts also support *scoped activation*::
 
         with ctx:
             ...   # default_context() resolves to ctx in this block
 
-    which is how concurrent sessions avoid leaking state through the
-    lazily-created module-level default context: activation nests like
-    a stack and always restores the previous resolution on exit.
+    which is how a program driving several contexts avoids leaking
+    state through the lazily-created module-level default context:
+    activation nests like a stack and always restores the previous
+    resolution on exit.
     """
 
     def __init__(self, spec: DeviceSpec = K20X_ECC_OFF,
@@ -151,21 +145,13 @@ class Context:
                  autotune: bool = True,
                  default_block_size: int = 128,
                  fusion: bool | None = None,
-                 faults=None,
-                 device: Device | None = None,
-                 kernel_cache: KernelCache | None = None):
+                 faults=None):
         from .fusion import FusionQueue
 
         warn_unknown_knobs()
-        if device is not None:
-            # a shared device: spec/pool_capacity/faults belong to its
-            # owner (the serving layer), not to this context
-            self.device = device
-        else:
-            self.device = Device(spec, pool_capacity=pool_capacity,
-                                 faults=faults)
-        self.kernel_cache = (kernel_cache if kernel_cache is not None
-                             else KernelCache())
+        self.device = Device(spec, pool_capacity=pool_capacity,
+                             faults=faults)
+        self.kernel_cache = KernelCache()
         self.field_cache = FieldCache(self.device)
         self.autotuner = Autotuner(self.device) if autotune else None
         self.default_block_size = default_block_size
@@ -319,8 +305,8 @@ class Context:
 _default_context: Context | None = None
 
 #: scoped-activation stack (``with ctx: ...``); the innermost active
-#: context shadows the module-level default so concurrent sessions
-#: never leak state through the lazily-created singleton
+#: context shadows the module-level default so several contexts in
+#: one program never leak state through the lazily-created singleton
 _active_stack: list[Context] = []
 
 

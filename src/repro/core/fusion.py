@@ -250,20 +250,6 @@ class FusionQueue:
         finally:
             self._flushing = False
 
-    def discard(self) -> None:
-        """Drop every pending statement *without* launching.
-
-        The serving layer's failed-session cleanup: when a session is
-        rejected mid-flight (e.g. :class:`~repro.memory.cache.
-        SpillImpossible` under admission pressure) its queued
-        statements reference fields of a dead workload — launching
-        them at the tenant's next barrier would replay the failure
-        into an unrelated session.  Temporaries are still released.
-        """
-        while self.groups:
-            g = self.groups.pop(0)
-            _release_temps(self.ctx, g.stmts)
-
     def flush_for_reduction(self, job: ReductionJob) -> int:
         """Drain the queue for a reduction and launch its partials;
         returns the device scratch address holding them.

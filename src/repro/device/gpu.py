@@ -13,10 +13,9 @@ same answers a GPU would — while *time* is modeled by
 * the :class:`~repro.runtime.stream.StreamRuntime` timeline, as a span
   on its category's lane — kernels on the compute stream, H2D/D2H
   copies on dedicated copy streams — so copy and compute time
-  genuinely overlap unless an event orders them, and
-* the ``attribution`` hook (the serving layer's per-tenant split),
+  genuinely overlap unless an event orders them,
 
-so the four always describe the same seconds.
+so the three always describe the same seconds.
 """
 
 from __future__ import annotations
@@ -71,12 +70,6 @@ class DeviceStats:
     #: measured host wall-clock per kernel name (what the active
     #: execution backend actually cost, vs the modeled GPU time above)
     per_kernel_wall_s: dict = field(default_factory=dict)
-    #: optional per-tenant attribution hook (the serving layer's stats
-    #: splitter): called as ``attribution(kind, name, modeled_s,
-    #: wall_s, nbytes)`` by :meth:`Device.charge`, i.e. for every
-    #: modeled cost.  ``None`` (the default) costs bare-context users
-    #: one attribute check and changes no number.
-    attribution: object = field(default=None, repr=False, compare=False)
 
     @property
     def modeled_kernel_time_s(self) -> float:
@@ -241,7 +234,6 @@ class Device:
         pw = self.stats.per_kernel_wall_s
         pw[kernel.name] = pw.get(kernel.name, 0.0) + wall
         self.charge("kernel", kernel.name, cost.time_s, stream=stream,
-                    nbytes=cost.bytes_moved, wall_s=wall,
                     args={"bytes": cost.bytes_moved, "nsites": nsites,
                           "block": block_size})
         if self.faults.active:
@@ -268,17 +260,16 @@ class Device:
         self.stats.kernel_launches += 1
         self.stats.fold_launches += 1
         self.charge("fold", "reduce_f64", t, stream=stream,
-                    nbytes=count * 8, args={"count": count})
+                    args={"count": count})
         return value
 
     # -- the ledger -----------------------------------------------------
 
     def charge(self, cat: str, name: str, seconds: float, *,
-               stream: Stream | None = None, nbytes: int = 0,
-               wall_s: float = 0.0, args: dict | None = None) -> Span:
+               stream: Stream | None = None,
+               args: dict | None = None) -> Span:
         """Account one modeled cost: the only writer of ``clock``,
-        ``stats.modeled_s``, this device's timeline and the
-        attribution hook.
+        ``stats.modeled_s`` and this device's timeline.
 
         The span lands on ``stream`` — by default the lane of its
         category: the copy streams for ``h2d``/``d2h``, compute for
@@ -294,12 +285,8 @@ class Device:
             stream = getattr(self.runtime,
                              cat if cat in _COPY_LANES else "compute")
         if cat == "backoff":
-            span = self.runtime.fence(stream, name, seconds, cat)
-        else:
-            span = stream.enqueue(name, seconds, cat, args=args)
-        if self.stats.attribution is not None:
-            self.stats.attribution(cat, name, seconds, wall_s, nbytes)
-        return span
+            return self.runtime.fence(stream, name, seconds, cat)
+        return stream.enqueue(name, seconds, cat, args=args)
 
     def charge_copy(self, cat: str, name: str, nbytes: int,
                     stream: Stream | None = None) -> float:
@@ -313,8 +300,7 @@ class Device:
             st.bytes_d2h += nbytes
             st.n_d2h += 1
         t = transfer_time(self.spec, nbytes)
-        self.charge(cat, name, t, stream=stream, nbytes=nbytes,
-                    args={"bytes": nbytes})
+        self.charge(cat, name, t, stream=stream, args={"bytes": nbytes})
         return t
 
     def charge_jit(self, modeled_seconds: float) -> None:

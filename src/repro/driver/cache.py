@@ -9,13 +9,13 @@ per kernel and ~200 distinct kernels per HMC trajectory, the same ones
 on every rank — the store is what makes the total overhead the "10-30
 seconds, negligible" of Sec. VIII-D for every context after the first.
 
-A :class:`KernelCache` is one context's (or one server's) *accounting
-view* of the store; every view returns the store's one object per
-digest.  Every counter and every modeled charge follows the view's own
-history: ``get_or_compile`` reports ``was_cached=False`` the first
-time *this view* sees a digest whether or not the store already holds
-the kernel, so the modeled JIT clock and ``stats`` do not depend on
-what ran earlier in the process — only measured seconds do.
+A :class:`KernelCache` is one context's *accounting view* of the
+store; every view returns the store's one object per digest.  Every
+counter and every modeled charge follows the view's own history:
+``get_or_compile`` reports ``was_cached=False`` the first time *this
+view* sees a digest whether or not the store already holds the
+kernel, so the modeled JIT clock and ``stats`` do not depend on what
+ran earlier in the process — only measured seconds do.
 
 A view resolves ``REPRO_BACKEND`` once, when it is created; the first
 time it sees a digest it runs the dispatch

@@ -203,11 +203,6 @@ class FaultPlan:
         self.specs: list[FaultSpec] = []
         self.counters = FaultCounters()
         self.trace: list[FaultEvent] = []
-        #: optional callable returning the tenant id the current work
-        #: is attributed to (the serving layer wires this to its
-        #: scheduler); injected events carry it in their detail so a
-        #: chaos run can assert which tenant each fault landed in
-        self.tenant_hook = None
 
     # -- construction ---------------------------------------------------
 
@@ -263,14 +258,9 @@ class FaultPlan:
         """
         if consume and spec.count is not None:
             spec.count -= 1
-        detail = dict(detail or {})
-        if self.tenant_hook is not None:
-            tenant = self.tenant_hook()
-            if tenant is not None:
-                detail.setdefault("tenant", tenant)
         event = FaultEvent(seq=len(self.trace), site=spec.site,
                            kind=spec.kind, target=target,
-                           detail=detail)
+                           detail=dict(detail or {}))
         self.trace.append(event)
         self.counters.injected += 1
         return event

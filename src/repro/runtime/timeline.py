@@ -50,11 +50,6 @@ class Timeline:
 
     def __init__(self):
         self.spans: list[Span] = []
-        #: while set, every recorded span is stamped with this tenant
-        #: id in its ``args`` (the serving layer sets it around each
-        #: scheduled step; ``None`` — the default — stamps nothing, so
-        #: bare-context traces are byte-identical to before)
-        self.tenant: str | None = None
 
     # -- recording -----------------------------------------------------
 
@@ -62,8 +57,6 @@ class Timeline:
                  t1: float, deps=(), args: dict | None = None) -> Span:
         deps = tuple(dict.fromkeys(d for d in deps if d is not None))
         args = dict(args or {})
-        if self.tenant is not None:
-            args.setdefault("tenant", self.tenant)
         span = Span(sid=len(self.spans), lane=lane, name=name, cat=cat,
                     t0=t0, t1=t1, deps=deps, args=args)
         self.spans.append(span)
@@ -158,26 +151,6 @@ class Timeline:
         remap = {s.sid: i for i, s in enumerate(selected)}
         for s in selected:
             view.add_span(s.lane, s.name, s.cat, s.t0 - base, s.t1 - base,
-                          deps=tuple(remap[d] for d in s.deps
-                                     if d in remap),
-                          args=s.args)
-        return view
-
-    def for_tenant(self, tenant: str | None) -> "Timeline":
-        """The sub-timeline of spans attributed to one tenant.
-
-        Span times stay absolute (they describe *when* the shared
-        device ran this tenant's work); dependency edges are remapped
-        where both ends belong to the tenant and dropped otherwise.
-        ``tenant=None`` selects the untagged spans (work recorded
-        outside any scheduled step).
-        """
-        view = Timeline()
-        selected = [s for s in self.spans
-                    if s.args.get("tenant") == tenant]
-        remap = {s.sid: i for i, s in enumerate(selected)}
-        for s in selected:
-            view.add_span(s.lane, s.name, s.cat, s.t0, s.t1,
                           deps=tuple(remap[d] for d in s.deps
                                      if d in remap),
                           args=s.args)

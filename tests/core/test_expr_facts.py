@@ -375,7 +375,7 @@ def check_tree(ctx, dest, expr, subset=None, stores=True):
     assert not out.deep
     assert out.signature(SlotAssigner()) == ref_signature(ref_out,
                                                           RefSlots())
-    ctx.fusion.discard()
+    ctx.flush()
 
 
 def check_group(stmts, reduction=None, subset=None):

@@ -379,39 +379,3 @@ def test_regs_per_thread_is_the_liveness_footprint(cold_store):
         live = max_live_registers(compiled.parsed.instructions)
         assert compiled.regs_per_thread == max(min(live, 255), 8)
 
-
-def test_serving_is_unchanged_by_a_warm_store(cold_store):
-    """One view shared by all tenants: cross-tenant hits and every
-    modeled clock are the same on a cold and on a warm store."""
-    from repro.serve import Server, cg_diag_workload
-
-    def serve():
-        srv = Server(policy="fifo")
-        tenants = [srv.tenant(name) for name in ("alice", "bob")]
-        for seed, t in enumerate(tenants):
-            srv.submit(t, cg_diag_workload(dims=(2, 2, 2, 4), seed=seed,
-                                           max_iter=6))
-        srv.drain()
-        kc = srv.kernel_cache
-        return (kc.cross_tenant_hits, kc.hits_by_tenant,
-                kc.misses_by_tenant, kc.stats.misses, srv.device.clock,
-                [(t.stats.jit_hits, t.stats.jit_misses,
-                  t.stats.jit_shared_hits, t.stats.service_s)
-                 for t in tenants])
-
-    cold = serve()
-    assert cold[0] > 0 and cold[2] == {"alice": cold[3]}
-    assert serve() == cold
-
-
-def test_a_generated_only_serve_run_parses_nothing(cold_store):
-    """The server's shared view forwards the builder's stream."""
-    from repro.serve import Server, cg_diag_workload
-
-    parse = _Spy(cold_store, jitcompiler, "parse_ptx")
-    srv = Server(policy="fifo")
-    for seed, name in enumerate(("alice", "bob")):
-        srv.submit(srv.tenant(name),
-                   cg_diag_workload(dims=(2, 2, 2, 4), seed=seed, max_iter=4))
-    srv.drain()
-    assert srv.kernel_cache.stats.misses > 0 and parse.calls == 0

@@ -67,6 +67,19 @@ class TestOffPath:
                 == max(c.device.clock for c in vm0.contexts))
         assert vm1.resilience.stats.checkpoints == 0
 
+    def test_faults_false_ignores_an_installed_plan(self):
+        """``faults=False`` opts a machine out of chaos explicitly: a
+        process-wide installed plan must not reach its ranks."""
+        from repro.faults import install_plan
+
+        install_plan(_kill_plan())
+        try:
+            vm, got = _run(faults=False, resilience="recover")
+        finally:
+            install_plan(None)
+        assert vm.resilience.stats.kills_injected == 0
+        assert np.array_equal(got, _run()[1])
+
     def test_env_knob_arms_the_manager(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESILIENCE", "recover")
         vm = VirtualMachine(DIMS, GRID)

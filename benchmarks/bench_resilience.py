@@ -33,7 +33,7 @@ from _util import header, report, table, write_bench
 DIMS = (4, 4, 4, 8)
 GRID = (1, 1, 2, 2)
 BUDDY_PLAN = "seed=7: rank.kill=1x@rank2:2-:*"
-SHRINK_PLAN = "seed=7: rank.kill=1x@rank0:0+:psi"
+SHRINK_PLAN = "seed=7: rank.kill=1x@rank0:2+:psi"
 
 _SUMMARY: dict = {"benchmark": "resilience", "lattice": list(DIMS),
                   "grid": list(GRID)}
@@ -46,7 +46,7 @@ def _buddy_plan():
 
 def _shrink_plan():
     return FaultPlan(seed=7).add("rank.kill", count=1,
-                                 match="rank0:0+:psi")
+                                 match="rank0:2+:psi")
 
 
 def _dslash_run(faults, resilience=False, policy="buddy"):

@@ -37,6 +37,12 @@ class ProcessorGrid:
     def nd(self) -> int:
         return len(self.dims)
 
+    @property
+    def split_dims(self) -> frozenset[int]:
+        """The directions the grid splits (more than one rank along
+        them): only there does a shift cross a rank boundary."""
+        return frozenset(mu for mu, d in enumerate(self.dims) if d > 1)
+
     def coords_of(self, rank: int) -> tuple[int, ...]:
         if not 0 <= rank < self.size:
             raise DecompositionError(f"bad rank {rank}")

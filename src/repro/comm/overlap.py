@@ -9,13 +9,19 @@ for the Wilson Dslash — the paper's Fig. 6 benchmark — with overlap
 switchable on/off, producing *identical field values* either way (the
 integration tests assert bit-level agreement) but different modeled
 times.
+
+Only the directions the processor grid splits take the halo path
+(gather, message, interior fill, scatter).  Along an unsplit direction
+the neighbour of every site is on-rank, so the main kernel reads it
+through the local shift table instead — the same words, the same
+arithmetic, and no message from a rank to itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.expr import adj
+from ..core.expr import adj, shift
 from ..qdp.lattice import Subset
 from ..qdp.typesys import fermion
 from .vm import DistributedField, VirtualMachine
@@ -59,7 +65,8 @@ class DistributedWilsonDslash:
     Built from the high-level domain abstractions, exactly as the
     paper stresses (Sec. VIII-C): the per-rank kernels come from the
     same expression code generators as the single-GPU path; this class
-    only adds the halo schedule.
+    only adds the halo schedule, and only for the directions the
+    processor grid splits (:attr:`ProcessorGrid.split_dims`).
     """
 
     def __init__(self, vm: VirtualMachine, u: list[DistributedField],
@@ -69,9 +76,12 @@ class DistributedWilsonDslash:
         self.precision = precision
         nd = vm.local_lattice.nd
         fspec = fermion(precision)
-        # persistent shifted-neighbor temporaries, one per direction
-        self.hf = [vm.field(fspec, f"hopf{mu}") for mu in range(nd)]
-        self.hb = [vm.field(fspec, f"hopb{mu}") for mu in range(nd)]
+        # persistent shifted-neighbor temporaries, one per split
+        # direction (a shrink only ever unsplits a direction, so these
+        # cover every later grid of this machine)
+        split = sorted(vm.grid.split_dims)
+        self.hf = {mu: vm.field(fspec, f"hopf{mu}") for mu in split}
+        self.hb = {mu: vm.field(fspec, f"hopb{mu}") for mu in split}
         self.tb = [vm.field(fspec, f"tb{mu}") for mu in range(nd)]
         self._boundary: Subset | None = None
         self._interior: Subset | None = None
@@ -100,15 +110,22 @@ class DistributedWilsonDslash:
             self._boundary = Subset("dslash_face", face)
         return self._interior, self._boundary
 
-    def _main_expr(self, rank: int, sign: int = +1):
+    def _main_expr(self, rank: int, psi: DistributedField,
+                   split: frozenset[int], sign: int = +1):
         total = None
         nd = self.vm.local_lattice.nd
         for mu in range(nd):
             p_minus = projector_const(mu, +sign, self.precision)
             p_plus = projector_const(mu, -sign, self.precision)
-            fwd = p_minus * (self.u[mu].shards[rank]
-                             * self.hf[mu].shards[rank])
-            bwd = p_plus * self.hb[mu].shards[rank].ref()
+            if mu in split:
+                fwd_hop = self.hf[mu].shards[rank]
+                bwd_hop = self.hb[mu].shards[rank].ref()
+            else:
+                # the neighbour is on-rank: read it through the shift
+                fwd_hop = shift(psi.shards[rank], +1, mu)
+                bwd_hop = shift(self.tb[mu].shards[rank].ref(), -1, mu)
+            fwd = p_minus * (self.u[mu].shards[rank] * fwd_hop)
+            bwd = p_plus * bwd_hop
             term = fwd + bwd
             total = term if total is None else total + term
         return total
@@ -116,8 +133,17 @@ class DistributedWilsonDslash:
     def apply(self, dest: DistributedField, psi: DistributedField,
               overlap: bool = True, sign: int = +1) -> DslashTiming:
         """dest = D psi, returning the modeled timing breakdown."""
+        if dest is psi:
+            # the main kernel reads psi's on-rank neighbours directly;
+            # the inner-site pass would overwrite what the face pass reads
+            raise ValueError("DistributedWilsonDslash.apply: dest must "
+                             "not be psi")
         vm = self.vm
         nd = vm.local_lattice.nd
+        # decided once: a shrink recovery at an exchange barrier below
+        # may re-host the machine, but its smaller grid splits a subset
+        # of these directions, whose halo path still holds there
+        split = vm.grid.split_dims
         # window this apply on the VM timeline: the makespan between
         # the two synchronization points is the overlapped total
         t_begin = vm.runtime.synchronize()
@@ -129,11 +155,11 @@ class DistributedWilsonDslash:
                 self.tb[mu],
                 lambda r, m=mu: adj(self.u[m].shards[r]) * psi.shards[r])
 
-        # 2. gather faces + launch all sends
+        # 2. gather faces + launch all sends (split directions only)
         exchanges = []
         gather = 0.0
         comm = 0.0
-        for mu in range(nd):
+        for mu in sorted(split):
             # non-overlap mode runs the textbook sequential schedule:
             # every send completes before anything else is enqueued
             ex_f = vm.exchange(psi, mu, +1, blocking=not overlap)
@@ -144,33 +170,33 @@ class DistributedWilsonDslash:
 
         # 3. interior fills of the shifted temporaries (overlappable)
         interior_fill = 0.0
-        for mu in range(nd):
+        for mu, _, _ in exchanges:
             interior_fill += vm.fill_shift_interior(self.hf[mu], psi, mu, +1)
             interior_fill += vm.fill_shift_interior(self.hb[mu],
                                                     self.tb[mu], mu, -1)
+
+        def main(r):
+            return self._main_expr(r, psi, split, sign)
 
         inner, face = self._partition()
         main_inner = 0.0
         main_face = 0.0
         if overlap:
             # 4a. main kernel on inner sites while the halo flies
-            main_inner = vm.assign_local(
-                dest, lambda r: self._main_expr(r, sign), subset=inner)
+            main_inner = vm.assign_local(dest, main, subset=inner)
             # 5. halo lands: scatter, then finish the face sites
             scatter = 0.0
             for mu, ex_f, ex_b in exchanges:
                 scatter += vm.scatter_halo(self.hf[mu], ex_f)
                 scatter += vm.scatter_halo(self.hb[mu], ex_b)
-            main_face = vm.assign_local(
-                dest, lambda r: self._main_expr(r, sign), subset=face)
+            main_face = vm.assign_local(dest, main, subset=face)
         else:
             # sequential: wait for the halo, then one full-volume kernel
             scatter = 0.0
             for mu, ex_f, ex_b in exchanges:
                 scatter += vm.scatter_halo(self.hf[mu], ex_f)
                 scatter += vm.scatter_halo(self.hb[mu], ex_b)
-            main_inner = vm.assign_local(
-                dest, lambda r: self._main_expr(r, sign))
+            main_inner = vm.assign_local(dest, main)
 
         total = vm.runtime.synchronize() - t_begin
         return DslashTiming(

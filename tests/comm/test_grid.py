@@ -15,6 +15,13 @@ class TestProcessorGrid:
     def test_size(self):
         assert ProcessorGrid((2, 1, 1, 2)).size == 4
 
+    def test_split_dims(self):
+        assert ProcessorGrid((2, 1, 1, 2)).split_dims == {0, 3}
+        assert ProcessorGrid((1, 1, 1, 1)).split_dims == frozenset()
+        # a shrink only ever unsplits a direction
+        g = ProcessorGrid((1, 1, 2, 2))
+        assert shrunken_grid(g, (4, 4, 4, 8)).split_dims < g.split_dims
+
     def test_coords_roundtrip(self):
         g = ProcessorGrid((2, 3, 1, 2))
         for r in range(g.size):

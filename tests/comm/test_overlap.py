@@ -15,9 +15,10 @@ from repro.qdp.lattice import Lattice
 from repro.qdp.typesys import color_matrix, fermion
 
 
-@pytest.fixture(scope="module")
-def dslash_setup():
-    rng = np.random.default_rng(31)
+def _setup(grid, seed):
+    """A VM over ``grid`` holding a weak gauge field and a gaussian
+    source on 4x4x4x8, plus the single-rank ``WilsonDslash`` result."""
+    rng = np.random.default_rng(seed)
     dims = (4, 4, 4, 8)
     # single-rank reference
     from repro.core.context import Context
@@ -31,13 +32,24 @@ def dslash_setup():
     WilsonDslash(u)(dest, psi)
     ref = dest.to_numpy()
 
-    vm = VirtualMachine(dims, (1, 1, 1, 2))
+    vm = VirtualMachine(dims, grid)
     ud = [vm.field(color_matrix()) for _ in range(4)]
     for mu in range(4):
         ud[mu].from_global(u[mu].to_numpy())
     psid = vm.field(fermion())
     psid.from_global(psi.to_numpy())
     return vm, ud, psid, ref
+
+
+@pytest.fixture(scope="module")
+def dslash_setup():
+    return _setup((1, 1, 1, 2), 31)
+
+
+@pytest.fixture(scope="module")
+def split_space_setup():
+    """A grid that splits a space direction as well as time."""
+    return _setup((2, 1, 1, 2), 13)
 
 
 class TestCorrectness:
@@ -85,6 +97,46 @@ class TestCorrectness:
         out = vm.field(fermion())
         DistributedWilsonDslash(vm, ud).apply(out, psid, overlap=True)
         assert np.abs(out.to_global() - dest.to_numpy()).max() < 1e-12
+
+
+class TestSplitDirections:
+    """Only the directions the grid splits take the halo path; the
+    others read their on-rank neighbours through the shift tables."""
+
+    def test_halo_path_only_where_the_grid_is_split(self, dslash_setup):
+        vm, ud, psid, _ = dslash_setup
+        assert vm.grid.split_dims == {3}
+        t = DistributedWilsonDslash(vm, ud).apply(
+            vm.field(fermion()), psid, overlap=True)
+        names = [s.name for s in t.timeline.spans]
+        for kind in ("gather", "halo", "scatter"):
+            tags = sorted(n.split(":")[1] for n in names
+                          if n.startswith(f"{kind}:"))
+            assert tags == ["3+", "3-"], kind
+        assert sorted(n for n in names if n.startswith("fill:")) \
+            == ["fill:hopb3", "fill:hopf3"]
+
+    def test_space_split_matches_single_rank(self, split_space_setup):
+        vm, ud, psid, ref = split_space_setup
+        assert vm.grid.split_dims == {0, 3}
+        out = vm.field(fermion())
+        DistributedWilsonDslash(vm, ud).apply(out, psid, overlap=True)
+        assert np.abs(out.to_global() - ref).max() < 1e-12
+
+    def test_space_split_overlap_bit_identical_to_nonoverlap(
+            self, split_space_setup):
+        vm, ud, psid, _ = split_space_setup
+        d = DistributedWilsonDslash(vm, ud)
+        a = vm.field(fermion())
+        b = vm.field(fermion())
+        d.apply(a, psid, overlap=False)
+        d.apply(b, psid, overlap=True)
+        assert np.array_equal(a.to_global(), b.to_global())
+
+    def test_dest_must_not_be_psi(self, dslash_setup):
+        vm, ud, psid, _ = dslash_setup
+        with pytest.raises(ValueError, match="dest"):
+            DistributedWilsonDslash(vm, ud).apply(psid, psid)
 
 
 def test_face_kernels_are_proven_under_the_env_they_launch_with():

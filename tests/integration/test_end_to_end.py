@@ -52,7 +52,9 @@ class TestUnalteredApplicationClaim:
 class TestGeneratedCodeQuality:
     def test_all_generated_ptx_verifies(self, ctx, lat4, rng):
         """Every kernel the expression layer generates must pass the
-        static verifier and recompile from its own text."""
+        static verifier and recompile from its own text under the env
+        it launched with.  The workload makes its own kernels (M, M^+
+        and a norm), so the count holds run alone or after others."""
         from repro.driver import compile_ptx
         from repro.ptx.verifier import verify
 
@@ -62,12 +64,13 @@ class TestGeneratedCodeQuality:
         out = latt_fermion(lat4)
         m = WilsonOperator(u, WilsonParams(kappa=0.1))
         m.apply(out, psi)
+        m.apply_dagger(psi, out)
         norm2(out)
         checked = 0
         for entry in ctx.module_cache.values():
             module = entry.module
             verify(module)
-            k = compile_ptx(module.render())
+            k = compile_ptx(module.render(), entry.env)
             assert k.name == module.name
             checked += 1
         assert checked >= 3

@@ -105,6 +105,19 @@ class ComplexOps:
     def __init__(self, kb: KernelBuilder, default_type: PTXType):
         self.kb = kb
         self.default_type = default_type
+        #: operand -> the register holding its negation
+        self._negs: dict[Operand, Register] = {}
+
+    def _neg(self, x: Operand) -> Register:
+        """``-x``, emitted once per operand: a second ``neg`` of one
+        register would be an exact repeat, and the driver JIT, which
+        shares the value of repeated text, would hold it from the
+        first definition to the last read of either (longer than the
+        PTX keeps either register live)."""
+        r = self._negs.get(x)
+        if r is None:
+            r = self._negs[x] = self.kb.neg(x)
+        return r
 
     def _materialize(self, v: CVal, t: PTXType) -> CVal:
         """Turn a constant CVal into immediates of type ``t``."""
@@ -117,9 +130,8 @@ class ComplexOps:
     def neg(self, v: CVal) -> CVal:
         if v.is_const:
             return CVal(const=-v.const)
-        kb = self.kb
-        re = kb.neg(v.re)
-        im = None if v.im is None else kb.neg(v.im)
+        re = self._neg(v.re)
+        im = None if v.im is None else self._neg(v.im)
         return CVal(re=re, im=im)
 
     def conj(self, v: CVal) -> CVal:
@@ -127,7 +139,7 @@ class ComplexOps:
             return CVal(const=v.const.conjugate())
         if v.im is None:
             return v
-        return CVal(re=v.re, im=self.kb.neg(v.im))
+        return CVal(re=v.re, im=self._neg(v.im))
 
     def timesI(self, v: CVal) -> CVal:
         """(a+bi) * i = -b + ai — a pure component rotation."""
@@ -136,15 +148,15 @@ class ComplexOps:
         if v.im is None:
             zero = Immediate(_op_type(v.re) or self.default_type, 0.0)
             return CVal(re=zero, im=v.re)
-        return CVal(re=self.kb.neg(v.im), im=v.re)
+        return CVal(re=self._neg(v.im), im=v.re)
 
     def timesMinusI(self, v: CVal) -> CVal:
         if v.is_const:
             return CVal(const=v.const * -1j)
         if v.im is None:
             zero = Immediate(_op_type(v.re) or self.default_type, 0.0)
-            return CVal(re=zero, im=self.kb.neg(v.re))
-        return CVal(re=v.im, im=self.kb.neg(v.re))
+            return CVal(re=zero, im=self._neg(v.re))
+        return CVal(re=v.im, im=self._neg(v.re))
 
     def add(self, a: CVal, b: CVal) -> CVal:
         return self._addsub(a, b, sub=False)

@@ -34,7 +34,6 @@ from .gauge import (
     weak_gauge,
 )
 from .halfspinor import (
-    HalfSpinorDslash,
     half_fermion,
     projection_matrices,
     spin_project,
@@ -67,7 +66,6 @@ __all__ = [
     "CloverParams",
     "CloverTerm",
     "EvenOddCloverOperator",
-    "HalfSpinorDslash",
     "MixedSolveResult",
     "energy_density",
     "half_fermion",

@@ -5,10 +5,14 @@ operator form — paper Sec. VIII-C:
             + sum_mu (1 + gamma_mu) U+_mu(x - mu) delta_{x-mu, x'}
 
 As the paper stresses, this implementation is *generated from its
-high-level representation* — no hand-tuning.  The backward hop
-``shift(adj(u)*psi, BACKWARD, mu)`` shifts a non-leaf expression and
-is therefore materialized into a temporary by the evaluator, exactly
-like QDP++ evaluates it.
+high-level representation* — no hand-tuning.  It is built from the
+half-spinor ops of :mod:`repro.qcd.halfspinor` in the order Chroma's
+QDP++ Dslash uses (``spinReconstructDir(u * shift(spinProjectDir(psi)))``):
+each hop projects to two spin components, multiplies the link on
+those, and reconstructs four.  The backward hop
+``shift(adj(u) * spin_project(psi), BACKWARD, mu)`` shifts a non-leaf
+expression and is therefore materialized into a 12-word half-fermion
+temporary by the evaluator, exactly like QDP++ evaluates it.
 
 The standard Wilson Dslash flop count used when quoting GFLOPS
 (paper Fig. 6 and the QUDA comparison) is 1320 flops per site.
@@ -19,10 +23,13 @@ from __future__ import annotations
 from ..core.expr import ScalarParam, adj, shift
 from ..qdp.fields import LatticeField, latt_fermion, multi1d
 from ..qdp.lattice import BACKWARD, FORWARD, Subset
-from .gamma import projector_const
+from .halfspinor import spin_project, spin_reconstruct
 
 #: The community-standard Wilson Dslash flop count per site (4-d),
 #: assuming spin projection: what QUDA and the paper quote GFLOPS in.
+#: The generated kernels of a lone ``D psi`` (the main kernel and one
+#: backward-hop kernel per direction) count 1452: the same arithmetic
+#: plus the 132 ``neg`` the -1 and +/-i projector entries fold to.
 DSLASH_FLOPS_PER_SITE = 1320
 
 
@@ -37,10 +44,13 @@ def dslash_expr(u: multi1d, psi, sign: int = +1, coeffs=None,
     nd = len(u)
     total = None
     for mu in range(nd):
-        p_minus = projector_const(mu, +sign, precision)   # 1 -/+ gamma_mu
-        p_plus = projector_const(mu, -sign, precision)    # 1 +/- gamma_mu
-        fwd = p_minus * (u[mu] * shift(psi, FORWARD, mu))
-        bwd = p_plus * shift(adj(u[mu]) * psi, BACKWARD, mu)
+        # (1 -/+ gamma_mu) on the forward hop, (1 +/- gamma_mu) backward
+        fwd = spin_reconstruct(
+            u[mu] * spin_project(shift(psi, FORWARD, mu), mu, +sign),
+            mu, +sign)
+        bwd = spin_reconstruct(
+            shift(adj(u[mu]) * spin_project(psi, mu, -sign), BACKWARD, mu),
+            mu, -sign)
         term = fwd + bwd
         if coeffs is not None and coeffs[mu] != 1.0:
             term = ScalarParam(coeffs[mu], precision) * term

@@ -1,68 +1,83 @@
-"""Half-spinor (spin projection) operations.
+"""Half-spinor (spin projection) operations: the building blocks of
+the Wilson Dslash (:func:`repro.qcd.dslash.dslash_expr`).
 
 The Wilson projectors ``(1 -/+ gamma_mu)`` have rank 2, so a projected
-spinor carries only two independent spin components.  Hand-tuned
-kernels (QUDA — the paper's Sec. VIII-C headroom discussion) exploit
-this to halve the neighbor-spinor traffic; expressing the same trick
-*through the framework's own code generators* shows the generated code
-picking up the byte reduction automatically — the half-spinor Dslash
-here moves ~25% less data than the naive one, visible directly in the
-generated kernels' metadata.
+spinor carries only two independent spin components.  Projecting
+first lets the link multiply two spin components instead of four and
+halves the shifted temporary of a backward hop — the trick hand-tuned
+kernels (QUDA — the paper's Sec. VIII-C headroom discussion) are built
+around, realized here through the framework's own code generators.
 
 ``T = P[:2, :]`` compresses (project), and ``R`` with ``R @ T = P``
-reconstructs; both are exact in the DeGrand-Rossi basis and are folded
-into the kernels as structural constants.
+reconstructs.  In the DeGrand-Rossi basis ``gamma_mu`` has zero 2x2
+diagonal blocks, so ``R``'s lower block is ``-sign`` times the lower
+off-diagonal block of ``gamma_mu``: both matrices have entries in
+{0, +/-1, +/-i}, ``R @ T == P`` holds bitwise, and the code generator
+folds every entry into a sign or a component swap.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
+from ..core.codegen import CVal
 from ..core.expr import CustomOpNode, Expr, ExprTypeError, as_expr
-from ..typesys import TypeSpec
-from .gamma import projector
+from ..typesys import TypeSpec, fermion
+from .gamma import GAMMA, projector
 
-#: Half-spinor type: 2 spin components x 3 colors.
+_fermion = cache(fermion)
+
+
+@cache
 def half_fermion(precision: str = "f64") -> TypeSpec:
+    """Half-spinor type: 2 spin components x 3 colors."""
     return TypeSpec(spin=(2,), color=(3,), is_complex=True,
                     precision=precision)
 
 
+@cache
 def projection_matrices(mu: int, sign: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(T, R): T compresses P = 1 - sign*gamma_mu to 2 spin rows,
-    R reconstructs (R @ T = P exactly)."""
+    R reconstructs (R @ T = P exactly).  Built once per ``(mu, sign)``;
+    the arrays are read-only."""
     p = projector(mu, sign)
     t = p[:2, :]
-    # rows 2,3 of P are exact linear combinations of rows 0,1
-    r_lower, *_ = np.linalg.lstsq(t.T, p[2:, :].T, rcond=None)
-    r = np.vstack([np.eye(2), r_lower.T])
-    assert np.allclose(r @ t, p, atol=1e-13), "projector rank > 2?"
+    r = np.vstack([np.eye(2), -sign * GAMMA[mu][2:, :2]])
+    assert np.array_equal(r @ t, p), "gamma_mu is not block off-diagonal"
+    t.flags.writeable = r.flags.writeable = False
     return t, r
 
 
-def _make_matrix_gen(m: np.ndarray):
+def _matrix_gen(rows: tuple):
     """A component generator applying a constant (non-square) spin
-    matrix: out(s, c) = sum_t M[s, t] x(t, c)."""
+    matrix, given as its rows of ``(column, entry)`` nonzeros:
+    out(s, c) = sum_t M[s, t] x(t, c)."""
     def gen(up, node, sidx, cidx, view, conjugate):
         (child,) = node.operands
         ops = up.ops
-        from ..core.codegen import CVal
-
-        (s,) = sidx
         acc = None
-        for t in range(m.shape[1]):
-            entry = complex(m[s, t])
-            if entry == 0:
-                continue
-            v = up.gen(child, (t,), cidx, view)
-            term = ops.mul(CVal(const=entry), v)
+        for t, entry in rows[sidx[0]]:
+            v = up.gen(child, (t,), cidx, view, conjugate)
+            term = ops.mul(CVal(const=entry.conjugate() if conjugate
+                                else entry), v)
             acc = term if acc is None else ops.add(acc, term)
-        if acc is None:
-            acc = CVal(const=0j)
-        return ops.conj(acc) if conjugate else acc
+        return acc
 
     return gen
+
+
+@cache
+def _spin_op(kind: int, mu: int, sign: int):
+    """(name, generator) of the project (``kind`` 0) or reconstruct
+    (1) op of ``(mu, sign)``: one generator per matrix."""
+    m = projection_matrices(mu, sign)[kind]
+    rows = tuple(tuple((t, complex(e)) for t, e in enumerate(row) if e != 0)
+                 for row in m)
+    name = f"{('sproj', 'srecon')[kind]}{mu}{'p' if sign > 0 else 'm'}"
+    return name, _matrix_gen(rows)
 
 
 def spin_project(psi, mu: int, sign: int) -> Expr:
@@ -74,10 +89,8 @@ def spin_project(psi, mu: int, sign: int) -> Expr:
     psi = as_expr(psi)
     if psi.spec.spin != (4,):
         raise ExprTypeError("spin_project needs a full spinor")
-    t, _ = projection_matrices(mu, sign)
-    spec = half_fermion(psi.spec.precision)
-    return CustomOpNode(f"sproj{mu}{'p' if sign > 0 else 'm'}",
-                        (psi,), spec, _make_matrix_gen(t))
+    name, gen = _spin_op(0, mu, sign)
+    return CustomOpNode(name, (psi,), half_fermion(psi.spec.precision), gen)
 
 
 def spin_reconstruct(h, mu: int, sign: int) -> Expr:
@@ -85,55 +98,5 @@ def spin_reconstruct(h, mu: int, sign: int) -> Expr:
     h = as_expr(h)
     if h.spec.spin != (2,):
         raise ExprTypeError("spin_reconstruct needs a half spinor")
-    _, r = projection_matrices(mu, sign)
-    spec = TypeSpec(spin=(4,), color=(3,), is_complex=True,
-                    precision=h.spec.precision)
-    return CustomOpNode(f"srecon{mu}{'p' if sign > 0 else 'm'}",
-                        (h,), spec, _make_matrix_gen(r))
-
-
-class HalfSpinorDslash:
-    """The Wilson hopping term via half spinors (single rank).
-
-    Per direction: project (4 -> 2 spin components), multiply by the
-    link in the compressed space, shift the *half* spinor, reconstruct
-    and accumulate.  Identical results to the naive Dslash (tested),
-    but the shifted temporaries are half the size — the traffic
-    optimization hand-tuned kernels are built around, realized through
-    the framework's code generators.
-    """
-
-    def __init__(self, u, precision: str = "f64"):
-        self.u = u
-        self.precision = precision
-        self.lattice = u[0].lattice
-        from ..qdp.fields import LatticeField
-
-        ctx = u[0].context
-        self._hf = [LatticeField(self.lattice, half_fermion(precision),
-                                 context=ctx) for _ in range(self.lattice.nd)]
-        self._hb = [LatticeField(self.lattice, half_fermion(precision),
-                                 context=ctx) for _ in range(self.lattice.nd)]
-
-    def __call__(self, dest, psi) -> None:
-        from ..core.expr import adj, shift
-
-        nd = self.lattice.nd
-        # project+multiply into half-spinor temporaries, then shift
-        for mu in range(nd):
-            self._hf[mu].assign(spin_project(psi, mu, +1))
-            self._hb[mu].assign(
-                adj(self.u[mu]) * spin_project(psi, mu, -1))
-        total = None
-        for mu in range(nd):
-            fwd = spin_reconstruct(
-                self.u[mu] * shift(self._hf[mu].ref(), +1, mu), mu, +1)
-            bwd = spin_reconstruct(
-                shift(self._hb[mu].ref(), -1, mu), mu, -1)
-            term = fwd + bwd
-            total = term if total is None else total + term
-        dest.assign(total)
-
-    def halfspinor_bytes_per_site(self) -> int:
-        """Bytes of one shifted half-spinor temp (vs 24-word full)."""
-        return self._hf[0].spec.bytes_per_site
+    name, gen = _spin_op(1, mu, sign)
+    return CustomOpNode(name, (h,), _fermion(h.spec.precision), gen)

@@ -260,24 +260,29 @@ class TestTableII:
             assert sp[name].bytes_per_site * 2 == dp[name].bytes_per_site
 
     def test_eager_wilson_kernel_counts(self, wilson_eager):
-        """The kernel of ``M = 1 - kappa*D`` as a lone statement.
+        """The kernels of ``M = 1 - kappa*D`` as lone statements.
 
-        1 560 flops = U·psi on all four spins of the four forward hops
-        (4 x 4 x 66 = 1 056) + the eight projectors' adds and ±i signs
-        (288) + the eight-term sum (168) + ``1 - kappa*`` (48).
-        ``DSLASH_FLOPS_PER_SITE = 1320`` counts D the standard way —
-        eight hops of projection (12) and U on a half spinor (132),
-        plus the same sum — so it projects before multiplying, and
-        includes the backward hops' ``adj(U)·psi``, which this kernel
-        reads from materialized temporaries.  (4 728 before the value
-        memo covered a lone statement: U·psi recomputed per projector
-        row.)  Bytes: 288 f64 loads, 8 shift-table words, 24 stores.
+        The main kernel's 870 flops = ``T·psi`` on the four forward
+        hops (4 x 12 = 48) + U on the two projected spin components
+        (4 x 132 = 528) + the eight-term sum (168) + ``1 - kappa*``
+        (48) + the 78 ``neg`` the -1 and +/-i entries of ``T`` and
+        ``R`` fold to.  Each backward-hop kernel ``adj(U)·(T psi)``
+        counts the same 144 plus its ``neg``.  So a lone D generates
+        822 + 630 = 1 452 flops against the standard
+        ``DSLASH_FLOPS_PER_SITE = 1320``, which counts no ``neg``.
+        (1 560 in the main kernel and 273 per backward hop before the
+        Dslash projected ahead of the link multiply; 4 728 before the
+        value memo covered a lone statement.)  Bytes: 240 f64 loads
+        (the four half-spinor hops are 12 words each), 8 shift-table
+        words, 24 stores.
         """
         from repro.qcd.dslash import DSLASH_FLOPS_PER_SITE
 
-        m = wilson_eager["M"]
-        assert m.info.flops_per_site == 1560
-        assert m.info.bytes_per_site == 2528    # 288*8 + 8*4 + 24*8
+        m, hops = wilson_eager["M"], wilson_eager["hops"]
+        assert m.info.flops_per_site == 870
+        assert m.info.bytes_per_site == 2144    # 240*8 + 8*4 + 24*8
+        assert [h.info.flops_per_site for h in hops] == [153, 159, 159, 159]
+        assert all(h.info.bytes_per_site == 432 for h in hops)  # 18+24+12
         assert DSLASH_FLOPS_PER_SITE == 1320
 
 
@@ -337,9 +342,10 @@ def _float_repeats(instructions) -> int:
 
 @pytest.fixture(scope="module")
 def wilson_eager(lat4):
-    """The two kernels of ``M = 1 - kappa*D`` with fusion off: the
-    backward hop ``adj(U)·psi`` (one kernel serves all four directions)
-    and ``M`` itself, which reads the hops shifted."""
+    """The five kernels of ``M = 1 - kappa*D`` with fusion off: the
+    backward hops ``adj(U)·(T psi)`` — one per direction, since the
+    projection constants ``T`` fold differently per ``mu`` — and ``M``
+    itself, which reads the hops shifted."""
     from repro.core.context import Context
     from repro.qcd.gauge import weak_gauge
     from repro.qcd.wilson import WilsonOperator, WilsonParams
@@ -352,9 +358,9 @@ def wilson_eager(lat4):
     psi.gaussian(rng)
     op.apply(out, psi)
     ctx.flush()
-    hop, m = sorted((e.module for e in ctx.module_cache.values()),
-                    key=lambda m: len(m.instructions))
-    return {"hop": hop, "M": m}
+    *hops, m = sorted((e.module for e in ctx.module_cache.values()),
+                      key=lambda m: len(m.instructions))
+    return {"hops": hops, "M": m}
 
 
 def _without_memo(monkeypatch, *args):
@@ -381,15 +387,18 @@ class TestValueMemo:
     only repeated arithmetic goes."""
 
     def test_census_of_the_eager_wilson_kernels(self, wilson_eager):
-        m, hop = wilson_eager["M"], wilson_eager["hop"]
-        # 2 784 repeats before; the 48 left are projector-row sums
-        # (``psi_s + psi_t`` at two rows), which the fused M^+M kernel
-        # has too
-        assert _float_repeats(m.instructions) == 48
-        assert len(m.instructions) == 2452
-        # the hop's conj(U) components were negated once per spin: 27
-        assert _float_repeats(hop.instructions) == 0
-        assert [i.opcode for i in hop.instructions].count("neg") == 9
+        m, hops = wilson_eager["M"], wilson_eager["hops"]
+        # 2 784 repeats before the memo; the 48 projector-row sums
+        # (``psi_s + psi_t`` at two rows of ``P``) it left went with
+        # the projection ahead of U: ``T`` has two rows
+        assert _float_repeats(m.instructions) == 0
+        assert len(m.instructions) == 1690      # 2 452 unprojected
+        # each hop negates conj(U)'s 9 imaginary parts once (27 when
+        # once per spin), plus the -1 / +/-i entries of its ``T``
+        for hop in hops:
+            assert _float_repeats(hop.instructions) == 0
+        assert [[i.opcode for i in h.instructions].count("neg")
+                for h in hops] == [9, 15, 15, 15]
 
     def test_table2_kernels_keep_their_memory_traffic(self, ctx, lat4,
                                                       monkeypatch):

@@ -340,11 +340,14 @@ class TestLivenessCrossCheck:
         """Re-based on purpose: 249 slots and ``held == live`` while
         every integer register was formed; with address chains folded
         the peak is 27 slots lower (558/279 before the unparser's value
-        memo covered a lone statement)."""
+        memo covered a lone statement).  Re-based again when the Dslash
+        began to project before the link multiply: the kernel reads
+        half-spinor backward hops and multiplies U on two spin
+        components, live/held/slots 498/444/222 before."""
         t = _translated(wilson.parsed)
         peak, held = _replay(t.lines, allocate_slots(t.lines)[0], _weights(t))
         live = max_live_registers(wilson.parsed.instructions)
-        assert live == 498 and held == 444 and peak == t.n_slots == 222
+        assert live == 312 and held == 298 and peak == t.n_slots == 149
 
     def test_a_dead_definition_is_the_only_difference(self):
         kb = KernelBuilder("deaddef")
@@ -473,7 +476,7 @@ def test_random_kernels_run_bitwise_equal(ops, branch, guards, seed):
 
 class _Wilson:
     """The 4^4 Wilson ``M`` kernel (the operator CG applies twice per
-    ``M^+ M``; 2 452 instructions), built and launchable."""
+    ``M^+ M``; 1 690 instructions), built and launchable."""
 
     def __init__(self, lat):
         self.ctx = Context(autotune=False)
@@ -509,12 +512,13 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
     The instruction count is re-based on purpose: 5 490 before
     addresses came uniform-first, 5 188 before the value memo covered
     a lone statement (2 736 of those were exact repeats of the
-    projector's ``U·ψ`` components)."""
+    projector's ``U·ψ`` components), 2 452 (222 slots) before the
+    Dslash projected to half spinors ahead of the link multiply."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     w = _Wilson(lat4)
     assert w.ctx.stats.backend.mode == backend
     n_inst = len(w.parsed.instructions)
-    assert n_inst == 2452
+    assert n_inst == 1690
     t = _translated(w.parsed)
     array = w.lanes * 8
     kernel, peaks = w.entry.compiled.func, []
@@ -544,4 +548,4 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
     others = 4 + len(t._prologue()) + 3 + len(t.labels)
     assert code.co_nlocals <= t.n_slots + others
     assert code.co_nlocals < n_inst / 4
-    assert t.n_slots == 222
+    assert t.n_slots == 149

@@ -71,15 +71,13 @@ def shrunken_grid(grid: ProcessorGrid,
                   global_dims: tuple[int, ...]) -> ProcessorGrid:
     """The largest valid processor grid strictly smaller than ``grid``.
 
-    Used by shrink-and-redistribute recovery: after a rank dies the
-    machine must keep running on fewer ranks, so we pick — as a pure
-    function of the inputs, for deterministic replay — the candidate
-    grid with the most ranks that still decomposes ``global_dims``
-    (divisibility plus even local extents).  Candidates reduce one
-    grid extent at a time; ties break toward reducing the highest
-    dimension (time first), which keeps the cheap spatial grid
-    layouts intact.  Raises :class:`DecompositionError` when no
-    smaller grid decomposes the lattice (e.g. a single-rank grid).
+    A pure function of the inputs: the candidate grid with the most
+    ranks that still decomposes ``global_dims`` (divisibility plus even
+    local extents).  Candidates reduce one grid extent at a time; ties
+    break toward reducing the highest dimension (time first), which
+    keeps the cheap spatial grid layouts intact.  Raises
+    :class:`DecompositionError` when no smaller grid decomposes the
+    lattice (e.g. a single-rank grid).
     """
     best: tuple[int, ...] | None = None
     best_size = 0

@@ -76,23 +76,13 @@ class DistributedWilsonDslash:
         self.precision = precision
         nd = vm.local_lattice.nd
         fspec = fermion(precision)
-        # persistent shifted-neighbor temporaries, one per split
-        # direction (a shrink only ever unsplits a direction, so these
-        # cover every later grid of this machine)
+        # persistent shifted-neighbor temporaries, one per split direction
         split = sorted(vm.grid.split_dims)
         self.hf = {mu: vm.field(fspec, f"hopf{mu}") for mu in split}
         self.hb = {mu: vm.field(fspec, f"hopb{mu}") for mu in split}
         self.tb = [vm.field(fspec, f"tb{mu}") for mu in range(nd)]
         self._boundary: Subset | None = None
         self._interior: Subset | None = None
-        if vm.resilience is not None:
-            # a shrink changes the local geometry under our feet: the
-            # cached inner/face partition must be recomputed
-            vm.resilience.on_shrink(self._invalidate_partition)
-
-    def _invalidate_partition(self, vm) -> None:
-        self._interior = None
-        self._boundary = None
 
     # -- site partition (inner vs face, paper Sec. V) -------------------
 
@@ -140,9 +130,6 @@ class DistributedWilsonDslash:
                              "not be psi")
         vm = self.vm
         nd = vm.local_lattice.nd
-        # decided once: a shrink recovery at an exchange barrier below
-        # may re-host the machine, but its smaller grid splits a subset
-        # of these directions, whose halo path still holds there
         split = vm.grid.split_dims
         # window this apply on the VM timeline: the makespan between
         # the two synchronization points is the overlapped total

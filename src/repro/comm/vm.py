@@ -50,8 +50,8 @@ class HaloMismatchError(RuntimeError):
 
     Raised by :meth:`VirtualMachine.exchange`/:meth:`scatter_halo`
     when a field belongs to a different VM or an
-    :class:`ExchangeResult` no longer matches the machine's geometry
-    (e.g. it predates a shrink-and-redistribute recovery).  Carries
+    :class:`ExchangeResult` does not match the machine's geometry
+    (e.g. it came from a machine with another processor grid).  Carries
     the offending (rank, mu, sign) and renders as a structured
     diagnostic, like the cache's ``NoValidCopyError``.
     """
@@ -86,15 +86,6 @@ class DistributedField:
         self.vm = vm
         self.spec = spec
         self.name = name or "dfield"
-        self._reshard()
-        if vm.resilience is not None:
-            vm.resilience.register(self)
-
-    def _reshard(self) -> None:
-        """(Re)build the per-rank shards for the VM's current grid —
-        called at construction and after a shrink rebuilt the rank
-        map (the old shards' contexts are gone)."""
-        vm = self.vm
         self.shards = [LatticeField(vm.local_lattice, self.spec,
                                     context=vm.contexts[r],
                                     name=f"{self.name}@r{r}")
@@ -141,13 +132,7 @@ class VirtualMachine:
                  spec: DeviceSpec = K20X_ECC_OFF,
                  net: NetworkModel = IB_QDR_CUDA_AWARE,
                  pool_capacity: int | None = None,
-                 autotune: bool = True,
-                 faults=None,
-                 resilience=None,
-                 recover_policy: str = "buddy"):
-        from ..faults.inject import FaultInjector
-        from ..faults.plan import active_plan
-
+                 autotune: bool = True):
         self.decomp = Decomposition(tuple(int(d) for d in global_dims),
                                     ProcessorGrid(tuple(int(d)
                                                         for d in grid_dims)))
@@ -156,22 +141,9 @@ class VirtualMachine:
         self.local_lattice = self.decomp.local_lattice()
         self.global_lattice = self.decomp.global_lattice()
         self.net = net
-        # one plan shared across every rank (and the halo layer), so
-        # a single trace/counter set covers the whole machine
-        if faults is None:
-            plan = active_plan()
-        elif faults is False:
-            plan = None
-        else:
-            plan = faults
-        self._plan = plan
-        self._ctx_args = dict(spec=spec, pool_capacity=pool_capacity,
-                              autotune=autotune)
-        self.contexts = [self._make_rank_context()
+        self.contexts = [Context(spec, pool_capacity=pool_capacity,
+                                 autotune=autotune)
                          for _ in range(self.nranks)]
-        #: halo-layer fault injector (drop/corrupt/timeout recovery);
-        #: shares the rank devices' plan
-        self.faults = FaultInjector(plan)
         self.face_kernels = [FaceKernels(c) for c in self.contexts]
         #: the VM's stream runtime: the *collective* step timeline
         #: (max-over-ranks costs), distinct from each rank context's
@@ -180,51 +152,6 @@ class VirtualMachine:
         self.timeline = self.runtime.timeline
         # persistent per-(rank, mu, sign) send/recv buffers
         self._buffers: dict[tuple, tuple[int, int]] = {}
-        #: rank fault tolerance (``resilience=None`` consults the
-        #: REPRO_RESILIENCE knob; ``False``/``"off"`` disables, a mode
-        #: string overrides).  ``None`` manager = the off path, which
-        #: is bitwise invisible: no hooks run, no state is kept.
-        if resilience is None:
-            from ..diagnostics import resilience_mode
-
-            mode = resilience_mode()
-        elif resilience is False:
-            mode = "off"
-        else:
-            mode = resilience
-        if mode == "off":
-            self.resilience = None
-        else:
-            from ..resilience import ResilienceManager
-
-            self.resilience = ResilienceManager(self, mode=mode,
-                                                policy=recover_policy)
-
-    # -- construction helpers -------------------------------------------
-
-    def _make_rank_context(self) -> Context:
-        """A fresh rank context (also the spare a buddy restore
-        targets), sharing the machine-wide fault plan."""
-        plan = self._plan
-        return Context(self._ctx_args["spec"],
-                       pool_capacity=self._ctx_args["pool_capacity"],
-                       autotune=self._ctx_args["autotune"],
-                       faults=plan if plan is not None else False)
-
-    def _rebuild(self, grid: ProcessorGrid) -> None:
-        """Re-host the machine on ``grid`` (shrink recovery): fresh
-        decomposition, contexts and face kernels; the old comm
-        buffers die with the old device pools.  Field payloads are
-        the resilience manager's job — it re-partitions every
-        registered field right after this."""
-        self.decomp = Decomposition(self.decomp.global_dims, grid)
-        self.grid = grid
-        self.nranks = grid.size
-        self.local_lattice = self.decomp.local_lattice()
-        self.contexts = [self._make_rank_context()
-                         for _ in range(self.nranks)]
-        self.face_kernels = [FaceKernels(c) for c in self.contexts]
-        self._buffers.clear()
 
     def field(self, spec: TypeSpec, name: str | None = None
               ) -> DistributedField:
@@ -336,11 +263,6 @@ class VirtualMachine:
                 "exchange", f"field {src.name!r} belongs to a "
                 f"different virtual machine", mu, sign)
         tag = f"{mu}{'+' if sign > 0 else '-'}:{src.name}"
-        if self.resilience is not None:
-            # the exchange barrier: checkpoint cut, straggler sweep,
-            # rank-kill draw (+ recovery) — may rebuild the machine,
-            # so the local geometry is read *after* the hook
-            self.resilience.at_exchange(src, tag)
         local = self.local_lattice
         spec = src.spec
         send_sites = local.face_sites(mu, -sign)   # the plane we send
@@ -379,19 +301,12 @@ class VirtualMachine:
         # receives r's plane?  For a forward shift, rank r's lower
         # plane goes to rank r - mu_hat.
         recv_addrs = [0] * self.nranks
-        penalties = []
-        halo_faults = self.faults.active
         for r in range(self.nranks):
             dst_rank = self.grid.neighbor(r, mu, -sign)
             rbuf = self._buffer(dst_rank, "recv", mu, sign, nbytes)
             recv_addrs[dst_rank] = rbuf
             data = self.contexts[r].device.pool.read(send_addrs[r], nbytes)
-            if halo_faults:
-                penalties.extend(self.faults.deliver_halo(
-                    self.contexts[dst_rank].device, rbuf, data,
-                    self.net, f"halo:{tag}@r{r}"))
-            else:
-                self.contexts[dst_rank].device.pool.write(rbuf, data)
+            self.contexts[dst_rank].device.pool.write(rbuf, data)
         comm_time = self.net.message_time(nbytes)
 
         rt = self.runtime
@@ -402,11 +317,6 @@ class VirtualMachine:
         rt.comm.wait_event(rt.compute.record_event())
         rt.comm.enqueue(f"halo:{tag}", comm_time, "comm",
                         args={"bytes": nbytes})
-        if penalties:
-            # recovery follows the failed delivery: timeouts, backoff
-            # and checksum-verified retransmits extend the comm lane,
-            # and the scatter's event below waits on all of it
-            comm_time += self.faults.charge_penalties(rt, penalties)
         event = rt.comm.record_event()
         if blocking:
             rt.synchronize()
@@ -434,8 +344,8 @@ class VirtualMachine:
                 "scatter_halo", f"stale exchange result: expected "
                 f"{self.nranks} ranks x "
                 f"{local.face_sites(ex.mu, ex.sign).size} face sites, "
-                f"got {len(ex.recv_addrs)} x {ex.nface} (did the "
-                f"machine shrink since the exchange?)",
+                f"got {len(ex.recv_addrs)} x {ex.nface} (was it "
+                f"exchanged on a machine with another grid?)",
                 ex.mu, ex.sign)
         worst = 0.0
         for r in range(self.nranks):
@@ -453,13 +363,7 @@ class VirtualMachine:
                 "p_sites": ctx.upload_table(
                     ("face", local.dims, ex.mu, ex.sign), ex.recv_sites),
                 "p_dst": addrs[dest.shards[r].uid],
-                # under resilience the recv buffer may have moved (a
-                # buddy restore re-homes the dead rank's pool): the
-                # buffer table, not the captured address, is current
-                "p_src": (self._buffer(r, "recv", ex.mu, ex.sign,
-                                       ex.nbytes)
-                          if self.resilience is not None
-                          else ex.recv_addrs[r]),
+                "p_src": ex.recv_addrs[r],
             }
             cost = ctx.device.launch(kernel.compiled, kernel.module.info,
                                      params, ex.nface, block_size=128,

@@ -42,7 +42,6 @@ class ContextStats:
     #: read live through ``ctx.stats`` (not copied counters)
     _runtime: object = field(default=None, repr=False, compare=False)
     _field_cache: object = field(default=None, repr=False, compare=False)
-    _faults: object = field(default=None, repr=False, compare=False)
     _kernel_cache: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -71,39 +70,6 @@ class ContextStats:
     def cache(self) -> CacheStats:
         """The field software-cache counters (hits, spills, HWM...)."""
         return self._field_cache.stats if self._field_cache else CacheStats()
-
-    # -- fault-injection outcomes (zero unless a plan is active) -------
-
-    @property
-    def _fault_counters(self):
-        from ..faults.plan import ZERO_COUNTERS
-
-        return self._faults.counters if self._faults else ZERO_COUNTERS
-
-    @property
-    def faults_injected(self) -> int:
-        """Faults injected by the active plan (0 when faults are off)."""
-        return self._fault_counters.injected
-
-    @property
-    def faults_recovered(self) -> int:
-        """Injected faults whose recovery completed."""
-        return self._fault_counters.recovered
-
-    @property
-    def retries(self) -> int:
-        """Recovery retries performed (relaunch/retransmit/realloc)."""
-        return self._fault_counters.retries
-
-    @property
-    def backoff_s(self) -> float:
-        """Modeled seconds spent in recovery backoff."""
-        return self._fault_counters.backoff_s
-
-    @property
-    def solver_restarts(self) -> int:
-        """CG restarts triggered by the true-residual defect guard."""
-        return self._fault_counters.solver_restarts
 
 
 @dataclass
@@ -144,20 +110,17 @@ class Context:
                  pool_capacity: int | None = None,
                  autotune: bool = True,
                  default_block_size: int = 128,
-                 fusion: bool | None = None,
-                 faults=None):
+                 fusion: bool | None = None):
         from .fusion import FusionQueue
 
         warn_unknown_knobs()
-        self.device = Device(spec, pool_capacity=pool_capacity,
-                             faults=faults)
+        self.device = Device(spec, pool_capacity=pool_capacity)
         self.kernel_cache = KernelCache()
         self.field_cache = FieldCache(self.device)
         self.autotuner = Autotuner(self.device) if autotune else None
         self.default_block_size = default_block_size
         self.stats = ContextStats(_runtime=self.device.runtime,
                                   _field_cache=self.field_cache,
-                                  _faults=self.device.faults,
                                   _kernel_cache=self.kernel_cache)
         #: structural statement signature -> :class:`ModuleEntry`
         #: (insertion ordered; filled by :meth:`lookup_kernel` only)

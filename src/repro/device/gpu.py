@@ -54,9 +54,8 @@ class DeviceStats:
     fold_launches: int = 0
     launch_failures: int = 0
     #: modeled seconds per counter — ``kernel`` (launches and folds),
-    #: ``transfer`` (h2d and d2h), ``jit``, and under a fault plan
-    #: ``backoff`` / ``fault``; written only by :meth:`Device.charge`,
-    #: so the values sum to ``Device.clock``
+    #: ``transfer`` (h2d and d2h) and ``jit``; written only by
+    #: :meth:`Device.charge`, so the values sum to ``Device.clock``
     modeled_s: dict = field(default_factory=dict)
     #: modeled global-memory traffic of generated kernels (sum of
     #: ``KernelCost.bytes_moved``); fused kernels move fewer bytes
@@ -96,17 +95,10 @@ class Device:
         Bytes of device memory actually backed by host RAM.  Defaults
         to ``min(spec.memory_bytes, 1 GiB)``; the allocator enforces
         this capacity, which is what drives LRU spills in tests.
-    faults:
-        Fault-injection control: ``None`` (default) picks up the
-        process-wide plan (installed programmatically or parsed from
-        ``REPRO_FAULTS``), ``False`` disables injection outright, or
-        pass a :class:`~repro.faults.plan.FaultPlan` to share one plan
-        (and its trace/counters) across devices.
     """
 
     def __init__(self, spec: DeviceSpec = K20X_ECC_OFF,
-                 pool_capacity: int | None = None,
-                 faults=None):
+                 pool_capacity: int | None = None):
         self.spec = spec
         if pool_capacity is None:
             pool_capacity = min(spec.memory_bytes, 1 << 30)
@@ -119,17 +111,6 @@ class Device:
         #: the stream/event runtime; every modeled cost is also a span
         #: on its lane-based timeline
         self.runtime = StreamRuntime()
-        from ..faults.inject import FaultInjector
-        from ..faults.plan import active_plan
-        if faults is None:
-            plan = active_plan()
-        elif faults is False:
-            plan = None
-        else:
-            plan = faults
-        #: the fault injector; inert (:attr:`FaultInjector.active`
-        #: False) unless a plan is configured
-        self.faults = FaultInjector(plan, device=self)
         #: modeled :class:`KernelCost` per launch shape (a function of
         #: the shape and ``spec``; a shape that cannot launch raises)
         self._costs: dict[tuple, KernelCost] = {}
@@ -137,8 +118,6 @@ class Device:
     # -- memory ---------------------------------------------------------
 
     def mem_alloc(self, nbytes: int) -> int:
-        if self.faults.active:
-            self.faults.pre_alloc(nbytes)
         return self.pool.allocate(nbytes)
 
     def mem_free(self, addr: int) -> None:
@@ -156,10 +135,7 @@ class Device:
         call to obtain the completion event.
         """
         self.pool.write(addr, host)
-        t = self.charge_copy("h2d", name, host.nbytes, stream)
-        if self.faults.active:
-            self.faults.guard_h2d(addr, host, name)
-        return t
+        return self.charge_copy("h2d", name, host.nbytes, stream)
 
     def memcpy_dtoh(self, addr: int, nbytes: int, dtype=np.uint8,
                     stream: Stream | None = None,
@@ -175,8 +151,6 @@ class Device:
         s = stream if stream is not None else self.runtime.d2h
         s.wait_event(self.runtime.compute.record_event())
         self.charge_copy("d2h", name, nbytes, s)
-        if self.faults.active:
-            self.faults.guard_d2h(addr, out, name)
         return out
 
     # -- kernel launch ----------------------------------------------------
@@ -198,12 +172,6 @@ class Device:
 
         if regs_per_thread is None:
             regs_per_thread = kernel.regs_per_thread
-        if self.faults.active:
-            try:
-                self.faults.pre_launch(kernel.name, block_size)
-            except LaunchError:
-                self.stats.launch_failures += 1
-                raise
         shape = (nsites, block_size, regs_per_thread, info.bytes_per_site,
                  info.flops_per_site, precision)
         cost = self._costs.get(shape)
@@ -236,8 +204,6 @@ class Device:
         self.charge("kernel", kernel.name, cost.time_s, stream=stream,
                     args={"bytes": cost.bytes_moved, "nsites": nsites,
                           "block": block_size})
-        if self.faults.active:
-            self.faults.post_launch(kernel.name, block_size)
         return cost
 
     def reduce_f64(self, addr: int, count: int,
@@ -273,9 +239,7 @@ class Device:
 
         The span lands on ``stream`` — by default the lane of its
         category: the copy streams for ``h2d``/``d2h``, compute for
-        everything else.  A ``backoff`` is recovery time: it goes on
-        the ``fault`` lane, fenced against ``stream`` (the lane it
-        delays).
+        everything else.
         """
         self.clock += seconds
         totals = self.stats.modeled_s
@@ -284,8 +248,6 @@ class Device:
         if stream is None:
             stream = getattr(self.runtime,
                              cat if cat in _COPY_LANES else "compute")
-        if cat == "backoff":
-            return self.runtime.fence(stream, name, seconds, cat)
         return stream.enqueue(name, seconds, cat, args=args)
 
     def charge_copy(self, cat: str, name: str, nbytes: int,

@@ -71,15 +71,12 @@ def max_severity(diagnostics) -> Severity | None:
 
 #: every environment variable the package reads; any other ``REPRO_*``
 #: name in the environment is announced by :func:`warn_unknown_knobs`
-KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_FAULTS", "REPRO_BACKEND",
-         "REPRO_RESILIENCE")
-_VERIFY, _FUSION, _FAULTS, _BACKEND, _RESILIENCE = KNOBS
+KNOBS = ("REPRO_VERIFY", "REPRO_FUSION", "REPRO_BACKEND")
+_VERIFY, _FUSION, _BACKEND = KNOBS
 
 VERIFY_MODES = ("off", "warn", "error")
 FUSION_MODES = ("on", "off")
-FAULT_MODES = ("off", "plan:<spec>")
 BACKEND_MODES = ("sim", "cpu")
-RESILIENCE_MODES = ("off", "detect", "recover")
 
 #: ``(env_var, raw value)`` pairs already warned about (warn once per
 #: distinct bad value, not once per kernel build).  The knob-mode
@@ -88,30 +85,27 @@ RESILIENCE_MODES = ("off", "detect", "recover")
 _warned: set[tuple[str, str]] = set()
 
 
-def _env_mode(env_var: str, accepted, default: str,
-              names: tuple[str, ...] | None = None) -> str:
+def _env_mode(env_var: str, accepted: tuple[str, ...], default: str) -> str:
     """Resolve one ``REPRO_*`` mode knob from the environment.
 
-    ``accepted`` is the tuple of valid modes, or a predicate over the
-    normalized value (``names`` then spells the accepted set for the
-    warning).  Unrecognized values fall back to ``default`` rather
-    than raising — a typo in an environment variable must not make
-    every kernel build unreproducibly strict or lax — but the fallback
-    is *announced*: a one-time warning names the bad value and the
-    accepted set, so a misspelled ``REPRO_VERIFY=of`` is not silently
-    ignored.
+    ``accepted`` is the tuple of valid modes.  Unrecognized values
+    fall back to ``default`` rather than raising — a typo in an
+    environment variable must not make every kernel build
+    unreproducibly strict or lax — but the fallback is *announced*: a
+    one-time warning names the bad value and the accepted set, so a
+    misspelled ``REPRO_VERIFY=of`` is not silently ignored.
     """
     raw = os.environ.get(env_var)
     if raw is None:
         return default
     mode = raw.strip().lower()
-    if accepted(mode) if callable(accepted) else mode in accepted:
+    if mode in accepted:
         return mode
     if (env_var, raw) not in _warned:
         _warned.add((env_var, raw))
         warnings.warn(
             f"ignoring unrecognized {env_var}={raw!r}: accepted "
-            f"values are {', '.join(names or accepted)}; using "
+            f"values are {', '.join(accepted)}; using "
             f"{default!r}", RuntimeWarning, stacklevel=4)
     return default
 
@@ -169,55 +163,10 @@ def backend_mode(default: str = "sim") -> str:
     build counters; :mod:`repro.llvm.cputarget`).
 
     Read once per :class:`~repro.driver.cache.KernelCache`, when it is
-    created — like the fusion, fault and resilience knobs, a
-    change takes effect for the next context, not mid-run.
+    created — like the fusion knob, a change takes effect for the
+    next context, not mid-run.
     """
     return _env_mode(_BACKEND, BACKEND_MODES, default)
-
-
-def resilience_mode(default: str = "off") -> str:
-    """The rank fault-tolerance mode from ``REPRO_RESILIENCE``.
-
-    ``off`` (default)
-        No rank-level resilience: the comm VM neither checkpoints nor
-        monitors ranks, bitwise identical (results, span traces,
-        module objects) to a build without the layer.
-    ``detect``
-        Detection only: an injected rank kill surfaces as a typed
-        :class:`~repro.resilience.RankFailureError` at the exchange
-        barrier where its halo fails to arrive, and stragglers are
-        flagged on the timeline — but nothing is repaired.
-    ``recover``
-        Detection plus recovery: the VM refreshes buddy checkpoints of
-        every distributed field at each exchange barrier and repairs a
-        dead rank with the configured policy (buddy restore onto a
-        spare rank, or shrink-and-redistribute), charging honest
-        modeled transfer + backoff cost on the ``fault`` lane.
-    """
-    return _env_mode(_RESILIENCE, RESILIENCE_MODES, default)
-
-
-def faults_mode(default: str = "off") -> str:
-    """The fault-injection mode from the ``REPRO_FAULTS`` knob.
-
-    ``off`` (default)
-        No fault injection: every chokepoint check is a no-op and the
-        run is bitwise identical (results, kernels, modeled clocks,
-        stats) to a build without the faults layer.
-    ``plan:<spec>``
-        Activate the deterministic fault plan described by ``<spec>``
-        (see :func:`repro.faults.plan.parse_plan`), e.g.
-        ``plan:seed=42,launch=0.05,alloc=1x,halo.corrupt=1x``.
-
-    Returns ``"off"`` or the full (lowercased, stripped) ``plan:...``
-    string; the spec itself is parsed — and its errors reported — by
-    :mod:`repro.faults.plan`.  Unrecognized values fall back to the
-    default with a one-time warning, like every other ``REPRO_*`` knob.
-    """
-    return _env_mode(
-        _FAULTS,
-        lambda mode: mode == "off" or mode.startswith("plan:"),
-        default, names=FAULT_MODES)
 
 
 def emit_warnings(diagnostics, stacklevel: int = 3,

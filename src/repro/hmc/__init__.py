@@ -9,7 +9,6 @@ from .checkpoint import (
     CheckpointError,
     CheckpointManager,
     ConfigHeader,
-    TrajectorySnapshotStore,
     load_config,
     save_config,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "ConfigHeader",
-    "TrajectorySnapshotStore",
     "GaugeMonomial",
     "load_config",
     "save_config",

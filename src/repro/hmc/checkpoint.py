@@ -159,62 +159,6 @@ class CheckpointManager:
             f"(prefix {self.prefix!r}; {len(skipped)} corrupt)")
 
 
-class TrajectorySnapshotStore:
-    """In-memory keep-last-N snapshots of a running HMC stream.
-
-    The resilience layer's HMC leg: a rank kill mid-trajectory loses
-    the in-flight update, so a resilient campaign snapshots
-    ``(links, rng state)`` after each trajectory and replays from the
-    newest CRC32-validated snapshot (:mod:`repro.resilience.campaign`).
-    Restores are exact — links bytes and generator state — so the
-    replayed stream is bitwise identical to an uninterrupted one.
-    """
-
-    def __init__(self, keep: int = 2):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.keep = keep
-        #: (trajectory, [per-mu links], rng state dict, crc)
-        self._snapshots: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def snapshot(self, u: multi1d, rng: np.random.Generator,
-                 trajectory: int) -> None:
-        links = [umu.to_numpy() for umu in u]
-        crc = zlib.crc32(b"".join(
-            np.ascontiguousarray(a).tobytes() for a in links))
-        import copy
-
-        state = copy.deepcopy(rng.bit_generator.state)
-        self._snapshots.append((int(trajectory), links, state, crc))
-        del self._snapshots[:-self.keep]
-
-    @property
-    def latest_trajectory(self) -> int | None:
-        return self._snapshots[-1][0] if self._snapshots else None
-
-    def restore(self, u: multi1d, rng: np.random.Generator) -> int:
-        """Write the newest snapshot back into ``u`` and ``rng``;
-        returns its trajectory number."""
-        import copy
-
-        if not self._snapshots:
-            raise CheckpointError("no trajectory snapshot to restore")
-        trajectory, links, state, crc = self._snapshots[-1]
-        got = zlib.crc32(b"".join(
-            np.ascontiguousarray(a).tobytes() for a in links))
-        if got != crc:
-            raise CheckpointError(
-                f"trajectory {trajectory} snapshot failed CRC32 "
-                f"validation")
-        for umu, arr in zip(u, links):
-            umu.from_numpy(arr)
-        rng.bit_generator.state = copy.deepcopy(state)
-        return trajectory
-
-
 def load_config(path, context=None, precision: str = "f64",
                 validate: bool = True) -> tuple[multi1d, ConfigHeader]:
     """Read a configuration; validates checksum and plaquette."""

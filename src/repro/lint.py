@@ -28,10 +28,10 @@ Exit status:
 ``2``
     Usage error (bad command line), per argparse convention.
 
-JSON schema (``schema_version`` 13)::
+JSON schema (``schema_version`` 14)::
 
     {
-      "schema_version": 13,
+      "schema_version": 14,
       "lattice": [int, ...],
       "passes": [str, ...],            # PTX verifier pass names
       "ast_passes": [str, ...],        # expression-AST lint pass names
@@ -80,12 +80,6 @@ JSON schema (``schema_version`` 13)::
         "spills": int, "evictions_clean": int,
         "bytes_paged_in": int, "bytes_paged_out": int,
         "resident_bytes_hwm": int
-      },
-      "faults": {                      # fault injection & recovery
-        "mode": "off" | "plan",        # whether a REPRO_FAULTS plan ran
-        "injected": int, "recovered": int,
-        "retries": int, "backoff_s": float,
-        "solver_restarts": int
       },
       "backend": {                     # execution backends (REPRO_BACKEND)
         "mode": str,                   # resolved knob value ("sim"/"cpu")
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
                         help="lattice extents (default 4,4,4,4)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document "
-                             "(schema_version 13; see module docstring)")
+                             "(schema_version 14; see module docstring)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every diagnostic, notes included")
     args = parser.parse_args(argv)
@@ -374,13 +368,6 @@ def main(argv=None) -> int:
               f"{timeline.serial_s * 1e6:.1f} us; overlap "
               f"{timeline.overlap_fraction:.1%}; critical path "
               f"{timeline.critical_path_s * 1e6:.1f} us")
-        fc = ctx.stats
-        print(f"  faults (REPRO_FAULTS="
-              f"{'plan' if ctx.device.faults.active else 'off'}): "
-              f"{fc.faults_injected} injected, {fc.faults_recovered} "
-              f"recovered, {fc.retries} retry(ies), "
-              f"{fc.backoff_s * 1e6:.1f} us backoff, "
-              f"{fc.solver_restarts} solver restart(s)")
         print("\n-- IR " + "-" * 48)
         print(f"  {ctx.stats.modules_verified} module(s) SSA-verified")
         print(f"\n-- backends (REPRO_BACKEND={mode}) " + "-" * 26)
@@ -395,7 +382,7 @@ def main(argv=None) -> int:
     else:
         counts = _severity_counts(found)
         report = {
-            "schema_version": 13,
+            "schema_version": 14,
             "lattice": list(args.lattice),
             "passes": list(PASSES),
             "ast_passes": list(LINT_PASSES),
@@ -417,14 +404,6 @@ def main(argv=None) -> int:
                 "lane_busy_s": timeline.lane_busy(),
             },
             "cache": dataclasses.asdict(cache),
-            "faults": {
-                "mode": "plan" if ctx.device.faults.active else "off",
-                "injected": ctx.stats.faults_injected,
-                "recovered": ctx.stats.faults_recovered,
-                "retries": ctx.stats.retries,
-                "backoff_s": ctx.stats.backoff_s,
-                "solver_restarts": ctx.stats.solver_restarts,
-            },
             "backend": {
                 "mode": mode,
                 "wall_s_by_family": wall_by_family,

@@ -185,44 +185,15 @@ class FieldCache:
         return True
 
     def _allocate_with_spill(self, nbytes: int, pinned: set[int]) -> int:
-        fault_event = None
         while True:
             try:
-                addr = self.device.mem_alloc(nbytes)
-            except DeviceOutOfMemory as e:
-                injected = getattr(e, "injected", False)
-                if injected:
-                    fault_event = getattr(e, "fault_event", fault_event)
+                return self.device.mem_alloc(nbytes)
+            except DeviceOutOfMemory:
                 if not self._spill_one(pinned):
-                    if injected:
-                        # nothing to spill, but the OOM was injected:
-                        # a plain retry models the transient pressure
-                        # (e.g. another process's allocation) clearing
-                        try:
-                            addr = self.device.pool.allocate(nbytes)
-                        except DeviceOutOfMemory:
-                            raise SpillImpossible(
-                                f"cannot make {nbytes} bytes available: "
-                                f"device memory genuinely exhausted and "
-                                f"nothing spillable") from None
-                        self._record_oom_recovery(
-                            fault_event, "allocation retried (transient "
-                            "pressure, nothing spillable)")
-                        return addr
                     raise SpillImpossible(
                         f"cannot make {nbytes} bytes available: all "
                         f"{len(self.entries)} cached fields are pinned "
                         f"by the current kernel") from None
-                continue
-            if fault_event is not None:
-                self._record_oom_recovery(
-                    fault_event, "spilled LRU field and retried")
-            return addr
-
-    def _record_oom_recovery(self, event, action: str) -> None:
-        faults = getattr(self.device, "faults", None)
-        if faults is not None and faults.active:
-            faults.plan.record_recovery(event, action, retries=1)
 
     # -- public API ------------------------------------------------------
 

@@ -16,6 +16,7 @@ the signal that drives the LRU spill policy in
 from __future__ import annotations
 
 import bisect
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,13 @@ class DevicePool:
     Parameters
     ----------
     capacity:
-        Usable bytes of device memory.  The backing NumPy buffer is
-        zero-initialized (lazily committed by the OS, so large
-        capacities are cheap until touched).
+        Usable bytes of device memory.  The backing buffer is an
+        anonymous mapping, zero-initialized and committed by the OS
+        one page at a time as it is touched, so large capacities are
+        cheap.  (``np.zeros`` of this size would ask the kernel for
+        transparent huge pages, and then whether a touched region
+        costs a 4 KiB page or a 2 MiB one depends on the kernel's
+        state, not on the program.)
     """
 
     def __init__(self, capacity: int = 1 << 30):
@@ -66,7 +71,8 @@ class DevicePool:
             raise ValueError("pool capacity too small")
         # round down so every typed view divides the backing buffer
         self.capacity = int(capacity) // ALIGNMENT * ALIGNMENT
-        self._mem = np.zeros(self.capacity, dtype=np.uint8)
+        self._mem = np.frombuffer(mmap.mmap(-1, self.capacity),
+                                  dtype=np.uint8)
         self._views: dict[str, np.ndarray] = {}
         # free list: sorted list of (addr, size) extents
         self._free: list[tuple[int, int]] = [
@@ -163,15 +169,3 @@ class DevicePool:
             raise ValueError("device read out of range")
         raw = self._mem[addr:addr + nbytes].copy()
         return raw.view(dtype)
-
-    def flip_bit(self, addr: int, bit: int) -> None:
-        """Flip one bit of device memory (fault injection primitive).
-
-        ``bit`` indexes bits from ``addr``; used by
-        :mod:`repro.faults.inject` to model in-flight transfer
-        corruption that the per-transfer checksums must detect.
-        """
-        byte = addr + (bit >> 3)
-        if byte < BASE_ADDRESS or byte >= self.capacity:
-            raise ValueError("device bit-flip out of range")
-        self._mem[byte] ^= np.uint8(1 << (bit & 7))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..core.reduction import norm2
 from ..qdp.fields import LatticeField, latt_fermion
 from ..qdp.lattice import Subset
-from .solver import SolverError, _active_solver_plan, cg
+from .solver import cg
 
 
 @dataclass
@@ -40,11 +40,6 @@ def mixed_precision_cg(op_dp, op_sp, x: LatticeField, b: LatticeField, *,
     the error equation in f32 to ``inner_tol``, and accumulates the
     correction in f64 — converging to full double-precision accuracy
     while the bandwidth-hungry iterations move half the bytes.
-
-    The outer true residual doubles as a defect guard when a fault
-    plan is active: an outer residual that *jumps* (instead of
-    shrinking) means the accumulated iterate was corrupted, and the
-    step restarts from the last good outer iterate.
     """
     lattice = x.lattice
     ctx = x.context
@@ -53,8 +48,6 @@ def mixed_precision_cg(op_dp, op_sp, x: LatticeField, b: LatticeField, *,
     r32 = latt_fermion(lattice, "f32", ctx)
     e32 = latt_fermion(lattice, "f32", ctx)
 
-    plan = _active_solver_plan(ctx)
-
     b2 = norm2(b, subset=subset)
     if b2 == 0.0:
         x.assign(0.0 * x.ref(), subset=subset)
@@ -62,35 +55,14 @@ def mixed_precision_cg(op_dp, op_sp, x: LatticeField, b: LatticeField, *,
 
     inner_total = 0
     history = []
-    x_good = None
-    prev_rel = None
-    restarts = 0
     for outer in range(1, max_outer + 1):
         op_dp(ax, x)
         r.assign(b - ax, subset=subset)
         rel = (norm2(r, subset=subset) / b2) ** 0.5
-        if (plan is not None and prev_rel is not None
-                and rel > plan.policy.solver_defect_factor * prev_rel):
-            # the outer (true) residual jumped: the accumulated
-            # iterate was corrupted somewhere this step
-            restarts += 1
-            if restarts > plan.policy.solver_max_restarts:
-                raise SolverError(
-                    f"mixed CG defect persists after {restarts - 1} "
-                    f"restarts (outer residual {rel:g}, was {prev_rel:g})")
-            x.from_numpy(x_good)
-            plan.record_solver_restart(
-                None, f"outer residual jumped {prev_rel:g} -> {rel:g}; "
-                      f"restarted outer step {outer} from last good "
-                      f"iterate")
-            continue
         history.append(rel)
         if rel <= tol:
             return MixedSolveResult(True, outer - 1, inner_total, rel,
                                     history)
-        if plan is not None:
-            x_good = x.to_numpy()
-            prev_rel = rel
         # demote the residual, solve the error equation in f32
         r32.assign(r.ref(), subset=subset)
         e32.zero()

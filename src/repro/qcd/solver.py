@@ -35,60 +35,20 @@ class SolverError(RuntimeError):
     pass
 
 
-def _active_solver_plan(ctx):
-    """The fault plan governing this solve, or ``None``."""
-    faults = getattr(ctx.device, "faults", None)
-    if faults is not None and faults.active:
-        return faults.plan
-    return None
-
-
-def _corrupt_iterate(plan, event, f: LatticeField) -> None:
-    """Apply one injected silent corruption to an iterate field."""
-    import numpy as np
-
-    arr = np.ascontiguousarray(f.to_numpy())
-    flat = arr.reshape(-1)
-    idx = int(plan.rng.integers(flat.size))
-    # a large upset: recursive residuals keep shrinking, only the
-    # recomputed true residual can see it
-    flat[idx] = flat[idx] + (1.0 + abs(flat[idx])) * 1e6
-    f.from_numpy(arr)
-    event.detail["index"] = idx
-
-
 def cg(apply_op, x: LatticeField, b: LatticeField, *,
        tol: float = 1e-8, max_iter: int = 1000,
-       subset: Subset | None = None,
-       reliable: int | None = None) -> SolveResult:
+       subset: Subset | None = None) -> SolveResult:
     """Conjugate gradient for ``A x = b`` with A Hermitian PD.
 
     ``apply_op(dest, src)`` computes ``dest = A src`` (restricted to
     ``subset`` if given).  ``x`` holds the initial guess and receives
     the solution.  ``tol`` is on the relative residual norm.
-
-    ``reliable`` enables the reliable-update defect guard: every
-    ``reliable`` iterations (and before accepting convergence) the
-    *true* residual ``b - A x`` is recomputed and compared against the
-    recursive one; a large mismatch means the iterate was silently
-    corrupted, and CG restarts from the last good iterate.  The
-    default (``None``) turns the guard on only when a fault plan is
-    active (at its policy's check interval), so fault-free solves
-    perform exactly the classic iteration.
     """
     ctx = x.context
     lattice = x.lattice
     def mk():
         return LatticeField(lattice, x.spec, context=ctx)
     r, p, ap = mk(), mk(), mk()
-
-    plan = _active_solver_plan(ctx)
-    if reliable is None:
-        reliable = plan.policy.solver_check_interval if plan is not None else 0
-    if plan is not None or reliable:
-        from ..faults.plan import RecoveryPolicy
-        policy = plan.policy if plan is not None else RecoveryPolicy()
-    rt_ = mk() if reliable else None
 
     b2 = norm2(b, subset=subset)
     if b2 == 0.0:
@@ -103,10 +63,6 @@ def cg(apply_op, x: LatticeField, b: LatticeField, *,
     if history[-1] <= tol:
         return SolveResult(True, 0, history[-1], history)
 
-    x_good = x.to_numpy() if reliable else None
-    pending = []     # injected corruptions awaiting detection
-    restarts = 0
-
     for k in range(1, max_iter + 1):
         apply_op(ap, p)
         pap = innerProduct(p, ap, subset=subset).real
@@ -115,48 +71,10 @@ def cg(apply_op, x: LatticeField, b: LatticeField, *,
                 f"CG breakdown: <p|Ap> = {pap:g} <= 0 (operator not PD?)")
         alpha = rr / pap
         x.assign(x + alpha * p, subset=subset)
-        if plan is not None:
-            ev = plan.draw("solver", "corrupt", "cg")
-            if ev is not None:
-                _corrupt_iterate(plan, ev, x)
-                pending.append(ev)
         r.assign(r - alpha * ap, subset=subset)
         rr_new = norm2(r, subset=subset)
         history.append((rr_new / b2) ** 0.5)
-        converged = history[-1] <= tol
-        if reliable and (converged or k % reliable == 0):
-            # reliable update: recompute the true residual and compare
-            apply_op(ap, x)
-            rt_.assign(b - ap, subset=subset)
-            rr_true = norm2(rt_, subset=subset)
-            if rr_true > policy.solver_defect_factor * rr_new + 1e-300:
-                restarts += 1
-                if restarts > policy.solver_max_restarts:
-                    raise SolverError(
-                        f"CG defect persists after {restarts - 1} "
-                        f"restarts (true residual {rr_true:g} vs "
-                        f"recursive {rr_new:g})")
-                # restore the last good iterate, rebuild Krylov state
-                x.from_numpy(x_good)
-                apply_op(ap, x)
-                r.assign(b - ap, subset=subset)
-                p.assign(r.ref(), subset=subset)
-                rr = norm2(r, subset=subset)
-                history.append((rr / b2) ** 0.5)
-                action = (f"defect detected by true-residual check at "
-                          f"iteration {k}; restarted from last good "
-                          f"iterate")
-                if plan is not None:
-                    if pending:
-                        plan.record_solver_restart(pending.pop(), action)
-                        for ev in pending:
-                            plan.record_recovery(ev, action)
-                        pending.clear()
-                    else:
-                        plan.record_solver_restart(None, action)
-                continue
-            x_good = x.to_numpy()
-        if converged:
+        if history[-1] <= tol:
             return SolveResult(True, k, history[-1], history)
         beta = rr_new / rr
         p.assign(r + beta * p, subset=subset)

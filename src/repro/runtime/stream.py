@@ -99,8 +99,7 @@ class StreamRuntime:
 
     Mirrors the classic CUDA setup — a default compute stream, a
     dedicated H2D copy stream, a dedicated D2H copy stream and a
-    communication lane (NIC / CUDA-aware MPI progress) — plus the
-    ``fault`` lane recovery cost is fenced onto (:meth:`fence`).
+    communication lane (NIC / CUDA-aware MPI progress).
     """
 
     LANES = ("compute", "h2d", "d2h", "comm")
@@ -112,21 +111,6 @@ class StreamRuntime:
         self.d2h = Stream(self.timeline, "d2h", "d2h")
         self.comm = Stream(self.timeline, "comm", "comm")
         self.streams = [self.compute, self.h2d, self.d2h, self.comm]
-        #: recovery lane.  Not one of ``streams``: everything on it is
-        #: fenced against the lane it delays, so a barrier over those
-        #: already covers it
-        self.fault = Stream(self.timeline, "fault", "fault")
-
-    def fence(self, target: Stream, name: str, seconds: float,
-              cat: str) -> Span:
-        """Place one recovery interval on the ``fault`` lane, fenced
-        both ways against ``target`` (the lane the recovery delays):
-        it starts after the target's queued work and the target's next
-        operation waits for it to elapse."""
-        self.fault.wait_event(target.record_event())
-        span = self.fault.enqueue(name, seconds, cat)
-        target.wait_event(self.fault.record_event())
-        return span
 
     def synchronize(self) -> float:
         """Device-wide barrier: all streams drain; clocks align.

@@ -3,10 +3,9 @@
 Every modeled cost in the framework — kernel launches, H2D/D2H
 transfers, JIT compiles, halo messages, allreduces — lands here as a
 :class:`Span` on a *lane* (one lane per stream: compute, h2d, d2h,
-comm, fault).  Spans carry their
-dependency edges (program order within a stream plus explicit event
-waits), so the timeline can answer the questions the serial device
-clock cannot:
+comm).  Spans carry their dependency edges (program order within a
+stream plus explicit event waits), so the timeline can answer the
+questions the serial device clock cannot:
 
 * per-lane busy time and the *serial sum* (what a one-clock model
   would report),

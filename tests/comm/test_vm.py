@@ -4,7 +4,7 @@ distributed shift, distributed reductions."""
 import numpy as np
 import pytest
 
-from repro.comm import VirtualMachine
+from repro.comm import HaloMismatchError, VirtualMachine
 from repro.qdp.typesys import color_matrix, fermion
 
 
@@ -16,6 +16,10 @@ def vm2():
 @pytest.fixture()
 def vm8():
     return VirtualMachine((4, 4, 4, 8), (2, 2, 1, 2))
+
+
+DIMS = (4, 4, 4, 8)
+GRID = (1, 1, 1, 2)
 
 
 class TestGlobalScatterGather:
@@ -152,3 +156,44 @@ class TestDistributedReductions:
         red = next(s for s in spans if s.cat == "reduce")
         assert red.lane == "comm"
         assert vm8.runtime.compute.clock >= red.t1
+
+
+class TestHaloMismatch:
+    def test_foreign_field_exchange_rejected(self):
+        vm_a = VirtualMachine(DIMS, GRID)
+        vm_b = VirtualMachine(DIMS, GRID)
+        f = vm_b.field(fermion(), "psi")
+        with pytest.raises(HaloMismatchError) as exc:
+            vm_a.exchange(f, 3, +1)
+        assert exc.value.mu == 3
+        assert exc.value.diagnostic.pass_name == "halo-exchange"
+
+    def test_foreign_field_scatter_rejected(self):
+        vm_a = VirtualMachine(DIMS, GRID)
+        vm_b = VirtualMachine(DIMS, GRID)
+        g = vm_a.global_lattice
+        f = vm_a.field(fermion(), "psi")
+        f.from_global(np.zeros((g.nsites, 4, 3), dtype=complex))
+        ex = vm_a.exchange(f, 3, +1)
+        other = vm_b.field(fermion(), "chi")
+        with pytest.raises(HaloMismatchError):
+            vm_a.scatter_halo(other, ex)
+
+    def test_exchange_from_another_grid_rejected(self):
+        """An ExchangeResult from a machine with a different processor
+        grid must be refused with a typed, diagnosable error — its
+        buffers describe ranks this machine does not have."""
+        vm_a = VirtualMachine(DIMS, GRID)
+        vm_b = VirtualMachine(DIMS, (1, 1, 2, 2))
+        g = vm_b.global_lattice
+        rng = np.random.default_rng(5)
+        f = vm_b.field(fermion(), "psi")
+        f.from_global(rng.normal(size=(g.nsites, 4, 3))
+                      + 1j * rng.normal(size=(g.nsites, 4, 3)))
+        ex = vm_b.exchange(f, 3, +1)
+        d = vm_a.field(fermion(), "chi")
+        with pytest.raises(HaloMismatchError) as exc:
+            vm_a.scatter_halo(d, ex)
+        assert "stale exchange result" in str(exc.value)
+        assert "shrink" not in str(exc.value)
+        assert exc.value.diagnostic.pass_name == "halo-exchange"

@@ -94,7 +94,7 @@ class TestKnob:
 
     def test_knob_is_read_once_at_cache_construction(self, knob,
                                                      monkeypatch):
-        """Like the fusion/stream/fault knobs: per object, not per
+        """Like the fusion knob: per object, not per
         lookup.  A view keeps the mode it resolved; the next cache sees
         the new value."""
         cpu = _spy_cpu_builds(monkeypatch)

@@ -6,7 +6,6 @@ import pytest
 from repro.hmc.checkpoint import (
     CheckpointError,
     CheckpointManager,
-    TrajectorySnapshotStore,
     load_config,
     save_config,
 )
@@ -160,45 +159,3 @@ class TestCheckpointManager:
     def test_bad_keep_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, keep=0)
-
-
-class TestTrajectorySnapshotStore:
-    def test_roundtrip_is_exact(self, ctx, lat4, tmp_path):
-        rng = np.random.default_rng(9)
-        u = weak_gauge(lat4, rng, eps=0.3)
-        before = [umu.to_numpy().copy() for umu in u]
-        state = rng.bit_generator.state
-        store = TrajectorySnapshotStore()
-        store.snapshot(u, rng, trajectory=3)
-        # perturb both, then restore
-        u[0].from_numpy(before[0] * 1.5)
-        rng.normal(size=16)
-        assert store.restore(u, rng) == 3
-        for umu, arr in zip(u, before):
-            assert np.array_equal(umu.to_numpy(), arr)
-        assert rng.bit_generator.state == state
-
-    def test_keeps_last_n(self, ctx, lat4, tmp_path):
-        rng = np.random.default_rng(9)
-        u = weak_gauge(lat4, rng, eps=0.3)
-        store = TrajectorySnapshotStore(keep=2)
-        for n in range(5):
-            store.snapshot(u, rng, trajectory=n)
-        assert len(store) == 2
-        assert store.latest_trajectory == 4
-
-    def test_crc_guard(self, ctx, lat4, tmp_path):
-        rng = np.random.default_rng(9)
-        u = weak_gauge(lat4, rng, eps=0.3)
-        store = TrajectorySnapshotStore()
-        store.snapshot(u, rng, trajectory=0)
-        # corrupt the stored payload behind the CRC's back
-        store._snapshots[-1][1][0][0, 0, 0] += 1.0
-        with pytest.raises(CheckpointError, match="CRC32"):
-            store.restore(u, rng)
-
-    def test_empty_store_raises(self, ctx, lat4, tmp_path):
-        rng = np.random.default_rng(9)
-        u = weak_gauge(lat4, rng, eps=0.3)
-        with pytest.raises(CheckpointError, match="no trajectory"):
-            TrajectorySnapshotStore().restore(u, rng)

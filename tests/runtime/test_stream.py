@@ -97,17 +97,6 @@ class TestStreamRuntime:
         rt.compute.enqueue("K", 1.0, "kernel")
         assert len(tl) == 1
 
-    def test_fence_orders_the_fault_lane_both_ways(self):
-        rt = StreamRuntime()
-        k = rt.h2d.enqueue("upload", 2.0, "h2d")
-        rt.compute.enqueue("K", 5.0, "kernel")      # not delayed
-        b = rt.fence(rt.h2d, "backoff:upload", 1.0, "backoff")
-        again = rt.h2d.enqueue("retransmit:upload", 2.0, "h2d")
-        assert (b.lane, b.cat, b.t0, b.t1) == ("fault", "backoff", 2.0, 3.0)
-        assert k.sid in b.deps and b.sid in again.deps
-        assert again.t0 == 3.0
-        assert rt.fault not in rt.streams
-
 
 class TestBitwiseEquivalence:
     """Streams model only time: the lanes overlap, the device clock

@@ -3,11 +3,11 @@
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import diagnostics
 from repro.diagnostics import (
-    faults_mode,
     fusion_mode,
     verify_mode,
 )
@@ -93,26 +93,6 @@ class TestOnOffKnobs:
             assert mode_fn() == "on"
 
 
-class TestFaultsMode:
-    def test_unset_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert faults_mode() == "off"
-
-    def test_plan_strings_pass_through_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", " Plan:seed=3,alloc=1x ")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert faults_mode() == "plan:seed=3,alloc=1x"
-
-    def test_bad_value_warns_once_and_is_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "chaos")
-        with pytest.warns(RuntimeWarning, match="REPRO_FAULTS"):
-            assert faults_mode() == "off"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")     # a repeat would raise
-            assert faults_mode() == "off"
-
-
 class TestUnknownKnobs:
     """A ``REPRO_*`` variable that names no knob is announced, once,
     when a ``Context`` is built — a stale ``REPRO_IR=opt`` or
@@ -146,6 +126,53 @@ class TestUnknownKnobs:
         with pytest.warns(RuntimeWarning, match=name):
             Context(autotune=False)
 
+    @staticmethod
+    def _solve():
+        """A short CG solve of ``diag(w) x = b`` on a fresh context."""
+        from repro.core.context import Context
+        from repro.qcd.solver import cg
+        from repro.qdp.fields import latt_fermion, latt_real
+        from repro.qdp.lattice import Lattice
+
+        ctx = Context(autotune=False)
+        lat = Lattice((4, 4, 4, 4))
+        rng = np.random.default_rng(3)
+        w = latt_real(lat, context=ctx)
+        w.from_numpy(rng.uniform(0.5, 1.5, lat.nsites))
+        b, x = latt_fermion(lat, context=ctx), latt_fermion(lat, context=ctx)
+        b.gaussian(rng)
+        res = cg(lambda dest, src: dest.assign(w.ref() * src.ref()), x, b,
+                 tol=1e-10, max_iter=50)
+        return x.to_numpy(), res, ctx.device.clock
+
+    @pytest.mark.parametrize("name,value",
+                             [("REPRO_FAULTS", "plan:seed=3,launch=1x"),
+                              ("REPRO_RESILIENCE", "recover")])
+    def test_retired_knob_warns_once_and_changes_nothing(
+            self, monkeypatch, name, value):
+        """``REPRO_FAULTS`` and ``REPRO_RESILIENCE`` named knobs until
+        the fault-injection and rank-recovery layers were deleted; left
+        in an environment they change nothing a solve computes or
+        charges."""
+        from repro.core.context import Context
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base_x, base, base_clock = self._solve()
+        monkeypatch.setenv(name, value)
+        with pytest.warns(RuntimeWarning) as record:
+            x, res, clock = self._solve()
+        (w,) = record
+        assert f"{name}={value!r}" in str(w.message)
+        assert "no such knob" in str(w.message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # a repeat would raise
+            Context(autotune=False)
+        assert base.converged and res.converged
+        assert np.array_equal(x, base_x)
+        assert res.residual_history == base.residual_history
+        assert clock == base_clock
+
     def test_readme_knob_table_lists_exactly_the_knobs(self):
         """One row per name in ``KNOBS``, in order — a deleted knob
         cannot leave its row (or its mention anywhere else) behind."""
@@ -161,12 +188,11 @@ class TestUnknownKnobs:
     def test_real_knobs_and_clean_environment_are_silent(self, monkeypatch):
         from repro.core.context import Context
 
-        assert len(diagnostics.KNOBS) == 5
+        assert len(diagnostics.KNOBS) == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Context(autotune=False)
             for knob, value in zip(diagnostics.KNOBS,
-                                   ("warn", "off", "off", "cpu",
-                                    "detect")):
+                                   ("warn", "off", "cpu")):
                 monkeypatch.setenv(knob, value)
             Context(autotune=False)

@@ -89,12 +89,13 @@ class TestJSON:
     def test_exit_status_and_schema_version(self, run_json):
         status, report = run_json
         assert status == 0
-        assert report["schema_version"] == 13
-        # v10 dropped the canned serving/resilience mini-runs
+        assert report["schema_version"] == 14
+        # v10 dropped the canned serving/resilience mini-runs, v14 the
+        # faults block
         assert set(report) == {
             "schema_version", "lattice", "passes", "ast_passes", "kernels",
             "ast_findings", "module_cache", "fusion", "runtime", "cache",
-            "faults", "backend", "ir", "summary"}
+            "backend", "ir", "summary"}
         assert report["summary"]["status"] == "ok"
         assert report["summary"]["errors"] == 0
         assert report["summary"]["kernels"] == len(report["kernels"])
@@ -120,18 +121,11 @@ class TestJSON:
         assert ir["modules_verified"] == report["summary"]["kernels"]
 
     def test_faults_block(self, run_json):
-        """Without REPRO_FAULTS, the faults block reports mode=off and
-        all-zero counters (the lint suite injects nothing)."""
+        """Schema 14 dropped the fault-injection counters with the
+        fault layer."""
         _, report = run_json
-        faults = report["faults"]
-        assert set(faults) == {"mode", "injected", "recovered", "retries",
-                               "backoff_s", "solver_restarts"}
-        assert faults["mode"] == "off"
-        assert faults["injected"] == 0
-        assert faults["recovered"] == 0
-        assert faults["retries"] == 0
-        assert faults["backoff_s"] == 0.0
-        assert faults["solver_restarts"] == 0
+        assert "faults" not in report
+        assert report["schema_version"] == 14
 
     def test_backend_block(self, run_json):
         """The backend block reports the dispatch mode and measured

@@ -1,6 +1,6 @@
 """Virtual MPI: processor grids, halo exchange, comm/compute overlap."""
 
-from .grid import Decomposition, DecompositionError, ProcessorGrid, shrunken_grid
+from .grid import Decomposition, DecompositionError, ProcessorGrid
 from .netmodel import GEMINI, IB_QDR_CUDA_AWARE, IB_QDR_STAGED, NetworkModel
 from .overlap import DistributedWilsonDslash, DslashTiming
 from .vm import (
@@ -15,7 +15,6 @@ __all__ = [
     "DecompositionError",
     "DistributedField",
     "HaloMismatchError",
-    "shrunken_grid",
     "DistributedWilsonDslash",
     "DslashTiming",
     "ExchangeResult",

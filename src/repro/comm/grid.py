@@ -67,40 +67,6 @@ class ProcessorGrid:
         return self.rank_of(c)
 
 
-def shrunken_grid(grid: ProcessorGrid,
-                  global_dims: tuple[int, ...]) -> ProcessorGrid:
-    """The largest valid processor grid strictly smaller than ``grid``.
-
-    A pure function of the inputs: the candidate grid with the most
-    ranks that still decomposes ``global_dims`` (divisibility plus even
-    local extents).  Candidates reduce one grid extent at a time; ties
-    break toward reducing the highest dimension (time first), which
-    keeps the cheap spatial grid layouts intact.  Raises
-    :class:`DecompositionError` when no smaller grid decomposes the
-    lattice (e.g. a single-rank grid).
-    """
-    best: tuple[int, ...] | None = None
-    best_size = 0
-    for mu in reversed(range(grid.nd)):
-        for extent in range(grid.dims[mu] - 1, 0, -1):
-            cand = list(grid.dims)
-            cand[mu] = extent
-            try:
-                Decomposition(tuple(global_dims),
-                              ProcessorGrid(tuple(cand)))
-            except DecompositionError:
-                continue
-            size = int(np.prod(cand))
-            if size > best_size:
-                best, best_size = tuple(cand), size
-            break  # larger extents dominate smaller ones in this dim
-    if best is None:
-        raise DecompositionError(
-            f"grid {grid.dims} cannot shrink: no smaller grid "
-            f"decomposes lattice {tuple(global_dims)}")
-    return ProcessorGrid(best)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """A global lattice split over a processor grid."""

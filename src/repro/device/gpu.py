@@ -139,15 +139,18 @@ class Device:
 
     def memcpy_dtoh(self, addr: int, nbytes: int, dtype=np.uint8,
                     stream: Stream | None = None,
-                    name: str = "memcpy_dtoh") -> np.ndarray:
-        """Copy device memory back to the host.
+                    name: str = "memcpy_dtoh",
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Copy device memory back to the host: into a new array, or
+        straight into the host buffer ``out`` (its leading
+        ``out.nbytes`` bytes; the charge is for all ``nbytes``).
 
         Modeled on the dedicated D2H copy stream by default, ordered
         after all compute enqueued so far (the copy reads what kernels
         wrote — the conservative CUDA event the software cache would
         record).
         """
-        out = self.pool.read(addr, nbytes, dtype=dtype)
+        out = self.pool.read(addr, nbytes, dtype=dtype, out=out)
         s = stream if stream is not None else self.runtime.d2h
         s.wait_event(self.runtime.compute.record_event())
         self.charge_copy("d2h", name, nbytes, s)

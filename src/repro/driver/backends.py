@@ -47,11 +47,14 @@ class BuildStats:
 STORE_BUILDS = BuildStats()
 
 
-def select_backend(kernel, stats: BackendStats) -> None:
+def select_backend(kernel, stats: BackendStats,
+                   lanes: int | None = None) -> None:
     """Build ``kernel.func`` for the cache's backend unless a view has.
 
     Called by the kernel cache once per kernel, the first time it sees
-    the digest; ``stats.mode`` is the backend the cache resolved.
+    the digest; ``stats.mode`` is the backend the cache resolved, and
+    ``lanes`` the launch width the first build packs for (None: per
+    word).
     """
     if kernel.func is not None:
         STORE_BUILDS.hits += 1
@@ -63,8 +66,8 @@ def select_backend(kernel, stats: BackendStats) -> None:
         from ..llvm import cputarget
 
         kernel.func = cputarget.compile_cpu_kernel(kernel.ptx_text,
-                                                   kernel.parsed)
+                                                   kernel.parsed, lanes)
     else:
-        kernel.func = build_sim_kernel(kernel.parsed)
+        kernel.func = build_sim_kernel(kernel.parsed, lanes)
     STORE_BUILDS.misses += 1
     STORE_BUILDS.total_compile_seconds += time.perf_counter() - t0

@@ -60,6 +60,13 @@ def generated_module(key: str, generate) -> tuple[object, str]:
     return hit
 
 
+def _lanes(env) -> int | None:
+    """The launch width an env fixes: its exact ``p_n``, the site
+    count a generated kernel's bounds check keeps."""
+    n = None if env is None else env.scalars.get("p_n")
+    return n if isinstance(n, int) else None
+
+
 @dataclass
 class CacheStats(BuildStats):
     """One view's lookups; seconds are of the kernels *it* built."""
@@ -103,7 +110,7 @@ class KernelCache:
             self.stats.total_compile_seconds += kernel.compile_seconds
         else:
             verify_kernel(kernel, env)
-        select_backend(kernel, self.backend)
+        select_backend(kernel, self.backend, _lanes(env))
         self._kernels[key] = kernel
         self.stats.misses += 1
         self.stats.total_modeled_compile_seconds += (

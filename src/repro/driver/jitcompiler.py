@@ -32,6 +32,7 @@ than one per instruction.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import time
@@ -66,36 +67,47 @@ _SHIFT = {4: 2, 8: 3}
 _CMP_PY = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 _BIN_PY = {
-    "add": "({a} + {b})",
-    "sub": "({a} - {b})",
-    "mul": "({a} * {b})",
-    "mul.lo": "({a} * {b})",
-    "min": "np.minimum({a}, {b})",
-    "max": "np.maximum({a}, {b})",
-    "and": "({a} & {b})",
-    "or": "({a} | {b})",
-    "xor": "({a} ^ {b})",
-    "shl": "({a} << {b})",
-    "shr": "({a} >> {b})",
-    "rem": "np.fmod({a}, {b})",
+    "add": "({} + {})",
+    "sub": "({} - {})",
+    "mul": "({} * {})",
+    "mul.lo": "({} * {})",
+    "min": "np.minimum({}, {})",
+    "max": "np.maximum({}, {})",
+    "and": "({} & {})",
+    "or": "({} | {})",
+    "xor": "({} ^ {})",
+    "shl": "({} << {})",
+    "shr": "({} >> {})",
+    "rem": "np.fmod({}, {})",
 }
 
 _UN_PY = {
-    "neg": "(-{a})",
-    "abs": "np.abs({a})",
-    "not": "(~{a})",
-    "sqrt": "np.sqrt({a})",
-    "rsqrt": "(1.0 / np.sqrt({a}))",
-    "rcp": "(1.0 / {a})",
-    "sin": "np.sin({a})",
-    "cos": "np.cos({a})",
-    "ex2": "np.exp2({a})",
-    "lg2": "np.log2({a})",
-    "floor": "np.floor({a})",
-    "ceil": "np.ceil({a})",
-    "trunc": "np.trunc({a})",
-    "round": "np.rint({a})",
+    "neg": "(-{})",
+    "abs": "np.abs({})",
+    "not": "(~{})",
+    "sqrt": "np.sqrt({})",
+    "rsqrt": "(1.0 / np.sqrt({}))",
+    "rcp": "(1.0 / {})",
+    "sin": "np.sin({})",
+    "cos": "np.cos({})",
+    "ex2": "np.exp2({})",
+    "lg2": "np.log2({})",
+    "floor": "np.floor({})",
+    "ceil": "np.ceil({})",
+    "trunc": "np.trunc({})",
+    "round": "np.rint({})",
 }
+
+#: opcodes whose NumPy functions are not correctly rounded: the pack
+#: pass leaves them per word (a 2-D call might take another SIMD path)
+_UNPACKED = frozenset({"sin", "cos", "ex2", "lg2"})
+
+#: the largest array (rows x lanes x itemsize) the pack pass forms.
+#: Above it a pack's temporaries stop paying: at 4 096 lanes a packed
+#: f64 body ran slower than the per-word one (DESIGN.md §12)
+PACK_BYTES = 64 * 1024
+#: the fewest statements one pack replaces
+PACK_MIN = 4
 
 #: the largest global thread id a launch binds (DESIGN.md §15): lanes
 #: are elements of one NumPy array
@@ -222,9 +234,46 @@ def _ps(view, s, val, m, ci):
         view[idx[m]] = val[m]
 
 
+def _ldp(view, w, lo, k, nt, pre, G):
+    """Packed coalesced load: row ``r`` holds words ``w + r*lo + g``
+    of the lanes ``g`` — ``k`` ``_ldc`` calls as one copy (one block
+    when the lanes are a prefix that fits a plane)."""
+    if pre and nt <= lo and 0 <= w and w + k * lo <= view.shape[0]:
+        return view[w:w + k * lo].reshape(k, lo)[:, :nt].copy()
+    return view[np.arange(w, w + k * lo, lo)[:, None] + G]
+
+
+def _gvp(view, w, lo, k, gb):
+    """Packed gather: row ``r`` is ``_gv`` of word plane ``w + r*lo``."""
+    return view[np.arange(w, w + k * lo, lo)[:, None] + gb]
+
+
+def _stp(view, w, lo, k, step, nt, pre, G, val, order):
+    """Packed coalesced store: row ``r`` of ``val`` to words ``w +
+    r*step*lo + g``.  When the block does not apply, row by row in
+    ``order`` (the program order of the stores it replaces)."""
+    n = (k - 1) * step + 1
+    if pre and nt <= lo and 0 <= w and w + n * lo <= view.shape[0]:
+        view[w:w + n * lo].reshape(n, lo)[::step, :nt] = val
+        return
+    val = np.broadcast_to(val, (k, G.shape[0]))
+    for r in order:
+        view[w + r * step * lo + G] = val[r]
+
+
+def _distinct(kernel, *fields):
+    """A packed kernel's precondition: its ``p_f*`` parameters bind
+    distinct fields (a pack moves loads and stores of one field past
+    accesses of the others)."""
+    if len(set(fields)) != len(fields):
+        raise ValueError(f"kernel {kernel!r}: two p_f parameters bind "
+                         f"the same field")
+
+
 #: the globals every generated kernel function is exec'd against
 _RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_stc": _stc,
             "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
+            "_ldp": _ldp, "_gvp": _gvp, "_stp": _stp, "_distinct": _distinct,
             "_retire": _retire, "_mand": _mand}
 
 
@@ -262,7 +311,7 @@ class CompiledKernel:
 
     def __call__(self, views, params, grid_dim, block_dim):
         if self.func is None:
-            self.func = build_sim_kernel(self.parsed)
+            self.func = build_sim_kernel(self.parsed, grid_dim * block_dim)
         self.func(views, params, grid_dim, block_dim)
 
 
@@ -350,13 +399,17 @@ class _Lin(NamedTuple):
     ``2**width``: ring operations fold exactly, ``a`` and ``b`` are
     kept int64 representatives (:func:`_lin`), and the register's own
     value is taken wherever the width shows — at a widening ``cvt``
-    (:meth:`_Translator._fold_cvt`) and at materialization.
+    (:meth:`_Translator._fold_cvt`) and at materialization.  ``p`` is
+    ``b`` as an integer-linear form over the ``_i<k>`` locals — sorted
+    ``(local, coefficient)`` terms, ``""`` the constant — or None when
+    ``b`` is not one (a product of parameters, a wrapped value).
     """
 
     a: int
     b: str
     lo: int
     hi: int
+    p: tuple | None = None
 
 
 class _VLin(NamedTuple):
@@ -375,6 +428,7 @@ class _VLin(NamedTuple):
     b: str
     lo: int
     hi: int
+    p: tuple | None = None
 
 
 class _FImm(NamedTuple):
@@ -389,7 +443,7 @@ class _Spec(NamedTuple):
 
 
 #: the global thread id ``gid*1 + 0`` (at most ``_GID_MAX``)
-_GID = _Lin(1, "0", 0, 0)
+_GID = _Lin(1, "0", 0, 0, ())
 #: what a ``.ptr`` parameter holds: an address in the device pool, one
 #: host buffer (x86-64 user space is 47 bits)
 _PTR_RANGE = (0, 2**48 - 1)
@@ -425,13 +479,44 @@ def _fits(lo: int, hi: int, t: PTXType) -> bool:
     return t.int_range[0] <= lo and hi <= t.int_range[1]
 
 
-def _lin(a: int, b: str, lo: int, hi: int, base: str | None = None):
+def _plit(v: int) -> tuple:
+    """The linear form of literal ``v``."""
+    return (("", v),) if v else ()
+
+
+def _padd(p, q):
+    """The sum of two linear forms."""
+    if not p or not q:
+        return p or q
+    out = dict(p)
+    for n, k in q:
+        out[n] = out.get(n, 0) + k
+    return tuple(sorted(t for t in out.items() if t[1]))
+
+
+def _pscale(p, k: int):
+    return None if p is None else tuple((n, c * k) for n, c in p if c * k)
+
+
+def _pmul(x, y):
+    """The linear form of ``x.b * y.b``: one side must be a literal."""
+    if _is_lit(x.b):
+        return _pscale(y.p, int(x.b))
+    if _is_lit(y.b):
+        return _pscale(x.p, int(y.b))
+    return None
+
+
+def _lin(a: int, b: str, lo: int, hi: int, base: str | None = None,
+         p: tuple | None = None):
     """The form with ``a`` and ``b`` as int64 representatives; ``b`` is
     left alone when its bounds prove it one already."""
     if not _fits(lo, hi, PTXType.S64):
         b, lo, hi = _wrap_scalar(b, PTXType.S64)
+        p = _plit(int(b)) if _is_lit(b) else None
     a = _wrap(a, PTXType.S64)
-    return _Lin(a, b, lo, hi) if base is None else _VLin(base, a, b, lo, hi)
+    return (_Lin(a, b, lo, hi, p) if base is None
+            else _VLin(base, a, b, lo, hi, p))
 
 
 def _badd(b1: str, b2: str) -> str:
@@ -466,22 +551,23 @@ def _bmul(b1: str, b2: str) -> str:
 
 def _lin_add(x, y):
     lo, hi = x.lo + y.lo, x.hi + y.hi
+    p = None if x.p is None or y.p is None else _padd(x.p, y.p)
     if isinstance(x, _Lin) and isinstance(y, _Lin):
-        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi)
+        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi, p=p)
     if isinstance(x, _Lin):
         x, y = y, x
     if isinstance(y, _VLin):                  # VLin + VLin
         if x.base != y.base:
             return None
-        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi, x.base)
+        return _lin(x.a + y.a, _badd(x.b, y.b), lo, hi, x.base, p)
     if y.a != 0:
         return None                           # table vec + gid vec
-    return _lin(x.a, _badd(x.b, y.b), lo, hi, x.base)
+    return _lin(x.a, _badd(x.b, y.b), lo, hi, x.base, p)
 
 
 def _lin_neg(x):
     return _lin(-x.a, _bsub("0", x.b), -x.hi, -x.lo,
-                x.base if isinstance(x, _VLin) else None)
+                x.base if isinstance(x, _VLin) else None, _pscale(x.p, -1))
 
 
 def _lin_mul(x, y):
@@ -496,8 +582,9 @@ def _lin_mul(x, y):
             return None                      # coeff must stay const
         k = int(x.b)
         if k == 0:
-            return _Lin(0, "0", 0, 0)
-        return _lin(y.a * k, _bmul(y.b, str(k)), lo, hi, y.base)
+            return _Lin(0, "0", 0, 0, ())
+        return _lin(y.a * k, _bmul(y.b, str(k)), lo, hi, y.base,
+                    _pscale(y.p, k))
     if x.a != 0 and y.a != 0:
         return None                          # gid^2: not linear
     if x.a != 0:
@@ -505,7 +592,38 @@ def _lin_mul(x, y):
     if y.a != 0 and not _is_lit(x.b):
         return None                          # gid coeff must stay const
     scale = int(x.b) if y.a != 0 else 0
-    return _lin(y.a * scale, _bmul(x.b, y.b), lo, hi)
+    p = None if x.p is None or y.p is None else _pmul(x, y)
+    return _lin(y.a * scale, _bmul(x.b, y.b), lo, hi, p=p)
+
+
+class _Stmt:
+    """One statement of a translated body, held as a record until the
+    pack pass and :func:`allocate_slots` have run.
+
+    It reads ``text`` — ``form.format(*args)``, or ``form`` itself when
+    there are no ``args`` — after ``dst = `` when it binds the local
+    ``dst``.  ``args`` are the operands that may name a value:
+    rendering puts a packed value's row in its place.  ``mem`` is what
+    a global access recorded (``(kind, view, shift, address form,
+    lanes)``), ``facts`` what the pack pass reads off it
+    (:meth:`_Translator._facts`); ``op`` the byte width of a pure
+    element-wise statement the pack pass may merge (0: it may not).
+    """
+
+    __slots__ = ("dst", "form", "args", "mem", "op", "text", "facts")
+
+    def __init__(self, dst, form, args=(), mem=None, op=0, text=None,
+                 facts=None):
+        self.dst, self.form, self.args, self.mem, self.op = (
+            dst, form, args, mem, op)
+        self.text = text or (form.format(*args) if args else form)
+        self.facts = facts
+
+    def render(self, sub) -> str:
+        body = self.text
+        if sub and any(a in sub for a in self.args):
+            body = self.form.format(*[sub.get(a, a) for a in self.args])
+        return "    " + (body if self.dst is None else f"{self.dst} = {body}")
 
 
 class _Translator:
@@ -529,13 +647,29 @@ class _Translator:
     PTX may be — is a named local (``R<class><n>``) assigned the
     reference way, guarded values through ``np.where``.  Float
     arithmetic is never folded, reordered or reassociated.
+
+    Given ``lanes`` — the launch width the kernel is built for — the
+    pack pass (:meth:`_pack`) then merges isomorphic per-word
+    statements of a canonical kernel without named registers into 2-D
+    NumPy calls; without it, or on any other kernel, every statement
+    stays per word.
     """
 
-    def __init__(self, parsed: ParsedKernel):
+    def __init__(self, parsed: ParsedKernel, lanes: int | None = None):
         self.parsed = parsed
-        #: the body as emitted, one local per value (what
-        #: :func:`allocate_slots` renames)
+        self.lanes = lanes
+        #: the statements as emitted, one local per value
+        self._stmts: list[_Stmt] = []
+        #: the body after the pack pass, one local per value (what
+        #: :func:`allocate_slots` renames; set by :meth:`translate`)
         self.lines: list[str] = []
+        #: ``(kind, width)`` of each pack formed: ``ld`` / ``gv`` a
+        #: field's block loads / gathers, ``op`` arithmetic, ``st``
+        #: block stores
+        self.packs: list[tuple[str, int]] = []
+        #: statements before this index precede the bounds check's
+        #: retire and are never packed
+        self._pack_from = 0
         #: slots the allocated body uses (set by :meth:`translate`)
         self.n_slots = 0
         #: named local -> the register it holds, in definition order
@@ -570,6 +704,7 @@ class _Translator:
         self.int_params = {
             p.name: _PTR_RANGE if p.is_pointer else p.type.int_range
             for p in parsed.params if p.type.is_int}
+        self._pointers = {p.name for p in parsed.params if p.is_pointer}
         #: ``Register.key`` -> symbolic value of a single-definition
         #: register (a vector local's name, or a _Lin/_VLin/_FImm/_Spec
         #: still to be materialized)
@@ -582,6 +717,7 @@ class _Translator:
         #: operations are emitted)
         self._cse: dict[str, str] = {}
         self._iparams: dict[str, str] = {}
+        self._param_of: dict[str, str] = {}    # _i<k> -> parameter
         self._scalars: dict[str, str] = {}
         self._views: dict[str, str] = {}
         self.need_G = False
@@ -589,6 +725,12 @@ class _Translator:
         self.need_ntid = False
         #: keys of the registers held in named locals
         self._rebound = self._scan()
+        #: the pack pass runs (and linear forms are tracked): a launch
+        #: width at which some float access could pack, the canonical
+        #: shape and no named register
+        self._packing = bool(lanes) and self.canonical and not self._rebound \
+            and any(i.opcode in ("ld.global", "st.global") and i.type.is_float
+                    and self._cap(i.type.nbytes) >= PACK_MIN for i in insts)
 
     @property
     def coalesced(self) -> list[int]:
@@ -596,7 +738,7 @@ class _Translator:
         return [p for p, h in self.accesses.items() if h in ("_ldc", "_stc")]
 
     def emit(self, line: str) -> None:
-        self.lines.append("    " + line)
+        self._stmts.append(_Stmt(None, line))
 
     def _scan(self) -> set[tuple]:
         """The keys of the registers defined more than once or under a
@@ -625,20 +767,23 @@ class _Translator:
         self._n += 1
         return f"_v{self._n}"
 
-    def _bind(self, inst: Instruction, expr: str) -> None:
-        """Evaluate ``expr`` into a fresh local bound to the destination."""
+    def _bind(self, inst: Instruction, form: str, *args, mem=None) -> None:
+        """Evaluate ``form`` over ``args`` into a fresh local bound to
+        the destination."""
         name = self.fresh()
-        self.emit(f"{name} = {expr}")
+        self._stmts.append(_Stmt(name, form, args, mem))
         self.sym[inst.dst.key] = name
 
-    def _shared(self, expr: str) -> str:
-        """The local holding pure expression ``expr`` (emitted once)."""
+    def _shared(self, form: str, *args, op: int = 0) -> str:
+        """The local holding pure expression ``form`` over ``args``
+        (emitted once)."""
+        expr = form.format(*args) if args else form
         if expr.isidentifier():
             return expr
         name = self._cse.get(expr)
         if name is None:
             name = self.fresh()
-            self.emit(f"{name} = {expr}")
+            self._stmts.append(_Stmt(name, form, args, op=op, text=expr))
             self._cse[expr] = name
         return name
 
@@ -657,6 +802,7 @@ class _Translator:
         if name is None:
             name = f"_i{len(self._iparams)}"
             self._iparams[pname] = name
+            self._param_of[name] = pname
         return name
 
     def _scalar(self, expr: str) -> str:
@@ -702,6 +848,10 @@ class _Translator:
             pro.append(f"    {var} = int(_P[{pname!r}])")
         for expr, var in self._scalars.items():
             pro.append(f"    {var} = {expr}")
+        fields = [v for p, v in self._iparams.items() if p.startswith("p_f")]
+        if self.packs and len(fields) > 1:
+            pro.append(f"    _distinct({self.parsed.name!r}, "
+                       f"{', '.join(fields)})")
         pro += ["    _m = None", "    _pre = True"]
         return pro
 
@@ -731,7 +881,7 @@ class _Translator:
             if t.is_float:
                 return _FImm(t, repr(float(op.value)))
             v = int(op.value)
-            return _lin(0, str(v), v, v)
+            return _lin(0, str(v), v, v, p=_plit(v) if self._packing else None)
         raise JITCompileError(f"bad operand {op!r}")
 
     def _operand(self, op, itype: PTXType) -> str:
@@ -771,18 +921,23 @@ class _Translator:
             expr = f"{expr}.astype({_NP_DTYPE[t]})"
         return self._shared(expr)
 
-    def _assign(self, inst: Instruction, expr: str, em: str | None = None) -> None:
-        """Assign pure ``expr`` to the destination.  A single-definition
-        register binds it — shared, unless it reads a named local, whose
-        value may change — and a named one is rebound, honoring the
-        guard (``em``: the effective mask, when the caller already
-        emitted it)."""
+    def _assign(self, inst: Instruction, form: str, *args,
+                em: str | None = None, op: bool = False) -> None:
+        """Assign pure expression ``form`` over ``args`` to the
+        destination.  A single-definition register binds it — shared,
+        unless it reads a named local, whose value may change — and a
+        named one is rebound, honoring the guard (``em``: the effective
+        mask, when the caller already emitted it).  ``op``: the
+        expression is element-wise arithmetic the pack pass may merge."""
         if not self._named(inst.dst):
             if self._reads_named(inst):
-                self._bind(inst, expr)
+                self._bind(inst, form, *args)
             else:
-                self.sym[inst.dst.key] = self._shared(expr)
+                width = (inst.type.nbytes
+                         if op and inst.opcode not in _UNPACKED else 0)
+                self.sym[inst.dst.key] = self._shared(form, *args, op=width)
             return
+        expr = form.format(*args) if args else form
         dst = _regname(inst.dst)
         if inst.guard is not None:
             em = em or self._effective_mask(inst)
@@ -822,7 +977,7 @@ class _Translator:
             if isinstance(y, _Lin) and y.a == 0 and _is_lit(y.b) \
                     and 0 <= int(y.b) <= 62:
                 k = 1 << int(y.b)
-                out = _lin_mul(x, _Lin(0, str(k), k, k))
+                out = _lin_mul(x, _Lin(0, str(k), k, k, _plit(k)))
         elif op == "neg":
             out = _lin_neg(syms[0])
         if out is None:
@@ -844,8 +999,12 @@ class _Translator:
         if isinstance(sym, _Lin) and inst.type.nbytes > src.nbytes:
             span = sym.a * _GID_MAX
             if not _fits(sym.lo + min(span, 0), sym.hi + max(span, 0), src):
-                sym = (_Lin(0, *_wrap_scalar(sym.b, src)) if sym.a == 0
-                       else self._mat(sym, src))
+                if sym.a == 0:
+                    b, lo, hi = _wrap_scalar(sym.b, src)
+                    sym = _Lin(0, b, lo, hi,
+                               _plit(int(b)) if _is_lit(b) else None)
+                else:
+                    sym = self._mat(sym, src)
         if isinstance(sym, _Lin) or \
                 (isinstance(sym, _VLin) and inst.type.nbytes == 8):
             self.sym[inst.dst.key] = sym
@@ -853,25 +1012,30 @@ class _Translator:
         if isinstance(sym, str) and inst.type.nbytes == 8:
             # widen a loaded index vector once; later address
             # arithmetic folds onto it (shift/subset tables)
-            base = self._shared(f"np.asarray({sym}).astype(np.int64)")
-            self.sym[inst.dst.key] = _VLin(base, 1, "0", 0, 0)
+            base = self._shared("np.asarray({}).astype(np.int64)", sym)
+            self.sym[inst.dst.key] = _VLin(base, 1, "0", 0, 0, ())
             return True
         return False
 
     # -- global memory ---------------------------------------------------
 
     def _access(self, kind: str, inst: Instruction, addr, sh: int,
-                tail: str) -> str:
-        """The call performing a global access (``tail``: the mask,
-        behind a stored value).  An unguarded ``gid*width + b`` is the
-        coalesced shape: a block copy through ``_ldc`` / ``_stc`` with
-        ``b`` as the uniform half.  Otherwise the byte->word shift
-        folds through a form whose coefficient the width divides (one
-        fancy index, ``_gv``/``_pv``; a launch-uniform word,
-        ``_gs``/``_ps``), and any other address is formed."""
+                em: str, val: str | None = None):
+        """The call performing a global access, as ``(form, args,
+        mem)`` (``em``: the mask; ``val``: a stored value, an
+        argument like a formed address).  An unguarded ``gid*width +
+        b`` is the coalesced shape: a block copy through ``_ldc`` /
+        ``_stc`` with ``b`` as the uniform half.  Otherwise the
+        byte->word shift folds through a form whose coefficient the
+        width divides (one fancy index, ``_gv``/``_pv``; a
+        launch-uniform word, ``_gs``/``_ps``), and any other address is
+        formed."""
         view = self._view(inst.type)
         sym = self._sym_of(addr, PTXType.U64)
         ci = ALIGNMENT >> sh        # the word inactive lanes read
+        tail = em if val is None else "{}, " + em
+        args = () if val is None else (val,)
+        cols = None                 # the lanes a packable access reads
         if isinstance(sym, _Lin) and sym.a == 0:
             helper = "_gs" if kind == "ld" else "_ps"
             call = f"({view}, {self._word(sym.b, sh)}, {tail}, {ci})"
@@ -881,6 +1045,7 @@ class _Translator:
             helper = f"_{kind}c"
             call = (f"({view}, {self._scalar(sym.b)}, {self._gmul(sym.a)}, "
                     f"{sh}, {tail}, _pre)")
+            cols = "_G"
         elif isinstance(sym, (_Lin, _VLin)) and sym.a > 0 \
                 and sym.a % (1 << sh) == 0:
             if isinstance(sym, _Lin):
@@ -892,11 +1057,48 @@ class _Translator:
             helper = "_gv" if kind == "ld" else "_pv"
             call = (f"({view}, {gb}, {s}, {tail}, {ci})" if kind == "ld"
                     else f"({view}, {gb}, {s}, {tail})")
+            cols = gb if kind == "ld" else None
         else:
             helper = f"_{kind}"
-            call = f"({view}, {self._mat(sym, PTXType.U64)}, {sh}, {tail})"
+            call = f"({view}, {{}}, {sh}, {tail})"
+            args = (self._mat(sym, PTXType.U64),) + args
         self.accesses[self.pos] = helper
-        return helper + call
+        return helper + call, args, (kind, view, sh, sym, cols)
+
+    def _facts(self, st: _Stmt):
+        """What the pack pass reads off a global access: ``(kind,
+        region, key, word, stride)``, from the address's linear form
+        (computed once, when the pass first asks).
+
+        ``region`` is the pointer parameter (its ``_i`` local) the
+        address is based on — its one pointer term, coefficient 1 — or
+        None: any memory.  ``key`` (None: not packable) names one
+        ``p_f*`` field read as ``base + const + word*width*stride +
+        cols``: ``(view, shift, region, const, cols)``, with ``cols``
+        ``_G`` (the lanes) or a gather's word vector; ``stride`` is the
+        integer parameter scaling the word (None for word 0)."""
+        if st.facts is None:
+            st.facts = self._read_facts(*st.mem)
+        return st.facts
+
+    def _read_facts(self, kind: str, view: str, sh: int, sym, cols):
+        region, const, rest = None, 0, []
+        for n, k in getattr(sym, "p", None) or ():
+            if not n:
+                const = k
+            elif self._param_of.get(n) not in self._pointers:
+                rest.append((n, k))
+            elif region is not None or k != 1:
+                return (kind, None, None, 0, None)
+            else:
+                region = n
+        if region is None:
+            return (kind, None, None, 0, None)
+        if (cols is None or not self._param_of[region].startswith("p_f")
+                or len(rest) > 1 or rest and rest[0][1] % (1 << sh)):
+            return (kind, region, None, 0, None)
+        stride, word = (rest[0][0], rest[0][1] >> sh) if rest else (None, 0)
+        return (kind, region, (view, sh, region, const, cols), word, stride)
 
     def _shift(self, inst: Instruction) -> int:
         """log2 of the word size of a global access."""
@@ -933,13 +1135,269 @@ class _Translator:
             at, names = self._retire_at
             names = (names + ["_tid", "_ctaid"] * self.need_gl
                      + ["_G"] * self.need_G)
-            self.lines[at] = (
-                f"        {', '.join(['_nt', '_pre'] + names)} = "
-                f"_retire({', '.join(['_x'] + names)})")
+            self._stmts[at] = _Stmt(None, (
+                f"    {', '.join(['_nt', '_pre'] + names)} = "
+                f"_retire({', '.join(['_x'] + names)})"))
+        sub = self._pack() if self._packing else {}
+        self.lines = [st.render(sub) for st in self._stmts]
         body, self.n_slots = allocate_slots(self.lines)
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
         return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
+
+    # -- the pack pass ------------------------------------------------------
+    #
+    # Runs on the records after the walk.  A pack is one NumPy call on
+    # a (k, lanes) array whose row j is member j; it is placed at its
+    # first member (a store pack at its last), the other members are
+    # dropped, and every remaining reader of a member reads its row.
+    # Loads are never moved above a store to their word, stores never
+    # below a load of their field, and arithmetic runs the same IEEE op
+    # on the same operands per element: the packed body is bitwise the
+    # per-word one (DESIGN.md §12).
+
+    def _pack(self) -> dict[str, str]:
+        """Form the packs; returns member local -> its row's text."""
+        self._row: dict[str, tuple[str, int]] = {}
+        self._height: dict[str, int] = {}
+        self._at: dict[int, _Stmt] = {}       # index -> the pack placed
+        self._gone: set[int] = set()          # indices of packed members
+        self._pack_loads()
+        if self._row:
+            self._pack_ops()
+            self._pack_stores()
+        self._stmts = [self._at.get(i, st) for i, st in enumerate(self._stmts)
+                       if i in self._at or i not in self._gone]
+        return {d: f"{p}[{r}]" for d, (p, r) in self._row.items()}
+
+    def _cap(self, nbytes: int) -> int:
+        """The most rows of ``nbytes`` words one pack may hold."""
+        return PACK_BYTES // (self.lanes * nbytes)
+
+    def _rows_text(self, pack: str, r0: int, step: int, k: int) -> str:
+        """Rows ``r0, r0 + step, ...`` (``k`` of them) of ``pack``."""
+        if step == 0:
+            return f"{pack}[{r0}]"
+        if step == 1 and r0 == 0 and k == self._height[pack]:
+            return pack
+        stop = r0 + step * k
+        stop = "" if stop < 0 else stop
+        return (f"{pack}[{r0}:{stop}]" if step == 1
+                else f"{pack}[{r0}:{stop}:{step}]")
+
+    def _plane(self, key, word: int, stride) -> str:
+        """The launch scalar naming word plane ``word`` of a field key."""
+        _, sh, region, const, _ = key
+        base = region if not const else f"({region} + {const})"
+        return self._scalar(f"({base} >> {sh})"
+                            + (f" + {word} * {stride}" if word else ""))
+
+    def _pack_loads(self) -> None:
+        """Pack the loads of each field key.  A group collects them in
+        program order and closes where a store may write a word a later
+        member reads: the pack is placed at its first member."""
+        groups, live = [], {}     # key -> [members, stored words, stride]
+        for i in range(self._pack_from, len(self._stmts)):
+            st = self._stmts[i]
+            if st.mem is None or (
+                    st.mem[0] == "ld" and self._cap(1 << st.mem[2]) < PACK_MIN
+                    or st.mem[0] == "st" and not live):
+                continue      # a load too wide to pack; a store no group sees
+            kind, region, key, word, stride = self._facts(st)
+            if kind == "ld":
+                if key is None:
+                    continue
+                g = live.get(key)
+                if g is not None and (word in g[1] or None not in (
+                        stride, g[2]) and stride != g[2]):
+                    groups.append((key, live.pop(key)))
+                    g = None
+                if g is None:
+                    g = live[key] = [[], set(), None]
+                g[0].append((i, word))
+                g[2] = g[2] or stride
+                continue
+            for k2 in list(live):             # a store
+                g = live[k2]
+                if region is not None and k2[2] != region:
+                    continue
+                if key is not None and key[:4] == k2[:4] and (
+                        stride is None or stride == g[2]):
+                    g[1].add(word)          # the same word planes
+                else:
+                    groups.append((k2, live.pop(k2)))
+        groups.extend(live.items())
+        for key, (members, _, stride) in groups:
+            chunks = []
+            for w in sorted({w for _, w in members}):
+                if chunks and w - chunks[-1][0] < self._cap(1 << key[1]):
+                    chunks[-1].append(w)
+                else:
+                    chunks.append([w])
+            for chunk in chunks:
+                if len(chunk) >= PACK_MIN:
+                    self._form_load(key, stride, chunk[0], chunk[-1],
+                                    [m for m in members
+                                     if chunk[0] <= m[1] <= chunk[-1]])
+
+    def _form_load(self, key, stride, c0: int, c1: int, members) -> None:
+        view, _, region, _, cols = key
+        pack, h = self.fresh(), c1 - c0 + 1
+        self._height[pack] = h
+        w0 = self._plane(key, c0, stride)
+        form = (f"_ldp({view}, {w0}, {stride}, {h}, _nt, _pre, _G)"
+                if cols == "_G" else
+                f"_gvp({view}, {w0}, {stride}, {h}, {cols})")
+        self._at[members[0][0]] = _Stmt(
+            pack, form, facts=("ld", region, None, 0, None))
+        for i, w in members:
+            self._gone.add(i)
+            self._row[self._stmts[i].dst] = (pack, w - c0)
+        self.packs.append(("ld" if cols == "_G" else "gv", len({
+            w for _, w in members})))
+
+    @staticmethod
+    def _runs(points, cap: int, strict: bool = False):
+        """Split ``(rows, index)`` points, sorted, into runs along which
+        every row coordinate steps by a fixed amount (not all zero; the
+        first strictly up when ``strict``), at most ``cap`` long.
+        Returns the ``(run, step)`` of the runs at least ``PACK_MIN``
+        long."""
+        out, run, step = [], [], None
+        for pt in points:
+            if run:
+                d = tuple(x - y for x, y in zip(pt[0], run[-1][0]))
+                if len(run) < cap and (
+                        d == step if len(run) > 1
+                        else (d[0] > 0 if strict else any(d))):
+                    run.append(pt)
+                    step = d
+                    continue
+                if len(run) >= PACK_MIN:
+                    out.append((run, step))
+            run, step = [pt], None
+        if len(run) >= PACK_MIN:
+            out.append((run, step))
+        return out
+
+    def _pack_ops(self) -> None:
+        """Pack element-wise statements.  Candidates share a form and,
+        per operand, one pack, one candidate group or one value; in
+        creation order (operands first) each group is split by the
+        packs its operands really took and into runs whose rows step
+        evenly in every operand."""
+        stmts, row = self._stmts, self._row
+        cand, sigs, groups = {}, {}, []
+        for i in range(self._pack_from, len(stmts)):
+            st = stmts[i]
+            if not st.op:
+                continue
+            desc, vary = [st.form, st.op], False
+            for a in st.args:
+                if a in row:
+                    desc.append(row[a][0])
+                    vary = True
+                elif a in cand:
+                    desc.append(cand[a])
+                    vary = True
+                else:
+                    desc.append((a,))
+            if vary:                  # it reads a packable value
+                gid = sigs.setdefault(tuple(desc), len(groups))
+                if gid == len(groups):
+                    groups.append([])
+                groups[gid].append(i)
+                cand[st.dst] = gid
+        for members in groups:
+            if len(members) < PACK_MIN:
+                continue
+            subs = {}
+            for i in members:
+                key, rows = [], []
+                for a in stmts[i].args:
+                    r = row.get(a)
+                    if r is None:
+                        key.append((a,))
+                    else:
+                        key.append(r[0])
+                        rows.append(r[1])
+                subs.setdefault(tuple(key), []).append((tuple(rows), i))
+            for key, points in subs.items():
+                if len(points) >= PACK_MIN:
+                    cap = self._cap(stmts[points[0][1]].op)
+                    for run, step in self._runs(sorted(points), cap):
+                        self._form_op(key, run, step)
+
+    def _form_op(self, key, run, step) -> None:
+        first = self._stmts[min(i for _, i in run)]
+        pack, k = self.fresh(), len(run)
+        self._height[pack] = k
+        exprs, j = [], 0
+        for part in key:
+            if isinstance(part, tuple):       # the same value throughout
+                exprs.append(part[0])
+            else:
+                exprs.append(self._rows_text(part, run[0][0][j], step[j], k))
+                j += 1
+        self._at[min(i for _, i in run)] = _Stmt(pack,
+                                                 first.form.format(*exprs))
+        for n, (_, i) in enumerate(run):
+            self._gone.add(i)
+            self._row[self._stmts[i].dst] = (pack, n)
+        self.packs.append(("op", k))
+
+    def _pack_stores(self) -> None:
+        """Pack the block stores of one field whose values are rows of
+        one pack, placed at the last member — split wherever any other
+        access of that field (a load pack included) or of unknown
+        memory comes between two members."""
+        stmts, row = self._stmts, self._row
+        touch: dict = {}          # region -> indices of its accesses
+        cands: dict = {}
+        for i in range(self._pack_from, len(stmts)):
+            st = self._at.get(i, None if i in self._gone else stmts[i])
+            if st is None or st.mem is None and st.facts is None:
+                continue
+            kind, region, key, word, stride = self._facts(st)
+            touch.setdefault(region, []).append(i)
+            if kind == "st" and key is not None and st.args[-1] in row:
+                pack, r = row[st.args[-1]]
+                cands.setdefault((key, pack), []).append((i, word, r, stride))
+
+        def between(a, b, region):
+            return any(bisect.bisect_right(t, a) < bisect.bisect_left(t, b)
+                       for t in (touch.get(region, ()), touch.get(None, ())))
+
+        for (key, pack), members in cands.items():
+            runs, run, stride = [], [], None
+            for m in members:
+                clash = None not in (m[3], stride) and m[3] != stride
+                if run and (clash or between(run[-1][0], m[0], key[2])):
+                    runs.append((run, stride))
+                    run, stride = [], None
+                run.append(m)
+                stride = stride or m[3]
+            runs.append((run, stride))
+            for run, stride in runs:
+                points = sorted(((w, r), i) for i, w, r, _ in run)
+                for sub, step in self._runs(points, self._cap(1 << key[1]),
+                                            strict=True):
+                    self._form_store(key, pack, stride, sub, step)
+
+    def _form_store(self, key, pack, stride, run, step) -> None:
+        view, _, region, _, _ = key
+        (c0, r0), _ = run[0]
+        k = len(run)
+        order = tuple(n for n, _ in sorted(enumerate(run),
+                                           key=lambda t: t[1][1]))
+        vals = self._rows_text(pack, r0, step[1], k)
+        last = max(i for _, i in run)
+        self._at[last] = _Stmt(None, (
+            f"_stp({view}, {self._plane(key, c0, stride)}, {stride}, {k}, "
+            f"{step[0]}, _nt, _pre, _G, {vals}, {order})"),
+            facts=("st", region, None, 0, None))
+        self._gone.update(i for _, i in run)
+        self.packs.append(("st", k))
 
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
@@ -951,9 +1409,11 @@ class _Translator:
                 self.emit("if _x.any():")
                 # every local so far that may hold one value per lane
                 names = [f"_v{k}" for k in range(1, self._n + 1)]
-                self._retire_at = (len(self.lines), names + list(self.defined))
+                self._retire_at = (len(self._stmts),
+                                   names + list(self.defined))
                 self.emit("    <retire>")
                 self.emit("    if _nt == 0: return None")
+                self._pack_from = len(self._stmts)
             return
         if op == "label":
             lbl = inst.label[1:]
@@ -996,8 +1456,10 @@ class _Translator:
                 raise JITCompileError(f"ld.param of unknown param {pname!r}")
             if pname in self.int_params and not self._named(inst.dst):
                 # pointers and integer scalars are launch-uniform ints
-                self.sym[inst.dst.key] = _lin(0, self._iparam(pname),
-                                              *self.int_params[pname])
+                local = self._iparam(pname)
+                self.sym[inst.dst.key] = _lin(
+                    0, local, *self.int_params[pname],
+                    p=((local, 1),) if self._packing else None)
             else:
                 self._assign(inst, f"{_NP_DTYPE[inst.type]}(_P[{pname!r}])")
             return
@@ -1005,20 +1467,21 @@ class _Translator:
             (addr,) = inst.srcs
             sh = self._shift(inst)
             em = self._effective_mask(inst)
-            call = self._access("ld", inst, addr, sh, em)
+            form, args, mem = self._access("ld", inst, addr, sh, em)
             if self._named(inst.dst):
                 # guarded-off lanes keep the old value (via _assign),
                 # not the word _ld read from the safe address
-                self._assign(inst, call, em)
+                self._assign(inst, form, *args, em=em)
             else:
-                self._bind(inst, call)
+                self._bind(inst, form, *args, mem=mem)
             return
         if op == "st.global":
             addr, val = inst.srcs
             sh = self._shift(inst)
             v = self._operand(val, inst.type)
-            self.emit(self._access("st", inst, addr, sh,
-                                   f"{v}, {self._effective_mask(inst)}"))
+            em = self._effective_mask(inst)
+            form, args, mem = self._access("st", inst, addr, sh, em, v)
+            self._stmts.append(_Stmt(None, form, args, mem))
             return
         if not (self._named(inst.dst) or self._reads_named(inst)):
             if op == "mov":
@@ -1030,59 +1493,62 @@ class _Translator:
                 return
         if op == "mov":
             (src,) = inst.srcs
-            self._assign(inst, self._operand(src, inst.type))
+            self._assign(inst, "{}", self._operand(src, inst.type))
             return
+        dtype = _NP_DTYPE.get(inst.type)
         if op == "cvt":
             (src,) = inst.srcs
             s = self._operand(src, inst.src_type)
             if inst.type.is_int and inst.src_type.is_float:
-                expr = f"np.trunc({s}).astype({_NP_DTYPE[inst.type]})"
+                form = "np.trunc({}).astype(" + dtype + ")"
             else:
-                expr = f"np.asarray({s}).astype({_NP_DTYPE[inst.type]})"
-            self._assign(inst, expr)
+                form = "np.asarray({}).astype(" + dtype + ")"
+            self._assign(inst, form, s, op=True)
             return
         if op == "setp":
             a, b = inst.srcs
             ea = self._operand(a, inst.type)
             eb = self._operand(b, inst.type)
-            self._assign(inst, f"({ea} {_CMP_PY[inst.cmp]} {eb})")
+            self._assign(inst, "({} " + _CMP_PY[inst.cmp] + " {})", ea, eb,
+                         op=True)
             return
         if op == "selp":
             a, b, pred = inst.srcs
             ep = self._operand(pred, PTXType.PRED)
             ea = self._operand(a, inst.type)
             eb = self._operand(b, inst.type)
-            self._assign(inst, f"np.where({ep}, {ea}, {eb})")
+            self._assign(inst, "np.where({}, {}, {})", ep, ea, eb, op=True)
             return
         if op in ("fma", "mad.lo"):
-            a, b, c = (self._operand(s, inst.type) for s in inst.srcs)
-            self._assign(inst, f"({a} * {b} + {c})")
+            srcs = [self._operand(s, inst.type) for s in inst.srcs]
+            self._assign(inst, "({} * {} + {})", *srcs, op=True)
             return
         if op == "div":
-            a, b = (self._operand(s, inst.type) for s in inst.srcs)
+            srcs = [self._operand(s, inst.type) for s in inst.srcs]
             if inst.type.is_float:
-                self._assign(inst, f"({a} / {b})")
+                self._assign(inst, "({} / {})", *srcs, op=True)
             else:
                 # PTX integer division truncates toward zero.
                 self._assign(
-                    inst,
-                    f"np.trunc(np.asarray({a}, np.float64) / "
-                    f"np.asarray({b}, np.float64)).astype({_NP_DTYPE[inst.type]})")
+                    inst, "np.trunc(np.asarray({}, np.float64) / "
+                    "np.asarray({}, np.float64)).astype(" + dtype + ")",
+                    *srcs, op=True)
             return
         if op in _BIN_PY:
-            a, b = (self._operand(s, inst.type) for s in inst.srcs)
-            self._assign(inst, _BIN_PY[op].format(a=a, b=b))
+            srcs = [self._operand(s, inst.type) for s in inst.srcs]
+            self._assign(inst, _BIN_PY[op], *srcs, op=True)
             return
         if op in _UN_PY:
-            (a,) = (self._operand(s, inst.type) for s in inst.srcs)
-            self._assign(inst, _UN_PY[op].format(a=a))
+            srcs = [self._operand(s, inst.type) for s in inst.srcs]
+            self._assign(inst, _UN_PY[op], *srcs, op=True)
             return
         raise JITCompileError(f"unsupported opcode {op!r}")
 
 
-def build_sim_kernel(parsed: ParsedKernel):
-    """The callable for a parsed kernel (every dispatch name's)."""
-    gen = _Translator(parsed)
+def build_sim_kernel(parsed: ParsedKernel, lanes: int | None = None):
+    """The callable for a parsed kernel (every dispatch name's), packed
+    for launches of ``lanes`` threads (None: per word)."""
+    gen = _Translator(parsed, lanes)
     source = gen.translate()
     namespace = {**_RUNTIME, **gen.consts}
     exec(compile(source, f"<ptxjit:{parsed.name}>", "exec"), namespace)

@@ -21,10 +21,12 @@ def code_cache_stats() -> BuildStats:
     return STORE_BUILDS
 
 
-def compile_cpu_kernel(ptx_text: str, parsed: ParsedKernel | None = None):
+def compile_cpu_kernel(ptx_text: str, parsed: ParsedKernel | None = None,
+                       lanes: int | None = None):
     """PTX text -> the launch function ``(views, params, grid_dim,
     block_dim)`` (uncached: the store caches); ``parsed`` is the
-    already-parsed form of ``ptx_text`` when the caller has it."""
+    already-parsed form of ``ptx_text`` when the caller has it,
+    ``lanes`` the launch width to pack for."""
     if parsed is None:
         parsed = parse_ptx(ptx_text)
-    return build_sim_kernel(parsed)
+    return build_sim_kernel(parsed, lanes)

@@ -166,10 +166,8 @@ class FieldCache:
         entry = self.entries[uid]
         f = self._field_of(entry)
         if f is not None and f.device_valid and not f.host_valid:
-            data = self.device.memcpy_dtoh(entry.addr, entry.nbytes,
-                                           dtype=f.host.dtype,
-                                           name=f"pageout:f{uid}")
-            f.host[...] = data[:f.host.size]
+            self.device.memcpy_dtoh(entry.addr, entry.nbytes,
+                                    name=f"pageout:f{uid}", out=f.host)
             f.host_valid = True
             self.stats.page_outs += 1
             self.stats.bytes_paged_out += entry.nbytes
@@ -280,10 +278,8 @@ class FieldCache:
         entry = self.entries.get(f.uid)
         if entry is None or not f.device_valid:
             raise NoValidCopyError(f.uid, f.nbytes, "ensure_host")
-        data = self.device.memcpy_dtoh(entry.addr, entry.nbytes,
-                                       dtype=f.host.dtype,
-                                       name=f"pageout:f{f.uid}")
-        f.host[...] = data[:f.host.size]
+        self.device.memcpy_dtoh(entry.addr, entry.nbytes,
+                                name=f"pageout:f{f.uid}", out=f.host)
         f.host_valid = True
         self.stats.page_outs += 1
         self.stats.bytes_paged_out += entry.nbytes

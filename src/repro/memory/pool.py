@@ -163,9 +163,17 @@ class DevicePool:
             raise ValueError("device write out of range")
         self._mem[addr:addr + raw.size] = raw
 
-    def read(self, addr: int, nbytes: int, dtype=np.uint8) -> np.ndarray:
-        """Copy device bytes starting at ``addr`` to a new host array."""
+    def read(self, addr: int, nbytes: int, dtype=np.uint8,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Copy device bytes starting at ``addr`` to a new host array,
+        or into ``out``'s ``out.nbytes`` bytes (one copy) and return it."""
         if addr < BASE_ADDRESS or addr + nbytes > self.capacity:
             raise ValueError("device read out of range")
+        if out is not None:
+            if out.nbytes > nbytes:
+                raise ValueError("host buffer larger than the device read")
+            src = self._mem[addr:addr + out.nbytes]
+            np.copyto(out, src.view(out.dtype).reshape(out.shape))
+            return out
         raw = self._mem[addr:addr + nbytes].copy()
         return raw.view(dtype)

@@ -7,7 +7,6 @@ from repro.comm.grid import (
     Decomposition,
     DecompositionError,
     ProcessorGrid,
-    shrunken_grid,
 )
 
 
@@ -18,9 +17,9 @@ class TestProcessorGrid:
     def test_split_dims(self):
         assert ProcessorGrid((2, 1, 1, 2)).split_dims == {0, 3}
         assert ProcessorGrid((1, 1, 1, 1)).split_dims == frozenset()
-        # a shrink only ever unsplits a direction
+        # a grid one extent smaller only ever unsplits a direction
         g = ProcessorGrid((1, 1, 2, 2))
-        assert shrunken_grid(g, (4, 4, 4, 8)).split_dims < g.split_dims
+        assert ProcessorGrid((1, 1, 2, 1)).split_dims < g.split_dims
 
     def test_coords_roundtrip(self):
         g = ProcessorGrid((2, 3, 1, 2))
@@ -126,30 +125,3 @@ class TestEdgeCases:
             r = g.neighbor(r, 3, +1)
         assert sorted(seen) == list(range(g.size))
         assert r == 0
-
-
-class TestShrunkenGrid:
-    def test_prefers_shrinking_the_time_dimension(self):
-        g = shrunken_grid(ProcessorGrid((1, 1, 2, 2)), (4, 4, 4, 8))
-        assert g.dims == (1, 1, 2, 1)
-
-    def test_two_ranks_shrink_to_one(self):
-        g = shrunken_grid(ProcessorGrid((1, 1, 1, 2)), (4, 4, 4, 8))
-        assert g.dims == (1, 1, 1, 1)
-
-    def test_skips_non_decomposing_extents(self):
-        # 8 % 3 != 0, so t=4 shrinks past 3 straight to 2
-        g = shrunken_grid(ProcessorGrid((1, 1, 1, 4)), (4, 4, 4, 8))
-        assert g.dims == (1, 1, 1, 2)
-
-    def test_single_rank_cannot_shrink(self):
-        with pytest.raises(DecompositionError):
-            shrunken_grid(ProcessorGrid((1, 1, 1, 1)), (4, 4, 4, 8))
-
-    def test_result_decomposes_and_is_deterministic(self):
-        grid = ProcessorGrid((2, 1, 2, 2))
-        a = shrunken_grid(grid, (4, 4, 4, 8))
-        b = shrunken_grid(grid, (4, 4, 4, 8))
-        assert a.dims == b.dims
-        assert a.size < grid.size
-        Decomposition((4, 4, 4, 8), a)   # must not raise

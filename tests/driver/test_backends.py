@@ -125,9 +125,9 @@ def _spy_cpu_builds(monkeypatch):
     calls = []
     original = cputarget.compile_cpu_kernel
 
-    def spy(ptx_text, parsed=None):
+    def spy(ptx_text, parsed=None, *lanes):
         calls.append(parsed.name)
-        return original(ptx_text, parsed)
+        return original(ptx_text, parsed, *lanes)
 
     monkeypatch.setattr(cputarget, "compile_cpu_kernel", spy)
     return calls

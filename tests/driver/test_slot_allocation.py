@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.context import Context
 from repro.driver.jitcompiler import (_RUNTIME, _VECTOR_LOCAL, _Translator,
-                                      allocate_slots)
+                                      allocate_slots, build_sim_kernel)
 from repro.driver.parser import parse_ptx
 from repro.memory.pool import DevicePool
 from repro.ptx import KernelBuilder, PTXModule, PTXType
@@ -513,21 +513,30 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
     addresses came uniform-first, 5 188 before the value memo covered
     a lone statement (2 736 of those were exact repeats of the
     projector's ``U·ψ`` components), 2 452 (222 slots) before the
-    Dslash projected to half spinors ahead of the link multiply."""
+    Dslash projected to half spinors ahead of the link multiply.
+
+    The launch runs the callable built for its width, whose packs
+    (DESIGN.md §12) hold ``k`` rows in one slot; the per-word callable
+    of the same kernel runs beside it and is held to the slot count."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     w = _Wilson(lat4)
     assert w.ctx.stats.backend.mode == backend
     n_inst = len(w.parsed.instructions)
     assert n_inst == 1690
     t = _translated(w.parsed)
+    packed = _Translator(w.parsed, w.lanes)
+    packed.translate()
+    assert packed.packs
     array = w.lanes * 8
+    word = build_sim_kernel(w.parsed)
     kernel, peaks = w.entry.compiled.func, []
 
     def traced(*args):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        kernel(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        for f in (word, kernel):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            f(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(w.entry.compiled, "func", traced)
     tracemalloc.start()
@@ -535,12 +544,16 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
         w.launch()
     finally:
         tracemalloc.stop()
-    (peak,) = peaks
+    word_peak, peak = peaks
     # the slots, plus 32 arrays' worth for the prologue's lane vectors,
     # the masks and the right-hand side in flight
-    assert peak <= (t.n_slots + 32) * array
-    assert peak < n_inst * array / 4
-    code = getattr(kernel, "func", kernel).__code__
+    assert word_peak <= (t.n_slots + 32) * array
+    # packed: the most rows ever held at once, a pack counting its rows
+    rows = _replay(packed.lines, allocate_slots(packed.lines)[0],
+                   lambda name: packed._height.get(name, 1))[1]
+    assert peak <= (rows + 32) * array
+    assert max(peaks) < n_inst * array / 4
+    code = word.__code__
     # the non-vector names: four arguments, one per prologue line (a
     # view per dtype, an _i per integer parameter and an _s per
     # distinct scalar offset are hoisted there), _em, _t, _x, a _pend

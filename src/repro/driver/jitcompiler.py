@@ -98,6 +98,10 @@ _UN_PY = {
     "round": "np.rint({})",
 }
 
+#: the forms of a product and an fma, the two a split product packs
+_MUL = _BIN_PY["mul"]
+_FMA = "({} * {} + {})"
+
 #: opcodes whose NumPy functions are not correctly rounded: the pack
 #: pass leaves them per word (a 2-D call might take another SIMD path)
 _UNPACKED = frozenset({"sin", "cos", "ex2", "lg2"})
@@ -106,8 +110,11 @@ _UNPACKED = frozenset({"sin", "cos", "ex2", "lg2"})
 #: Above it a pack's temporaries stop paying: at 4 096 lanes a packed
 #: f64 body ran slower than the per-word one (DESIGN.md §12)
 PACK_BYTES = 64 * 1024
-#: the fewest statements one pack replaces
-PACK_MIN = 4
+#: the fewest statements one pack replaces: three, so SU(3)'s colour
+#: rows pack
+PACK_MIN = 3
+#: how many of the next points a run tries as its second member
+_LOOK = 8
 
 #: the largest global thread id a launch binds (DESIGN.md §15): lanes
 #: are elements of one NumPy array
@@ -244,7 +251,11 @@ def _ldp(view, w, lo, k, nt, pre, G):
 
 
 def _gvp(view, w, lo, k, gb):
-    """Packed gather: row ``r`` is ``_gv`` of word plane ``w + r*lo``."""
+    """Packed gather: row ``r`` is ``_gv`` of word plane ``w + r*lo``
+    (one take along the planes when every index lies in a plane)."""
+    if 0 <= w and w + k * lo <= view.shape[0] and gb.dtype == np.int64 \
+            and gb.view(np.uint64).max(initial=0) < lo:
+        return view[w:w + k * lo].reshape(k, lo).take(gb, axis=1)
     return view[np.arange(w, w + k * lo, lo)[:, None] + gb]
 
 
@@ -320,6 +331,8 @@ class CompiledKernel:
 #: of a quoted parameter name (the look-behind sits after the leading
 #: literal so the search for it stays a plain character scan)
 _VECTOR_LOCAL = re.compile(r"((?:R(?<![\w']R)[a-z]+|_v(?<![\w']_v))\d+)")
+#: a per-launch scalar of a translated body
+_SCALAR = re.compile(r"\b_s\d+\b")
 
 
 def allocate_slots(lines: list[str]) -> tuple[list[str], int]:
@@ -1130,20 +1143,46 @@ class _Translator:
             self.emit(f"_pend_{lbl[1:]} = None")
         for self.pos, inst in enumerate(self.parsed.instructions):
             self._translate_inst(inst)
-        if self._retire_at is not None:
-            # with the prologue's lane vectors, known only now
-            at, names = self._retire_at
-            names = (names + ["_tid", "_ctaid"] * self.need_gl
-                     + ["_G"] * self.need_G)
-            self._stmts[at] = _Stmt(None, (
-                f"    {', '.join(['_nt', '_pre'] + names)} = "
-                f"_retire({', '.join(['_x'] + names)})"))
         sub = self._pack() if self._packing else {}
         self.lines = [st.render(sub) for st in self._stmts]
+        if self._retire_at is not None:
+            at, names = self._retire_at
+            self.lines[at] = self._retire_line(names)
+        if self._packing:
+            self._sweep()
         body, self.n_slots = allocate_slots(self.lines)
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
         return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
+
+    def _retire_line(self, names: list[str]) -> str:
+        """The retire statement over ``names`` and the prologue's lane
+        vectors (known only once the walk is over)."""
+        names = (names + ["_tid", "_ctaid"] * self.need_gl
+                 + ["_G"] * self.need_G)
+        return (f"        {', '.join(['_nt', '_pre'] + names)} = "
+                f"_retire({', '.join(['_x'] + names)})")
+
+    def _sweep(self) -> None:
+        """Drop what packing leaves dead, in one backward pass: a pure
+        local nothing reads (a packed member's address product), the
+        retire's copy of a local only read before it, and a launch
+        scalar the body does not name."""
+        at, names = self._retire_at
+        live: set[str] = set()
+        keep = []
+        for i in range(len(self.lines) - 1, -1, -1):
+            st, line = self._stmts[i], self.lines[i]
+            if i == at:
+                line = self._retire_line([n for n in names if n in live])
+            elif st.dst is not None and st.dst not in live \
+                    and st.mem is None and st.facts is None:
+                continue
+            live.update(_VECTOR_LOCAL.findall(line))
+            keep.append(line)
+        self.lines = keep[::-1]
+        read = set(_SCALAR.findall("\n".join(self.lines)))
+        self._scalars = {e: v for e, v in self._scalars.items() if v in read}
 
     # -- the pack pass ------------------------------------------------------
     #
@@ -1162,12 +1201,14 @@ class _Translator:
         self._height: dict[str, int] = {}
         self._at: dict[int, _Stmt] = {}       # index -> the pack placed
         self._gone: set[int] = set()          # indices of packed members
+        self._before: dict[int, tuple] = {}   # index -> a product placed
         self._pack_loads()
         if self._row:
             self._pack_ops()
             self._pack_stores()
-        self._stmts = [self._at.get(i, st) for i, st in enumerate(self._stmts)
-                       if i in self._at or i not in self._gone]
+        self._stmts = [s for i, st in enumerate(self._stmts)
+                       for s in (*self._before.get(i, ()), self._at.get(i, st))
+                       if s is not st or i not in self._gone]
         return {d: f"{p}[{r}]" for d, (p, r) in self._row.items()}
 
     def _cap(self, nbytes: int) -> int:
@@ -1258,26 +1299,36 @@ class _Translator:
 
     @staticmethod
     def _runs(points, cap: int, strict: bool = False):
-        """Split ``(rows, index)`` points, sorted, into runs along which
+        """Cover ``(rows, index)`` points, sorted, with runs along which
         every row coordinate steps by a fixed amount (not all zero; the
-        first strictly up when ``strict``), at most ``cap`` long.
-        Returns the ``(run, step)`` of the runs at least ``PACK_MIN``
-        long."""
-        out, run, step = [], [], None
-        for pt in points:
-            if run:
-                d = tuple(x - y for x, y in zip(pt[0], run[-1][0]))
-                if len(run) < cap and (
-                        d == step if len(run) > 1
-                        else (d[0] > 0 if strict else any(d))):
-                    run.append(pt)
-                    step = d
-                    continue
+        first strictly up when ``strict``), at most ``cap`` long.  A run
+        starts at the first point left and steps to the first of the
+        next ``_LOOK`` points along which it reaches ``PACK_MIN``, so
+        interleaved runs (rows 14, 18, 22 and 15, 19, 23) both form.
+        Returns the ``(run, step)`` of each run."""
+        out, left, at = [], list(points), {}
+        for pt in left:
+            at.setdefault(pt[0], []).append(pt)
+        while len(left) >= PACK_MIN:
+            p0 = left[0]
+            for p1 in left[1:1 + _LOOK]:
+                step = tuple(x - y for x, y in zip(p1[0], p0[0]))
+                run, r = [p0], p0[0]
+                while (step[0] > 0 if strict else any(step)) \
+                        and len(run) < cap:
+                    r = tuple(x + y for x, y in zip(r, step))
+                    if not at.get(r):
+                        break
+                    run.append(at[r][0])
                 if len(run) >= PACK_MIN:
                     out.append((run, step))
-            run, step = [pt], None
-        if len(run) >= PACK_MIN:
-            out.append((run, step))
+                    break
+            else:
+                run = [p0]
+            for pt in run:
+                at[pt[0]].remove(pt)
+            taken = {i for _, i in run}
+            left = [pt for pt in left if pt[1] not in taken]
         return out
 
     def _pack_ops(self) -> None:
@@ -1327,9 +1378,29 @@ class _Translator:
                     cap = self._cap(stmts[points[0][1]].op)
                     for run, step in self._runs(sorted(points), cap):
                         self._form_op(key, run, step)
+        # products whose operands step evenly through packs, left per
+        # word (an fma's addend is a running sum, say): one packed
+        # product, each fma keeping its add — NumPy rounds ``x * y``
+        # before ``+ s``, so this is bitwise
+        prods: dict = {}
+        for i in range(self._pack_from, len(stmts)):
+            st = stmts[i]
+            if st.op and i not in self._gone and st.form in (_MUL, _FMA) \
+                    and (st.args[0] in row or st.args[1] in row):
+                pair = st.args[:2]
+                key = tuple(row[a][0] if a in row else (a,) for a in pair)
+                rows = tuple(row[a][1] for a in pair if a in row)
+                prods.setdefault((key, st.op), []).append((rows, i))
+        for (key, width), points in prods.items():
+            if len(points) >= PACK_MIN:
+                for run, step in self._runs(sorted(points), self._cap(width)):
+                    self._form_op(key, run, step, split=True)
 
-    def _form_op(self, key, run, step) -> None:
-        first = self._stmts[min(i for _, i in run)]
+    def _form_op(self, key, run, step, split: bool = False) -> None:
+        """Place one op pack at the run's first member.  ``split``: the
+        members are products — a ``mul`` becomes a row of the pack, an
+        fma the add of its row and its own addend."""
+        first = min(i for _, i in run)
         pack, k = self.fresh(), len(run)
         self._height[pack] = k
         exprs, j = [], 0
@@ -1339,62 +1410,89 @@ class _Translator:
             else:
                 exprs.append(self._rows_text(part, run[0][0][j], step[j], k))
                 j += 1
-        self._at[min(i for _, i in run)] = _Stmt(pack,
-                                                 first.form.format(*exprs))
+        # a value operand stays an argument: a later split may pack it
+        placed = _Stmt(pack, _MUL if split else self._stmts[first].form,
+                       tuple(exprs))
+        if split:
+            self._before[first] = (placed,)
+        else:
+            self._at[first] = placed
         for n, (_, i) in enumerate(run):
-            self._gone.add(i)
-            self._row[self._stmts[i].dst] = (pack, n)
+            st = self._stmts[i]
+            if split and st.form == _FMA:
+                self._stmts[i] = _Stmt(st.dst, "({} + {})",
+                                       (f"{pack}[{n}]", st.args[2]), op=st.op)
+            else:
+                self._gone.add(i)
+                self._row[st.dst] = (pack, n)
         self.packs.append(("op", k))
 
     def _pack_stores(self) -> None:
-        """Pack the block stores of one field whose values are rows of
-        one pack, placed at the last member — split wherever any other
-        access of that field (a load pack included) or of unknown
-        memory comes between two members."""
-        stmts, row = self._stmts, self._row
+        """Pack the block stores of one field whose values are lane
+        vectors — rows of any packs or per-word locals — placed at the
+        last member.  A run splits where a member stores a word the run
+        already stores, or where any other access of that field (a load
+        pack included) or of unknown memory comes between two members."""
+        stmts = self._stmts
+        vec = set(self._row)      # the locals known to hold a lane vector
         touch: dict = {}          # region -> indices of its accesses
         cands: dict = {}
         for i in range(self._pack_from, len(stmts)):
-            st = self._at.get(i, None if i in self._gone else stmts[i])
+            st = stmts[i]
+            if st.dst is not None and (st.mem[4] is not None if st.mem else
+                                       st.op and any(a in vec
+                                                     for a in st.args)):
+                vec.add(st.dst)
+            st = self._at.get(i, None if i in self._gone else st)
             if st is None or st.mem is None and st.facts is None:
                 continue
             kind, region, key, word, stride = self._facts(st)
             touch.setdefault(region, []).append(i)
-            if kind == "st" and key is not None and st.args[-1] in row:
-                pack, r = row[st.args[-1]]
-                cands.setdefault((key, pack), []).append((i, word, r, stride))
+            if kind == "st" and key is not None and st.args[-1] in vec:
+                cands.setdefault(key, []).append((i, word, stride))
 
         def between(a, b, region):
             return any(bisect.bisect_right(t, a) < bisect.bisect_left(t, b)
                        for t in (touch.get(region, ()), touch.get(None, ())))
 
-        for (key, pack), members in cands.items():
+        for key, members in cands.items():
             runs, run, stride = [], [], None
             for m in members:
-                clash = None not in (m[3], stride) and m[3] != stride
-                if run and (clash or between(run[-1][0], m[0], key[2])):
+                clash = None not in (m[2], stride) and m[2] != stride
+                if run and (clash or m[1] in {w for _, w, _ in run}
+                            or between(run[-1][0], m[0], key[2])):
                     runs.append((run, stride))
                     run, stride = [], None
                 run.append(m)
-                stride = stride or m[3]
+                stride = stride or m[2]
             runs.append((run, stride))
             for run, stride in runs:
-                points = sorted(((w, r), i) for i, w, r, _ in run)
+                points = sorted(((w,), i) for i, w, _ in run)
                 for sub, step in self._runs(points, self._cap(1 << key[1]),
                                             strict=True):
-                    self._form_store(key, pack, stride, sub, step)
+                    self._form_store(key, stride, sub, step[0])
 
-    def _form_store(self, key, pack, stride, run, step) -> None:
+    def _form_store(self, key, stride, run, step: int) -> None:
         view, _, region, _, _ = key
-        (c0, r0), _ = run[0]
+        ((c0,), _) = run[0]
         k = len(run)
         order = tuple(n for n, _ in sorted(enumerate(run),
                                            key=lambda t: t[1][1]))
-        vals = self._rows_text(pack, r0, step[1], k)
+        vals = [self._stmts[i].args[-1] for _, i in run]
+        rows = [self._row.get(v) for v in vals]
+        if None not in rows and len({p for p, _ in rows}) == 1 and all(
+                r - rows[0][1] == n * (rows[1][1] - rows[0][1])
+                for n, (_, r) in enumerate(rows)):
+            vals = self._rows_text(rows[0][0], rows[0][1],
+                                   rows[1][1] - rows[0][1], k)
+        else:                     # one row per member, as a tuple
+            vals = "({})".format(", ".join(
+                v if r is None else f"{r[0]}[{r[1]}]"
+                for v, r in zip(vals, rows)))
         last = max(i for _, i in run)
         self._at[last] = _Stmt(None, (
             f"_stp({view}, {self._plane(key, c0, stride)}, {stride}, {k}, "
-            f"{step[0]}, _nt, _pre, _G, {vals}, {order})"),
+            f"{step}, _nt, _pre, _G, {vals}, {order})"),
             facts=("st", region, None, 0, None))
         self._gone.update(i for _, i in run)
         self.packs.append(("st", k))
@@ -1521,7 +1619,7 @@ class _Translator:
             return
         if op in ("fma", "mad.lo"):
             srcs = [self._operand(s, inst.type) for s in inst.srcs]
-            self._assign(inst, "({} * {} + {})", *srcs, op=True)
+            self._assign(inst, _FMA, *srcs, op=True)
             return
         if op == "div":
             srcs = [self._operand(s, inst.type) for s in inst.srcs]

@@ -10,13 +10,16 @@ word between stores to its field — the two orders a pack must not
 change.
 """
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.context import Context
 from repro.core.reduction import innerProduct, norm2
-from repro.driver.jitcompiler import (PACK_BYTES, PACK_MIN, _Translator,
-                                      build_sim_kernel)
+from repro.driver.jitcompiler import (PACK_BYTES, PACK_MIN, _gvp,
+                                      _Translator, build_sim_kernel)
 from repro.driver.parser import parse_ptx
 from repro.memory.pool import DevicePool
 from repro.ptx.builder import KernelBuilder
@@ -123,6 +126,8 @@ class TestParity:
         ctx.flush()
         kinds = {k for _, p in seen for k, _ in p}
         assert {"ld", "gv", "op"} <= kinds     # links, neighbours, products
+        # SU(3)'s colour rows: three-member arithmetic packs
+        assert ("op", 3) in {p for _, ps in seen for p in ps}
 
     def test_clover(self, parity, lat):
         ctx = Context(pool_capacity=POOL)
@@ -218,6 +223,32 @@ class TestWhenToPack:
         # the budget: an f64 row of 4 096 lanes is 32 KiB
         assert PACK_BYTES // (4096 * 8) < PACK_MIN
 
+    def test_a_packed_body_reads_all_it_computes(self, lat):
+        """On every kernel of a fused CG at 256 lanes the prologue
+        defines only scalars the body reads, and the body binds no
+        local that nothing reads (a packed member's address product)."""
+        ctx = Context(fusion=True, pool_capacity=POOL)
+        op = WilsonOperator(_gauge(lat, ctx), WilsonParams(kappa=0.12))
+        b, x, tmp = _fermion(lat, ctx, 1), op.new_fermion(), op.new_fermion()
+
+        def apply_op(dest, src):
+            op.apply_mdagm(dest, src, tmp)
+            dest.assign(dest + 0.1 * src)
+
+        cg(apply_op, x, b, tol=0.0, max_iter=2)
+        ctx.flush()
+        assert len(ctx.module_cache) == 9
+        for entry in ctx.module_cache.values():
+            t = _Translator(entry.compiled.parsed, lat.nsites)
+            prologue, body = t.translate().split("    _pre = True\n")
+            scalars = re.findall(r"^    (_s\d+) = ", prologue, re.M)
+            assert scalars, entry.compiled.name
+            for s in scalars:
+                assert re.search(rf"\b{s}\b", body), (entry.compiled.name, s)
+            names = re.findall(r"\b_v\d+\b", "\n".join(t.lines))
+            dead = [n for n, c in Counter(names).items() if c == 1]
+            assert not dead, (entry.compiled.name, dead)
+
     def test_no_lanes_no_packs(self, lat):
         ctx = Context(pool_capacity=POOL)
         x = _fermion(lat, ctx, 1)
@@ -297,7 +328,8 @@ class TestAliasing:
     def test_a_store_before_a_load_of_its_word(self):
         """Word 5 of field 0 is stored between the loads of words 0-3
         and 4-7: the load of word 5 must read the stored value, so the
-        load group splits there — words 0-4 pack, 5-7 stay per word."""
+        load group splits there — words 0-4 pack, and 5-7 form a second
+        pack placed after the store."""
         def body(ld, st, kb):
             x = [ld(0, w) for w in range(4)]
             st(0, 5, kb.add(x[0], x[1]))
@@ -309,7 +341,7 @@ class TestAliasing:
         packed, word = _launch_both(parsed)
         assert np.array_equal(packed, word)
         assert [p for p in _packs(parsed, LANES) if p[0] == "ld"] == [
-            ("ld", 5)]
+            ("ld", 5), ("ld", 3)]
 
     def test_a_load_between_stores_of_its_field(self):
         """Words 0-7 of field 1 are stored from one pack, and word 1 is
@@ -353,3 +385,96 @@ class TestAliasing:
         ctx.flush()
         (name, packs), = seen
         assert name.startswith("fus_") and packs
+
+
+class TestStoreRuns:
+    @staticmethod
+    def _body(load_between):
+        """Field 1's words 0-6 take rows of two op packs over field 0's
+        words 0-2, interleaved, and one per-word local, and word 7 a
+        constant; with ``load_between`` word 2 of field 1 is read back
+        after word 3 is stored and copied to field 0."""
+        def body(ld, st, kb):
+            x = [ld(0, w) for w in range(3)]
+            y = [kb.mul(v, kb.imm(2.0, F64)) for v in x]
+            z = [kb.add(v, kb.imm(1.0, F64)) for v in x]
+            vals = [y[0], z[0], y[1], z[1], y[2], z[2], kb.sub(x[0], x[1]),
+                    kb.imm(0.5, F64)]
+            for w, v in enumerate(vals):
+                st(1, w, v)
+                if load_between and w == 3:
+                    st(0, 7, ld(1, 2))
+        return body
+
+    def test_values_from_two_packs_and_a_local_form_one_store(self):
+        """The constant, which may be a launch scalar, keeps its own
+        block store."""
+        parsed = _soa_kernel("store_any_rows", self._body(False))
+        packed, word = _launch_both(parsed)
+        assert np.array_equal(packed, word)
+        assert [p for p in _packs(parsed, LANES) if p[0] == "st"] == [
+            ("st", 7)]
+        source = _Translator(parsed, LANES).translate()
+        assert source.count("_stp(") == 1 and source.count("_stc(") == 1
+
+    def test_a_word_stored_twice_splits_the_run(self):
+        """Word 1 of field 1 is stored, then stored again: the second
+        value is the one memory must keep."""
+        def body(ld, st, kb):
+            x = [ld(0, w) for w in range(3)]
+            y = [kb.mul(v, kb.imm(2.0, F64)) for v in x]
+            for w in range(3):
+                st(1, w, y[w])
+            st(1, 1, x[2])
+            for w in range(3):
+                st(1, 3 + w, y[w])
+
+        parsed = _soa_kernel("store_twice", body)
+        packed, word = _launch_both(parsed)
+        assert np.array_equal(packed, word)
+        assert [p for p in _packs(parsed, LANES) if p[0] == "st"] == [
+            ("st", 3), ("st", 3)]
+
+    def test_a_load_of_the_field_between_members_splits_the_run(self):
+        parsed = _soa_kernel("store_any_rows_split", self._body(True))
+        packed, word = _launch_both(parsed)
+        assert np.array_equal(packed, word)
+        assert [p for p in _packs(parsed, LANES) if p[0] == "st"] == [
+            ("st", 4), ("st", 3)]
+
+
+class TestSplitProducts:
+    def test_a_running_sum_of_squares(self):
+        """``s = x0*x0; s = x_w*x_w + s`` over six words: the addend
+        differs per member, so the products pack as one (the ``mul``
+        a row of it) and each fma keeps its add, bitwise per word."""
+        def body(ld, st, kb):
+            x = [ld(0, w) for w in range(6)]
+            s = kb.mul(x[0], x[0])
+            for v in x[1:]:
+                s = kb.fma(v, v, s)
+            st(1, 0, s)
+
+        parsed = _soa_kernel("sum_of_squares", body)
+        packed, word = _launch_both(parsed)
+        assert np.array_equal(packed, word)
+        assert _packs(parsed, LANES) == [("ld", 6), ("op", 6)]
+        source = _Translator(parsed, LANES).translate()
+        # one packed product, then five adds of its rows
+        assert len(re.findall(r"\(\w+ \* \w+\)", source)) == 1
+        assert len(re.findall(r"\(\w+\[\d\] \+ ", source)) == 5
+
+
+class TestPackedGather:
+    @pytest.mark.parametrize("bad", [None, -1, LANES, 3 * LANES])
+    def test_take_along_planes_reads_the_flat_words(self, bad):
+        """``_gvp`` gathers along the planes of one ``(k, lo)`` view only
+        when every index lies in a plane; an index outside (negative,
+        or into a later plane) reads the word the flat index names."""
+        view = np.arange(8 * LANES, dtype=np.float64)
+        gb = np.random.default_rng(3).permutation(LANES).astype(np.int64)
+        if bad is not None:
+            gb[7] = bad
+        flat = view[np.arange(LANES, 4 * LANES, LANES)[:, None] + gb]
+        got = _gvp(view, LANES, LANES, 3, gb)
+        assert got.shape == (3, LANES) and np.array_equal(got, flat)

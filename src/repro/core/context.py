@@ -238,8 +238,8 @@ class Context:
         if entry is not None:
             return entry[0]
         arr = np.ascontiguousarray(values, dtype=np.int32)
-        # through the cache's spill-and-retry path: an (injected or
-        # real) OOM here evicts LRU fields instead of failing the run
+        # through the cache's spill-and-retry path: an OOM here
+        # evicts LRU fields instead of failing the run
         addr = self.field_cache._allocate_with_spill(arr.nbytes, set())
         self.device.memcpy_htod(addr, arr)
         self._tables[key] = (addr, arr.size)

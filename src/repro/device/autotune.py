@@ -10,8 +10,8 @@ all subsequent launches.  No kernels are launched solely for tuning —
 tuning rides on the payload launches.
 
 One improvement over the paper's discover-by-failure start: the JIT
-knows each kernel's register pressure statically (CFG-fixpoint
-liveness), so :func:`static_block_seed` skips the block sizes the SM
+knows each kernel's register pressure statically (CFG liveness),
+so :func:`static_block_seed` skips the block sizes the SM
 register file provably rejects and the probe starts at the first
 launchable size — a register-hungry kernel begins at e.g. 256 instead
 of burning failed launches at 1024 and 512.  Launch failure handling

@@ -12,7 +12,7 @@ Strictness of the build-time hooks is controlled by the
 ``REPRO_VERIFY`` environment knob (see :func:`verify_mode`):
 
 ``off``
-    Skip static analysis entirely (shaves compile time; unsafe).
+    Skip the analysis passes (shaves compile time; unsafe).
 ``warn``
     Run every pass but only *report* findings as Python warnings —
     even error-severity ones.  Malformed kernels then surface as
@@ -20,6 +20,11 @@ Strictness of the build-time hooks is controlled by the
 ``error`` (default)
     Error-severity diagnostics raise; warnings and notes are emitted
     as Python warnings.
+
+The driver JIT's entry contract is not a mode: a PTX stream with a
+backward branch or a register that is not defined exactly once
+before its reads is a ``JITCompileError`` under all three
+(:func:`repro.driver.jitcompiler.compile_ptx`).
 """
 
 from __future__ import annotations

@@ -10,13 +10,18 @@ it, whose stream needs no parse — and produces executable code.  Here
 device up to floating-point reassociation in ``fma`` (NumPy does not
 fuse; see DESIGN.md "Known deviations").
 
+It accepts one language, checked in :func:`compile_ptx` under every
+``REPRO_VERIFY`` mode: every ``bra`` targets a label after it, and
+every register is defined once and read where its definition
+dominates — what the unparser emits.  Anything else is a
+:class:`JITCompileError` naming the kernel and the label or register.
+
 One generator (:class:`_Translator`) serves every dispatch name.
 Control flow is compiled with an active-lane mask supporting guarded
-instructions and forward branches; a backward branch is rejected with
-:class:`JITCompileError`: the body is straight-line Python that runs
-every statement once, in textual order.  Integer address arithmetic
-is folded when the kernel is built into forms ``gid*a + b`` or
-``table[i]*a + b`` (exact modulo 2**64), so an access is one block
+instructions and forward branches: the body is straight-line Python
+that runs every statement once, in textual order.  Integer address
+arithmetic is folded when the kernel is built into forms ``gid*a + b``
+or ``table[i]*a + b`` (exact modulo 2**64), so an access is one block
 copy (``uniform + width*gid``, what the coalesced SoA layout makes of
 every plain field access) or one gather through its table, and the
 address is never formed.  In the generators' canonical bounds check
@@ -44,12 +49,13 @@ import numpy as np
 from ..diagnostics import Severity, emit_warnings, errors, verify_mode
 from ..memory.pool import ALIGNMENT
 from ..ptx.absint import analyze_module
-from ..ptx.cfg import build_cfg
+from ..ir.pipeline import prepare_module
+from ..ptx.cfg import BackwardBranchError, build_cfg
 from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType,
                        Register, Special)
 from ..ptx.liveness import max_live_registers
 from ..ptx.module import PTX_TARGET, PTX_VERSION, PTXModule
-from ..ptx.verifier import PASSES, run_passes
+from ..ptx.verifier import PASSES, PTXVerificationError, run_passes
 from .parser import ParsedKernel, PTXParseError, parse_ptx
 
 
@@ -119,10 +125,6 @@ _LOOK = 8
 #: the largest global thread id a launch binds (DESIGN.md §15): lanes
 #: are elements of one NumPy array
 _GID_MAX = 2**31 - 1
-
-
-def _regname(r: Register) -> str:
-    return f"R{r.type.reg_prefix[1:]}{r.index}"
 
 
 # --- runtime helpers (shared by all compiled kernels) ---------------------
@@ -307,9 +309,6 @@ class CompiledKernel:
     name: str
     ptx_text: str
     parsed: ParsedKernel
-    #: the stream is the builder's, handed over with its text, and
-    #: :func:`repro.ir.prepare_module` has run ``ssa-structure`` on it
-    prepared: bool = False
     regs_per_thread: int = 0
     #: measured: parse (text input only) + analysis
     compile_seconds: float = 0.0
@@ -326,11 +325,11 @@ class CompiledKernel:
         self.func(views, params, grid_dim, block_dim)
 
 
-#: a vector local of a translated body: a named register (``Rfd12``)
-#: or a temporary (``_v12``) — never part of a longer name or
-#: of a quoted parameter name (the look-behind sits after the leading
-#: literal so the search for it stays a plain character scan)
-_VECTOR_LOCAL = re.compile(r"((?:R(?<![\w']R)[a-z]+|_v(?<![\w']_v))\d+)")
+#: a vector local of a translated body (``_v12``) — never part of a
+#: longer name or of a quoted parameter name (the look-behind sits
+#: after the leading literal so the search for it stays a plain
+#: character scan)
+_VECTOR_LOCAL = re.compile(r"(_v(?<![\w']_v)\d+)")
 #: a per-launch scalar of a translated body
 _SCALAR = re.compile(r"\b_s\d+\b")
 
@@ -648,24 +647,23 @@ class _Translator:
 
     Contract: the generated function has the PTX semantics on every
     observable memory effect — which addresses are loaded, in which
-    order; which addresses, values and active lanes are stored.  A
-    register defined exactly once and never under a guard (what
-    :meth:`_scan` finds; every generated kernel's registers) is bound
-    to a *symbolic* value instead of a local: integer address chains
-    fold into :class:`_Lin` / :class:`_VLin` forms over Z/2**64, whose
-    scalar part is one Python-int expression per launch and whose
-    ``>> shift`` word conversion folds through them, and pure
-    expressions with identical text are emitted once.  Every other
-    register — redefined, or defined under a guard, as hand-written
-    PTX may be — is a named local (``R<class><n>``) assigned the
-    reference way, guarded values through ``np.where``.  Float
+    order; which addresses, values and active lanes are stored.  The
+    stream is the one :func:`compile_ptx` accepts: forward branches
+    only, every register defined once and read where its definition
+    dominates.  So every register is bound to a *symbolic* value
+    instead of a local: integer address chains fold into
+    :class:`_Lin` / :class:`_VLin` forms over Z/2**64, whose scalar
+    part is one Python-int expression per launch and whose ``>>
+    shift`` word conversion folds through them, and pure expressions
+    with identical text are emitted once.  A guarded definition binds
+    like any other (PTX leaves the lanes its guard turns off
+    undefined); guarded loads and stores stay masked.  Float
     arithmetic is never folded, reordered or reassociated.
 
     Given ``lanes`` — the launch width the kernel is built for — the
     pack pass (:meth:`_pack`) then merges isomorphic per-word
-    statements of a canonical kernel without named registers into 2-D
-    NumPy calls; without it, or on any other kernel, every statement
-    stays per word.
+    statements of a canonical kernel into 2-D NumPy calls; without
+    it, or on any other kernel, every statement stays per word.
     """
 
     def __init__(self, parsed: ParsedKernel, lanes: int | None = None):
@@ -685,8 +683,6 @@ class _Translator:
         self._pack_from = 0
         #: slots the allocated body uses (set by :meth:`translate`)
         self.n_slots = 0
-        #: named local -> the register it holds, in definition order
-        self.defined: dict[str, Register] = {}
         insts = parsed.instructions
         ops = [i.opcode for i in insts]
         #: the generators' bounds check: one guarded ``bra`` to a final
@@ -700,7 +696,6 @@ class _Translator:
             and insts[ops.index("bra")].label == insts[-2].label)
         self.labels = [] if self.canonical else [
             i.label for i in insts if i.opcode == "label"]
-        self._placed: set[str] = set()      # labels already walked past
         #: where the retire statement goes and the locals it names
         #: (the lane vectors are only known once the walk is over)
         self._retire_at: tuple[int, list[str]] | None = None
@@ -718,9 +713,9 @@ class _Translator:
             p.name: _PTR_RANGE if p.is_pointer else p.type.int_range
             for p in parsed.params if p.type.is_int}
         self._pointers = {p.name for p in parsed.params if p.is_pointer}
-        #: ``Register.key`` -> symbolic value of a single-definition
-        #: register (a vector local's name, or a _Lin/_VLin/_FImm/_Spec
-        #: still to be materialized)
+        #: ``Register.key`` -> symbolic value of the register (a vector
+        #: local's name, or a _Lin/_VLin/_FImm/_Spec still to be
+        #: materialized)
         self.sym: dict[tuple, object] = {}
         self._n = 0
         #: emitted pure expression -> the local holding it; locals are
@@ -736,12 +731,10 @@ class _Translator:
         self.need_G = False
         self.need_gl = False
         self.need_ntid = False
-        #: keys of the registers held in named locals
-        self._rebound = self._scan()
         #: the pack pass runs (and linear forms are tracked): a launch
-        #: width at which some float access could pack, the canonical
-        #: shape and no named register
-        self._packing = bool(lanes) and self.canonical and not self._rebound \
+        #: width at which some float access could pack and the
+        #: canonical shape
+        self._packing = bool(lanes) and self.canonical \
             and any(i.opcode in ("ld.global", "st.global") and i.type.is_float
                     and self._cap(i.type.nbytes) >= PACK_MIN for i in insts)
 
@@ -752,27 +745,6 @@ class _Translator:
 
     def emit(self, line: str) -> None:
         self._stmts.append(_Stmt(None, line))
-
-    def _scan(self) -> set[tuple]:
-        """The keys of the registers defined more than once or under a
-        guard.  Every other register is defined once, unguarded, and
-        may be bound symbolically."""
-        seen: set[tuple] = set()
-        rebound: set[tuple] = set()
-        for inst in self.parsed.instructions:
-            if inst.dst is not None:
-                key = inst.dst.key
-                if key in seen or inst.guard is not None:
-                    rebound.add(key)
-                seen.add(key)
-        return rebound
-
-    def _named(self, op) -> bool:
-        """``op`` is a register held in a named local."""
-        return isinstance(op, Register) and op.key in self._rebound
-
-    def _reads_named(self, inst: Instruction) -> bool:
-        return bool(self._rebound) and any(map(self._named, inst.srcs))
 
     # -- small emission helpers ----------------------------------------
 
@@ -871,21 +843,9 @@ class _Translator:
     # -- operands --------------------------------------------------------
 
     def _sym_of(self, op, t: PTXType):
-        """The symbolic value of operand ``op`` read as type ``t`` (a
-        named register's local name)."""
+        """The symbolic value of operand ``op`` read as type ``t``."""
         if isinstance(op, Register):
-            if op.key in self._rebound:
-                s = _regname(op)
-                s = s if s in self.defined else None
-            else:
-                s = self.sym.get(op.key)
-            if s is None:
-                # once slots are reused this would read a stale value
-                # where the unallocated body raised a NameError
-                raise JITCompileError(
-                    f"kernel {self.parsed.name!r}: {op.name} is read "
-                    f"before any instruction defines it")
-            return s
+            return self.sym[op.key]
         if isinstance(op, Special):
             return _Spec(op.which)
         if isinstance(op, Immediate):
@@ -935,29 +895,12 @@ class _Translator:
         return self._shared(expr)
 
     def _assign(self, inst: Instruction, form: str, *args,
-                em: str | None = None, op: bool = False) -> None:
-        """Assign pure expression ``form`` over ``args`` to the
-        destination.  A single-definition register binds it — shared,
-        unless it reads a named local, whose value may change — and a
-        named one is rebound, honoring the guard (``em``: the effective
-        mask, when the caller already emitted it).  ``op``: the
-        expression is element-wise arithmetic the pack pass may merge."""
-        if not self._named(inst.dst):
-            if self._reads_named(inst):
-                self._bind(inst, form, *args)
-            else:
-                width = (inst.type.nbytes
-                         if op and inst.opcode not in _UNPACKED else 0)
-                self.sym[inst.dst.key] = self._shared(form, *args, op=width)
-            return
-        expr = form.format(*args) if args else form
-        dst = _regname(inst.dst)
-        if inst.guard is not None:
-            em = em or self._effective_mask(inst)
-            if dst in self.defined:
-                expr = f"np.where({em}, {expr}, {dst})"
-        self.emit(f"{dst} = {expr}")
-        self.defined[dst] = inst.dst
+                op: bool = False) -> None:
+        """Bind the destination to pure expression ``form`` over
+        ``args`` (shared).  ``op``: the expression is element-wise
+        arithmetic the pack pass may merge."""
+        width = inst.type.nbytes if op and inst.opcode not in _UNPACKED else 0
+        self.sym[inst.dst.key] = self._shared(form, *args, op=width)
 
     # -- integer folding -------------------------------------------------
 
@@ -1506,29 +1449,20 @@ class _Translator:
                 self.emit(f"_x = {self._guard(inst)}")
                 self.emit("if _x.any():")
                 # every local so far that may hold one value per lane
-                names = [f"_v{k}" for k in range(1, self._n + 1)]
                 self._retire_at = (len(self._stmts),
-                                   names + list(self.defined))
+                                   [f"_v{k}" for k in range(1, self._n + 1)])
                 self.emit("    <retire>")
                 self.emit("    if _nt == 0: return None")
                 self._pack_from = len(self._stmts)
             return
         if op == "label":
             lbl = inst.label[1:]
-            self._placed.add(inst.label)
             self.emit(f"if _pend_{lbl} is not None:")
             self.emit(f"    _m = _pend_{lbl} if _m is None else (_m | _pend_{lbl})")
             self.emit(f"    _pend_{lbl} = None")
             self.emit("    if _m is not None and _m.all(): _m = None")
             return
         if op == "bra":
-            if inst.label in self._placed:
-                # the body runs top to bottom once: lanes parked on a
-                # label already passed would never resume
-                raise JITCompileError(
-                    f"kernel {self.parsed.name!r}: backward branch to "
-                    f"{inst.label!r} — the JIT translates forward "
-                    f"branches only")
             lbl = inst.label[1:]
             if inst.guard is None:
                 self.emit("_t = np.ones(_nt, bool) if _m is None else _m")
@@ -1552,7 +1486,7 @@ class _Translator:
             pname = pref.pname
             if not any(q.name == pname for q in self.parsed.params):
                 raise JITCompileError(f"ld.param of unknown param {pname!r}")
-            if pname in self.int_params and not self._named(inst.dst):
+            if pname in self.int_params:
                 # pointers and integer scalars are launch-uniform ints
                 local = self._iparam(pname)
                 self.sym[inst.dst.key] = _lin(
@@ -1566,12 +1500,7 @@ class _Translator:
             sh = self._shift(inst)
             em = self._effective_mask(inst)
             form, args, mem = self._access("ld", inst, addr, sh, em)
-            if self._named(inst.dst):
-                # guarded-off lanes keep the old value (via _assign),
-                # not the word _ld read from the safe address
-                self._assign(inst, form, *args, em=em)
-            else:
-                self._bind(inst, form, *args, mem=mem)
+            self._bind(inst, form, *args, mem=mem)
             return
         if op == "st.global":
             addr, val = inst.srcs
@@ -1581,17 +1510,12 @@ class _Translator:
             form, args, mem = self._access("st", inst, addr, sh, em, v)
             self._stmts.append(_Stmt(None, form, args, mem))
             return
-        if not (self._named(inst.dst) or self._reads_named(inst)):
-            if op == "mov":
-                self.sym[inst.dst.key] = self._sym_of(inst.srcs[0], inst.type)
-                return
-            if inst.type.is_int and (
-                    (op == "cvt" and self._fold_cvt(inst))
-                    or (op in _FOLDABLE and self._fold_int(inst))):
-                return
         if op == "mov":
-            (src,) = inst.srcs
-            self._assign(inst, "{}", self._operand(src, inst.type))
+            self.sym[inst.dst.key] = self._sym_of(inst.srcs[0], inst.type)
+            return
+        if inst.type.is_int and (
+                (op == "cvt" and self._fold_cvt(inst))
+                or (op in _FOLDABLE and self._fold_int(inst))):
             return
         dtype = _NP_DTYPE.get(inst.type)
         if op == "cvt":
@@ -1662,22 +1586,24 @@ def _env_key(env):
             tuple(sorted(env.regions.items())))
 
 
-#: the JIT's pipeline on a prepared stream: every pass but the one
-#: :func:`repro.ir.prepare_module` ran
+#: the JIT's pipeline: every pass but ``ssa-structure``, which
+#: :func:`repro.ir.prepare_module` ran on the stream before it entered
 _AFTER_PREPARE = tuple(n for n in PASSES if n != "ssa-structure")
 
 
-def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
+def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True,
+                  cfg=None):
     """The JIT's one verification point, memoised per launch env.
 
     Every PTX program entering the JIT — generated or hand-written —
     passes through the verifier pipeline on the stream that executes,
     so malformed kernels fail at compile time with diagnostics instead
-    of as downstream evaluator failures; on a prepared stream the
-    pipeline skips ``ssa-structure``, which
-    :func:`repro.ir.prepare_module` ran on it.  A digest already
-    checked under ``env`` is not analysed again: its stored diagnostics
-    are reported again (``replay``: the first time a cache sees the
+    of as downstream evaluator failures.  The pipeline skips
+    ``ssa-structure``: the stream met the JIT's entry contract before
+    it was compiled (:func:`compile_ptx`).  ``cfg`` is the stream's
+    graph when the caller already built it.  A digest already checked
+    under ``env`` is not analysed again: its stored diagnostics are
+    reported again (``replay``: the first time a cache sees the
     kernel) or only enforced (error-severity findings still raise
     under ``error``).
     Strictness follows ``REPRO_VERIFY`` (off / warn / error; see
@@ -1691,16 +1617,13 @@ def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
     diagnostics = kernel.checked.get(key)
     analysis = None
     if diagnostics is None:
-        parsed = kernel.parsed
-        module = PTXModule(
-            info=KernelInfo(name=parsed.name, params=list(parsed.params)),
-            instructions=list(parsed.instructions))
+        module = _module(kernel.parsed)
         # the one CFG absint, liveness and every verifier pass read
-        cfg = build_cfg(module.instructions)
+        if cfg is None:
+            cfg = build_cfg(module.instructions)
         analysis = analyze_module(module, env=env, cfg=cfg)
-        diagnostics = run_passes(
-            module, passes=_AFTER_PREPARE if kernel.prepared else None,
-            env=env, analysis=analysis, cfg=cfg)
+        diagnostics = run_passes(module, passes=_AFTER_PREPARE, env=env,
+                                 analysis=analysis, cfg=cfg)
         kernel.checked[key] = diagnostics
     errs = errors(diagnostics)
     fatal = mode == "error" and errs
@@ -1720,18 +1643,30 @@ def verify_kernel(kernel: CompiledKernel, env=None, replay: bool = True):
     return analysis
 
 
+def _module(parsed: ParsedKernel) -> PTXModule:
+    return PTXModule(
+        info=KernelInfo(name=parsed.name, params=list(parsed.params)),
+        instructions=list(parsed.instructions))
+
+
 def compile_ptx(ptx_text: str, env=None, module=None) -> CompiledKernel:
     """JIT-compile a PTX module into an executable kernel.
 
     The stream is ``module``'s — the prepared
     :class:`~repro.ptx.module.PTXModule` that rendered ``ptx_text``,
     when the caller holds it — or else the parse of ``ptx_text``.
-    Verifies it once under the caller's launch ``env`` (a
+    Either way it must be in the one language the JIT accepts, checked
+    here in every ``REPRO_VERIFY`` mode: every ``bra`` targets a label
+    after it, and every register is defined once and read where its
+    definition dominates (``ssa-structure``, which
+    :func:`repro.ir.prepare_module` runs on a parsed stream here and
+    on a generated one when it is built).  Then verifies it once under
+    the caller's launch ``env`` (a
     :class:`~repro.ptx.absint.KernelEnv`; gated by ``REPRO_VERIFY``)
-    and sizes the register footprint from that one analysis.  The
-    launch callable is not built here — the kernel cache's dispatch
-    builds it.  Raises :class:`JITCompileError` on malformed or
-    rejected input.
+    and sizes the register footprint from that one analysis, all over
+    one control-flow graph.  The launch callable is not built here —
+    the kernel cache's dispatch builds it.  Raises
+    :class:`JITCompileError` on malformed or rejected input.
     """
     t0 = time.perf_counter()
     if module is not None:
@@ -1745,17 +1680,29 @@ def compile_ptx(ptx_text: str, env=None, module=None) -> CompiledKernel:
             parsed = parse_ptx(ptx_text)
         except PTXParseError as exc:
             raise JITCompileError(f"parse error: {exc}") from exc
+    try:
+        cfg = build_cfg(parsed.instructions)
+    except BackwardBranchError as exc:
+        raise JITCompileError(
+            f"kernel {parsed.name!r}: backward branch to {exc.label!r} — "
+            f"the JIT translates forward branches only") from exc
+    if module is None:
+        try:
+            prepare_module(_module(parsed), cfg=cfg)
+        except PTXVerificationError as exc:
+            raise JITCompileError("\n".join(
+                f"kernel {parsed.name!r}: {d.message} at '{d.location}'"
+                for d in exc.diagnostics)) from exc
     kernel = CompiledKernel(
         name=parsed.name, ptx_text=ptx_text, parsed=parsed,
-        prepared=module is not None,
         modeled_compile_seconds=modeled_jit_time(len(parsed.instructions)))
-    analysis = verify_kernel(kernel, env)
+    analysis = verify_kernel(kernel, env, cfg=cfg)
     # The real driver JIT performs register allocation; the SSA-style
     # .reg declarations wildly overstate pressure.  Use liveness,
     # capped at the Kepler per-thread hardware maximum of 255 — beyond
     # that a real compiler spills to local memory rather than failing.
     live = (analysis.max_live_regs if analysis is not None
-            else max_live_registers(parsed.instructions))
+            else max_live_registers(parsed.instructions, cfg=cfg))
     kernel.regs_per_thread = max(min(live, 255), 8)
     kernel.compile_seconds = time.perf_counter() - t0
     return kernel

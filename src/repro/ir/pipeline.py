@@ -3,13 +3,15 @@
 :func:`prepare_module` sits between the expression unparser and PTX
 rendering on every kernel build (eager statements, fused groups,
 reduction partials, halo face copies), once per structural key per
-process.  It runs the verifier's ``ssa-structure`` pass over the
-freshly generated stream and hands the *same* module object on, so
+process, and in :func:`repro.driver.jitcompiler.compile_ptx` on every
+stream parsed from text.  It runs the verifier's ``ssa-structure``
+pass over the stream and hands the *same* module object on, so
 rendered text, resource metadata and byte accounting are untouched.
-It reads no knob: this is the only structural check that still runs
-under ``REPRO_VERIFY=off``, and a generator that emits a twice-assigned
-or dangling register has a bug that must surface here, by name, not as
-a wrong kernel downstream.
+It reads no knob: with the forward-branch rule of
+:func:`repro.ptx.cfg.build_cfg` it is the JIT's entry contract, which
+holds under every ``REPRO_VERIFY`` mode, and a generator that emits a
+twice-assigned or dangling register has a bug that must surface here,
+by name, not as a wrong kernel downstream.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from ..ptx.module import PTXModule
 from ..ptx.verifier import PTXVerificationError, run_passes
 
 
-def prepare_module(module: PTXModule) -> PTXModule:
-    """SSA-check a freshly built module and return it unchanged.
+def prepare_module(module: PTXModule, *, cfg=None) -> PTXModule:
+    """SSA-check a module and return it unchanged.
 
-    Raises :class:`~repro.ptx.verifier.PTXVerificationError` on a
-    violation.
+    ``cfg`` is the stream's control-flow graph when the caller already
+    built it.  Raises :class:`~repro.ptx.verifier.PTXVerificationError`
+    on a violation, :class:`~repro.ptx.cfg.BackwardBranchError` on a
+    backward branch.
     """
-    errs = run_passes(module, passes=["ssa-structure"])
+    errs = run_passes(module, passes=["ssa-structure"], cfg=cfg)
     if errs:
         raise PTXVerificationError(
             "\n".join(f"{module.name}: {d.message}" for d in errs), errs)

@@ -70,9 +70,6 @@ _ARITY = {"add": 2, "sub": 2, "mul": 2, "mul.lo": 2, "mul.wide": 2,
           "fma": 3, "mad.lo": 3, "shl": 2, "shr": 2, "div": 2,
           "min": 2, "max": 2, "selp": 3}
 
-#: fixpoint rounds after which intervals still moving are widened
-_WIDEN_AFTER = 64
-
 
 # --- launch environment -----------------------------------------------------
 
@@ -342,33 +339,11 @@ class _State:
     def copy(self) -> "_State":
         return _State(dict(self.regs), dict(self.preds))
 
-    def __eq__(self, other):
-        return (isinstance(other, _State) and self.regs == other.regs
-                and self.preds == other.preds)
-
 
 def _state_join(a: _State, b: _State) -> _State:
     regs = {k: _join(v, b.regs[k]) for k, v in a.regs.items()
             if k in b.regs}
     preds = {k: v for k, v in a.preds.items() if b.preds.get(k) == v}
-    return _State(regs, preds)
-
-
-def _state_widen(old: _State, new: _State) -> _State:
-    """``new`` with every bound that moved since ``old`` dropped to
-    infinity and every predicate that changed forgotten, so a loop the
-    plain iteration cannot settle (a pointer bumped once per trip)
-    reaches a sound fixpoint instead of being cut off mid-climb."""
-    regs = {}
-    for k, v in new.regs.items():
-        o = old.regs.get(k)
-        if o is not None and o != v:
-            v = AbsVal(o.lo if o.lo <= v.lo else -INF,
-                       o.hi if o.hi >= v.hi else INF, None, 0.0,
-                       v.base if v.base == o.base else None,
-                       v.uniform and o.uniform)
-        regs[k] = v
-    preds = {k: p for k, p in new.preds.items() if old.preds.get(k) == p}
     return _State(regs, preds)
 
 
@@ -466,8 +441,7 @@ class _Interp:
             "tid": SymInfo(0, env.block_size - 1, 1.0, False),
             "ctaid": SymInfo(0, env.grid_size - 1, 0.0, True),
         }
-        #: noted while sweeping, per instruction position; a block
-        #: swept again (cyclic CFGs only) overwrites its earlier notes
+        #: noted while sweeping, per instruction position
         self.addresses: dict[int, AbsVal] = {}
         self.branches: dict[int, BranchFact] = {}
 
@@ -479,15 +453,7 @@ class _Interp:
                       info.uniform)
 
     def _ensure_sym(self, name: str, info: SymInfo) -> None:
-        old = self.syms.get(name)
-        if old is None:
-            self.syms[name] = info
-        elif old != info:
-            # widen (keeps the fixpoint monotone)
-            self.syms[name] = SymInfo(
-                min(old.lo, info.lo), max(old.hi, info.hi),
-                old.dtid if old.dtid == info.dtid else None,
-                old.uniform and info.uniform)
+        self.syms.setdefault(name, info)
 
     def dtid(self, v: AbsVal) -> float | None:
         """d(value)/d(%tid.x) — the per-thread stride of the value."""
@@ -847,14 +813,12 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
                    cfg: CFG | None = None) -> KernelAnalysis:
     """Abstractly interpret ``module``; return its fact sheet.
 
-    Sweeps the CFG in reverse postorder with the interval/affine +
+    Sweeps the CFG once in reverse postorder (it has no back edge, so
+    every block's predecessors come first) with the interval/affine +
     uniformity domains and per-edge predicate refinement, noting the
     address of every global access and the divergence of every branch
-    as it goes.  An acyclic CFG (every generated kernel) is done after
-    one sweep; one with a back edge is swept to fixpoint, and bounds
-    still climbing after ``_WIDEN_AFTER`` rounds are widened to
-    infinity rather than read off mid-climb.  Accesses the affine
-    engine cannot settle get the verdict ``unproven``.
+    as it goes.  Accesses the affine engine cannot settle get the
+    verdict ``unproven``.
     """
     if cfg is None:
         cfg = build_cfg(list(module.instructions))
@@ -862,41 +826,21 @@ def analyze_module(module: PTXModule, env: KernelEnv | None = None,
         env = KernelEnv.generic(module.info.params)
     interp = _Interp(module, cfg, env)
 
-    in_facts: dict[int, _State] = {}
     edge_facts: dict[tuple[int, int], _State] = {}
-    one_sweep = cfg.is_acyclic
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        for b in cfg.rpo():
-            blk = cfg.blocks[b]
-            feeds = [edge_facts[(p, b)] for p in blk.predecessors
-                     if (p, b) in edge_facts]
-            if b == cfg.entry:
-                feeds.append(_State())
-            if not feeds:
-                continue
-            fact_in = feeds[0]
-            for f in feeds[1:]:
-                fact_in = _state_join(fact_in, f)
-            old = in_facts.get(b)
-            if old is not None and rounds > _WIDEN_AFTER:
-                fact_in = _state_widen(old, fact_in)
-            # transfer is deterministic in fact_in (the symbol table
-            # only ever widens when fact_in does), so an unchanged
-            # input means unchanged edge outputs
-            if old == fact_in:
-                continue
-            in_facts[b] = fact_in
-            out = interp.transfer(blk, fact_in)
-            for s, st in interp.edge_states(blk, out).items():
-                if edge_facts.get((b, s)) != st:
-                    edge_facts[(b, s)] = st
-                    changed = True
-        if one_sweep:
-            break
+    for b in cfg.rpo():
+        blk = cfg.blocks[b]
+        feeds = [edge_facts[(p, b)] for p in blk.predecessors
+                 if (p, b) in edge_facts]
+        if b == cfg.entry:
+            feeds.append(_State())
+        if not feeds:               # every edge into it is infeasible
+            continue
+        fact_in = feeds[0]
+        for f in feeds[1:]:
+            fact_in = _state_join(fact_in, f)
+        out = interp.transfer(blk, fact_in)
+        for s, st in interp.edge_states(blk, out).items():
+            edge_facts[(b, s)] = st
 
     from .liveness import max_live_registers
 

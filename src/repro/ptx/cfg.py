@@ -2,14 +2,14 @@
 
 The verifier, the abstract interpreter and the liveness analysis all
 need to reason about *paths* through a kernel, not just its textual
-order: a register may be defined on one arm of a branch only, and a
-value may be live around a loop's back edge.  This module provides the
-shared graph: basic-block construction from a flat instruction list,
-reachability, reverse postorder and dominators.  The analyses sweep
-the blocks in reverse postorder: on an acyclic CFG — every generated
-kernel, whose branches all go forward — one sweep *is* the fixpoint; a
-CFG with a back edge (hand-written loops) is swept round-robin until
-nothing changes.
+order: a register may be defined on one arm of a branch only.  This
+module provides the shared graph: basic-block construction from a flat
+instruction list, reachability, reverse postorder and dominators.
+
+Every ``bra`` must target a label after it (DESIGN.md §11):
+:func:`build_cfg` raises :class:`BackwardBranchError` otherwise, so no
+graph has a back edge and every analysis is one sweep in reverse
+postorder, each block after all its predecessors.
 
 Control flow in the dialect is ``bra`` (optionally guarded) and
 ``ret`` (optionally guarded); a guarded terminator falls through as
@@ -23,6 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .isa import Instruction
+
+
+class BackwardBranchError(ValueError):
+    """A ``bra`` targets a label at or before it."""
+
+    def __init__(self, label: str):
+        super().__init__(f"backward branch to {label!r}")
+        self.label = label
 
 
 @dataclass
@@ -85,50 +93,37 @@ class CFG:
             self._rpo = order
         return self._rpo
 
-    @property
-    def is_acyclic(self) -> bool:
-        """No retreating edge: every edge leads forward in reverse
-        postorder, so one sweep in that order sees each block after
-        all its predecessors."""
-        position = {b: i for i, b in enumerate(self.rpo())}
-        return all(position[s] > i for b, i in position.items()
-                   for s in self.blocks[b].successors)
-
     def dominators(self) -> dict[int, set[int]]:
         """Dominator sets for every reachable block.
 
         ``b in dominators()[x]`` iff every path from the entry to
-        ``x`` passes through ``b``.  Computed with the standard
-        iterative intersection over reverse postorder.
+        ``x`` passes through ``b``: one pass in reverse postorder
+        intersects the sets of a block's reachable predecessors, all
+        already final.
         """
-        order = self.rpo()
-        reachable = set(order)
-        dom: dict[int, set[int]] = {self.entry: {self.entry}}
-        changed = True
-        while changed:
-            changed = False
-            for b in order:
-                if b == self.entry:
-                    continue
-                preds = [p for p in self.blocks[b].predecessors
-                         if p in reachable and p in dom]
-                if not preds:
-                    continue
-                new = set.intersection(*(dom[p] for p in preds)) | {b}
-                if dom.get(b) != new:
-                    dom[b] = new
-                    changed = True
+        dom: dict[int, set[int]] = {}
+        for b in self.rpo():
+            preds = [dom[p] for p in self.blocks[b].predecessors if p in dom]
+            dom[b] = set.intersection(*preds) | {b} if preds else {b}
         return dom
 
 
 def build_cfg(instructions: list[Instruction]) -> CFG:
-    """Partition an instruction stream into basic blocks with edges."""
+    """Partition an instruction stream into basic blocks with edges.
+
+    Raises :class:`BackwardBranchError` for a ``bra`` whose label is at
+    or before it (a loop, or a jump back that forms no cycle).
+    """
     n = len(instructions)
     # -- leaders: entry, label targets, and fall-throughs of terminators
     leaders = {0}
+    placed = set()
     for i, inst in enumerate(instructions):
         if inst.opcode == "label":
             leaders.add(i)
+            placed.add(inst.label)
+        elif inst.opcode == "bra" and inst.label in placed:
+            raise BackwardBranchError(inst.label)
         elif inst.opcode in ("bra", "ret") and i + 1 < n:
             leaders.add(i + 1)
     starts = sorted(leaders) if n else [0]

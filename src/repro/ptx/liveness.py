@@ -9,15 +9,13 @@ is what feeds the SM occupancy model and the launch-failure check that
 the auto-tuner (paper Sec. VII) relies on.
 
 The analysis is a classic backward dataflow over the kernel's CFG
-(:mod:`repro.ptx.cfg`), solved by :func:`solve`: one sweep on the
-acyclic CFGs the generators emit, iterated to fixpoint when there is a
-back edge, so values live around a loop are counted through the whole
-loop body — a single linear backward sweep misses exactly those,
-underreporting pressure for kernels with backward branches.  The sweep
-that computes a block's live-in also records the block's slot
-watermark, so every block is scanned once per round.  Guarded
-instructions are handled conservatively (a guarded write does not kill
-the destination, since inactive lanes keep the old value).
+(:mod:`repro.ptx.cfg`), solved by :func:`solve` in one sweep: a CFG
+has no back edge, so in reversed reverse postorder every block comes
+after all its successors.  The sweep that computes a block's live-in
+also records the block's slot watermark, so every block is scanned
+once.  A guarded definition kills its register like any other: every
+register is defined once, so there is no older value for the lanes the
+guard turns off to keep.
 """
 
 from __future__ import annotations
@@ -38,14 +36,11 @@ def _scan_backward(instructions: list[Instruction],
         guard, dst = inst.guard, inst.dst
         if guard is not None:
             reads.append(guard)
-        if dst is not None:
-            if guard is not None:
-                reads.append(dst)   # partial write: old value still needed
-            elif dst.key in live:
-                # a write kills the register *before* (in reverse
-                # order) the reads of the same instruction are added
-                live.discard(dst.key)
-                slots -= dst.slots
+        if dst is not None and dst.key in live:
+            # a write kills the register *before* (in reverse order)
+            # the reads of the same instruction are added
+            live.discard(dst.key)
+            slots -= dst.slots
         for r in reads:
             if r.key not in live:
                 live.add(r.key)
@@ -58,8 +53,7 @@ def _scan_backward(instructions: list[Instruction],
 class _Liveness:
     """live-in(b) = gen(b) ∪ (live-out(b) − kill(b)), meet = union.
 
-    ``peak`` holds each block's slot watermark under the live-out of
-    its latest transfer — the final one once :func:`solve` returns.
+    ``peak`` holds each block's slot watermark under its live-out.
     """
 
     def __init__(self):
@@ -71,37 +65,20 @@ class _Liveness:
 
 
 def solve(cfg: CFG, liveness: _Liveness):
-    """Run the backward liveness problem to fixpoint over ``cfg`` — a
-    single sweep (reverse postorder, reversed) when the CFG is acyclic.
+    """Run the backward liveness problem over ``cfg`` in one sweep
+    (reverse postorder, reversed: every successor first).
 
     Returns ``(live_out, live_in)``: dicts keyed by block index holding
-    the live set at each block's end and at its top.  Blocks that are
-    unreachable, or from which no exit is reachable, are absent.
+    the live set at each block's end and at its top, for every
+    reachable block (an exit has nothing live after it).
     """
-    order = list(reversed(cfg.rpo()))
-    # acyclic: every successor is swept before the block that reads it
-    one_sweep = cfg.is_acyclic
     live_out: dict[int, frozenset] = {}
     live_in: dict[int, frozenset] = {}
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            blk = cfg.blocks[b]
-            feeds = [live_in[s] for s in blk.successors if s in live_in]
-            if not blk.successors:          # an exit: nothing is live after
-                feeds.append(frozenset())
-            if not feeds:
-                continue
-            fact_out = frozenset().union(*feeds)
-            fact_in = liveness.transfer(
-                blk, blk.instructions(cfg.instructions), fact_out)
-            if live_out.get(b) != fact_out or live_in.get(b) != fact_in:
-                live_out[b] = fact_out
-                live_in[b] = fact_in
-                changed = True
-        if one_sweep:
-            break
+    for b in reversed(cfg.rpo()):
+        blk = cfg.blocks[b]
+        live_out[b] = frozenset().union(*(live_in[s] for s in blk.successors))
+        live_in[b] = liveness.transfer(
+            blk, blk.instructions(cfg.instructions), live_out[b])
     return live_out, live_in
 
 
@@ -118,8 +95,4 @@ def max_live_registers(instructions: list[Instruction],
         cfg = build_cfg(instructions)
     live = _Liveness()
     solve(cfg, live)
-    for b in cfg.rpo():
-        if b not in live.peak:      # no path from here to an exit
-            blk = cfg.blocks[b]
-            live.transfer(blk, blk.instructions(cfg.instructions), ())
     return max(8, *live.peak.values())

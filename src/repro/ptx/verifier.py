@@ -169,9 +169,10 @@ def _check_operands(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
 
 def _check_ssa_structure(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
     """Single definition per register, defs dominate uses (same block
-    and textually earlier, or in a dominating block), no dangling
-    operands — over def/use positions gathered in one walk.  Findings
-    come out per invariant in that order, sorted by register."""
+    or an unreachable one and textually earlier, or in a dominating
+    block), no dangling operands — over def/use positions gathered in
+    one walk.  Findings come out per invariant in that order, sorted by
+    register."""
     instructions = cfg.instructions
     defs: dict[tuple[str, int], int] = {}          # first write
     again: list[tuple[tuple[str, int], int]] = []  # every further write
@@ -200,8 +201,9 @@ def _check_ssa_structure(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
         db = block[d]
         for p in reads:
             pb = block[p]
-            # a read in an unreachable block is reported elsewhere
-            if pb in dom and not (d < p if db == pb else db in dom[pb]):
+            # nothing dominates an unreachable read: its definition
+            # must come first in the text, as in one block
+            if not (d < p if db == pb or pb not in dom else db in dom[pb]):
                 late.append((key, p))
 
     out: list[Diagnostic] = []
@@ -246,17 +248,13 @@ def _check_unreachable(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
 # --- pass: return paths ----------------------------------------------------
 
 def _check_return_paths(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
+    """Every block without successors ends in an unguarded ``ret`` (a
+    graph has no back edge, so every path reaches such a block)."""
     out: list[Diagnostic] = []
     reachable = cfg.reachable()
-    exits = [b for b in reachable if not cfg.blocks[b].successors]
-    if not exits:
-        out.append(Diagnostic(
-            Severity.ERROR, "return-paths",
-            "kernel does not return (no exit path from entry)",
-            obj=module.name))
-        return out
-    for b in exits:
-        blk = cfg.blocks[b]
+    for blk in cfg.blocks:
+        if blk.index not in reachable or blk.successors:
+            continue
         insts = blk.instructions(cfg.instructions)
         last = insts[-1] if insts else None
         if last is None or last.opcode != "ret" or last.guard is not None:

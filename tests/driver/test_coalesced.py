@@ -16,7 +16,7 @@ import collections
 import numpy as np
 import pytest
 
-from repro.driver import jitcompiler
+from repro.driver import JITCompileError, compile_ptx, jitcompiler
 from repro.driver.jitcompiler import _Translator, build_sim_kernel
 from repro.driver.parser import parse_ptx
 from repro.llvm import compile_cpu_kernel
@@ -219,15 +219,19 @@ class TestNotCoalesced:
         assert flags == {"ld.global.u32 %u20, [%ru5];": False,
                          "st.global.u64 [%ru8], %ru20;": True}
 
-    def test_a_register_assigned_twice(self):
-        for twice in ("add.u64 %ru8, %ru3, %ru4;",     # the address
-                      "mov.u64 %ru3, %ru2;",           # its uniform half
-                      "cvt.u64.s64 %ru4, %rd1;"):      # its stride half
-            flags, text = self._flags("no_twice", [twice] + AXPY)
-            assert flags["st.global.f64 [%ru8], %fd23;"] is False
-            assert _same(_launch("sim", text, n=9, grid=1, block=16),
-                         _launch("sim", _masked(text), n=9, grid=1,
-                                 block=16))
+    def test_a_register_assigned_twice(self, monkeypatch):
+        """Outside the one language the JIT accepts: ``compile_ptx``
+        rejects it in every ``REPRO_VERIFY`` mode, naming the register,
+        so the fold never sees a chain that changes under it."""
+        for twice, reg in (("add.u64 %ru8, %ru3, %ru4;", "%ru8"),  # address
+                           ("mov.u64 %ru3, %ru2;", "%ru3"),     # uniform half
+                           ("cvt.u64.s64 %ru4, %rd1;", "%ru4")):  # stride half
+            text = _kernel("no_twice", [twice] + AXPY)
+            for mode in ("off", "warn", "error"):
+                monkeypatch.setenv("REPRO_VERIFY", mode)
+                with pytest.raises(JITCompileError,
+                                   match=rf"'no_twice'.*{reg} redefined"):
+                    compile_ptx(text)
 
     def test_a_stride_that_could_wrap(self):
         """``gid * 2**30`` leaves ``u32`` within the launch bound: not

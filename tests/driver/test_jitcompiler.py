@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from repro.driver import JITCompileError, KernelCache, compile_ptx, modeled_jit_time
-from repro.memory.pool import DevicePool
-
-from ..ptx.test_single_sweep import _module_of
+from repro.memory.pool import ALIGNMENT, DevicePool
 
 
 def _views(pool):
@@ -207,13 +205,11 @@ class TestKernelCache:
 
 
 class TestGuardedLoad:
-    def test_guarded_off_lanes_keep_old_value(self, monkeypatch):
-        """A guarded ld.global into an already-defined register merges
-        like every other guarded opcode: guarded-off lanes keep the old
-        value, not the word read from the pool's safe address.  (The
-        redefinition is an ssa-structure error under the default
-        REPRO_VERIFY, so this is the warn/off-mode translation.)"""
-        monkeypatch.setenv("REPRO_VERIFY", "warn")
+    def test_guarded_off_lanes_keep_old_value(self):
+        """A guarded ld.global into a fresh register, merged through
+        ``selp`` with the value defined before it: guarded-off lanes
+        get the old value, never the word ``_ld`` reads from the
+        pool's safe address for them (here ``x[0]``, 1.0)."""
         body = """
     ld.param.u64 %ru0, [p_x];
     ld.param.u64 %ru1, [p_y];
@@ -226,17 +222,20 @@ class TestGuardedLoad:
     add.u64 %ru4, %ru0, %ru2;
     add.u64 %ru5, %ru1, %ru2;
     mov.f64 %fd0, 7.0;
-    @%p0 ld.global.f64 %fd0, [%ru4];
-    st.global.f64 [%ru5], %fd0;
+    @%p0 ld.global.f64 %fd1, [%ru4];
+    selp.f64 %fd2, %fd1, %fd0, %p0;
+    st.global.f64 [%ru5], %fd2;
     ret;
 """
         text = _wrap(body, [("p_x", "u64", True), ("p_y", "u64", True)])
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             k = compile_ptx(text)
         pool = DevicePool(1 << 16)
         x = pool.allocate(4 * 8)
         y = pool.allocate(4 * 8)
         pool.write(x, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert pool.view("float64")[ALIGNMENT // 8] == 1.0   # the safe word
         k(_views(pool), {"p_x": x, "p_y": y}, grid_dim=1, block_dim=4)
         assert np.array_equal(pool.read(y, 4 * 8, np.float64),
                               [1.0, 2.0, 7.0, 7.0])
@@ -302,43 +301,83 @@ $SKIP:
         monkeypatch.setenv("REPRO_VERIFY", mode)
         monkeypatch.setenv("REPRO_BACKEND", backend)
         text = _wrap(self.ACCUMULATE, [("p_x", "u64", True)], name="accum")
-        # under ``error`` the verifier gets there first (%fd0 and %r1
-        # are assigned twice); either way nothing launches
-        match = "accum" if mode == "error" else r"'accum'.*'\$LOOP'"
-        with pytest.raises(JITCompileError, match=match):
+        # the back edge is found before the redefinitions of %fd0, %r1
+        with pytest.raises(JITCompileError, match=r"'accum'.*'\$LOOP'"):
             self._launch(text)
         text = _wrap(self.THROUGH_MEMORY, [("p_x", "u64", True)], name="thru")
         with pytest.raises(JITCompileError, match=r"'thru'.*'\$AGAIN'"):
             self._launch(text)
 
-    @pytest.mark.parametrize("mode", ["off", "warn"])
-    def test_a_bare_handle_rejects_it_on_its_first_launch(self, monkeypatch,
-                                                          mode):
+    #: a jump back that forms no cycle: the block it reaches ends in
+    #: ``ret``, so a device would run it once — still not forward
+    BACK_TO_RET = """
+    ld.param.u64 %ru0, [p_x];
+    bra $FWD;
+$DONE:
+    ret;
+$FWD:
+    mov.f64 %fd0, 1.0;
+    st.global.f64 [%ru0], %fd0;
+    bra $DONE;
+"""
+    #: one register defined twice
+    REDEFINED = """
+    ld.param.u64 %ru0, [p_x];
+    mov.f64 %fd0, 1.0;
+    add.f64 %fd0, %fd0, 1.0;
+    st.global.f64 [%ru0], %fd0;
+    ret;
+"""
+    #: one register read and never defined
+    DANGLING = """
+    ld.param.u64 %ru0, [p_x];
+    add.f64 %fd1, %fd0, 1.0;
+    st.global.f64 [%ru0], %fd1;
+    ret;
+"""
+    #: a read in a block nothing reaches, before its definition: the
+    #: JIT translates that block too
+    UNREACHABLE_READ = """
+    ld.param.u64 %ru0, [p_x];
+    bra $L;
+    add.f64 %fd1, %fd0, 1.0;
+    st.global.f64 [%ru0], %fd1;
+$L:
+    mov.f64 %fd0, 2.0;
+    st.global.f64 [%ru0], %fd0;
+    ret;
+"""
+    #: the contract's cases: (PTX, what the error names)
+    OUTSIDE = {"accumulate": (ACCUMULATE, r"backward branch to '\$LOOP'"),
+               "through_memory": (THROUGH_MEMORY,
+                                  r"backward branch to '\$AGAIN'"),
+               "back_to_ret": (BACK_TO_RET, r"backward branch to '\$DONE'"),
+               "redefined": (REDEFINED, "register %fd0 redefined"),
+               "dangling": (DANGLING, "register %fd0 with no definition"),
+               "unreachable_read": (UNREACHABLE_READ,
+                                    "%fd0 does not dominate its use")}
+
+    @pytest.mark.parametrize("case", OUTSIDE)
+    @pytest.mark.parametrize("entry", ["compile_ptx", "get_or_compile"])
+    @pytest.mark.parametrize("mode", ["off", "warn", "error"])
+    def test_the_contract_is_checked_at_compile_time(self, monkeypatch, mode,
+                                                     entry, case):
+        """Forward branches only, every register defined once and read
+        where its definition dominates: checked where a stream enters
+        the JIT, in every ``REPRO_VERIFY`` mode, before any launch."""
         monkeypatch.setenv("REPRO_VERIFY", mode)
-        text = _wrap(self.ACCUMULATE, [("p_x", "u64", True)], name="accum")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            kernel = compile_ptx(text)
-        pool = DevicePool(1 << 16)
-        addr = pool.allocate(8)
-        with pytest.raises(JITCompileError, match=r"'accum'.*'\$LOOP'"):
-            kernel(_views(pool), {"p_x": addr}, grid_dim=1, block_dim=1)
+        body, names = self.OUTSIDE[case]
+        text = _wrap(body, [("p_x", "u64", True)], name=case)
+        compile_text = (compile_ptx if entry == "compile_ptx"
+                        else KernelCache().get_or_compile)
+        with pytest.raises(JITCompileError, match=f"'{case}'.*{names}"):
+            compile_text(text)
 
     @pytest.mark.parametrize("backend", ["sim", "cpu"])
     def test_forward_branch_still_runs(self, monkeypatch, backend):
         monkeypatch.setenv("REPRO_BACKEND", backend)
         text = _wrap(self.FORWARD, [("p_x", "u64", True)], name="fwd")
         assert self._launch(text) == 5.0
-
-    def test_analysis_entry_points_keep_accepting_loops(self):
-        from repro.ptx.absint import analyze_module
-        from repro.ptx.verifier import run_passes
-
-        module = _module_of(_wrap(self.THROUGH_MEMORY,
-                                  [("p_x", "u64", True)], name="thru"))
-        analysis = analyze_module(module)
-        assert analysis.max_live_regs >= 8
-        run_passes(module, analysis=analysis)
 
     def test_read_before_definition_is_a_typed_error(self, monkeypatch):
         """With slots reused it would read whatever the slot last

@@ -12,11 +12,14 @@ never emit.  Integer opcodes run twice: on operands loaded from memory
 generator's folded linear forms).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.driver.cache import KernelCache
-from repro.driver.jitcompiler import _BIN_PY, _CMP_PY, _UN_PY, _Translator
+from repro.driver.jitcompiler import (_BIN_PY, _CMP_PY, _UN_PY, JITCompileError,
+                                      _Lin, _Translator, compile_ptx)
 from repro.driver.parser import parse_ptx
 from repro.memory.pool import DevicePool
 from repro.ptx.isa import NUMPY_DTYPES, PTXType
@@ -332,9 +335,9 @@ def test_folded_integer_wraps_bitwise_equal(name, monkeypatch):
 
 
 class TestSubset:
-    """There is no subset gate: a guarded arithmetic op or a register
-    assigned twice builds under the ``cpu`` name with no fallback and
-    computes what the PTX says."""
+    """There is no subset gate: a guarded arithmetic op builds under the
+    ``cpu`` name with no fallback and computes what the PTX says; a
+    register assigned twice is outside the language the JIT accepts."""
 
     GUARDED = ["ld.global.f64 %fd20, [%ru5];",
                "setp.gt.f64 %p1, %fd20, 0.0;",
@@ -366,16 +369,15 @@ class TestSubset:
         self._runs(monkeypatch, "sub_guarded", self.GUARDED, 2.0)
 
     def test_register_assigned_twice(self, monkeypatch):
-        # an ssa-structure error under the default REPRO_VERIFY
-        monkeypatch.setenv("REPRO_VERIFY", "warn")
-        with pytest.warns(RuntimeWarning, match="%fd23 redefined"):
-            self._runs(monkeypatch, "sub_twice", self.TWICE, 4.0)
+        for mode in ("off", "warn", "error"):
+            monkeypatch.setenv("REPRO_VERIFY", mode)
+            with pytest.raises(JITCompileError,
+                               match="'sub_twice'.*%fd23 redefined"):
+                self._runs(monkeypatch, "sub_twice", self.TWICE, 4.0)
 
 
 #: a ``u64`` address register defined twice, each definition read, and
-#: an address offset redefined by a guarded ``mad.lo``: lanes whose x
-#: is positive read ``y`` eight slots further on (``%fd26``: defined
-#: once, under a guard, never read)
+#: an address offset redefined by a guarded ``mad.lo``
 REBOUND = ["ld.global.f64 %fd20, [%ru5];",
            "setp.gt.f64 %p1, %fd20, 0.0;",
            "add.u64 %ru20, %ru1, %ru4;",
@@ -389,17 +391,49 @@ REBOUND = ["ld.global.f64 %fd20, [%ru5];",
            "ld.global.f64 %fd23, [%ru22];",
            "add.f64 %fd24, %fd21, %fd22;",
            "add.f64 %fd25, %fd24, %fd23;",
-           "st.global.f64 [%ru8], %fd25;",
-           "@%p1 mov.f64 %fd26, %fd25;"]
+           "st.global.f64 [%ru8], %fd25;"]
+
+#: the same reads in SSA: the guarded offset is a fresh definition
+#: merged through ``selp``, so lanes whose x is positive read ``y``
+#: eight slots further on (``%fd26``: defined once, under a guard,
+#: never read)
+GUARDED_ONCE = ["ld.global.f64 %fd20, [%ru5];",
+                "setp.gt.f64 %p1, %fd20, 0.0;",
+                "add.u64 %ru20, %ru1, %ru4;",
+                "ld.global.f64 %fd21, [%ru20];",
+                "add.u64 %ru23, %ru2, %ru4;",
+                "ld.global.f64 %fd22, [%ru23];",
+                "mul.lo.s64 %rd20, %rd0, 8;",
+                "@%p1 mad.lo.s64 %rd21, %rd0, 8, 64;",
+                "selp.s64 %rd22, %rd21, %rd20, %p1;",
+                "cvt.u64.s64 %ru21, %rd22;",
+                "add.u64 %ru22, %ru1, %ru21;",
+                "ld.global.f64 %fd23, [%ru22];",
+                "add.f64 %fd24, %fd21, %fd22;",
+                "add.f64 %fd25, %fd24, %fd23;",
+                "st.global.f64 [%ru8], %fd25;",
+                "@%p1 mov.f64 %fd26, %fd25;"]
+
+
+@pytest.mark.parametrize("mode", ["off", "warn", "error"])
+def test_rebound_registers_are_rejected_in_every_mode(mode, monkeypatch):
+    """Each redefinition is named by ``compile_ptx``, whatever
+    ``REPRO_VERIFY`` says: nothing outside SSA reaches the translator."""
+    monkeypatch.setenv("REPRO_VERIFY", mode)
+    text = _kernel("rebound", REBOUND)
+    for reg in ("%ru20", "%rd20"):
+        with pytest.raises(JITCompileError, match=f"'rebound'.*{reg} redefined"):
+            compile_ptx(text)
+    with pytest.raises(JITCompileError, match="'rebound'"):
+        KernelCache().get_or_compile(text)
 
 
 @pytest.mark.parametrize("backend", ["sim", "cpu"])
-def test_rebound_and_guarded_registers_are_not_folded(backend, monkeypatch):
-    """Outside SSA (``REPRO_VERIFY=off``: nothing checks it) a register
-    defined twice or under a guard is a named local, never a folded
-    form: each read sees the definition that reached it, and
-    guarded-off lanes keep the old value."""
-    monkeypatch.setenv("REPRO_VERIFY", "off")
+def test_a_guarded_single_definition_binds_like_any_other(backend,
+                                                          monkeypatch):
+    """A register defined once under a guard is folded and shared like
+    every other (PTX leaves its guard-off lanes undefined); the
+    ``selp`` merge gives each lane the definition the PTX says."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     rng = np.random.default_rng(4)
     x, y, z = rng.normal(size=N), rng.normal(size=2 * N), rng.normal(size=N)
@@ -412,12 +446,15 @@ def test_rebound_and_guarded_registers_are_not_folded(backend, monkeypatch):
     g = np.arange(N)
     out = (y[:N] + z) + y[np.where(x > 0, g + 8, g)]
     want[addrs["out"]:addrs["out"] + N * 8] = out.view(np.uint8)
-    text = _kernel("rebound", REBOUND)
+    text = _kernel("guarded_once", GUARDED_ONCE)
     t = _Translator(parse_ptx(text))
     t.translate()
-    assert {"Rru20", "Rrd20", "Rfd26"} <= set(t.defined)
-    cache = KernelCache()
-    kernel, _ = cache.get_or_compile(text)
+    assert t.sym[("s64", 21)] == _Lin(8, "64", 64, 64, None)
+    assert ("f64", 26) in t.sym
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cache = KernelCache()
+        kernel, _ = cache.get_or_compile(text)
     assert cache.backend.mode == backend and cache.backend.fallbacks == 0
     params = {"p_n": N, **{f"p_{a}": addr for a, addr in addrs.items()}}
     kernel({n: pool.view(n) for n in _VIEWS}, params, 1, 16)

@@ -71,8 +71,11 @@ def test_the_text_parses_back_to_the_builders_stream(kernels):
 
 def test_both_streams_translate_to_the_same_source(kernels):
     for m, text, compiled in kernels:
-        # the store's kernel was compiled from the handed stream
-        assert compiled.prepared, m.name
+        # the store's kernel was compiled from the handed stream: the
+        # builder's instruction objects themselves, not a parse of text
+        handed = compiled.parsed.instructions
+        assert len(handed) == len(m.instructions), m.name
+        assert all(a is b for a, b in zip(handed, m.instructions)), m.name
         handed = _Translator(compiled.parsed)
         reparsed = _Translator(parse_ptx(text))
         assert handed.translate() == reparsed.translate(), m.name

@@ -36,9 +36,6 @@ from ..ptx import test_single_sweep as _sweep
 
 _SLOT = re.compile(r"\b_r\d+\b")
 #: 32-bit register slots of a named register's local, by its name stem
-_WEIGHT = {"R" + t.reg_prefix[1:]: t.slots for t in PTXType}
-
-
 def _body(*statements):
     return ["    " + s for s in statements]
 
@@ -105,18 +102,13 @@ def _replay(raw, allocated, weight=lambda name: 1):
 
 
 def _weights(t):
-    """32-bit slots per local of ``t``'s body: a named register's by its
-    class, a ``_v`` local bound to a register by that register's type,
-    and any other ``_v`` — an integer temporary: a materialized form, a
-    ``gid`` product, a widened table — two, at least what it holds."""
+    """32-bit slots per local of ``t``'s body: a local bound to a
+    register by that register's type, and any other — an integer
+    temporary: a materialized form, a ``gid`` product, a widened table
+    — two, at least what it holds."""
     bound = {v: PTXType(key[0]).slots for key, v in t.sym.items()
              if isinstance(v, str)}
-
-    def weight(name):
-        if name.startswith("_v"):
-            return bound.get(name, 2)
-        return _WEIGHT[name.rstrip("0123456789")]
-    return weight
+    return lambda name: bound.get(name, 2)
 
 
 # --- the allocator on hand-written statements --------------------------------
@@ -134,23 +126,23 @@ class TestAllocatorUnits:
         assert lines[5] == "_st(_r0, _r1, _r2, _r3)"
 
     def test_destination_takes_the_slot_an_operand_gives_up(self):
-        lines, n = _alloc("Rf0 = _ld(a)", "Rf1 = _ld(b)",
-                          "Rf2 = (Rf0 * Rf1)", "_st(Rf2, Rf1)")
+        lines, n = _alloc("_v0 = _ld(a)", "_v1 = _ld(b)",
+                          "_v2 = (_v0 * _v1)", "_st(_v2, _v1)")
         assert n == 2
         assert lines == ["_r0 = _ld(a)", "_r1 = _ld(b)",
                          "_r0 = (_r0 * _r1)", "_st(_r0, _r1)"]
 
     def test_a_live_operand_keeps_its_slot(self):
-        lines, n = _alloc("Rf0 = _ld(a)", "Rf1 = (Rf0 * Rf0)",
-                          "Rf2 = (Rf1 + Rf0)", "_st(Rf2)")
+        lines, n = _alloc("_v0 = _ld(a)", "_v1 = (_v0 * _v0)",
+                          "_v2 = (_v1 + _v0)", "_st(_v2)")
         assert n == 2
         assert lines[1] == "_r1 = (_r0 * _r0)"
 
     def test_guarded_redefinition_keeps_its_slot(self):
-        lines, n = _alloc("Rf0 = _ld(a)", "Rf1 = _ld(b)", "Rp0 = (Rf0 > Rf1)",
-                          "_em = _mand(_m, Rp0)",
-                          "Rf0 = np.where(_em, (Rf0 + Rf1), Rf0)",
-                          "_st(Rf0, _m)")
+        lines, n = _alloc("_v0 = _ld(a)", "_v1 = _ld(b)", "_v2 = (_v0 > _v1)",
+                          "_em = _mand(_m, _v2)",
+                          "_v0 = np.where(_em, (_v0 + _v1), _v0)",
+                          "_st(_v0, _m)")
         assert n == 3
         assert lines[4] == "_r0 = np.where(_em, (_r0 + _r1), _r0)"
         assert lines[5] == "_st(_r0, _m)"
@@ -158,13 +150,13 @@ class TestAllocatorUnits:
     def test_value_defined_and_never_read(self):
         """It still needs a slot for its own statement — and gives it
         straight back."""
-        lines, n = _alloc("Rf0 = _ld(a)", "Rf1 = (Rf0 * Rf0)",
-                          "Rf2 = _ld(b)", "_st(Rf2)")
+        lines, n = _alloc("_v0 = _ld(a)", "_v1 = (_v0 * _v0)",
+                          "_v2 = _ld(b)", "_st(_v2)")
         assert n == 1
         assert lines == ["_r0 = _ld(a)", "_r0 = (_r0 * _r0)",
                          "_r0 = _ld(b)", "_st(_r0)"]
-        lines, n = _alloc("Rf0 = _ld(a)", "Rf1 = np.float32(1.0)",
-                          "_st(Rf0)")
+        lines, n = _alloc("_v0 = _ld(a)", "_v1 = np.float32(1.0)",
+                          "_st(_v0)")
         assert n == 2 and lines[1] == "_r1 = np.float32(1.0)"
 
     def test_only_vector_locals_are_renamed(self):
@@ -182,17 +174,18 @@ class TestAllocatorUnits:
         assert lines == kept and n == 0
 
     def test_every_register_class_and_cpu_temporary_is_a_vector_local(self):
-        names = [stem + "7" for stem in _WEIGHT] + ["_v7"]
+        # one local per register class, as the translator spells them
+        names = [f"_v{7 * 10 ** k}" for k in range(len(PTXType))]
         lines, n = _alloc(*(f"{nm} = _ld(a)" for nm in names),
                           "_st(" + ", ".join(names) + ")")
         assert n == len(names)
         assert not _VECTOR_LOCAL.search("\n".join(lines))
 
     def test_names_next_to_every_delimiter(self):
-        lines, _ = _alloc("Rp0 = _ld(a)", "Rrd1 = _ld(b)",
-                          "_t = (~Rp0) if _m is None else (_m & ~Rp0)",
-                          "_v2 = _Vw0[Rrd1 + _s3]", "_v3 = (-_v2)",
-                          "_st(_v3,Rrd1)")
+        lines, _ = _alloc("_v0 = _ld(a)", "_v1 = _ld(b)",
+                          "_t = (~_v0) if _m is None else (_m & ~_v0)",
+                          "_v2 = _Vw0[_v1 + _s3]", "_v3 = (-_v2)",
+                          "_st(_v3,_v1)")
         assert lines[2:] == ["_t = (~_r0) if _m is None else (_m & ~_r0)",
                              "_r0 = _Vw0[_r1 + _s3]", "_r0 = (-_r0)",
                              "_st(_r0,_r1)"]
@@ -378,7 +371,7 @@ _SLOTS = 4          # 8-byte output slots per thread
 
 _op = st.tuples(
     st.sampled_from(["add", "sub", "mul", "fma", "neg", "min", "cvt", "selp",
-                     "redefine", "dead", "square"]),
+                     "guarded", "dead", "square"]),
     st.sampled_from(_FLOAT_T + _INT_T),
     st.tuples(*[st.integers(0, 1 << 16)] * 3))
 
@@ -386,7 +379,7 @@ _op = st.tuples(
 def _random_kernel(ops, branch_at, guards):
     """A bounds-checked kernel over mixed-type values with one more
     forward branch (over a store) in the middle; ``guards`` adds
-    guarded redefinitions (registers held in named locals)."""
+    fresh definitions under a guard."""
     kb = KernelBuilder("rnd")
     pn = kb.add_param("p_n", PTXType.S32)
     px = kb.add_param("p_x", PTXType.U64, is_pointer=True)
@@ -428,9 +421,9 @@ def _random_kernel(ops, branch_at, guards):
         elif op == "dead":
             kb.add(a, b, t)
             continue
-        elif guards:                         # "redefine" under a guard
-            v = a
-            kb.emit(Instruction("add", a.type, a, (a, kb._coerce(b, a.type)),
+        elif guards:                         # "guarded": a fresh add
+            v = kb.new_reg(a.type)
+            kb.emit(Instruction("add", a.type, v, (a, kb._coerce(b, a.type)),
                                 guard=pred))
         else:
             continue

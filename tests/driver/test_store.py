@@ -271,8 +271,9 @@ class TestEnvMemo:
         assert passes.calls == 0
 
     def test_built_under_off_is_verified_by_a_later_context(self, cold_store):
-        # %fd1 defined twice: an ssa-structure error the translator runs
-        text = _ptx("st_off", body=_DOUBLE + "\n    " + _DOUBLE)
+        # an operands error the translator runs (an f64 register read
+        # as f32): the stream meets the JIT's contract in every mode
+        text = _ptx("st_off", body=_DOUBLE + "\n    cvt.f64.f32 %fd2, %fd0;")
         passes = _Spy(cold_store, jitcompiler, "run_passes")
         cold_store.setenv("REPRO_VERIFY", "off")
         view = KernelCache()
@@ -280,7 +281,8 @@ class TestEnvMemo:
         assert passes.calls == 0
         cold_store.setenv("REPRO_VERIFY", "error")
         for v in (view, KernelCache()):
-            with pytest.raises(JITCompileError, match="st_off.*redefined"):
+            with pytest.raises(JITCompileError,
+                               match="st_off.*cvt source register type"):
                 v.get_or_compile(text)
         assert passes.calls == 1
 

@@ -136,6 +136,21 @@ class TestVerifier:
         findings = _ssa(_module("ubd", insts))
         assert any("does not dominate" in d.message for d in findings)
 
+    def test_unreachable_use_before_def_caught(self):
+        """No block dominates an unreachable read, so textual order
+        decides: the JIT translates the skipped block too."""
+        a, b, _ = self._base()
+        insts = [
+            _inst("bra", None, None, (), label="$L"),
+            _inst("neg", PTXType.F64, b, (a,)),       # unreachable
+            _inst("label", None, None, (), label="$L"),
+            _inst("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)),
+            _inst("ret", None, None, ()),
+        ]
+        findings = _ssa(_module("ubd_dead", insts))
+        assert [d.location for d in findings
+                if "does not dominate" in d.message] == ["neg.f64 %fd1, %fd0;"]
+
 
 class TestVerifierPipelinePass:
     def test_malformed_module_fails_named_diagnostic(self):

@@ -262,62 +262,6 @@ class TestDivergence:
         assert not _by_pass(run_passes(module), "divergence")
 
 
-_POINTER_LOOP = """
-.version 3.1
-.target sm_35
-.address_size 64
-
-.visible .entry loopk(
-    .param .u64 .ptr .global p
-)
-{
-    .reg .f64 %fd<2>;
-    .reg .u64 %ru<2>;
-    .reg .s32 %r<2>;
-    .reg .pred %p<2>;
-
-    ld.param.u64 %ru1, [p];
-    mov.s32 %r1, 0;
-$LOOP:
-    ld.global.f64 %fd1, [%ru1];
-    add.u64 %ru1, %ru1, 8;
-    add.s32 %r1, %r1, 1;
-    setp.lt.s32 %p1, %r1, 1000;
-    @%p1 bra $LOOP;
-    ret;
-}
-"""
-
-
-class TestLoopWidening:
-    """A pointer bumped once per trip never settles under plain
-    iteration (nothing relates it to the trip counter): the fixpoint
-    loop must widen it, not read a verdict off the round it gave up
-    in.  True offsets: 0 ... 7992."""
-
-    def _access(self, region_bytes):
-        from repro.driver.parser import parse_ptx
-        from repro.ptx.isa import KernelInfo
-
-        parsed = parse_ptx(_POINTER_LOOP)
-        module = PTXModule(info=KernelInfo(name=parsed.name,
-                                           params=list(parsed.params)),
-                           instructions=list(parsed.instructions))
-        env = KernelEnv(regions={"p": MemRegion("p", region_bytes)})
-        (access,) = analyze_module(module, env=env).accesses
-        # whatever range is still claimed has to hold every trip's offset
-        assert access.offset is None or (access.offset[0] <= 0
-                                         and access.offset[1] >= 7992)
-        return access
-
-    def test_overrun_is_not_proven_from_a_partial_range(self):
-        assert self._access(600).verdict != "proven"   # overruns at trip 75
-
-    def test_exact_fit_is_not_claimed_from_a_partial_range(self):
-        # in bounds, but not by anything the analysis established
-        assert self._access(8000).verdict != "proven"
-
-
 class TestEnvs:
     def test_merge_envs_widens(self):
         a = KernelEnv(scalars={"p_n": 64},

@@ -1,8 +1,10 @@
 """Tests for CFG construction, dominators, and the liveness solver."""
 
+import pytest
+
 from repro.ptx import KernelBuilder, PTXType
-from repro.ptx.cfg import build_cfg
-from repro.ptx.liveness import max_live_registers, solve
+from repro.ptx.cfg import BackwardBranchError, build_cfg
+from repro.ptx.liveness import solve
 
 
 def _diamond():
@@ -73,10 +75,20 @@ class TestBlocks:
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_loop_back_edge(self):
-        cfg = build_cfg(_loop().instructions)
-        body = next(b for b in cfg.blocks if b.label == "$LOOP")
-        assert body.index in body.successors       # back edge
-        assert body.index + 1 in body.successors   # guarded: falls through
+        """No graph has a back edge: a loop is rejected, and so is a
+        jump back to a block that only returns (no cycle)."""
+        with pytest.raises(BackwardBranchError, match=r"'\$LOOP'") as exc:
+            build_cfg(_loop().instructions)
+        assert exc.value.label == "$LOOP"
+        kb = KernelBuilder("back")
+        kb.bra("$FWD")
+        kb.label("$DONE")
+        kb.ret()
+        kb.label("$FWD")
+        kb.mov(kb.imm(1.0, PTXType.F64))
+        kb.bra("$DONE")
+        with pytest.raises(BackwardBranchError, match=r"'\$DONE'"):
+            build_cfg(kb.instructions)
 
 
 class TestReachability:
@@ -109,13 +121,6 @@ class TestDominators:
         # neither arm dominates the join; only the entry does
         assert dom[join] == {entry, join}
 
-    def test_loop_header_dominates_body(self):
-        cfg = build_cfg(_loop().instructions)
-        dom = cfg.dominators()
-        body = next(b.index for b in cfg.blocks if b.label == "$LOOP")
-        exit_b = body + 1
-        assert body in dom[exit_b]
-
 
 class _BlocksAhead:
     """Toy transfer in the liveness solver's shape: indices of the
@@ -132,45 +137,3 @@ class TestSolver:
         # at the branch, both arms' facts merge
         assert ends[0] == {1, 2, 3}
         assert tops[0] == {0, 1, 2, 3}
-
-    def test_loop_reaches_fixpoint(self):
-        cfg = build_cfg(_loop().instructions)
-        ends, tops = solve(cfg, _BlocksAhead())
-        body = next(b.index for b in cfg.blocks if b.label == "$LOOP")
-        # the back edge feeds the body's own fact into its end
-        assert body in ends[body]
-
-
-class TestLivenessLoops:
-    def test_back_edge_extends_liveness(self):
-        """Values used at a loop's top are live through its whole body.
-
-        A linear backward sweep would let ``keep`` die right after its
-        (textually early) use, underreporting the pressure inside the
-        temp-heavy tail of the body; the CFG fixpoint carries it
-        around the back edge.
-        """
-
-        def build(with_back_edge: bool) -> int:
-            kb = KernelBuilder("loop")
-            keep = [kb.mov(kb.imm(float(k), PTXType.F64))
-                    for k in range(8)]                    # 16 slots
-            kb.label("$LOOP")
-            acc = keep[0]
-            for k in keep[1:]:
-                acc = kb.add(acc, k)                      # use at loop top
-            vals = [kb.mov(kb.imm(float(k), PTXType.F32))
-                    for k in range(20)]                   # temp pressure
-            t = vals[0]
-            for v in vals[1:]:
-                t = kb.add(t, v)
-            p = kb.setp("lt", t, kb.imm(100.0, PTXType.F32))
-            if with_back_edge:
-                kb.bra("$LOOP", guard=p)
-            kb.ret()
-            return max_live_registers(kb.instructions)
-
-        straight = build(with_back_edge=False)
-        looped = build(with_back_edge=True)
-        # the 8 f64 keeps (16 slots) must stay live through the temps
-        assert looped >= straight + 14

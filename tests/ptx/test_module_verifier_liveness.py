@@ -141,60 +141,35 @@ class TestLiveness:
         kb.ret()
         assert max_live_registers(kb.instructions) >= 32
 
-    def test_loop_carried_registers_counted_through_back_edge(self):
-        """Regression guard for the CFG fixpoint: registers carried
-        around a loop's back edge must be counted live through the
-        *whole* loop body.
-
-        The kernel below uses ten f64 registers at the loop top, then
-        redefines them mid-loop; textually they are dead at the loop
-        bottom, but along the back edge the new values flow to the
-        next iteration's top uses, so they are live across the burst
-        of ten f64 temporaries that follows.  A single linear backward
-        sweep (no fixpoint) sees the carried group and the burst group
-        live in disjoint textual windows and peaks around 28 slots;
-        only the iterated CFG dataflow sees both groups live at once
-        (20 + 20 slots, plus sinks/counters/pointer).
-        """
+    def test_a_guarded_definition_kills_like_any_other(self):
+        """A register is defined once, so a guard leaves no older value
+        for its off lanes to keep: the late guarded ``mov`` is live from
+        its definition on, not from the kernel's entry (which would put
+        its two slots on top of the eight-f64 peak)."""
         from repro.ptx.isa import Instruction
+        from repro.ptx.verifier import run_passes
 
-        kb = KernelBuilder("carried")
-        pn = kb.add_param("p_n", PTXType.S32)
-        po = kb.add_param("p_out", PTXType.U64, is_pointer=True)
-        n = kb.ld_param(pn)
-        out = kb.ld_param(po)
-        i = kb.mov(kb.imm(0, PTXType.S32))
-        sink = kb.mov(kb.imm(0.0, PTXType.F64))
-        sink2 = kb.mov(kb.imm(0.0, PTXType.F64))
-        vs = [kb.mov(kb.imm(float(k), PTXType.F64)) for k in range(10)]
-        loop = kb.new_label("LOOP")
-        kb.label(loop)
-        # top-of-loop uses of the carried registers
-        for v in vs:
-            kb.emit(Instruction("add", PTXType.F64, sink, (sink, v)))
-        # redefinitions: textually dead below this point, but live
-        # around the back edge up to the next iteration's uses
-        for k, v in enumerate(vs):
-            kb.emit(Instruction("mov", PTXType.F64, v,
-                                (kb.imm(float(k + 1), PTXType.F64),)))
-        # a burst of temporaries all live at the fold — on top of the
-        # carried group, in the fixpoint view
-        ts = [kb.mov(kb.imm(float(k), PTXType.F64)) for k in range(10)]
-        s = kb.mov(kb.imm(0.0, PTXType.F64))
-        for t in ts:
-            kb.emit(Instruction("add", PTXType.F64, s, (s, t)))
-        kb.emit(Instruction("add", PTXType.F64, sink2, (sink2, s)))
-        kb.emit(Instruction("add", PTXType.S32, i,
-                            (i, kb.imm(1, PTXType.S32))))
-        p = kb.setp("lt", i, n)
-        kb.bra(loop, guard=p)
-        kb.emit(Instruction("add", PTXType.F64, sink, (sink, sink2)))
-        kb.st_global(out, sink, PTXType.F64)
-        kb.ret()
+        def pressure(guarded: bool) -> int:
+            kb = KernelBuilder("late_guard")
+            x = kb.ld_param(kb.add_param("p_x", PTXType.U64, is_pointer=True))
+            vals = [kb.mov(kb.imm(float(k), PTXType.F64)) for k in range(8)]
+            acc = vals[0]
+            for v in vals[1:]:
+                acc = kb.add(acc, v)
+            kb.st_global(x, acc, PTXType.F64)
+            p = kb.setp("gt", acc, kb.imm(0.0, PTXType.F64))
+            late = kb.new_reg(PTXType.F64)
+            kb.emit(Instruction("mov", PTXType.F64, late,
+                                (kb.imm(1.0, PTXType.F64),),
+                                guard=p if guarded else None))
+            kb.st_global(x, late, PTXType.F64)
+            kb.ret()
+            module = PTXModule.from_builder(kb)
+            assert not run_passes(module, passes=["ssa-structure"])
+            return max_live_registers(module.instructions)
 
-        pressure = max_live_registers(kb.instructions)
-        # carried 20 + burst 20 + sink/sink2 4 + i/n 2 + out 2 = 48
-        assert pressure >= 44, pressure
+        # eight f64 values (16 slots) and the u64 pointer (2)
+        assert pressure(guarded=True) == pressure(guarded=False) == 18
 
     def test_64bit_registers_cost_two_slots(self):
         kb32 = KernelBuilder("a")

@@ -1,12 +1,11 @@
 """The analysis half of the build path visits each instruction once.
 
-On the forward-branch-only CFGs the generators emit, the abstract
-interpreter and the liveness dataflow finish in one sweep, facts are
-recorded during that sweep, and the JIT's verification point builds
-one CFG per parsed stream.  Cyclic hand-written kernels keep the
-iterate-to-fixpoint path.  The golden values and digests below were
-computed at the commit before the one-sweep change; nothing here may
-drift from them.
+A CFG has no back edge (:func:`repro.ptx.cfg.build_cfg` rejects a
+backward branch), so the abstract interpreter and the liveness
+dataflow are one sweep, facts are recorded during that sweep, and the
+JIT builds one CFG per stream.  The golden digests below were computed
+at the commit before the one-sweep change; nothing here may drift from
+them.
 """
 
 import hashlib
@@ -22,7 +21,7 @@ from repro.driver.parser import parse_ptx
 from repro.ptx import KernelBuilder, PTXModule, PTXType
 from repro.ptx import absint, liveness
 from repro.ptx.absint import KernelEnv, MemRegion, analyze_module
-from repro.ptx.cfg import build_cfg
+from repro.ptx.cfg import BackwardBranchError, build_cfg
 from repro.ptx.isa import Register
 from repro.ptx.liveness import max_live_registers, solve
 from repro.ptx.verifier import run_passes
@@ -144,10 +143,6 @@ def _digest(sheet) -> str:
     return hashlib.sha256(repr(sheet).encode()).hexdigest()[:16]
 
 
-def _sorted_facts(facts: dict) -> dict:
-    return {b: sorted(f) for b, f in sorted(facts.items())}
-
-
 @contextmanager
 def _knobs(**values):
     """Pin ``REPRO_*`` knobs the suite's kernel population depends on."""
@@ -208,7 +203,6 @@ class TestOneVisit:
     def test_acyclic_dataflow_is_one_sweep(self):
         module = _acyclic()
         cfg = build_cfg(list(module.instructions))
-        assert cfg.is_acyclic
         transfers = []
 
         class Counted(liveness._Liveness):
@@ -220,6 +214,8 @@ class TestOneVisit:
         assert sorted(transfers) == sorted(cfg.reachable())
 
     def test_the_jit_builds_one_cfg_per_stream(self, monkeypatch):
+        """In every ``REPRO_VERIFY`` mode: the contract check, the
+        passes and the register footprint read the one graph."""
         text = _acyclic().render()
         calls = []
 
@@ -233,9 +229,12 @@ class TestOneVisit:
                 for attr, value in list(vars(mod).items()):
                     if value is build_cfg:
                         monkeypatch.setattr(mod, attr, counted)
-        with _knobs(REPRO_VERIFY="error"):
-            compile_ptx(text)
-        assert len(calls) == 1
+        for mode in ("off", "warn", "error"):
+            del calls[:]
+            with _knobs(REPRO_VERIFY=mode), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                compile_ptx(text)
+            assert len(calls) == 1, mode
 
     def test_operand_identity_is_precomputed(self):
         r = Register(PTXType.F64, 12)
@@ -250,21 +249,25 @@ class TestOneVisit:
                     assert seen.setdefault(op.key, op) is op
 
 
-# --- cyclic kernels keep the fixpoint ----------------------------------------
+# --- cyclic kernels never reach an analysis ------------------------------------
 
 class TestCyclicGolden:
+    """The hand-written loops whose fixpoint results were once pinned
+    here: every analysis entry point now rejects them with the typed
+    error naming the label, before any fact is computed."""
+
+    @staticmethod
+    def _rejected(module, label, env=None):
+        for analyse in (lambda: build_cfg(list(module.instructions)),
+                        lambda: max_live_registers(list(module.instructions)),
+                        lambda: analyze_module(module, env=env),
+                        lambda: run_passes(module, env=env)):
+            with pytest.raises(BackwardBranchError) as exc:
+                analyse()
+            assert exc.value.label == label
+
     def test_float_loop(self):
-        module = _float_loop()
-        cfg = build_cfg(list(module.instructions))
-        assert not cfg.is_acyclic
-        live_out, live_in = solve(cfg, liveness._Liveness())
-        assert _sorted_facts(live_out) == GOLDEN["float_loop.live_out"]
-        assert _sorted_facts(live_in) == GOLDEN["float_loop.live_in"]
-        assert max_live_registers(list(module.instructions)) == \
-            GOLDEN["float_loop.max_live"]
-        analysis = analyze_module(module)
-        assert _fact_sheet(analysis, run_passes(module, analysis=analysis)) \
-            == GOLDEN["float_loop.sheet"]
+        self._rejected(_float_loop(), "$LOOP")
 
     @pytest.mark.parametrize("name,text,env", [
         ("indexed_loop", _indexed_loop(),
@@ -274,15 +277,8 @@ class TestCyclicGolden:
                    regions={"p": MemRegion("p", 64)})),
     ])
     def test_handwritten_loops(self, name, text, env):
-        module = _module_of(text)
-        cfg = build_cfg(list(module.instructions))
-        assert not cfg.is_acyclic
-        live_out, _ = solve(cfg, liveness._Liveness())
-        assert _sorted_facts(live_out) == GOLDEN[name + ".live_out"]
-        analysis = analyze_module(module, env=env)
-        sheet = _fact_sheet(analysis,
-                            run_passes(module, env=env, analysis=analysis))
-        assert sheet == GOLDEN[name + ".sheet"]
+        label = "$LOOP" if name == "indexed_loop" else "$HEAD"
+        self._rejected(_module_of(text), label, env)
 
 
 # --- the suite: same facts, same diagnostics, same text ----------------------
@@ -308,7 +304,6 @@ class TestSuiteGolden:
     def test_fact_sheets_match_the_parent(self, suite):
         digests = []
         for module, _, env in suite:
-            assert build_cfg(list(module.instructions)).is_acyclic
             analysis = analyze_module(module, env=env)
             diagnostics = run_passes(module, env=env, analysis=analysis)
             digests.append(_digest(_fact_sheet(analysis, diagnostics)))
@@ -334,101 +329,7 @@ class TestSuiteGolden:
 
 
 #: computed at the parent commit (see the module docstring)
-GOLDEN = {'float_loop.live_out': {0: [('f32', 0)], 1: [('f32', 0)], 2: []},
- 'float_loop.live_in': {0: [], 1: [('f32', 0)], 2: []},
- 'float_loop.max_live': 8,
- 'float_loop.sheet': ([], [(4, True, False)], 8, []),
- 'indexed_loop.live_out': {0: [('s32', 1), ('u64', 0)],
-                           1: [('s32', 1), ('u64', 0)],
-                           2: []},
- 'indexed_loop.sheet': ([(7,
-                          'ld.global',
-                          8,
-                          'p',
-                          (0.0, 72.0),
-                          None,
-                          False,
-                          'proven',
-                          None,
-                          2)],
-                        [(10, False, True)],
-                        8,
-                        [('error',
-                          'ssa-structure',
-                          'register %r1 redefined (first definition at '
-                          'instruction 1)',
-                          'add.s32 %r1, %r1, 1;')]),
- 'loop_with_diamond.live_out': {0: [('f64', 0),
-                                    ('s32', 0),
-                                    ('s32', 1),
-                                    ('u64', 0)],
-                                1: [('f64', 0),
-                                    ('s32', 0),
-                                    ('s32', 1),
-                                    ('u64', 0)],
-                                2: [('f64', 0),
-                                    ('s32', 0),
-                                    ('s32', 1),
-                                    ('u64', 0)],
-                                3: [('f64', 0),
-                                    ('s32', 0),
-                                    ('s32', 1),
-                                    ('u64', 0)],
-                                4: [('f64', 0),
-                                    ('s32', 0),
-                                    ('s32', 1),
-                                    ('u64', 0)],
-                                5: []},
- 'loop_with_diamond.sheet': ([(10,
-                               'ld.global',
-                               8,
-                               'p',
-                               (0.0, 0.0),
-                               0.0,
-                               True,
-                               'proven',
-                               1.0,
-                               2),
-                              (16,
-                               'st.global',
-                               8,
-                               'p',
-                               (0.0, 0.0),
-                               0.0,
-                               True,
-                               'proven',
-                               1.0,
-                               2)],
-                             [(6, False, False),
-                              (8, True, False),
-                              (15, False, False)],
-                             8,
-                             [('error',
-                               'ssa-structure',
-                               'register %fd0 redefined (first definition at '
-                               'instruction 3)',
-                               'add.f64 %fd0, %fd0, 2.0;'),
-                              ('error',
-                               'ssa-structure',
-                               'register %fd0 redefined (first definition at '
-                               'instruction 3)',
-                               'add.f64 %fd0, %fd0, %fd1;'),
-                              ('error',
-                               'ssa-structure',
-                               'register %r1 redefined (first definition at '
-                               'instruction 2)',
-                               'add.s32 %r1, %r1, 1;'),
-                              ('warning',
-                               'divergence',
-                               'branch on thread-varying predicate diverges '
-                               'the warp (both sides execute serially)',
-                               '@%p1 bra $LOW;'),
-                              ('warning',
-                               'divergence',
-                               'branch on thread-varying predicate diverges '
-                               'the warp (both sides execute serially)',
-                               '@%p2 bra $HEAD;')]),
- 'suite.verify': ['40b5b108dc2615d6',
+GOLDEN = {'suite.verify': ['40b5b108dc2615d6',
                   '0e91ca0e4c74b5a4',
                   'd69dae7a014c9a25',
                   '96e4baee2e3477d7',

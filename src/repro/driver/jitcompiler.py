@@ -32,7 +32,8 @@ That property is also what lets the JIT do the driver's register
 allocation (:func:`allocate_slots`): the generator emits one local
 per value, and a linear scan renames them onto as many reusable slots
 as are ever live at once, so a launch holds *max-live* arrays rather
-than one per instruction.
+than one per instruction; where a float type does not pack, the slots
+hold storage and loads no store can change borrow device memory (§12).
 """
 
 from __future__ import annotations
@@ -110,7 +111,17 @@ _FMA = "({} * {} + {})"
 
 #: opcodes whose NumPy functions are not correctly rounded: the pack
 #: pass leaves them per word (a 2-D call might take another SIMD path)
+#: and a register file never writes them in place (nor might ``out=``)
 _UNPACKED = frozenset({"sin", "cos", "ex2", "lg2"})
+
+#: element-wise form -> the ufunc its operator calls (same operands,
+#: same order) and the augmented assignment writing its first operand
+_UFUNC = {
+    _BIN_PY["add"]: ("np.add", "+="), _BIN_PY["sub"]: ("np.subtract", "-="),
+    _MUL: ("np.multiply", "*="), "({} / {})": ("np.divide", "/="),
+    _BIN_PY["min"]: ("np.minimum", None), _BIN_PY["max"]: ("np.maximum", None),
+    _UN_PY["neg"]: ("np.negative", None), _UN_PY["abs"]: ("np.absolute", None),
+    _UN_PY["sqrt"]: ("np.sqrt", None)}
 
 #: the largest array (rows x lanes x itemsize) the pack pass forms.
 #: Above it a pack's temporaries stop paying: at 4 096 lanes a packed
@@ -172,6 +183,12 @@ def _ldc(view, u, s, shift, m, prefix):
     if block is None:
         return _ld(view, u + s, shift, m)
     return view[block].copy()
+
+
+def _ldv(view, u, s, shift, m, prefix):
+    """Coalesced load *borrowed* from device memory: no copy."""
+    block = _block(view, u, s, shift, m, prefix)
+    return _ld(view, u + s, shift, m) if block is None else view[block]
 
 
 def _stc(view, u, s, shift, val, m, prefix):
@@ -275,17 +292,17 @@ def _stp(view, w, lo, k, step, nt, pre, G, val, order):
 
 
 def _distinct(kernel, *fields):
-    """A packed kernel's precondition: its ``p_f*`` parameters bind
-    distinct fields (a pack moves loads and stores of one field past
-    accesses of the others)."""
+    """A packed or borrowing kernel's precondition: its ``p_f*``
+    parameters bind distinct fields (a pack moves loads and stores of
+    one field past accesses of the others)."""
     if len(set(fields)) != len(fields):
         raise ValueError(f"kernel {kernel!r}: two p_f parameters bind "
                          f"the same field")
 
 
 #: the globals every generated kernel function is exec'd against
-_RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_stc": _stc,
-            "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
+_RUNTIME = {"np": np, "_ld": _ld, "_st": _st, "_ldc": _ldc, "_ldv": _ldv,
+            "_stc": _stc, "_gv": _gv, "_gs": _gs, "_pv": _pv, "_ps": _ps,
             "_ldp": _ldp, "_gvp": _gvp, "_stp": _stp, "_distinct": _distinct,
             "_retire": _retire, "_mand": _mand}
 
@@ -334,7 +351,8 @@ _VECTOR_LOCAL = re.compile(r"(_v(?<![\w']_v)\d+)")
 _SCALAR = re.compile(r"\b_s\d+\b")
 
 
-def allocate_slots(lines: list[str]) -> tuple[list[str], int]:
+def allocate_slots(lines: list[str], classes: dict | None = None,
+                   slots: dict | None = None) -> tuple[list[str], int]:
     """Rename the vector locals of a translated body onto reusable slots.
 
     The body is straight-line: every statement runs once, in textual
@@ -344,35 +362,43 @@ def allocate_slots(lines: list[str]) -> tuple[list[str], int]:
     array.  A statement releases the names that occur in it for the
     last time *before* it binds the name it defines — Python evaluates
     the right-hand side first, so a destination may take the slot an
-    operand gives up.  Pure renaming: statements, their order and
-    their operands are untouched.  Returns the renamed lines and the
-    number of slots, which is the peak number of names held at once.
+    operand gives up (given ``classes``, local -> slot class, only a
+    slot of its class, the first dying operand's).  Pure renaming:
+    statements, their order and their operands are untouched; ``slots``
+    receives each local's slot.  Returns the renamed lines and the
+    number of slots: with one class, the most names held at once.
     """
     pieces = _VECTOR_LOCAL.split("\n".join(lines))   # text, name, text, ...
     end = len(pieces)
     last = dict(zip(pieces[1::2], range(1, end, 2)))
+    cls = classes or {}
     slot_of: dict[str, str] = {}
-    free: list[str] = []
+    free = {c: [] for c in {None, *cls.values()}}   # class -> released slots
     n_slots = 0
     born: list[int] = []      # this statement's occurrences of new names
     dying: list[str] = []     # names whose last occurrence is on it
     for k in range(1, end + 1, 2):        # k == end: past the last name
         if (born or dying) and (k == end or "\n" in pieces[k - 1]):
             # the previous statement is complete: release, then bind
+            if classes:
+                dying.reverse()
             for name in dying:
                 if name in slot_of:
-                    free.append(slot_of.pop(name))
+                    free[cls.get(name)].append(slot_of.pop(name))
             for b in born:
                 name = pieces[b]
                 if name not in slot_of:
-                    if not free:
-                        free.append(f"_r{n_slots}")
+                    pool = free[cls.get(name)]
+                    if not pool:
+                        pool.append(f"_r{n_slots}")
                         n_slots += 1
-                    slot_of[name] = free.pop()
+                    slot_of[name] = pool.pop()
+                    if slots is not None:
+                        slots[name] = slot_of[name]
                 pieces[b] = slot_of[name]
             for name in dying:          # defined here and never read
                 if name in slot_of:
-                    free.append(slot_of.pop(name))
+                    free[cls.get(name)].append(slot_of.pop(name))
             born, dying = [], []
         if k == end:
             break
@@ -678,11 +704,20 @@ class _Translator:
         #: field's block loads / gathers, ``op`` arithmetic, ``st``
         #: block stores
         self.packs: list[tuple[str, int]] = []
+        #: packed member local -> (its pack, its row)
+        self._row: dict[str, tuple[str, int]] = {}
         #: statements before this index precede the bounds check's
         #: retire and are never packed
         self._pack_from = 0
         #: slots the allocated body uses (set by :meth:`translate`)
         self.n_slots = 0
+        #: the register file: owned local -> its float width in bytes
+        #: (its slot class); the borrowing loads' locals
+        self.owned: dict[str, int] = {}
+        self.borrowed: set[str] = set()
+        #: load that may borrow -> (its statement, stores before it)
+        self._borrow: dict[str, tuple] = {}
+        self._stores = 0
         insts = parsed.instructions
         ops = [i.opcode for i in insts]
         #: the generators' bounds check: one guarded ``bra`` to a final
@@ -694,6 +729,11 @@ class _Translator:
             and ops.count("ret") == 1 and ops[-2:] == ["label", "ret"]
             and [i.opcode for i in insts if i.guard is not None] == ["bra"]
             and insts[ops.index("bra")].label == insts[-2].label)
+        #: width -> the locals known to hold that float type, for the
+        #: types that cannot pack at this width (owned ones)
+        self._known: dict[int, set[str]] = {
+            t.nbytes: set() for t in (PTXType.F32, PTXType.F64)
+            if lanes and self._cap(t.nbytes) < PACK_MIN}
         self.labels = [] if self.canonical else [
             i.label for i in insts if i.opcode == "label"]
         #: where the retire statement goes and the locals it names
@@ -758,6 +798,13 @@ class _Translator:
         name = self.fresh()
         self._stmts.append(_Stmt(name, form, args, mem))
         self.sym[inst.dst.key] = name
+        known = self._know(inst.type, name)
+        if mem[4] is not None and (self._retire_at or not self.canonical):
+            if known:
+                self.owned[name] = inst.type.nbytes
+            if form.startswith("_ldc(") and (known or self.lanes
+                                             and not inst.type.is_float):
+                self._borrow[name] = (self._stmts[-1], self._stores)
 
     def _shared(self, form: str, *args, op: int = 0) -> str:
         """The local holding pure expression ``form`` over ``args``
@@ -780,6 +827,7 @@ class _Translator:
             name = f"_K{len(self.consts)}"
             self._const_names[key] = name
             self.consts[name] = dt(float(tok)) if t.is_float else dt(int(tok))
+            self._know(t, name)
         return name
 
     def _iparam(self, pname: str) -> str:
@@ -834,7 +882,7 @@ class _Translator:
         for expr, var in self._scalars.items():
             pro.append(f"    {var} = {expr}")
         fields = [v for p, v in self._iparams.items() if p.startswith("p_f")]
-        if self.packs and len(fields) > 1:
+        if (self.packs or self.borrowed) and len(fields) > 1:
             pro.append(f"    _distinct({self.parsed.name!r}, "
                        f"{', '.join(fields)})")
         pro += ["    _m = None", "    _pre = True"]
@@ -868,6 +916,8 @@ class _Translator:
     def _mat(self, sym, t: PTXType) -> str:
         """Materialize a symbolic value as an expression of type ``t``."""
         if isinstance(sym, str):
+            if sym in self._borrow and self._borrow[sym][1] < self._stores:
+                del self._borrow[sym]       # read after a store
             return sym
         if isinstance(sym, _FImm):
             return self._const(sym.type, sym.tok)
@@ -967,8 +1017,11 @@ class _Translator:
             return True
         if isinstance(sym, str) and inst.type.nbytes == 8:
             # widen a loaded index vector once; later address
-            # arithmetic folds onto it (shift/subset tables)
-            base = self._shared("np.asarray({}).astype(np.int64)", sym)
+            # arithmetic folds onto it (shift/subset tables); a
+            # borrowing read is an array, not wrapped again
+            base = self._shared(("{}" if sym in self._borrow else
+                                 "np.asarray({})") + ".astype(np.int64)",
+                                self._mat(sym, src))
             self.sym[inst.dst.key] = _VLin(base, 1, "0", 0, 0, ())
             return True
         return False
@@ -1086,14 +1139,23 @@ class _Translator:
             self.emit(f"_pend_{lbl[1:]} = None")
         for self.pos, inst in enumerate(self.parsed.instructions):
             self._translate_inst(inst)
+        for name, (st, _) in self._borrow.items():
+            st.form = st.text = "_ldv" + st.form[4:]
+            self.owned.pop(name, None)
+        if self._known:
+            self._own()
         sub = self._pack() if self._packing else {}
+        self.borrowed = self._borrow.keys() - self._row.keys()
         self.lines = [st.render(sub) for st in self._stmts]
         if self._retire_at is not None:
             at, names = self._retire_at
             self.lines[at] = self._retire_line(names)
         if self._packing:
             self._sweep()
-        body, self.n_slots = allocate_slots(self.lines)
+        slot = {} if self.owned else None
+        body, self.n_slots = allocate_slots(self.lines, self.owned, slot)
+        if self.owned:
+            self._in_place(body, slot)
         head = [f"def _kernel_{self.parsed.name}(_V, _P, _gd, _bd):"]
         return "\n".join(head + self._prologue() + body
                          + ["    return None"]) + "\n"
@@ -1122,10 +1184,66 @@ class _Translator:
                     and st.mem is None and st.facts is None:
                 continue
             live.update(_VECTOR_LOCAL.findall(line))
-            keep.append(line)
-        self.lines = keep[::-1]
+            keep.append((st, line))
+        self._stmts, self.lines = (list(x) for x in zip(*keep[::-1]))
         read = set(_SCALAR.findall("\n".join(self.lines)))
         self._scalars = {e: v for e, v in self._scalars.items() if v in read}
+
+    # -- the register file (DESIGN.md §12) -------------------------------------
+    #
+    # Where a float type cannot pack, its lane vectors from the retire on
+    # are *owned*: private arrays in a slot class of their own.  A block
+    # load of such a type, or of a table, borrows device memory unless
+    # the walk reads it after a store (:meth:`_mat`).
+
+    def _know(self, t: PTXType, name: str) -> bool:
+        """Note that ``name`` holds type ``t``; True when ``t`` is owned."""
+        known = self._known.get(t.nbytes) if t.is_float else None
+        if known is not None:
+            known.add(name)
+        return known is not None
+
+    def _own(self) -> None:
+        """Own each element-wise op in ``_UFUNC`` and fma over a lane
+        vector whose operands are all known to be of its type."""
+        vec, known = self.owned.keys() | self._borrow.keys(), self._known
+        for st in self._stmts[self._pack_from:]:
+            if st.op and not vec.isdisjoint(st.args):
+                vec.add(st.dst)
+                of = known.get(st.op)
+                if of is not None and (st.form in _UFUNC or st.form == _FMA) \
+                        and of.issuperset(st.args):
+                    of.add(st.dst)
+                    self.owned[st.dst] = st.op
+
+    def _in_place(self, body: list[str], slot: dict[str, str]) -> None:
+        """The first definition in an owned slot allocates; a later one
+        writes into the array the slot holds.  An fma multiplies into
+        the slot and adds its addend — or, when the addend gave the slot
+        up, multiplies into the scratch row ``_q<width>``."""
+        bound = set()
+        for i, st in enumerate(self._stmts):
+            w = self.owned.get(st.dst)
+            if w is None:
+                continue
+            out = slot[st.dst]
+            if out not in bound:
+                bound.add(out)
+                continue
+            args = [slot.get(a, a) for a in st.args]
+            if st.form == _FMA:
+                x, y, z = args
+                q = out if z != out else f"_q{w}"
+                mul = (f"np.multiply({x}, {y}, out={q})" if q in bound
+                       else f"{q} = ({x} * {y})")
+                body[i] = f"    {mul}; " + (f"{out} += {z}" if q == out else
+                                            f"np.add({q}, {out}, out={out})")
+                bound.add(q)
+            elif st.form in _UFUNC:
+                ufunc, aug = _UFUNC[st.form]
+                body[i] = (f"    {out} {aug} {args[1]}"
+                           if aug and args[0] == out else
+                           f"    {ufunc}({', '.join(args)}, out={out})")
 
     # -- the pack pass ------------------------------------------------------
     #
@@ -1140,7 +1258,6 @@ class _Translator:
 
     def _pack(self) -> dict[str, str]:
         """Form the packs; returns member local -> its row's text."""
-        self._row: dict[str, tuple[str, int]] = {}
         self._height: dict[str, int] = {}
         self._at: dict[int, _Stmt] = {}       # index -> the pack placed
         self._gone: set[int] = set()          # indices of packed members
@@ -1494,6 +1611,7 @@ class _Translator:
                     p=((local, 1),) if self._packing else None)
             else:
                 self._assign(inst, f"{_NP_DTYPE[inst.type]}(_P[{pname!r}])")
+                self._know(inst.type, self.sym[inst.dst.key])
             return
         if op == "ld.global":
             (addr,) = inst.srcs
@@ -1509,6 +1627,7 @@ class _Translator:
             em = self._effective_mask(inst)
             form, args, mem = self._access("st", inst, addr, sh, em, v)
             self._stmts.append(_Stmt(None, form, args, mem))
+            self._stores += 1
             return
         if op == "mov":
             self.sym[inst.dst.key] = self._sym_of(inst.srcs[0], inst.type)
@@ -1526,6 +1645,7 @@ class _Translator:
             else:
                 form = "np.asarray({}).astype(" + dtype + ")"
             self._assign(inst, form, s, op=True)
+            self._know(inst.type, self.sym[inst.dst.key])
             return
         if op == "setp":
             a, b = inst.srcs

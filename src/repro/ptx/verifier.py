@@ -222,7 +222,7 @@ def _check_ssa_structure(module: PTXModule, cfg: CFG) -> list[Diagnostic]:
     # a dangling register is reported once, not once per use
     for key in sorted(k for k in uses if k not in defs):
         err(f"use of register {name(key)} with no definition", uses[key][0])
-    for key, pos in sorted(late):
+    for key, pos in sorted(set(late)):      # once per location
         err(f"definition of {name(key)} does not dominate its use", pos)
     return out
 

@@ -57,30 +57,32 @@ def _run_both(parsed, views_of, mem, params, nsites, block):
     return images
 
 
+def install_parity(monkeypatch, ctx):
+    """Every launch on ``ctx``'s device first runs the kernel built for
+    its width and per word and asserts both leave the same memory;
+    returns the list that collects the ``(kernel name, packs)`` of
+    every launch."""
+    seen = []
+    dev = ctx.device
+    real = dev.launch
+
+    def spy(kernel, info, params, nsites, block_size, *args, **kw):
+        packed, word = _run_both(kernel.parsed, dev._views,
+                                 dev.pool._mem, params, nsites,
+                                 block_size)
+        assert np.array_equal(packed, word), kernel.name
+        seen.append((kernel.name, _packs(kernel.parsed, nsites)))
+        return real(kernel, info, params, nsites, block_size,
+                    *args, **kw)
+
+    monkeypatch.setattr(dev, "launch", spy)
+    return seen
+
+
 @pytest.fixture()
 def parity(monkeypatch):
-    """``parity(ctx)``: every launch on ``ctx``'s device first runs the
-    kernel packed and per word and asserts both leave the same memory;
-    returns the ``(kernel name, packs)`` of every launch."""
-
-    def install(ctx):
-        seen = []
-        dev = ctx.device
-        real = dev.launch
-
-        def spy(kernel, info, params, nsites, block_size, *args, **kw):
-            packed, word = _run_both(kernel.parsed, dev._views,
-                                     dev.pool._mem, params, nsites,
-                                     block_size)
-            assert np.array_equal(packed, word), kernel.name
-            seen.append((kernel.name, _packs(kernel.parsed, nsites)))
-            return real(kernel, info, params, nsites, block_size,
-                        *args, **kw)
-
-        monkeypatch.setattr(dev, "launch", spy)
-        return seen
-
-    return install
+    """``parity(ctx)``: :func:`install_parity` on ``ctx``."""
+    return lambda ctx: install_parity(monkeypatch, ctx)
 
 
 @pytest.fixture()

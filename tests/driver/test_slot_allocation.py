@@ -30,6 +30,7 @@ from repro.ptx.isa import Instruction
 from repro.ptx.liveness import max_live_registers
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
+from repro.qdp.lattice import Lattice
 
 from ..core.test_codegen import TestByteIdentity as _Golden
 from ..ptx import test_single_sweep as _sweep
@@ -555,3 +556,40 @@ def test_a_launch_holds_max_live_arrays(lat4, monkeypatch, backend):
     assert code.co_nlocals <= t.n_slots + others
     assert code.co_nlocals < n_inst / 4
     assert t.n_slots == 149
+
+    # the 4 096-lane arm: at 8^4 no f64 row packs (DESIGN.md §12), the
+    # f64 slots hold storage — a later definition writes into the array
+    # its slot holds — and a block load no store can change borrows
+    # device memory.  The working set is the owned slots, with the same
+    # 32 arrays of room; a borrowed load allocates nothing.
+    big = _Wilson(Lattice((8, 8, 8, 8)))
+    reg = _Translator(big.parsed, big.lanes)
+    reg.translate()
+    assert not reg.packs and reg.owned and reg.borrowed
+    slot = {}
+    allocate_slots(reg.lines, reg.owned, slot)
+    owned = len({slot[name] for name in reg.owned})
+    assert owned < reg.n_slots
+    in_place = build_sim_kernel(big.parsed, big.lanes)
+    big_peaks = []
+
+    def traced_big(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        in_place(*args)
+        big_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(big.entry.compiled, "func", traced_big)
+    view = big.ctx.device._views["float64"]
+    tracemalloc.start()
+    try:
+        big.launch()
+        before = tracemalloc.get_traced_memory()[0]
+        block = _RUNTIME["_ldv"](view, 8 * big.lanes, np.arange(
+            big.lanes, dtype=np.int64) * 8, 3, None, True)
+        borrowed = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (big_peak,) = big_peaks
+    assert big_peak <= (owned + 32) * big.lanes * 8
+    assert np.shares_memory(block, view) and borrowed < 1024

@@ -138,18 +138,20 @@ class TestVerifier:
 
     def test_unreachable_use_before_def_caught(self):
         """No block dominates an unreachable read, so textual order
-        decides: the JIT translates the skipped block too."""
+        decides: the JIT translates the skipped block too.  A read
+        naming the register in two operand slots is one finding."""
         a, b, _ = self._base()
         insts = [
             _inst("bra", None, None, (), label="$L"),
-            _inst("neg", PTXType.F64, b, (a,)),       # unreachable
+            _inst("add", PTXType.F64, b, (a, a)),     # unreachable
             _inst("label", None, None, (), label="$L"),
             _inst("mov", PTXType.F64, a, (Immediate(PTXType.F64, 1.0),)),
             _inst("ret", None, None, ()),
         ]
         findings = _ssa(_module("ubd_dead", insts))
         assert [d.location for d in findings
-                if "does not dominate" in d.message] == ["neg.f64 %fd1, %fd0;"]
+                if "does not dominate" in d.message] == [
+                    "add.f64 %fd1, %fd0, %fd0;"]
 
 
 class TestVerifierPipelinePass:

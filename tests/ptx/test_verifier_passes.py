@@ -111,7 +111,7 @@ class TestDefiniteAssignment:
     def test_one_armed_definition_caught(self):
         diagnostics = run_passes(_one_armed_def())
         found = _by_pass(diagnostics, "ssa-structure")
-        assert len(found) == 2         # both operands of the one read
+        assert len(found) == 1         # one read, named by two operands
         assert all(d.severity == Severity.ERROR for d in found)
         assert all("does not dominate" in d.message for d in found)
 

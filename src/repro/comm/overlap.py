@@ -10,30 +10,34 @@ switchable on/off, producing *identical field values* either way (the
 integration tests assert bit-level agreement) but different modeled
 times.
 
+Each term is :func:`repro.qcd.dslash.hop` of a forward and a backward
+half spinor, so the result is the single-rank operator's bit for bit.
 Only the directions the processor grid splits take the halo path
-(gather, message, interior fill, scatter).  Along an unsplit direction
-the neighbour of every site is on-rank, so the main kernel reads it
-through the local shift table instead — the same words, the same
-arithmetic, and no message from a rank to itself.
+(gather, message, interior fill, scatter), and a face carries the
+12-word half spinor: the reconstruct is local.  Along an unsplit
+direction the main kernel reads the on-rank neighbour through the
+local shift table, with no message from a rank to itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.expr import adj, shift
+import numpy as np
+
+from ..core.expr import shift
 from ..qdp.lattice import Subset
-from ..qdp.typesys import fermion
+from ..qcd.dslash import (DSLASH_FLOPS_PER_SITE, backward_half,
+                          forward_half, hop)
+from ..qcd.halfspinor import half_fermion
 from .vm import DistributedField, VirtualMachine
-from ..qcd.gamma import projector_const
-from ..qcd.dslash import DSLASH_FLOPS_PER_SITE
 
 
 @dataclass
 class DslashTiming:
     """Modeled wall-clock breakdown of one distributed Dslash."""
 
-    prepare_s: float       # backward-hop temporaries adj(u)*psi
+    prepare_s: float       # the half-spinor temporaries tb, tf
     gather_s: float
     comm_s: float
     interior_fill_s: float
@@ -73,14 +77,15 @@ class DistributedWilsonDslash:
                  precision: str = "f64"):
         self.vm = vm
         self.u = u
-        self.precision = precision
         nd = vm.local_lattice.nd
-        fspec = fermion(precision)
-        # persistent shifted-neighbor temporaries, one per split direction
+        hspec = half_fermion(precision)
+        # 12-word temporaries: every direction's backward half spinor;
+        # per split direction, the forward one it sends and both halos
         split = sorted(vm.grid.split_dims)
-        self.hf = {mu: vm.field(fspec, f"hopf{mu}") for mu in split}
-        self.hb = {mu: vm.field(fspec, f"hopb{mu}") for mu in split}
-        self.tb = [vm.field(fspec, f"tb{mu}") for mu in range(nd)]
+        self.tf = {mu: vm.field(hspec, f"tf{mu}") for mu in split}
+        self.hf = {mu: vm.field(hspec, f"hopf{mu}") for mu in split}
+        self.hb = {mu: vm.field(hspec, f"hopb{mu}") for mu in split}
+        self.tb = [vm.field(hspec, f"tb{mu}") for mu in range(nd)]
         self._boundary: Subset | None = None
         self._interior: Subset | None = None
 
@@ -91,8 +96,6 @@ class DistributedWilsonDslash:
             local = self.vm.local_lattice
             dirs = [(mu, s) for mu in range(local.nd) for s in (+1, -1)]
             inner = local.inner_sites(dirs)
-            import numpy as np
-
             mask = np.ones(local.nsites, dtype=bool)
             mask[inner] = False
             face = np.nonzero(mask)[0].astype(np.int32)
@@ -103,20 +106,15 @@ class DistributedWilsonDslash:
     def _main_expr(self, rank: int, psi: DistributedField,
                    split: frozenset[int], sign: int = +1):
         total = None
-        nd = self.vm.local_lattice.nd
-        for mu in range(nd):
-            p_minus = projector_const(mu, +sign, self.precision)
-            p_plus = projector_const(mu, -sign, self.precision)
+        for mu in range(self.vm.local_lattice.nd):
             if mu in split:
-                fwd_hop = self.hf[mu].shards[rank]
-                bwd_hop = self.hb[mu].shards[rank].ref()
+                fwd = self.hf[mu].shards[rank]
+                bwd = self.hb[mu].shards[rank]
             else:
                 # the neighbour is on-rank: read it through the shift
-                fwd_hop = shift(psi.shards[rank], +1, mu)
-                bwd_hop = shift(self.tb[mu].shards[rank].ref(), -1, mu)
-            fwd = p_minus * (self.u[mu].shards[rank] * fwd_hop)
-            bwd = p_plus * bwd_hop
-            term = fwd + bwd
+                fwd = forward_half(shift(psi.shards[rank], +1, mu), mu, sign)
+                bwd = shift(self.tb[mu].shards[rank].ref(), -1, mu)
+            term = hop(self.u[mu].shards[rank], fwd, bwd, mu, sign)
             total = term if total is None else total + term
         return total
 
@@ -135,12 +133,16 @@ class DistributedWilsonDslash:
         # the two synchronization points is the overlapped total
         t_begin = vm.runtime.synchronize()
 
-        # 1. backward-hop temporaries t_mu = adj(u_mu) * psi (local)
+        # 1. half-spinor temporaries (local): tb_mu, and tf_mu to send
         prepare = 0.0
         for mu in range(nd):
             prepare += vm.assign_local(
-                self.tb[mu],
-                lambda r, m=mu: adj(self.u[m].shards[r]) * psi.shards[r])
+                self.tb[mu], lambda r, m=mu: backward_half(
+                    self.u[m].shards[r], psi.shards[r], m, sign))
+        for mu in sorted(split):
+            prepare += vm.assign_local(
+                self.tf[mu], lambda r, m=mu: forward_half(
+                    psi.shards[r], m, sign))
 
         # 2. gather faces + launch all sends (split directions only)
         exchanges = []
@@ -149,7 +151,7 @@ class DistributedWilsonDslash:
         for mu in sorted(split):
             # non-overlap mode runs the textbook sequential schedule:
             # every send completes before anything else is enqueued
-            ex_f = vm.exchange(psi, mu, +1, blocking=not overlap)
+            ex_f = vm.exchange(self.tf[mu], mu, +1, blocking=not overlap)
             ex_b = vm.exchange(self.tb[mu], mu, -1, blocking=not overlap)
             exchanges.append((mu, ex_f, ex_b))
             gather += ex_f.gather_time + ex_b.gather_time
@@ -158,7 +160,8 @@ class DistributedWilsonDslash:
         # 3. interior fills of the shifted temporaries (overlappable)
         interior_fill = 0.0
         for mu, _, _ in exchanges:
-            interior_fill += vm.fill_shift_interior(self.hf[mu], psi, mu, +1)
+            interior_fill += vm.fill_shift_interior(self.hf[mu],
+                                                    self.tf[mu], mu, +1)
             interior_fill += vm.fill_shift_interior(self.hb[mu],
                                                     self.tb[mu], mu, -1)
 
@@ -166,23 +169,18 @@ class DistributedWilsonDslash:
             return self._main_expr(r, psi, split, sign)
 
         inner, face = self._partition()
-        main_inner = 0.0
-        main_face = 0.0
+        main_inner = main_face = scatter = 0.0
         if overlap:
-            # 4a. main kernel on inner sites while the halo flies
+            # 4. main kernel on inner sites while the halo flies
             main_inner = vm.assign_local(dest, main, subset=inner)
-            # 5. halo lands: scatter, then finish the face sites
-            scatter = 0.0
-            for mu, ex_f, ex_b in exchanges:
-                scatter += vm.scatter_halo(self.hf[mu], ex_f)
-                scatter += vm.scatter_halo(self.hb[mu], ex_b)
+        # 5. halo lands: scatter, then finish the face sites (or, in
+        # the sequential schedule, run one full-volume kernel)
+        for mu, ex_f, ex_b in exchanges:
+            scatter += vm.scatter_halo(self.hf[mu], ex_f)
+            scatter += vm.scatter_halo(self.hb[mu], ex_b)
+        if overlap:
             main_face = vm.assign_local(dest, main, subset=face)
         else:
-            # sequential: wait for the halo, then one full-volume kernel
-            scatter = 0.0
-            for mu, ex_f, ex_b in exchanges:
-                scatter += vm.scatter_halo(self.hf[mu], ex_f)
-                scatter += vm.scatter_halo(self.hb[mu], ex_b)
             main_inner = vm.assign_local(dest, main)
 
         total = vm.runtime.synchronize() - t_begin

@@ -237,7 +237,6 @@ class VirtualMachine:
     # -- halo exchange ------------------------------------------------------------
 
     def exchange(self, src: DistributedField, mu: int, sign: int,
-                 run_gather: bool = True,
                  blocking: bool = False) -> "ExchangeResult":
         """Move the halo for ``shift(src, sign, mu)``.
 
@@ -276,26 +275,25 @@ class VirtualMachine:
             ctx = self.contexts[r]
             sbuf = self._buffer(r, "send", mu, sign, nbytes)
             send_addrs.append(sbuf)
-            if run_gather:
-                # gather reads src's device data outside the evaluator:
-                # deferred statements targeting it must land first
-                ctx.flush()
-                kernel = self.face_kernels[r].get(
-                    "gather", spec.words_per_site, spec.precision,
-                    local.nsites, send_sites)
-                addrs = ctx.field_cache.make_available([src.shards[r]])
-                params = {
-                    "p_lo": local.nsites,
-                    "p_n": nface,
-                    "p_sites": ctx.upload_table(
-                        ("face", local.dims, mu, -sign), send_sites),
-                    "p_dst": sbuf,
-                    "p_src": addrs[src.shards[r].uid],
-                }
-                cost = ctx.device.launch(kernel.compiled, kernel.module.info,
-                                         params, nface, block_size=128,
-                                         precision=spec.precision)
-                gather_worst = max(gather_worst, cost.time_s)
+            # gather reads src's device data outside the evaluator:
+            # deferred statements targeting it must land first
+            ctx.flush()
+            kernel = self.face_kernels[r].get(
+                "gather", spec.words_per_site, spec.precision,
+                local.nsites, send_sites)
+            addrs = ctx.field_cache.make_available([src.shards[r]])
+            params = {
+                "p_lo": local.nsites,
+                "p_n": nface,
+                "p_sites": ctx.upload_table(
+                    ("face", local.dims, mu, -sign), send_sites),
+                "p_dst": sbuf,
+                "p_src": addrs[src.shards[r].uid],
+            }
+            cost = ctx.device.launch(kernel.compiled, kernel.module.info,
+                                     params, nface, block_size=128,
+                                     precision=spec.precision)
+            gather_worst = max(gather_worst, cost.time_s)
 
         # move bytes: rank r's send buffer -> neighbor(-sign... who
         # receives r's plane?  For a forward shift, rank r's lower
@@ -310,9 +308,8 @@ class VirtualMachine:
         comm_time = self.net.message_time(nbytes)
 
         rt = self.runtime
-        if run_gather:
-            rt.compute.enqueue(f"gather:{tag}", gather_worst, "gather",
-                               args={"bytes": nbytes, "nface": nface})
+        rt.compute.enqueue(f"gather:{tag}", gather_worst, "gather",
+                           args={"bytes": nbytes, "nface": nface})
         # the message reads the gathered send buffer
         rt.comm.wait_event(rt.compute.record_event())
         rt.comm.enqueue(f"halo:{tag}", comm_time, "comm",

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 from ..diagnostics import fusion_mode
 from ..ptx.absint import KernelEnv, MemRegion
 from .codegen import build_fused_kernel, partials_names
-from .expr import Expr, SlotAssigner, _NONE, _union, group_key
+from .expr import Expr, SlotAssigner, _NONE, _union, group_key, leaf_fields
 
 if TYPE_CHECKING:
     from .context import Context
@@ -74,7 +74,7 @@ class Statement:
     ``shift_reads`` are the (normalized) root's."""
 
     __slots__ = ("dest", "expr", "subset", "subset_mode", "lattice",
-                 "reads", "shift_reads", "temps", "cost")
+                 "reads", "shift_reads", "footprint", "temps", "cost")
 
     def __init__(self, dest, expr: Expr, subset, temps):
         self.dest = dest
@@ -83,6 +83,9 @@ class Statement:
         self.subset_mode = not subset.is_full
         self.lattice = dest.lattice
         self.reads, self.shift_reads = expr.reads, expr.shift_reads
+        #: device bytes of each distinct field the statement binds
+        self.footprint = {f.uid: f.nbytes for f in leaf_fields(expr.leaves)}
+        self.footprint[dest.uid] = dest.nbytes
         self.temps = temps
         self.cost = None
 
@@ -115,7 +118,7 @@ class Group:
     """
 
     __slots__ = ("lattice", "subset", "subset_mode", "stmts", "writes",
-                 "reads", "shift_reads", "need_host")
+                 "reads", "shift_reads", "need_host", "footprint")
 
     def __init__(self, lattice, subset, stmts=()):
         self.lattice = lattice
@@ -129,6 +132,9 @@ class Group:
         #: (a plain read of an earlier member's destination is
         #: forwarded in registers instead)
         self.need_host: set[int] = set()
+        #: bytes of each distinct field the kernel binds: one
+        #: ``make_available`` must hold them all at once
+        self.footprint: dict[int, int] = {}
         for stmt in stmts:
             self.add(stmt)
 
@@ -139,6 +145,7 @@ class Group:
         self.writes.add(stmt.dest.uid)
         self.reads |= stmt.reads
         self.shift_reads |= stmt.shift_reads
+        self.footprint.update(stmt.footprint)
 
 
 class PendingCost:
@@ -202,14 +209,18 @@ class FusionQueue:
     def _compatible(self, g: Group, stmt: Statement) -> bool:
         # destination precision must match: the fused kernel's default
         # arithmetic type equals each member's eager kernel's, which
-        # is what makes fusion bitwise-transparent
+        # is what makes fusion bitwise-transparent; and the grown
+        # group's fields must fit the pool together, since its launch
+        # pins them all
         return (g.lattice is stmt.lattice
                 and g.subset_mode == stmt.subset_mode
                 and (g.subset is stmt.subset
                      or g.subset.name == stmt.subset.name)
                 and (stmt.dest.spec.precision
                      == g.stmts[0].dest.spec.precision)
-                and len(g.stmts) < MAX_GROUP_STATEMENTS)
+                and len(g.stmts) < MAX_GROUP_STATEMENTS
+                and (sum({**g.footprint, **stmt.footprint}.values())
+                     <= self.ctx.device.pool.capacity))
 
     def enqueue(self, dest, expr: Expr, subset, temps):
         """Queue ``dest = expr``; returns its (lazy) launch cost."""

@@ -14,6 +14,10 @@ those, and reconstructs four.  The backward hop
 expression and is therefore materialized into a 12-word half-fermion
 temporary by the evaluator, exactly like QDP++ evaluates it.
 
+:func:`forward_half`, :func:`backward_half` and :func:`hop` are the one
+place that knows which projector goes on which hop; the distributed
+Dslash (:mod:`repro.comm.overlap`) builds its terms from them too.
+
 The standard Wilson Dslash flop count used when quoting GFLOPS
 (paper Fig. 6 and the QUDA comparison) is 1320 flops per site.
 """
@@ -29,8 +33,33 @@ from .halfspinor import spin_project, spin_reconstruct
 #: assuming spin projection: what QUDA and the paper quote GFLOPS in.
 #: The generated kernels of a lone ``D psi`` (the main kernel and one
 #: backward-hop kernel per direction) count 1452: the same arithmetic
-#: plus the 132 ``neg`` the -1 and +/-i projector entries fold to.
+#: plus the 132 ``neg`` the -1 and +/-i projector entries fold to.  A
+#: distributed apply (:mod:`repro.comm.overlap`) builds the same hops
+#: and counts the same 1452 per local site.
 DSLASH_FLOPS_PER_SITE = 1320
+
+
+def forward_half(psi, mu: int, sign: int):
+    """The forward hop's half spinor: ``(1 - sign*gamma_mu) psi``
+    projected to two spin rows.  Shift it (or receive it across a
+    face) to the site that multiplies it by ``u_mu``."""
+    return spin_project(psi, mu, +sign)
+
+
+def backward_half(u_mu, psi, mu: int, sign: int):
+    """The backward hop's half spinor ``adj(u_mu) (1 + sign*gamma_mu)
+    psi``, link applied at the sending site ``x``: the site ``x + mu``
+    reads it through the backward shift."""
+    return adj(u_mu) * spin_project(psi, mu, -sign)
+
+
+def hop(u_mu, fwd, bwd, mu: int, sign: int):
+    """One direction's term from the half spinors the site reads:
+    ``fwd`` its forward neighbour's :func:`forward_half`, ``bwd`` its
+    backward neighbour's :func:`backward_half`, both reconstructed
+    on-site."""
+    return (spin_reconstruct(u_mu * fwd, mu, +sign)
+            + spin_reconstruct(bwd, mu, -sign))
 
 
 def dslash_expr(u: multi1d, psi, sign: int = +1, coeffs=None,
@@ -41,17 +70,11 @@ def dslash_expr(u: multi1d, psi, sign: int = +1, coeffs=None,
     (projectors swapped), i.e. the hopping part of M-dagger.
     ``coeffs`` optionally scales each direction's hop (anisotropy).
     """
-    nd = len(u)
     total = None
-    for mu in range(nd):
-        # (1 -/+ gamma_mu) on the forward hop, (1 +/- gamma_mu) backward
-        fwd = spin_reconstruct(
-            u[mu] * spin_project(shift(psi, FORWARD, mu), mu, +sign),
-            mu, +sign)
-        bwd = spin_reconstruct(
-            shift(adj(u[mu]) * spin_project(psi, mu, -sign), BACKWARD, mu),
-            mu, -sign)
-        term = fwd + bwd
+    for mu in range(len(u)):
+        term = hop(u[mu], forward_half(shift(psi, FORWARD, mu), mu, sign),
+                   shift(backward_half(u[mu], psi, mu, sign), BACKWARD, mu),
+                   mu, sign)
         if coeffs is not None and coeffs[mu] != 1.0:
             term = ScalarParam(coeffs[mu], precision) * term
         total = term if total is None else total + term

@@ -10,6 +10,7 @@ import pytest
 from repro.comm import DistributedWilsonDslash, VirtualMachine
 from repro.qcd.dslash import WilsonDslash
 from repro.qcd.gauge import weak_gauge
+from repro.qcd.halfspinor import half_fermion
 from repro.qdp.fields import latt_fermion
 from repro.qdp.lattice import Lattice
 from repro.qdp.typesys import color_matrix, fermion
@@ -17,7 +18,8 @@ from repro.qdp.typesys import color_matrix, fermion
 
 def _setup(grid, seed):
     """A VM over ``grid`` holding a weak gauge field and a gaussian
-    source on 4x4x4x8, plus the single-rank ``WilsonDslash`` result."""
+    source on 4x4x4x8, plus the single-rank ``WilsonDslash`` result
+    for each sign."""
     rng = np.random.default_rng(seed)
     dims = (4, 4, 4, 8)
     # single-rank reference
@@ -28,9 +30,11 @@ def _setup(grid, seed):
     u = weak_gauge(glat, rng, context=ref_ctx)
     psi = latt_fermion(glat, context=ref_ctx)
     psi.gaussian(rng)
-    dest = latt_fermion(glat, context=ref_ctx)
-    WilsonDslash(u)(dest, psi)
-    ref = dest.to_numpy()
+    ref = {}
+    for sign in (+1, -1):
+        dest = latt_fermion(glat, context=ref_ctx)
+        WilsonDslash(u)(dest, psi, sign=sign)
+        ref[sign] = dest.to_numpy()
 
     vm = VirtualMachine(dims, grid)
     ud = [vm.field(color_matrix()) for _ in range(4)]
@@ -53,12 +57,17 @@ def split_space_setup():
 
 
 class TestCorrectness:
+    """The distributed operator is the single-rank one bit for bit:
+    its terms are ``dslash_expr``'s hops, and a halo carries exactly
+    the half spinors the single-rank kernels compute."""
+
     def test_nonoverlap_matches_single_rank(self, dslash_setup):
         vm, ud, psid, ref = dslash_setup
         d = DistributedWilsonDslash(vm, ud)
         out = vm.field(fermion())
-        d.apply(out, psid, overlap=False)
-        assert np.abs(out.to_global() - ref).max() < 1e-12
+        for sign in (+1, -1):
+            d.apply(out, psid, overlap=False, sign=sign)
+            assert np.array_equal(out.to_global(), ref[sign]), sign
 
     def test_overlap_bit_identical_to_nonoverlap(self, dslash_setup):
         vm, ud, psid, ref = dslash_setup
@@ -73,30 +82,17 @@ class TestCorrectness:
         vm, ud, psid, ref = dslash_setup
         d = DistributedWilsonDslash(vm, ud)
         out = vm.field(fermion())
-        d.apply(out, psid, overlap=True)
-        assert np.abs(out.to_global() - ref).max() < 1e-12
+        for sign in (+1, -1):
+            d.apply(out, psid, overlap=True, sign=sign)
+            assert np.array_equal(out.to_global(), ref[sign]), sign
 
     def test_four_rank_grid(self):
-        rng = np.random.default_rng(7)
-        dims = (4, 4, 4, 8)
-        vm = VirtualMachine(dims, (1, 1, 2, 2))
-        from repro.core.context import Context
-        from repro.qcd.gauge import weak_gauge as wg
-
-        ref_ctx = Context()
-        u = wg(Lattice(dims), rng, context=ref_ctx)
-        psi = latt_fermion(Lattice(dims), context=ref_ctx)
-        psi.gaussian(rng)
-        dest = latt_fermion(Lattice(dims), context=ref_ctx)
-        WilsonDslash(u)(dest, psi)
-        ud = [vm.field(color_matrix()) for _ in range(4)]
-        for mu in range(4):
-            ud[mu].from_global(u[mu].to_numpy())
-        psid = vm.field(fermion())
-        psid.from_global(psi.to_numpy())
+        vm, ud, psid, ref = _setup((1, 1, 2, 2), 7)
+        d = DistributedWilsonDslash(vm, ud)
         out = vm.field(fermion())
-        DistributedWilsonDslash(vm, ud).apply(out, psid, overlap=True)
-        assert np.abs(out.to_global() - dest.to_numpy()).max() < 1e-12
+        for sign in (+1, -1):
+            d.apply(out, psid, overlap=True, sign=sign)
+            assert np.array_equal(out.to_global(), ref[sign]), sign
 
 
 class TestSplitDirections:
@@ -119,9 +115,27 @@ class TestSplitDirections:
     def test_space_split_matches_single_rank(self, split_space_setup):
         vm, ud, psid, ref = split_space_setup
         assert vm.grid.split_dims == {0, 3}
+        d = DistributedWilsonDslash(vm, ud)
         out = vm.field(fermion())
-        DistributedWilsonDslash(vm, ud).apply(out, psid, overlap=True)
-        assert np.abs(out.to_global() - ref).max() < 1e-12
+        for sign in (+1, -1):
+            d.apply(out, psid, overlap=True, sign=sign)
+            assert np.array_equal(out.to_global(), ref[sign]), sign
+
+    def test_halos_carry_half_spinors(self, split_space_setup):
+        """A face sends the projected 12-word half spinor, not the
+        24-word spinor: every message is half what it would be."""
+        vm, ud, psid, _ = split_space_setup
+        t = DistributedWilsonDslash(vm, ud).apply(
+            vm.field(fermion()), psid, overlap=True)
+        halos = [s for s in t.timeline.spans if s.name.startswith("halo:")]
+        assert len(halos) == 4
+        h = half_fermion()
+        for span in halos:
+            tag = span.name.split(":")[1]
+            mu, sign = int(tag[0]), +1 if tag[1] == "+" else -1
+            nface = vm.local_lattice.face_sites(mu, sign).size
+            assert span.args["bytes"] \
+                == nface * h.words_per_site * h.word_bytes, span.name
 
     def test_space_split_overlap_bit_identical_to_nonoverlap(
             self, split_space_setup):

@@ -15,6 +15,7 @@ from repro.core.fusion import MAX_GROUP_STATEMENTS, PendingCost
 from repro.core.reduction import innerProduct, norm2
 from repro.qdp.fields import latt_fermion, latt_real
 from repro.qdp.lattice import Lattice
+from repro.qdp.typesys import fermion
 
 
 def _launches(ctx):
@@ -278,6 +279,54 @@ class TestScratchBeforePaging:
         e.assign(d + c)
         with pytest.raises(SpillImpossible):
             norm2(e)
+
+
+class TestGroupsFitThePool:
+    """A group's launch pins every field it binds, so a statement
+    whose fields would take the group past the pool starts a new
+    group.  The shape is an axpy ring over twelve fields with room for
+    six and a half, enqueued with one flush at the end: it used to
+    fuse into groups of nine fields and raise ``SpillImpossible``."""
+
+    FIELDS = 12
+
+    @staticmethod
+    def _context():
+        lat = Lattice((4, 4, 4, 4))
+        nbytes = lat.nsites * fermion().bytes_per_site
+        return lat, Context(pool_capacity=6 * nbytes + nbytes // 2,
+                            autotune=False, fusion=True)
+
+    def _ring(self, rng, flush_each):
+        lat, ctx = self._context()
+        f = _fermions(lat, ctx, self.FIELDS, rng)
+        n = self.FIELDS
+        for i in range(n):
+            a, b = f[(i + n // 3) % n].ref(), f[(i + 2 * n // 3) % n].ref()
+            c = 0.05 * (i + 1)
+            f[i].assign((a + c * b, a - c * b, c * a + b, c * (a - b))[i % 4])
+            if flush_each:
+                ctx.flush()
+        ctx.flush()
+        return ctx, [x.to_numpy().copy() for x in f]
+
+    def test_ring_flushed_once_equals_ring_flushed_per_statement(self):
+        once, got = self._ring(np.random.default_rng(3), flush_each=False)
+        each, want = self._ring(np.random.default_rng(3), flush_each=True)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert each.stats.fusion_groups == 0
+        assert once.stats.fused_statements == self.FIELDS
+
+    def test_a_statement_that_would_overflow_starts_a_group(self):
+        lat, ctx = self._context()
+        f = _fermions(lat, ctx, 9)
+        f[0].assign(f[1] + f[2])
+        f[3].assign(f[4] + f[5])
+        f[6].assign(f[7] + f[8])       # three more fields: no room
+        f[1].assign(f[0] - f[3])       # nothing new: joins the first
+        assert [(len(g.stmts), sum(g.footprint.values()) // f[0].nbytes)
+                for g in ctx.fusion.groups] == [(3, 6), (1, 3)]
+        ctx.flush()
 
 
 class TestGroupOfOne:

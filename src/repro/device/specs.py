@@ -9,7 +9,7 @@ documented in :mod:`repro.device.memmodel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class DeviceSpec:
     pcie_bandwidth: float
     #: host<->device transfer latency, seconds
     pcie_latency_s: float
-
-    def with_pool_capacity(self, capacity: int) -> "DeviceSpec":
-        """A copy whose accounting capacity is ``capacity`` bytes.
-
-        Used by tests that want small device memories to exercise the
-        LRU spill path without allocating gigabytes of host RAM.
-        """
-        return replace(self, memory_bytes=int(capacity))
 
 
 #: Tesla K20x with ECC disabled — the single-GPU benchmark device of

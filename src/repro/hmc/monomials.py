@@ -25,6 +25,22 @@ from .forces import dslash_outer_force, wilson_gauge_action, wilson_gauge_force
 from .rational import PartialFraction
 
 
+class CloverForceError(NotImplementedError):
+    """Clover params reached a fermion monomial.  Its force is the
+    hopping term's outer product alone; the clover term's sigma.F
+    derivative and ``log det A_ee`` term (ROADMAP item 4(f)) are not
+    there, so the trajectory would integrate the wrong force."""
+
+
+def _require_wilson(*params: WilsonParams) -> None:
+    for p in params:
+        if p.clover_coeff is not None:
+            raise CloverForceError(
+                f"clover_coeff={p.clover_coeff!r}: the fermion monomials "
+                "have no clover force yet (ROADMAP item 4(f)); pass "
+                "Wilson params (clover_coeff=None)")
+
+
 class Monomial:
     """Base class: a term of the MD action."""
 
@@ -62,6 +78,7 @@ class TwoFlavorWilsonMonomial(Monomial):
 
     def __init__(self, params: WilsonParams, tol: float = 1e-9,
                  max_iter: int = 2000):
+        _require_wilson(params)
         self.params = params
         self.tol = tol
         self.max_iter = max_iter
@@ -115,6 +132,7 @@ class HasenbuschRatioMonomial(Monomial):
 
     def __init__(self, light: WilsonParams, heavy: WilsonParams,
                  tol: float = 1e-9, max_iter: int = 2000):
+        _require_wilson(light, heavy)
         self.light = light
         self.heavy = heavy
         self.tol = tol
@@ -180,6 +198,7 @@ class OneFlavorRationalMonomial(Monomial):
     def __init__(self, params: WilsonParams, action_pf: PartialFraction,
                  heatbath_pf: PartialFraction, tol: float = 1e-9,
                  max_iter: int = 2000):
+        _require_wilson(params)
         self.params = params
         self.action_pf = action_pf
         self.heatbath_pf = heatbath_pf
@@ -188,17 +207,25 @@ class OneFlavorRationalMonomial(Monomial):
         self.phi: LatticeField | None = None
         self.solve_iterations = 0
 
-    def _apply_rational(self, u: multi1d, pf: PartialFraction,
-                        src: LatticeField) -> LatticeField:
-        """dest = (a0 + sum_i a_i (M+M + s_i)^{-1}) src."""
+    def _multishift(self, u: multi1d, pf: PartialFraction,
+                    src: LatticeField, what: str
+                    ) -> tuple[WilsonOperator, list[LatticeField]]:
+        """x_i = (M+M + s_i)^{-1} src for every shift of ``pf``, from
+        one multi-shift CG; ``what`` names the solve in its error."""
         m = WilsonOperator(u, self.params)
         xs = [m.new_fermion() for _ in pf.shifts]
         res = multishift_cg(lambda d, s: m.apply_mdagm(d, s), xs, src,
                             list(pf.shifts), tol=self.tol,
                             max_iter=self.max_iter)
         if not res.converged:
-            raise RuntimeError("rational multishift solve failed")
+            raise RuntimeError(f"rational {what} solve failed")
         self.solve_iterations += res.iterations
+        return m, xs
+
+    def _apply_rational(self, u: multi1d, pf: PartialFraction,
+                        src: LatticeField) -> LatticeField:
+        """dest = (a0 + sum_i a_i (M+M + s_i)^{-1}) src."""
+        m, xs = self._multishift(u, pf, src, "multishift")
         out = m.new_fermion()
         expr = pf.a0 * src.ref()
         for a_i, x_i in zip(pf.residues, xs):
@@ -213,29 +240,15 @@ class OneFlavorRationalMonomial(Monomial):
         self.phi = self._apply_rational(u, self.heatbath_pf, eta)
 
     def action(self, u: multi1d) -> float:
-        m = WilsonOperator(u, self.params)
-        xs = [m.new_fermion() for _ in self.action_pf.shifts]
-        res = multishift_cg(lambda d, s: m.apply_mdagm(d, s), xs, self.phi,
-                            list(self.action_pf.shifts), tol=self.tol,
-                            max_iter=self.max_iter)
-        if not res.converged:
-            raise RuntimeError("rational action solve failed")
-        self.solve_iterations += res.iterations
+        _, xs = self._multishift(u, self.action_pf, self.phi, "action")
         s = self.action_pf.a0 * norm2(self.phi)
         for a_i, x_i in zip(self.action_pf.residues, xs):
             s += a_i * innerProduct(self.phi, x_i).real
         return s
 
     def force(self, u: multi1d) -> np.ndarray:
-        m = WilsonOperator(u, self.params)
         pf = self.action_pf
-        xs = [m.new_fermion() for _ in pf.shifts]
-        res = multishift_cg(lambda d, s: m.apply_mdagm(d, s), xs, self.phi,
-                            list(pf.shifts), tol=self.tol,
-                            max_iter=self.max_iter)
-        if not res.converged:
-            raise RuntimeError("rational force solve failed")
-        self.solve_iterations += res.iterations
+        m, xs = self._multishift(u, pf, self.phi, "force")
         nd = u[0].lattice.nd
         lattice = u[0].lattice
         total = np.zeros((nd, lattice.nsites, 3, 3), dtype=complex)

@@ -139,9 +139,9 @@ def _build_kernel_suite(dims: tuple[int, ...]):
 
     from .core.context import Context
     from .core.reduction import innerProduct, norm2, sum_sites
-    from .qcd.cloverop import CloverOperator, CloverParams
     from .qcd.dslash import WilsonDslash, dslash_expr
     from .qcd.gauge import weak_gauge
+    from .qcd.wilson import WilsonOperator, WilsonParams
     from .qdp.fields import latt_complex, latt_fermion
     from .qdp.lattice import Lattice
 
@@ -161,7 +161,7 @@ def _build_kernel_suite(dims: tuple[int, ...]):
     dslash(chi, psi, sign=-1)
 
     # clover operator (site-diagonal clover + hopping term)
-    clov = CloverOperator(u, CloverParams(kappa=0.12, clover_coeff=1.0))
+    clov = WilsonOperator(u, WilsonParams(kappa=0.12, clover_coeff=1.0))
     clov.apply(dest, psi)
     clov.apply_dagger(chi, psi)
 

@@ -10,7 +10,6 @@ from .analysis import (
     wall_source,
 )
 from .clover import CloverTerm
-from .cloverop import CloverOperator, CloverParams, EvenOddCloverOperator
 from .dslash import DSLASH_FLOPS_PER_SITE, WilsonDslash, dslash_expr
 from .gamma import (
     GAMMA,
@@ -57,15 +56,12 @@ from .solver import (
 from .wilson import EvenOddWilsonOperator, WilsonOperator, WilsonParams
 
 __all__ = [
-    "CloverOperator",
     "compute_propagator",
     "effective_mass",
     "pion_correlator",
     "point_source",
     "wall_source",
-    "CloverParams",
     "CloverTerm",
-    "EvenOddCloverOperator",
     "MixedSolveResult",
     "energy_density",
     "half_fermion",

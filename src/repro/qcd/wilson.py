@@ -1,20 +1,27 @@
-"""The Wilson fermion matrix and its even-odd preconditioned form.
+"""The Wilson-type fermion matrix — Wilson or Wilson-clover — and its
+even-odd preconditioned form.
 
 Conventions (Chroma's kappa normalization):
 
-    M = 1 - kappa * D                      (unpreconditioned)
+    M = A - kappa * D                      (unpreconditioned)
 
-with D the hopping term of :mod:`repro.qcd.dslash`.  gamma5-
-Hermiticity holds: ``gamma5 M gamma5 = M-dagger``.
+with D the hopping term of :mod:`repro.qcd.dslash` and A the site
+term: ``A = 1`` for the Wilson operator, and for the clover operator
+(the paper's production action: 2+1 flavours of anisotropic clover
+fermions) ``A = 1 + c * sum_{mu<nu} sigma.F``, the packed clover term
+of :mod:`repro.qcd.clover` applied through its custom-op kernel.
+Because ``sigma_{mu nu}`` commutes with gamma5, gamma5-Hermiticity
+``gamma5 M gamma5 = M-dagger`` holds for both.
 
 Even-odd (red-black) preconditioning splits sites by parity; with
-``M_ee = M_oo = 1`` and ``M_eo = -kappa D_eo`` the Schur complement on
-the even sublattice is
+``M_eo = -kappa D_eo`` the Schur complement on the even sublattice is
+(Chroma's ``EvenOddPrecCloverOp``)
 
-    M_prec = 1 - kappa^2 D_eo D_oe
+    M_prec = A_ee - kappa^2 D_eo A_oo^{-1} D_oe
 
 which is what the solvers in both QDP-JIT-based Chroma and QUDA
 actually invert (half the volume, squared condition improvement).
+For Wilson ``A_ee = A_oo^{-1} = 1`` and no site term is evaluated.
 """
 
 from __future__ import annotations
@@ -23,21 +30,24 @@ from dataclasses import dataclass
 
 from ..core.expr import ScalarParam
 from ..qdp.fields import LatticeField, latt_fermion, multi1d
-from .dslash import WilsonDslash, dslash_expr
+from .clover import CloverTerm
+from .dslash import dslash_expr
 
 
 @dataclass
 class WilsonParams:
-    """Physics parameters of the Wilson operator.
+    """Physics parameters of the Wilson-type operator.
 
     ``kappa = 1 / (2 m + 8)`` relates the hopping parameter to the
     bare mass m (isotropic 4-d).  ``anisotropy`` optionally scales the
     temporal hops (the paper's production runs use anisotropic
-    lattices).
+    lattices).  ``clover_coeff`` set (zero included) adds the clover
+    site term with that coefficient; ``None`` is the Wilson operator.
     """
 
     kappa: float
     anisotropy: float | None = None
+    clover_coeff: float | None = None
 
     @classmethod
     def from_mass(cls, mass: float, anisotropy: float | None = None
@@ -57,7 +67,7 @@ class WilsonParams:
 
 
 class WilsonOperator:
-    """The full-lattice Wilson matrix M = 1 - kappa D."""
+    """The full-lattice matrix M = A - kappa D."""
 
     def __init__(self, u: multi1d, params: WilsonParams,
                  precision: str = "f64"):
@@ -65,26 +75,32 @@ class WilsonOperator:
         self.params = params
         self.precision = precision
         self.lattice = u[0].lattice
-        self.dslash = WilsonDslash(u, coeffs=params.hop_coeffs(self.lattice.nd),
-                                   precision=precision)
+        self.coeffs = params.hop_coeffs(self.lattice.nd)
+        self.clover = (None if params.clover_coeff is None else
+                       CloverTerm(u, params.clover_coeff, precision))
 
     def new_fermion(self) -> LatticeField:
         return latt_fermion(self.lattice, self.precision, self.u[0].context)
 
-    def _expr(self, psi, sign: int):
+    def _site(self, psi):
+        """A psi: psi itself for Wilson, the clover custom op otherwise."""
+        return psi if self.clover is None else self.clover.apply_expr(psi)
+
+    def _dslash(self, psi, sign: int = +1):
+        return dslash_expr(self.u, psi, sign=sign, coeffs=self.coeffs,
+                           precision=self.precision)
+
+    def _apply_sign(self, dest: LatticeField, psi, sign: int) -> None:
         kappa = ScalarParam(self.params.kappa, self.precision)
-        return psi - kappa * dslash_expr(
-            self.u, psi, sign=sign,
-            coeffs=self.params.hop_coeffs(self.lattice.nd),
-            precision=self.precision)
+        dest.assign(self._site(psi) - kappa * self._dslash(psi, sign))
 
     def apply(self, dest: LatticeField, psi) -> None:
         """dest = M psi."""
-        dest.assign(self._expr(psi, +1))
+        self._apply_sign(dest, psi, +1)
 
     def apply_dagger(self, dest: LatticeField, psi) -> None:
         """dest = M-dagger psi (via gamma5-Hermiticity structure)."""
-        dest.assign(self._expr(psi, -1))
+        self._apply_sign(dest, psi, -1)
 
     def apply_mdagm(self, dest: LatticeField, psi,
                     tmp: LatticeField | None = None) -> None:
@@ -95,10 +111,10 @@ class WilsonOperator:
         self.apply_dagger(dest, tmp)
 
 
-class EvenOddWilsonOperator:
-    """The even-odd preconditioned Wilson matrix on the even subset:
+class EvenOddWilsonOperator(WilsonOperator):
+    """The even-odd preconditioned matrix on the even subset:
 
-        M_prec psi_e = psi_e - kappa^2 D_eo (D_oe psi_e)
+        M_prec psi_e = A_ee psi_e - kappa^2 D_eo A_oo^{-1} (D_oe psi_e)
 
     Apply/apply_dagger evaluate only on the relevant checkerboards, so
     each application moves half the data of the full operator.
@@ -106,15 +122,9 @@ class EvenOddWilsonOperator:
 
     def __init__(self, u: multi1d, params: WilsonParams,
                  precision: str = "f64"):
-        self.u = u
-        self.params = params
-        self.precision = precision
-        self.lattice = u[0].lattice
-        self.coeffs = params.hop_coeffs(self.lattice.nd)
-        self._tmp = latt_fermion(self.lattice, precision, u[0].context)
-
-    def new_fermion(self) -> LatticeField:
-        return latt_fermion(self.lattice, self.precision, self.u[0].context)
+        super().__init__(u, params, precision)
+        self._t1 = self.new_fermion()
+        self._t2 = None if self.clover is None else self.new_fermion()
 
     @property
     def even(self):
@@ -124,46 +134,42 @@ class EvenOddWilsonOperator:
     def odd(self):
         return self.lattice.odd
 
+    def _inverse_odd(self, dest: LatticeField, src: LatticeField
+                     ) -> LatticeField:
+        """The field whose odd sites hold A_oo^{-1} src: ``src`` itself
+        for Wilson (no statement), ``dest`` written by the clover
+        inverse otherwise."""
+        if self.clover is None:
+            return src
+        self.clover.apply_inverse(dest, src, subset=self.odd)
+        return dest
+
     def _apply_sign(self, dest: LatticeField, psi, sign: int) -> None:
         k2 = ScalarParam(self.params.kappa ** 2, self.precision)
-        d_oe = dslash_expr(self.u, psi, sign=sign, coeffs=self.coeffs,
-                           precision=self.precision)
-        self._tmp.assign(d_oe, subset=self.odd)
-        d_eo = dslash_expr(self.u, self._tmp, sign=sign, coeffs=self.coeffs,
-                           precision=self.precision)
-        dest.assign(psi - k2 * d_eo, subset=self.even)
-
-    def apply(self, dest: LatticeField, psi) -> None:
-        self._apply_sign(dest, psi, +1)
-
-    def apply_dagger(self, dest: LatticeField, psi) -> None:
-        self._apply_sign(dest, psi, -1)
-
-    def apply_mdagm(self, dest: LatticeField, psi,
-                    tmp: LatticeField | None = None) -> None:
-        tmp = tmp if tmp is not None else self.new_fermion()
-        self.apply(tmp, psi)
-        self.apply_dagger(dest, tmp)
+        self._t1.assign(self._dslash(psi, sign), subset=self.odd)
+        d_eo = self._dslash(self._inverse_odd(self._t2, self._t1), sign)
+        dest.assign(self._site(psi) - k2 * d_eo, subset=self.even)
 
     # -- full-system reconstruction ------------------------------------
 
     def prepare_source(self, chi: LatticeField) -> LatticeField:
-        """chi'_e = chi_e + kappa D_eo chi_o (Schur forward step)."""
+        """chi'_e = chi_e + kappa D_eo A_oo^{-1} chi_o (Schur forward
+        step)."""
         k = ScalarParam(self.params.kappa, self.precision)
         out = self.new_fermion()
-        d = dslash_expr(self.u, chi, coeffs=self.coeffs,
-                        precision=self.precision)
+        d = self._dslash(self._inverse_odd(self._t1, chi))
         out.assign(chi + k * d, subset=self.even)
         out.assign(chi.ref(), subset=self.odd)
         return out
 
     def reconstruct(self, psi_e: LatticeField, chi: LatticeField
                     ) -> LatticeField:
-        """psi_o = chi_o + kappa D_oe psi_e (Schur back-substitution)."""
+        """psi_o = A_oo^{-1} (chi_o + kappa D_oe psi_e) (Schur
+        back-substitution)."""
         k = ScalarParam(self.params.kappa, self.precision)
         out = self.new_fermion()
         out.assign(psi_e.ref(), subset=self.even)
-        d = dslash_expr(self.u, psi_e, coeffs=self.coeffs,
-                        precision=self.precision)
-        out.assign(chi + k * d, subset=self.odd)
+        rhs = out if self.clover is None else self._t1
+        rhs.assign(chi + k * self._dslash(psi_e), subset=self.odd)
+        self._inverse_odd(out, rhs)
         return out

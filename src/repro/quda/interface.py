@@ -42,15 +42,24 @@ class QudaInvertParam:
 
 
 class QudaSolver:
-    """Solve M+ M x = b through the QUDA comparator stack."""
+    """Solve M+ M x = b through the QUDA comparator stack.
+
+    The optimized Dslash is the isotropic Wilson hopping term, so
+    params with an anisotropy or a clover term are rejected rather
+    than solved as the isotropic Wilson operator.
+    """
 
     def __init__(self, u: multi1d, params: WilsonParams,
                  invert: QudaInvertParam | None = None):
+        if params.anisotropy is not None or params.clover_coeff is not None:
+            raise ValueError(
+                "QudaSolver models the isotropic Wilson operator only; "
+                f"got anisotropy={params.anisotropy!r}, "
+                f"clover_coeff={params.clover_coeff!r}")
         self.u = u
         self.params = params
         self.invert = invert or QudaInvertParam()
         self._dslash = OptimizedDslash(u)
-        self._dslash_sp: OptimizedDslash | None = None
         self.transfer_seconds_charged = 0.0
 
     def _charge_interface_overhead(self, *fields: LatticeField) -> None:

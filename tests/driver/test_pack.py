@@ -26,6 +26,7 @@ from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import PTXType
 from repro.ptx.module import PTXModule
 from repro.qcd.clover import CloverTerm
+from repro.qcd.dslash import WilsonDslash
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.solver import cg
 from repro.qcd.wilson import WilsonOperator, WilsonParams
@@ -122,9 +123,9 @@ class TestParity:
     def test_lone_wilson_dslash(self, parity, lat):
         ctx = Context(fusion=False, pool_capacity=POOL)
         seen = parity(ctx)
-        op = WilsonOperator(_gauge(lat, ctx), WilsonParams(kappa=0.12))
-        out = op.new_fermion()
-        op.dslash(out, _fermion(lat, ctx, 2))
+        dslash = WilsonDslash(_gauge(lat, ctx))
+        out = dslash.new_fermion()
+        dslash(out, _fermion(lat, ctx, 2))
         ctx.flush()
         kinds = {k for _, p in seen for k, _ in p}
         assert {"ld", "gv", "op"} <= kinds     # links, neighbours, products

@@ -15,6 +15,7 @@ from repro.hmc import (
     fourth_root,
     inv_sqrt,
 )
+from repro.hmc.monomials import CloverForceError
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
 from repro.qdp.fields import latt_fermion
@@ -90,6 +91,26 @@ class TestHasenbusch:
         f_direct = np.abs(direct.force(u)).max()
         f_ratio = np.abs(ratio.force(u)).max()
         assert f_ratio < f_direct
+
+
+class TestWilsonOnly:
+    """The fermion forces are the hopping term's alone, so clover
+    params are refused when a monomial is built."""
+
+    CLOVER = WilsonParams(kappa=0.1, clover_coeff=0.3)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: TwoFlavorWilsonMonomial(p),
+        lambda p: HasenbuschRatioMonomial(WilsonParams(kappa=0.1), p),
+        lambda p: HasenbuschRatioMonomial(p, WilsonParams(kappa=0.1)),
+        lambda p: OneFlavorRationalMonomial(
+            p, inv_sqrt(0.05, 4.0, degree=4),
+            fourth_root(0.05, 4.0, degree=4)),
+    ], ids=["two_flavor", "hasenbusch_heavy", "hasenbusch_light",
+            "rational"])
+    def test_clover_params_rejected(self, build):
+        with pytest.raises(CloverForceError, match=r"4\(f\)"):
+            build(self.CLOVER)
 
 
 class TestFullRHMC:

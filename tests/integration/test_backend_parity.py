@@ -16,9 +16,9 @@ def _run_suite(monkeypatch, backend):
 
     from repro.core.context import Context, set_default_context
     from repro.core.reduction import innerProduct, norm2, sum_sites
-    from repro.qcd.cloverop import CloverOperator, CloverParams
     from repro.qcd.dslash import WilsonDslash
     from repro.qcd.gauge import weak_gauge
+    from repro.qcd.wilson import WilsonOperator, WilsonParams
     from repro.qdp.fields import latt_complex, latt_fermion
     from repro.qdp.lattice import Lattice
 
@@ -43,7 +43,7 @@ def _run_suite(monkeypatch, backend):
         out.append(dest.to_numpy().copy())
         dslash(chi, psi, sign=-1)
         out.append(chi.to_numpy().copy())
-        clov = CloverOperator(u, CloverParams(kappa=0.12, clover_coeff=1.0))
+        clov = WilsonOperator(u, WilsonParams(kappa=0.12, clover_coeff=1.0))
         clov.apply(dest, psi)
         out.append(dest.to_numpy().copy())
         clov.apply_dagger(chi, psi)

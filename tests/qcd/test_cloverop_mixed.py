@@ -1,42 +1,45 @@
-"""Tests for the Wilson-clover operator (the production action) and
-the framework-native mixed-precision solver."""
+"""Tests for the Wilson-clover operator (the production action: the
+Wilson operator with the clover site term) and the framework-native
+mixed-precision solver."""
 
 import numpy as np
 import pytest
 
 from repro.core.reduction import innerProduct, norm2
-from repro.qcd.cloverop import CloverOperator, CloverParams, EvenOddCloverOperator
 from repro.qcd.gauge import unit_gauge, weak_gauge
 from repro.qcd.mixedsolver import mixed_precision_cg
 from repro.qcd.solver import cg
-from repro.qcd.wilson import WilsonOperator, WilsonParams
+from repro.qcd.wilson import (EvenOddWilsonOperator, WilsonOperator,
+                              WilsonParams)
 from repro.qdp.fields import latt_fermion
 
 
 @pytest.fixture()
 def setup(ctx, lat4, rng):
     u = weak_gauge(lat4, rng, eps=0.25)
-    params = CloverParams(kappa=0.11, clover_coeff=0.3)
+    params = WilsonParams(kappa=0.11, clover_coeff=0.3)
     psi = latt_fermion(lat4)
     psi.gaussian(rng)
     return u, params, psi
 
 
-class TestCloverOperator:
+class TestWilsonClover:
     def test_reduces_to_wilson_at_zero_coeff(self, ctx, lat4, setup):
         u, _, psi = setup
-        clov = CloverOperator(u, CloverParams(kappa=0.11,
+        clov = WilsonOperator(u, WilsonParams(kappa=0.11,
                                               clover_coeff=0.0))
+        assert clov.clover is not None
         wil = WilsonOperator(u, WilsonParams(kappa=0.11))
+        assert wil.clover is None
         a, b = clov.new_fermion(), wil.new_fermion()
         clov.apply(a, psi)
         wil.apply(b, psi)
-        assert np.allclose(a.to_numpy(), b.to_numpy(), rtol=1e-12)
+        assert np.array_equal(a.to_numpy(), b.to_numpy())
 
     def test_matches_components(self, ctx, lat4, setup):
         """M psi = A psi - kappa D psi assembled independently."""
         u, params, psi = setup
-        m = CloverOperator(u, params)
+        m = WilsonOperator(u, params)
         out = m.new_fermion()
         m.apply(out, psi)
         a_psi = m.new_fermion()
@@ -50,7 +53,7 @@ class TestCloverOperator:
 
     def test_gamma5_hermiticity(self, ctx, lat4, setup, rng):
         u, params, psi = setup
-        m = CloverOperator(u, params)
+        m = WilsonOperator(u, params)
         chi = latt_fermion(lat4)
         chi.gaussian(rng)
         mpsi, mdchi = m.new_fermion(), m.new_fermion()
@@ -61,9 +64,9 @@ class TestCloverOperator:
 
     def test_anisotropic(self, ctx, lat4, setup, rng):
         u, _, psi = setup
-        params = CloverParams(kappa=0.10, clover_coeff=0.3,
+        params = WilsonParams(kappa=0.10, clover_coeff=0.3,
                               anisotropy=2.0)
-        m = CloverOperator(u, params)
+        m = WilsonOperator(u, params)
         chi = latt_fermion(lat4)
         chi.gaussian(rng)
         mpsi, mdchi = m.new_fermion(), m.new_fermion()
@@ -76,8 +79,8 @@ class TestCloverOperator:
 class TestEvenOddClover:
     def test_schur_equivalence(self, ctx, lat4, setup, rng):
         u, params, _ = setup
-        m_full = CloverOperator(u, params)
-        m_eo = EvenOddCloverOperator(u, params)
+        m_full = WilsonOperator(u, params)
+        m_eo = EvenOddWilsonOperator(u, params)
         chi = latt_fermion(lat4)
         chi.gaussian(rng)
         b = m_eo.prepare_source(chi)
@@ -95,7 +98,7 @@ class TestEvenOddClover:
 
     def test_gamma5_hermiticity(self, ctx, lat4, setup, rng):
         u, params, psi = setup
-        m = EvenOddCloverOperator(u, params)
+        m = EvenOddWilsonOperator(u, params)
         chi = latt_fermion(lat4)
         chi.gaussian(rng)
         a, b = m.new_fermion(), m.new_fermion()
@@ -108,28 +111,28 @@ class TestEvenOddClover:
                                                      rng):
         """On U=1 with c=0, A=1 and M_hat = 1 - kappa^2 D_eo D_oe."""
         u = unit_gauge(lat4)
-        params = CloverParams(kappa=0.1, clover_coeff=0.0)
-        m = EvenOddCloverOperator(u, params)
-        from repro.qcd.wilson import EvenOddWilsonOperator
-
+        params = WilsonParams(kappa=0.1, clover_coeff=0.0)
+        m = EvenOddWilsonOperator(u, params)
+        assert m.clover is not None
         w = EvenOddWilsonOperator(u, WilsonParams(kappa=0.1))
+        assert w.clover is None
         psi = latt_fermion(lat4)
         psi.gaussian(rng)
         a, b = m.new_fermion(), w.new_fermion()
         m.apply(a, psi)
         w.apply(b, psi)
-        assert np.allclose(a.to_numpy(), b.to_numpy(), rtol=1e-12)
+        assert np.array_equal(a.to_numpy(), b.to_numpy())
 
 
 class TestMixedPrecisionSolver:
     def test_reaches_double_precision(self, ctx, lat4, setup):
         """The headline: f32 iterations, f64 answer."""
         u, params, _ = setup
-        m64 = CloverOperator(u, params, precision="f64")
+        m64 = WilsonOperator(u, params, precision="f64")
         u32 = [f.astype("f32") for f in u]
         from repro.qdp.fields import multi1d
 
-        m32 = CloverOperator(multi1d(u32), params, precision="f32")
+        m32 = WilsonOperator(multi1d(u32), params, precision="f32")
         rng = np.random.default_rng(8)
         b = latt_fermion(lat4)
         b.gaussian(rng)
@@ -153,7 +156,7 @@ class TestMixedPrecisionSolver:
 
     def test_zero_rhs(self, ctx, lat4, setup):
         u, params, _ = setup
-        m64 = CloverOperator(u, params)
+        m64 = WilsonOperator(u, params)
         b = latt_fermion(lat4)
         x = latt_fermion(lat4)
         res = mixed_precision_cg(lambda d, s: m64.apply_mdagm(d, s),

@@ -130,6 +130,17 @@ class TestQudaSolverInterface:
         tmp.assign(b - tmp)
         assert (norm2(tmp) / norm2(b)) ** 0.5 < 1e-8
 
+    @pytest.mark.parametrize("params", [
+        WilsonParams(kappa=0.10, anisotropy=2.0),
+        WilsonParams(kappa=0.10, clover_coeff=0.3),
+    ], ids=["anisotropic", "clover"])
+    def test_rejects_params_it_does_not_model(self, ctx, system, params):
+        """The optimized Dslash is the isotropic Wilson hop: solving
+        another operator with it would converge to the wrong answer."""
+        u, _ = system
+        with pytest.raises(ValueError, match="isotropic Wilson"):
+            QudaSolver(u, params)
+
     def test_device_interface_free_of_transfers(self, ctx, lat4, system,
                                                 rng):
         """Paper Sec. VIII-D: the device interface eliminates the

@@ -428,18 +428,29 @@ class Unparser:
         already computed.  A lone statement keys it by node identity;
         in fused mode structurally equal subtrees share it too, as long
         as no intervening statement wrote a field they read.
+
+        The memo key without the component is the node's *template*:
+        what ``_gen`` emits itself for ``(sidx, cidx)`` is declared to
+        the builder as that member of it (:meth:`KernelBuilder.enter`;
+        colour first, the SoA word order), so the driver JIT packs the
+        unrolled components without searching for them.
         """
         if isinstance(node, (ScalarLit, ScalarParam, ConstSpinMatrix)):
             return self._gen(node, sidx, cidx, view, conjugate)
         if self.fused:
-            key = (self._sig(node), view, sidx, cidx, conjugate,
-                   self._epoch_key(node))
+            tkey = (self._sig(node), view, conjugate, self._epoch_key(node))
         else:
-            key = (id(node), view, sidx, cidx, conjugate)
+            tkey = (id(node), view, conjugate)
+        key = (tkey, sidx, cidx)
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        val = self._gen(node, sidx, cidx, view, conjugate)
+        kb = self.kb
+        kb.enter(tkey, (cidx, sidx))
+        try:
+            val = self._gen(node, sidx, cidx, view, conjugate)
+        finally:
+            kb.leave()
         self._memo[key] = (node, val)
         return val
 
@@ -546,12 +557,18 @@ class Unparser:
                 pass
             spin_pairs = _level_mul_pairs(l.spec.spin, r.spec.spin, sidx)
             color_pairs = _level_mul_pairs(l.spec.color, r.spec.color, cidx)
-            acc = None
+            acc, n, kb = None, 0, self.kb
             for ls, rs in spin_pairs:
                 for lc, rc in color_pairs:
                     a = self.gen(l, ls, lc, view, conjugate)
                     b = self.gen(r, rs, rc, view, conjugate)
+                    # term n of every component: packs along the
+                    # contracted index, where both factors' words are
+                    # adjacent (U[a, b] . h[s, b] over b)
+                    kb.enter_part("term", (cidx + sidx, (n,)))
                     t = ops.mul(a, b)
+                    kb.leave()
+                    n += 1
                     acc = t if acc is None else ops.add(acc, t)
             return acc
         if isinstance(node, CustomOpNode):
@@ -599,11 +616,13 @@ def emit_reduction_partials(up: Unparser, kind: str, exprs,
                 v = up.gen(expr, sidx, cidx)
                 v = ops._materialize(v, PTXType.F64)
                 # |z|^2 = re^2 + im^2, accumulated with fma
-                t = (kb.fma(v.re, v.re, acc, PTXType.F64) if acc is not None
-                     else kb.mul(v.re, v.re, PTXType.F64))
-                acc = t
-                if v.im is not None:
-                    acc = kb.fma(v.im, v.im, acc, PTXType.F64)
+                with kb.template(kind, (cidx, sidx)):
+                    t = (kb.fma(v.re, v.re, acc, PTXType.F64)
+                         if acc is not None
+                         else kb.mul(v.re, v.re, PTXType.F64))
+                    acc = t
+                    if v.im is not None:
+                        acc = kb.fma(v.im, v.im, acc, PTXType.F64)
         acc = CVal(re=acc)
     elif kind == "sum":
         (expr,) = exprs
@@ -614,8 +633,9 @@ def emit_reduction_partials(up: Unparser, kind: str, exprs,
             for cidx in spec.color_indices():
                 va = up.gen(a, sidx, cidx)
                 vb = up.gen(b, sidx, cidx)
-                t = ops.mul_conj(va, vb)
-                acc = t if acc is None else ops.add(acc, t)
+                with kb.template(kind, (cidx, sidx)):
+                    t = ops.mul_conj(va, vb)
+                    acc = t if acc is None else ops.add(acc, t)
     else:
         raise CodegenError(f"unknown reduction kind {kind!r}")
 
@@ -761,16 +781,17 @@ def build_fused_kernel(name: str, assigns, reduction,
             for cidx in dspec.color_indices():
                 val = up.gen(expr, sidx, cidx)
                 val = ops._materialize(val, ft)
-                re_op = kb._coerce(val.re, ft)
-                comps = [(0, re_op)]
-                im_op = None
-                if dspec.is_complex:
-                    im_op = kb._coerce(val.im if val.im is not None
-                                       else Immediate(ft, 0.0), ft)
-                    comps.append((1, im_op))
-                elif val.im is not None:
-                    raise ExprTypeError(
-                        "complex value assigned to real destination")
+                with kb.template(("store", dest.uid), (cidx, sidx)):
+                    re_op = kb._coerce(val.re, ft)
+                    comps = [(0, re_op)]
+                    im_op = None
+                    if dspec.is_complex:
+                        im_op = kb._coerce(val.im if val.im is not None
+                                           else Immediate(ft, 0.0), ft)
+                        comps.append((1, im_op))
+                    elif val.im is not None:
+                        raise ExprTypeError(
+                            "complex value assigned to real destination")
                 for ir, operand in comps:
                     w = dspec.word_index(sidx, cidx, ir)
                     kb.st_global(kb.soa_address(dst_base, nsb, w, sb),

@@ -38,11 +38,11 @@ hold storage and loads no store can change borrow device memory (§12).
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,9 @@ from ..ptx.isa import (NUMPY_DTYPES, Immediate, Instruction, KernelInfo, PTXType
 from ..ptx.liveness import max_live_registers
 from ..ptx.module import PTX_TARGET, PTX_VERSION, PTXModule
 from ..ptx.verifier import PASSES, PTXVerificationError, run_passes
+from .forms import (_BIN_PY, _CMP_PY, _FMA, _NP_DTYPE, _UFUNC, _UN_PY,
+                    _UNPACKED, _Stmt)
+from .packing import PACK_MIN, PackPass
 from .parser import ParsedKernel, PTXParseError, parse_ptx
 
 
@@ -64,74 +67,7 @@ class JITCompileError(Exception):
     """The driver rejected a PTX program."""
 
 
-#: PTX type -> NumPy scalar-constructor expression; the one dtype table
-#: every generated kernel uses (view keys are ``NUMPY_DTYPES`` itself)
-_NP_DTYPE = {t: f"np.{name}" for t, name in NUMPY_DTYPES.items()
-             if t != PTXType.PRED}
-
 _SHIFT = {4: 2, 8: 3}
-
-_CMP_PY = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-
-_BIN_PY = {
-    "add": "({} + {})",
-    "sub": "({} - {})",
-    "mul": "({} * {})",
-    "mul.lo": "({} * {})",
-    "min": "np.minimum({}, {})",
-    "max": "np.maximum({}, {})",
-    "and": "({} & {})",
-    "or": "({} | {})",
-    "xor": "({} ^ {})",
-    "shl": "({} << {})",
-    "shr": "({} >> {})",
-    "rem": "np.fmod({}, {})",
-}
-
-_UN_PY = {
-    "neg": "(-{})",
-    "abs": "np.abs({})",
-    "not": "(~{})",
-    "sqrt": "np.sqrt({})",
-    "rsqrt": "(1.0 / np.sqrt({}))",
-    "rcp": "(1.0 / {})",
-    "sin": "np.sin({})",
-    "cos": "np.cos({})",
-    "ex2": "np.exp2({})",
-    "lg2": "np.log2({})",
-    "floor": "np.floor({})",
-    "ceil": "np.ceil({})",
-    "trunc": "np.trunc({})",
-    "round": "np.rint({})",
-}
-
-#: the forms of a product and an fma, the two a split product packs
-_MUL = _BIN_PY["mul"]
-_FMA = "({} * {} + {})"
-
-#: opcodes whose NumPy functions are not correctly rounded: the pack
-#: pass leaves them per word (a 2-D call might take another SIMD path)
-#: and a register file never writes them in place (nor might ``out=``)
-_UNPACKED = frozenset({"sin", "cos", "ex2", "lg2"})
-
-#: element-wise form -> the ufunc its operator calls (same operands,
-#: same order) and the augmented assignment writing its first operand
-_UFUNC = {
-    _BIN_PY["add"]: ("np.add", "+="), _BIN_PY["sub"]: ("np.subtract", "-="),
-    _MUL: ("np.multiply", "*="), "({} / {})": ("np.divide", "/="),
-    _BIN_PY["min"]: ("np.minimum", None), _BIN_PY["max"]: ("np.maximum", None),
-    _UN_PY["neg"]: ("np.negative", None), _UN_PY["abs"]: ("np.absolute", None),
-    _UN_PY["sqrt"]: ("np.sqrt", None)}
-
-#: the largest array (rows x lanes x itemsize) the pack pass forms.
-#: Above it a pack's temporaries stop paying: at 4 096 lanes a packed
-#: f64 body ran slower than the per-word one (DESIGN.md §12)
-PACK_BYTES = 64 * 1024
-#: the fewest statements one pack replaces: three, so SU(3)'s colour
-#: rows pack
-PACK_MIN = 3
-#: how many of the next points a run tries as its second member
-_LOOK = 8
 
 #: the largest global thread id a launch binds (DESIGN.md §15): lanes
 #: are elements of one NumPy array
@@ -221,13 +157,39 @@ def _mand(m, p):
     return m & p
 
 
-def _gv(view, gb, s, m, ci):
+def _index_range(gb) -> tuple:
+    """``(min, max)`` of an index vector (``(0, -1)`` when empty)."""
+    return int(gb.min(initial=0)), int(gb.max(initial=-1))
+
+
+class _IndexRanges:
+    """:func:`_index_range` of the vector a kernel's gathers read last,
+    kept: one widened table read feeds a gather per word plane.  One
+    per built kernel; holding the vector, it cannot be freed and its
+    id reused, and index vectors are never written in place."""
+
+    __slots__ = ("gb", "range")
+
+    def __init__(self):
+        self.gb = None
+
+    def __call__(self, gb) -> tuple:
+        if self.gb is not gb:
+            self.gb, self.range = gb, _index_range(gb)
+        return self.range
+
+
+def _gv(view, gb, s, m, ci, ranges=_index_range):
     """Gather through a folded linear index ``gb + s`` (inactive lanes
-    read word ``ci``, the safe word ``_ld`` reads)."""
-    idx = gb + s
-    if m is not None:
-        idx = np.where(m, idx, ci)
-    return view[idx]
+    read word ``ci``, the safe word ``_ld`` reads).  With every lane
+    active and every index inside ``view[s:]``, a ``take`` from the
+    plane at ``s``: the same words, without forming ``gb + s``."""
+    if m is None:
+        lo, hi = ranges(gb)
+        if 0 <= s and 0 <= lo and hi + s < view.shape[0]:
+            return view[s:].take(gb)
+        return view[gb + s]
+    return view[np.where(m, gb + s, ci)]
 
 
 def _gs(view, s, m, ci):
@@ -269,11 +231,12 @@ def _ldp(view, w, lo, k, nt, pre, G):
     return view[np.arange(w, w + k * lo, lo)[:, None] + G]
 
 
-def _gvp(view, w, lo, k, gb):
+def _gvp(view, w, lo, k, gb, ranges=_index_range):
     """Packed gather: row ``r`` is ``_gv`` of word plane ``w + r*lo``
     (one take along the planes when every index lies in a plane)."""
-    if 0 <= w and w + k * lo <= view.shape[0] and gb.dtype == np.int64 \
-            and gb.view(np.uint64).max(initial=0) < lo:
+    lo_gb, hi_gb = ranges(gb)
+    if 0 <= w and w + k * lo <= view.shape[0] and 0 <= lo_gb \
+            and hi_gb < lo:
         return view[w:w + k * lo].reshape(k, lo).take(gb, axis=1)
     return view[np.arange(w, w + k * lo, lo)[:, None] + gb]
 
@@ -634,37 +597,7 @@ def _lin_mul(x, y):
     return _lin(y.a * scale, _bmul(x.b, y.b), lo, hi, p=p)
 
 
-class _Stmt:
-    """One statement of a translated body, held as a record until the
-    pack pass and :func:`allocate_slots` have run.
-
-    It reads ``text`` — ``form.format(*args)``, or ``form`` itself when
-    there are no ``args`` — after ``dst = `` when it binds the local
-    ``dst``.  ``args`` are the operands that may name a value:
-    rendering puts a packed value's row in its place.  ``mem`` is what
-    a global access recorded (``(kind, view, shift, address form,
-    lanes)``), ``facts`` what the pack pass reads off it
-    (:meth:`_Translator._facts`); ``op`` the byte width of a pure
-    element-wise statement the pack pass may merge (0: it may not).
-    """
-
-    __slots__ = ("dst", "form", "args", "mem", "op", "text", "facts")
-
-    def __init__(self, dst, form, args=(), mem=None, op=0, text=None,
-                 facts=None):
-        self.dst, self.form, self.args, self.mem, self.op = (
-            dst, form, args, mem, op)
-        self.text = text or (form.format(*args) if args else form)
-        self.facts = facts
-
-    def render(self, sub) -> str:
-        body = self.text
-        if sub and any(a in sub for a in self.args):
-            body = self.form.format(*[sub.get(a, a) for a in self.args])
-        return "    " + (body if self.dst is None else f"{self.dst} = {body}")
-
-
-class _Translator:
+class _Translator(PackPass):
     """Translates one parsed kernel into Python source.
 
     The one visitor over the :class:`~repro.ptx.isa.Instruction`
@@ -687,9 +620,11 @@ class _Translator:
     arithmetic is never folded, reordered or reassociated.
 
     Given ``lanes`` — the launch width the kernel is built for — the
-    pack pass (:meth:`_pack`) then merges isomorphic per-word
-    statements of a canonical kernel into 2-D NumPy calls; without
-    it, or on any other kernel, every statement stays per word.
+    pack pass (:class:`~repro.driver.packing.PackPass`) then merges
+    the per-word statements of a canonical kernel into 2-D NumPy
+    calls, its arithmetic by the templates the code generator declared
+    (:attr:`ParsedKernel.templates`); without them (parsed text), or
+    on any other kernel, every statement stays per word.
     """
 
     def __init__(self, parsed: ParsedKernel, lanes: int | None = None):
@@ -772,9 +707,11 @@ class _Translator:
         self.need_gl = False
         self.need_ntid = False
         #: the pack pass runs (and linear forms are tracked): a launch
-        #: width at which some float access could pack and the
-        #: canonical shape
+        #: width at which some float access could pack, the canonical
+        #: shape and the generator's template table
+        self._templates = parsed.templates
         self._packing = bool(lanes) and self.canonical \
+            and self._templates is not None \
             and any(i.opcode in ("ld.global", "st.global") and i.type.is_float
                     and self._cap(i.type.nbytes) >= PACK_MIN for i in insts)
 
@@ -815,7 +752,10 @@ class _Translator:
         name = self._cse.get(expr)
         if name is None:
             name = self.fresh()
-            self._stmts.append(_Stmt(name, form, args, op=op, text=expr))
+            self._stmts.append(_Stmt(
+                name, form, args, op=op, text=expr,
+                tmpl=self._templates[self.pos] if op and self._packing
+                else None))
             self._cse[expr] = name
         return name
 
@@ -1216,6 +1156,18 @@ class _Translator:
                     of.add(st.dst)
                     self.owned[st.dst] = st.op
 
+    @staticmethod
+    def _out_form(form: str, view: str) -> str:
+        """``form`` (in ``_UFUNC``, or an fma) writing into ``view`` of
+        an array the launch allocated — a merged pack
+        (:meth:`~repro.driver.packing.PackPass._merge`): its ufunc with
+        ``out=``; an fma multiplies into it, then adds."""
+        if form == _FMA:
+            return (f"np.multiply({{}}, {{}}, out={view}); "
+                    f"np.add({view}, {{}}, out={view})")
+        return (f"{_UFUNC[form][0]}("
+                + ", ".join(["{}"] * form.count("{}")) + f", out={view})")
+
     def _in_place(self, body: list[str], slot: dict[str, str]) -> None:
         """The first definition in an owned slot allocates; a later one
         writes into the array the slot holds.  An fma multiplies into
@@ -1244,318 +1196,6 @@ class _Translator:
                 body[i] = (f"    {out} {aug} {args[1]}"
                            if aug and args[0] == out else
                            f"    {ufunc}({', '.join(args)}, out={out})")
-
-    # -- the pack pass ------------------------------------------------------
-    #
-    # Runs on the records after the walk.  A pack is one NumPy call on
-    # a (k, lanes) array whose row j is member j; it is placed at its
-    # first member (a store pack at its last), the other members are
-    # dropped, and every remaining reader of a member reads its row.
-    # Loads are never moved above a store to their word, stores never
-    # below a load of their field, and arithmetic runs the same IEEE op
-    # on the same operands per element: the packed body is bitwise the
-    # per-word one (DESIGN.md §12).
-
-    def _pack(self) -> dict[str, str]:
-        """Form the packs; returns member local -> its row's text."""
-        self._height: dict[str, int] = {}
-        self._at: dict[int, _Stmt] = {}       # index -> the pack placed
-        self._gone: set[int] = set()          # indices of packed members
-        self._before: dict[int, tuple] = {}   # index -> a product placed
-        self._pack_loads()
-        if self._row:
-            self._pack_ops()
-            self._pack_stores()
-        self._stmts = [s for i, st in enumerate(self._stmts)
-                       for s in (*self._before.get(i, ()), self._at.get(i, st))
-                       if s is not st or i not in self._gone]
-        return {d: f"{p}[{r}]" for d, (p, r) in self._row.items()}
-
-    def _cap(self, nbytes: int) -> int:
-        """The most rows of ``nbytes`` words one pack may hold."""
-        return PACK_BYTES // (self.lanes * nbytes)
-
-    def _rows_text(self, pack: str, r0: int, step: int, k: int) -> str:
-        """Rows ``r0, r0 + step, ...`` (``k`` of them) of ``pack``."""
-        if step == 0:
-            return f"{pack}[{r0}]"
-        if step == 1 and r0 == 0 and k == self._height[pack]:
-            return pack
-        stop = r0 + step * k
-        stop = "" if stop < 0 else stop
-        return (f"{pack}[{r0}:{stop}]" if step == 1
-                else f"{pack}[{r0}:{stop}:{step}]")
-
-    def _plane(self, key, word: int, stride) -> str:
-        """The launch scalar naming word plane ``word`` of a field key."""
-        _, sh, region, const, _ = key
-        base = region if not const else f"({region} + {const})"
-        return self._scalar(f"({base} >> {sh})"
-                            + (f" + {word} * {stride}" if word else ""))
-
-    def _pack_loads(self) -> None:
-        """Pack the loads of each field key.  A group collects them in
-        program order and closes where a store may write a word a later
-        member reads: the pack is placed at its first member."""
-        groups, live = [], {}     # key -> [members, stored words, stride]
-        for i in range(self._pack_from, len(self._stmts)):
-            st = self._stmts[i]
-            if st.mem is None or (
-                    st.mem[0] == "ld" and self._cap(1 << st.mem[2]) < PACK_MIN
-                    or st.mem[0] == "st" and not live):
-                continue      # a load too wide to pack; a store no group sees
-            kind, region, key, word, stride = self._facts(st)
-            if kind == "ld":
-                if key is None:
-                    continue
-                g = live.get(key)
-                if g is not None and (word in g[1] or None not in (
-                        stride, g[2]) and stride != g[2]):
-                    groups.append((key, live.pop(key)))
-                    g = None
-                if g is None:
-                    g = live[key] = [[], set(), None]
-                g[0].append((i, word))
-                g[2] = g[2] or stride
-                continue
-            for k2 in list(live):             # a store
-                g = live[k2]
-                if region is not None and k2[2] != region:
-                    continue
-                if key is not None and key[:4] == k2[:4] and (
-                        stride is None or stride == g[2]):
-                    g[1].add(word)          # the same word planes
-                else:
-                    groups.append((k2, live.pop(k2)))
-        groups.extend(live.items())
-        for key, (members, _, stride) in groups:
-            chunks = []
-            for w in sorted({w for _, w in members}):
-                if chunks and w - chunks[-1][0] < self._cap(1 << key[1]):
-                    chunks[-1].append(w)
-                else:
-                    chunks.append([w])
-            for chunk in chunks:
-                if len(chunk) >= PACK_MIN:
-                    self._form_load(key, stride, chunk[0], chunk[-1],
-                                    [m for m in members
-                                     if chunk[0] <= m[1] <= chunk[-1]])
-
-    def _form_load(self, key, stride, c0: int, c1: int, members) -> None:
-        view, _, region, _, cols = key
-        pack, h = self.fresh(), c1 - c0 + 1
-        self._height[pack] = h
-        w0 = self._plane(key, c0, stride)
-        form = (f"_ldp({view}, {w0}, {stride}, {h}, _nt, _pre, _G)"
-                if cols == "_G" else
-                f"_gvp({view}, {w0}, {stride}, {h}, {cols})")
-        self._at[members[0][0]] = _Stmt(
-            pack, form, facts=("ld", region, None, 0, None))
-        for i, w in members:
-            self._gone.add(i)
-            self._row[self._stmts[i].dst] = (pack, w - c0)
-        self.packs.append(("ld" if cols == "_G" else "gv", len({
-            w for _, w in members})))
-
-    @staticmethod
-    def _runs(points, cap: int, strict: bool = False):
-        """Cover ``(rows, index)`` points, sorted, with runs along which
-        every row coordinate steps by a fixed amount (not all zero; the
-        first strictly up when ``strict``), at most ``cap`` long.  A run
-        starts at the first point left and steps to the first of the
-        next ``_LOOK`` points along which it reaches ``PACK_MIN``, so
-        interleaved runs (rows 14, 18, 22 and 15, 19, 23) both form.
-        Returns the ``(run, step)`` of each run."""
-        out, left, at = [], list(points), {}
-        for pt in left:
-            at.setdefault(pt[0], []).append(pt)
-        while len(left) >= PACK_MIN:
-            p0 = left[0]
-            for p1 in left[1:1 + _LOOK]:
-                step = tuple(x - y for x, y in zip(p1[0], p0[0]))
-                run, r = [p0], p0[0]
-                while (step[0] > 0 if strict else any(step)) \
-                        and len(run) < cap:
-                    r = tuple(x + y for x, y in zip(r, step))
-                    if not at.get(r):
-                        break
-                    run.append(at[r][0])
-                if len(run) >= PACK_MIN:
-                    out.append((run, step))
-                    break
-            else:
-                run = [p0]
-            for pt in run:
-                at[pt[0]].remove(pt)
-            taken = {i for _, i in run}
-            left = [pt for pt in left if pt[1] not in taken]
-        return out
-
-    def _pack_ops(self) -> None:
-        """Pack element-wise statements.  Candidates share a form and,
-        per operand, one pack, one candidate group or one value; in
-        creation order (operands first) each group is split by the
-        packs its operands really took and into runs whose rows step
-        evenly in every operand."""
-        stmts, row = self._stmts, self._row
-        cand, sigs, groups = {}, {}, []
-        for i in range(self._pack_from, len(stmts)):
-            st = stmts[i]
-            if not st.op:
-                continue
-            desc, vary = [st.form, st.op], False
-            for a in st.args:
-                if a in row:
-                    desc.append(row[a][0])
-                    vary = True
-                elif a in cand:
-                    desc.append(cand[a])
-                    vary = True
-                else:
-                    desc.append((a,))
-            if vary:                  # it reads a packable value
-                gid = sigs.setdefault(tuple(desc), len(groups))
-                if gid == len(groups):
-                    groups.append([])
-                groups[gid].append(i)
-                cand[st.dst] = gid
-        for members in groups:
-            if len(members) < PACK_MIN:
-                continue
-            subs = {}
-            for i in members:
-                key, rows = [], []
-                for a in stmts[i].args:
-                    r = row.get(a)
-                    if r is None:
-                        key.append((a,))
-                    else:
-                        key.append(r[0])
-                        rows.append(r[1])
-                subs.setdefault(tuple(key), []).append((tuple(rows), i))
-            for key, points in subs.items():
-                if len(points) >= PACK_MIN:
-                    cap = self._cap(stmts[points[0][1]].op)
-                    for run, step in self._runs(sorted(points), cap):
-                        self._form_op(key, run, step)
-        # products whose operands step evenly through packs, left per
-        # word (an fma's addend is a running sum, say): one packed
-        # product, each fma keeping its add — NumPy rounds ``x * y``
-        # before ``+ s``, so this is bitwise
-        prods: dict = {}
-        for i in range(self._pack_from, len(stmts)):
-            st = stmts[i]
-            if st.op and i not in self._gone and st.form in (_MUL, _FMA) \
-                    and (st.args[0] in row or st.args[1] in row):
-                pair = st.args[:2]
-                key = tuple(row[a][0] if a in row else (a,) for a in pair)
-                rows = tuple(row[a][1] for a in pair if a in row)
-                prods.setdefault((key, st.op), []).append((rows, i))
-        for (key, width), points in prods.items():
-            if len(points) >= PACK_MIN:
-                for run, step in self._runs(sorted(points), self._cap(width)):
-                    self._form_op(key, run, step, split=True)
-
-    def _form_op(self, key, run, step, split: bool = False) -> None:
-        """Place one op pack at the run's first member.  ``split``: the
-        members are products — a ``mul`` becomes a row of the pack, an
-        fma the add of its row and its own addend."""
-        first = min(i for _, i in run)
-        pack, k = self.fresh(), len(run)
-        self._height[pack] = k
-        exprs, j = [], 0
-        for part in key:
-            if isinstance(part, tuple):       # the same value throughout
-                exprs.append(part[0])
-            else:
-                exprs.append(self._rows_text(part, run[0][0][j], step[j], k))
-                j += 1
-        # a value operand stays an argument: a later split may pack it
-        placed = _Stmt(pack, _MUL if split else self._stmts[first].form,
-                       tuple(exprs))
-        if split:
-            self._before[first] = (placed,)
-        else:
-            self._at[first] = placed
-        for n, (_, i) in enumerate(run):
-            st = self._stmts[i]
-            if split and st.form == _FMA:
-                self._stmts[i] = _Stmt(st.dst, "({} + {})",
-                                       (f"{pack}[{n}]", st.args[2]), op=st.op)
-            else:
-                self._gone.add(i)
-                self._row[st.dst] = (pack, n)
-        self.packs.append(("op", k))
-
-    def _pack_stores(self) -> None:
-        """Pack the block stores of one field whose values are lane
-        vectors — rows of any packs or per-word locals — placed at the
-        last member.  A run splits where a member stores a word the run
-        already stores, or where any other access of that field (a load
-        pack included) or of unknown memory comes between two members."""
-        stmts = self._stmts
-        vec = set(self._row)      # the locals known to hold a lane vector
-        touch: dict = {}          # region -> indices of its accesses
-        cands: dict = {}
-        for i in range(self._pack_from, len(stmts)):
-            st = stmts[i]
-            if st.dst is not None and (st.mem[4] is not None if st.mem else
-                                       st.op and any(a in vec
-                                                     for a in st.args)):
-                vec.add(st.dst)
-            st = self._at.get(i, None if i in self._gone else st)
-            if st is None or st.mem is None and st.facts is None:
-                continue
-            kind, region, key, word, stride = self._facts(st)
-            touch.setdefault(region, []).append(i)
-            if kind == "st" and key is not None and st.args[-1] in vec:
-                cands.setdefault(key, []).append((i, word, stride))
-
-        def between(a, b, region):
-            return any(bisect.bisect_right(t, a) < bisect.bisect_left(t, b)
-                       for t in (touch.get(region, ()), touch.get(None, ())))
-
-        for key, members in cands.items():
-            runs, run, stride = [], [], None
-            for m in members:
-                clash = None not in (m[2], stride) and m[2] != stride
-                if run and (clash or m[1] in {w for _, w, _ in run}
-                            or between(run[-1][0], m[0], key[2])):
-                    runs.append((run, stride))
-                    run, stride = [], None
-                run.append(m)
-                stride = stride or m[2]
-            runs.append((run, stride))
-            for run, stride in runs:
-                points = sorted(((w,), i) for i, w, _ in run)
-                for sub, step in self._runs(points, self._cap(1 << key[1]),
-                                            strict=True):
-                    self._form_store(key, stride, sub, step[0])
-
-    def _form_store(self, key, stride, run, step: int) -> None:
-        view, _, region, _, _ = key
-        ((c0,), _) = run[0]
-        k = len(run)
-        order = tuple(n for n, _ in sorted(enumerate(run),
-                                           key=lambda t: t[1][1]))
-        vals = [self._stmts[i].args[-1] for _, i in run]
-        rows = [self._row.get(v) for v in vals]
-        if None not in rows and len({p for p, _ in rows}) == 1 and all(
-                r - rows[0][1] == n * (rows[1][1] - rows[0][1])
-                for n, (_, r) in enumerate(rows)):
-            vals = self._rows_text(rows[0][0], rows[0][1],
-                                   rows[1][1] - rows[0][1], k)
-        else:                     # one row per member, as a tuple
-            vals = "({})".format(", ".join(
-                v if r is None else f"{r[0]}[{r[1]}]"
-                for v, r in zip(vals, rows)))
-        last = max(i for _, i in run)
-        self._at[last] = _Stmt(None, (
-            f"_stp({view}, {self._plane(key, c0, stride)}, {stride}, {k}, "
-            f"{step}, _nt, _pre, _G, {vals}, {order})"),
-            facts=("st", region, None, 0, None))
-        self._gone.update(i for _, i in run)
-        self.packs.append(("st", k))
 
     def _translate_inst(self, inst: Instruction) -> None:
         op = inst.opcode
@@ -1692,7 +1332,10 @@ def build_sim_kernel(parsed: ParsedKernel, lanes: int | None = None):
     for launches of ``lanes`` threads (None: per word)."""
     gen = _Translator(parsed, lanes)
     source = gen.translate()
-    namespace = {**_RUNTIME, **gen.consts}
+    ranges = _IndexRanges()
+    namespace = {**_RUNTIME, **gen.consts,
+                 "_gv": partial(_gv, ranges=ranges),
+                 "_gvp": partial(_gvp, ranges=ranges)}
     exec(compile(source, f"<ptxjit:{parsed.name}>", "exec"), namespace)
     return namespace[f"_kernel_{parsed.name}"]
 
@@ -1794,7 +1437,7 @@ def compile_ptx(ptx_text: str, env=None, module=None) -> CompiledKernel:
         parsed = ParsedKernel(info.name, list(info.params),
                               list(module.instructions),
                               dict(info.regs_per_thread),
-                              PTX_VERSION, PTX_TARGET)
+                              PTX_VERSION, PTX_TARGET, module.templates)
     else:
         try:
             parsed = parse_ptx(ptx_text)

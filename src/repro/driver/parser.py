@@ -54,6 +54,9 @@ class ParsedKernel:
     reg_decls: dict[str, int] = field(default_factory=dict)
     version: str = ""
     target: str = ""
+    #: the builder's template table of a handed stream
+    #: (:attr:`repro.ptx.module.PTXModule.templates`); text has none
+    templates: list | None = None
 
 
 def _ptx_type(tname: str, where: str) -> PTXType:

@@ -6,9 +6,20 @@ the ``jit_add`` / ``jit_assign`` calls of paper Sec. III-C are methods
 on this class.  The builder performs the *implicit type promotion*
 described in Sec. III-D: PTX is strict about operand types, so mixed
 precision expressions get ``cvt`` instructions inserted silently.
+
+Beside the stream the builder keeps a *template* table: the unparser
+unrolls spin, colour and complex index spaces (Sec. III-C), so the
+value arithmetic it emits for one component of a node follows the
+template it emits for every other component.  A caller declares the
+template the next instructions belong to (:meth:`enter` /
+:meth:`leave`, or :meth:`template`); the table records it per
+instruction, and the driver JIT packs what it declares
+(:mod:`repro.driver.packing`).  The PTX text does not carry it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .isa import (
     BINARY_OPS,
@@ -24,6 +35,10 @@ from .isa import (
     Register,
     Special,
 )
+
+
+#: the memory opcodes, which take no template ordinal
+_MEMORY = frozenset({"ld.global", "st.global", "ld.param"})
 
 
 class PTXBuildError(Exception):
@@ -66,6 +81,12 @@ class KernelBuilder:
         self._reg_counters: dict[str, int] = {}   # type suffix -> count
         self._label_counter = 0
         self.info = KernelInfo(name=name)
+        #: per instruction: ``(template id, ordinal, member)`` of value
+        #: arithmetic emitted inside a template, else None
+        self.templates: list[tuple | None] = []
+        self._template_ids: dict = {}      # template key -> dense id
+        self._frame: list | None = None    # [id, member, next ordinal]
+        self._frames: list = []
 
     # -- declarations ------------------------------------------------
 
@@ -89,6 +110,51 @@ class KernelBuilder:
 
     def emit(self, inst: Instruction) -> None:
         self.instructions.append(inst)
+        f = self._frame
+        if f is None or inst.type is None or not inst.type.is_float \
+                or inst.opcode in _MEMORY:
+            self.templates.append(None)
+        else:
+            self.templates.append((f[0], f[2], f[1]))
+            f[2] += 1
+
+    # -- templates ------------------------------------------------------
+
+    def enter(self, key, member: tuple) -> None:
+        """The float arithmetic emitted until the matching
+        :meth:`leave` is member ``member`` of template ``key`` (any
+        hashable): its *n*-th such instruction has ordinal *n*, and
+        the instructions of one ordinal across the members of a key
+        are the same operation on corresponding operands.  Memory
+        accesses and integer address arithmetic take no ordinal (a
+        cached load is emitted for one member only).  ``member`` is a
+        pair of coordinate tuples ``(outer, inner)``: the JIT lays a
+        template's members out row-major over them."""
+        ids = self._template_ids
+        tid = ids.get(key)
+        if tid is None:
+            tid = ids[key] = len(ids)
+        self._frames.append(self._frame)
+        self._frame = [tid, member, 0]
+
+    def enter_part(self, tag, member: tuple) -> None:
+        """:meth:`enter` the template keyed by the current template and
+        ``tag``: a part every member of the current template repeats
+        (say, each term of a contraction)."""
+        f = self._frame
+        self.enter((None if f is None else f[0], tag), member)
+
+    def leave(self) -> None:
+        self._frame = self._frames.pop()
+
+    @contextmanager
+    def template(self, key, member: tuple):
+        """:meth:`enter` / :meth:`leave` around a block."""
+        self.enter(key, member)
+        try:
+            yield
+        finally:
+            self.leave()
 
     # -- typed helpers -------------------------------------------------
 

@@ -11,7 +11,7 @@ and execution the paper relies on (Figure 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .builder import KernelBuilder
 from .isa import Instruction, KernelInfo, PTXType
@@ -27,11 +27,15 @@ class PTXModule:
 
     info: KernelInfo
     instructions: list[Instruction]
+    #: the builder's template table, one entry per instruction
+    #: (:meth:`KernelBuilder.emit`); not rendered
+    templates: list | None = field(default=None, compare=False)
 
     @classmethod
     def from_builder(cls, builder: KernelBuilder) -> "PTXModule":
         info = builder.finish()
-        return cls(info=info, instructions=list(builder.instructions))
+        return cls(info=info, instructions=list(builder.instructions),
+                   templates=list(builder.templates))
 
     @property
     def name(self) -> str:

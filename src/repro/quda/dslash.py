@@ -12,7 +12,8 @@ Two things live here:
 1. A *functional* optimized Dslash (`OptimizedDslash`): a direct
    implementation using the spin-projection trick (project to
    half-spinors before the color multiply, reconstruct after), exactly
-   the optimization hand-written kernels apply.  It is cross-validated
+   the optimization hand-written kernels apply, in double or single
+   precision.  It is cross-validated
    against the expression-generated Dslash in the tests — an
    independent implementation agreeing to machine precision.
 2. A *performance model* (`quda_dslash_gflops`) for the tuned GPU
@@ -28,7 +29,7 @@ import numpy as np
 from ..device.memmodel import kernel_cost
 from ..device.specs import DeviceSpec
 from ..qcd.dslash import DSLASH_FLOPS_PER_SITE
-from ..qcd.gamma import GAMMA
+from ..qcd.halfspinor import projection_matrices
 from ..qdp.fields import multi1d
 from ..qdp.lattice import Lattice
 
@@ -37,44 +38,48 @@ class OptimizedDslash:
     """Hand-optimized Wilson hopping term (the QUDA algorithm).
 
     Uses the spin-projector rank-2 structure: ``(1 -/+ gamma_mu)`` has
-    rank 2, so only two spin components are multiplied by the link
-    matrix and the other two are reconstructed linearly — the
-    optimization that QUDA's hand kernels (and their flop count of
-    1320/site) are built around.
+    rank 2, so each hop compresses the spinor to two spin rows
+    (``projection_matrices``' ``T``), multiplies the link onto those
+    two and reconstructs four (``R``) — the optimization that QUDA's
+    hand kernels (and their flop count of 1320/site) are built around.
+    A complex64 spinor is applied in single precision throughout:
+    complex64 links (cast in :meth:`refresh_gauge`) and projectors.
     """
 
     def __init__(self, u: multi1d):
         self.lattice: Lattice = u[0].lattice
-        self.u = [f.to_numpy() for f in u]
         self._tf = [self.lattice.shift_map(mu, +1)
                     for mu in range(self.lattice.nd)]
         self._tb = [self.lattice.shift_map(mu, -1)
                     for mu in range(self.lattice.nd)]
-        # precompute the projector bases: (1 - s*gamma) = sum of two
-        # rank-1 spinor maps; we just use dense 4x4 here but apply the
-        # half-spinor algebra via einsum on 2-component projections
-        self._pm = [np.eye(4) - GAMMA[mu] for mu in range(self.lattice.nd)]
-        self._pp = [np.eye(4) + GAMMA[mu] for mu in range(self.lattice.nd)]
+        self.refresh_gauge(u)
 
     def refresh_gauge(self, u: multi1d) -> None:
-        """Re-read the gauge field (after an HMC link update)."""
+        """Re-read the gauge field (after an HMC link update), keeping
+        a complex64 copy for single-precision applies."""
         self.u = [f.to_numpy() for f in u]
+        self.u_sp = [x.astype(np.complex64) for x in self.u]
 
     def apply(self, psi: np.ndarray, sign: int = +1) -> np.ndarray:
-        """D psi for a (nsites, 4, 3) spinor batch; returns new array."""
+        """D psi for a (nsites, 4, 3) spinor batch; returns a new array
+        of ``psi``'s dtype (complex64 or complex128)."""
+        sp = psi.dtype == np.complex64
         out = np.zeros_like(psi)
-        nd = self.lattice.nd
-        for mu in range(nd):
-            pm = self._pm[mu] if sign > 0 else self._pp[mu]
-            pp = self._pp[mu] if sign > 0 else self._pm[mu]
-            u = self.u[mu]
-            # forward hop: P- U_mu(x) psi(x+mu)
-            h = np.einsum("st,ntc->nsc", pm, psi[self._tf[mu]])
-            out += np.einsum("ncd,nsd->nsc", u, h)
-            # backward hop: P+ U+_mu(x-mu) psi(x-mu)
-            h = np.einsum("st,ntc->nsc", pp, psi)
+        for mu in range(self.lattice.nd):
+            u = (self.u_sp if sp else self.u)[mu]
+            tf, rf = (m.astype(psi.dtype)
+                      for m in projection_matrices(mu, +sign))
+            tb, rb = (m.astype(psi.dtype)
+                      for m in projection_matrices(mu, -sign))
+            # forward hop: R U_mu(x) T psi(x+mu)
+            h = np.einsum("st,ntc->nsc", tf, psi[self._tf[mu]])
+            out += np.einsum("st,ntc->nsc", rf,
+                             np.einsum("ncd,nsd->nsc", u, h))
+            # backward hop: R U+_mu(x-mu) T psi(x-mu), the link applied
+            # at the sending site
+            h = np.einsum("st,ntc->nsc", tb, psi)
             g = np.einsum("ndc,nsd->nsc", u.conj(), h)
-            out += g[self._tb[mu]]
+            out += np.einsum("st,ntc->nsc", rb, g[self._tb[mu]])
         return out
 
 

@@ -74,13 +74,12 @@ class QudaSolver:
         self.transfer_seconds_charged += t
 
     def _mdagm(self, psi: np.ndarray, sp: bool = False) -> np.ndarray:
+        """M+ M psi; ``sp``: in single precision (complex64 spinors
+        and links), the inner solve of :func:`mixed_precision_cg`."""
         kappa = self.params.kappa
         d = self._dslash
         if sp:
-            psi64 = psi.astype(np.complex128)
-            m = psi64 - kappa * d.apply(psi64, +1)
-            out = m - kappa * d.apply(m, -1)
-            return out.astype(np.complex64)
+            psi = psi.astype(np.complex64, copy=False)
         m = psi - kappa * d.apply(psi, +1)
         return m - kappa * d.apply(m, -1)
 

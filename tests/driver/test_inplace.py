@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.driver.jitcompiler import PACK_BYTES, PACK_MIN, _Translator
-from repro.driver.parser import parse_ptx
+from repro.driver.jitcompiler import _Translator, compile_ptx
+from repro.driver.packing import PACK_BYTES, PACK_MIN
 from repro.memory.pool import DevicePool
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import PTXType
@@ -122,7 +122,7 @@ def _kernel(name, body, types=(F64, F64), masked=False):
     through ``ld(f, w)`` and ``st(f, w, value)``.  ``masked`` puts a
     second forward branch (skipping a store of field 0) in front of
     the body, so the kernel leaves the canonical shape and runs
-    masked."""
+    masked.  Returns the builder's stream, as the JIT receives it."""
     kb = KernelBuilder(name)
     p_lo = kb.add_param("p_lo", PTXType.S32)
     p_n = kb.add_param("p_n", PTXType.S32)
@@ -155,7 +155,8 @@ def _kernel(name, body, types=(F64, F64), masked=False):
     body(ld, st, kb)
     kb.label(exit_lbl)
     kb.ret()
-    return parse_ptx(PTXModule.from_builder(kb).render())
+    module = PTXModule.from_builder(kb)
+    return compile_ptx(module.render(), module=module).parsed
 
 
 def _launch_both(parsed, types=(F64, F64), words=8, active=LANES):
@@ -258,7 +259,8 @@ class TestInPlace:
             a = [ld(0, w) for w in range(4)]
             b = [ld(1, w) for w in range(4)]
             for w in range(4):
-                st(2, w, kb.mul(a[w], kb.imm(2.0, F32)))
+                with kb.template("twice", ((), (w,))):
+                    st(2, w, kb.mul(a[w], kb.imm(2.0, F32)))
                 wide = kb.mul(kb.cvt(a[w], F64), b[(w + 1) % 4])
                 for _ in range(3):
                     wide = kb.fma(b[w], wide, kb.sub(wide, b[w]))

@@ -18,9 +18,9 @@ import pytest
 
 from repro.core.context import Context
 from repro.core.reduction import innerProduct, norm2
-from repro.driver.jitcompiler import (PACK_BYTES, PACK_MIN, _gvp,
-                                      _Translator, build_sim_kernel)
-from repro.driver.parser import parse_ptx
+from repro.driver.jitcompiler import (_gv, _gvp, _Translator,
+                                      build_sim_kernel, compile_ptx)
+from repro.driver.packing import PACK_BYTES, PACK_MIN
 from repro.memory.pool import DevicePool
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import PTXType
@@ -208,6 +208,117 @@ class TestParity:
         assert any(s.startswith(("gather_", "scatter_")) for s in seen)
 
 
+def _cg_small(ctx, lat):
+    """``cg_small``'s statement stream: two iterations of the fused CG
+    on ``M^+ M + 0.1`` at 4^4 (its nine kernels, named as there)."""
+    op = WilsonOperator(_gauge(lat, ctx), WilsonParams(kappa=0.12))
+    b, x, tmp = _fermion(lat, ctx, 1), op.new_fermion(), op.new_fermion()
+
+    def apply_op(dest, src):
+        op.apply_mdagm(dest, src, tmp)
+        dest.assign(dest + 0.1 * src)
+
+    cg(apply_op, x, b, tol=0.0, max_iter=2)
+    ctx.flush()
+
+
+class TestCensus:
+    """What the templates the code generator declares make of
+    ``cg_small``'s kernels at 256 lanes."""
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        ctx = Context(fusion=True, pool_capacity=POOL)
+        _cg_small(ctx, Lattice((4, 4, 4, 4)))
+        return {e.compiled.name: e.compiled
+                for e in ctx.module_cache.values()}
+
+    @staticmethod
+    def _translated(parsed):
+        t = _Translator(parsed, LANES)
+        t.translate()
+        return t
+
+    @pytest.mark.parametrize("name, most", [("fus_284f", 120),
+                                            ("eval_727b", 100)])
+    def test_the_dslash_kernels_run_little_per_word(self, kernels, name,
+                                                    most):
+        """Per-word op locals (element-wise statements left binding a
+        local of their own): 403 and 331 when packs were searched for
+        after the fact."""
+        (kernel,) = [k for n, k in kernels.items() if n.startswith(name)]
+        t = self._translated(kernel.parsed)
+        per_word = [st for st in t._stmts if st.op and st.dst is not None]
+        assert len(per_word) <= most
+
+    def test_half_the_packed_members_sit_in_packs_of_six(self, kernels):
+        heights = [k for kernel in kernels.values()
+                   for kind, k in self._translated(kernel.parsed).packs
+                   if kind == "op"]
+        members = sorted(k for k in heights for _ in range(k))
+        assert members[len(members) // 2] >= 6
+
+    def test_parsed_text_runs_per_word_and_bitwise(self, monkeypatch, lat):
+        """Text that crosses a boundary carries no templates: its build
+        packs nothing, and runs bitwise as the templated build."""
+        ctx = Context(fusion=True, pool_capacity=POOL)
+        dev, real, seen = ctx.device, ctx.device.launch, set()
+
+        def spy(kernel, info, params, nsites, block_size, *a, **kw):
+            if kernel.name not in seen:
+                seen.add(kernel.name)
+                parsed = compile_ptx(kernel.ptx_text).parsed
+                assert parsed.templates is None
+                assert _packs(parsed, nsites) == []
+                mem, before = dev.pool._mem, dev.pool._mem.copy()
+                images = []
+                for p in (kernel.parsed, parsed):
+                    mem[:] = before
+                    with np.errstate(all="ignore"):
+                        build_sim_kernel(p, nsites)(
+                            dev._views, params, -(-nsites // block_size),
+                            block_size)
+                    images.append(mem.copy())
+                mem[:] = before
+                assert np.array_equal(*images), kernel.name
+            return real(kernel, info, params, nsites, block_size, *a, **kw)
+
+        monkeypatch.setattr(dev, "launch", spy)
+        _cg_small(ctx, lat)
+        assert len(seen) == 9
+
+
+class TestMergedArrays:
+    def test_merged_blocks_are_scheduled_and_bitwise(self, parity, lat):
+        """The blocks of one group write one array (``out=``), and the
+        body is reordered so every reader follows its writers."""
+        ctx = Context(fusion=False, pool_capacity=POOL)
+        seen = parity(ctx)
+        dslash = WilsonDslash(_gauge(lat, ctx))
+        dslash(dslash.new_fermion(), _fermion(lat, ctx, 2))
+        ctx.flush()
+        merged = [name for name, _ in seen if "out=" in _Translator(
+            next(e.compiled.parsed for e in ctx.module_cache.values()
+                 if e.compiled.name == name), LANES).translate()]
+        assert merged
+
+    def test_without_an_order_the_kernel_packs_unmerged(self, monkeypatch,
+                                                       lat):
+        """Should the reads of merged arrays form a cycle, the kernel is
+        packed again without merging, still bitwise."""
+        from repro.driver.packing import PackPass
+        monkeypatch.setattr(PackPass, "_schedule", lambda self, sub: False)
+        ctx = Context(fusion=False, pool_capacity=POOL)
+        seen = install_parity(monkeypatch, ctx)
+        dslash = WilsonDslash(_gauge(lat, ctx))
+        dslash(dslash.new_fermion(), _fermion(lat, ctx, 2))
+        ctx.flush()
+        for entry in ctx.module_cache.values():
+            t = _Translator(entry.compiled.parsed, LANES)
+            assert "out=" not in t.translate() and not t._merged
+        assert all(packs for _, packs in seen)
+
+
 class TestWhenToPack:
     def test_packs_form_at_256_lanes_and_none_at_4096(self, launch_spy,
                                                       lat):
@@ -288,7 +399,9 @@ def _soa_kernel(name, body, nfields=2):
     """A kernel shaped like the statement generator's: ``p_lo``,
     ``p_n`` and ``p_f<i>`` fields in the SoA layout, a canonical bounds
     check; ``body(ld, st, kb)`` emits the work through ``ld(f, w)`` and
-    ``st(f, w, value)``."""
+    ``st(f, w, value)``, declaring the templates it repeats
+    (``kb.template(key, ((), (w,)))``) as the unparser does.  Returns
+    the builder's stream, as the JIT receives it."""
     kb = KernelBuilder(name)
     p_lo = kb.add_param("p_lo", PTXType.S32)
     p_n = kb.add_param("p_n", PTXType.S32)
@@ -311,7 +424,13 @@ def _soa_kernel(name, body, nfields=2):
     body(ld, st, kb)
     kb.label(exit_lbl)
     kb.ret()
-    return parse_ptx(PTXModule.from_builder(kb).render())
+    module = PTXModule.from_builder(kb)
+    return compile_ptx(module.render(), module=module).parsed
+
+
+def _member(w):
+    """Word ``w``'s member of a template over a colour vector."""
+    return ((), (w,))
 
 
 def _launch_both(parsed, words=8, nfields=2):
@@ -338,7 +457,9 @@ class TestAliasing:
             st(0, 5, kb.add(x[0], x[1]))
             x += [ld(0, w) for w in range(4, 8)]
             for w in range(8):
-                st(1, w, kb.mul(x[w], kb.imm(2.0, F64)))
+                with kb.template("twice", _member(w)):
+                    y = kb.mul(x[w], kb.imm(2.0, F64))
+                st(1, w, y)
 
         parsed = _soa_kernel("store_then_load", body)
         packed, word = _launch_both(parsed)
@@ -352,7 +473,10 @@ class TestAliasing:
         the stored word, so no store may sink past it."""
         def body(ld, st, kb):
             x = [ld(0, w) for w in range(8)]
-            y = [kb.mul(v, kb.imm(3.0, F64)) for v in x]
+            y = []
+            for w, v in enumerate(x):
+                with kb.template("thrice", _member(w)):
+                    y.append(kb.mul(v, kb.imm(3.0, F64)))
             for w in range(4):
                 st(1, w, y[w])
             back = ld(1, 1)
@@ -370,7 +494,10 @@ class TestAliasing:
         stored; the load pack reads every word before any store."""
         def body(ld, st, kb):
             for w in range(8):
-                st(0, w, kb.add(ld(0, w), ld(1, w)))
+                a, b = ld(0, w), ld(1, w)
+                with kb.template("sum", _member(w)):
+                    c = kb.add(a, b)
+                st(0, w, c)
 
         parsed = _soa_kernel("load_then_store", body)
         packed, word = _launch_both(parsed)
@@ -390,6 +517,15 @@ class TestAliasing:
         assert name.startswith("fus_") and packs
 
 
+def _scaled(kb, x):
+    """``2 x_w`` for each word, declared as one template."""
+    y = []
+    for w, v in enumerate(x):
+        with kb.template("twice", _member(w)):
+            y.append(kb.mul(v, kb.imm(2.0, F64)))
+    return y
+
+
 class TestStoreRuns:
     @staticmethod
     def _body(load_between):
@@ -399,8 +535,10 @@ class TestStoreRuns:
         after word 3 is stored and copied to field 0."""
         def body(ld, st, kb):
             x = [ld(0, w) for w in range(3)]
-            y = [kb.mul(v, kb.imm(2.0, F64)) for v in x]
-            z = [kb.add(v, kb.imm(1.0, F64)) for v in x]
+            y, z = _scaled(kb, x), []
+            for w, v in enumerate(x):
+                with kb.template("plus_one", _member(w)):
+                    z.append(kb.add(v, kb.imm(1.0, F64)))
             vals = [y[0], z[0], y[1], z[1], y[2], z[2], kb.sub(x[0], x[1]),
                     kb.imm(0.5, F64)]
             for w, v in enumerate(vals):
@@ -425,7 +563,7 @@ class TestStoreRuns:
         value is the one memory must keep."""
         def body(ld, st, kb):
             x = [ld(0, w) for w in range(3)]
-            y = [kb.mul(v, kb.imm(2.0, F64)) for v in x]
+            y = _scaled(kb, x)
             for w in range(3):
                 st(1, w, y[w])
             st(1, 1, x[2])
@@ -453,9 +591,10 @@ class TestSplitProducts:
         a row of it) and each fma keeps its add, bitwise per word."""
         def body(ld, st, kb):
             x = [ld(0, w) for w in range(6)]
-            s = kb.mul(x[0], x[0])
-            for v in x[1:]:
-                s = kb.fma(v, v, s)
+            s = None
+            for w, v in enumerate(x):
+                with kb.template("norm2", _member(w)):
+                    s = kb.mul(v, v) if s is None else kb.fma(v, v, s)
             st(1, 0, s)
 
         parsed = _soa_kernel("sum_of_squares", body)
@@ -466,6 +605,34 @@ class TestSplitProducts:
         # one packed product, then five adds of its rows
         assert len(re.findall(r"\(\w+ \* \w+\)", source)) == 1
         assert len(re.findall(r"\(\w+\[\d\] \+ ", source)) == 5
+
+
+class TestGather:
+    def test_a_take_reads_the_words_of_the_literal_index(self):
+        view = np.arange(8 * LANES, dtype=np.float64)
+        gb = np.random.default_rng(4).permutation(LANES).astype(np.int64)
+        for s in (0, 3 * LANES, 7 * LANES):
+            assert np.array_equal(_gv(view, gb, s, None, 0), view[gb + s])
+
+    @pytest.mark.parametrize("bad", [-1, -LANES])
+    def test_a_negative_index_takes_the_literal_path(self, bad):
+        """``view[s:].take`` would wrap a negative index from the end of
+        the plane; the literal ``view[gb + s]`` reads word ``s + bad``."""
+        view = np.arange(8 * LANES, dtype=np.float64)
+        gb = np.arange(LANES, dtype=np.int64)
+        gb[5] = bad
+        got = _gv(view, gb, 2 * LANES, None, 0)
+        assert np.array_equal(got, view[gb + 2 * LANES])
+        assert got[5] == 2 * LANES + bad
+
+    def test_an_index_past_the_view_raises_as_the_literal_one(self):
+        view = np.arange(8 * LANES, dtype=np.float64)
+        gb = np.arange(LANES, dtype=np.int64)
+        gb[9] = 8 * LANES
+        with pytest.raises(IndexError):
+            _gv(view, gb, 0, None, 0)
+        with pytest.raises(IndexError):
+            view[gb]
 
 
 class TestPackedGather:

@@ -130,6 +130,29 @@ class TestQudaSolverInterface:
         tmp.assign(b - tmp)
         assert (norm2(tmp) / norm2(b)) ** 0.5 < 1e-8
 
+    def test_single_precision_operator_runs_in_complex64(
+            self, ctx, lat4, system, rng, monkeypatch):
+        """The inner solve's M+ M applies complex64 links to complex64
+        spinors: no double-precision pass rounded afterwards."""
+        u, _ = system
+        solver = QudaSolver(u, WilsonParams(kappa=0.12))
+        d, seen = solver._dslash, []
+        real = d.apply
+
+        def spy(psi, sign=+1):
+            out = real(psi, sign)
+            seen.append((psi.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(d, "apply", spy)
+        v = (rng.normal(size=(lat4.nsites, 4, 3))
+             + 1j * rng.normal(size=(lat4.nsites, 4, 3)))
+        out = solver._mdagm(v.astype(np.complex64), sp=True)
+        c64 = np.dtype(np.complex64)
+        assert out.dtype == c64 and seen == [(c64, c64)] * 2
+        assert {x.dtype for x in d.u_sp} == {c64}
+        assert np.allclose(out, solver._mdagm(v), rtol=1e-4, atol=1e-4)
+
     @pytest.mark.parametrize("params", [
         WilsonParams(kappa=0.10, anisotropy=2.0),
         WilsonParams(kappa=0.10, clover_coeff=0.3),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import operator
 import re
 
 from ..ptx.isa import PTXType
@@ -51,7 +52,7 @@ def _swap(pair):
 
 def _diff(x: tuple, y: tuple) -> tuple:
     """``x - y`` element-wise."""
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(operator.sub, x, y))
 
 
 def _joined(runs, cap: int, zero: tuple) -> list:
@@ -82,7 +83,9 @@ def _joined(runs, cap: int, zero: tuple) -> list:
 def _fast(block, steps) -> bool:
     """Every operand of a pack over ``block`` is a contiguous slice."""
     n1, n2 = len(block), len(block[0])
-    return all(_flat(n1, n2, si, sj) == 1 for _, si, sj in steps)
+    if n2 == 1:
+        return all(si == 1 for _, si, _ in steps)
+    return all(sj == 1 and (n1 == 1 or si == n2) for _, si, sj in steps)
 
 
 def _cost(block, steps) -> float:
@@ -169,6 +172,7 @@ class PackPass:
             self._merged: set[str] = set()
             self._writes: dict[int, tuple] = {}
             self._tried: set[tuple] = set()      # covers already sought
+            self._covers: dict = {}              # pattern -> its cover
             self._pending: set[str] = set()
             self._pack_loads()
             if self._row:
@@ -354,9 +358,9 @@ class PackPass:
         # read as one, it is a slice, not a row broadcast to every
         # member, so its readers wait for it first
         self._pending = {stmts[i].dst for m in groups.values() for i in m}
-        self._rounds(groups, False)
+        waiting = self._rounds(groups, False)
         self._pending = set()
-        self._rounds(groups, False)
+        self._rounds(waiting, False)
         # NumPy rounds ``x * y`` before ``+ s``: a packed product with
         # per-word adds is bitwise the fma
         prods: dict = {}
@@ -368,48 +372,57 @@ class PackPass:
                 prods.setdefault(st.tmpl[0], []).append(i)
         self._rounds(prods, True)
 
-    def _rounds(self, groups: dict, split: bool) -> None:
+    def _rounds(self, groups: dict, split: bool) -> dict:
         """Pack ``groups`` (key -> statement indices) round by round,
         each in program order of its first member; a group goes to the
-        next round when a value its members read became a row."""
+        next round when a value its members read became a row.
+        Returns the groups left with a member waiting on a value
+        another template computes."""
         stmts, row = self._stmts, self._row
-        groups = [m for m in groups.values() if len(m) >= PACK_MIN]
-        awake = groups
+        groups = {k: m for k, m in groups.items() if len(m) >= PACK_MIN}
+        awake, waiting = list(groups), set()
         while awake:
             rows = set(row)
-            for members in awake:
-                self._pack_group(members, split)
+            for k in awake:
+                if self._pack_group(groups[k], split):
+                    waiting.add(k)
             new = row.keys() - rows       # what a member may now read
-            groups = [m for m in ([i for i in members if i not in self._gone
-                                   and stmts[i].tmpl is not None]
-                                  for members in groups)
-                      if len(m) >= PACK_MIN]
-            awake = [m for m in groups if not new.isdisjoint(
+            groups = {k: m for k, m in ((k, [
+                i for i in m if i not in self._gone
+                and stmts[i].tmpl is not None]) for k, m in groups.items())
+                if len(m) >= PACK_MIN}
+            awake = [k for k, m in groups.items() if not new.isdisjoint(
                 a for i in m for a in stmts[i].args)]
+        return {k: groups[k] for k in waiting if k in groups}
 
-    def _pack_group(self, members, split: bool) -> None:
+    def _pack_group(self, members, split: bool) -> bool:
         """Pack the members of one template and form that read one
         pack, or one value, per operand slot: the same operation on
         corresponding operands.  ``split``: their products only.  The
         blocks of one group write one array when their form has a
         ufunc (:meth:`_merge`), so a reader of members from several
-        blocks reads one pack."""
-        stmts, row = self._stmts, self._row
+        blocks reads one pack.  True when a member waits on a value
+        another template computes (``_pending``)."""
+        stmts, row, gone, pending = (self._stmts, self._row, self._gone,
+                                     self._pending)
         subs: dict = {}
+        waits = False
         for i in members:
             st = stmts[i]
-            if i in self._gone or st.tmpl is None:
+            if i in gone or st.tmpl is None:
                 continue
-            key, rows = [st.op] if split else [st.op, st.form], []
+            key, rows, wait = [st.op] if split else [st.op, st.form], [], False
             for a in (st.args[:2] if split else st.args):
                 r = row.get(a)
                 if r is None:
                     key.append((a,))
+                    wait = wait or a in pending
                 else:
                     key.append(r[0])
                     rows.append(r[1])
-            if rows and self._pending.isdisjoint(
-                    k[0] for k in key[2 - split:] if isinstance(k, tuple)):
+            if wait:
+                waits = True
+            elif rows:
                 subs.setdefault(tuple(key), []).append(
                     (st.tmpl[1:], tuple(rows), i))
         formed = []
@@ -418,11 +431,29 @@ class PackPass:
             if len(points) >= PACK_MIN and tried not in self._tried:
                 self._tried.add(tried)    # a cover only the rows change
                 formed += [(key[1 if split else 2:], block, steps) for
-                           block, steps in self._blocks(points,
-                                                        self._cap(key[0]))]
+                           block, steps in self._cover(points,
+                                                       self._cap(key[0]))]
         outs = self._merge(formed) if self._merging and not split else {}
         for key, block, steps in formed:
             self._form_op(key, block, steps, split, outs.get(id(block)))
+        return waits
+
+    def _cover(self, points, cap: int):
+        """:meth:`_blocks` of ``points``, kept per pattern: the cover
+        depends only on the members and on the rows relative to the
+        first point's, which every direction of a Dslash repeats."""
+        r0 = points[0][1]
+        key = (cap, tuple((m, _diff(r, r0)) for m, r, _ in points))
+        cover = self._covers.get(key)
+        if cover is None:
+            at = {id(pt): n for n, pt in enumerate(points)}
+            cover = self._covers[key] = [
+                ([[at[id(pt)] for pt in line] for line in block],
+                 [(r - b, si, sj) for (r, si, sj), b in zip(steps, r0)])
+                for block, steps in self._blocks(points, cap)]
+        return [([[points[n] for n in line] for line in block],
+                 [(r + b, si, sj) for (r, si, sj), b in zip(steps, r0)])
+                for block, steps in cover]
 
     @staticmethod
     def _blocks(points, cap: int):

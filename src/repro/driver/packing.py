@@ -190,8 +190,10 @@ class PackPass:
         """Order the statements after the retire by what they read: a
         reader of a merged array's rows after their writers, everything
         else after its operands, memory accesses (and the readers of a
-        borrowed load) in program order, ties in placement order.
-        False when the reads form a cycle."""
+        borrowed load) in program order; each as early as the first
+        reader it feeds needs it, ties in placement order, and a merged
+        array allocated just before its first writer.  False when the
+        reads form a cycle."""
         head = self._stmts[:self._pack_from]
         alloc = {st.dst: st for st in self._stmts[self._pack_from:]
                  if st.dst in self._merged}
@@ -233,10 +235,9 @@ class PackPass:
         topo = _topological(users, list(wait), range(len(tail)))
         if topo is None:
             return False
-        # a statement goes as early as the first reader it feeds needs
-        # it: a merged array's readers follow its last writer, and its
-        # writers are not left to their own placements (the array
-        # would live across the readers of every other one)
+        # a merged array's readers follow its last writer; were its
+        # writers left at their own placements, the array would live
+        # across the readers of every other one
         need = list(range(len(tail)))
         for u in reversed(topo):
             need[u] = min([u] + [need[v] for v in users[u]])

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.driver.jitcompiler import _Translator, compile_ptx
+from repro.driver.jitcompiler import _Translator
+from repro.driver.parser import ParsedKernel
 from repro.driver.packing import PACK_BYTES, PACK_MIN
 from repro.memory.pool import DevicePool
 from repro.ptx.builder import KernelBuilder
@@ -156,7 +157,8 @@ def _kernel(name, body, types=(F64, F64), masked=False):
     kb.label(exit_lbl)
     kb.ret()
     module = PTXModule.from_builder(kb)
-    return compile_ptx(module.render(), module=module).parsed
+    return ParsedKernel(name, module.info.params, module.instructions,
+                        templates=module.templates)
 
 
 def _launch_both(parsed, types=(F64, F64), words=8, active=LANES):

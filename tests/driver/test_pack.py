@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.context import Context
 from repro.core.reduction import innerProduct, norm2
-from repro.driver.jitcompiler import (_gv, _gvp, _Translator,
-                                      build_sim_kernel, compile_ptx)
+from repro.driver.jitcompiler import _gv, _gvp, _Translator, build_sim_kernel
+from repro.driver.parser import ParsedKernel, parse_ptx
 from repro.driver.packing import PACK_BYTES, PACK_MIN
 from repro.memory.pool import DevicePool
 from repro.ptx.builder import KernelBuilder
@@ -267,7 +267,7 @@ class TestCensus:
         def spy(kernel, info, params, nsites, block_size, *a, **kw):
             if kernel.name not in seen:
                 seen.add(kernel.name)
-                parsed = compile_ptx(kernel.ptx_text).parsed
+                parsed = parse_ptx(kernel.ptx_text)
                 assert parsed.templates is None
                 assert _packs(parsed, nsites) == []
                 mem, before = dev.pool._mem, dev.pool._mem.copy()
@@ -425,7 +425,8 @@ def _soa_kernel(name, body, nfields=2):
     kb.label(exit_lbl)
     kb.ret()
     module = PTXModule.from_builder(kb)
-    return compile_ptx(module.render(), module=module).parsed
+    return ParsedKernel(name, module.info.params, module.instructions,
+                        templates=module.templates)
 
 
 def _member(w):

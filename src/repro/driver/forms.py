@@ -50,8 +50,10 @@ _UN_PY = {
     "round": "np.rint({})",
 }
 
-#: the forms of a product and an fma, the two a split product packs
+#: the forms of a product and an fma, the two a split product packs,
+#: and of a sum
 _MUL = _BIN_PY["mul"]
+_ADD = _BIN_PY["add"]
 _FMA = "({} * {} + {})"
 
 #: opcodes whose NumPy functions are not correctly rounded: the pack

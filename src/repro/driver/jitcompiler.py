@@ -243,12 +243,23 @@ def _gvp(view, w, lo, k, gb, ranges=_index_range):
 
 def _stp(view, w, lo, k, step, nt, pre, G, val, order):
     """Packed coalesced store: row ``r`` of ``val`` to words ``w +
-    r*step*lo + g``.  When the block does not apply, row by row in
-    ``order`` (the program order of the stores it replaces)."""
+    r*step*lo + g``.  ``val`` is an array, or a tuple of ``(start,
+    stop, step, rows)`` parts, each placing ``rows`` at those rows of
+    the block.  When the block does not apply, row by row in ``order``
+    (the program order of the stores it replaces)."""
     n = (k - 1) * step + 1
     if pre and nt <= lo and 0 <= w and w + n * lo <= view.shape[0]:
-        view[w:w + n * lo].reshape(n, lo)[::step, :nt] = val
+        block = view[w:w + n * lo].reshape(n, lo)[::step, :nt]
+        if type(val) is tuple:
+            for a, b, c, rows in val:
+                block[a:b:c] = rows
+        else:
+            block[...] = val
         return
+    if type(val) is tuple:
+        parts, val = val, np.empty((k, G.shape[0]), view.dtype)
+        for a, b, c, rows in parts:
+            val[a:b:c] = rows
     val = np.broadcast_to(val, (k, G.shape[0]))
     for r in order:
         view[w + r * step * lo + G] = val[r]

@@ -19,7 +19,7 @@ import operator
 import re
 
 from ..ptx.isa import PTXType
-from .forms import _FMA, _MUL, _NP_DTYPE, _UFUNC, _Stmt
+from .forms import _ADD, _FMA, _MUL, _NP_DTYPE, _UFUNC, _Stmt
 
 #: the largest array (rows x lanes x itemsize) the pack pass forms.
 #: Above it a pack's temporaries stop paying: at 4 096 lanes a packed
@@ -435,9 +435,45 @@ class PackPass:
                            block, steps in self._cover(points,
                                                        self._cap(key[0]))]
         outs = self._merge(formed) if self._merging and not split else {}
+        adds = self._joined_adds(formed, outs)
         for key, block, steps in formed:
-            self._form_op(key, block, steps, split, outs.get(id(block)))
+            self._form_op(key, block, steps, split, outs.get(id(block)),
+                          adds.get(id(block), False))
         return waits
+
+    def _joined_adds(self, formed, outs) -> dict:
+        """The fma blocks of one group that write consecutive rows of
+        one merged array, each with the addend rows the same distance
+        further down one other pack: every block only multiplies, and
+        the one placed last adds the whole addend at once — one call
+        where each block made its own (NumPy rounds the product first
+        either way).  Returns ``id(block) -> None`` (multiply only) or
+        the rows that block's add writes and reads."""
+        if len(formed) < 2 or len(outs) != len(formed) \
+                or self._stmts[formed[0][1][0][0][2]].form != _FMA:
+            return {}
+        spans, src = [], set()
+        for key, block, steps in formed:
+            pack, r0 = outs[id(block)]
+            n1, n2 = len(block), len(block[0])
+            j = sum(isinstance(p, str) for p in key[:2])
+            if not isinstance(key[2], str) or key[2] == pack \
+                    or _flat(n1, n2, *steps[j][1:]) != 1:
+                return {}
+            src.add((pack, key[2], steps[j][0] - r0))
+            spans.append((r0, r0 + n1 * n2))
+        spans.sort()
+        if len(src) != 1 or any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+            return {}
+        (pack, addend, d), = src
+        lo, hi = spans[0][0], spans[-1][1]
+        last = max(formed, key=lambda f: max(pt[2] for line in f[1]
+                                             for pt in line))[1]
+        adds = {id(b): None for _, b, _ in formed}
+        adds[id(last)] = (self._rows_text(pack, lo, 1, hi - lo),
+                          self._rows_text(addend, lo + d, 1, hi - lo),
+                          set(range(lo, hi)))
+        return adds
 
     def _cover(self, points, cap: int):
         """:meth:`_blocks` of ``points``, kept per pattern: the cover
@@ -553,14 +589,15 @@ class PackPass:
         return {i: (name, r) for i, r in starts.items()}
 
     def _form_op(self, key, block, steps, split: bool = False,
-                 out=None) -> None:
+                 out=None, add=False) -> None:
         """Place one op pack at the block's first member.  An operand
         stepping along one axis is sliced along it and broadcast along
         the other; the grid's result is reshaped to its rows, member
         ``(i, j)`` row ``i*n2 + j`` (a view).  ``split``: the members
         are products — a ``mul`` becomes a row of the pack, an fma the
         add of its row and its own addend.  ``out``: the block writes
-        rows of a merged array (:meth:`_merge`) instead."""
+        rows of a merged array (:meth:`_merge`) instead; ``add``: its
+        fma's add is joined (:meth:`_joined_adds`)."""
         run = [pt for line in block for pt in line]
         first = min(i for _, _, i in run)
         n1, n2 = len(block), len(block[0])
@@ -586,9 +623,18 @@ class PackPass:
         form = _MUL if split else self._stmts[first].form
         if out is not None:
             pack, r0 = out
-            placed = _Stmt(None, self._out_form(
-                form, self._rows_text(pack, r0, 1, k)), tuple(exprs))
-            self._writes[id(placed)] = (pack, set(range(r0, r0 + k)))
+            rows = set(range(r0, r0 + k))
+            if add is False:
+                text = self._out_form(form, self._rows_text(pack, r0, 1, k))
+            else:           # the product alone, and the joined add
+                text = self._out_form(_MUL, self._rows_text(pack, r0, 1, k))
+                exprs.pop()
+                if add is not None:
+                    text += "; " + self._out_form(_ADD, add[0])
+                    exprs += add[:2]
+                    rows = add[2]
+            placed = _Stmt(None, text, tuple(exprs))
+            self._writes[id(placed)] = (pack, rows)
         else:
             r0 = 0
             self._height[pack] = k
@@ -677,10 +723,8 @@ class PackPass:
                 for n, (_, r) in enumerate(rows)):
             vals = self._rows_text(rows[0][0], rows[0][1],
                                    rows[1][1] - rows[0][1], k)
-        else:                     # one row per member, as a tuple
-            vals = "({})".format(", ".join(
-                v if r is None else f"{r[0]}[{r[1]}]"
-                for v, r in zip(vals, rows)))
+        else:
+            vals = self._store_parts(vals, rows)
         last = max(i for _, i in run)
         self._at[last] = _Stmt(None, (
             f"_stp({view}, {self._plane(key, c0, stride)}, {stride}, {k}, "
@@ -688,3 +732,33 @@ class PackPass:
             facts=("st", region, None, 0, None))
         self._gone.update(i for _, i in run)
         self.packs.append(("st", k))
+
+    def _store_parts(self, vals, rows) -> str:
+        """The values of a store pack whose rows are not one slice, as
+        ``(start, stop, step, rows)`` parts — the rows of one pack at
+        positions and rows that both step evenly, a per-word local
+        alone — each one slice assignment (:func:`_stp`), where a tuple
+        of rows would be copied into an array first."""
+        by: dict = {}
+        for j, (v, r) in enumerate(zip(vals, rows)):
+            by.setdefault(v if r is None else r[0], []).append(
+                (j, None if r is None else r[1]))
+        parts = []
+        for src, pts in by.items():
+            while pts:
+                n = 1
+                if pts[0][1] is not None and len(pts) > 1:
+                    dj, dr = _diff(pts[1], pts[0])
+                    n = 2
+                    while n < len(pts) and _diff(pts[n], pts[n - 1]) == (
+                            dj, dr):
+                        n += 1
+                (j0, r0), (j1, _) = pts[0], pts[n - 1]
+                dj = pts[1][0] - j0 if n > 1 else 1
+                text = src if r0 is None else (
+                    self._rows_text(src, r0, pts[1][1] - r0, n) if n > 1
+                    else f"{src}[{r0}]")
+                parts.append(f"({j0}, {j1 + 1}, {dj}, {text})")
+                pts = pts[n:]
+        return "({},)".format(", ".join(parts))
+

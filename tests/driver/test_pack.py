@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.context import Context
 from repro.core.reduction import innerProduct, norm2
-from repro.driver.jitcompiler import _gv, _gvp, _Translator, build_sim_kernel
+from repro.driver.jitcompiler import (_gv, _gvp, _stp, _Translator,
+                                      build_sim_kernel)
 from repro.driver.parser import ParsedKernel, parse_ptx
 from repro.driver.packing import PACK_BYTES, PACK_MIN
 from repro.memory.pool import DevicePool
@@ -302,6 +303,24 @@ class TestMergedArrays:
                  if e.compiled.name == name), LANES).translate()]
         assert merged
 
+    def test_fma_blocks_share_one_add(self, parity, lat):
+        """The fma blocks of a link multiply each write their product
+        into a merged array and the last adds every block's addend in
+        one call, over more rows than its own product; bitwise."""
+        ctx = Context(fusion=False, pool_capacity=POOL)
+        parity(ctx)
+        dslash = WilsonDslash(_gauge(lat, ctx))
+        dslash(dslash.new_fermion(), _fermion(lat, ctx, 2))
+        ctx.flush()
+        joined = re.compile(r"np\.multiply\([^;]*, out=(_r\d+)\[(\d+):(\d+)\]\);"
+                            r" np\.add\(\1(\[(\d+):(\d+)\])?, ")
+        spans = [(m.group(2, 3), m.group(5, 6))
+                 for e in ctx.module_cache.values()
+                 for m in joined.finditer(
+                     _Translator(e.compiled.parsed, LANES).translate())]
+        assert any(c is None or int(d) - int(c) > int(b) - int(a)
+                   for (a, b), (c, d) in spans)
+
     def test_without_an_order_the_kernel_packs_unmerged(self, monkeypatch,
                                                        lat):
         """Should the reads of merged arrays form a cycle, the kernel is
@@ -583,6 +602,23 @@ class TestStoreRuns:
         assert np.array_equal(packed, word)
         assert [p for p in _packs(parsed, LANES) if p[0] == "st"] == [
             ("st", 4), ("st", 3)]
+
+
+class TestStoreParts:
+    def test_parts_land_on_their_rows_by_block_and_row_by_row(self):
+        """A store pack's parts — rows of packs at evenly stepped
+        positions, a lone local — write what a tuple of their rows
+        would, through the block and through the per-row fallback."""
+        nt, lo = 8, 8
+        a = np.arange(3 * nt, dtype=np.float64).reshape(3, nt) + 100
+        b = -np.arange(2 * nt, dtype=np.float64).reshape(2, nt)
+        v = np.full(nt, 7.0)
+        want = np.stack([a[0], b[0], a[1], b[1], a[2], v])
+        for pre in (True, False):
+            view = np.zeros(6 * lo + 4)
+            _stp(view, 2, lo, 6, 1, nt, pre, np.arange(nt),
+                 ((0, 5, 2, a), (1, 4, 2, b), (5, 6, 1, v)), tuple(range(6)))
+            assert np.array_equal(view[2:2 + 6 * lo].reshape(6, lo), want)
 
 
 class TestSplitProducts:

@@ -173,7 +173,7 @@ class PackPass:
             self._writes: dict[int, tuple] = {}
             self._tried: set[tuple] = set()      # covers already sought
             self._covers: dict = {}              # pattern -> its cover
-            self._pending: set[str] = set()
+            self._pending: dict = {}             # value -> its group
             self._pack_loads()
             if self._row:
                 self._pack_ops()
@@ -358,9 +358,10 @@ class PackPass:
         # a value another template computes may still become a row:
         # read as one, it is a slice, not a row broadcast to every
         # member, so its readers wait for it first
-        self._pending = {stmts[i].dst for m in groups.values() for i in m}
+        self._pending = {stmts[i].dst: k for k, m in groups.items()
+                         for i in m}
         waiting = self._rounds(groups, False)
-        self._pending = set()
+        self._pending = {}
         self._rounds(waiting, False)
         # NumPy rounds ``x * y`` before ``+ s``: a packed product with
         # per-word adds is bitwise the fma
@@ -403,7 +404,10 @@ class PackPass:
         blocks of one group write one array when their form has a
         ufunc (:meth:`_merge`), so a reader of members from several
         blocks reads one pack.  True when a member waits on a value
-        another template computes (``_pending``)."""
+        another group computes (``_pending``): then the group packs
+        nothing yet, so its members, all ready at once, share its
+        merged arrays.  A member waiting on its own group (a running
+        sum) waits alone."""
         stmts, row, gone, pending = (self._stmts, self._row, self._gone,
                                      self._pending)
         subs: dict = {}
@@ -417,7 +421,10 @@ class PackPass:
                 r = row.get(a)
                 if r is None:
                     key.append((a,))
-                    wait = wait or a in pending
+                    g = pending.get(a)
+                    if g is not None and g != (st.tmpl[0], st.form):
+                        return True
+                    wait = wait or g is not None
                 else:
                     key.append(r[0])
                     rows.append(r[1])

@@ -512,8 +512,14 @@ class PackPass:
         while the steps hold (an operand stepping along both axes in
         row-major order).  Of the covers with either coordinate as
         rows, joined or not, the one :func:`_cost` rates cheapest is
-        taken.  Returns ``(block, steps)`` pairs: ``block`` the rows
+        taken; members whose rows follow their order one by one are
+        one contiguous pack, which none is cheaper than.  Returns ``(block, steps)`` pairs: ``block`` the rows
         of points, ``steps`` per operand ``(r0, si, sj)``."""
+        run = sorted(points, key=_first)
+        step = _diff(run[1][1], run[0][1])
+        if len(run) <= cap and all(d == 1 for d in step) and all(
+                _diff(b[1], a[1]) == step for a, b in zip(run[1:], run[2:])):
+            return [([run], [(r, 0, 1) for r in run[0][1]])]
         best, coords = None, []
         for pt in points:
             ordinal, (p, q) = pt[0]

@@ -456,25 +456,26 @@ class PackPass:
         where each block made its own (NumPy rounds the product first
         either way).  Returns ``id(block) -> None`` (multiply only) or
         the rows that block's add writes and reads."""
-        if len(formed) < 2 or len(outs) != len(formed) \
-                or self._stmts[formed[0][1][0][0][2]].form != _FMA:
+        if len(formed) < 2 or len(outs) != len(formed):
             return {}
         spans, src = [], set()
         for key, block, steps in formed:
             pack, r0 = outs[id(block)]
             n1, n2 = len(block), len(block[0])
-            j = sum(isinstance(p, str) for p in key[:2])
-            if not isinstance(key[2], str) or key[2] == pack \
+            j = sum(isinstance(p, str) for p in key[:2])  # the addend's
+            if self._stmts[block[0][0][2]].form != _FMA \
+                    or not isinstance(key[2], str) or key[2] == pack \
                     or _flat(n1, n2, *steps[j][1:]) != 1:
                 return {}
             src.add((pack, key[2], steps[j][0] - r0))
             spans.append((r0, r0 + n1 * n2))
         spans.sort()
-        if len(src) != 1 or any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+        if len(src) != 1 or any(a[1] != b[0]
+                                for a, b in zip(spans, spans[1:])):
             return {}
         (pack, addend, d), = src
         lo, hi = spans[0][0], spans[-1][1]
-        last = max(formed, key=lambda f: max(pt[2] for line in f[1]
+        last = max(formed, key=lambda f: min(pt[2] for line in f[1]
                                              for pt in line))[1]
         adds = {id(b): None for _, b, _ in formed}
         adds[id(last)] = (self._rows_text(pack, lo, 1, hi - lo),
@@ -513,8 +514,9 @@ class PackPass:
         row-major order).  Of the covers with either coordinate as
         rows, joined or not, the one :func:`_cost` rates cheapest is
         taken; members whose rows follow their order one by one are
-        one contiguous pack, which none is cheaper than.  Returns ``(block, steps)`` pairs: ``block`` the rows
-        of points, ``steps`` per operand ``(r0, si, sj)``."""
+        one contiguous pack, which none is cheaper than.  Returns
+        ``(block, steps)`` pairs: ``block`` the rows of points,
+        ``steps`` per operand ``(r0, si, sj)``."""
         run = sorted(points, key=_first)
         step = _diff(run[1][1], run[0][1])
         if len(run) <= cap and all(d == 1 for d in step) and all(
@@ -609,8 +611,10 @@ class PackPass:
         ``(i, j)`` row ``i*n2 + j`` (a view).  ``split``: the members
         are products — a ``mul`` becomes a row of the pack, an fma the
         add of its row and its own addend.  ``out``: the block writes
-        rows of a merged array (:meth:`_merge`) instead; ``add``: its
-        fma's add is joined (:meth:`_joined_adds`)."""
+        rows of a merged array (:meth:`_merge`) instead.  ``add`` (an
+        fma block's, :meth:`_joined_adds`): False, it adds its own
+        addend; None, it only multiplies; else the rows it writes and
+        reads, it multiplies and then adds every joined addend."""
         run = [pt for line in block for pt in line]
         first = min(i for _, _, i in run)
         n1, n2 = len(block), len(block[0])
@@ -759,19 +763,15 @@ class PackPass:
         parts = []
         for src, pts in by.items():
             while pts:
-                n = 1
-                if pts[0][1] is not None and len(pts) > 1:
+                (j0, r0), n, (dj, dr) = pts[0], 1, (1, 0)
+                if r0 is not None and len(pts) > 1:
                     dj, dr = _diff(pts[1], pts[0])
                     n = 2
                     while n < len(pts) and _diff(pts[n], pts[n - 1]) == (
                             dj, dr):
                         n += 1
-                (j0, r0), (j1, _) = pts[0], pts[n - 1]
-                dj = pts[1][0] - j0 if n > 1 else 1
-                text = src if r0 is None else (
-                    self._rows_text(src, r0, pts[1][1] - r0, n) if n > 1
-                    else f"{src}[{r0}]")
-                parts.append(f"({j0}, {j1 + 1}, {dj}, {text})")
+                text = src if r0 is None else self._rows_text(src, r0, dr, n)
+                parts.append(f"({j0}, {j0 + dj * (n - 1) + 1}, {dj}, {text})")
                 pts = pts[n:]
         return "({},)".format(", ".join(parts))
 

@@ -157,36 +157,38 @@ def _mand(m, p):
     return m & p
 
 
-def _index_range(gb) -> tuple:
-    """``(min, max)`` of an index vector (``(0, -1)`` when empty)."""
-    return int(gb.min(initial=0)), int(gb.max(initial=-1))
+def _least_index(gb) -> int:
+    """The least index of an index vector, or 0 when it has none
+    below (a take from a plane needs no negative index; one past the
+    plane makes the take raise)."""
+    return int(gb.min(initial=0))
 
 
-class _IndexRanges:
-    """:func:`_index_range` of the vector a kernel's gathers read last,
+class _LeastIndex:
+    """:func:`_least_index` of the vector a kernel's gathers read last,
     kept: one widened table read feeds a gather per word plane.  One
     per built kernel; holding the vector, it cannot be freed and its
     id reused, and index vectors are never written in place."""
 
-    __slots__ = ("gb", "range")
+    __slots__ = ("gb", "least")
 
     def __init__(self):
         self.gb = None
 
-    def __call__(self, gb) -> tuple:
+    def __call__(self, gb) -> int:
         if self.gb is not gb:
-            self.gb, self.range = gb, _index_range(gb)
-        return self.range
+            self.gb, self.least = gb, _least_index(gb)
+        return self.least
 
 
-def _gv(view, gb, s, m, ci, ranges=_index_range):
+def _gv(view, gb, s, m, ci, least=_least_index):
     """Gather through a folded linear index ``gb + s`` (inactive lanes
     read word ``ci``, the safe word ``_ld`` reads).  With every lane
-    active and every index inside ``view[s:]``, a ``take`` from the
-    plane at ``s``: the same words, without forming ``gb + s``."""
+    active and no index negative, a ``take`` from the plane at ``s``:
+    the same words, without forming ``gb + s`` (an index past the
+    view raises either way)."""
     if m is None:
-        lo, hi = ranges(gb)
-        if 0 <= s and 0 <= lo and hi + s < view.shape[0]:
+        if 0 <= s and least(gb) == 0:
             return view[s:].take(gb)
         return view[gb + s]
     return view[np.where(m, gb + s, ci)]
@@ -231,13 +233,15 @@ def _ldp(view, w, lo, k, nt, pre, G):
     return view[np.arange(w, w + k * lo, lo)[:, None] + G]
 
 
-def _gvp(view, w, lo, k, gb, ranges=_index_range):
+def _gvp(view, w, lo, k, gb, least=_least_index):
     """Packed gather: row ``r`` is ``_gv`` of word plane ``w + r*lo``
-    (one take along the planes when every index lies in a plane)."""
-    lo_gb, hi_gb = ranges(gb)
-    if 0 <= w and w + k * lo <= view.shape[0] and 0 <= lo_gb \
-            and hi_gb < lo:
-        return view[w:w + k * lo].reshape(k, lo).take(gb, axis=1)
+    (one take along the planes when every index lies in a plane: none
+    negative, and the take raises at one past it)."""
+    if 0 <= w and w + k * lo <= view.shape[0] and least(gb) == 0:
+        try:
+            return view[w:w + k * lo].reshape(k, lo).take(gb, axis=1)
+        except IndexError:
+            pass
     return view[np.arange(w, w + k * lo, lo)[:, None] + gb]
 
 
@@ -1343,10 +1347,10 @@ def build_sim_kernel(parsed: ParsedKernel, lanes: int | None = None):
     for launches of ``lanes`` threads (None: per word)."""
     gen = _Translator(parsed, lanes)
     source = gen.translate()
-    ranges = _IndexRanges()
+    least = _LeastIndex()
     namespace = {**_RUNTIME, **gen.consts,
-                 "_gv": partial(_gv, ranges=ranges),
-                 "_gvp": partial(_gvp, ranges=ranges)}
+                 "_gv": partial(_gv, least=least),
+                 "_gvp": partial(_gvp, least=least)}
     exec(compile(source, f"<ptxjit:{parsed.name}>", "exec"), namespace)
     return namespace[f"_kernel_{parsed.name}"]
 

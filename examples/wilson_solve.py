@@ -72,8 +72,7 @@ print(f"even-odd CG:        {res_eo.iterations:4d} iterations, "
 
 # --- 3. QUDA mixed-precision CG via the device interface -------------------
 solver = QudaSolver(u, params,
-                    QudaInvertParam(tol=1e-10, solver="cg",
-                                    device_interface=True))
+                    QudaInvertParam(tol=1e-10, device_interface=True))
 x_quda = latt_fermion(lattice)
 t0 = time.perf_counter()
 res_q = solver.solve(x_quda, rhs)

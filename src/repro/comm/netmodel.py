@@ -36,21 +36,6 @@ class NetworkModel:
             t += 2 * (self.pcie_latency_s + nbytes / self.pcie_bandwidth)
         return t
 
-    def exchange_time(self, messages: list[int]) -> float:
-        """Total modeled time for a set of concurrent-ish messages.
-
-        We model one NIC per node: message payloads serialize on the
-        wire, latencies pipeline (only the first is fully exposed, the
-        rest overlap with preceding transfers' tails).
-        """
-        if not messages:
-            return 0.0
-        total_bytes = sum(messages)
-        t = self.latency_s + total_bytes / self.bandwidth
-        if not self.cuda_aware:
-            t += 2 * (self.pcie_latency_s + total_bytes / self.pcie_bandwidth)
-        return t
-
 
 #: QDR InfiniBand + MVAPICH2 1.9 with CUDA-aware MPI (paper
 #: Sec. VIII-C, the 2x K20m overlap benchmark).  QDR delivers about

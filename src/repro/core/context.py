@@ -257,13 +257,6 @@ class Context:
         self._scratch = (addr, nbytes)
         return addr
 
-    def drop_tables(self) -> None:
-        for addr, _ in self._tables.values():
-            self.device.mem_free(addr)
-        self._tables.clear()
-        for entry in self.module_cache.values():
-            entry.bound.clear()     # their table addresses are gone
-
 
 _default_context: Context | None = None
 

@@ -11,7 +11,7 @@ from .memmodel import (
     sustained_bandwidth,
     transfer_time,
 )
-from .specs import K20M_ECC_ON, K20X_ECC_OFF, K20X_ECC_ON, SPECS, DeviceSpec
+from .specs import K20M_ECC_ON, K20X_ECC_OFF, K20X_ECC_ON, DeviceSpec
 
 __all__ = [
     "Autotuner",
@@ -26,7 +26,6 @@ __all__ = [
     "MIN_BLOCK",
     "Phase",
     "SLOWDOWN_THRESHOLD",
-    "SPECS",
     "TunerState",
     "blocks_per_sm",
     "kernel_cost",

@@ -74,14 +74,6 @@ class DeviceStats:
     def modeled_kernel_time_s(self) -> float:
         return self.modeled_s.get("kernel", 0.0)
 
-    @property
-    def modeled_transfer_time_s(self) -> float:
-        return self.modeled_s.get("transfer", 0.0)
-
-    @property
-    def modeled_jit_time_s(self) -> float:
-        return self.modeled_s.get("jit", 0.0)
-
 
 class Device:
     """A simulated CUDA device.

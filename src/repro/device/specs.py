@@ -110,5 +110,3 @@ K20X_ECC_ON = DeviceSpec(
     pcie_bandwidth=6e9,
     pcie_latency_s=10e-6,
 )
-
-SPECS = {s.name: s for s in (K20X_ECC_OFF, K20M_ECC_ON, K20X_ECC_ON)}

@@ -5,13 +5,6 @@ program built entirely on the QDP-JIT expression pipeline (paper
 Sec. VIII-D).
 """
 
-from .checkpoint import (
-    CheckpointError,
-    CheckpointManager,
-    ConfigHeader,
-    load_config,
-    save_config,
-)
 from .forces import (
     dslash_outer_force,
     gaussian_momenta,
@@ -39,12 +32,7 @@ from .rational import (
 )
 
 __all__ = [
-    "CheckpointError",
-    "CheckpointManager",
-    "ConfigHeader",
     "GaugeMonomial",
-    "load_config",
-    "save_config",
     "HMC",
     "HasenbuschRatioMonomial",
     "Level",

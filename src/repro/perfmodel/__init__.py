@@ -31,10 +31,7 @@ from .machines import (
     BLUEWATERS_XE,
     BLUEWATERS_XK,
     INTERLAGOS,
-    JLAB_12K,
-    MACHINES,
     TITAN_XK,
-    XEON_E5_2650,
     CPUSocket,
     NodeModel,
 )
@@ -47,16 +44,13 @@ __all__ = [
     "DslashKernelStats",
     "HMCWorkload",
     "INTERLAGOS",
-    "JLAB_12K",
     "KernelStats",
-    "MACHINES",
     "NodeModel",
     "PRODUCTION_WORKLOAD",
     "QDPJIT_CACHE_REUSE",
     "QDPJIT_REST_RATE",
     "QUDA_SOLVER_RATE",
     "TITAN_XK",
-    "XEON_E5_2650",
     "figure_4_5",
     "figure_6",
     "figure_7",

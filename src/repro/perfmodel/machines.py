@@ -1,7 +1,5 @@
 """Machine models for the paper's evaluation platforms (Sec. VIII-A).
 
-* the JLab "12k" cluster: dual-socket Xeon E5-2650 nodes with K20x /
-  K20m GPUs, QDR InfiniBand (single-GPU and overlap benchmarks);
 * Blue Waters: XE nodes (2x AMD 6276 Interlagos) and XK nodes
   (1x Interlagos + 1x K20x), Cray Gemini torus;
 * Titan: XK-equivalent nodes on a slightly different Gemini
@@ -14,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comm.netmodel import GEMINI, IB_QDR_CUDA_AWARE, NetworkModel
-from ..device.specs import DeviceSpec, K20M_ECC_ON, K20X_ECC_ON
+from ..comm.netmodel import GEMINI, NetworkModel
+from ..device.specs import DeviceSpec, K20X_ECC_ON
 
 
 @dataclass(frozen=True)
@@ -36,14 +34,6 @@ INTERLAGOS = CPUSocket(
     cores=16,
     sustained_bandwidth=18e9,
     sustained_flops=12e9,     # typical sustained Wilson-clover DP rate
-)
-
-#: Intel Xeon E5-2650 (JLab 12k node socket).
-XEON_E5_2650 = CPUSocket(
-    name="xeon-e5-2650",
-    cores=8,
-    sustained_bandwidth=25e9,
-    sustained_flops=16e9,
 )
 
 
@@ -75,11 +65,3 @@ TITAN_XK = NodeModel(
                          latency_s=GEMINI.latency_s * 1.1,
                          bandwidth=GEMINI.bandwidth * 0.97,
                          cuda_aware=False))
-
-#: JLab 12k node (the single-GPU / overlap benchmarks).
-JLAB_12K = NodeModel(
-    name="jlab-12k", sockets=2, socket=XEON_E5_2650, gpu=K20M_ECC_ON,
-    network=IB_QDR_CUDA_AWARE)
-
-MACHINES = {m.name: m for m in (BLUEWATERS_XE, BLUEWATERS_XK, TITAN_XK,
-                                JLAB_12K)}

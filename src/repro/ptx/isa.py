@@ -73,9 +73,6 @@ class PTXType(enum.Enum):
             self.int_range = (lo, lo + 2 ** (8 * self.nbytes) - 1)
 
 
-#: Floating-point type for a given precision name.
-FLOAT_TYPES = {"f32": PTXType.F32, "f64": PTXType.F64}
-
 #: Map from PTXType to the NumPy dtype string used by the driver.
 NUMPY_DTYPES = {
     PTXType.F32: "float32",

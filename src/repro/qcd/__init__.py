@@ -1,13 +1,12 @@
-"""Lattice QCD domain layer: gauge observables, Dirac operators,
-clover term, solvers — the Chroma-side physics built on the QDP
-interface."""
+"""Lattice QCD domain layer: the gauge action's plaquette and staple,
+Dirac operators, clover term, solvers — the Chroma-side physics built
+on the QDP interface."""
 
 from .analysis import (
     compute_propagator,
     effective_mass,
     pion_correlator,
     point_source,
-    wall_source,
 )
 from .clover import CloverTerm
 from .dslash import DSLASH_FLOPS_PER_SITE, WilsonDslash, dslash_expr
@@ -16,7 +15,6 @@ from .gamma import (
     GAMMA5,
     gamma,
     gamma5_const,
-    gamma_const,
     projector,
     projector_const,
     sigma,
@@ -27,7 +25,6 @@ from .gauge import (
     plaquette,
     plaquette_field_expr,
     plaquette_site_sum,
-    random_gauge,
     staple,
     unit_gauge,
     weak_gauge,
@@ -37,13 +34,6 @@ from .halfspinor import (
     projection_matrices,
     spin_project,
     spin_reconstruct,
-)
-from .mixedsolver import MixedSolveResult, mixed_precision_cg
-from .observables import (
-    energy_density,
-    polyakov_loop,
-    topological_charge,
-    wilson_loop,
 )
 from .solver import (
     MultiShiftResult,
@@ -60,18 +50,11 @@ __all__ = [
     "effective_mass",
     "pion_correlator",
     "point_source",
-    "wall_source",
     "CloverTerm",
-    "MixedSolveResult",
-    "energy_density",
     "half_fermion",
-    "mixed_precision_cg",
-    "polyakov_loop",
     "projection_matrices",
     "spin_project",
     "spin_reconstruct",
-    "topological_charge",
-    "wilson_loop",
     "DSLASH_FLOPS_PER_SITE",
     "EvenOddWilsonOperator",
     "GAMMA",
@@ -88,7 +71,6 @@ __all__ = [
     "field_strength_numpy",
     "gamma",
     "gamma5_const",
-    "gamma_const",
     "gauge_transform",
     "multishift_cg",
     "plaquette",
@@ -96,7 +78,6 @@ __all__ = [
     "plaquette_site_sum",
     "projector",
     "projector_const",
-    "random_gauge",
     "sigma",
     "staple",
     "unit_gauge",

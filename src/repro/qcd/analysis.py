@@ -28,17 +28,6 @@ def point_source(lattice: Lattice, coords, spin: int, color: int,
     return src
 
 
-def wall_source(lattice: Lattice, t: int, spin: int, color: int,
-                precision: str = "f64", context=None) -> LatticeField:
-    """A time-slice wall source (unit entries on the slice)."""
-    src = latt_fermion(lattice, precision, context)
-    arr = np.zeros((lattice.nsites, 4, 3), dtype=complex)
-    sel = lattice.coords[:, lattice.nd - 1] == t
-    arr[sel, spin, color] = 1.0
-    src.from_numpy(arr)
-    return src
-
-
 def compute_propagator(u: multi1d, params: WilsonParams,
                        source_builder, *, tol: float = 1e-10,
                        max_iter: int = 2000) -> np.ndarray:

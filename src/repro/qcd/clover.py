@@ -169,16 +169,6 @@ class CloverTerm:
     def apply_inverse(self, dest: LatticeField, psi, subset=None):
         return dest.assign(self.apply_inverse_expr(psi), subset=subset)
 
-    def tr_log(self, subset=None) -> float:
-        """sum_x log det A(x) — enters the even-odd clover action."""
-        sign, logdet = np.linalg.slogdet(self.blocks)
-        if np.any(sign.real <= 0):
-            raise RuntimeError("clover term has non-positive determinant")
-        per_site = logdet.sum(axis=1)
-        if subset is None:
-            return float(per_site.sum())
-        return float(per_site[subset.sites].sum())
-
     # -- dense reference (for tests) ------------------------------------
 
     def dense_apply_numpy(self, psi_arr: np.ndarray) -> np.ndarray:

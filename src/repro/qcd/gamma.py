@@ -76,12 +76,6 @@ def projector(mu: int, sign: int) -> np.ndarray:
 
 
 @cache
-def gamma_const(mu: int, precision: str = "f64") -> ConstSpinMatrix:
-    """gamma_mu as an expression-tree constant."""
-    return ConstSpinMatrix(GAMMA[mu], precision)
-
-
-@cache
 def gamma5_const(precision: str = "f64") -> ConstSpinMatrix:
     return ConstSpinMatrix(GAMMA5, precision)
 

@@ -34,16 +34,6 @@ def unit_gauge(lattice: Lattice, precision: str = "f64",
     return u
 
 
-def random_gauge(lattice: Lattice, rng: np.random.Generator,
-                 precision: str = "f64", context=None) -> multi1d:
-    """A fully random (hot-start) SU(3) configuration."""
-    u = multi1d([latt_color_matrix(lattice, precision, context)
-                 for _ in range(lattice.nd)])
-    for umu in u:
-        umu.from_numpy(su3.random_su3(rng, lattice.nsites))
-    return u
-
-
 def weak_gauge(lattice: Lattice, rng: np.random.Generator,
                eps: float = 0.2, precision: str = "f64",
                context=None) -> multi1d:

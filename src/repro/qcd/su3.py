@@ -81,17 +81,6 @@ def reunitarize(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_traceless_antihermitian(m: np.ndarray) -> np.ndarray:
-    """The "taproj" of Chroma: the traceless anti-Hermitian part,
-    i.e. the su(3)-algebra projection of the force matrix."""
-    a = (m - m.conj().transpose(*range(m.ndim - 2), -1, -2)) / 2
-    tr = np.einsum("...ii->...", a) / 3.0
-    out = np.array(a, copy=True)
-    for i in range(3):
-        out[..., i, i] -= tr
-    return out
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """max ||U U+ - 1||_inf over the batch (0 for exact SU(3))."""
     eye = np.eye(3)

@@ -49,11 +49,6 @@ class WilsonParams:
     anisotropy: float | None = None
     clover_coeff: float | None = None
 
-    @classmethod
-    def from_mass(cls, mass: float, anisotropy: float | None = None
-                  ) -> "WilsonParams":
-        return cls(kappa=1.0 / (2.0 * mass + 8.0), anisotropy=anisotropy)
-
     @property
     def mass(self) -> float:
         return (1.0 / self.kappa - 8.0) / 2.0

@@ -38,8 +38,6 @@ from .operations import (
     localInnerProduct,
     localNorm2,
     outerProduct,
-    peek_site,
-    poke_site,
 )
 from .typesys import (
     NC,
@@ -90,8 +88,6 @@ __all__ = [
     "localNorm2",
     "multi1d",
     "outerProduct",
-    "peek_site",
-    "poke_site",
     "propagator",
     "real",
     "real_field",

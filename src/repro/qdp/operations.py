@@ -1,45 +1,16 @@
 """Additional QDP++ interface operations.
 
-Site access (``peekSite``/``pokeSite``), per-site reductions
-(``localNorm2``, ``localInnerProduct``) and the color outer product.
-The per-site reductions and the outer product are built on the
-framework's user-defined-operation hook (:class:`CustomOpNode`) —
-they mix or collapse index spaces in ways the level-wise operators
-cannot express, exactly like the clover term of paper Sec. VI-A.
+Per-site reductions (``localNorm2``, ``localInnerProduct``) and the
+color outer product, built on the framework's user-defined-operation
+hook (:class:`CustomOpNode`) — they mix or collapse index spaces in
+ways the level-wise operators cannot express, exactly like the clover
+term of paper Sec. VI-A.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.expr import CustomOpNode, Expr, ExprTypeError, as_expr
 from ..typesys import TypeSpec
-from .fields import LatticeField
-
-
-# -- site access (host operations; trigger the cache's page-out) ---------
-
-def peek_site(field: LatticeField, coords) -> np.ndarray:
-    """The value at one site (QDP++ ``peekSite``).
-
-    A host-side access: pages the field out of device memory if the
-    freshest copy lives there (paper Sec. IV).
-    """
-    site = field.lattice.site_index(tuple(coords))
-    return field.to_numpy()[site].copy()
-
-
-def poke_site(field: LatticeField, value, coords) -> None:
-    """Overwrite one site (QDP++ ``pokeSite``): a CPU write, so the
-    device copy is invalidated."""
-    site = field.lattice.site_index(tuple(coords))
-    arr = field.to_numpy()
-    value = np.asarray(value)
-    if value.shape != arr.shape[1:]:
-        raise ValueError(
-            f"expected per-site shape {arr.shape[1:]}, got {value.shape}")
-    arr[site] = value
-    field.from_numpy(arr)
 
 
 # -- per-site reductions ------------------------------------------------------

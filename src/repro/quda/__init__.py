@@ -1,5 +1,5 @@
 """The QUDA comparator library: hand-optimized Dslash, mixed-precision
-CG / GCR solvers, and the zero-copy device interface."""
+CG solver, and the zero-copy device interface."""
 
 from .dslash import (
     OptimizedDslash,
@@ -8,7 +8,7 @@ from .dslash import (
     quda_dslash_gflops,
 )
 from .interface import QudaInvertParam, QudaSolver
-from .solver import QudaSolveResult, gcr, mixed_precision_cg
+from .solver import QudaSolveResult, mixed_precision_cg
 
 __all__ = [
     "OptimizedDslash",
@@ -16,7 +16,6 @@ __all__ = [
     "QudaInvertParam",
     "QudaSolveResult",
     "QudaSolver",
-    "gcr",
     "mixed_precision_cg",
     "quda_dslash_bytes_per_site",
     "quda_dslash_gflops",

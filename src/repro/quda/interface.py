@@ -26,18 +26,17 @@ from ..device.memmodel import transfer_time
 from ..qcd.wilson import WilsonParams
 from ..qdp.fields import LatticeField, multi1d
 from .dslash import OptimizedDslash
-from .solver import QudaSolveResult, gcr, mixed_precision_cg
+from .solver import QudaSolveResult, mixed_precision_cg
 
 
 @dataclass
 class QudaInvertParam:
-    """Solve configuration (the mirror of QUDA's QudaInvertParam)."""
+    """Solve configuration (the mirror of QUDA's QudaInvertParam) for
+    the one solver the comparator runs, mixed-precision CG."""
 
     tol: float = 1e-10
     max_iter: int = 2000
-    solver: str = "cg"            # "cg" (mixed precision) | "gcr"
     delta: float = 0.1            # reliable-update threshold
-    n_krylov: int = 16            # GCR basis size
     device_interface: bool = True
 
 
@@ -89,15 +88,8 @@ class QudaSolver:
         self._charge_interface_overhead(x, b)
         b_arr = b.to_numpy()
         inv = self.invert
-        if inv.solver == "cg":
-            sol, res = mixed_precision_cg(
-                lambda v: self._mdagm(v),
-                lambda v: self._mdagm(v, sp=True),
-                b_arr, tol=inv.tol, max_iter=inv.max_iter, delta=inv.delta)
-        elif inv.solver == "gcr":
-            sol, res = gcr(lambda v: self._mdagm(v), b_arr, tol=inv.tol,
-                           max_iter=inv.max_iter, n_krylov=inv.n_krylov)
-        else:
-            raise ValueError(f"unknown solver {inv.solver!r}")
+        sol, res = mixed_precision_cg(
+            self._mdagm, lambda v: self._mdagm(v, sp=True),
+            b_arr, tol=inv.tol, max_iter=inv.max_iter, delta=inv.delta)
         x.from_numpy(sol)
         return res

@@ -1,11 +1,9 @@
-"""QUDA-style solvers: mixed-precision CG with reliable updates, and
-restarted GCR.
+"""The QUDA-style solver: mixed-precision CG with reliable updates.
 
-These are the "algorithmic improvements (QUDA GCR solver)" the paper's
-QDP-JIT+QUDA configuration benefits from (Sec. VIII-D).  They run on
-the host against the optimized Dslash (QUDA owns its own kernels and
-data layout); the device interface (:mod:`repro.quda.interface`)
-hands fields over in the QDP-JIT layout without copies.
+It runs on the host against the optimized Dslash (QUDA owns its own
+kernels and data layout); the device interface
+(:mod:`repro.quda.interface`) hands fields over in the QDP-JIT layout
+without copies.
 
 The mixed-precision scheme is QUDA's reliable-updates CG: the
 iteration runs in single precision, while the true residual is
@@ -26,7 +24,6 @@ class QudaSolveResult:
     iterations: int
     residual_norm: float
     reliable_updates: int = 0
-    restarts: int = 0
     history: list[float] = field(default_factory=list)
 
 
@@ -80,7 +77,7 @@ def mixed_precision_cg(apply_dp, apply_sp, b: np.ndarray, *,
             history[-1] = (rr_true / b2) ** 0.5
             if history[-1] <= tol:
                 return x, QudaSolveResult(True, k, history[-1],
-                                          reliable, 0, history)
+                                          reliable, history)
             r_sp = r.astype(np.complex64)
             x_sp[:] = 0
             rr_sp = rr_true
@@ -96,53 +93,5 @@ def mixed_precision_cg(apply_dp, apply_sp, b: np.ndarray, *,
     x += x_sp.astype(np.complex128)
     r = b - apply_dp(x)
     return x, QudaSolveResult(False, max_iter, (_norm2(r) / b2) ** 0.5,
-                              reliable, 0, history)
+                              reliable, history)
 
-
-def gcr(apply_dp, b: np.ndarray, *, tol: float = 1e-10,
-        max_iter: int = 500, n_krylov: int = 16,
-        precond=None) -> tuple[np.ndarray, QudaSolveResult]:
-    """Restarted GCR(n_krylov), optionally right-preconditioned.
-
-    This is the outer solver QUDA's GCR configuration uses; the
-    preconditioner (e.g. a low-accuracy SP solve) captures the
-    mixed-precision benefit.
-    """
-    b2 = _norm2(b)
-    if b2 == 0.0:
-        return np.zeros_like(b), QudaSolveResult(True, 0, 0.0)
-    x = np.zeros_like(b)
-    r = b.copy()
-    history = [1.0]
-    total_it = 0
-    restarts = 0
-    while total_it < max_iter:
-        ps: list[np.ndarray] = []
-        aps: list[np.ndarray] = []
-        for _ in range(n_krylov):
-            total_it += 1
-            z = precond(r) if precond is not None else r
-            ap = apply_dp(z)
-            p = z
-            # orthogonalize Ap against previous Aps (modified GS)
-            for pj, apj in zip(ps, aps):
-                c = _dot(apj, ap) / _norm2(apj)
-                ap = ap - c * apj
-                p = p - c * pj
-            ps.append(p)
-            aps.append(ap)
-            c = _dot(ap, r) / _norm2(ap)
-            x = x + c * p
-            r = r - c * ap
-            rel = (_norm2(r) / b2) ** 0.5
-            history.append(rel)
-            if rel <= tol:
-                return x, QudaSolveResult(True, total_it, rel, 0,
-                                          restarts, history)
-            if total_it >= max_iter:
-                break
-        restarts += 1
-        r = b - apply_dp(x)   # true residual at restart
-    rel = (_norm2(r) / b2) ** 0.5
-    return x, QudaSolveResult(rel <= tol, total_it, rel, 0, restarts,
-                              history)

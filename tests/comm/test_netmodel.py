@@ -39,19 +39,6 @@ class TestMessageTime:
                               + nbytes / IB_QDR_STAGED.pcie_bandwidth)
         assert staged - aware == pytest.approx(expected_extra, rel=1e-9)
 
-    def test_exchange_pipelines_latency(self):
-        """N messages on one NIC: payloads serialize, latencies
-        pipeline — cheaper than N separate messages."""
-        net = IB_QDR_CUDA_AWARE
-        msgs = [1 << 16] * 8
-        bundled = net.exchange_time(msgs)
-        separate = sum(net.message_time(m) for m in msgs)
-        assert bundled < separate
-        assert bundled >= sum(msgs) / net.bandwidth
-
-    def test_empty_exchange(self):
-        assert IB_QDR_CUDA_AWARE.exchange_time([]) == 0.0
-
     def test_custom_model(self):
         net = NetworkModel(name="x", latency_s=1e-6, bandwidth=1e9)
         assert net.message_time(1_000_000) == pytest.approx(1e-6 + 1e-3)
@@ -64,26 +51,3 @@ class TestEdgeCases:
         staged = IB_QDR_STAGED
         assert staged.message_time(0) == (staged.latency_s
                                           + 2 * staged.pcie_latency_s)
-
-    def test_single_message_exchange_equals_message_time(self):
-        for net in (IB_QDR_CUDA_AWARE, IB_QDR_STAGED, GEMINI):
-            assert net.exchange_time([1 << 16]) \
-                == net.message_time(1 << 16)
-
-    def test_exchange_monotone_in_message_count(self):
-        prev = 0.0
-        for n in (1, 2, 4, 8):
-            t = GEMINI.exchange_time([4096] * n)
-            assert t > prev
-            prev = t
-
-    def test_staged_exchange_pays_pcie_once_per_bundle(self):
-        """Staging cost scales with the bundle's payload, not with
-        the number of messages in it."""
-        msgs = [1 << 12] * 4
-        aware = IB_QDR_CUDA_AWARE.exchange_time(msgs)
-        staged = IB_QDR_STAGED.exchange_time(msgs)
-        total = sum(msgs)
-        expected = 2 * (IB_QDR_STAGED.pcie_latency_s
-                        + total / IB_QDR_STAGED.pcie_bandwidth)
-        assert staged - aware == pytest.approx(expected, rel=1e-9)

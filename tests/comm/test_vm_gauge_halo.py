@@ -58,14 +58,6 @@ class TestContextTables:
         a3 = ctx.upload_table("key2", t)
         assert a3 != a1
 
-    def test_drop_tables_frees_memory(self):
-        ctx = Context()
-        before = ctx.device.pool.stats.bytes_in_use
-        ctx.upload_table("k", np.arange(1024, dtype=np.int32))
-        assert ctx.device.pool.stats.bytes_in_use > before
-        ctx.drop_tables()
-        assert ctx.device.pool.stats.bytes_in_use == before
-
     def test_table_contents_on_device(self):
         ctx = Context()
         t = np.arange(100, dtype=np.int32) * 3

@@ -80,11 +80,11 @@ class TestKernelCaching:
         b = latt_fermion(lat, context=ctx)
         b.assign(3.0 * a)
         ctx.flush()
-        jit_t = ctx.device.stats.modeled_jit_time_s
+        jit_t = ctx.device.stats.modeled_s["jit"]
         assert 0.05 <= jit_t <= 0.25     # paper's per-kernel band
         b.assign(4.0 * a)
         ctx.flush()
-        assert ctx.device.stats.modeled_jit_time_s == jit_t
+        assert ctx.device.stats.modeled_s["jit"] == jit_t
 
 
 class TestSubsetEvaluation:

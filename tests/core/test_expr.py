@@ -177,11 +177,11 @@ class TestSignatures:
         assert self._sig(0.5 * psi) == self._sig(0.125 * psi)
 
     def test_gamma_constants_in_signature(self, ctx, lat4):
-        from repro.qcd.gamma import gamma_const
+        from repro.qcd.gamma import GAMMA
 
         psi = latt_fermion(lat4)
-        e0 = gamma_const(0) * psi
-        e1 = gamma_const(1) * psi
+        e0 = ConstSpinMatrix(GAMMA[0]) * psi
+        e1 = ConstSpinMatrix(GAMMA[1]) * psi
         assert self._sig(e0) != self._sig(e1)
 
     def test_gamma_constants_do_not_follow_the_hash_seed(self):

@@ -83,7 +83,7 @@ def test_interface_transfer_is_one_h2d_span():
     outside the pool-copy paths; it is accounted like any copy."""
     dev = Device()
     dev.charge_interface_transfer(1e-3, name="quda_layout_xfer")
-    assert dev.clock == dev.stats.modeled_transfer_time_s == 1e-3
+    assert dev.clock == dev.stats.modeled_s["transfer"] == 1e-3
     (span,) = dev.runtime.timeline.spans
     assert (span.lane, span.cat, span.name, span.duration_s) == (
         "h2d", "h2d", "quda_layout_xfer", 1e-3)

@@ -4,8 +4,6 @@ from repro.perfmodel.machines import (
     BLUEWATERS_XE,
     BLUEWATERS_XK,
     INTERLAGOS,
-    JLAB_12K,
-    MACHINES,
     TITAN_XK,
 )
 
@@ -22,12 +20,6 @@ class TestNodeModels:
         assert BLUEWATERS_XK.gpu is not None
         assert "K20x" in BLUEWATERS_XK.gpu.name
 
-    def test_jlab_node(self):
-        """12k nodes: dual Xeon E5-2650 with K20m (Sec. VIII-A)."""
-        assert JLAB_12K.sockets == 2
-        assert JLAB_12K.socket.name.startswith("xeon")
-        assert "K20m" in JLAB_12K.gpu.name
-
     def test_titan_nearly_bluewaters(self):
         """Fig. 8's premise: same node hardware, slightly different
         Gemini configuration."""
@@ -37,10 +29,6 @@ class TestNodeModels:
                   - BLUEWATERS_XK.network.bandwidth) \
             / BLUEWATERS_XK.network.bandwidth
         assert 0 < rel < 0.1
-
-    def test_registry(self):
-        assert set(MACHINES) == {"bluewaters-xe", "bluewaters-xk",
-                                 "titan-xk", "jlab-12k"}
 
     def test_gpu_dwarfs_cpu_socket(self):
         """The premise of the whole paper: the accelerator's memory

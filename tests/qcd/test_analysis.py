@@ -8,7 +8,6 @@ from repro.qcd.analysis import (
     effective_mass,
     pion_correlator,
     point_source,
-    wall_source,
 )
 from repro.qcd.gauge import unit_gauge, weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
@@ -20,13 +19,6 @@ class TestSources:
         arr = src.to_numpy()
         assert arr[lat4.site_index((1, 2, 3, 0)), 2, 1] == 1.0
         assert np.count_nonzero(arr) == 1
-
-    def test_wall_source_covers_slice(self, ctx, lat4):
-        src = wall_source(lat4, t=2, spin=0, color=0)
-        arr = src.to_numpy()
-        on_slice = lat4.coords[:, 3] == 2
-        assert np.all(arr[on_slice, 0, 0] == 1.0)
-        assert np.count_nonzero(arr) == on_slice.sum()
 
 
 @pytest.fixture(scope="module")

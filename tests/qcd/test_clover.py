@@ -80,19 +80,6 @@ class TestApply:
         clover.apply_inverse(back, chi)
         assert np.allclose(back.to_numpy(), psi.to_numpy(), atol=1e-9)
 
-    def test_tr_log_consistency(self, ctx, lat4, rng):
-        # a mild coefficient keeps A positive definite
-        mild = CloverTerm(weak_gauge(lat4, rng, eps=0.2), coeff=0.2)
-        full = mild.tr_log()
-        even = mild.tr_log(subset=lat4.even)
-        odd = mild.tr_log(subset=lat4.odd)
-        assert full == pytest.approx(even + odd, rel=1e-12)
-
-    def test_tr_log_rejects_indefinite(self, ctx, lat4, rng):
-        strong = CloverTerm(weak_gauge(lat4, rng, eps=0.4), coeff=0.8)
-        with pytest.raises(RuntimeError, match="determinant"):
-            strong.tr_log()
-
     def test_arithmetic_intensity(self, ctx, lat4, clover, rng):
         """Paper Table II: the clover apply runs at 0.525 flop/byte."""
         psi = latt_fermion(lat4)

@@ -1,13 +1,11 @@
 """Tests for the Wilson-clover operator (the production action: the
-Wilson operator with the clover site term) and the framework-native
-mixed-precision solver."""
+Wilson operator with the clover site term)."""
 
 import numpy as np
 import pytest
 
 from repro.core.reduction import innerProduct, norm2
 from repro.qcd.gauge import unit_gauge, weak_gauge
-from repro.qcd.mixedsolver import mixed_precision_cg
 from repro.qcd.solver import cg
 from repro.qcd.wilson import (EvenOddWilsonOperator, WilsonOperator,
                               WilsonParams)
@@ -123,42 +121,3 @@ class TestEvenOddClover:
         w.apply(b, psi)
         assert np.array_equal(a.to_numpy(), b.to_numpy())
 
-
-class TestMixedPrecisionSolver:
-    def test_reaches_double_precision(self, ctx, lat4, setup):
-        """The headline: f32 iterations, f64 answer."""
-        u, params, _ = setup
-        m64 = WilsonOperator(u, params, precision="f64")
-        u32 = [f.astype("f32") for f in u]
-        from repro.qdp.fields import multi1d
-
-        m32 = WilsonOperator(multi1d(u32), params, precision="f32")
-        rng = np.random.default_rng(8)
-        b = latt_fermion(lat4)
-        b.gaussian(rng)
-        x = latt_fermion(lat4)
-        res = mixed_precision_cg(
-            lambda d, s: m64.apply_mdagm(d, s),
-            lambda d, s: m32.apply_mdagm(d, s),
-            x, b, tol=1e-10, inner_tol=1e-5)
-        assert res.converged
-        assert res.residual_norm < 1e-10
-        assert res.outer_iterations >= 2     # needed >1 f32 cycle
-        # verify in full precision
-        tmp = m64.new_fermion()
-        m64.apply_mdagm(tmp, x)
-        assert (norm2(b - tmp) / norm2(b)) ** 0.5 < 1e-9
-
-    def test_beyond_f32_roundoff(self, ctx, lat4, setup):
-        """1e-10 is unreachable in pure f32 — the outer correction is
-        what gets us there."""
-        assert 1e-10 < np.finfo(np.float32).eps
-
-    def test_zero_rhs(self, ctx, lat4, setup):
-        u, params, _ = setup
-        m64 = WilsonOperator(u, params)
-        b = latt_fermion(lat4)
-        x = latt_fermion(lat4)
-        res = mixed_precision_cg(lambda d, s: m64.apply_mdagm(d, s),
-                                 lambda d, s: None, x, b)
-        assert res.converged and res.inner_iterations == 0

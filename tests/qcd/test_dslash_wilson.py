@@ -105,8 +105,7 @@ class TestDslash:
 
 class TestWilsonOperator:
     def test_kappa_mass_relation(self):
-        p = WilsonParams.from_mass(0.1)
-        assert p.kappa == pytest.approx(1 / 8.2)
+        p = WilsonParams(kappa=1 / 8.2)
         assert p.mass == pytest.approx(0.1)
 
     def test_apply(self, ctx, lat4, setup):

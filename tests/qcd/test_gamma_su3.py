@@ -106,9 +106,3 @@ class TestSU3:
     def test_traceless(self, rng):
         h = su3.random_hermitian_traceless(rng, 100)
         assert np.abs(np.einsum("nii->n", h)).max() < 1e-13
-
-    def test_taproj(self, rng):
-        m = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
-        a = su3.project_traceless_antihermitian(m)
-        assert np.abs(a + np.conj(np.swapaxes(a, -1, -2))).max() < 1e-13
-        assert np.abs(np.einsum("nii->n", a)).max() < 1e-13

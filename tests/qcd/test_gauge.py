@@ -8,7 +8,6 @@ from repro.qcd.gauge import (
     field_strength_numpy,
     gauge_transform,
     plaquette,
-    random_gauge,
     staple,
     unit_gauge,
     weak_gauge,
@@ -19,13 +18,6 @@ from repro.qdp.fields import latt_color_matrix
 class TestPlaquette:
     def test_unit_gauge_is_one(self, ctx, lat4):
         assert plaquette(unit_gauge(lat4)) == pytest.approx(1.0, abs=1e-13)
-
-    def test_random_gauge_near_zero(self, ctx, rng):
-        from repro.qdp.lattice import Lattice
-
-        lat = Lattice((6, 6, 6, 6))
-        p = plaquette(random_gauge(lat, rng))
-        assert abs(p) < 0.1
 
     def test_weak_gauge_near_one(self, ctx, lat4, rng):
         p = plaquette(weak_gauge(lat4, rng, eps=0.05))

@@ -1,5 +1,5 @@
-"""Tests for the extended QDP operations: site access, local
-reductions, outer products, math functions."""
+"""Tests for the extended QDP operations: local reductions, outer
+products, math functions."""
 
 import numpy as np
 import pytest
@@ -15,41 +15,7 @@ from repro.qdp.operations import (
     localInnerProduct,
     localNorm2,
     outerProduct,
-    peek_site,
-    poke_site,
 )
-
-
-class TestSiteAccess:
-    def test_peek_matches_numpy(self, ctx, lat4, rng):
-        psi = latt_fermion(lat4)
-        psi.gaussian(rng)
-        coords = (1, 2, 3, 0)
-        site = lat4.site_index(coords)
-        assert np.array_equal(peek_site(psi, coords),
-                              psi.to_numpy()[site])
-
-    def test_poke_then_peek(self, ctx, lat4, rng):
-        psi = latt_fermion(lat4)
-        psi.gaussian(rng)
-        value = np.arange(12, dtype=complex).reshape(4, 3)
-        poke_site(psi, value, (0, 1, 0, 3))
-        assert np.array_equal(peek_site(psi, (0, 1, 0, 3)), value)
-
-    def test_poke_invalidates_device_copy(self, ctx, lat4, rng):
-        psi = latt_fermion(lat4)
-        psi.gaussian(rng)
-        out = latt_fermion(lat4)
-        out.assign(2.0 * psi)              # psi now device resident
-        poke_site(psi, np.zeros((4, 3)), (0, 0, 0, 0))
-        out.assign(2.0 * psi)              # must see the poke
-        assert np.array_equal(peek_site(out, (0, 0, 0, 0)),
-                              np.zeros((4, 3)))
-
-    def test_poke_shape_checked(self, ctx, lat4):
-        psi = latt_fermion(lat4)
-        with pytest.raises(ValueError):
-            poke_site(psi, np.zeros((3, 4)), (0, 0, 0, 0))
 
 
 class TestLocalReductions:

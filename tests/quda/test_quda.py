@@ -1,5 +1,5 @@
 """Tests for the QUDA comparator: optimized Dslash, mixed-precision
-CG, GCR, and the device interface."""
+CG, and the device interface."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.quda import (
     OptimizedDslash,
     QudaInvertParam,
     QudaSolver,
-    gcr,
     mixed_precision_cg,
     quda_dslash_gflops,
 )
@@ -94,23 +93,6 @@ class TestMixedPrecisionCG:
         assert res.converged and np.all(x == 0)
 
 
-class TestGCR:
-    def test_converges(self, ctx, lat4, system, rng):
-        u, _ = system
-        opt = OptimizedDslash(u)
-
-        def mdagm(v):
-            m = v - 0.12 * opt.apply(v, +1)
-            return m - 0.12 * opt.apply(m, -1)
-
-        b = (rng.normal(size=(lat4.nsites, 4, 3))
-             + 1j * rng.normal(size=(lat4.nsites, 4, 3)))
-        x, res = gcr(mdagm, b, tol=1e-9, max_iter=600, n_krylov=16)
-        assert res.converged
-        r = b - mdagm(x)
-        assert (np.vdot(r, r).real / np.vdot(b, b).real) ** 0.5 < 5e-9
-
-
 class TestQudaSolverInterface:
     def test_solution_verified_by_qdpjit_operator(self, ctx, lat4,
                                                   system, rng):
@@ -182,15 +164,6 @@ class TestQudaSolverInterface:
                                             device_interface=False))
         staged.solve(x, b)
         assert staged.transfer_seconds_charged > 0.0
-
-    def test_gcr_config(self, ctx, lat4, system, rng):
-        u, _ = system
-        b = latt_fermion(lat4)
-        b.gaussian(rng)
-        x = latt_fermion(lat4)
-        solver = QudaSolver(u, WilsonParams(kappa=0.12),
-                            QudaInvertParam(tol=1e-9, solver="gcr"))
-        assert solver.solve(x, b).converged
 
 
 class TestQudaPerfModel:

@@ -11,7 +11,6 @@ measures the modeled impact:
 """
 
 import numpy as np
-import pytest
 
 from repro.comm.netmodel import IB_QDR_CUDA_AWARE, IB_QDR_STAGED
 from repro.core.context import Context

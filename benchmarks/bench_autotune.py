@@ -6,7 +6,6 @@ launches until the time degrades by >33%, then lock the best.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.context import Context
 from repro.qdp.fields import latt_fermion

@@ -7,8 +7,6 @@ the calibrated device model; checks the paper's shape claims
 peak, curves coinciding).
 """
 
-import pytest
-
 from repro.device.specs import K20X_ECC_OFF
 from repro.perfmodel.kernelperf import figure_4_5
 

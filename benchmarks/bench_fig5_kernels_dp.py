@@ -3,8 +3,6 @@
 because the wider words reach memory-level-parallelism saturation at
 half the volume."""
 
-import pytest
-
 from repro.device.specs import K20X_ECC_OFF
 from repro.perfmodel.kernelperf import figure_4_5
 

@@ -19,7 +19,6 @@ from repro.perfmodel.hmcperf import (
     node_hours,
     resource_cost_factor,
     speedup,
-    trajectory_time,
 )
 
 from _util import header, report, table

@@ -2,8 +2,6 @@
 QDP-JIT+QUDA configuration — "hardly distinguishable" per the paper.
 """
 
-import pytest
-
 from repro.perfmodel.hmcperf import figure_8
 
 from _util import header, report, table

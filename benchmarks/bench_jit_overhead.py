@@ -16,7 +16,6 @@ import pytest
 from repro.core.context import Context
 from repro.driver import compile_ptx
 from repro.driver.backends import BackendStats, select_backend
-from repro.perfmodel.dslashperf import measure_dslash_kernels
 from repro.qcd.gauge import weak_gauge
 from repro.qcd.wilson import WilsonOperator, WilsonParams
 from repro.qdp.fields import latt_fermion

@@ -19,7 +19,7 @@ from repro.qdp.fields import latt_fermion
 from repro.qdp.lattice import Lattice
 from repro.quda import OptimizedDslash, quda_dslash_gflops
 
-from _util import header, report, table
+from _util import header, table
 
 
 def test_quda_headroom(benchmark):

@@ -6,7 +6,6 @@ operations behind every JIT data view.
 """
 
 import numpy as np
-import pytest
 
 from repro.qdp.fields import LatticeField
 from repro.qdp.lattice import Lattice

@@ -125,6 +125,10 @@ class Context:
         #: structural statement signature -> :class:`ModuleEntry`
         #: (insertion ordered; filled by :meth:`lookup_kernel` only)
         self.module_cache: dict[str, ModuleEntry] = {}
+        #: statement plans (:class:`repro.core.evaluator.StatementPlan`)
+        #: and launch plans (:class:`repro.core.fusion.LaunchPlan`),
+        #: keyed by type and aliasing pattern, never by field identity
+        self.plans: dict = {}
         #: deferred-evaluation queue (``fusion=None`` consults the
         #: ``REPRO_FUSION`` knob; an explicit bool overrides it)
         self.fusion = FusionQueue(self, enabled=fusion)

@@ -13,6 +13,17 @@ destination, normalization descends only where they show something to
 copy, and the queue's hazard facts are the normalized root's read
 sets.  Lookup, paging, binding and launch (paper Secs. IV-VII) are the
 queue's one launcher, :func:`repro.core.fusion._launch_group`.
+
+A statement is *planned* the first time its root is seen: the
+context's plan table keeps, under the root's type (its fragment), the
+aliasing pattern of its leaves, its destination type, lattice, subset
+and the ``REPRO_VERIFY`` mode, a :class:`StatementPlan` — the
+statements that lint, normalization and type check produced, as
+templates over the leaves' positions, and the temporaries they write.
+A later root of the same key skips all three and enqueues the
+templates bound to its own fields and scalars, reusing the plan's
+temporaries (the paper's kernel cache keyed by the expression-template
+type, carried up to the statement).
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from typing import TYPE_CHECKING
 from ..device.memmodel import KernelCost
 from ..diagnostics import verify_mode
 from .codegen import _check_assign_types
+from .fusion import Statement
 from .lint import check_assignment
 
 if TYPE_CHECKING:
@@ -33,6 +45,7 @@ from .expr import (
     Expr,
     FieldRef,
     PowNode,
+    ScalarParam,
     ShiftNode,
     TraceNode,
     UnaryNode,
@@ -56,8 +69,8 @@ def _rebuild(node: Expr, new_children) -> Expr:
     raise TypeError(f"cannot rebuild {type(node).__name__}")
 
 
-def _normalize(node: Expr, dest, ctx: Context, temps: list,
-               stores: bool = True, flipped: bool = False) -> Expr:
+def _normalize(node: Expr, dest, materialize, stores: bool = True,
+               flipped: bool = False) -> Expr:
     """Materialize shift-of-expression and shift-of-destination, and a
     destination read under ``adj``/``transpose`` (``flipped``).
 
@@ -67,49 +80,209 @@ def _normalize(node: Expr, dest, ctx: Context, temps: list,
     a copy instead.  A reduction, which stores nothing, passes its
     first field as ``dest`` with ``stores=False``.
 
-    Created temporaries are appended to ``temps`` so the caller can
-    :meth:`~repro.memory.cache.FieldCache.release` them once the
-    statement that consumes them has launched — a dead temporary must
-    never cost D2H spill traffic later.  A subtree whose facts show
-    nothing to materialize comes back unvisited, as the same object;
-    a rebuilt node computes its facts anew.
+    ``materialize(expr, dest)`` returns a :class:`FieldRef` to the
+    temporary holding ``expr`` (:func:`_materializer` evaluates it;
+    :meth:`StatementPlan.trees` hands out the plan's own).  A subtree
+    whose facts show nothing to materialize comes back unvisited, as
+    the same object; a rebuilt node computes its facts anew.
     """
     d = dest.uid
     if not (node.deep or d in node.shift_reads
             or stores and d in (node.reads if flipped else node.flip_reads)):
         return node
     if isinstance(node, FieldRef):          # a flipped read of dest
-        return _materialize(node, dest, ctx, temps)
+        return materialize(node, dest)
     if isinstance(node, ShiftNode):
         # a shift of a non-leaf or of the destination: the shifted
         # operand becomes a fresh temporary, which the statement's
         # stores cannot reach
-        child = _materialize(_normalize(node.child, dest, ctx, temps,
-                                        stores),
-                             dest, ctx, temps)
+        child = materialize(_normalize(node.child, dest, materialize,
+                                       stores), dest)
         return ShiftNode(child, node.mu, node.sign)
     flipped = flipped or (isinstance(node, UnaryNode)
                           and node.op in ("adj", "transpose"))
     children = node.children()
-    new = [_normalize(c, dest, ctx, temps, stores, flipped)
+    new = [_normalize(c, dest, materialize, stores, flipped)
            for c in children]
     if all(a is b for a, b in zip(new, children)):
         return node
     return _rebuild(node, new)
 
 
-def _materialize(expr: Expr, dest, ctx: Context, temps: list) -> FieldRef:
-    """Evaluate ``expr`` into a fresh temporary on ``dest``'s lattice."""
-    temp = _new_temp(dest.lattice, expr.spec, ctx)
-    evaluate(temp, expr, context=ctx)
-    temps.append(temp)
-    return FieldRef(temp)
+def _materializer(ctx: Context, temps: list,
+                  rec: "_Recording | None" = None):
+    """The ``materialize`` of a real evaluation: each operand is
+    evaluated into a fresh temporary on ``dest``'s lattice, appended
+    to ``temps`` so the caller can
+    :meth:`~repro.memory.cache.FieldCache.release` it once the
+    statement that consumes it has launched — a dead temporary must
+    never cost D2H spill traffic later.  While a plan is recorded
+    (``rec``), the temporary's statement joins the recording."""
+    def materialize(expr: Expr, dest) -> FieldRef:
+        temp = _new_temp(dest.lattice, expr.spec, ctx)
+        if rec is None:
+            evaluate(temp, expr, context=ctx)
+        else:
+            rec.temps.append(temp)
+            _evaluate(temp, expr, dest.lattice.all_sites, ctx, rec.mode,
+                      rec)
+        temps.append(temp)
+        return FieldRef(temp)
+    return materialize
 
 
 def _new_temp(lattice, spec, ctx: Context):
     from ..qdp.fields import LatticeField
 
     return LatticeField(lattice, spec, context=ctx, name="__temp")
+
+
+class _Recording:
+    """What one evaluation enqueued, in order, and the temporaries it
+    created; ``clean`` turns false when the lint reported a finding
+    (such a statement is never planned: it warns every time)."""
+
+    __slots__ = ("mode", "stmts", "temps", "clean")
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.stmts: list[Statement] = []
+        self.temps: list = []
+        self.clean = True
+
+
+def _evaluate(dest, expr: Expr, subset, ctx: Context, mode: str,
+              rec: _Recording | None):
+    """Lint, normalize, type-check and enqueue ``dest = expr``."""
+    # -- AST lint: surface data hazards before any kernel is built ------
+    if check_assignment(dest, expr, subset=subset, mode=mode) \
+            and rec is not None:
+        rec.clean = False
+    temps: list = []
+    expr = _normalize(expr, dest, _materializer(ctx, temps, rec))
+    # type errors must surface at the assignment site, not at the
+    # (possibly much later) deferred launch
+    _check_assign_types(dest.spec, expr)
+    ctx.stats.expressions_evaluated += 1
+    stmt = Statement(dest, expr, subset, temps)
+    if rec is not None:
+        rec.stmts.append(stmt)
+    return ctx.fusion.enqueue(stmt)
+
+
+def plan_key(dest, expr: Expr, subset, mode: str):
+    """``(key, binds)`` of ``dest = expr``, or ``(None, None)`` when a
+    field lives on another lattice than ``dest`` (never planned: the
+    lint must see it).
+
+    ``binds`` is ``dest`` and then each distinct field or scalar of
+    ``expr.leaves`` in first-occurrence order; the key is the root's
+    fragment, its leaves with each bound leaf replaced by its
+    ``binds`` position (a shift by its ``(mu, sign)``), the
+    destination's type, the lattice and subset, and ``mode`` — all
+    that lint, normalization and type check read, so a root of an
+    equal key yields the same statements over its own ``binds``.
+    """
+    lattice = dest.lattice
+    binds = [dest]
+    index = {id(dest): 0}
+    pattern = []
+    for x in expr.leaves:
+        if type(x) is tuple:
+            pattern.append(x)
+            continue
+        i = index.get(id(x))
+        if i is None:
+            if type(x) is not ScalarParam and x.lattice is not lattice:
+                return None, None
+            i = index[id(x)] = len(binds)
+            binds.append(x)
+        pattern.append(i)
+    return ((expr.frag, tuple(pattern), dest.spec.ident, id(lattice),
+             id(subset), mode), binds)
+
+
+class Template:
+    """One statement of a :class:`StatementPlan`, over positions in the
+    plan's *env* — the root's ``binds`` followed by the plan's
+    temporaries — what :meth:`Statement.replay` binds."""
+
+    __slots__ = ("plan", "index", "owner", "dest", "subset", "subset_mode",
+                 "frag", "leaves", "reads", "shift_reads", "footprint",
+                 "temps", "binds")
+
+    def __init__(self, plan: "StatementPlan", index: int, st: Statement,
+                 pos: dict, upos: dict):
+        self.plan, self.index = plan, index
+        #: the plan whose temporaries are free once this one launched
+        self.owner = None
+        self.dest = pos[id(st.dest)]
+        self.subset, self.subset_mode = st.subset, st.subset_mode
+        self.frag = st.frag
+        self.leaves = tuple(x if type(x) is tuple else pos[id(x)]
+                            for x in st.leaves)
+        self.reads = tuple(upos[u] for u in st.reads)
+        self.shift_reads = tuple(upos[u] for u in st.shift_reads)
+        self.footprint = tuple((upos[u], n) for u, n in st.footprint.items())
+        self.temps = tuple(pos[id(t)] for t in st.temps)
+        #: the distinct env positions the statement binds, for the
+        #: launcher's cross-statement pattern
+        self.binds = tuple(dict.fromkeys(
+            [i for i in self.leaves if type(i) is int] + [self.dest]))
+
+
+class StatementPlan:
+    """The statements one root type yields, and the temporaries they
+    write — owned by the plan, reused by every replay and released to
+    the pool after each launch like any temporary."""
+
+    __slots__ = ("templates", "temps", "pending", "lattice")
+
+    def __init__(self, rec: _Recording, binds: list):
+        # the key holds its id (the templates hold the subsets)
+        self.lattice = binds[0].lattice
+        env = binds + rec.temps
+        pos = {id(x): i for i, x in enumerate(env)}
+        upos = {x.uid: i for i, x in enumerate(env)
+                if type(x) is not ScalarParam}
+        self.temps = rec.temps
+        self.templates = tuple(Template(self, j, st, pos, upos)
+                               for j, st in enumerate(rec.stmts))
+        main = self.templates[-1]
+        main.owner = self
+        for st, t in zip(rec.stmts, self.templates):
+            st.adopt(t, env)
+        #: a replay would overwrite temporaries a queued statement has
+        #: yet to read: the launcher clears this when the root's own
+        #: statement (the last, which reads them) has launched
+        self.pending = rec.stmts[-1].cost is None
+
+    def replay(self, ctx: Context, root: Expr, binds: list):
+        """Enqueue the templates bound to ``binds``; returns the
+        root statement's cost, as :func:`evaluate` does."""
+        env = binds + self.temps
+        ctx.stats.expressions_evaluated += len(self.templates)
+        self.pending = True
+        enqueue = ctx.fusion.enqueue
+        for t in self.templates:
+            cost = enqueue(Statement.replay(t, env, root))
+        return cost
+
+    def trees(self, root: Expr, env: list) -> list:
+        """The normalized tree of each template under ``env`` — what
+        the code generator reads on a module-cache miss — by the
+        normalization of ``root`` that recorded the plan, handing out
+        the plan's temporaries in the order it created them."""
+        temps = iter(self.temps)
+        out = {}
+
+        def materialize(expr: Expr, dest) -> FieldRef:
+            temp = next(temps)
+            out[id(temp)] = _normalize(expr, temp, materialize)
+            return FieldRef(temp)
+
+        out[id(env[0])] = _normalize(root, env[0], materialize)
+        return [out[id(env[t.dest])] for t in self.templates]
 
 
 def evaluate(dest, expr, subset: "Subset | None" = None,
@@ -122,6 +295,11 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
     possibly fused with neighboring statements — launches at the next
     barrier.  With it off the queue drains at once and the modeled
     :class:`KernelCost` of the launch comes back directly.
+
+    A root whose :func:`plan_key` has a plan replays it, unless the
+    plan's last replay is still queued (its temporaries are in use):
+    then it, like a first sighting, takes the full path, and only a
+    first sighting whose lint reported nothing records a plan.
     """
     ctx = context if context is not None else getattr(
         dest, "context", None) or default_context()
@@ -135,12 +313,16 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
         return KernelCost(time_s=0.0, bandwidth_bytes_s=0.0,
                           mem_time_s=0.0, flop_time_s=0.0,
                           bytes_moved=0, flops=0)
-    # -- AST lint: surface data hazards before any kernel is built ------
-    check_assignment(dest, expr, subset=subset, mode=verify_mode())
-    temps: list = []
-    expr = _normalize(expr, dest, ctx, temps)
-    # type errors must surface at the assignment site, not at the
-    # (possibly much later) deferred launch
-    _check_assign_types(dest.spec, expr)
-    ctx.stats.expressions_evaluated += 1
-    return ctx.fusion.enqueue(dest, expr, subset, temps)
+    mode = verify_mode()
+    key, binds = plan_key(dest, expr, subset, mode)
+    rec = None
+    if key is not None:
+        plan = ctx.plans.get(key)
+        if plan is None:
+            rec = _Recording(mode)
+        elif not plan.pending:
+            return plan.replay(ctx, expr, binds)
+    cost = _evaluate(dest, expr, subset, ctx, mode, rec)
+    if rec is not None and rec.clean:
+        ctx.plans[key] = StatementPlan(rec, binds)
+    return cost

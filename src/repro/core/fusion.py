@@ -71,14 +71,22 @@ MAX_PENDING_GROUPS = 32
 
 class Statement:
     """One pending ``dest = expr`` assignment; ``reads`` and
-    ``shift_reads`` are the (normalized) root's."""
+    ``shift_reads`` are the (normalized) root's.
 
-    __slots__ = ("dest", "expr", "subset", "subset_mode", "lattice",
-                 "reads", "shift_reads", "footprint", "temps", "cost")
+    A statement of a plan (:class:`repro.core.evaluator.StatementPlan`)
+    carries its template (``tpl``) and the distinct objects it binds
+    (``binds``); one built by :meth:`replay` has only those and the
+    un-normalized root, and builds ``leaves`` and ``expr`` when the
+    launcher asks (a launch plan miss, a module-cache miss)."""
+
+    __slots__ = ("dest", "subset", "subset_mode", "lattice", "frag",
+                 "reads", "shift_reads", "footprint", "temps", "cost",
+                 "tpl", "binds", "_env", "_root", "_leaves", "_expr")
 
     def __init__(self, dest, expr: Expr, subset, temps):
         self.dest = dest
-        self.expr = expr
+        self._expr = expr
+        self.frag, self._leaves = expr.frag, expr.leaves
         self.subset = subset
         self.subset_mode = not subset.is_full
         self.lattice = dest.lattice
@@ -88,6 +96,46 @@ class Statement:
         self.footprint[dest.uid] = dest.nbytes
         self.temps = temps
         self.cost = None
+        self.tpl = self.binds = None
+
+    def adopt(self, tpl, env: list) -> None:
+        """Join the plan ``tpl`` belongs to (bound to ``env``)."""
+        self.tpl = tpl
+        self.binds = [env[i] for i in tpl.binds]
+
+    @classmethod
+    def replay(cls, tpl, env: list, root: Expr) -> "Statement":
+        """The statement ``tpl`` stands for, bound to ``env``."""
+        st = cls.__new__(cls)
+        st.dest = dest = env[tpl.dest]
+        st.frag = tpl.frag
+        st.subset, st.subset_mode = tpl.subset, tpl.subset_mode
+        st.lattice = dest.lattice
+        st.reads = frozenset([env[i].uid for i in tpl.reads])
+        st.shift_reads = frozenset([env[i].uid for i in tpl.shift_reads])
+        st.footprint = {env[i].uid: n for i, n in tpl.footprint}
+        st.temps = [env[i] for i in tpl.temps]
+        st.cost = None
+        st.tpl = tpl
+        st.binds = [env[i] for i in tpl.binds]
+        st._env, st._root = env, root
+        st._leaves = st._expr = None
+        return st
+
+    @property
+    def leaves(self) -> tuple:
+        if self._leaves is None:
+            env = self._env
+            self._leaves = tuple([env[i] if type(i) is int else i
+                                  for i in self.tpl.leaves])
+        return self._leaves
+
+    @property
+    def expr(self) -> Expr:
+        if self._expr is None:
+            tpl = self.tpl
+            self._expr = tpl.plan.trees(self._root, self._env)[tpl.index]
+        return self._expr
 
 
 class ReductionJob:
@@ -222,11 +270,10 @@ class FusionQueue:
                 and (sum({**g.footprint, **stmt.footprint}.values())
                      <= self.ctx.device.pool.capacity))
 
-    def enqueue(self, dest, expr: Expr, subset, temps):
-        """Queue ``dest = expr``; returns its (lazy) launch cost."""
+    def enqueue(self, stmt: Statement):
+        """Queue ``stmt``; returns its (lazy) launch cost."""
         if len(self.groups) >= MAX_PENDING_GROUPS:
             self.flush()
-        stmt = Statement(dest, expr, subset, temps)
         lower = 0
         for i, g in enumerate(self.groups):
             bound = self._dep_bound(g, stmt)
@@ -241,7 +288,7 @@ class FusionQueue:
                 placed = True
                 break
         if not placed:
-            self.groups.append(Group(stmt.lattice, subset, [stmt]))
+            self.groups.append(Group(stmt.lattice, stmt.subset, [stmt]))
         if not self.enabled:
             # REPRO_FUSION=off: the queue never holds two statements
             self.flush()
@@ -321,6 +368,58 @@ def launch_env(lattice, subset, slots: SlotAssigner,
                      regions=regions)
 
 
+class LaunchPlan:
+    """What the lookup of a group of planned statements found: the
+    module-cache entry, the binding's table parameters, and where in
+    the group's ``binds`` (:func:`launch_plan_key`) each field and
+    scalar slot finds its object."""
+
+    __slots__ = ("entry", "tables", "fields", "scalars", "lattice",
+                 "subset")
+
+    def __init__(self, entry, tables: dict, slots: SlotAssigner,
+                 binds: list, lattice, subset):
+        pos: dict = {}
+        for i, x in enumerate(binds):
+            pos.setdefault(id(x), i)
+        self.entry, self.tables = entry, tables
+        self.fields = tuple(pos[id(f)] for f in slots.fields)
+        self.scalars = tuple(
+            (pos[id(sn)], f"p_s{i}_re",
+             f"p_s{i}_im" if sn.spec.is_complex else None)
+            for i, sn in enumerate(slots.scalar_slots))
+        # the key holds their ids
+        self.lattice, self.subset = lattice, subset
+
+
+def launch_plan_key(group: Group, reduction: ReductionJob | None):
+    """``(key, binds)`` of a group whose statements all came from plans
+    (else ``(None, None)``): ``binds`` concatenates each statement's
+    ``binds`` and the tail's fields and scalars; the key is the
+    statements' templates, the tail's kind, fragments and shifts, the
+    lattice and subset, and the pattern of which ``binds`` entries are
+    one object — everything :func:`group_key` and the lookup read."""
+    tpls = []
+    binds: list = []
+    for st in group.stmts:
+        if st.tpl is None:
+            return None, None
+        tpls.append(st.tpl)
+        binds += st.binds
+    tail = None
+    if reduction is not None:
+        shifts: list = []
+        for e in reduction.exprs:
+            for x in e.leaves:
+                (shifts if type(x) is tuple else binds).append(x)
+        tail = (reduction.kind, tuple([e.frag for e in reduction.exprs]),
+                tuple(shifts))
+    seen: dict = {}
+    pattern = tuple([seen.setdefault(id(x), len(seen)) for x in binds])
+    return ((tuple(tpls), tail, id(group.lattice), id(group.subset),
+             pattern), binds)
+
+
 def _launch_group(ctx: "Context", group: Group,
                   reduction: ReductionJob | None = None) -> int | None:
     """Look up (or build), bind, page in and launch one group — the
@@ -330,33 +429,56 @@ def _launch_group(ctx: "Context", group: Group,
     of the partials when there is a ``reduction`` tail.  The kernel
     family follows from the group's shape: one statement ``eval_``, a
     lone tail ``red_``, anything larger ``fus_`` — and only those
-    count as fusion groups.
+    count as fusion groups.  A group of planned statements whose
+    :func:`launch_plan_key` has a :class:`LaunchPlan` skips the key
+    and the lookup (a module-cache hit all the same).
     """
     stmts = group.stmts
     lattice, subset = group.lattice, group.subset
     subset_mode = group.subset_mode
     n_active = len(subset)
-
-    # -- structural signature -> generated-module cache; a miss runs
-    # -- the code generator, the PTX verifier and the driver JIT.  The
-    # -- lookup also binds the tables (a first-use upload may spill, so
-    # -- it comes before paging, as does a scratch grow); shift tables
-    # -- follow the slots: one kernel serves every (mu, sign)
-    assigns = [(st.dest, st.expr) for st in stmts]
-    tail = None if reduction is None else (reduction.kind, reduction.exprs)
-    key, slots = group_key(assigns, tail, subset_mode)
     out_names = () if reduction is None else reduction.out_names
     fused = len(stmts) + (reduction is not None) > 1
-    entry, tables = ctx.lookup_kernel(
-        key, "fus_" if fused else "eval_" if stmts else "red_",
-        lambda name: build_fused_kernel(name, assigns, tail, subset_mode),
-        (lattice, subset, tuple(slots.shifts)),
-        lambda: launch_env(lattice, subset, slots, out_names))
-    params = dict(tables)
-    for i, sn in enumerate(slots.scalar_slots):
-        params[f"p_s{i}_re"] = sn.value.real
-        if sn.spec.is_complex:
-            params[f"p_s{i}_im"] = sn.value.imag
+
+    pkey, binds = launch_plan_key(group, reduction)
+    plan = None if pkey is None else ctx.plans.get(pkey)
+    if plan is not None:
+        ctx.stats.module_cache_hits += 1
+        entry = plan.entry
+        params = dict(plan.tables)
+        for i, re, im in plan.scalars:
+            value = binds[i].value
+            params[re] = value.real
+            if im is not None:
+                params[im] = value.imag
+        fields = [binds[i] for i in plan.fields]
+    else:
+        # -- structural signature -> generated-module cache; a miss
+        # -- runs the code generator, the PTX verifier and the driver
+        # -- JIT.  The lookup also binds the tables (a first-use upload
+        # -- may spill, so it comes before paging, as does a scratch
+        # -- grow); shift tables follow the slots: one kernel serves
+        # -- every (mu, sign)
+        tail = (None if reduction is None
+                else (reduction.kind, reduction.exprs))
+        key, slots = group_key([(st.dest, st) for st in stmts], tail,
+                               subset_mode)
+        entry, tables = ctx.lookup_kernel(
+            key, "fus_" if fused else "eval_" if stmts else "red_",
+            lambda name: build_fused_kernel(
+                name, [(st.dest, st.expr) for st in stmts], tail,
+                subset_mode),
+            (lattice, subset, tuple(slots.shifts)),
+            lambda: launch_env(lattice, subset, slots, out_names))
+        params = dict(tables)
+        for i, sn in enumerate(slots.scalar_slots):
+            params[f"p_s{i}_re"] = sn.value.real
+            if sn.spec.is_complex:
+                params[f"p_s{i}_im"] = sn.value.imag
+        fields = slots.fields
+        if pkey is not None:
+            ctx.plans[pkey] = LaunchPlan(entry, tables, slots, binds,
+                                         lattice, subset)
     scratch = None
     need_host = group.need_host
     if reduction is not None:
@@ -370,9 +492,8 @@ def _launch_group(ctx: "Context", group: Group,
     # -- automated memory management (paper Sec. IV): one
     # -- make_available for the whole group's working set
     write_only = set() if subset_mode else (group.writes - need_host)
-    addrs = ctx.field_cache.make_available(slots.fields,
-                                           write_only=write_only)
-    for i, f in enumerate(slots.fields):
+    addrs = ctx.field_cache.make_available(fields, write_only=write_only)
+    for i, f in enumerate(fields):
         params[f"p_f{i}"] = addrs[f.uid]
 
     # -- launch through the per-kernel auto-tuner (paper Sec. VII), or
@@ -390,6 +511,9 @@ def _launch_group(ctx: "Context", group: Group,
     for st in stmts:
         ctx.field_cache.mark_device_dirty(st.dest)
         st.cost = cost
+        if st.tpl is not None and st.tpl.owner is not None:
+            # the plan's temporaries are read: it may replay again
+            st.tpl.owner.pending = False
     _release_temps(ctx, stmts)
     if fused:
         ctx.stats.fusion_groups += 1

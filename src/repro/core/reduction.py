@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..qdp.lattice import Subset
 from .context import Context
-from .evaluator import _normalize
+from .evaluator import _materializer, _normalize
 from .expr import Expr, ExprTypeError, as_expr, leaf_fields
 from .fusion import ReductionJob
 
@@ -53,7 +53,8 @@ def _reduce(kind: str, exprs: list[Expr], subset: Subset | None,
     if subset is None:
         subset = lattice.all_sites
     temps: list = []
-    exprs = [_normalize(e, f0, ctx, temps, stores=False) for e in exprs]
+    materialize = _materializer(ctx, temps)
+    exprs = [_normalize(e, f0, materialize, stores=False) for e in exprs]
     _validate(kind, exprs)
 
     # a reduction is a queue barrier; if the trailing pending group is

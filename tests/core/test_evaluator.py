@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.core.evaluator import _normalize
+from repro.core.evaluator import _materializer, _normalize
 from repro.core.expr import adj, conj, shift, trace, transpose
 from repro.core.reduction import sum_sites
 from repro.qcd.gamma import gamma5_const, projector, projector_const
@@ -233,8 +233,7 @@ class TestNormalize:
         expr = u * shift(phi.ref(), +1, 0) + adj(u) * shift(chi.ref(), -1, 3)
         queued = []
         monkeypatch.setattr(ctx.fusion, "enqueue",
-                            lambda dest, e, subset, temps, *rest:
-                            queued.append((e, temps)))
+                            lambda st: queued.append((st.expr, st.temps)))
         psi.assign(expr)
         assert queued[0][0] is expr
         assert queued[0][1] == []
@@ -242,12 +241,12 @@ class TestNormalize:
     def test_read_sets_of_the_normalized_tree(self):
         ctx, u, psi, chi, phi = self._fields()
         expr = u * shift(phi.ref(), +1, 0) + psi.ref()
-        out = _normalize(expr, psi, ctx, [])
+        out = _normalize(expr, psi, _materializer(ctx, []))
         assert out is expr
         assert (out.reads, out.shift_reads) == ({u.uid, psi.uid}, {phi.uid})
         temps = []
-        out = _normalize(shift(psi.ref(), +1, 0) + chi.ref(), psi, ctx,
-                         temps)
+        out = _normalize(shift(psi.ref(), +1, 0) + chi.ref(), psi,
+                         _materializer(ctx, temps))
         (temp,) = temps
         assert out.children()[0].child.field is temp
         assert (out.reads, out.shift_reads) == ({chi.uid}, {temp.uid})

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core import fusion
 from repro.core.context import Context
-from repro.core.evaluator import _materialize, _normalize, _rebuild
+from repro.core.evaluator import _materializer, _normalize, _rebuild
 from repro.core.expr import (
     BinaryNode,
     ConstSpinMatrix,
@@ -286,6 +286,10 @@ def ref_check(dest, expr, subset, mode):
     emit_warnings(diagnostics)
 
 
+def _materialize(node, dest, ctx, temps):
+    return _materializer(ctx, temps)(node, dest)
+
+
 def ref_normalize(node, dest, ctx, temps, reads, stores=True,
                   flipped=False):
     """The normalizer that visited every node and accumulated the
@@ -366,7 +370,7 @@ def check_tree(ctx, dest, expr, subset=None, stores=True):
         warnings.simplefilter("ignore")
         ref_out = ref_normalize(expr, dest, ctx, ref_temps, reads, stores)
         temps = []
-        out = _normalize(expr, dest, ctx, temps, stores)
+        out = _normalize(expr, dest, _materializer(ctx, temps), stores)
     assert (out is expr) == (ref_out is expr)
     assert len(temps) == len(ref_temps)
     rename = {r.uid: t.uid for r, t in zip(ref_temps, temps)}

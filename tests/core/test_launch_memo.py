@@ -3,36 +3,46 @@
 A context memoizes, per (structural key, lattice, subset, shift
 directions), the launch env it merged into the kernel's entry, and per
 binding the table parameters it uploaded; a device memoizes the modeled
-cost per launch shape.  Each case below runs statements of one
-structure under different bindings in *one* context, and each
-statement again in a *fresh* context on the same data: the
-diagnostics (warnings, in order), the destination and the modeled
-kernel cost must come out the same, bitwise.
+cost per launch shape; and a context plans each statement type once
+(``repro.core.evaluator.StatementPlan``: its temporaries and
+statements, replayed over a later root's fields and scalars) and each
+group of planned statements once (``repro.core.fusion.LaunchPlan``).
+Each case below runs statements of one structure under different
+bindings in *one* context, and each statement again in a *fresh*
+context on the same data: the diagnostics (warnings, in order), the
+destination and the modeled kernel cost must come out the same,
+bitwise — and where a case says so, the statement must have been a
+replay.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.context import Context
-from repro.core.expr import adj, shift
+from repro.core.evaluator import StatementPlan
+from repro.core.expr import ScalarParam, adj, shift
+from repro.qcd.dslash import dslash_expr
 from repro.qdp.fields import LatticeField
 from repro.qdp.lattice import Lattice
 from repro.typesys import color_matrix, fermion
 
 _SPECS = {"psi": fermion(), "chi": fermion(), "u": color_matrix(),
-          "v": color_matrix(), "w": color_matrix()}
+          "v": color_matrix(), "w": color_matrix(), "a": fermion(),
+          "b": fermion(), "c": fermion()}
 
 
-def _world(lattices, data=None):
+def _world(lattices, data=None, pool_capacity=None):
     """A context with every field of ``_SPECS`` on every lattice
     (names suffixed by the lattice index past the first), filled from
     ``data`` or from a fixed seed.  A fixed block size: an auto-tuner
     that has probed runs at another one, legitimately modeled apart."""
-    ctx = Context(autotune=False)
+    ctx = Context(autotune=False, pool_capacity=pool_capacity)
     rng = np.random.default_rng(11)
     fields = {}
     for i, lat in enumerate(lattices):
@@ -58,16 +68,52 @@ def _run(ctx, fields, statement):
             cost.time_s)
 
 
-def check_against_fresh(lattices, statements):
-    ctx, fields = _world(lattices)
-    for statement in statements:
-        data = {k: f.to_numpy().copy() for k, f in fields.items()}
+@contextlib.contextmanager
+def _replays():
+    """The plans replayed inside the block, in order."""
+    calls = []
+    replay = StatementPlan.replay
+
+    def spy(plan, *args):
+        calls.append(plan)
+        return replay(plan, *args)
+
+    StatementPlan.replay = spy
+    try:
+        yield calls
+    finally:
+        StatementPlan.replay = replay
+
+
+def check_one(ctx, fields, lattices, statement, replay=None,
+              pool_capacity=None):
+    """``statement`` in ``ctx`` against a fresh context on a copy of
+    the data; ``replay``, when given, is whether it must replay."""
+    data = {k: f.to_numpy().copy() for k, f in fields.items()}
+    with _replays() as calls:
         got = _run(ctx, fields, statement)
-        fctx, ffields = _world(lattices, data)
-        assert got == _run(fctx, ffields, statement)
+    if replay is not None:
+        assert bool(calls) == replay
+    fctx, ffields = _world(lattices, data, pool_capacity)
+    assert got == _run(fctx, ffields, statement)
+    return got
+
+
+def check_against_fresh(lattices, statements, replays=None):
+    ctx, fields = _world(lattices)
+    for i, statement in enumerate(statements):
+        check_one(ctx, fields, lattices, statement,
+                  None if replays is None else replays[i])
 
 
 LAT = Lattice((2, 2, 2, 4))
+
+
+def _wilson(f, psi, kappa=0.1):
+    """``psi - kappa D psi``: the Dslash's four backward hops are
+    shifts of expressions, so the statement has temporaries."""
+    links = [f["u"], f["v"], f["w"], f["u"]]
+    return f[psi] - ScalarParam(kappa) * dslash_expr(links, f[psi])
 
 
 def test_alias_after_a_clean_statement_of_the_same_structure():
@@ -86,7 +132,120 @@ def test_even_then_odd_subset():
                    LAT.odd),
         lambda f: (f["chi"], lambda: f["u"] * shift(f["psi"], +1, 0),
                    LAT.even),
-    ])
+    ], replays=[False, False, True])
+
+
+def test_replay_on_the_other_checkerboard():
+    check_against_fresh([LAT], [
+        lambda f: (f["chi"], lambda: _wilson(f, "psi"), LAT.even),
+        lambda f: (f["chi"], lambda: _wilson(f, "psi"), LAT.odd),
+        lambda f: (f["a"], lambda: _wilson(f, "b"), LAT.even),
+        lambda f: (f["a"], lambda: _wilson(f, "b"), LAT.odd),
+    ], replays=[False, False, True, True])
+
+
+def test_replay_with_a_changed_scalar():
+    check_against_fresh([LAT], [
+        lambda f: (f["a"], lambda: f["a"] + 0.3 * f["b"], None),
+        lambda f: (f["a"], lambda: f["a"] + 0.7 * f["b"], None),
+        lambda f: (f["c"], lambda: f["c"] + (0.2 - 0.5j) * f["psi"], None),
+        lambda f: (f["chi"], lambda: _wilson(f, "psi", 0.1), None),
+        lambda f: (f["chi"], lambda: _wilson(f, "psi", 0.125), None),
+    ], replays=[False, True, False, False, True])
+
+
+def test_replay_into_a_destination_the_root_reads():
+    check_against_fresh([LAT], [
+        lambda f: (f["chi"], lambda: f["chi"] + _wilson(f, "psi"), None),
+        lambda f: (f["a"], lambda: f["a"] + _wilson(f, "b"), None),
+        lambda f: (f["b"], lambda: f["a"] + _wilson(f, "b"), None),
+    ], replays=[False, True, False])
+
+
+def test_replay_after_a_bound_field_was_spilled():
+    """Room for the Dslash's working set, not for it and the sum's:
+    the sum spills ``psi``, and the replay pages it back in."""
+    cap = 46 << 10
+    ctx, fields = _world([LAT], pool_capacity=cap)
+    apply = (lambda f: (f["chi"], lambda: _wilson(f, "psi"), None))
+    check_one(ctx, fields, [LAT], apply, False, cap)
+    check_one(ctx, fields, [LAT],
+              lambda f: (f["a"], lambda: f["b"] + f["c"], None), None, cap)
+    assert ctx.field_cache.stats.spills > 0
+    assert not ctx.field_cache.is_resident(fields["psi"])
+    check_one(ctx, fields, [LAT], apply, True, cap)
+
+
+def test_a_replay_fused_with_a_new_neighbour():
+    """A replayed statement in a group no launch has had: the module
+    cache misses and the code generator reads the replay's trees."""
+    ctx, f = _world([LAT])
+    f["chi"].assign(_wilson(f, "psi"))
+    ctx.flush()
+    data = {k: x.to_numpy().copy() for k, x in f.items()}
+    misses = ctx.stats.module_cache_misses
+    with _replays() as calls:
+        f["chi"].assign(_wilson(f, "psi"))
+        f["a"].assign(f["chi"] + f["b"])
+        ctx.flush()
+    assert calls and ctx.stats.module_cache_misses > misses
+    fctx, ff = _world([LAT], data)
+    ff["chi"].assign(_wilson(ff, "psi"))
+    ff["a"].assign(ff["chi"] + ff["b"])
+    fctx.flush()
+    for name in ("chi", "a"):
+        assert np.array_equal(f[name].to_numpy(), ff[name].to_numpy())
+
+
+def test_a_queued_plan_is_not_replayed():
+    """Its temporaries are still to be read: the second root of the
+    type takes the full path, with temporaries of its own.  With the
+    queue flushing at once (``REPRO_FUSION=off``) the first replay has
+    launched before the second root arrives, so both replay."""
+    ctx, f = _world([LAT])
+    f["chi"].assign(_wilson(f, "psi"))
+    ctx.flush()
+    data = {k: x.to_numpy().copy() for k, x in f.items()}
+    with _replays() as calls:
+        f["chi"].assign(_wilson(f, "psi"))
+        f["a"].assign(_wilson(f, "b"))
+        ctx.flush()
+    assert len(calls) == (1 if ctx.fusion.enabled else 2)
+    fctx, ff = _world([LAT], data)
+    ff["chi"].assign(_wilson(ff, "psi"))
+    ff["a"].assign(_wilson(ff, "b"))
+    fctx.flush()
+    for name in ("chi", "a"):
+        assert np.array_equal(f[name].to_numpy(), ff[name].to_numpy())
+
+
+def test_a_reported_finding_warns_every_time():
+    ctx, f = _world([LAT])
+    with pytest.warns(RuntimeWarning, match="shift-alias"):
+        f["psi"].assign(_wilson(f, "psi"))
+    with pytest.warns(RuntimeWarning, match="shift-alias"):
+        f["psi"].assign(_wilson(f, "psi"))
+    ctx.flush()
+
+
+def test_fields_that_die_take_no_plan_with_them():
+    """Plans are keyed by type and hold no field of a root: a Dslash
+    into each of 1 000 short-lived fields leaves the table as the
+    first replay left it (with the queue flushing at once, the first
+    apply launches before its plan exists, so only a replay records
+    the launch plans) and every field collectable."""
+    ctx, f = _world([LAT])
+    refs = []
+    for i in range(1000):
+        out = LatticeField(LAT, fermion(), context=ctx)
+        out.assign(_wilson(f, "psi"))
+        ctx.flush()
+        if i == 1:
+            plans = dict(ctx.plans)
+        refs.append(weakref.ref(out))
+        del out
+    assert ctx.plans == plans
+    assert not any(r() for r in refs)
 
 
 def test_a_second_lattice():
@@ -118,9 +277,10 @@ def test_verify_mode_changed_between_evaluations(monkeypatch, modes):
         (True, lambda f: (f["psi"], lambda: shift(f["psi"], +1, 1), None)))
     for mode in modes:
         monkeypatch.setenv("REPRO_VERIFY", mode)
-        for aliased, statement in statements:
-            data = {k: f.to_numpy().copy() for k, f in fields.items()}
-            got = _run(ctx, fields, statement)
-            fctx, ffields = _world([LAT], data)
-            assert got == _run(fctx, ffields, statement)
-            assert bool(got[0]) == (aliased and mode != "off")
+        for again in (False, True):
+            for aliased, statement in statements:
+                # a finding is reported every time, so never planned
+                planned = not aliased or mode == "off"
+                got = check_one(ctx, fields, [LAT], statement,
+                                again and planned)
+                assert bool(got[0]) == (aliased and mode != "off")

@@ -3,6 +3,12 @@
 Spies count, per iteration of a small fused CG solve and of one HMC
 molecular-dynamics step, the calls a warm iteration must not make:
 
+* a ``__temp`` field — a planned statement reuses its plan's
+  temporaries (``repro.core.evaluator.StatementPlan``);
+* ``group_key`` and ``Context.lookup_kernel`` — a group of planned
+  statements launches from its launch plan
+  (``repro.core.fusion.LaunchPlan``);
+
 * ``lint_assignment`` — the lint formats diagnostics only for a
   finding the evaluator reports;
 * ``Expr.signature`` — the per-node signature, which only the code
@@ -36,6 +42,7 @@ import repro.core.fusion as fusion_mod
 import repro.core.lint as lint_mod
 import repro.device.gpu as gpu_mod
 import repro.qcd.halfspinor as halfspinor_mod
+import repro.qdp.fields as fields_mod
 from repro.core.context import Context
 from repro.core.expr import ConstSpinMatrix, Expr, shift
 from repro.driver import clear_kernel_store
@@ -56,7 +63,8 @@ gamma_mod = importlib.import_module("repro.qcd.gamma")
 def spies(monkeypatch):
     counts = dict.fromkeys(("lint_assignment", "signature", "launch_env",
                             "merge_envs", "kernel_cost", "lstsq",
-                            "spin_matrix"), 0)
+                            "spin_matrix", "temp", "group_key",
+                            "lookup_kernel"), 0)
 
     def counted(name, fn, when=lambda *a, **k: True):
         def spy(*args, **kwargs):
@@ -76,6 +84,13 @@ def spies(monkeypatch):
     monkeypatch.setattr(gpu_mod, "kernel_cost", counted(
         "kernel_cost", gpu_mod.kernel_cost))
     monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(fields_mod.LatticeField, "__init__", counted(
+        "temp", fields_mod.LatticeField.__init__,
+        lambda *a, name=None, **k: name == "__temp"))
+    monkeypatch.setattr(fusion_mod, "group_key", counted(
+        "group_key", fusion_mod.group_key))
+    monkeypatch.setattr(context_mod.Context, "lookup_kernel", counted(
+        "lookup_kernel", context_mod.Context.lookup_kernel))
     for mod in (gamma_mod, halfspinor_mod):
         monkeypatch.setattr(mod, "projector", counted(
             "spin_matrix", mod.projector))
@@ -119,7 +134,8 @@ def test_fused_cg(spies):
 
         first, second = spies(solve)
     assert ctx.stats.fusion_groups > 0
-    for name in ("signature", "launch_env", "kernel_cost", "spin_matrix"):
+    for name in ("signature", "launch_env", "kernel_cost", "spin_matrix",
+                 "temp", "group_key", "lookup_kernel"):
         assert first[name] > 0, name
     assert second == dict.fromkeys(second, 0)
 
@@ -153,7 +169,8 @@ def test_hmc_md_step(spies):
         finally:
             gc.enable()
     # a kernel launched under a second binding widens its env
-    for name in ("signature", "launch_env", "merge_envs", "kernel_cost"):
+    for name in ("signature", "launch_env", "merge_envs", "kernel_cost",
+                 "temp", "group_key", "lookup_kernel"):
         assert first[name] > 0, name
     assert second == dict.fromkeys(second, 0)
 

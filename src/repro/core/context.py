@@ -82,9 +82,6 @@ class ModuleEntry:
     #: launches); what the verifier passes and ``repro.lint`` analyze
     #: the kernel under
     env: KernelEnv
-    #: per binding ``env`` covers, ``(id(lattice), id(subset), shifts)``
-    #: -> ``(lattice, subset, table params)`` (held: no id is reused)
-    bound: dict = field(default_factory=dict, repr=False)
 
 
 class Context:
@@ -153,19 +150,19 @@ class Context:
         ``build(name)`` (unless another context already did) and built
         through :meth:`build_kernel` under the env ``launch_env()``.
         ``binding`` — ``(lattice, subset, shifts)``, the ``(mu, sign)``
-        of each shift slot — is the rest of what the launch binds; with
-        the key it fixes the env (view sizes from the key's specs,
-        tables from the binding), and widening an env by one it covers
-        changes nothing, so the env is built and merged once per
-        binding, as are the table parameters returned with the entry
-        (``p_lo``, ``p_n``, ``p_stab``, ``p_sh<i>``; a table uploads on
-        first use).  Hits and misses are counted in
-        ``stats.module_cache_hits/misses`` — the "kernels are compiled
-        once, launched thousands of times" claim of the paper, made
-        measurable (``repro.lint --json`` reports it).
+        of each shift slot — is the rest of what the launch binds: a
+        hit widens the entry's env by ``launch_env()`` (a no-op when it
+        covers it already), and the table parameters returned with the
+        entry (``p_lo``, ``p_n``, ``p_stab``, ``p_sh<i>``; a table
+        uploads on first use) are the caller's to keep — the one
+        caller, a launch plan miss in :mod:`repro.core.fusion`, keeps
+        them in its :class:`~repro.core.fusion.LaunchPlan`.  Hits and
+        misses are counted in ``stats.module_cache_hits/misses`` — the
+        "kernels are compiled once, launched thousands of times" claim
+        of the paper, made measurable (``repro.lint --json`` reports
+        it).
         """
         lattice, subset, shifts = binding
-        seen = (id(lattice), id(subset), shifts)
         entry = self.module_cache.get(key)
         if entry is None:
             self.stats.module_cache_misses += 1
@@ -175,9 +172,6 @@ class Context:
                 launch_env())
         else:
             self.stats.module_cache_hits += 1
-            bound = entry.bound.get(seen)
-            if bound is not None:
-                return entry, bound[2]
             entry.env = merge_envs(entry.env, launch_env())
         tables = {"p_lo": lattice.nsites, "p_n": len(subset)}
         if not subset.is_full:
@@ -187,7 +181,6 @@ class Context:
             tables[f"p_sh{i}"] = self.upload_table(
                 ("shift", lattice.dims, mu, sign),
                 lattice.shift_map(mu, sign))
-        entry.bound[seen] = (lattice, subset, tables)
         return entry, tables
 
     def build_kernel(self, key: str, generate, env=None,

@@ -14,16 +14,19 @@ copy, and the queue's hazard facts are the normalized root's read
 sets.  Lookup, paging, binding and launch (paper Secs. IV-VII) are the
 queue's one launcher, :func:`repro.core.fusion._launch_group`.
 
-A statement is *planned* the first time its root is seen: the
-context's plan table keeps, under the root's type (its fragment), the
-aliasing pattern of its leaves, its destination type, lattice, subset
-and the ``REPRO_VERIFY`` mode, a :class:`StatementPlan` — the
-statements that lint, normalization and type check produced, as
-templates over the leaves' positions, and the temporaries they write.
-A later root of the same key skips all three and enqueues the
-templates bound to its own fields and scalars, reusing the plan's
-temporaries (the paper's kernel cache keyed by the expression-template
-type, carried up to the statement).
+Every statement is enqueued by the replay of a *plan*.  The first
+root of a type is *recorded*: lint, normalization and type check run
+and enqueue nothing, and the context's plan table keeps, under the
+root's type (its fragment), the aliasing pattern of its leaves, its
+destination type, lattice, subset and the ``REPRO_VERIFY`` mode, a
+:class:`StatementPlan` — the statements they produced, as templates
+over the leaves' positions, and the temporaries those write.  That
+root and every later one of the key enqueue the templates bound to
+their own fields and scalars and to the plan's temporaries, or to
+fresh ones while a queued replay has yet to read those (the paper's
+kernel cache keyed by the expression-template type, carried up to the
+statement).  A plan whose lint reported a finding, or whose root reads
+a field of another lattice, is replayed once and not kept.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .expr import (
     TraceNode,
     UnaryNode,
     as_expr,
+    leaf_fields,
 )
 
 
@@ -124,8 +128,7 @@ def _materializer(ctx: Context, temps: list,
             evaluate(temp, expr, context=ctx)
         else:
             rec.temps.append(temp)
-            _evaluate(temp, expr, dest.lattice.all_sites, ctx, rec.mode,
-                      rec)
+            rec.record(temp, expr, dest.lattice.all_sites)
         temps.append(temp)
         return FieldRef(temp)
     return materialize
@@ -138,42 +141,38 @@ def _new_temp(lattice, spec, ctx: Context):
 
 
 class _Recording:
-    """What one evaluation enqueued, in order, and the temporaries it
-    created; ``clean`` turns false when the lint reported a finding
-    (such a statement is never planned: it warns every time)."""
+    """Lint, normalization and type check of one root, enqueuing
+    nothing: the statements it yields, in launch order, as ``(dest,
+    normalized expr, subset, temps)``, and the temporaries they write;
+    ``clean`` turns false when the lint reported a finding (such a
+    plan is replayed once and never kept: it warns every time)."""
 
-    __slots__ = ("mode", "stmts", "temps", "clean")
+    __slots__ = ("ctx", "mode", "stmts", "temps", "clean")
 
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.stmts: list[Statement] = []
+    def __init__(self, ctx: Context, mode: str):
+        self.ctx, self.mode = ctx, mode
+        self.stmts: list[tuple] = []
         self.temps: list = []
         self.clean = True
 
-
-def _evaluate(dest, expr: Expr, subset, ctx: Context, mode: str,
-              rec: _Recording | None):
-    """Lint, normalize, type-check and enqueue ``dest = expr``."""
-    # -- AST lint: surface data hazards before any kernel is built ------
-    if check_assignment(dest, expr, subset=subset, mode=mode) \
-            and rec is not None:
-        rec.clean = False
-    temps: list = []
-    expr = _normalize(expr, dest, _materializer(ctx, temps, rec))
-    # type errors must surface at the assignment site, not at the
-    # (possibly much later) deferred launch
-    _check_assign_types(dest.spec, expr)
-    ctx.stats.expressions_evaluated += 1
-    stmt = Statement(dest, expr, subset, temps)
-    if rec is not None:
-        rec.stmts.append(stmt)
-    return ctx.fusion.enqueue(stmt)
+    def record(self, dest, expr: Expr, subset) -> None:
+        """Record ``dest = expr``, after the statements of the
+        temporaries its normalization materializes."""
+        # -- AST lint: surface data hazards before any kernel is built
+        if check_assignment(dest, expr, subset=subset, mode=self.mode):
+            self.clean = False
+        temps: list = []
+        expr = _normalize(expr, dest, _materializer(self.ctx, temps, self))
+        # type errors must surface at the assignment site, not at the
+        # (possibly much later) deferred launch
+        _check_assign_types(dest.spec, expr)
+        self.stmts.append((dest, expr, subset, temps))
 
 
 def plan_key(dest, expr: Expr, subset, mode: str):
-    """``(key, binds)`` of ``dest = expr``, or ``(None, None)`` when a
-    field lives on another lattice than ``dest`` (never planned: the
-    lint must see it).
+    """``(key, binds)`` of ``dest = expr``; ``key`` is None when a
+    field lives on another lattice than ``dest`` (never kept: the lint
+    must see it).
 
     ``binds`` is ``dest`` and then each distinct field or scalar of
     ``expr.leaves`` in first-occurrence order; the key is the root's
@@ -187,6 +186,7 @@ def plan_key(dest, expr: Expr, subset, mode: str):
     binds = [dest]
     index = {id(dest): 0}
     pattern = []
+    foreign = False
     for x in expr.leaves:
         if type(x) is tuple:
             pattern.append(x)
@@ -194,37 +194,38 @@ def plan_key(dest, expr: Expr, subset, mode: str):
         i = index.get(id(x))
         if i is None:
             if type(x) is not ScalarParam and x.lattice is not lattice:
-                return None, None
+                foreign = True
             i = index[id(x)] = len(binds)
             binds.append(x)
         pattern.append(i)
+    if foreign:
+        return None, binds
     return ((expr.frag, tuple(pattern), dest.spec.ident, id(lattice),
              id(subset), mode), binds)
 
 
 class Template:
     """One statement of a :class:`StatementPlan`, over positions in the
-    plan's *env* — the root's ``binds`` followed by the plan's
-    temporaries — what :meth:`Statement.replay` binds."""
+    plan's *env* — the root's ``binds`` followed by the temporaries —
+    what a :class:`~repro.core.fusion.Statement` binds."""
 
-    __slots__ = ("plan", "index", "owner", "dest", "subset", "subset_mode",
-                 "frag", "leaves", "reads", "shift_reads", "footprint",
-                 "temps", "binds")
+    __slots__ = ("dest", "subset", "subset_mode", "frag", "leaves",
+                 "reads", "shift_reads", "footprint", "temps", "binds")
 
-    def __init__(self, plan: "StatementPlan", index: int, st: Statement,
-                 pos: dict, upos: dict):
-        self.plan, self.index = plan, index
-        #: the plan whose temporaries are free once this one launched
-        self.owner = None
-        self.dest = pos[id(st.dest)]
-        self.subset, self.subset_mode = st.subset, st.subset_mode
-        self.frag = st.frag
+    def __init__(self, stmt: tuple, pos: dict, upos: dict):
+        dest, expr, subset, temps = stmt
+        self.dest = pos[id(dest)]
+        self.subset, self.subset_mode = subset, not subset.is_full
+        self.frag = expr.frag
         self.leaves = tuple(x if type(x) is tuple else pos[id(x)]
-                            for x in st.leaves)
-        self.reads = tuple(upos[u] for u in st.reads)
-        self.shift_reads = tuple(upos[u] for u in st.shift_reads)
-        self.footprint = tuple((upos[u], n) for u, n in st.footprint.items())
-        self.temps = tuple(pos[id(t)] for t in st.temps)
+                            for x in expr.leaves)
+        self.reads = tuple(upos[u] for u in expr.reads)
+        self.shift_reads = tuple(upos[u] for u in expr.shift_reads)
+        #: device bytes of each distinct field the statement binds
+        footprint = {pos[id(f)]: f.nbytes for f in leaf_fields(expr.leaves)}
+        footprint[self.dest] = dest.nbytes
+        self.footprint = tuple(footprint.items())
+        self.temps = tuple(pos[id(t)] for t in temps)
         #: the distinct env positions the statement binds, for the
         #: launcher's cross-statement pattern
         self.binds = tuple(dict.fromkeys(
@@ -233,10 +234,11 @@ class Template:
 
 class StatementPlan:
     """The statements one root type yields, and the temporaries they
-    write — owned by the plan, reused by every replay and released to
-    the pool after each launch like any temporary."""
+    write — owned by the plan, reused by every replay that finds them
+    free and released to the pool after each launch like any
+    temporary."""
 
-    __slots__ = ("templates", "temps", "pending", "lattice")
+    __slots__ = ("templates", "temps", "pending", "lattice", "kept")
 
     def __init__(self, rec: _Recording, binds: list):
         # the key holds its id (the templates hold the subsets)
@@ -246,34 +248,43 @@ class StatementPlan:
         upos = {x.uid: i for i, x in enumerate(env)
                 if type(x) is not ScalarParam}
         self.temps = rec.temps
-        self.templates = tuple(Template(self, j, st, pos, upos)
-                               for j, st in enumerate(rec.stmts))
-        main = self.templates[-1]
-        main.owner = self
-        for st, t in zip(rec.stmts, self.templates):
-            st.adopt(t, env)
-        #: a replay would overwrite temporaries a queued statement has
-        #: yet to read: the launcher clears this when the root's own
+        self.templates = tuple(Template(st, pos, upos) for st in rec.stmts)
+        #: a replay on the plan's temporaries is queued, and they are
+        #: yet to be read: the launcher clears this when its root
         #: statement (the last, which reads them) has launched
-        self.pending = rec.stmts[-1].cost is None
+        self.pending = False
+        #: in the context's plan table (a one-shot plan is not, and
+        #: nor is a launch plan of its statements)
+        self.kept = False
 
-    def replay(self, ctx: Context, root: Expr, binds: list):
-        """Enqueue the templates bound to ``binds``; returns the
-        root statement's cost, as :func:`evaluate` does."""
-        env = binds + self.temps
+    def replay(self, ctx: Context, root: Expr, binds: list,
+               trees: list | None = None):
+        """Enqueue the templates bound to ``binds`` — and to the plan's
+        temporaries, or to fresh ones while those are pending; returns
+        the root statement's cost, as :func:`evaluate` does.  ``trees``
+        are the normalized trees of a replay on the recording's own
+        ``binds``."""
+        temps, frees = self.temps, False
+        if self.pending:
+            temps = [_new_temp(t.lattice, t.spec, ctx) for t in temps]
+        elif temps:
+            self.pending = frees = True
+        env = binds + temps
         ctx.stats.expressions_evaluated += len(self.templates)
-        self.pending = True
         enqueue = ctx.fusion.enqueue
-        for t in self.templates:
-            cost = enqueue(Statement.replay(t, env, root))
+        last = len(self.templates) - 1
+        for j, t in enumerate(self.templates):
+            cost = enqueue(Statement(self, t, env, root,
+                                     None if trees is None else trees[j],
+                                     frees and j == last))
         return cost
 
     def trees(self, root: Expr, env: list) -> list:
         """The normalized tree of each template under ``env`` — what
         the code generator reads on a module-cache miss — by the
         normalization of ``root`` that recorded the plan, handing out
-        the plan's temporaries in the order it created them."""
-        temps = iter(self.temps)
+        ``env``'s temporaries in the order it created them."""
+        temps = iter(env[len(env) - len(self.temps):])
         out = {}
 
         def materialize(expr: Expr, dest) -> FieldRef:
@@ -296,10 +307,10 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
     barrier.  With it off the queue drains at once and the modeled
     :class:`KernelCost` of the launch comes back directly.
 
-    A root whose :func:`plan_key` has a plan replays it, unless the
-    plan's last replay is still queued (its temporaries are in use):
-    then it, like a first sighting, takes the full path, and only a
-    first sighting whose lint reported nothing records a plan.
+    The root replays its :func:`plan_key`'s plan, recorded first if
+    the context has none; a plan whose lint reported a finding, or
+    whose root reads a field of another lattice, is replayed once and
+    not kept.
     """
     ctx = context if context is not None else getattr(
         dest, "context", None) or default_context()
@@ -315,14 +326,13 @@ def evaluate(dest, expr, subset: "Subset | None" = None,
                           bytes_moved=0, flops=0)
     mode = verify_mode()
     key, binds = plan_key(dest, expr, subset, mode)
-    rec = None
-    if key is not None:
-        plan = ctx.plans.get(key)
-        if plan is None:
-            rec = _Recording(mode)
-        elif not plan.pending:
-            return plan.replay(ctx, expr, binds)
-    cost = _evaluate(dest, expr, subset, ctx, mode, rec)
-    if rec is not None and rec.clean:
-        ctx.plans[key] = StatementPlan(rec, binds)
-    return cost
+    plan = None if key is None else ctx.plans.get(key)
+    if plan is not None:
+        return plan.replay(ctx, expr, binds)
+    rec = _Recording(ctx, mode)
+    rec.record(dest, expr, subset)
+    plan = StatementPlan(rec, binds)
+    if rec.clean and key is not None:
+        plan.kept = True
+        ctx.plans[key] = plan
+    return plan.replay(ctx, expr, binds, [st[1] for st in rec.stmts])

@@ -2,9 +2,10 @@
 
 The paper's expression templates collapse one *expression* into one
 kernel; this module extends the same idea across *statements*.  An
-assignment no longer launches immediately — it enters the context's
-:class:`FusionQueue` as a :class:`Statement` carrying the data-hazard
-facts of its (already normalized) AST.  A small list scheduler places
+assignment no longer launches immediately — the replay of its
+statement plan (:mod:`repro.core.evaluator`) enters the context's
+:class:`FusionQueue`, one :class:`Statement` per template, each
+carrying the data-hazard facts of its normalized AST.  A small list scheduler places
 each incoming statement into the earliest compatible *group*: an
 ordered set of statements over the same lattice and subset with no
 cross-statement shift hazard between them.  At a barrier the queue
@@ -35,8 +36,9 @@ Hazard model (the read sets are the normalized root's ``reads`` and
   the per-thread partials, saving the separate partials launch.
 
 Every statement path is this one: :func:`_launch_group` is the only
-launcher and :func:`repro.core.codegen.build_fused_kernel` the only
-builder.  A statement is a group of one, a standalone reduction is a
+launcher, a group's :class:`LaunchPlan` the only memo of what its
+lookup bound, and :func:`repro.core.codegen.build_fused_kernel` the
+only builder.  A statement is a group of one, a standalone reduction is a
 group with no statement and only a tail, and the multi-statement
 mechanisms switch on from what the group *is* (more than one member).
 The ``REPRO_FUSION`` knob (default ``on``) is read once, here: ``off``
@@ -70,57 +72,37 @@ MAX_PENDING_GROUPS = 32
 
 
 class Statement:
-    """One pending ``dest = expr`` assignment; ``reads`` and
-    ``shift_reads`` are the (normalized) root's.
+    """One pending ``dest = expr`` assignment: the template ``tpl`` of
+    the :class:`repro.core.evaluator.StatementPlan` ``plan`` bound to
+    ``env`` (the root's binds, then the temporaries); ``reads`` and
+    ``shift_reads`` are the normalized tree's.  ``leaves`` and ``expr``
+    are built only when the launcher asks (a launch plan miss, a
+    module-cache miss), unless the replay that follows a recording
+    hands ``expr`` over; ``frees`` is whether the statement is the last
+    to read the plan's own temporaries."""
 
-    A statement of a plan (:class:`repro.core.evaluator.StatementPlan`)
-    carries its template (``tpl``) and the distinct objects it binds
-    (``binds``); one built by :meth:`replay` has only those and the
-    un-normalized root, and builds ``leaves`` and ``expr`` when the
-    launcher asks (a launch plan miss, a module-cache miss)."""
+    __slots__ = ("dest", "subset", "subset_mode", "lattice", "precision",
+                 "frag", "reads", "shift_reads", "footprint", "temps",
+                 "cost", "plan", "tpl", "binds", "frees", "_env", "_root",
+                 "_leaves", "_expr")
 
-    __slots__ = ("dest", "subset", "subset_mode", "lattice", "frag",
-                 "reads", "shift_reads", "footprint", "temps", "cost",
-                 "tpl", "binds", "_env", "_root", "_leaves", "_expr")
-
-    def __init__(self, dest, expr: Expr, subset, temps):
-        self.dest = dest
-        self._expr = expr
-        self.frag, self._leaves = expr.frag, expr.leaves
-        self.subset = subset
-        self.subset_mode = not subset.is_full
+    def __init__(self, plan, tpl, env: list, root: Expr, expr: Expr | None,
+                 frees: bool):
+        self.dest = dest = env[tpl.dest]
+        self.frag = tpl.frag
+        self.subset, self.subset_mode = tpl.subset, tpl.subset_mode
         self.lattice = dest.lattice
-        self.reads, self.shift_reads = expr.reads, expr.shift_reads
-        #: device bytes of each distinct field the statement binds
-        self.footprint = {f.uid: f.nbytes for f in leaf_fields(expr.leaves)}
-        self.footprint[dest.uid] = dest.nbytes
-        self.temps = temps
+        self.precision = dest.spec.precision
+        self.reads = frozenset([env[i].uid for i in tpl.reads])
+        self.shift_reads = frozenset([env[i].uid for i in tpl.shift_reads])
+        self.temps = [env[i] for i in tpl.temps]
         self.cost = None
-        self.tpl = self.binds = None
-
-    def adopt(self, tpl, env: list) -> None:
-        """Join the plan ``tpl`` belongs to (bound to ``env``)."""
-        self.tpl = tpl
+        self.plan, self.tpl, self.frees = plan, tpl, frees
         self.binds = [env[i] for i in tpl.binds]
-
-    @classmethod
-    def replay(cls, tpl, env: list, root: Expr) -> "Statement":
-        """The statement ``tpl`` stands for, bound to ``env``."""
-        st = cls.__new__(cls)
-        st.dest = dest = env[tpl.dest]
-        st.frag = tpl.frag
-        st.subset, st.subset_mode = tpl.subset, tpl.subset_mode
-        st.lattice = dest.lattice
-        st.reads = frozenset([env[i].uid for i in tpl.reads])
-        st.shift_reads = frozenset([env[i].uid for i in tpl.shift_reads])
-        st.footprint = {env[i].uid: n for i, n in tpl.footprint}
-        st.temps = [env[i] for i in tpl.temps]
-        st.cost = None
-        st.tpl = tpl
-        st.binds = [env[i] for i in tpl.binds]
-        st._env, st._root = env, root
-        st._leaves = st._expr = None
-        return st
+        #: device bytes of each distinct field the statement binds
+        self.footprint = {env[i].uid: n for i, n in tpl.footprint}
+        self._env, self._root = env, root
+        self._leaves, self._expr = None, expr
 
     @property
     def leaves(self) -> tuple:
@@ -133,27 +115,34 @@ class Statement:
     @property
     def expr(self) -> Expr:
         if self._expr is None:
-            tpl = self.tpl
-            self._expr = tpl.plan.trees(self._root, self._env)[tpl.index]
+            plan = self.plan
+            self._expr = plan.trees(self._root, self._env)[
+                plan.templates.index(self.tpl)]
         return self._expr
 
 
 class ReductionJob:
     """A reduction's partials pass, candidate for tail-group fusion;
-    ``reads`` as for :class:`Statement`, over all of ``exprs``."""
+    ``reads`` and ``footprint`` as for :class:`Statement`, over all of
+    ``exprs``."""
 
-    __slots__ = ("kind", "exprs", "subset", "lattice", "reads",
-                 "shift_reads", "out_names")
+    __slots__ = ("kind", "exprs", "subset", "subset_mode", "lattice",
+                 "precision", "reads", "shift_reads", "footprint",
+                 "out_names")
 
     def __init__(self, kind: str, exprs, subset, lattice):
         self.kind = kind
         self.exprs = list(exprs)
-        self.subset = subset
+        self.subset, self.subset_mode = subset, not subset.is_full
         self.lattice = lattice
+        self.precision = self.exprs[0].spec.precision
         self.reads = self.shift_reads = _NONE
+        self.footprint = {}
         for e in self.exprs:
             self.reads = _union(self.reads, e.reads)
             self.shift_reads = _union(self.shift_reads, e.shift_reads)
+            self.footprint.update(
+                (f.uid, f.nbytes) for f in leaf_fields(e.leaves))
         #: the kernel's partials pointers, one f64 column each
         self.out_names = partials_names(kind)
 
@@ -254,20 +243,20 @@ class FusionQueue:
             return "join"
         return None
 
-    def _compatible(self, g: Group, stmt: Statement) -> bool:
-        # destination precision must match: the fused kernel's default
-        # arithmetic type equals each member's eager kernel's, which
-        # is what makes fusion bitwise-transparent; and the grown
-        # group's fields must fit the pool together, since its launch
-        # pins them all
-        return (g.lattice is stmt.lattice
-                and g.subset_mode == stmt.subset_mode
-                and (g.subset is stmt.subset
-                     or g.subset.name == stmt.subset.name)
-                and (stmt.dest.spec.precision
-                     == g.stmts[0].dest.spec.precision)
-                and len(g.stmts) < MAX_GROUP_STATEMENTS
-                and (sum({**g.footprint, **stmt.footprint}.values())
+    def _may_share(self, g: Group, job) -> bool:
+        """Whether ``job`` (a :class:`Statement` or a
+        :class:`ReductionJob`) may launch in ``g``'s kernel: the same
+        lattice and subset; the same precision, since the fused
+        kernel's default arithmetic type equals each member's lone
+        kernel's, which is what makes fusion bitwise-transparent; and
+        room in the pool for all their fields, since the launch pins
+        them together."""
+        return (g.lattice is job.lattice
+                and g.subset_mode == job.subset_mode
+                and (g.subset is job.subset
+                     or g.subset.name == job.subset.name)
+                and job.precision == g.stmts[0].precision
+                and (sum({**g.footprint, **job.footprint}.values())
                      <= self.ctx.device.pool.capacity))
 
     def enqueue(self, stmt: Statement):
@@ -283,8 +272,10 @@ class FusionQueue:
                 lower = max(lower, i)
         placed = False
         for i in range(lower, len(self.groups)):
-            if self._compatible(self.groups[i], stmt):
-                self.groups[i].add(stmt)
+            g = self.groups[i]
+            if (len(g.stmts) < MAX_GROUP_STATEMENTS
+                    and self._may_share(g, stmt)):
+                g.add(stmt)
                 placed = True
                 break
         if not placed:
@@ -312,20 +303,14 @@ class FusionQueue:
         """Drain the queue for a reduction and launch its partials;
         returns the device scratch address holding them.
 
-        If the trailing group is compatible with ``job`` (same lattice,
-        subset and precision, none of its writes read through a shift
-        by the reduction) the reduction is *absorbed*: the group's
-        kernel also computes the partials.  Otherwise the queue just
-        drains and the tail launches on an empty group — the
+        If ``job`` may share the trailing group's launch and reads none
+        of its writes through a shift, the reduction is *absorbed*: the
+        group's kernel also computes the partials.  Otherwise the queue
+        just drains and the tail launches on an empty group — the
         standalone partials kernel.
         """
         tail = self.groups[-1] if self.groups and not self._flushing else None
-        if (tail is not None and tail.lattice is job.lattice
-                and tail.subset_mode == (not job.subset.is_full)
-                and (tail.subset is job.subset
-                     or tail.subset.name == job.subset.name)
-                and (job.exprs[0].spec.precision
-                     == tail.stmts[0].dest.spec.precision)
+        if (tail is not None and self._may_share(tail, job)
                 and not (tail.writes & job.shift_reads)):
             self.groups.pop()
         else:
@@ -369,10 +354,10 @@ def launch_env(lattice, subset, slots: SlotAssigner,
 
 
 class LaunchPlan:
-    """What the lookup of a group of planned statements found: the
-    module-cache entry, the binding's table parameters, and where in
-    the group's ``binds`` (:func:`launch_plan_key`) each field and
-    scalar slot finds its object."""
+    """What the lookup of a group found: the module-cache entry, the
+    binding's table parameters, and where in the group's ``binds``
+    (:func:`launch_plan_key`) each field and scalar slot finds its
+    object — the one memo of a binding."""
 
     __slots__ = ("entry", "tables", "fields", "scalars", "lattice",
                  "subset")
@@ -393,18 +378,14 @@ class LaunchPlan:
 
 
 def launch_plan_key(group: Group, reduction: ReductionJob | None):
-    """``(key, binds)`` of a group whose statements all came from plans
-    (else ``(None, None)``): ``binds`` concatenates each statement's
-    ``binds`` and the tail's fields and scalars; the key is the
-    statements' templates, the tail's kind, fragments and shifts, the
-    lattice and subset, and the pattern of which ``binds`` entries are
-    one object — everything :func:`group_key` and the lookup read."""
-    tpls = []
+    """``(key, binds)`` of a group: ``binds`` concatenates each
+    statement's ``binds`` and the tail's fields and scalars; the key is
+    the statements' templates, the tail's kind, fragments and shifts,
+    the lattice and subset, and the pattern of which ``binds`` entries
+    are one object — everything :func:`group_key` and the lookup
+    read."""
     binds: list = []
     for st in group.stmts:
-        if st.tpl is None:
-            return None, None
-        tpls.append(st.tpl)
         binds += st.binds
     tail = None
     if reduction is not None:
@@ -416,22 +397,22 @@ def launch_plan_key(group: Group, reduction: ReductionJob | None):
                 tuple(shifts))
     seen: dict = {}
     pattern = tuple([seen.setdefault(id(x), len(seen)) for x in binds])
-    return ((tuple(tpls), tail, id(group.lattice), id(group.subset),
-             pattern), binds)
+    return ((tuple([st.tpl for st in group.stmts]), tail, id(group.lattice),
+             id(group.subset), pattern), binds)
 
 
 def _launch_group(ctx: "Context", group: Group,
                   reduction: ReductionJob | None = None) -> int | None:
-    """Look up (or build), bind, page in and launch one group — the
-    one launcher of every statement path (paper Secs. III-VII).
+    """Bind, page in and launch one group from its :class:`LaunchPlan`
+    — the one launcher of every statement path (paper Secs. III-VII).
 
     Sets each member statement's ``cost``; returns the scratch address
     of the partials when there is a ``reduction`` tail.  The kernel
     family follows from the group's shape: one statement ``eval_``, a
     lone tail ``red_``, anything larger ``fus_`` — and only those
-    count as fusion groups.  A group of planned statements whose
-    :func:`launch_plan_key` has a :class:`LaunchPlan` skips the key
-    and the lookup (a module-cache hit all the same).
+    count as fusion groups.  A launch plan miss keys the group and
+    looks its kernel up (or builds it), and keeps the plan unless a
+    statement came from a one-shot plan.
     """
     stmts = group.stmts
     lattice, subset = group.lattice, group.subset
@@ -441,18 +422,8 @@ def _launch_group(ctx: "Context", group: Group,
     fused = len(stmts) + (reduction is not None) > 1
 
     pkey, binds = launch_plan_key(group, reduction)
-    plan = None if pkey is None else ctx.plans.get(pkey)
-    if plan is not None:
-        ctx.stats.module_cache_hits += 1
-        entry = plan.entry
-        params = dict(plan.tables)
-        for i, re, im in plan.scalars:
-            value = binds[i].value
-            params[re] = value.real
-            if im is not None:
-                params[im] = value.imag
-        fields = [binds[i] for i in plan.fields]
-    else:
+    plan = ctx.plans.get(pkey)
+    if plan is None:
         # -- structural signature -> generated-module cache; a miss
         # -- runs the code generator, the PTX verifier and the driver
         # -- JIT.  The lookup also binds the tables (a first-use upload
@@ -470,15 +441,19 @@ def _launch_group(ctx: "Context", group: Group,
                 subset_mode),
             (lattice, subset, tuple(slots.shifts)),
             lambda: launch_env(lattice, subset, slots, out_names))
-        params = dict(tables)
-        for i, sn in enumerate(slots.scalar_slots):
-            params[f"p_s{i}_re"] = sn.value.real
-            if sn.spec.is_complex:
-                params[f"p_s{i}_im"] = sn.value.imag
-        fields = slots.fields
-        if pkey is not None:
-            ctx.plans[pkey] = LaunchPlan(entry, tables, slots, binds,
-                                         lattice, subset)
+        plan = LaunchPlan(entry, tables, slots, binds, lattice, subset)
+        if all(st.plan.kept for st in stmts):
+            ctx.plans[pkey] = plan
+    else:
+        ctx.stats.module_cache_hits += 1
+    entry = plan.entry
+    params = dict(plan.tables)
+    for i, re, im in plan.scalars:
+        value = binds[i].value
+        params[re] = value.real
+        if im is not None:
+            params[im] = value.imag
+    fields = [binds[i] for i in plan.fields]
     scratch = None
     need_host = group.need_host
     if reduction is not None:
@@ -499,8 +474,7 @@ def _launch_group(ctx: "Context", group: Group,
     # -- launch through the per-kernel auto-tuner (paper Sec. VII), or
     # -- at the context's fixed block size
     info = entry.module.info
-    precision = (stmts[0].dest.spec if stmts
-                 else reduction.exprs[0].spec).precision
+    precision = (stmts[0] if stmts else reduction).precision
     if ctx.autotuner is not None:
         cost = ctx.autotuner.launch(entry.compiled, info, params, n_active,
                                     precision=precision)
@@ -511,9 +485,9 @@ def _launch_group(ctx: "Context", group: Group,
     for st in stmts:
         ctx.field_cache.mark_device_dirty(st.dest)
         st.cost = cost
-        if st.tpl is not None and st.tpl.owner is not None:
-            # the plan's temporaries are read: it may replay again
-            st.tpl.owner.pending = False
+        if st.frees:
+            # the plan's temporaries are read: a replay may reuse them
+            st.plan.pending = False
     _release_temps(ctx, stmts)
     if fused:
         ctx.stats.fusion_groups += 1

@@ -328,6 +328,22 @@ class TestGroupsFitThePool:
                 for g in ctx.fusion.groups] == [(3, 6), (1, 3)]
         ctx.flush()
 
+    def test_a_reduction_that_would_overflow_launches_alone(self):
+        """``norm2(w)`` right after ``z = x + y``, in a pool of three
+        and a half fields: absorbed into the group, the partials pass
+        would pin a fourth field.  It used to raise
+        ``SpillImpossible`` with fusion on."""
+        def run(fusion):
+            lat = Lattice((2, 2, 2, 4))
+            nbytes = lat.nsites * fermion().bytes_per_site
+            ctx = Context(pool_capacity=3 * nbytes + nbytes // 2,
+                          autotune=False, fusion=fusion)
+            x, y, z, w = _fermions(lat, ctx, 4, np.random.default_rng(7))
+            z.assign(x + y)
+            return norm2(w), z.to_numpy().tobytes()
+
+        assert run(True) == run(False)
+
 
 class TestGroupOfOne:
     """A statement is a group of one and a standalone reduction a

@@ -1,12 +1,11 @@
 """A launch memo hit is sound: same structure, new binding, no stale plan.
 
-A context memoizes, per (structural key, lattice, subset, shift
-directions), the launch env it merged into the kernel's entry, and per
-binding the table parameters it uploaded; a device memoizes the modeled
-cost per launch shape; and a context plans each statement type once
+A context plans each statement type once
 (``repro.core.evaluator.StatementPlan``: its temporaries and
-statements, replayed over a later root's fields and scalars) and each
-group of planned statements once (``repro.core.fusion.LaunchPlan``).
+statements, replayed over every root's fields and scalars) and each
+group of statements once (``repro.core.fusion.LaunchPlan``: the
+kernel's entry and the binding's table parameters); a device memoizes
+the modeled cost per launch shape.
 Each case below runs statements of one structure under different
 bindings in *one* context, and each statement again in a *fresh*
 context on the same data: the diagnostics (warnings, in order), the
@@ -18,6 +17,7 @@ replay.
 from __future__ import annotations
 
 import contextlib
+import gc
 import warnings
 import weakref
 
@@ -70,19 +70,26 @@ def _run(ctx, fields, statement):
 
 @contextlib.contextmanager
 def _replays():
-    """The plans replayed inside the block, in order."""
-    calls = []
-    replay = StatementPlan.replay
+    """The plans replayed inside the block that were recorded before
+    it, in order (every statement replays a plan: a first sighting
+    the one it has just recorded)."""
+    calls, recorded = [], []
+    replay, record = StatementPlan.replay, StatementPlan.__init__
 
     def spy(plan, *args):
-        calls.append(plan)
+        if plan not in recorded:
+            calls.append(plan)
         return replay(plan, *args)
 
-    StatementPlan.replay = spy
+    def spy_record(plan, *args):
+        recorded.append(plan)
+        record(plan, *args)
+
+    StatementPlan.replay, StatementPlan.__init__ = spy, spy_record
     try:
         yield calls
     finally:
-        StatementPlan.replay = replay
+        StatementPlan.replay, StatementPlan.__init__ = replay, record
 
 
 def check_one(ctx, fields, lattices, statement, replay=None,
@@ -197,11 +204,12 @@ def test_a_replay_fused_with_a_new_neighbour():
         assert np.array_equal(f[name].to_numpy(), ff[name].to_numpy())
 
 
-def test_a_queued_plan_is_not_replayed():
+def test_a_queued_plan_replays_on_fresh_temporaries():
     """Its temporaries are still to be read: the second root of the
-    type takes the full path, with temporaries of its own.  With the
-    queue flushing at once (``REPRO_FUSION=off``) the first replay has
-    launched before the second root arrives, so both replay."""
+    type replays the plan on temporaries of its own (with the queue
+    flushing at once, the first replay has launched before the second
+    root arrives, and both use the plan's), and the launch of the
+    replay on the plan's own temporaries frees them for the next."""
     ctx, f = _world([LAT])
     f["chi"].assign(_wilson(f, "psi"))
     ctx.flush()
@@ -210,7 +218,8 @@ def test_a_queued_plan_is_not_replayed():
         f["chi"].assign(_wilson(f, "psi"))
         f["a"].assign(_wilson(f, "b"))
         ctx.flush()
-    assert len(calls) == (1 if ctx.fusion.enabled else 2)
+    assert len(calls) == 2 and calls[0] is calls[1]
+    assert not calls[0].pending
     fctx, ff = _world([LAT], data)
     ff["chi"].assign(_wilson(ff, "psi"))
     ff["a"].assign(_wilson(ff, "b"))
@@ -220,31 +229,57 @@ def test_a_queued_plan_is_not_replayed():
 
 
 def test_a_reported_finding_warns_every_time():
+    """Its plan is replayed once and not kept, nor is its launch plan,
+    and it leaves no reference cycle: its temporaries go when their
+    last reference does."""
     ctx, f = _world([LAT])
-    with pytest.warns(RuntimeWarning, match="shift-alias"):
-        f["psi"].assign(_wilson(f, "psi"))
-    with pytest.warns(RuntimeWarning, match="shift-alias"):
-        f["psi"].assign(_wilson(f, "psi"))
-    ctx.flush()
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.warns(RuntimeWarning, match="shift-alias"):
+                f["psi"].assign(_wilson(f, "psi"))
+            ctx.flush()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert not ctx.plans
 
 
 def test_fields_that_die_take_no_plan_with_them():
     """Plans are keyed by type and hold no field of a root: a Dslash
     into each of 1 000 short-lived fields leaves the table as the
-    first replay left it (with the queue flushing at once, the first
-    apply launches before its plan exists, so only a replay records
-    the launch plans) and every field collectable."""
+    first apply left it and every field collectable."""
     ctx, f = _world([LAT])
     refs = []
     for i in range(1000):
         out = LatticeField(LAT, fermion(), context=ctx)
         out.assign(_wilson(f, "psi"))
         ctx.flush()
-        if i == 1:
+        if i == 0:
             plans = dict(ctx.plans)
         refs.append(weakref.ref(out))
         del out
     assert ctx.plans == plans
+    assert not any(r() for r in refs)
+
+
+def test_dead_lattices_are_freed_with_the_plans():
+    """No module-cache entry holds a lattice: once the plan table is
+    cleared, every lattice a statement ran on can be collected."""
+    ctx = Context(autotune=False)
+    refs = []
+    for _ in range(20):
+        lat = Lattice((2, 2, 2, 4))
+        a = LatticeField(lat, fermion(), context=ctx)
+        b = LatticeField(lat, fermion(), context=ctx)
+        b.from_numpy(np.ones((lat.nsites,) + b.spec.shape))
+        a.assign(b + 0.5 * b)
+        ctx.flush()
+        refs.append(weakref.ref(lat))
+        del lat, a, b
+    ctx.plans.clear()
+    gc.collect()
     assert not any(r() for r in refs)
 
 
@@ -279,7 +314,7 @@ def test_verify_mode_changed_between_evaluations(monkeypatch, modes):
         monkeypatch.setenv("REPRO_VERIFY", mode)
         for again in (False, True):
             for aliased, statement in statements:
-                # a finding is reported every time, so never planned
+                # a finding is reported every time: its plan is not kept
                 planned = not aliased or mode == "off"
                 got = check_one(ctx, fields, [LAT], statement,
                                 again and planned)

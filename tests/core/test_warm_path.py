@@ -3,11 +3,11 @@
 Spies count, per iteration of a small fused CG solve and of one HMC
 molecular-dynamics step, the calls a warm iteration must not make:
 
-* a ``__temp`` field — a planned statement reuses its plan's
+* a ``__temp`` field — a replayed statement reuses its plan's
   temporaries (``repro.core.evaluator.StatementPlan``);
-* ``group_key`` and ``Context.lookup_kernel`` — a group of planned
-  statements launches from its launch plan
-  (``repro.core.fusion.LaunchPlan``);
+* ``group_key`` and ``Context.lookup_kernel`` — a group launches from
+  its launch plan (``repro.core.fusion.LaunchPlan``), and only a
+  launch plan miss keys it;
 
 * ``lint_assignment`` — the lint formats diagnostics only for a
   finding the evaluator reports;
